@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: verify fmt-check vet build test race bench bench-faults bench-obs bench-warm bench-capacity bench-autoscale bench-ledger bench-incident clean
+.PHONY: verify fmt-check vet build test race bench-smoke bench bench-faults bench-obs bench-warm bench-capacity bench-autoscale bench-ledger bench-incident clean
 
 # verify is the tier-1 gate (ROADMAP.md): formatting, static checks,
 # build, and the full test suite.
@@ -29,6 +29,14 @@ test:
 # outcome ledger).
 race:
 	$(GO) test -race ./internal/registry ./internal/eventbus ./internal/core ./internal/distributor ./internal/experiments ./internal/par ./internal/wire ./internal/faultinject ./internal/domain ./internal/trace ./internal/metrics ./internal/flight ./internal/obslog ./internal/explain ./internal/capacity ./internal/admission ./internal/autoscale ./internal/ledger ./internal/incident
+
+# bench-smoke builds the over-the-wire benchmark (a module of its own,
+# so `go build ./...` does not reach it), runs its tests and runs every
+# workload at tiny counts with every correctness check on: reservation
+# conservation, FitInto and cost agreement of every solver output, exact
+# repeats on `fill`. A few seconds; the timings it prints mean nothing.
+bench-smoke:
+	cd benchmark && $(GO) test ./... && $(GO) run . -smoke
 
 # bench times the parallel configuration engine against its sequential
 # equivalents, writing BENCH_parallel.json (ns/op + speedup per pair) and

@@ -8,6 +8,7 @@
 package ubiqos
 
 import (
+	"encoding/json"
 	"fmt"
 	"math/rand"
 	"runtime"
@@ -189,6 +190,36 @@ func BenchmarkHeuristicLarge(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, _, err := distributor.Heuristic(probs[i%len(probs)]); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkAbstractGraphDecode measures decoding the abstract graphs of
+// the same Figure-5 size off the wire — what every `start` request pays
+// before composition, duplicate-edge check included.
+func BenchmarkAbstractGraphDecode(b *testing.B) {
+	rng := rand.New(rand.NewSource(5))
+	var encoded [][]byte
+	for len(encoded) < 8 {
+		g := workload.MustRandomGraph(rng, workload.Fig5Params())
+		ag := composer.NewAbstractGraph()
+		for _, n := range g.Nodes() {
+			ag.MustAddNode(&composer.AbstractNode{ID: n.ID, Spec: registry.Spec{Type: n.Type}})
+		}
+		for _, e := range g.Edges() {
+			ag.MustAddEdge(e.From, e.To, e.ThroughputMbps)
+		}
+		data, err := json.Marshal(ag)
+		if err != nil {
+			b.Fatal(err)
+		}
+		encoded = append(encoded, data)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		var ag composer.AbstractGraph
+		if err := json.Unmarshal(encoded[i%len(encoded)], &ag); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -81,6 +81,21 @@ func (ag *AbstractGraph) MustAddNode(n *AbstractNode) {
 // AddEdge declares that service `from` feeds service `to` at the given
 // throughput.
 func (ag *AbstractGraph) AddEdge(from, to graph.NodeID, throughputMbps float64) error {
+	if err := ag.checkEdge(from, to, throughputMbps); err != nil {
+		return err
+	}
+	for _, e := range ag.edges {
+		if e.From == from && e.To == to {
+			return errDuplicateEdge(from, to)
+		}
+	}
+	ag.edges = append(ag.edges, AbstractEdge{From: from, To: to, ThroughputMbps: throughputMbps})
+	return nil
+}
+
+// checkEdge applies every AddEdge rejection that concerns the edge alone;
+// whether it duplicates an earlier edge is for the caller to decide.
+func (ag *AbstractGraph) checkEdge(from, to graph.NodeID, throughputMbps float64) error {
 	if _, ok := ag.nodes[from]; !ok {
 		return fmt.Errorf("composer: abstract edge source %q does not exist", from)
 	}
@@ -93,13 +108,11 @@ func (ag *AbstractGraph) AddEdge(from, to graph.NodeID, throughputMbps float64) 
 	if throughputMbps < 0 {
 		return fmt.Errorf("composer: negative throughput on %s->%s", from, to)
 	}
-	for _, e := range ag.edges {
-		if e.From == from && e.To == to {
-			return fmt.Errorf("composer: duplicate abstract edge %s->%s", from, to)
-		}
-	}
-	ag.edges = append(ag.edges, AbstractEdge{From: from, To: to, ThroughputMbps: throughputMbps})
 	return nil
+}
+
+func errDuplicateEdge(from, to graph.NodeID) error {
+	return fmt.Errorf("composer: duplicate abstract edge %s->%s", from, to)
 }
 
 // MustAddEdge is AddEdge that panics on error.
@@ -128,6 +141,23 @@ func (ag *AbstractGraph) Edges() []AbstractEdge {
 
 // NodeCount returns the number of abstract services.
 func (ag *AbstractGraph) NodeCount() int { return len(ag.nodes) }
+
+// Clone returns a copy of the graph with the same node and edge order.
+// The nodes are copied, so the clone's pins can be rewritten without
+// touching the original; what AddNode and AddEdge validated on the way in
+// is not checked again.
+func (ag *AbstractGraph) Clone() *AbstractGraph {
+	c := &AbstractGraph{
+		nodes: make(map[graph.NodeID]*AbstractNode, len(ag.nodes)),
+		order: append([]graph.NodeID(nil), ag.order...),
+		edges: append([]AbstractEdge(nil), ag.edges...),
+	}
+	for id, n := range ag.nodes {
+		cp := *n
+		c.nodes[id] = &cp
+	}
+	return c
+}
 
 // preds returns the abstract predecessors of id in edge order.
 func (ag *AbstractGraph) preds(id graph.NodeID) []graph.NodeID {

@@ -1007,16 +1007,11 @@ func resolveClientPins(app *composer.AbstractGraph, client device.ID) *composer.
 	if !needs {
 		return app
 	}
-	out := composer.NewAbstractGraph()
-	for _, n := range app.Nodes() {
-		cp := *n
-		if cp.Pin == ClientRole {
-			cp.Pin = string(client)
+	out := app.Clone()
+	for _, n := range out.Nodes() {
+		if n.Pin == ClientRole {
+			n.Pin = string(client)
 		}
-		out.MustAddNode(&cp)
-	}
-	for _, e := range app.Edges() {
-		out.MustAddEdge(e.From, e.To, e.ThroughputMbps)
 	}
 	return out
 }

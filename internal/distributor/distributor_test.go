@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -154,6 +155,46 @@ func TestCostAggregationHandComputed(t *testing.T) {
 	}
 }
 
+// TestCostIsBitStable: the cost of one placement must not depend on map
+// iteration order. Six devices give fifteen device pairs, which the old
+// map-keyed summation visited in a different order on every call, moving
+// the cost's last bits from run to run. LinkDemands must still name every
+// pair that exchanges traffic, with the per-pair totals a plain
+// edge-by-edge tally gives.
+func TestCostIsBitStable(t *testing.T) {
+	p := referenceProblem(rand.New(rand.NewSource(23)), workload.Fig5Params(), 1.25)
+	a, cost, err := Heuristic(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(p.LinkDemands(a)) != 15 {
+		t.Fatalf("placement uses %d links; the test wants all 15", len(p.LinkDemands(a)))
+	}
+	for i := 0; i < 200; i++ {
+		if _, again, err := Heuristic(p); err != nil || again != cost || p.CostAggregation(a) != cost {
+			t.Fatalf("call %d: cost %v / %v (err %v), first call %v", i, again, p.CostAggregation(a), err, cost)
+		}
+		if err := p.FitInto(a); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	want := make(map[[2]device.ID]float64)
+	for _, e := range p.Graph.Edges() {
+		i, j := p.Devices[a[e.From]].ID, p.Devices[a[e.To]].ID
+		if i == j {
+			continue
+		}
+		if i > j {
+			i, j = j, i
+		}
+		want[[2]device.ID{i, j}] += e.ThroughputMbps
+	}
+	if got := p.LinkDemands(a); !reflect.DeepEqual(got, want) {
+		t.Errorf("LinkDemands = %v, want %v", got, want)
+	}
+}
+
 func TestCutEdgesAndPartitions(t *testing.T) {
 	w := defaultWeights(t)
 	g := graph.New()
@@ -175,7 +216,7 @@ func TestCutEdgesAndPartitions(t *testing.T) {
 		t.Errorf("Partitions = %v", parts)
 	}
 	tp := p.pairThroughput(a)
-	if tp[pairKey(0, 1)] != 2+3 { // a->c (2) and b->d (3)
+	if tp[0*2+1] != 2+3 || tp[1*2+0] != 0 { // a->c (2) and b->d (3), upper triangle only
 		t.Errorf("pair throughput = %v", tp)
 	}
 }
@@ -230,10 +271,15 @@ func TestHeuristicGrowsPartitionAlongEdges(t *testing.T) {
 }
 
 func TestChooseComponentRule(t *testing.T) {
-	// Directly exercise the paper's selection rule: with a component A on
-	// the head device, the next pick is A's largest unassigned neighbor
-	// even when a larger component exists elsewhere; with an empty head,
-	// the globally largest unassigned component is picked.
+	// The paper's selection rule, observed through the placement it
+	// produces: with a component A on the head device, the next pick is A's
+	// largest unassigned neighbor even when a larger component exists
+	// elsewhere; with no such neighbor, the globally largest unassigned
+	// component is picked. The head device has CPU to spare (so it stays
+	// the head throughout) but only 16MB of memory: x1, then its neighbors
+	// x3 and x2, use 15MB, and y — larger than both, but nobody's
+	// neighbor — comes last and has to fall back. Picking by size alone
+	// would place y second and push x3 and x2 off the head instead.
 	w := defaultWeights(t)
 	g := graph.New()
 	g.MustAddNode(&graph.Node{ID: "x1", Type: "c", Resources: resource.MB(10, 10)})
@@ -242,20 +288,27 @@ func TestChooseComponentRule(t *testing.T) {
 	g.MustAddNode(&graph.Node{ID: "y", Type: "c", Resources: resource.MB(5, 5)})
 	g.MustAddEdge("x1", "x2", 1)
 	g.MustAddEdge("x1", "x3", 1)
-	p := twoDeviceProblem(t, g, 100, w)
-
-	unassigned := map[graph.NodeID]bool{"x2": true, "x3": true, "y": true}
-	bySize := p.sortedNodesByRequirement()
-
-	// Head device 0 hosts x1: its largest unassigned neighbor is x3.
-	got := p.chooseComponent(Assignment{"x1": 0}, unassigned, bySize, 0)
-	if got != "x3" {
-		t.Errorf("chooseComponent with occupied head = %s, want x3", got)
+	var stats SearchStats
+	p := &Problem{
+		Graph: g,
+		Devices: []DeviceInfo{
+			{ID: "head", Avail: resource.MB(16, 1000)},
+			{ID: "other", Avail: resource.MB(32, 100)},
+		},
+		Bandwidth: constBandwidth(100),
+		Weights:   w,
+		Stats:     &stats,
 	}
-	// Head device 1 is empty: the globally largest unassigned is y.
-	got = p.chooseComponent(Assignment{"x1": 0}, unassigned, bySize, 1)
-	if got != "y" {
-		t.Errorf("chooseComponent with empty head = %s, want y", got)
+	a, _, err := Heuristic(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := Assignment{"x1": 0, "x3": 0, "x2": 0, "y": 1}
+	if !reflect.DeepEqual(a, want) {
+		t.Errorf("assignment = %v, want %v", a, want)
+	}
+	if stats.Explored != 4 || stats.Pruned != 1 {
+		t.Errorf("placements/fallbacks = %d/%d, want 4/1", stats.Explored, stats.Pruned)
 	}
 }
 

@@ -1,9 +1,9 @@
 package distributor
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
-	"ubiqos/internal/graph"
 	"ubiqos/internal/obslog"
 	"ubiqos/internal/resource"
 	"ubiqos/internal/trace"
@@ -50,65 +50,87 @@ func Heuristic(p *Problem) (asg Assignment, cost float64, err error) {
 		p.Log.Debug("greedy placement done",
 			obslog.Int("placements", placements), obslog.Int("fallbacks", fallbacks))
 	}()
-	a, err := p.pinnedAssignment()
-	if err != nil {
-		return nil, 0, err
+
+	// The view is built big-first, so a node's index is its rank under the
+	// selection rule (largest weighted requirement, then smallest ID):
+	// "the largest unassigned ..." is always the smallest unassigned index.
+	d := newDense(p, nil)
+	n, k, m := len(d.nodes), d.k, p.Weights.Dims()
+	wEnd := p.Weights.EndSystem()
+
+	// remaining holds the k devices' remaining availability, m values each.
+	remaining := make([]float64, k*m)
+	rem := func(di int) resource.Vector { return remaining[di*m : (di+1)*m] }
+	for di, dev := range p.Devices {
+		copy(rem(di), dev.Avail)
 	}
 
-	remaining := make([]resource.Vector, len(p.Devices))
-	for i, d := range p.Devices {
-		remaining[i] = d.Avail.Clone()
+	// assign[i] is node i's device or -1; near[di*n+i] marks node i as
+	// adjacent to some occupant of device di.
+	assign, near := make([]int, n), make([]bool, k*n)
+	a := make(Assignment, n)
+	place := func(i, di int) {
+		assign[i] = di
+		a[d.nodes[i].ID] = di
+		r := rem(di)
+		for dim, need := range d.nodes[i].Resources {
+			r[dim] = max(r[dim]-need, 0)
+		}
+		for _, e := range d.edgesOf(i) {
+			near[di*n+int(e.other)] = true
+		}
 	}
-	for id, di := range a {
-		remaining[di] = remaining[di].Sub(p.Graph.Node(id).Resources)
-	}
-
-	unassigned := make(map[graph.NodeID]bool)
-	for _, n := range p.Graph.Nodes() {
-		if _, ok := a[n.ID]; !ok {
-			unassigned[n.ID] = true
+	for i, di := range d.pin {
+		assign[i] = -1
+		if di >= 0 {
+			place(i, di)
 		}
 	}
 
-	// bySize caches the global decreasing-requirement order.
-	bySize := p.sortedNodesByRequirement()
+	weight, devOrder := make([]float64, k), make([]int, k)
+	for cursor := 0; ; { // every index below cursor is assigned
+		for cursor < n && assign[cursor] >= 0 {
+			cursor++
+		}
+		if cursor == n {
+			break
+		}
 
-	devOrder := make([]int, len(p.Devices))
-	for len(unassigned) > 0 {
 		// Sort devices by decreasing weighted remaining availability.
-		for i := range devOrder {
-			devOrder[i] = i
+		for di := range devOrder {
+			devOrder[di], weight[di] = di, rem(di).WeightedSum(wEnd)
 		}
-		sort.SliceStable(devOrder, func(x, y int) bool {
-			ax := remaining[devOrder[x]].WeightedSum(p.Weights.EndSystem())
-			ay := remaining[devOrder[y]].WeightedSum(p.Weights.EndSystem())
-			if ax != ay {
-				return ax > ay
+		slices.SortFunc(devOrder, func(x, y int) int {
+			if c := cmp.Compare(weight[y], weight[x]); c != 0 {
+				return c
 			}
-			return devOrder[x] < devOrder[y]
+			return x - y
 		})
 
-		head := devOrder[0]
-		chosen := p.chooseComponent(a, unassigned, bySize, head)
-
-		// Insert into the head device, falling back down the sorted list
-		// when the component does not fit.
-		placed := false
-		for oi, di := range devOrder {
-			if p.Graph.Node(chosen).Resources.LessEq(remaining[di]) {
-				a[chosen] = di
-				remaining[di] = remaining[di].Sub(p.Graph.Node(chosen).Resources)
-				delete(unassigned, chosen)
-				placed = true
-				placements++
-				if oi > 0 {
-					fallbacks++
-				}
+		// The next component is the largest unassigned neighbor of the head
+		// device's occupants (merging it with them keeps their edge off the
+		// cut), or the largest unassigned component overall when the head
+		// is empty or has no such neighbor.
+		chosen, headNear := cursor, near[devOrder[0]*n:][:n]
+		for i := cursor; i < n; i++ {
+			if headNear[i] && assign[i] < 0 {
+				chosen = i
 				break
 			}
 		}
-		if !placed {
+
+		// Insert into the head device, falling back down the sorted list
+		// when the component does not fit.
+		oi := slices.IndexFunc(devOrder, func(di int) bool {
+			return d.nodes[chosen].Resources.LessEq(rem(di))
+		})
+		if oi < 0 {
 			return nil, 0, ErrInfeasible
+		}
+		place(chosen, devOrder[oi])
+		placements++
+		if oi > 0 {
+			fallbacks++
 		}
 	}
 
@@ -116,37 +138,4 @@ func Heuristic(p *Problem) (asg Assignment, cost float64, err error) {
 		return nil, 0, err
 	}
 	return a, p.CostAggregation(a), nil
-}
-
-// chooseComponent picks the next component to place given the head device:
-// the largest-requirement unassigned neighbor of the head's current
-// occupants when there is one, otherwise the largest-requirement
-// unassigned component overall.
-func (p *Problem) chooseComponent(a Assignment, unassigned map[graph.NodeID]bool, bySize []*graph.Node, head int) graph.NodeID {
-	var best graph.NodeID
-	bestReq := -1.0
-	for id, di := range a {
-		if di != head {
-			continue
-		}
-		for _, nb := range p.Graph.Neighbors(id) {
-			if !unassigned[nb] {
-				continue
-			}
-			req := p.weightedRequirement(p.Graph.Node(nb))
-			if req > bestReq || (req == bestReq && nb < best) {
-				best, bestReq = nb, req
-			}
-		}
-	}
-	if best != "" {
-		return best
-	}
-	for _, n := range bySize {
-		if unassigned[n.ID] {
-			return n.ID
-		}
-	}
-	// Unreachable: callers only invoke with a non-empty unassigned set.
-	return ""
 }

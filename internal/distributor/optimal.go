@@ -57,23 +57,14 @@ func runnerUp(trajectory []float64) float64 {
 	return trajectory[len(trajectory)-2]
 }
 
-type obbEdge struct {
-	other int
-	tp    float64
-}
-
 // obbState is one branch-and-bound search context. The first block of
 // fields is immutable problem structure shared (read-only) between the
 // sequential solver and every parallel worker; the second block is the
 // per-searcher mutable state that clone() copies.
 type obbState struct {
-	p     *Problem
-	m     int
-	nodes []*graph.Node
-	index map[graph.NodeID]int
-	adj   [][]obbEdge
-	pin   []int
-	bw    [][]float64
+	*dense
+	p *Problem
+	m int
 
 	// sufMin[i] is an admissible lower bound on the cost still to be paid
 	// by nodes i..: the sum over those nodes of the cheapest end-system
@@ -125,9 +116,9 @@ type obbState struct {
 	incumbents int64
 }
 
-// newOBBState validates the problem and builds a fresh search state:
-// nodes sorted big-first for pruning strength, internal adjacency for
-// incremental cost updates, and empty device loads/reservations.
+// newOBBState validates the problem and builds a fresh search state: the
+// dense view with nodes sorted big-first for pruning strength, and empty
+// device loads/reservations.
 func newOBBState(p *Problem) (*obbState, error) {
 	return newOBBStateOrdered(p, nil)
 }
@@ -140,57 +131,21 @@ func newOBBStateOrdered(p *Problem, order []*graph.Node) (*obbState, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	seed, err := p.pinnedAssignment()
-	if err != nil {
-		return nil, err
-	}
-
-	if order == nil {
-		order = p.sortedNodesByRequirement() // big components first: stronger pruning
-	}
 	s := &obbState{
+		dense: newDense(p, order),
 		p:     p,
 		m:     p.Weights.Dims(),
-		nodes: order,
 		best:  math.Inf(1),
 	}
-	s.index = make(map[graph.NodeID]int, len(s.nodes))
-	for i, n := range s.nodes {
-		s.index[n.ID] = i
-	}
-	s.adj = make([][]obbEdge, len(s.nodes))
-	for _, e := range p.Graph.Edges() {
-		fi, ti := s.index[e.From], s.index[e.To]
-		s.adj[fi] = append(s.adj[fi], obbEdge{other: ti, tp: e.ThroughputMbps})
-		s.adj[ti] = append(s.adj[ti], obbEdge{other: fi, tp: e.ThroughputMbps})
-	}
-	s.loads = make([]resource.Vector, len(p.Devices))
+	s.loads = make([]resource.Vector, s.k)
+	s.pairTP = make([][]float64, s.k)
 	for i := range s.loads {
 		s.loads[i] = resource.New(s.m)
-	}
-	s.pairTP = make([][]float64, len(p.Devices))
-	for i := range s.pairTP {
-		s.pairTP[i] = make([]float64, len(p.Devices))
-	}
-	s.bw = make([][]float64, len(p.Devices))
-	for i := range s.bw {
-		s.bw[i] = make([]float64, len(p.Devices))
-		for j := range s.bw[i] {
-			if i != j {
-				s.bw[i][j] = p.Bandwidth(p.Devices[i].ID, p.Devices[j].ID)
-			}
-		}
+		s.pairTP[i] = make([]float64, s.k)
 	}
 	s.assign = make([]int, len(s.nodes))
 	for i := range s.assign {
 		s.assign[i] = -1
-	}
-	s.pin = make([]int, len(s.nodes))
-	for i, n := range s.nodes {
-		s.pin[i] = -1
-		if di, ok := seed[n.ID]; ok {
-			s.pin[i] = di
-		}
 	}
 	s.savedLoad = make([]resource.Vector, len(s.nodes))
 	s.savedTP = make([][]float64, len(s.nodes))
@@ -272,7 +227,7 @@ func newOBBStateOrdered(p *Problem, order []*graph.Node) (*obbState, error) {
 				if !fits(to, d2) {
 					continue
 				}
-				if b := s.bw[d1][d2]; b > maxBW {
+				if b := s.bw[d1*s.k+d2]; b > maxBW {
 					maxBW = b
 				}
 			}
@@ -370,17 +325,17 @@ func (s *obbState) tryPlace(i, d int) (delta float64, ok bool) {
 	copy(s.savedLoad[i], s.loads[d])
 	copy(s.savedTP[i], s.pairTP[d])
 	delta = n.Resources.RelativeLoad(avail, s.p.Weights.EndSystem())
-	wNet := s.p.Weights.Network()
-	for _, e := range s.adj[i] {
+	wNet, bw := s.p.Weights.Network(), s.bw[d*s.k:]
+	for _, e := range s.edgesOf(i) {
 		od := s.assign[e.other]
 		if od < 0 || od == d {
 			continue
 		}
-		if s.bw[d][od] <= 0 || s.pairTP[d][od]+e.tp > s.bw[d][od] {
+		if bw[od] <= 0 || s.pairTP[d][od]+e.tp > bw[od] {
 			s.restoreTP(i, d)
 			return 0, false
 		}
-		delta += wNet * e.tp / s.bw[d][od]
+		delta += wNet * e.tp / bw[od]
 		s.pairTP[d][od] += e.tp
 		s.pairTP[od][d] += e.tp
 	}

@@ -85,12 +85,14 @@ func (c *PlanCache) count(name string, n int64) {
 // memoized placement is remapped to the problem's own device indices and
 // re-checked against the problem's FitInto as a defensive invariant (a
 // mismatch drops the entry and reports a miss); the returned assignment
-// is private to the caller.
+// is private to the caller. The signature is remembered on the problem
+// for Store, so the problem must not change between the two calls.
 func (c *PlanCache) Lookup(p *Problem) (Assignment, float64, bool) {
 	sig, err := Signature(p)
 	if err != nil {
 		return nil, 0, false
 	}
+	p.sig.Store(&sig)
 	c.mu.Lock()
 	e, ok := c.lru.get(sig)
 	if !ok {
@@ -130,11 +132,19 @@ func (c *PlanCache) Lookup(p *Problem) (Assignment, float64, bool) {
 	return assign, cost, true
 }
 
-// Store memoizes a solved assignment under the problem's signature.
+// Store memoizes a solved assignment under the problem's signature: the
+// one a preceding Lookup of the same problem left behind, else a fresh one.
 func (c *PlanCache) Store(p *Problem, a Assignment, cost float64) {
-	sig, err := Signature(p)
-	if err != nil || a == nil {
+	if a == nil {
 		return
+	}
+	sig := p.sig.Load()
+	if sig == nil {
+		fresh, err := Signature(p)
+		if err != nil {
+			return
+		}
+		sig = &fresh
 	}
 	placement := make(map[graph.NodeID]device.ID, len(a))
 	for id, di := range a {
@@ -145,7 +155,7 @@ func (c *PlanCache) Store(p *Problem, a Assignment, cost float64) {
 	}
 	e := planEntry{placement: placement, cost: cost}
 	c.mu.Lock()
-	if c.lru.put(sig, e) {
+	if c.lru.put(*sig, e) {
 		c.evictions++
 		c.count(metrics.PlanCacheEvictions, 1)
 	}

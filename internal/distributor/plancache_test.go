@@ -36,6 +36,28 @@ func cacheProblem(t *testing.T, salt float64) *Problem {
 	}
 }
 
+// TestPlanCacheMissHashesOnce: Lookup leaves the key it computed on the
+// problem and Store files the plan under it, where an equal problem built
+// separately finds it.
+func TestPlanCacheMissHashesOnce(t *testing.T) {
+	c := NewPlanCache(8)
+	p, twin := cacheProblem(t, 0), cacheProblem(t, 0)
+	if _, _, ok := c.Lookup(p); ok {
+		t.Fatal("hit on empty cache")
+	}
+	want, err := Signature(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if left := p.sig.Load(); left == nil || *left != want {
+		t.Fatalf("Lookup left key %v on the problem, want %s", left, want)
+	}
+	_, cost := solveAndStore(t, c, p)
+	if _, got, ok := c.Lookup(twin); !ok || got != cost {
+		t.Errorf("equal problem: hit %v cost %v, want a hit at %v", ok, got, cost)
+	}
+}
+
 func solveAndStore(t *testing.T, c *PlanCache, p *Problem) (Assignment, float64) {
 	t.Helper()
 	a, cost, err := Optimal(p)

@@ -13,10 +13,12 @@
 package distributor
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
+	"sync/atomic"
 
 	"ubiqos/internal/device"
 	"ubiqos/internal/graph"
@@ -70,6 +72,11 @@ type Problem struct {
 	// Log, when non-nil, receives one structured record per solve with
 	// the search counters. Observability only.
 	Log *obslog.Logger
+
+	// sig is the signature PlanCache.Lookup computed on a miss, left for
+	// the Store that follows the solve so a miss hashes the problem once.
+	// Atomic because one Problem may be looked up from several goroutines.
+	sig atomic.Pointer[string]
 }
 
 // Validate checks the problem is well-formed: a valid graph, at least one
@@ -153,25 +160,25 @@ func (p *Problem) CutEdges(a Assignment) []graph.Edge {
 	return out
 }
 
-// pairKey canonicalizes an unordered device-index pair.
-func pairKey(i, j int) [2]int {
-	if i > j {
-		i, j = j, i
-	}
-	return [2]int{i, j}
-}
-
 // pairThroughput sums the throughput of all cut edges between each
 // unordered device pair (both directions, since the bandwidth b(i,j) is a
-// shared symmetric capacity).
-func (p *Problem) pairThroughput(a Assignment) map[[2]int]float64 {
-	out := make(map[[2]int]float64)
+// shared symmetric capacity) into a k×k row-major matrix: the total for
+// devices i < j is at [i*k+j], every other cell stays zero. Each cell is
+// summed in edge order, so the same assignment always yields the same
+// bits. Edges with an unassigned or out-of-range endpoint are skipped.
+func (p *Problem) pairThroughput(a Assignment) []float64 {
+	k := len(p.Devices)
+	out := make([]float64, k*k)
 	for _, e := range p.Graph.Edges() {
-		di, dj := a[e.From], a[e.To]
-		if di == dj {
+		di, ok := a[e.From]
+		dj, ok2 := a[e.To]
+		if !ok || !ok2 || di == dj || di < 0 || dj < 0 || di >= k || dj >= k {
 			continue
 		}
-		out[pairKey(di, dj)] += e.ThroughputMbps
+		if di > dj {
+			di, dj = dj, di
+		}
+		out[di*k+dj] += e.ThroughputMbps
 	}
 	return out
 }
@@ -206,11 +213,15 @@ func (p *Problem) FitInto(a Assignment) error {
 				ErrInfeasible, p.Devices[i].ID, load, p.Devices[i].Avail)
 		}
 	}
-	for pair, tp := range p.pairThroughput(a) {
-		b := p.Bandwidth(p.Devices[pair[0]].ID, p.Devices[pair[1]].ID)
-		if tp > b {
+	k := len(p.Devices)
+	for c, tp := range p.pairThroughput(a) {
+		if tp == 0 {
+			continue
+		}
+		i, j := p.Devices[c/k].ID, p.Devices[c%k].ID
+		if b := p.Bandwidth(i, j); tp > b {
 			return fmt.Errorf("%w: link %s-%s oversubscribed: need %.2f Mbps, have %.2f",
-				ErrInfeasible, p.Devices[pair[0]].ID, p.Devices[pair[1]].ID, tp, b)
+				ErrInfeasible, i, j, tp, b)
 		}
 	}
 	return nil
@@ -240,12 +251,12 @@ func (p *Problem) CostAggregation(a Assignment) float64 {
 	for i, load := range loads {
 		cost += load.RelativeLoad(p.Devices[i].Avail, p.Weights.EndSystem())
 	}
-	wNet := p.Weights.Network()
-	for pair, tp := range p.pairThroughput(a) {
+	wNet, k := p.Weights.Network(), len(p.Devices)
+	for c, tp := range p.pairThroughput(a) {
 		if tp == 0 {
 			continue
 		}
-		b := p.Bandwidth(p.Devices[pair[0]].ID, p.Devices[pair[1]].ID)
+		b := p.Bandwidth(p.Devices[c/k].ID, p.Devices[c%k].ID)
 		if b == 0 {
 			return math.Inf(1)
 		}
@@ -271,16 +282,21 @@ func (p *Problem) DeviceLoads(a Assignment) []resource.Vector {
 	return loads
 }
 
-// LinkDemands returns the summed cut throughput per unordered device pair —
-// what must be reserved on each link when the application is deployed.
+// LinkDemands returns the summed cut throughput per unordered device pair
+// (keyed smaller ID first) — what must be reserved on each link when the
+// application is deployed. Pairs that exchange no traffic are omitted.
 func (p *Problem) LinkDemands(a Assignment) map[[2]device.ID]float64 {
 	out := make(map[[2]device.ID]float64)
-	for pair, tp := range p.pairThroughput(a) {
-		i, j := p.Devices[pair[0]].ID, p.Devices[pair[1]].ID
+	k := len(p.Devices)
+	for c, tp := range p.pairThroughput(a) {
+		if tp == 0 {
+			continue
+		}
+		i, j := p.Devices[c/k].ID, p.Devices[c%k].ID
 		if i > j {
 			i, j = j, i
 		}
-		out[[2]device.ID{i, j}] += tp
+		out[[2]device.ID{i, j}] = tp
 	}
 	return out
 }
@@ -303,22 +319,16 @@ func (p *Problem) pinnedAssignment() (Assignment, error) {
 	return a, nil
 }
 
-// weightedRequirement measures a component by the weighted sum of its
-// resource requirements (paper §3.3, footnote 3).
-func (p *Problem) weightedRequirement(n *graph.Node) float64 {
-	return n.Resources.WeightedSum(p.Weights.EndSystem())
-}
-
-// sortedNodesByRequirement returns the graph's nodes sorted by decreasing
-// weighted requirement (ties broken by ID for determinism).
+// sortedNodesByRequirement returns the graph's nodes big-first: by
+// decreasing weighted sum of their resource requirements (paper §3.3,
+// footnote 3), ties broken by ID for determinism.
 func (p *Problem) sortedNodesByRequirement() []*graph.Node {
-	nodes := p.Graph.Nodes()
-	sort.SliceStable(nodes, func(i, j int) bool {
-		ri, rj := p.weightedRequirement(nodes[i]), p.weightedRequirement(nodes[j])
-		if ri != rj {
-			return ri > rj
+	nodes, w := p.Graph.Nodes(), p.Weights.EndSystem()
+	slices.SortFunc(nodes, func(x, y *graph.Node) int {
+		if c := cmp.Compare(y.Resources.WeightedSum(w), x.Resources.WeightedSum(w)); c != 0 {
+			return c
 		}
-		return nodes[i].ID < nodes[j].ID
+		return cmp.Compare(x.ID, y.ID)
 	})
 	return nodes
 }

@@ -23,7 +23,6 @@ import (
 	"sort"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"ubiqos/internal/eventbus"
@@ -109,9 +108,12 @@ type Options struct {
 type Recorder struct {
 	perSession  int
 	maxSessions int
-	seq         atomic.Uint64
 
+	// mu also orders sequence stamping with the append it belongs to: a
+	// number taken before the lock could reach its timeline after a later
+	// one.
 	mu       sync.Mutex
+	seq      uint64
 	sessions map[string]*timeline
 }
 
@@ -137,12 +139,13 @@ func (r *Recorder) add(e Entry) {
 	if r == nil || e.Session == "" {
 		return
 	}
-	e.Seq = r.seq.Add(1)
 	if e.Time.IsZero() {
 		e.Time = time.Now()
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	r.seq++
+	e.Seq = r.seq
 	tl := r.sessions[e.Session]
 	if tl == nil {
 		r.evictLocked()

@@ -266,26 +266,6 @@ func (g *Graph) OutDegree(id NodeID) int { return len(g.out[id]) }
 // InDegree returns the number of incoming edges of id.
 func (g *Graph) InDegree(id NodeID) int { return len(g.in[id]) }
 
-// Neighbors returns the IDs of all nodes adjacent to id (either direction),
-// deduplicated, in deterministic order.
-func (g *Graph) Neighbors(id NodeID) []NodeID {
-	seen := make(map[NodeID]bool)
-	var out []NodeID
-	for _, e := range g.out[id] {
-		if !seen[e.To] {
-			seen[e.To] = true
-			out = append(out, e.To)
-		}
-	}
-	for _, e := range g.in[id] {
-		if !seen[e.From] {
-			seen[e.From] = true
-			out = append(out, e.From)
-		}
-	}
-	return out
-}
-
 // NodeCount returns the number of nodes V.
 func (g *Graph) NodeCount() int { return len(g.nodes) }
 
