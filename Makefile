@@ -38,12 +38,12 @@ race:
 bench-smoke:
 	cd benchmark && $(GO) test ./... && $(GO) run . -smoke
 
-# bench times the parallel configuration engine against its sequential
-# equivalents, writing BENCH_parallel.json (ns/op + speedup per pair) and
-# BENCH_metrics.json (branch-and-bound explore/prune counters plus the
-# configurator's per-stage latency quantiles).
+# bench runs the repository's one benchmark (BENCHMARK.json, benchmark/):
+# all four over-the-wire workloads with every end-to-end and per-layer
+# metric and every correctness check, twice, printing the results. Run
+# parent and change alternately for a before/after; the box drifts.
 bench:
-	$(GO) run ./cmd/benchparallel -o BENCH_parallel.json -mo BENCH_metrics.json
+	cd benchmark && $(GO) run . -repeat 2
 
 # bench-faults runs the seeded chaos drill (crash 2 of 6 devices
 # mid-session plus a link degrade and a stall) and writes
@@ -106,8 +106,8 @@ bench-incident:
 
 # clean removes build outputs only. Checked-in benchmark artifacts
 # (BENCH_*.json) are part of the repo's recorded results and are
-# regenerated explicitly via `make bench` / `make bench-faults`, never
-# deleted here.
+# regenerated explicitly via `make bench-faults`, `make bench-warm` and
+# the other drill targets, never deleted here.
 clean:
 	rm -rf bin
 	$(GO) clean ./...

@@ -9,14 +9,12 @@ package ubiqos
 
 import (
 	"encoding/json"
-	"fmt"
 	"math/rand"
 	"runtime"
 	"testing"
 	"time"
 
 	"ubiqos/internal/composer"
-	"ubiqos/internal/core"
 	"ubiqos/internal/device"
 	"ubiqos/internal/distributor"
 	"ubiqos/internal/experiments"
@@ -542,42 +540,13 @@ func BenchmarkAblationOCOrder(b *testing.B) {
 // graphNodeID is a tiny readability alias for bench fixtures.
 func graphNodeID(s string) graph.NodeID { return graph.NodeID(s) }
 
-// --- Parallel configuration engine ------------------------------------------
-//
-// The three benchmarks below measure the concurrent paths against their
-// sequential equivalents and report the observed speedup as a custom
-// metric ("speedup-x", sequential-ns / parallel-ns). On a single-CPU
-// runner the parallel paths degrade to the sequential ones and the metric
-// sits near 1; the ≥2× acceptance target applies to 4+-core machines.
-
-// BenchmarkOptimalParallel measures the frontier-split branch-and-bound
-// solver with the default worker count against the sequential solver on
-// the same Table-1-sized instances.
-func BenchmarkOptimalParallel(b *testing.B) {
-	probs := table1Problems(b, 8)
-	b.ResetTimer()
-	start := time.Now()
-	for i := 0; i < b.N; i++ {
-		if _, _, err := distributor.OptimalParallel(probs[i%len(probs)], 0); err != nil {
-			b.Fatal(err)
-		}
-	}
-	parNs := float64(time.Since(start).Nanoseconds()) / float64(b.N)
-	b.StopTimer()
-	seqStart := time.Now()
-	for _, p := range probs {
-		if _, _, err := distributor.Optimal(p); err != nil {
-			b.Fatal(err)
-		}
-	}
-	seqNs := float64(time.Since(seqStart).Nanoseconds()) / float64(len(probs))
-	b.ReportMetric(seqNs/parNs, "speedup-x")
-	b.ReportMetric(float64(runtime.NumCPU()), "cpus")
-}
+// --- Parallel experiment harness ---------------------------------------------
 
 // BenchmarkTable1Parallel measures the fanned-out Table 1 harness (one
 // worker per service graph, sub-seeded random streams) against the serial
-// harness; the tables produced are byte-identical either way.
+// harness and reports the observed speedup as a custom metric
+// ("speedup-x", sequential-ns / parallel-ns); the tables produced are
+// byte-identical either way.
 func BenchmarkTable1Parallel(b *testing.B) {
 	cfg := experiments.DefaultTable1Config()
 	cfg.Graphs = 30
@@ -596,64 +565,6 @@ func BenchmarkTable1Parallel(b *testing.B) {
 	if _, err := experiments.RunTable1(cfg); err != nil {
 		b.Fatal(err)
 	}
-	seqNs := float64(time.Since(seqStart).Nanoseconds())
-	b.ReportMetric(seqNs/parNs, "speedup-x")
-	b.ReportMetric(float64(runtime.NumCPU()), "cpus")
-}
-
-// BenchmarkConfiguratorConcurrent measures a two-session batch through
-// ConfigureAll (sessions configure on concurrent goroutines; device and
-// link bookkeeping is shared) against the same batch configured serially.
-func BenchmarkConfiguratorConcurrent(b *testing.B) {
-	dom, err := experiments.BuildAudioSpace(0.02)
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer dom.Close()
-	reqs := func(tag string) []core.Request {
-		out := make([]core.Request, 2)
-		for i, client := range []device.ID{"desktop2", "desktop3"} {
-			out[i] = core.Request{
-				SessionID:    fmt.Sprintf("bench-%s-%d", tag, i),
-				App:          experiments.AudioOnDemandApp(),
-				UserQoS:      qos.V(qos.P(qos.DimFrameRate, qos.Range(38, 44))),
-				ClientDevice: client,
-			}
-		}
-		return out
-	}
-	stopAll := func(sessions []*core.ActiveSession) {
-		for _, s := range sessions {
-			if s != nil {
-				if err := dom.Configurator.Stop(s.ID); err != nil {
-					b.Fatal(err)
-				}
-			}
-		}
-	}
-	b.ResetTimer()
-	start := time.Now()
-	for i := 0; i < b.N; i++ {
-		sessions, errs := dom.Configurator.ConfigureAll(reqs("par"))
-		for _, err := range errs {
-			if err != nil {
-				b.Fatal(err)
-			}
-		}
-		stopAll(sessions)
-	}
-	parNs := float64(time.Since(start).Nanoseconds()) / float64(b.N)
-	b.StopTimer()
-	seqStart := time.Now()
-	sessions := make([]*core.ActiveSession, 0, 2)
-	for _, req := range reqs("seq") {
-		s, err := dom.Configurator.Configure(req)
-		if err != nil {
-			b.Fatal(err)
-		}
-		sessions = append(sessions, s)
-	}
-	stopAll(sessions)
 	seqNs := float64(time.Since(seqStart).Nanoseconds())
 	b.ReportMetric(seqNs/parNs, "speedup-x")
 	b.ReportMetric(float64(runtime.NumCPU()), "cpus")

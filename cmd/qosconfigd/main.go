@@ -7,7 +7,7 @@
 // Usage:
 //
 //	qosconfigd [-addr 127.0.0.1:7420] [-http 127.0.0.1:7421] [-space audio|conf]
-//	           [-config FILE.space] [-scale 0.1] [-place heuristic|optimal|optimal-parallel]
+//	           [-config FILE.space] [-scale 0.1] [-place heuristic|optimal]
 //	           [-chaos "seed=7,crashes=2,window=30s,recover=10s"] [-admission]
 //
 // The daemon boots one of the paper's two testbed smart spaces — "audio"
@@ -78,7 +78,7 @@ func main() {
 	space := flag.String("space", "audio", `built-in smart space to boot: "audio" or "conf"`)
 	config := flag.String("config", "", "space configuration file (overrides -space)")
 	scale := flag.Float64("scale", 0.1, "emulation time scale (1 = real time)")
-	place := flag.String("place", "heuristic", "placement algorithm: heuristic, optimal, or optimal-parallel")
+	place := flag.String("place", "heuristic", "placement algorithm: heuristic or optimal")
 	chaos := flag.String("chaos", "", `fault-injection spec, e.g. "seed=7,crashes=2,window=30s" ("" disables)`)
 	chaosOn := flag.Bool("chaos-default", false, "inject the default fault schedule (same as -chaos with an empty spec)")
 	logLevel := flag.String("log", "info", "minimum structured-log level on stderr: debug, info, warn, or error")

@@ -7,6 +7,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"ubiqos/internal/device"
 	"ubiqos/internal/qos"
 )
 
@@ -20,17 +21,47 @@ func audioRequest(id string) Request {
 	}
 }
 
-// TestConfigureAllConcurrentSessions drives the multi-session path:
-// independent sessions configure concurrently through ConfigureAll, the
-// shared device bookkeeping stays consistent, and teardown returns the
-// smart space to its initial capacity.
-func TestConfigureAllConcurrentSessions(t *testing.T) {
-	f := newFixture(t)
-	f.cfg.Parallelism = 3
-	c, err := New(f.cfg)
-	if err != nil {
-		t.Fatal(err)
+// configureConcurrently calls Configure for every request from its own
+// goroutine, the way the wire server's connections do, and returns the
+// outcomes in request order.
+func configureConcurrently(c *Configurator, reqs []Request) (sessions []*ActiveSession, errs []error) {
+	sessions = make([]*ActiveSession, len(reqs))
+	errs = make([]error, len(reqs))
+	var wg sync.WaitGroup
+	for i := range reqs {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			sessions[i], errs[i] = c.Configure(reqs[i])
+		}(i)
 	}
+	wg.Wait()
+	return sessions, errs
+}
+
+// checkBaseline asserts that every device and link of the fixture is back
+// at its full capacity.
+func (f *fixture) checkBaseline(t *testing.T) {
+	t.Helper()
+	for _, d := range []*device.Device{f.dsk, f.pda} {
+		if got := d.Available(); !got.Equal(d.Capacity()) {
+			t.Errorf("%s not fully released: %s != %s", d.ID, got, d.Capacity())
+		}
+	}
+	for _, l := range f.cfg.Links.Entries() {
+		if l.ReservedMbps != 0 {
+			t.Errorf("link %s-%s still has %g Mbps reserved", l.A, l.B, l.ReservedMbps)
+		}
+	}
+}
+
+// TestConcurrentConfigureSessions drives the multi-session path:
+// independent sessions configure on concurrent goroutines, the shared
+// device bookkeeping stays consistent, and teardown returns the smart
+// space to its initial capacity.
+func TestConcurrentConfigureSessions(t *testing.T) {
+	f := newFixture(t)
+	c := f.c
 
 	// Three audio sessions fit the desktop (3×(64+16)MB ≤ 256MB,
 	// 3×(50+30)% ≤ 300%).
@@ -38,10 +69,7 @@ func TestConfigureAllConcurrentSessions(t *testing.T) {
 	for i := range reqs {
 		reqs[i] = audioRequest(fmt.Sprintf("audio-%d", i))
 	}
-	sessions, errs := c.ConfigureAll(reqs)
-	if len(sessions) != len(reqs) || len(errs) != len(reqs) {
-		t.Fatalf("result lengths %d/%d, want %d", len(sessions), len(errs), len(reqs))
-	}
+	sessions, errs := configureConcurrently(c, reqs)
 	for i, err := range errs {
 		if err != nil {
 			t.Fatalf("request %d: %v", i, err)
@@ -83,9 +111,7 @@ func TestConfigureAllConcurrentSessions(t *testing.T) {
 	if got := c.Sessions(); got != 0 {
 		t.Errorf("Sessions() after teardown = %d", got)
 	}
-	if got := f.dsk.Available(); !got.Equal(f.dsk.Capacity()) {
-		t.Errorf("desktop not fully released: %s != %s", got, f.dsk.Capacity())
-	}
+	f.checkBaseline(t)
 }
 
 // TestConfigureDuplicateIDRace reserves the session ID before the pipeline
@@ -121,28 +147,22 @@ func TestConfigureDuplicateIDRace(t *testing.T) {
 	if err := f.c.Stop("contested"); err != nil {
 		t.Fatal(err)
 	}
-	if got := f.dsk.Available(); !got.Equal(f.dsk.Capacity()) {
-		t.Errorf("desktop not fully released after contested configure: %s != %s", got, f.dsk.Capacity())
-	}
+	f.checkBaseline(t)
 }
 
-// TestConfigureAllPartialFailure checks that a batch larger than the smart
-// space admits what fits and reports per-request errors for the rest, with
-// no double-admission under concurrency.
-func TestConfigureAllPartialFailure(t *testing.T) {
+// TestConcurrentConfigurePartialFailure checks that a burst larger than
+// the smart space admits what fits and reports per-request errors for the
+// rest, with no double-admission under concurrency.
+func TestConcurrentConfigurePartialFailure(t *testing.T) {
 	f := newFixture(t)
-	f.cfg.Parallelism = 4
-	c, err := New(f.cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := f.c
 	// Only three fit the desktop; the rest must fail with a distribution
 	// or admission error, not corrupt shared state.
 	reqs := make([]Request, 6)
 	for i := range reqs {
 		reqs[i] = audioRequest(fmt.Sprintf("burst-%d", i))
 	}
-	sessions, errs := c.ConfigureAll(reqs)
+	sessions, errs := configureConcurrently(c, reqs)
 	okCount := 0
 	for i := range reqs {
 		if errs[i] == nil {
@@ -162,28 +182,5 @@ func TestConfigureAllPartialFailure(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if got := f.dsk.Available(); !got.Equal(f.dsk.Capacity()) {
-		t.Errorf("desktop not fully released: %s != %s", got, f.dsk.Capacity())
-	}
-}
-
-// TestParallelismKnobSerial pins the Parallelism=1 path: ConfigureAll
-// degrades to a serial loop with identical per-request semantics.
-func TestParallelismKnobSerial(t *testing.T) {
-	f := newFixture(t)
-	f.cfg.Parallelism = 1
-	c, err := New(f.cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sessions, errs := c.ConfigureAll([]Request{audioRequest("s1"), audioRequest("s2")})
-	for i, err := range errs {
-		if err != nil {
-			t.Fatalf("request %d: %v", i, err)
-		}
-		defer c.Stop(sessions[i].ID)
-	}
-	if c.Sessions() != 2 {
-		t.Fatalf("Sessions() = %d, want 2", c.Sessions())
-	}
+	f.checkBaseline(t)
 }

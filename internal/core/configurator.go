@@ -29,7 +29,6 @@ import (
 	"ubiqos/internal/metrics"
 	"ubiqos/internal/netsim"
 	"ubiqos/internal/obslog"
-	"ubiqos/internal/par"
 	"ubiqos/internal/profiler"
 	"ubiqos/internal/qos"
 	"ubiqos/internal/repository"
@@ -118,19 +117,13 @@ type Config struct {
 	// broken/recovered/lost edges. Nil disables outcome accounting.
 	Ledger *ledger.Ledger
 	// Admission, when set, is the saturation-aware gate consulted at the
-	// top of Configure (and therefore ConfigureAll) before a new session's
-	// pipeline runs: rejected requests return *admission.RejectedError
-	// without touching the pipeline, and degraded admissions re-enter it
+	// top of Configure before a new session's pipeline runs: rejected
+	// requests return *admission.RejectedError without touching the pipeline, and degraded admissions re-enter it
 	// with optional components shed and heuristic placement — the recovery
 	// ladder's shed rung applied at admission time. Reconfigure, Recover,
 	// and ResumeFrom bypass the gate: saturation throttles new arrivals,
 	// never sessions the space has already committed to.
 	Admission AdmissionGate
-	// Parallelism bounds the worker pool of the batched ConfigureAll
-	// entry point (0 = all usable CPUs, 1 = serial). Individual
-	// Configure/Reconfigure calls may always run concurrently; this knob
-	// only sizes the pool ConfigureAll drives them with.
-	Parallelism int
 }
 
 // Configurator is the integrated service configuration model. All methods
@@ -506,24 +499,6 @@ func (c *Configurator) admit(req Request) (Request, error) {
 	return req, nil
 }
 
-// ConfigureAll configures a batch of sessions over a worker pool bounded
-// by Config.Parallelism and returns per-request results in request order:
-// sessions[i] or errs[i] is the outcome of reqs[i]. One request failing
-// (e.g. the smart space running out of resources) does not stop the rest
-// of the batch — partial admission is the desired behavior for a burst of
-// independent users.
-func (c *Configurator) ConfigureAll(reqs []Request) (sessions []*ActiveSession, errs []error) {
-	sessions = make([]*ActiveSession, len(reqs))
-	errs = make([]error, len(reqs))
-	// The pool callback never returns an error: failures are per-request
-	// results, not reasons to cancel the batch.
-	_ = par.ForEach(len(reqs), c.cfg.Parallelism, func(i int) error {
-		sessions[i], errs[i] = c.Configure(reqs[i])
-		return nil
-	})
-	return sessions, errs
-}
-
 // configure runs the pipeline, walking the QoS degradation ladder when
 // the full-quality configuration does not fit the current environment.
 // action labels the run for provenance: ActionConfigure, ActionResume,
@@ -690,7 +665,7 @@ func (c *Configurator) configureOnce(req Request, handoff bool, parent *trace.Sp
 	}
 	t0 := time.Now()
 	csp := parent.Child("compose")
-	app := resolveClientPins(req.App, req.ClientDevice)
+	app := ResolveClientPins(req.App, req.ClientDevice)
 	var comp *explain.Composition
 	if att != nil {
 		comp = &explain.Composition{}
@@ -777,9 +752,6 @@ func (c *Configurator) configureOnce(req Request, handoff bool, parent *trace.Sp
 	if att != nil {
 		att.Search = &explain.Search{
 			Algorithm:       stats.Algorithm,
-			Workers:         stats.Workers,
-			Tasks:           stats.Tasks,
-			FrontierDepth:   stats.FrontierDepth,
 			Explored:        stats.Explored,
 			Pruned:          stats.Pruned,
 			Incumbents:      stats.Incumbents,
@@ -932,7 +904,7 @@ func (c *Configurator) recordSearch(dsp *trace.Span, stats *distributor.SearchSt
 		return
 	}
 	switch stats.Algorithm {
-	case "optimal", "optimal-parallel", "optimal-warm":
+	case "optimal", "optimal-warm":
 		m.Counter(metrics.BnBExplored).Add(stats.Explored)
 		m.Counter(metrics.BnBPruned).Add(stats.Pruned)
 		m.Counter(metrics.BnBIncumbents).Add(stats.Incumbents)
@@ -991,9 +963,11 @@ func firstFrameBuffering(g *graph.Graph) time.Duration {
 	return time.Duration(float64(time.Second) / rate)
 }
 
-// resolveClientPins rewrites the ClientRole pin to the concrete client
-// device, returning a copy when rewriting is needed.
-func resolveClientPins(app *composer.AbstractGraph, client device.ID) *composer.AbstractGraph {
+// ResolveClientPins rewrites the ClientRole pin to the concrete client
+// device, returning a copy when rewriting is needed. Configure applies it
+// to every request; a dry run of the composition tier alone (the wire
+// check op) calls it to compose the graph Configure would.
+func ResolveClientPins(app *composer.AbstractGraph, client device.ID) *composer.AbstractGraph {
 	if app == nil || client == "" {
 		return app
 	}

@@ -156,7 +156,7 @@ func TestResolveClientPins(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	got := resolveClientPins(app, "pda")
+	got := ResolveClientPins(app, "pda")
 	after, _ := json.Marshal(app)
 	if !bytes.Equal(before, after) {
 		t.Errorf("request graph changed:\n before %s\n after  %s", before, after)
@@ -167,7 +167,7 @@ func TestResolveClientPins(t *testing.T) {
 	}
 
 	// Nothing to rewrite: no copy.
-	if resolveClientPins(got, "pda") != got || resolveClientPins(app, "") != app {
+	if ResolveClientPins(got, "pda") != got || ResolveClientPins(app, "") != app {
 		t.Error("a graph without a ClientRole pin, or no client, should pass through")
 	}
 }

@@ -30,7 +30,7 @@ func firstNamed(td *trace.TraceData, name string) *trace.SpanData {
 	return nil
 }
 
-// TestConfigureTrace drives one Configure with optimal-parallel placement
+// TestConfigureTrace drives one Configure with optimal placement
 // against the fixture's PDA (forcing a transcoder correction) and asserts
 // the full span tree of the acceptance criteria: compose → discover →
 // OC-correction → distribute, with correction kinds and branch-and-bound
@@ -38,9 +38,7 @@ func firstNamed(td *trace.TraceData, name string) *trace.SpanData {
 func TestConfigureTrace(t *testing.T) {
 	f := newFixture(t)
 	f.cfg.Tracer = trace.NewTracer(8)
-	f.cfg.Place = func(p *distributor.Problem) (distributor.Assignment, float64, error) {
-		return distributor.OptimalParallel(p, 4)
-	}
+	f.cfg.Place = distributor.Optimal
 	c, err := New(f.cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -95,9 +93,9 @@ func TestConfigureTrace(t *testing.T) {
 		t.Fatalf("correction span = %+v:\n%s", correction, td.Render())
 	}
 
-	// Distribution: the parallel branch-and-bound counters.
+	// Distribution: the branch-and-bound counters.
 	dist := firstNamed(td, "distribute")
-	if dist.Attrs["algorithm"] != "optimal-parallel" {
+	if dist.Attrs["algorithm"] != "optimal" {
 		t.Errorf("distribute attrs = %v", dist.Attrs)
 	}
 	explored, ok := dist.Attrs["explored"].(int64)
@@ -107,12 +105,8 @@ func TestConfigureTrace(t *testing.T) {
 	if _, ok := dist.Attrs["pruned"].(int64); !ok {
 		t.Errorf("distribute pruned = %v", dist.Attrs["pruned"])
 	}
-	if firstNamed(td, "branch-and-bound-parallel") == nil {
-		t.Errorf("no solver span:\n%s", td.Render())
-	}
-	worker := firstNamed(td, "bnb-worker")
-	if worker == nil {
-		t.Fatalf("no per-worker span:\n%s", td.Render())
+	if solver := firstNamed(td, "branch-and-bound"); solver == nil || solver.Parent != dist.ID {
+		t.Errorf("solver span missing or misparented:\n%s", td.Render())
 	}
 }
 

@@ -15,7 +15,7 @@ type denseEdge struct {
 // dense is the index-based view of a validated Problem that the greedy
 // heuristic and the exact solvers both run on, so that their inner loops
 // touch slices rather than the graph's NodeID-keyed maps. It is immutable
-// once built and may be shared between parallel searchers.
+// once built.
 type dense struct {
 	// nodes fixes the order every other per-node slice is indexed by.
 	nodes []*graph.Node

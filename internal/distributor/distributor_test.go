@@ -340,57 +340,117 @@ func TestHeuristicDeterministic(t *testing.T) {
 	}
 }
 
-func TestOptimalMatchesBruteForce(t *testing.T) {
-	// Cross-check branch-and-bound against naive enumeration on small
-	// random instances.
-	w := defaultWeights(t)
-	rng := rand.New(rand.NewSource(3))
-	for trial := 0; trial < 30; trial++ {
-		params := workload.GraphParams{
-			MinNodes: 3, MaxNodes: 7,
-			MinOutDegree: 1, MaxOutDegree: 3,
-			MemMB: 30, CPUPct: 60, EdgeMbps: 5,
+// bruteForceBest enumerates every assignment of p's nodes to its k devices
+// and returns the cheapest feasible cost aggregation.
+func bruteForceBest(p *Problem) (best float64, found bool) {
+	ids := p.Graph.NodeIDs()
+	k := len(p.Devices)
+	total := 1
+	for range ids {
+		total *= k
+	}
+	best = math.Inf(1)
+	for code := 0; code < total; code++ {
+		a := make(Assignment, len(ids))
+		c := code
+		for _, id := range ids {
+			a[id] = c % k
+			c /= k
 		}
-		g := workload.MustRandomGraph(rng, params)
-		p := twoDeviceProblem(t, g, 12, w)
-
-		bestCost := math.Inf(1)
-		var found bool
-		ids := g.NodeIDs()
-		total := 1 << len(ids)
-		for mask := 0; mask < total; mask++ {
-			a := make(Assignment, len(ids))
-			for i, id := range ids {
-				a[id] = (mask >> i) & 1
-			}
-			if p.FitInto(a) != nil {
-				continue
-			}
-			found = true
-			if c := p.CostAggregation(a); c < bestCost {
-				bestCost = c
-			}
-		}
-
-		a, cost, err := Optimal(p)
-		if !found {
-			if !errors.Is(err, ErrInfeasible) {
-				t.Fatalf("trial %d: want infeasible, got %v", trial, err)
-			}
+		if p.FitInto(a) != nil {
 			continue
 		}
-		if err != nil {
-			t.Fatalf("trial %d: optimal failed: %v", trial, err)
+		found = true
+		if cost := p.CostAggregation(a); cost < best {
+			best = cost
 		}
-		if math.Abs(cost-bestCost) > 1e-9 {
-			t.Fatalf("trial %d: optimal cost %g, brute force %g", trial, cost, bestCost)
+	}
+	return best, found
+}
+
+// forcedCrossings counts the edges whose two endpoints fit together on no
+// device of p even when it is empty: the edges the solver's forced-crossing
+// network floor prices into its bound.
+func forcedCrossings(p *Problem) int {
+	forced := 0
+	for _, e := range p.Graph.Edges() {
+		both := p.Graph.Node(e.From).Resources.Add(p.Graph.Node(e.To).Resources)
+		colocatable := false
+		for _, d := range p.Devices {
+			if both.LessEq(d.Avail) {
+				colocatable = true
+			}
 		}
-		if err := p.FitInto(a); err != nil {
-			t.Fatalf("trial %d: optimal assignment infeasible: %v", trial, err)
+		if !colocatable {
+			forced++
 		}
-		if got := p.CostAggregation(a); math.Abs(got-cost) > 1e-9 {
-			t.Fatalf("trial %d: reported cost %g != recomputed %g", trial, cost, got)
+	}
+	return forced
+}
+
+// checkOptimalAgainstBruteForce cross-checks branch-and-bound against
+// naive enumeration on one instance and reports whether it was feasible.
+func checkOptimalAgainstBruteForce(t *testing.T, trial int, p *Problem) bool {
+	t.Helper()
+	best, found := bruteForceBest(p)
+	a, cost, err := Optimal(p)
+	if !found {
+		if !errors.Is(err, ErrInfeasible) {
+			t.Fatalf("trial %d: want infeasible, got %v", trial, err)
 		}
+		return false
+	}
+	if err != nil {
+		t.Fatalf("trial %d: optimal failed: %v", trial, err)
+	}
+	if math.Abs(cost-best) > 1e-9 {
+		t.Fatalf("trial %d: optimal cost %g, brute force %g", trial, cost, best)
+	}
+	if lb := newOBBState(p, nil).sufMin[0]; lb > best+1e-9 {
+		t.Fatalf("trial %d: root lower bound %g exceeds the optimum %g", trial, lb, best)
+	}
+	if err := p.FitInto(a); err != nil {
+		t.Fatalf("trial %d: optimal assignment infeasible: %v", trial, err)
+	}
+	if got := p.CostAggregation(a); math.Abs(got-cost) > 1e-9 {
+		t.Fatalf("trial %d: reported cost %g != recomputed %g", trial, cost, got)
+	}
+	return true
+}
+
+func TestOptimalMatchesBruteForce(t *testing.T) {
+	// Small random instances on the Table-1 devices, where every pair of
+	// components fits the PC together and the forced-crossing floor is 0.
+	w := defaultWeights(t)
+	rng := rand.New(rand.NewSource(3))
+	params := workload.GraphParams{
+		MinNodes: 3, MaxNodes: 7,
+		MinOutDegree: 1, MaxOutDegree: 3,
+		MemMB: 30, CPUPct: 60, EdgeMbps: 5,
+	}
+	for trial := 0; trial < 30; trial++ {
+		g := workload.MustRandomGraph(rng, params)
+		checkOptimalAgainstBruteForce(t, trial, twoDeviceProblem(t, g, 12, w))
+	}
+
+	// Components of the same size on two devices too small to hold the
+	// larger pairs: some edges must cross, so the bound carries a non-zero
+	// network floor that has to stay below the true optimum.
+	tight := []DeviceInfo{
+		{ID: "pc", Avail: resource.MB(44, 90)},
+		{ID: "pda", Avail: resource.MB(36, 80)},
+	}
+	params.MaxNodes = 5
+	feasibleForced := 0
+	for trial := 30; trial < 90; trial++ {
+		g := workload.MustRandomGraph(rng, params)
+		p := &Problem{Graph: g, Devices: tight, Bandwidth: constBandwidth(12), Weights: w}
+		if checkOptimalAgainstBruteForce(t, trial, p) && forcedCrossings(p) > 0 {
+			feasibleForced++
+		}
+	}
+	if feasibleForced < 10 {
+		t.Fatalf("only %d feasible tight instances had a forced crossing; the floor is barely exercised", feasibleForced)
 	}
 }
 
@@ -542,57 +602,48 @@ func TestPropertyCostOrdering(t *testing.T) {
 
 func TestOptimalMatchesBruteForceThreeDevices(t *testing.T) {
 	// The branch-and-bound solver handles general k-cuts; cross-check the
-	// k=3 case against naive enumeration.
+	// k=3 case against naive enumeration, first on devices with room to
+	// colocate any pair, then on three small ones where edges are forced
+	// across links of unequal bandwidth (the floor prices each at the best
+	// link its endpoints can reach).
 	w := defaultWeights(t)
 	rng := rand.New(rand.NewSource(55))
-	devices := []DeviceInfo{
+	roomy := []DeviceInfo{
 		{ID: "big", Avail: resource.MB(128, 200)},
 		{ID: "mid", Avail: resource.MB(64, 100)},
 		{ID: "small", Avail: resource.MB(24, 40)},
 	}
+	params := workload.GraphParams{
+		MinNodes: 3, MaxNodes: 6,
+		MinOutDegree: 1, MaxOutDegree: 2,
+		MemMB: 20, CPUPct: 30, EdgeMbps: 4,
+	}
 	for trial := 0; trial < 12; trial++ {
-		g := workload.MustRandomGraph(rng, workload.GraphParams{
-			MinNodes: 3, MaxNodes: 6,
-			MinOutDegree: 1, MaxOutDegree: 2,
-			MemMB: 20, CPUPct: 30, EdgeMbps: 4,
-		})
-		p := &Problem{Graph: g, Devices: devices, Bandwidth: constBandwidth(15), Weights: w}
+		g := workload.MustRandomGraph(rng, params)
+		checkOptimalAgainstBruteForce(t, trial,
+			&Problem{Graph: g, Devices: roomy, Bandwidth: constBandwidth(15), Weights: w})
+	}
 
-		ids := g.NodeIDs()
-		best := math.Inf(1)
-		found := false
-		total := 1
-		for range ids {
-			total *= 3
+	tight := []DeviceInfo{
+		{ID: "big", Avail: resource.MB(30, 45)},
+		{ID: "mid", Avail: resource.MB(24, 40)},
+		{ID: "small", Avail: resource.MB(20, 30)},
+	}
+	unequal := func(a, b device.ID) float64 {
+		if a == "small" || b == "small" {
+			return 6
 		}
-		for code := 0; code < total; code++ {
-			a := make(Assignment, len(ids))
-			c := code
-			for _, id := range ids {
-				a[id] = c % 3
-				c /= 3
-			}
-			if p.FitInto(a) != nil {
-				continue
-			}
-			found = true
-			if cost := p.CostAggregation(a); cost < best {
-				best = cost
-			}
+		return 15
+	}
+	feasibleForced := 0
+	for trial := 12; trial < 52; trial++ {
+		g := workload.MustRandomGraph(rng, params)
+		p := &Problem{Graph: g, Devices: tight, Bandwidth: unequal, Weights: w}
+		if checkOptimalAgainstBruteForce(t, trial, p) && forcedCrossings(p) > 0 {
+			feasibleForced++
 		}
-
-		_, cost, err := Optimal(p)
-		if !found {
-			if !errors.Is(err, ErrInfeasible) {
-				t.Fatalf("trial %d: want infeasible, got %v", trial, err)
-			}
-			continue
-		}
-		if err != nil {
-			t.Fatalf("trial %d: %v", trial, err)
-		}
-		if math.Abs(cost-best) > 1e-9 {
-			t.Fatalf("trial %d: optimal %g, brute force %g", trial, cost, best)
-		}
+	}
+	if feasibleForced < 10 {
+		t.Fatalf("only %d feasible tight instances had a forced crossing; the floor is barely exercised", feasibleForced)
 	}
 }

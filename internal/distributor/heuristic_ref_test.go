@@ -31,7 +31,7 @@ func heuristicReference(p *Problem) (asg Assignment, cost float64, err error) {
 	defer func() {
 		sp.Set(trace.Int("placements", placements), trace.Int("fallbacks", fallbacks))
 		if p.Stats != nil {
-			*p.Stats = SearchStats{Algorithm: "heuristic", Workers: 1,
+			*p.Stats = SearchStats{Algorithm: "heuristic",
 				Explored: placements, Pruned: fallbacks}
 			if err == nil {
 				// The greedy walk commits a single solution; its cost is the

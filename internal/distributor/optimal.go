@@ -18,49 +18,54 @@ import (
 //
 // Among equal-cost optima, Optimal returns the assignment that comes first
 // in the lexicographic device-index order over the solver's node order —
-// the first optimum its depth-first search reaches. OptimalParallel
-// preserves this tie-break exactly.
+// the first optimum its depth-first search reaches.
 func Optimal(p *Problem) (Assignment, float64, error) {
-	s, err := newOBBState(p)
-	if err != nil {
+	return solve(p, nil)
+}
+
+// solve is the one exact solver behind Optimal and OptimalWarm: a cold
+// search when no incumbent placement survives in p, otherwise a search
+// whose node and device orders are seeded from the survivors (see
+// OptimalWarm). Either way it reports the search through p.Span, p.Log
+// and p.Stats.
+func solve(p *Problem, inc *Incumbent) (Assignment, float64, error) {
+	if err := p.Validate(); err != nil {
 		return nil, 0, err
 	}
-	sp := p.Span.Child("branch-and-bound")
+	order, pref, reused := inc.warmStart(p)
+	s := newOBBState(p, order)
+	s.pref = pref
+	stats, spanName := SearchStats{Algorithm: "optimal"}, "branch-and-bound"
+	if reused > 0 {
+		stats = SearchStats{Algorithm: "optimal-warm", Warm: true, SeedCost: inc.Cost, Reused: reused}
+		spanName = "branch-and-bound-warm"
+	}
+
+	sp := p.Span.Child(spanName)
 	s.search(0, 0)
-	w := s.counters(0, 1)
-	sp.Set(trace.Int("explored", w.Explored), trace.Int("pruned", w.Pruned),
-		trace.Int("incumbents", w.Incumbents))
+	sp.Set(trace.Int("explored", s.explored), trace.Int("pruned", s.prunedN),
+		trace.Int("incumbents", s.incumbents))
+	if reused > 0 {
+		sp.Set(trace.Int("reused", int64(reused)))
+	}
 	sp.End()
-	p.Log.Debug("branch-and-bound solved",
-		obslog.Int("explored", w.Explored), obslog.Int("pruned", w.Pruned),
-		obslog.Int("incumbents", w.Incumbents))
+	p.Log.Debug("branch-and-bound solved", obslog.String("algorithm", stats.Algorithm),
+		obslog.Int("explored", s.explored), obslog.Int("pruned", s.prunedN),
+		obslog.Int("incumbents", s.incumbents), obslog.Int("reused", int64(reused)))
 	if p.Stats != nil {
-		*p.Stats = SearchStats{
-			Algorithm:       "optimal",
-			Workers:         1,
-			Explored:        w.Explored,
-			Pruned:          w.Pruned,
-			Incumbents:      w.Incumbents,
-			BoundTrajectory: append([]float64(nil), s.trajectory...),
-			RunnerUp:        runnerUp(s.trajectory),
+		stats.Explored, stats.Pruned, stats.Incumbents = s.explored, s.prunedN, s.incumbents
+		stats.BoundTrajectory = append([]float64(nil), s.trajectory...)
+		if t := s.trajectory; len(t) >= 2 {
+			// The best complete solution the winner displaced.
+			stats.RunnerUp = t[len(t)-2]
 		}
+		*p.Stats = stats
 	}
 	return s.result()
 }
 
-// runnerUp returns the second-to-last incumbent cost of a chronological
-// trajectory — the best complete solution the winner displaced.
-func runnerUp(trajectory []float64) float64 {
-	if len(trajectory) < 2 {
-		return 0
-	}
-	return trajectory[len(trajectory)-2]
-}
-
-// obbState is one branch-and-bound search context. The first block of
-// fields is immutable problem structure shared (read-only) between the
-// sequential solver and every parallel worker; the second block is the
-// per-searcher mutable state that clone() copies.
+// obbState is one branch-and-bound search context: the immutable dense
+// view and suffix bound, then the mutable state search moves through.
 type obbState struct {
 	*dense
 	p *Problem
@@ -68,8 +73,9 @@ type obbState struct {
 
 	// sufMin[i] is an admissible lower bound on the cost still to be paid
 	// by nodes i..: the sum over those nodes of the cheapest end-system
-	// term any statically-fitting (and pin-compatible) device offers. The
-	// network term is nonnegative, so partial cost + sufMin[i] never
+	// term any statically-fitting (and pin-compatible) device offers, plus
+	// the forced-crossing network floor (see newOBBState). Neither exceeds
+	// what the node really pays, so partial cost + sufMin[i] never
 	// exceeds the cost of any feasible completion — pruning on it removes
 	// only paths that cannot beat (or tie earlier than) the incumbent,
 	// leaving the returned optimum bit-identical.
@@ -87,8 +93,9 @@ type obbState struct {
 	// and pairTP row before node i is placed, so backtracking restores the
 	// exact prior bits. Add-then-subtract backtracking is not exact in
 	// floating point ((x+r)−r may differ from x), and any drift would make
-	// a sequential search and a parallel worker replaying the same prefix
-	// disagree on feasibility comparisons.
+	// a feasibility comparison depend on which subtrees were visited
+	// before it — so a cold and a warm search, which visit in different
+	// orders, could disagree on the same partial assignment.
 	savedLoad []resource.Vector
 	savedTP   [][]float64
 
@@ -101,12 +108,6 @@ type obbState struct {
 	// trajectory reported via SearchStats.
 	trajectory []float64
 
-	// global, when non-nil, is the incumbent best cost shared by all
-	// parallel workers; searchers additionally prune against it (strictly,
-	// so equal-cost optima in lexicographically earlier subtrees survive
-	// for the deterministic reduce).
-	global *sharedBound
-
 	// Search counters (observability only — they never influence the
 	// search, so determinism of the result is untouched). explored counts
 	// successful placements inside search, prunedN bound cut-offs, and
@@ -116,21 +117,13 @@ type obbState struct {
 	incumbents int64
 }
 
-// newOBBState validates the problem and builds a fresh search state: the
-// dense view with nodes sorted big-first for pruning strength, and empty
-// device loads/reservations.
-func newOBBState(p *Problem) (*obbState, error) {
-	return newOBBStateOrdered(p, nil)
-}
-
-// newOBBStateOrdered is newOBBState with an explicit node order (nil means
-// the default big-first order). The warm-start solver passes a
-// still-valid-placements-first permutation; every order yields a correct
-// optimum, only the tie-break among equal-cost optima moves.
-func newOBBStateOrdered(p *Problem, order []*graph.Node) (*obbState, error) {
-	if err := p.Validate(); err != nil {
-		return nil, err
-	}
+// newOBBState builds a fresh search state for a validated problem: the
+// dense view over the given node order (nil means big-first, for pruning
+// strength; the warm start passes a still-valid-placements-first
+// permutation), and empty device loads and reservations. Every order
+// yields a correct optimum, only the tie-break among equal-cost optima
+// moves.
+func newOBBState(p *Problem, order []*graph.Node) *obbState {
 	s := &obbState{
 		dense: newDense(p, order),
 		p:     p,
@@ -154,15 +147,14 @@ func newOBBStateOrdered(p *Problem, order []*graph.Node) (*obbState, error) {
 		s.savedTP[i] = make([]float64, len(p.Devices))
 	}
 
-	// netFloor[i] (opt-in via Problem.NetworkFloor) is an admissible
-	// lower bound on the network cost that first becomes payable when
-	// node i is placed: every edge whose two endpoints cannot colocate on
-	// any device (pins and static capacity considered, devices taken
-	// empty) must cross some link, and the cheapest it can ever be is its
-	// throughput over the best bandwidth a pin-compatible device pair
-	// offers. The bound is charged to the later-ordered endpoint —
-	// exactly where tryPlace pays the real cost — so partial cost plus
-	// suffix never double-counts an edge.
+	// netFloor[i] is an admissible lower bound on the network cost that
+	// first becomes payable when node i is placed: every edge whose two
+	// endpoints cannot colocate on any device (pins and static capacity
+	// considered, devices taken empty) must cross some link, and the
+	// cheapest it can ever be is its throughput over the best bandwidth a
+	// pin-compatible device pair offers. The bound is charged to the
+	// later-ordered endpoint — exactly where tryPlace pays the real cost —
+	// so partial cost plus suffix never double-counts an edge.
 	fits := func(n *graph.Node, d int) bool {
 		avail := p.Devices[d].Avail
 		for dim := 0; dim < s.m; dim++ {
@@ -175,9 +167,6 @@ func newOBBStateOrdered(p *Problem, order []*graph.Node) (*obbState, error) {
 	wNet := p.Weights.Network()
 	netFloor := make([]float64, len(s.nodes))
 	for _, e := range p.Graph.Edges() {
-		if !p.NetworkFloor {
-			break
-		}
 		if e.ThroughputMbps <= 0 {
 			continue
 		}
@@ -265,35 +254,7 @@ func newOBBStateOrdered(p *Problem, order []*graph.Node) (*obbState, error) {
 		}
 		s.sufMin[i] = minLoad + netFloor[i] + s.sufMin[i+1]
 	}
-	return s, nil
-}
-
-// clone copies the mutable search state (loads, reservations, partial
-// assignment, snapshot scratch) and shares the immutable problem
-// structure, giving each parallel worker an independent searcher. It must
-// be called on a root state (nothing placed), since the snapshot stacks of
-// a mid-search state only make sense for that searcher's own prefix.
-func (s *obbState) clone() *obbState {
-	c := *s
-	c.loads = make([]resource.Vector, len(s.loads))
-	for i := range s.loads {
-		c.loads[i] = s.loads[i].Clone()
-	}
-	c.pairTP = make([][]float64, len(s.pairTP))
-	for i := range s.pairTP {
-		c.pairTP[i] = append([]float64(nil), s.pairTP[i]...)
-	}
-	c.assign = append([]int(nil), s.assign...)
-	c.savedLoad = make([]resource.Vector, len(s.nodes))
-	c.savedTP = make([][]float64, len(s.nodes))
-	for i := range s.nodes {
-		c.savedLoad[i] = resource.New(s.m)
-		c.savedTP[i] = make([]float64, len(s.p.Devices))
-	}
-	c.bestAssign = nil
-	c.best = math.Inf(1)
-	c.trajectory = nil
-	return &c
+	return s
 }
 
 // result converts the best complete assignment found back to node IDs.
@@ -360,27 +321,15 @@ func (s *obbState) unplace(i, d int) {
 	s.restoreTP(i, d)
 }
 
-// pruned reports whether a partial path with the given completion lower
-// bound (accumulated cost plus the admissible suffix bound) cannot improve
-// on the best known solution. Both cost terms are nonnegative and
-// additive, so the bound never exceeds any completion's cost and pruning
-// is safe. Against the searcher's own best the comparison is ≥ (an
-// equal-cost leaf later in DFS order can never win the tie-break); against
-// the shared parallel incumbent it is strictly >, so that an equal-cost
-// optimum in a lexicographically earlier subtree is still found and can
-// win the deterministic reduce.
-func (s *obbState) pruned(bound float64) bool {
-	if bound >= s.best {
-		return true
-	}
-	return s.global != nil && bound > s.global.load()
-}
-
 // search assigns nodes i.. depth-first, device indices in increasing
 // order (a warm-start preferred device, when set, jumps the queue), with
 // accumulated partial cost.
 func (s *obbState) search(i int, cost float64) {
-	if s.pruned(cost + s.sufMin[i]) {
+	// Both cost terms are nonnegative and additive, so partial cost plus
+	// the admissible suffix bound never exceeds any completion's cost and
+	// pruning on it is safe. The comparison is ≥: an equal-cost leaf later
+	// in DFS order can never win the tie-break.
+	if cost+s.sufMin[i] >= s.best {
 		s.prunedN++
 		return
 	}
@@ -393,9 +342,6 @@ func (s *obbState) search(i int, cost float64) {
 			s.trajectory[len(s.trajectory)-1] = cost
 		} else {
 			s.trajectory = append(s.trajectory, cost)
-		}
-		if s.global != nil {
-			s.global.lower(cost)
 		}
 		return
 	}

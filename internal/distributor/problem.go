@@ -52,19 +52,9 @@ type Problem struct {
 	Bandwidth func(a, b device.ID) float64
 	// Weights are the m+1 significance weights of Definition 3.5.
 	Weights resource.Weights
-	// NetworkFloor tightens the exact solvers' suffix bound with an
-	// admissible forced-crossing network floor: edges whose endpoints can
-	// never colocate are priced at their best achievable bandwidth in
-	// every prefix bound. The optimum's cost is unaffected, but because
-	// the search prunes equal-cost subtrees, a different (equally
-	// optimal) assignment may be returned than with the bound off — so
-	// the floor is opt-in, for large-graph solves where plateau pruning
-	// decides tractability. All three exact solvers honor it
-	// identically, preserving their bit-for-bit equivalence either way.
-	NetworkFloor bool
 
-	// Span, when non-nil, receives solver child spans (per-worker
-	// branch-and-bound spans with explored/pruned/incumbent counts). It is
+	// Span, when non-nil, receives solver child spans (branch-and-bound
+	// spans with explored/pruned/incumbent counts). It is
 	// observability output only and never affects the solution.
 	Span *trace.Span
 	// Stats, when non-nil, is filled with SearchStats by the solver.

@@ -88,16 +88,6 @@ func Signature(p *Problem) (string, error) {
 		wf(w)
 	}
 
-	// The floor never changes the optimal cost, but it can change which
-	// equally-optimal assignment the search returns, so the two modes
-	// must not share cache entries.
-	ws("netfloor")
-	if p.NetworkFloor {
-		wu(1)
-	} else {
-		wu(0)
-	}
-
 	return hex.EncodeToString(h.Sum(nil)), nil
 }
 

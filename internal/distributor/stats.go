@@ -1,47 +1,22 @@
 package distributor
 
-// WorkerStats reports one parallel worker's share of the branch-and-bound
-// search.
-type WorkerStats struct {
-	// Worker is the worker's index in the pool.
-	Worker int `json:"worker"`
-	// Tasks is how many frontier subtree tasks the worker pulled.
-	Tasks int `json:"tasks"`
-	// Explored counts successful node placements (search tree nodes
-	// entered), Pruned counts subtrees cut off by the bound, and
-	// Incumbents counts best-so-far updates within the worker's searcher.
-	Explored   int64 `json:"explored"`
-	Pruned     int64 `json:"pruned"`
-	Incumbents int64 `json:"incumbents"`
-}
-
 // SearchStats reports how a Problem was solved. Solvers fill the struct
-// pointed to by Problem.Stats (when non-nil) before returning; totals are
-// always set, PerWorker only by the parallel solver.
+// pointed to by Problem.Stats (when non-nil) before returning.
 type SearchStats struct {
-	// Algorithm is "heuristic", "optimal", "optimal-parallel", or
-	// "optimal-warm".
+	// Algorithm is "heuristic", "optimal", or "optimal-warm".
 	Algorithm string `json:"algorithm"`
-	// Workers and FrontierDepth describe the parallel split (Workers is 1
-	// for sequential solvers); Tasks is the frontier task count.
-	Workers       int `json:"workers,omitempty"`
-	FrontierDepth int `json:"frontierDepth,omitempty"`
-	Tasks         int `json:"tasks,omitempty"`
-	// Explored, Pruned, and Incumbents are summed over all workers. For
-	// the heuristic, Explored counts placements and Pruned counts
-	// components that missed the head device and fell down the
-	// availability order.
+	// Explored counts successful node placements (search tree nodes
+	// entered), Pruned subtrees cut off by the bound, and Incumbents
+	// best-so-far updates. For the heuristic, Explored counts placements
+	// and Pruned counts components that missed the head device and fell
+	// down the availability order.
 	Explored   int64 `json:"explored"`
 	Pruned     int64 `json:"pruned"`
 	Incumbents int64 `json:"incumbents"`
-	// PerWorker breaks the totals down by pool worker (parallel only).
-	PerWorker []WorkerStats `json:"perWorker,omitempty"`
 	// BoundTrajectory is the sequence of incumbent costs the search moved
-	// through, improving toward the returned optimum (last entry). The
-	// sequential solvers record it chronologically; the parallel solver
-	// merges the workers' trajectories best-last, deduplicated, since no
-	// global chronological order exists. Bounded to TrajectoryCap entries
-	// (oldest dropped). The heuristic records its single greedy cost.
+	// through, in the order found, improving toward the returned optimum
+	// (last entry). Bounded to TrajectoryCap entries (oldest dropped). The
+	// heuristic records its single greedy cost.
 	BoundTrajectory []float64 `json:"boundTrajectory,omitempty"`
 	// RunnerUp is the cost of the best complete solution found that is
 	// strictly worse than the winner — the margin the winner won by.
@@ -60,14 +35,3 @@ type SearchStats struct {
 // (best) entries, dropping the oldest, so provenance records stay small
 // on adversarial instances with many incumbent updates.
 const TrajectoryCap = 64
-
-// counters extracts an obbState's search counters as a WorkerStats value.
-func (s *obbState) counters(worker, tasks int) WorkerStats {
-	return WorkerStats{
-		Worker:     worker,
-		Tasks:      tasks,
-		Explored:   s.explored,
-		Pruned:     s.prunedN,
-		Incumbents: s.incumbents,
-	}
-}

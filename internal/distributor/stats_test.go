@@ -24,12 +24,12 @@ func TestSearchStats(t *testing.T) {
 	tr := tc.Start("solve", "s")
 	p.Span = tr.Root()
 	p.Stats = &SearchStats{}
-	_, seqCost, err := Optimal(p)
+	seqA, seqCost, err := Optimal(p)
 	if err != nil {
 		t.Skipf("instance infeasible: %v", err)
 	}
 	seq := *p.Stats
-	if seq.Algorithm != "optimal" || seq.Workers != 1 {
+	if seq.Algorithm != "optimal" || seq.Warm {
 		t.Errorf("sequential stats = %+v", seq)
 	}
 	if seq.Explored == 0 || seq.Incumbents == 0 {
@@ -44,54 +44,31 @@ func TestSearchStats(t *testing.T) {
 		t.Errorf("span explored = %v, stats %d", td.Spans[1].Attrs["explored"], seq.Explored)
 	}
 
-	// Parallel optimal: same cost, totals populated per worker.
+	// Warm optimal from that optimum: same cost, the warm span and stats.
 	tr2 := tc.Start("solve", "s2")
 	p.Span = tr2.Root()
 	p.Stats = &SearchStats{}
-	_, parCost, err := OptimalParallel(p, 4)
+	_, warmCost, err := OptimalWarm(p, incumbentOf(p, seqA, seqCost))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if parCost != seqCost {
-		t.Fatalf("instrumentation changed the answer: %v != %v", parCost, seqCost)
+	if warmCost != seqCost {
+		t.Fatalf("instrumentation changed the answer: %v != %v", warmCost, seqCost)
 	}
-	par := *p.Stats
-	if par.Algorithm != "optimal-parallel" || par.Workers != 4 || par.Tasks == 0 {
-		t.Errorf("parallel stats = %+v", par)
+	warm := *p.Stats
+	if warm.Algorithm != "optimal-warm" || !warm.Warm || warm.Reused != 10 || warm.SeedCost != seqCost {
+		t.Errorf("warm stats = %+v", warm)
 	}
-	if len(par.PerWorker) != 4 {
-		t.Fatalf("per-worker stats = %d entries", len(par.PerWorker))
-	}
-	var sumExplored, sumTasks int64
-	for _, ws := range par.PerWorker {
-		sumExplored += ws.Explored
-		sumTasks += int64(ws.Tasks)
-	}
-	if sumExplored != par.Explored {
-		t.Errorf("per-worker explored sums to %d, total %d", sumExplored, par.Explored)
-	}
-	if sumTasks != int64(par.Tasks) {
-		t.Errorf("per-worker tasks sum to %d, total %d", sumTasks, par.Tasks)
-	}
-	if par.Explored == 0 || par.Incumbents == 0 {
-		t.Errorf("parallel counters empty: %+v", par)
+	if warm.Explored == 0 || warm.Incumbents == 0 {
+		t.Errorf("warm counters empty: %+v", warm)
 	}
 	tr2.Finish()
 	td2 := tc.Latest()
-	var workers, parent int
-	for _, sp := range td2.Spans {
-		switch sp.Name {
-		case "branch-and-bound-parallel":
-			parent++
-			if sp.Attrs["explored"] != par.Explored {
-				t.Errorf("parent span explored = %v, want %d", sp.Attrs["explored"], par.Explored)
-			}
-		case "bnb-worker":
-			workers++
-		}
+	if len(td2.Spans) != 2 || td2.Spans[1].Name != "branch-and-bound-warm" {
+		t.Fatalf("warm spans = %+v", td2.Spans)
 	}
-	if parent != 1 || workers != 4 {
-		t.Errorf("parallel spans: %d parent, %d workers", parent, workers)
+	if td2.Spans[1].Attrs["explored"] != warm.Explored || td2.Spans[1].Attrs["reused"] != int64(10) {
+		t.Errorf("warm span attrs = %v, stats %+v", td2.Spans[1].Attrs, warm)
 	}
 
 	// Heuristic.
@@ -113,10 +90,11 @@ func TestStatsNilSafe(t *testing.T) {
 		{ID: "pc", Avail: resource.MB(96, 160)},
 		{ID: "pda", Avail: resource.MB(48, 90)},
 	}, 40)
-	if _, _, err := Optimal(p); err != nil {
+	a, cost, err := Optimal(p)
+	if err != nil {
 		t.Skipf("infeasible: %v", err)
 	}
-	if _, _, err := OptimalParallel(p, 3); err != nil {
+	if _, _, err := OptimalWarm(p, incumbentOf(p, a, cost)); err != nil {
 		t.Fatal(err)
 	}
 	if _, _, err := Heuristic(p); err != nil && err != ErrInfeasible {

@@ -3,8 +3,6 @@ package distributor
 import (
 	"ubiqos/internal/device"
 	"ubiqos/internal/graph"
-	"ubiqos/internal/obslog"
-	"ubiqos/internal/trace"
 )
 
 // Incumbent is a previously committed placement handed to OptimalWarm as
@@ -39,15 +37,21 @@ type Incumbent struct {
 // The result is always a true optimum of p; warm start changes only which
 // equal-cost optimum wins and how much of the tree is explored.
 func OptimalWarm(p *Problem, inc *Incumbent) (Assignment, float64, error) {
-	if inc == nil || len(inc.Placement) == 0 {
-		return Optimal(p)
-	}
-	if err := p.Validate(); err != nil {
-		return nil, 0, err
-	}
+	return solve(p, inc)
+}
 
-	// Keep only incumbent entries that still make sense: the node exists,
-	// the device is still offered, and any pin agrees.
+// warmStart turns the incumbent into the search seed for p. Entries that
+// still make sense — the node exists, the device is still offered, and
+// any pin agrees — are the reused placements. order is the variable
+// order: reused placements first (stable within each group, preserving
+// the big-first order), so the lost components sit at the bottom of the
+// tree where backtracking is cheap; pref[i] is the device index order[i]
+// ran on, or -1. With nothing to reuse (a nil incumbent included) order
+// and pref are nil, which is the cold solve.
+func (inc *Incumbent) warmStart(p *Problem) (order []*graph.Node, pref []int, reused int) {
+	if inc == nil {
+		return nil, nil, 0
+	}
 	warm := make(map[graph.NodeID]int, len(inc.Placement))
 	for id, dev := range inc.Placement {
 		n := p.Graph.Node(id)
@@ -64,60 +68,22 @@ func OptimalWarm(p *Problem, inc *Incumbent) (Assignment, float64, error) {
 		warm[id] = di
 	}
 	if len(warm) == 0 {
-		return Optimal(p)
+		return nil, nil, 0
 	}
-
-	// Variable order: still-valid placements first (stable within each
-	// group, preserving the big-first heuristic order), so the lost
-	// components sit at the bottom of the tree where backtracking is
-	// cheap.
 	def := p.sortedNodesByRequirement()
-	order := make([]*graph.Node, 0, len(def))
+	order = make([]*graph.Node, 0, len(def))
+	pref = make([]int, 0, len(def))
 	for _, n := range def {
-		if _, ok := warm[n.ID]; ok {
+		if di, ok := warm[n.ID]; ok {
 			order = append(order, n)
+			pref = append(pref, di)
 		}
 	}
 	for _, n := range def {
 		if _, ok := warm[n.ID]; !ok {
 			order = append(order, n)
+			pref = append(pref, -1)
 		}
 	}
-
-	s, err := newOBBStateOrdered(p, order)
-	if err != nil {
-		return nil, 0, err
-	}
-	s.pref = make([]int, len(s.nodes))
-	for i, n := range s.nodes {
-		s.pref[i] = -1
-		if di, ok := warm[n.ID]; ok {
-			s.pref[i] = di
-		}
-	}
-
-	sp := p.Span.Child("branch-and-bound-warm")
-	s.search(0, 0)
-	w := s.counters(0, 1)
-	sp.Set(trace.Int("explored", w.Explored), trace.Int("pruned", w.Pruned),
-		trace.Int("incumbents", w.Incumbents), trace.Int("reused", int64(len(warm))))
-	sp.End()
-	p.Log.Debug("warm branch-and-bound solved",
-		obslog.Int("explored", w.Explored), obslog.Int("pruned", w.Pruned),
-		obslog.Int("incumbents", w.Incumbents), obslog.Int("reused", int64(len(warm))))
-	if p.Stats != nil {
-		*p.Stats = SearchStats{
-			Algorithm:       "optimal-warm",
-			Workers:         1,
-			Explored:        w.Explored,
-			Pruned:          w.Pruned,
-			Incumbents:      w.Incumbents,
-			BoundTrajectory: append([]float64(nil), s.trajectory...),
-			RunnerUp:        runnerUp(s.trajectory),
-			Warm:            true,
-			SeedCost:        inc.Cost,
-			Reused:          len(warm),
-		}
-	}
-	return s.result()
+	return order, pref, len(warm)
 }

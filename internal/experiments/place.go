@@ -16,10 +16,6 @@ func PlaceByName(name string) (core.PlaceFunc, error) {
 		return nil, nil
 	case "optimal":
 		return distributor.Optimal, nil
-	case "optimal-parallel":
-		return func(p *distributor.Problem) (distributor.Assignment, float64, error) {
-			return distributor.OptimalParallel(p, 0)
-		}, nil
 	}
-	return nil, fmt.Errorf("experiments: unknown placement algorithm %q (want heuristic, optimal, or optimal-parallel)", name)
+	return nil, fmt.Errorf("experiments: unknown placement algorithm %q (want heuristic or optimal)", name)
 }

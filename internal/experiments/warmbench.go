@@ -227,7 +227,7 @@ func RunWarmBench(cfg WarmBenchConfig) (*WarmBenchResult, error) {
 			if err != nil {
 				return nil, err
 			}
-			p := &distributor.Problem{Graph: s.g, Devices: s.devs, Bandwidth: s.bandwidth, Weights: s.w, NetworkFloor: true, Stats: &distributor.SearchStats{}}
+			p := &distributor.Problem{Graph: s.g, Devices: s.devs, Bandwidth: s.bandwidth, Weights: s.w, Stats: &distributor.SearchStats{}}
 			// The pre-crash configuration: seeded with the constructed
 			// layout the way a live configurator would seed from its plan
 			// cache; the result is still the proven optimum.
@@ -243,7 +243,7 @@ func RunWarmBench(cfg WarmBenchConfig) (*WarmBenchResult, error) {
 				inc.Placement[id] = s.devs[di].ID
 			}
 
-			p2 := &distributor.Problem{Graph: s.g, Devices: survivors, Bandwidth: s.bandwidth, Weights: s.w, NetworkFloor: true, Stats: &distributor.SearchStats{}}
+			p2 := &distributor.Problem{Graph: s.g, Devices: survivors, Bandwidth: s.bandwidth, Weights: s.w, Stats: &distributor.SearchStats{}}
 			t0 := time.Now()
 			_, coldCost, err := distributor.Optimal(p2)
 			coldDur := time.Since(t0)

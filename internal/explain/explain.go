@@ -81,13 +81,9 @@ type Correction struct {
 
 // Search summarizes how the distribution tier solved one placement.
 type Search struct {
-	// Algorithm is the solver that ran (heuristic, optimal,
-	// optimal-parallel, or empty for a custom placement function).
+	// Algorithm is the solver that ran (heuristic, optimal, optimal-warm,
+	// plan-cache, or empty for a custom placement function).
 	Algorithm string `json:"algorithm,omitempty"`
-	// Workers, Tasks, and FrontierDepth describe the parallel split.
-	Workers       int `json:"workers,omitempty"`
-	Tasks         int `json:"tasks,omitempty"`
-	FrontierDepth int `json:"frontierDepth,omitempty"`
 	// Explored, Pruned, and Incumbents are the branch-and-bound search
 	// counters (for the heuristic: placements and fallbacks).
 	Explored   int64 `json:"explored"`
@@ -601,9 +597,6 @@ func renderAttempt(b *strings.Builder, a *Attempt) {
 	if s := a.Search; s != nil {
 		fmt.Fprintf(b, "    search %s: devices=%d explored=%d pruned=%d incumbents=%d cost=%.4f",
 			s.Algorithm, s.Devices, s.Explored, s.Pruned, s.Incumbents, s.Cost)
-		if s.Workers > 1 {
-			fmt.Fprintf(b, " workers=%d tasks=%d", s.Workers, s.Tasks)
-		}
 		if s.RunnerUp > 0 {
 			fmt.Fprintf(b, " runnerUp=%.4f", s.RunnerUp)
 		}

@@ -212,6 +212,18 @@ func (in *Injector) Apply(f Fault) error {
 	// away, so the affected set must be captured while they still sit on
 	// the target.
 	affected := in.affectedSessions(f)
+	// Mark the timelines before the fault takes effect too: once it has, a
+	// fast supervisor can recover the session and log the outcome before
+	// this goroutine runs again, and the outcome would precede its cause.
+	// A fault that then fails to apply leaves the marker of the attempt.
+	target := f.target()
+	var detail map[string]any
+	if f.Factor != 0 {
+		detail = map[string]any{"factor": f.Factor}
+	}
+	for _, session := range affected {
+		in.dom.Flight.RecordFault(session, string(f.Kind), target, detail)
+	}
 	var err error
 	switch f.Kind {
 	case DeviceCrash:
@@ -257,7 +269,10 @@ func (in *Injector) Apply(f Fault) error {
 			in.dom.Metrics.Counter(metrics.FaultsInjected).Inc()
 			in.dom.Metrics.Counter(metrics.WithLabel(metrics.FaultsInjected, "kind", string(f.Kind))).Inc()
 		}
-		in.mark(f, affected)
+		in.dom.Log.Named("faultinject").Warn("fault injected",
+			obslog.String("kind", string(f.Kind)),
+			obslog.String("target", target),
+			obslog.Int("sessionsAffected", int64(len(affected))))
 	}
 	return err
 }
@@ -286,28 +301,16 @@ func (in *Injector) affectedSessions(f Fault) []string {
 	return nil
 }
 
-// mark records the applied fault on every affected session's flight
-// timeline and in the structured log.
-func (in *Injector) mark(f Fault, affected []string) {
-	target := string(f.Device)
+// target names what the fault acts on, for the flight timeline and the
+// structured log.
+func (f Fault) target() string {
 	switch f.Kind {
 	case LinkDegrade, LinkRestore:
-		target = string(f.LinkA) + "-" + string(f.LinkB)
+		return string(f.LinkA) + "-" + string(f.LinkB)
 	case DiscoveryFlap, ServiceRestore:
-		target = f.Service
+		return f.Service
 	}
-	var detail map[string]any
-	if f.Factor != 0 {
-		detail = map[string]any{"factor": f.Factor}
-	}
-	log := in.dom.Log.Named("faultinject")
-	log.Warn("fault injected",
-		obslog.String("kind", string(f.Kind)),
-		obslog.String("target", target),
-		obslog.Int("sessionsAffected", int64(len(affected))))
-	for _, session := range affected {
-		in.dom.Flight.RecordFault(session, string(f.Kind), target, detail)
-	}
+	return string(f.Device)
 }
 
 // stall shrinks the device's capacity to Factor× and announces the

@@ -20,8 +20,8 @@ import (
 
 // Counter is a monotonically increasing counter. The zero value is ready
 // to use. Counters are lock-free (sync/atomic) so hot-path
-// instrumentation — e.g. branch-and-bound node counts incremented by
-// parallel workers — does not serialize them.
+// instrumentation — e.g. branch-and-bound node counts added by
+// concurrent configures — does not serialize them.
 type Counter struct {
 	n atomic.Int64
 }

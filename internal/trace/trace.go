@@ -8,8 +8,7 @@
 //
 // The API is nil-safe end to end: methods on a nil *Tracer, *Trace, or
 // *Span are no-ops returning nil, so instrumentation sites never need a
-// "tracing enabled?" branch. All types are safe for concurrent use —
-// parallel branch-and-bound workers may add spans to one trace at once.
+// "tracing enabled?" branch. All types are safe for concurrent use.
 package trace
 
 import (

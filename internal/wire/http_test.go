@@ -19,18 +19,13 @@ import (
 )
 
 // TestObservabilityEndToEnd is the acceptance scenario: an in-process
-// daemon configured with the optimal-parallel solver runs one PDA session
+// daemon configured with the optimal solver runs one PDA session
 // (forcing a transcoder correction), and the full observability surface
 // is checked — the trace op's span tree (compose → discover →
 // OC-correction → distribute with correction kinds and branch-and-bound
 // counters) and the Prometheus exposition's per-stage p50/p95/p99.
 func TestObservabilityEndToEnd(t *testing.T) {
-	// Pin 4 workers so the parallel solver runs even on a 1-CPU box (the
-	// daemon's -place flag sizes the pool from the hardware instead).
-	place := func(p *distributor.Problem) (distributor.Assignment, float64, error) {
-		return distributor.OptimalParallel(p, 4)
-	}
-	dom, err := experiments.BuildAudioSpaceWith(0.05, place)
+	dom, err := experiments.BuildAudioSpaceWith(0.05, distributor.Optimal)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +73,7 @@ func TestObservabilityEndToEnd(t *testing.T) {
 		t.Errorf("correction kind = %v, want transcoder", kind)
 	}
 	dist := byName["distribute"]
-	if dist.Attrs["algorithm"] != "optimal-parallel" {
+	if dist.Attrs["algorithm"] != "optimal" {
 		t.Errorf("distribute algorithm = %v", dist.Attrs["algorithm"])
 	}
 	if explored, ok := dist.Attrs["explored"].(int64); !ok || explored == 0 {
@@ -87,8 +82,8 @@ func TestObservabilityEndToEnd(t *testing.T) {
 	if _, ok := dist.Attrs["pruned"].(int64); !ok {
 		t.Errorf("distribute pruned = %v", dist.Attrs["pruned"])
 	}
-	if byName["branch-and-bound-parallel"] == nil || byName["bnb-worker"] == nil {
-		t.Errorf("solver spans missing:\n%s", td.Render())
+	if byName["branch-and-bound"] == nil {
+		t.Errorf("solver span missing:\n%s", td.Render())
 	}
 
 	// --- /metrics: Prometheus text with per-stage quantiles. ---
@@ -223,12 +218,12 @@ func TestObservabilityEndToEnd(t *testing.T) {
 	if att.Search == nil {
 		t.Fatal("explain attempt has no search summary")
 	}
-	if att.Search.Algorithm != "optimal-parallel" || att.Search.Explored == 0 ||
+	if att.Search.Algorithm != "optimal" || att.Search.Explored == 0 ||
 		att.Search.Cost <= 0 || len(att.Search.BoundTrajectory) == 0 {
 		t.Errorf("explain search = %+v", att.Search)
 	}
 	xtext := httpGet(t, web.URL+"/explain/e2e-1?format=text")
-	for _, want := range []string{"explain e2e-1", "discover", "correction transcoder", "search optimal-parallel", "placement:"} {
+	for _, want := range []string{"explain e2e-1", "discover", "correction transcoder", "search optimal:", "placement:"} {
 		if !strings.Contains(xtext, want) {
 			t.Errorf("text explain rendering missing %q:\n%s", want, xtext)
 		}

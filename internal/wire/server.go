@@ -398,7 +398,7 @@ func (s *Server) check(req Request) Response {
 		attrs = d.Attrs
 	}
 	_, rep, err := s.dom.Composer.Compose(composer.Request{
-		App:          resolveForCheck(req.App, client),
+		App:          core.ResolveClientPins(req.App, client),
 		UserQoS:      req.UserQoS,
 		ClientAttrs:  attrs,
 		ClientDevice: req.ClientDevice,
@@ -407,25 +407,6 @@ func (s *Server) check(req Request) Response {
 		return errResponse(err)
 	}
 	return Response{OK: true, CheckSummary: rep.Summary()}
-}
-
-// resolveForCheck rewrites the client pin role like the configurator does.
-func resolveForCheck(app *composer.AbstractGraph, client device.ID) *composer.AbstractGraph {
-	if client == "" {
-		return app
-	}
-	out := composer.NewAbstractGraph()
-	for _, n := range app.Nodes() {
-		cp := *n
-		if cp.Pin == core.ClientRole {
-			cp.Pin = string(client)
-		}
-		out.MustAddNode(&cp)
-	}
-	for _, e := range app.Edges() {
-		out.MustAddEdge(e.From, e.To, e.ThroughputMbps)
-	}
-	return out
 }
 
 // traceInfo returns the most recent configuration trace for a session,
