@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: verify fmt-check vet build test race bench-smoke bench bench-faults bench-obs bench-warm bench-capacity bench-autoscale bench-ledger bench-incident clean
+.PHONY: verify fmt-check vet build test race bench-smoke bench-go bench bench-faults bench-obs bench-warm bench-capacity bench-autoscale bench-ledger bench-incident clean
 
 # verify is the tier-1 gate (ROADMAP.md): formatting, static checks,
 # build, and the full test suite.
@@ -37,6 +37,13 @@ race:
 # repeats on `fill`. A few seconds; the timings it prints mean nothing.
 bench-smoke:
 	cd benchmark && $(GO) test ./... && $(GO) run . -smoke
+
+# bench-go runs the Go micro-benchmarks of the request path once each —
+# request decode and start reply (wire), abstract-graph decode (root
+# package), problem signature (distributor) — so that they keep building
+# and running; one iteration measures nothing.
+bench-go:
+	$(GO) test . ./internal/wire ./internal/composer ./internal/registry ./internal/distributor -run '^$$' -bench 'RequestDecode|StartReply|AbstractGraphDecode|Signature' -benchtime 1x
 
 # bench runs the repository's one benchmark (BENCHMARK.json, benchmark/):
 # all four over-the-wire workloads with every end-to-end and per-layer

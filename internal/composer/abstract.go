@@ -159,26 +159,47 @@ func (ag *AbstractGraph) Clone() *AbstractGraph {
 	return c
 }
 
-// preds returns the abstract predecessors of id in edge order.
-func (ag *AbstractGraph) preds(id graph.NodeID) []graph.NodeID {
-	var out []graph.NodeID
-	for _, e := range ag.edges {
-		if e.To == id {
-			out = append(out, e.From)
-		}
-	}
-	return out
+// adjacency is the predecessor and successor lists of one abstract graph:
+// nodes are named by their position in insertion order, and each list is
+// in edge order. It is built in one pass over the edges by whoever needs
+// it (Validate, one instantiation pass of Compose) and dropped afterwards:
+// nothing is retained on the graph, which callers keep resident by the
+// thousand.
+type adjacency struct {
+	preds, succs [][]int
+	// ends[2k] and ends[2k+1] are the source and target of edge k.
+	ends []int
 }
 
-// succs returns the abstract successors of id in edge order.
-func (ag *AbstractGraph) succs(id graph.NodeID) []graph.NodeID {
-	var out []graph.NodeID
-	for _, e := range ag.edges {
-		if e.From == id {
-			out = append(out, e.To)
-		}
+func (ag *AbstractGraph) adjacency() adjacency {
+	n := len(ag.order)
+	index := make(map[graph.NodeID]int, n)
+	for i, id := range ag.order {
+		index[id] = i
 	}
-	return out
+	// Resolve the endpoints and count the degrees first, so that every
+	// list is a window of one backing array.
+	ends := make([]int, 2*len(ag.edges))
+	deg := make([]int, 2*n)
+	indeg, outdeg := deg[:n], deg[n:]
+	for k, e := range ag.edges {
+		from, to := index[e.From], index[e.To]
+		ends[2*k], ends[2*k+1] = from, to
+		outdeg[from]++
+		indeg[to]++
+	}
+	adj := adjacency{preds: make([][]int, n), succs: make([][]int, n), ends: ends}
+	backing := make([]int, 2*len(ag.edges))
+	for i := 0; i < n; i++ {
+		adj.preds[i], backing = backing[:0:indeg[i]], backing[indeg[i]:]
+		adj.succs[i], backing = backing[:0:outdeg[i]], backing[outdeg[i]:]
+	}
+	for k := range ag.edges {
+		from, to := ends[2*k], ends[2*k+1]
+		adj.succs[from] = append(adj.succs[from], to)
+		adj.preds[to] = append(adj.preds[to], from)
+	}
+	return adj
 }
 
 // Sinks returns the abstract nodes with no outgoing edges; these usually
@@ -199,27 +220,28 @@ func (ag *AbstractGraph) Sinks() []graph.NodeID {
 }
 
 // Validate checks the abstract graph is a non-empty DAG.
-func (ag *AbstractGraph) Validate() error {
+func (ag *AbstractGraph) Validate() error { return ag.validate(ag.adjacency()) }
+
+// validate is Validate over adjacency lists the caller has already built.
+func (ag *AbstractGraph) validate(adj adjacency) error {
 	if len(ag.nodes) == 0 {
 		return fmt.Errorf("composer: empty abstract service graph")
 	}
 	// Kahn's algorithm for cycle detection.
-	indeg := make(map[graph.NodeID]int, len(ag.nodes))
-	for _, e := range ag.edges {
-		indeg[e.To]++
-	}
-	var ready []graph.NodeID
-	for _, id := range ag.order {
-		if indeg[id] == 0 {
-			ready = append(ready, id)
+	indeg := make([]int, len(ag.order))
+	ready := make([]int, 0, len(ag.order))
+	for i, preds := range adj.preds {
+		indeg[i] = len(preds)
+		if indeg[i] == 0 {
+			ready = append(ready, i)
 		}
 	}
 	seen := 0
 	for len(ready) > 0 {
-		id := ready[0]
+		i := ready[0]
 		ready = ready[1:]
 		seen++
-		for _, s := range ag.succs(id) {
+		for _, s := range adj.succs[i] {
 			indeg[s]--
 			if indeg[s] == 0 {
 				ready = append(ready, s)

@@ -118,7 +118,8 @@ func (c *Composer) Compose(req Request) (*graph.Graph, *Report, error) {
 	if req.App == nil {
 		return nil, nil, fmt.Errorf("composer: nil abstract service graph")
 	}
-	if err := req.App.Validate(); err != nil {
+	adj := req.App.adjacency()
+	if err := req.App.validate(adj); err != nil {
 		return nil, nil, err
 	}
 	if err := req.UserQoS.Validate(); err != nil {
@@ -132,11 +133,9 @@ func (c *Composer) Compose(req Request) (*graph.Graph, *Report, error) {
 		req:     req,
 		g:       g,
 		report:  report,
-		entries: make(map[graph.NodeID][]graph.NodeID),
-		exits:   make(map[graph.NodeID][]graph.NodeID),
 		missing: make(map[string]bool),
 	}
-	if err := inst.run(req.App, "", 0, req.Span); err != nil {
+	if _, err := inst.run(req.App, adj, "", 0, req.Span); err != nil {
 		return nil, nil, err
 	}
 	if len(inst.missing) > 0 {
@@ -211,20 +210,25 @@ func intersectRequirements(base, demand qos.Vector) (qos.Vector, error) {
 	return out, nil
 }
 
-// instantiation carries the state of one discovery/instantiation pass,
-// including the splice maps for skipped optional services and recursively
-// composed replacements.
+// instantiation carries the state of one discovery/instantiation pass
+// over the application's graph and the decompositions it recurses into.
 type instantiation struct {
-	c      *Composer
-	req    Request
-	g      *graph.Graph
-	report *Report
-	// entries/exits map an abstract node (qualified by prefix) to the
-	// concrete nodes that represent its upstream/downstream boundary.
-	// A skipped optional node has empty entries and exits.
-	entries map[graph.NodeID][]graph.NodeID
-	exits   map[graph.NodeID][]graph.NodeID
+	c       *Composer
+	req     Request
+	g       *graph.Graph
+	report  *Report
 	missing map[string]bool
+}
+
+// splice is what one instantiated abstract graph leaves behind for wiring
+// edges: for each abstract node, by position, the concrete nodes at its
+// upstream (entries) and downstream (exits) boundary. A discovered node is
+// its own boundary and a recomposed one has its decomposition's; a nil
+// boundary (skipped optional, missing, or a decomposition that came out
+// empty) resolves through the node's abstract neighbours, the bypass.
+type splice struct {
+	adj            adjacency
+	entries, exits [][]graph.NodeID
 }
 
 func qualify(prefix string, id graph.NodeID) graph.NodeID {
@@ -236,17 +240,16 @@ func qualify(prefix string, id graph.NodeID) graph.NodeID {
 // spans are parented to parent; a recursive re-composition's spans nest
 // under the discover span of the node that triggered it, so the span tree
 // shows the recursion depth structurally.
-func (in *instantiation) run(ag *AbstractGraph, prefix string, depth int, parent *trace.Span) error {
-	sinkSet := make(map[graph.NodeID]bool)
-	if depth == 0 {
-		for _, id := range ag.Sinks() {
-			sinkSet[id] = true
-		}
-	}
-	for _, an := range ag.Nodes() {
+func (in *instantiation) run(ag *AbstractGraph, adj adjacency, prefix string, depth int, parent *trace.Span) (*splice, error) {
+	n := len(ag.order)
+	sp := &splice{adj: adj, entries: make([][]graph.NodeID, n), exits: make([][]graph.NodeID, n)}
+	own := make([]graph.NodeID, n) // own[i:i+1] is discovered node i's boundary on both sides
+	for i, id := range ag.order {
+		an := ag.nodes[id]
 		qid := qualify(prefix, an.ID)
 		spec := an.Spec
-		if sinkSet[an.ID] && len(in.req.UserQoS) > 0 {
+		sink := depth == 0 && len(adj.succs[i]) == 0
+		if sink && len(in.req.UserQoS) > 0 {
 			spec.Output = spec.Output.Merge(in.req.UserQoS)
 		}
 		if an.Pin != "" && an.Pin == in.req.ClientDevice && len(in.req.ClientAttrs) > 0 {
@@ -272,10 +275,11 @@ func (in *instantiation) run(ag *AbstractGraph, prefix string, depth int, parent
 			if err := in.g.AddNode(node); err != nil {
 				dsp.SetErr(err)
 				dsp.End()
-				return err
+				return nil, err
 			}
-			in.entries[qid] = []graph.NodeID{qid}
-			in.exits[qid] = []graph.NodeID{qid}
+			own[i] = qid
+			sp.entries[i] = own[i : i+1 : i+1]
+			sp.exits[i] = sp.entries[i]
 			in.report.Discovered[qid] = best.Name
 			dsp.Set(trace.String("outcome", "found"), trace.String("instance", best.Name))
 			in.explainDiscovery(qid, spec, depth, "found", best.Name)
@@ -283,8 +287,6 @@ func (in *instantiation) run(ag *AbstractGraph, prefix string, depth int, parent
 		case an.Optional:
 			// "If the service that cannot be discovered is optional, then
 			// the service composer may simply neglect it."
-			in.entries[qid] = nil
-			in.exits[qid] = nil
 			in.report.Skipped = append(in.report.Skipped, qid)
 			in.report.DiscoveryFailures++
 			dsp.Set(trace.String("outcome", "skipped-optional"))
@@ -305,18 +307,18 @@ func (in *instantiation) run(ag *AbstractGraph, prefix string, depth int, parent
 			// service.
 			dsp.Set(trace.String("outcome", "recompose"))
 			in.explainDiscovery(qid, spec, depth, "recompose", "")
-			subPrefix := string(qid) + "/"
-			if err := in.run(sub, subPrefix, depth+1, dsp); err != nil {
+			inner, err := in.run(sub, sub.adjacency(), string(qid)+"/", depth+1, dsp)
+			if err != nil {
 				dsp.End()
-				return err
+				return nil, err
 			}
-			in.entries[qid] = in.subBoundary(sub, subPrefix, true)
-			in.exits[qid] = in.subBoundary(sub, subPrefix, false)
+			sp.entries[i] = inner.boundary(true)
+			sp.exits[i] = inner.boundary(false)
 			in.report.Expanded[qid] = an.Spec.Type
 			// Propagate the pin to boundary nodes so e.g. a decomposed
 			// player still lands on the client device.
 			if an.Pin != "" {
-				for _, id := range in.exits[qid] {
+				for _, id := range sp.exits[i] {
 					if n := in.g.Node(id); n != nil && n.Pin == "" {
 						n.Pin = an.Pin
 					}
@@ -332,10 +334,19 @@ func (in *instantiation) run(ag *AbstractGraph, prefix string, depth int, parent
 		dsp.End()
 	}
 
-	// Wire the edges, bypassing skipped optional services.
-	for _, e := range ag.Edges() {
-		srcs := in.resolveExits(ag, prefix, e.From, make(map[graph.NodeID]bool))
-		dsts := in.resolveEntries(ag, prefix, e.To, make(map[graph.NodeID]bool))
+	// Wire the edges. An edge between two instantiated services connects
+	// their boundaries as they stand; only an endpoint without one (a
+	// skipped optional service, mostly) goes looking through its
+	// neighbours.
+	for k, e := range ag.edges {
+		from, to := adj.ends[2*k], adj.ends[2*k+1]
+		srcs, dsts := sp.exits[from], sp.entries[to]
+		if srcs == nil {
+			srcs = resolve(from, sp.exits, adj.preds, make([]bool, n))
+		}
+		if dsts == nil {
+			dsts = resolve(to, sp.entries, adj.succs, make([]bool, n))
+		}
 		for _, s := range srcs {
 			for _, d := range dsts {
 				if s == d {
@@ -349,7 +360,7 @@ func (in *instantiation) run(ag *AbstractGraph, prefix string, depth int, parent
 			}
 		}
 	}
-	return nil
+	return sp, nil
 }
 
 // explainDiscovery records one discovery decision — with the full
@@ -370,29 +381,22 @@ func (in *instantiation) explainDiscovery(qid graph.NodeID, spec registry.Spec, 
 	in.req.Explain.AddDiscovery(d)
 }
 
-// subBoundary returns the concrete sources (entry=true) or sinks of an
-// instantiated decomposition. Skipped optional nodes inside the
-// decomposition resolve through to their neighbors.
-func (in *instantiation) subBoundary(sub *AbstractGraph, prefix string, entry bool) []graph.NodeID {
+// boundary returns the concrete sources (entry) or sinks of an
+// instantiated decomposition: the boundaries of its abstract nodes that
+// have no predecessor (entry) or no successor. Skipped optional nodes
+// inside the decomposition resolve through to their neighbours.
+func (sp *splice) boundary(entry bool) []graph.NodeID {
+	side, outward, inward := sp.exits, sp.adj.succs, sp.adj.preds
+	if entry {
+		side, outward, inward = sp.entries, sp.adj.preds, sp.adj.succs
+	}
 	var out []graph.NodeID
 	seen := make(map[graph.NodeID]bool)
-	for _, an := range sub.Nodes() {
-		boundary := false
-		if entry {
-			boundary = len(sub.preds(an.ID)) == 0
-		} else {
-			boundary = len(sub.succs(an.ID)) == 0
-		}
-		if !boundary {
+	for i := range side {
+		if len(outward[i]) != 0 {
 			continue
 		}
-		var ids []graph.NodeID
-		if entry {
-			ids = in.resolveEntries(sub, prefix, an.ID, make(map[graph.NodeID]bool))
-		} else {
-			ids = in.resolveExits(sub, prefix, an.ID, make(map[graph.NodeID]bool))
-		}
-		for _, id := range ids {
+		for _, id := range resolve(i, side, inward, make([]bool, len(side))) {
 			if !seen[id] {
 				seen[id] = true
 				out = append(out, id)
@@ -402,39 +406,22 @@ func (in *instantiation) subBoundary(sub *AbstractGraph, prefix string, entry bo
 	return out
 }
 
-// resolveExits returns the concrete nodes that act as the downstream
-// boundary of abstract node id; a skipped node resolves to the exits of its
-// abstract predecessors (the bypass).
-func (in *instantiation) resolveExits(ag *AbstractGraph, prefix string, id graph.NodeID, visiting map[graph.NodeID]bool) []graph.NodeID {
-	qid := qualify(prefix, id)
-	if visiting[qid] {
+// resolve returns the concrete nodes that act as abstract node i's boundary
+// on one side. With side = exits and next = preds it is the downstream
+// boundary, and a node without one resolves to the exits of its abstract
+// predecessors (the bypass); with entries and succs it is the upstream
+// analogue.
+func resolve(i int, side [][]graph.NodeID, next [][]int, visiting []bool) []graph.NodeID {
+	if visiting[i] {
 		return nil
 	}
-	visiting[qid] = true
-	if ex, ok := in.exits[qid]; ok && ex != nil {
-		return ex
+	visiting[i] = true
+	if b := side[i]; b != nil {
+		return b
 	}
 	var out []graph.NodeID
-	for _, p := range ag.preds(id) {
-		out = append(out, in.resolveExits(ag, prefix, p, visiting)...)
-	}
-	return dedupe(out)
-}
-
-// resolveEntries is the upstream analogue of resolveExits: a skipped node
-// resolves to the entries of its abstract successors.
-func (in *instantiation) resolveEntries(ag *AbstractGraph, prefix string, id graph.NodeID, visiting map[graph.NodeID]bool) []graph.NodeID {
-	qid := qualify(prefix, id)
-	if visiting[qid] {
-		return nil
-	}
-	visiting[qid] = true
-	if en, ok := in.entries[qid]; ok && en != nil {
-		return en
-	}
-	var out []graph.NodeID
-	for _, s := range ag.succs(id) {
-		out = append(out, in.resolveEntries(ag, prefix, s, visiting)...)
+	for _, j := range next[i] {
+		out = append(out, resolve(j, side, next, visiting)...)
 	}
 	return dedupe(out)
 }

@@ -164,9 +164,14 @@ func TestSupervisorGivesUpWhenNoPlacementExists(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Kill BOTH desktops: the PDA cannot host the server, so no feasible
-	// placement remains anywhere on the degradation ladder.
-	for _, id := range []device.ID{"desktop1", "desktop2"} {
+	// placement remains anywhere on the degradation ladder. Both go down
+	// before either departure is announced; otherwise a quick supervisor
+	// recovers the session onto desktop2 between the two.
+	desktops := []device.ID{"desktop1", "desktop2"}
+	for _, id := range desktops {
 		f.cfg.Devices.Get(id).SetUp(false)
+	}
+	for _, id := range desktops {
 		f.bus.Publish(eventbus.TopicDeviceLeft, string(id))
 	}
 

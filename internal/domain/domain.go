@@ -344,12 +344,15 @@ func (f *federatedDiscovery) Best(spec registry.Spec) *registry.Instance {
 // the first domain that can satisfy the spec — exactly the instances the
 // federated Best decision was made over. Domains before the stopping one
 // had no eligible instance, so their contributions are all rejections
-// and the single Chosen candidate is the federated winner.
+// and the single Chosen candidate is the federated winner. A registry
+// lists its eligible instances first and marks the first of them Chosen,
+// so a domain satisfies the spec exactly when its list opens with one.
 func (f *federatedDiscovery) Candidates(spec registry.Spec) []registry.Candidate {
 	var out []registry.Candidate
 	for d := f.domain; d != nil; d = d.Parent() {
-		out = append(out, d.Registry.Candidates(spec)...)
-		if d.Registry.Best(spec) != nil {
+		cs := d.Registry.Candidates(spec)
+		out = append(out, cs...)
+		if len(cs) > 0 && cs[0].Chosen {
 			break
 		}
 	}

@@ -6,8 +6,11 @@
 package registry
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
+	"strings"
 	"sync"
 
 	"ubiqos/internal/qos"
@@ -104,11 +107,19 @@ type Match struct {
 type Registry struct {
 	mu        sync.RWMutex
 	instances map[string]*Instance
+	// byType holds the same instances grouped by service type and keyed
+	// by name within it, so that discovery ranges over the candidates of
+	// one type rather than the whole catalog. Register and Unregister keep
+	// it in step with instances under mu.
+	byType map[string]map[string]*Instance
 }
 
 // New returns an empty registry.
 func New() *Registry {
-	return &Registry{instances: make(map[string]*Instance)}
+	return &Registry{
+		instances: make(map[string]*Instance),
+		byType:    make(map[string]map[string]*Instance),
+	}
 }
 
 // Register adds or replaces an instance after validation.
@@ -118,8 +129,28 @@ func (r *Registry) Register(in *Instance) error {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	r.dropFromType(r.instances[in.Name])
 	r.instances[in.Name] = in
+	same := r.byType[in.Type]
+	if same == nil {
+		same = make(map[string]*Instance)
+		r.byType[in.Type] = same
+	}
+	same[in.Name] = in
 	return nil
+}
+
+// dropFromType removes a registered instance (nil is a no-op) from the
+// by-type index; callers hold mu for writing.
+func (r *Registry) dropFromType(old *Instance) {
+	if old == nil {
+		return
+	}
+	same := r.byType[old.Type]
+	delete(same, old.Name)
+	if len(same) == 0 {
+		delete(r.byType, old.Type)
+	}
 }
 
 // MustRegister is Register that panics on error.
@@ -134,9 +165,11 @@ func (r *Registry) MustRegister(in *Instance) {
 func (r *Registry) Unregister(name string) bool {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if _, ok := r.instances[name]; !ok {
+	old, ok := r.instances[name]
+	if !ok {
 		return false
 	}
+	r.dropFromType(old)
 	delete(r.instances, name)
 	return true
 }
@@ -176,27 +209,26 @@ func (r *Registry) Find(spec Spec) []Match {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
 	var out []Match
-	for _, in := range r.instances {
-		if in.Type != spec.Type {
-			continue
-		}
+	for _, in := range r.byType[spec.Type] {
 		if !attrsSubset(spec.Attrs, in.Attrs) {
 			continue
 		}
 		out = append(out, Match{Instance: in, Score: scoreQoS(spec, in)})
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Score != out[j].Score {
-			return out[i].Score > out[j].Score
-		}
-		ri := footprint(out[i].Instance.Resources)
-		rj := footprint(out[j].Instance.Resources)
-		if ri != rj {
-			return ri < rj
-		}
-		return out[i].Instance.Name < out[j].Instance.Name
-	})
+	slices.SortFunc(out, rank)
 	return out
+}
+
+// rank orders matches best-first: higher QoS score, then smaller resource
+// footprint, then name. Names are unique, so the order is total.
+func rank(a, b Match) int {
+	if a.Score != b.Score {
+		return cmp.Compare(b.Score, a.Score)
+	}
+	if c := cmp.Compare(footprint(a.Instance.Resources), footprint(b.Instance.Resources)); c != 0 {
+		return c
+	}
+	return strings.Compare(a.Instance.Name, b.Instance.Name)
 }
 
 // Best returns the single closest instance for the spec, or nil when
@@ -231,10 +263,7 @@ func (r *Registry) Candidates(spec Spec) []Candidate {
 	r.mu.RLock()
 	var eligible []Match
 	var rejected []Candidate
-	for _, in := range r.instances {
-		if in.Type != spec.Type {
-			continue
-		}
+	for _, in := range r.byType[spec.Type] {
 		if reason, ok := attrMismatch(spec.Attrs, in.Attrs); !ok {
 			rejected = append(rejected, Candidate{Name: in.Name, Rejection: reason})
 			continue
@@ -242,17 +271,7 @@ func (r *Registry) Candidates(spec Spec) []Candidate {
 		eligible = append(eligible, Match{Instance: in, Score: scoreQoS(spec, in)})
 	}
 	r.mu.RUnlock()
-	sort.Slice(eligible, func(i, j int) bool {
-		if eligible[i].Score != eligible[j].Score {
-			return eligible[i].Score > eligible[j].Score
-		}
-		ri := footprint(eligible[i].Instance.Resources)
-		rj := footprint(eligible[j].Instance.Resources)
-		if ri != rj {
-			return ri < rj
-		}
-		return eligible[i].Instance.Name < eligible[j].Instance.Name
-	})
+	slices.SortFunc(eligible, rank)
 	sort.Slice(rejected, func(i, j int) bool { return rejected[i].Name < rejected[j].Name })
 
 	out := make([]Candidate, 0, len(eligible)+len(rejected))
@@ -310,7 +329,10 @@ func attrsSubset(want, have map[string]string) bool {
 // constrain it).
 func scoreQoS(spec Spec, in *Instance) int {
 	score := 0
-	capability := in.Capability()
+	var capability qos.Vector
+	if len(spec.Output) > 0 {
+		capability = in.Capability()
+	}
 	for _, want := range spec.Output {
 		got, ok := capability.Get(want.Name)
 		if !ok {

@@ -98,12 +98,15 @@ func (c *Client) Close() error {
 // up to Options.Retries times with doubling backoff.
 func (c *Client) Call(req Request) (Response, error) {
 	// Originate trace context here so the daemon's spans join a trace the
-	// caller can correlate with; retries reuse the same trace ID.
-	if req.TraceID == "" {
-		req.TraceID = trace.NewID()
-	}
-	if req.SpanID == "" {
-		req.SpanID = "client-" + req.Op
+	// caller can correlate with; retries reuse the same trace ID. Only a
+	// start's handler reads it, so no other op carries one.
+	if req.Op == OpStart {
+		if req.TraceID == "" {
+			req.TraceID = trace.NewID()
+		}
+		if req.SpanID == "" {
+			req.SpanID = "client-" + req.Op
+		}
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -138,7 +141,7 @@ func (c *Client) callOnce(req Request) (resp Response, err error, transport bool
 		c.conn.SetDeadline(time.Now().Add(c.opts.Timeout))
 		defer c.conn.SetDeadline(time.Time{})
 	}
-	if err := c.enc.Encode(req); err != nil {
+	if err := encodeRequest(c.enc, req); err != nil {
 		return Response{}, fmt.Errorf("wire: send: %w", err), true
 	}
 	if !c.sc.Scan() {

@@ -120,9 +120,8 @@ func (s *Server) serve(conn net.Conn) {
 		if len(line) == 0 {
 			continue
 		}
-		var req Request
 		var resp Response
-		if err := json.Unmarshal(line, &req); err != nil {
+		if req, err := decodeRequest(line); err != nil {
 			s.dom.Metrics.Counter(metrics.WireBadLines).Inc()
 			resp = errResponse(fmt.Errorf("wire: bad request: %w", err))
 		} else {
@@ -568,20 +567,27 @@ func (s *Server) statsInfo() Response {
 	return Response{OK: true, Stats: info}
 }
 
+// sessionInfo answers the session op, the one reply that carries the
+// Graphviz rendering: `qosctl session -dot` is its only reader, so start
+// and switch do not pay for it.
 func (s *Server) sessionInfo(id string) Response {
 	active := s.dom.Configurator.Session(id)
 	if active == nil {
 		return errResponse(fmt.Errorf("wire: unknown session %q", id))
 	}
-	return Response{OK: true, Session: sessionInfoOf(active)}
+	info := sessionInfoOf(active)
+	placement := make(map[graph.NodeID]string, len(active.Placement))
+	for id, dev := range active.Placement {
+		placement[id] = string(dev)
+	}
+	info.DOT = active.Graph.DOT(active.ID, placement)
+	return Response{OK: true, Session: info}
 }
 
 func sessionInfoOf(active *core.ActiveSession) *SessionInfo {
 	placement := make(map[string]string, len(active.Placement))
-	dotPlacement := make(map[graph.NodeID]string, len(active.Placement))
 	for id, dev := range active.Placement {
 		placement[string(id)] = string(dev)
-		dotPlacement[id] = string(dev)
 	}
 	return &SessionInfo{
 		ID:           active.ID,
@@ -592,6 +598,5 @@ func sessionInfoOf(active *core.ActiveSession) *SessionInfo {
 			active.Timing.Downloading, active.Timing.InitOrHandoff),
 		Rates:   active.Runtime.SinkRates(),
 		Summary: active.Report.Summary(),
-		DOT:     active.Graph.DOT(active.ID, dotPlacement),
 	}
 }

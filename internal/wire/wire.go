@@ -5,6 +5,7 @@
 package wire
 
 import (
+	"encoding/json"
 	"time"
 
 	"ubiqos/internal/admission"
@@ -95,12 +96,52 @@ type Request struct {
 	Group    string `json:"group,omitempty"`
 	Replicas *int   `json:"replicas,omitempty"`
 	// TraceID carries the client-originated trace context so the server's
-	// spans join the caller's trace (start/switch). The client fills it in
-	// automatically when empty.
+	// spans join the caller's trace (start, the one op whose handler reads
+	// it). The client fills it in on a start when empty.
 	TraceID string `json:"traceId,omitempty"`
 	// SpanID names the client-side span that caused this request; the
 	// server records it as the parent of its root span.
 	SpanID string `json:"spanId,omitempty"`
+}
+
+// wireRequest is the struct a Request crosses the socket through. Its JSON
+// document is Request's own (the shallower App shadows the embedded one
+// under the same key), but the graph is held in its plain form: with
+// *composer.AbstractGraph in that place encoding/json walks the graph's
+// bytes four times on the way in (the line's validity check, the skip
+// that delimits the value for the graph's UnmarshalJSON, then the inner
+// Unmarshal's own validity check and decode) and re-scans MarshalJSON's
+// output on the way out. Through this struct they are validated once and
+// decoded once, and composer.FromPlain applies the checks UnmarshalJSON
+// would have.
+type wireRequest struct {
+	Request
+	App *composer.PlainGraph `json:"app,omitempty"`
+}
+
+// encodeRequest writes the request's JSON document and a newline to enc.
+func encodeRequest(enc *json.Encoder, req Request) error {
+	wr := wireRequest{Request: req}
+	if req.App != nil {
+		wr.App = &composer.PlainGraph{Nodes: req.App.Nodes(), Edges: req.App.Edges()}
+	}
+	return enc.Encode(wr)
+}
+
+// decodeRequest parses one request line.
+func decodeRequest(line []byte) (Request, error) {
+	var wr wireRequest
+	if err := json.Unmarshal(line, &wr); err != nil {
+		return Request{}, err
+	}
+	if wr.App != nil {
+		app, err := composer.FromPlain(*wr.App)
+		if err != nil {
+			return Request{}, err
+		}
+		wr.Request.App = app
+	}
+	return wr.Request, nil
 }
 
 // DeviceInfo describes one device in a list-devices response.

@@ -274,6 +274,8 @@ func TestCrashDeviceOp(t *testing.T) {
 	srv.Handle(Request{Op: OpStop, SessionID: "m"})
 }
 
+// TestSessionDOT: the session op renders the placed graph; the start and
+// switch replies, whose dot nobody reads, carry none.
 func TestSessionDOT(t *testing.T) {
 	srv, _ := startServer(t)
 	resp := srv.Handle(Request{Op: OpStart, SessionID: "d", App: experiments.AudioOnDemandApp(), ClientDevice: "desktop2"})
@@ -281,8 +283,24 @@ func TestSessionDOT(t *testing.T) {
 		t.Fatalf("start: %s", resp.Error)
 	}
 	defer srv.Handle(Request{Op: OpStop, SessionID: "d"})
-	if !strings.Contains(resp.Session.DOT, "digraph") || !strings.Contains(resp.Session.DOT, "subgraph cluster_0") {
-		t.Errorf("DOT = %q", resp.Session.DOT)
+	if resp.Session.DOT != "" {
+		t.Errorf("start reply carries a dot: %q", resp.Session.DOT)
+	}
+	resp = srv.Handle(Request{Op: OpSwitch, SessionID: "d", ToDevice: "desktop3"})
+	if !resp.OK {
+		t.Fatalf("switch: %s", resp.Error)
+	}
+	if resp.Session.DOT != "" {
+		t.Errorf("switch reply carries a dot: %q", resp.Session.DOT)
+	}
+	resp = srv.Handle(Request{Op: OpSession, SessionID: "d"})
+	if !resp.OK {
+		t.Fatalf("session: %s", resp.Error)
+	}
+	dot := resp.Session.DOT
+	if !strings.Contains(dot, `digraph "d"`) || !strings.Contains(dot, "subgraph cluster_0") ||
+		!strings.Contains(dot, `label="desktop3"`) || !strings.Contains(dot, "Mbps") {
+		t.Errorf("DOT = %q", dot)
 	}
 }
 
