@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: verify fmt-check vet build test race bench-smoke bench-go bench bench-faults bench-obs bench-warm bench-capacity bench-autoscale bench-ledger bench-incident clean
+.PHONY: verify fmt-check vet build test race bench-smoke bench-go bench clean
 
 # verify is the tier-1 gate (ROADMAP.md): formatting, static checks,
 # build, and the full test suite.
@@ -52,69 +52,7 @@ bench-go:
 bench:
 	cd benchmark && $(GO) run . -repeat 2
 
-# bench-faults runs the seeded chaos drill (crash 2 of 6 devices
-# mid-session plus a link degrade and a stall) and writes
-# BENCH_faults.json with recovery latency quantiles and
-# recovered/degraded/lost counts. It exits non-zero if any component is
-# still bound to a dead device after recovery settles.
-bench-faults:
-	$(GO) run ./cmd/benchfaults -o BENCH_faults.json
-
-# bench-warm measures incremental reconfiguration at 1x/10x/50x Table 1
-# graph sizes: after a device crash, a cold branch-and-bound re-solve of
-# the whole graph versus a warm re-solve seeded with the broken
-# incumbent, writing BENCH_warm.json. It exits non-zero if the warm
-# re-solve does not beat cold by at least 3x p95 explored nodes at the
-# 10x and 50x scales.
-bench-warm:
-	$(GO) run ./cmd/benchwarm -o BENCH_warm.json
-
-# bench-obs times the observability primitives on the hot configuration
-# path — structured log calls, flight-recorder appends, trace spans — in
-# instrumented and no-op form, writing BENCH_obs.json. The no-op ceiling
-# shows what disabled instrumentation costs (it must stay within noise).
-bench-obs:
-	$(GO) run ./cmd/benchobs -o BENCH_obs.json
-
-# bench-capacity times the capacity observatory's hot paths — labeled
-# series lookup+inc versus the unlabeled registry baseline, cached
-# handles, meter marks, time-series ring pushes — writing
-# BENCH_capacity.json. It exits non-zero if the labeled per-op lookup
-# costs more than 2x the unlabeled one.
-bench-capacity:
-	$(GO) run ./cmd/benchcapacity -o BENCH_capacity.json
-
-# bench-autoscale runs the flash-crowd drill — a 5x arrival-rate spike
-# against a space sized for a quarter of it — open loop and closed loop
-# (admission gate + instance autoscaler), writing BENCH_autoscale.json.
-# It exits non-zero unless the closed-loop run loses zero sessions to
-# capacity exhaustion and ends with the configure-latency SLO unburned.
-bench-autoscale:
-	$(GO) run ./cmd/benchautoscale -o BENCH_autoscale.json
-
-# bench-ledger runs the mixed-class outcome drill — voice / media /
-# background sessions on the chaos space, one clean completion per class,
-# seeded faults mid-stream — and writes BENCH_ledger.json with the
-# outcome ledger's per-class scorecards (recovered/degraded/lost ratios,
-# availability, per-axis QoS-deficit quantiles). It exits non-zero if any
-# class is missing its scorecard or a ratio leaves [0,1].
-bench-ledger:
-	$(GO) run ./cmd/benchledger -o BENCH_ledger.json
-
-# bench-incident runs the incident-correlation chaos drill — mixed-class
-# sessions, seeded faults with paired undos, a damped recovery supervisor
-# — and writes BENCH_incident.json with the incident log, the wall-clock
-# detection latency, and the engine's idle-path microbenchmarks. It exits
-# non-zero unless an incident opens citing >= 3 signal sources, passes
-# through mitigating, resolves with nonzero impact, and the idle Observe
-# path stays allocation-free.
-bench-incident:
-	$(GO) run ./cmd/benchincident -o BENCH_incident.json
-
-# clean removes build outputs only. Checked-in benchmark artifacts
-# (BENCH_*.json) are part of the repo's recorded results and are
-# regenerated explicitly via `make bench-faults`, `make bench-warm` and
-# the other drill targets, never deleted here.
+# clean removes build outputs.
 clean:
 	rm -rf bin
 	$(GO) clean ./...

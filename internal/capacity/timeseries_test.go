@@ -122,3 +122,19 @@ func TestSeriesWindowAnchoredToClock(t *testing.T) {
 		t.Fatalf("stalled sampler: window returned %d stale samples, want 0", len(got))
 	}
 }
+
+// TestRecordAllocationFree: once a series has its ring, a push — one per
+// metric per sampling pass, forever — allocates nothing.
+func TestRecordAllocationFree(t *testing.T) {
+	o := New(Options{RingCapacity: 16})
+	t0 := time.Unix(1700000000, 0)
+	o.Record("m", t0, 1)
+	i := 0
+	allocs := testing.AllocsPerRun(1000, func() {
+		i++
+		o.Record("m", t0.Add(time.Duration(i)*time.Second), float64(i))
+	})
+	if allocs != 0 {
+		t.Errorf("Record allocates %.1f objects per push, want 0", allocs)
+	}
+}

@@ -48,7 +48,7 @@ type FaultDrillConfig struct {
 	Supervisor core.SupervisorOptions
 }
 
-// DefaultFaultDrillConfig is the benchfaults default: three sessions on
+// DefaultFaultDrillConfig is the drill's default: three sessions on
 // the six-device space, two of the five desktops crashed mid-stream plus
 // a link degradation and a transcoder stall, no undos.
 func DefaultFaultDrillConfig() FaultDrillConfig {
@@ -63,35 +63,26 @@ func DefaultFaultDrillConfig() FaultDrillConfig {
 	}
 }
 
-// FaultDrillResult is what a drill run reports (the BENCH_faults.json
-// payload).
+// FaultDrillResult is what a drill run reports.
 type FaultDrillResult struct {
-	// Sessions is how many sessions were streaming when the faults hit.
-	Sessions int `json:"sessions"`
 	// FaultsInjected counts successfully applied faults.
-	FaultsInjected int `json:"faultsInjected"`
+	FaultsInjected int
 	// Schedule is the injected fault schedule, for reproduction.
-	Schedule faultinject.Schedule `json:"schedule"`
-	// Recovered / Degraded / Lost / Attempts / Retries mirror the
-	// supervisor's lifetime counters (Degraded is a subset of Recovered).
-	Recovered int64 `json:"recovered"`
-	Degraded  int64 `json:"degraded"`
-	Lost      int64 `json:"lost"`
-	Attempts  int64 `json:"attempts"`
-	Retries   int64 `json:"retries"`
+	Schedule faultinject.Schedule
+	// Recovered / Lost mirror the supervisor's lifetime counters.
+	Recovered int64
+	Lost      int64
 	// BoundToDead counts components still placed on a down device after
 	// the supervisor settled — the acceptance criterion is zero.
-	BoundToDead int `json:"boundToDead"`
+	BoundToDead int
 	// DownDevices lists devices still down at the end of the drill.
-	DownDevices []string `json:"downDevices"`
+	DownDevices []string
 	// Remaining lists the sessions still active at the end.
-	Remaining []string `json:"remaining"`
+	Remaining []string
 	// RecoveryP50Ms / RecoveryP95Ms summarize fault-to-healthy latency in
 	// wall-clock milliseconds (zero when nothing needed recovery).
-	RecoveryP50Ms float64 `json:"recoveryP50Ms"`
-	RecoveryP95Ms float64 `json:"recoveryP95Ms"`
-	// WallMs is the drill's total wall-clock time.
-	WallMs float64 `json:"wallMs"`
+	RecoveryP50Ms float64
+	RecoveryP95Ms float64
 }
 
 // BuildChaosSpace constructs the fault-drill domain: five desktops and
@@ -177,7 +168,6 @@ func RunFaultDrill(cfg FaultDrillConfig) (*FaultDrillResult, error) {
 	if cfg.Scale <= 0 || cfg.Sessions <= 0 || cfg.Window <= 0 {
 		return nil, fmt.Errorf("experiments: invalid fault drill config %+v", cfg)
 	}
-	start := time.Now()
 	// The optimal solver is the drill's primary placement: recovery then
 	// exercises the full degradation ladder, falling back to the greedy
 	// heuristic (which cannot backtrack around a degraded link) only past
@@ -228,14 +218,10 @@ func RunFaultDrill(cfg FaultDrillConfig) (*FaultDrillResult, error) {
 
 	stats := sup.Stats()
 	res := &FaultDrillResult{
-		Sessions:       cfg.Sessions,
 		FaultsInjected: int(dom.Metrics.Counter(metrics.FaultsInjected).Value()),
 		Schedule:       sched,
 		Recovered:      stats.Recovered,
-		Degraded:       stats.Degraded,
 		Lost:           stats.Lost,
-		Attempts:       stats.Attempts,
-		Retries:        stats.Retries,
 	}
 	for _, d := range dom.Devices.All() {
 		if !d.Up() {
@@ -258,7 +244,6 @@ func RunFaultDrill(cfg FaultDrillConfig) (*FaultDrillResult, error) {
 		res.RecoveryP50Ms = float64(h.Quantile(0.5)) / float64(time.Millisecond)
 		res.RecoveryP95Ms = float64(h.Quantile(0.95)) / float64(time.Millisecond)
 	}
-	res.WallMs = float64(time.Since(start)) / float64(time.Millisecond)
 	return res, nil
 }
 

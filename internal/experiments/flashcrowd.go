@@ -229,7 +229,7 @@ type FlashCrowdConfig struct {
 	Settle time.Duration
 }
 
-// DefaultFlashCrowdConfig is the benchautoscale tuning: 10 steady voice
+// DefaultFlashCrowdConfig is the full-size drill: 10 steady voice
 // sessions at 50/s, then a 60-session crowd at 250/s (5× the steady
 // rate) against a space that holds ~15 concurrent sessions.
 func DefaultFlashCrowdConfig(closedLoop bool) FlashCrowdConfig {
@@ -248,47 +248,39 @@ func DefaultFlashCrowdConfig(closedLoop bool) FlashCrowdConfig {
 
 // ClassOutcome is one session class's drill tally, as the driver saw it.
 type ClassOutcome struct {
-	Class string `json:"class"`
+	Class string
 	// Offered counts arrivals; Admitted + Degraded + Rejected +
 	// LostToCapacity sum to it. Degraded is derived from the gate's own
 	// tallies (0 in the baseline, which has no gate).
-	Offered  int `json:"offered"`
-	Admitted int `json:"admitted"`
-	Degraded int `json:"degraded"`
+	Offered  int
+	Admitted int
+	Degraded int
 	// Rejected counts controlled gate rejections (each carried a
 	// retry-after hint).
-	Rejected int `json:"rejected"`
+	Rejected int
 	// LostToCapacity counts pipeline failures — sessions the open loop
 	// turned away with an infeasible-placement or admission-control error
 	// after running the expensive pipeline. The closed-loop acceptance
 	// criterion is zero, for every class.
-	LostToCapacity int `json:"lostToCapacity"`
+	LostToCapacity int
 }
 
-// FlashCrowdResult is one drill run's report (half of
-// BENCH_autoscale.json).
+// FlashCrowdResult is one drill run's report.
 type FlashCrowdResult struct {
-	ClosedLoop bool           `json:"closedLoop"`
-	Classes    []ClassOutcome `json:"classes"`
+	Classes []ClassOutcome
 	// LostToCapacity totals the per-class losses.
-	LostToCapacity int `json:"lostToCapacity"`
+	LostToCapacity int
 	// ConfigureBurn is the configure-p95 objective's burn rate after the
 	// drill (>1 = violated).
-	ConfigureBurn float64 `json:"configureBurn"`
-	// DownloadsMs totals modeled download time paid across admitted
-	// sessions — the cost the autoscaler's pre-installation removes.
-	DownloadsMs float64 `json:"downloadsMs"`
-	// ScaleUps / ScaleDowns / MaxReplicas / FinalReplicas summarize the
-	// autoscaler's trajectory (zero / empty in the baseline).
-	ScaleUps      int64          `json:"scaleUps,omitempty"`
-	ScaleDowns    int64          `json:"scaleDowns,omitempty"`
-	MaxReplicas   map[string]int `json:"maxReplicas,omitempty"`
-	FinalReplicas map[string]int `json:"finalReplicas,omitempty"`
+	ConfigureBurn float64
+	// ScaleUps / MaxReplicas summarize the autoscaler's trajectory (zero /
+	// empty in the baseline).
+	ScaleUps    int64
+	MaxReplicas map[string]int
 	// MeetsCriterion reports the closed-loop acceptance bound: no session
 	// lost to capacity and the configure SLO unburned. Always false for
 	// the baseline (the criterion does not apply to it).
-	MeetsCriterion bool    `json:"meetsCriterion"`
-	WallMs         float64 `json:"wallMs"`
+	MeetsCriterion bool
 }
 
 // RunFlashCrowd builds the crowd space, replays the warmup + spike
@@ -297,7 +289,6 @@ func RunFlashCrowd(cfg FlashCrowdConfig) (*FlashCrowdResult, error) {
 	if cfg.Scale <= 0 || cfg.Steady <= 0 || cfg.Crowd <= 0 {
 		return nil, fmt.Errorf("experiments: invalid flash-crowd config %+v", cfg)
 	}
-	start := time.Now()
 	dom, err := BuildCrowdSpace(cfg.Scale, cfg.ClosedLoop)
 	if err != nil {
 		return nil, err
@@ -314,7 +305,6 @@ func RunFlashCrowd(cfg FlashCrowdConfig) (*FlashCrowdResult, error) {
 		mu       sync.Mutex
 		byClass  = map[string]*tally{}
 		holds    sync.WaitGroup
-		dlTotal  time.Duration
 		voiceApp = CrowdVoiceApp()
 		crowdApp = CrowdApp()
 	)
@@ -327,7 +317,7 @@ func RunFlashCrowd(cfg FlashCrowdConfig) (*FlashCrowdResult, error) {
 	launch := func(class string, seq int, app *composer.AbstractGraph, hold time.Duration) {
 		defer holds.Done()
 		id := fmt.Sprintf("%s-%d", class, seq)
-		active, err := dom.StartApp(core.Request{
+		_, err := dom.StartApp(core.Request{
 			SessionID:    id,
 			Class:        class,
 			App:          app,
@@ -347,7 +337,6 @@ func RunFlashCrowd(cfg FlashCrowdConfig) (*FlashCrowdResult, error) {
 			return
 		}
 		t.admitted++
-		dlTotal += active.Timing.Downloading
 		mu.Unlock()
 		holds.Add(1)
 		time.AfterFunc(hold, func() {
@@ -385,7 +374,7 @@ func RunFlashCrowd(cfg FlashCrowdConfig) (*FlashCrowdResult, error) {
 		time.Sleep(cfg.Settle)
 	}
 
-	res := &FlashCrowdResult{ClosedLoop: cfg.ClosedLoop}
+	res := &FlashCrowdResult{}
 	degraded := map[string]int{}
 	if dom.Admission != nil {
 		for _, c := range dom.Admission.Status().Classes {
@@ -404,7 +393,6 @@ func RunFlashCrowd(cfg FlashCrowdConfig) (*FlashCrowdResult, error) {
 		})
 		res.LostToCapacity += t.lost
 	}
-	res.DownloadsMs = float64(dlTotal) / float64(time.Millisecond)
 	mu.Unlock()
 	sort.Slice(res.Classes, func(i, j int) bool { return res.Classes[i].Class < res.Classes[j].Class })
 
@@ -415,15 +403,11 @@ func RunFlashCrowd(cfg FlashCrowdConfig) (*FlashCrowdResult, error) {
 	}
 	if dom.Autoscaler != nil {
 		res.MaxReplicas = map[string]int{}
-		res.FinalReplicas = map[string]int{}
 		for _, g := range dom.Autoscaler.Status().Groups {
 			res.ScaleUps += g.Ups
-			res.ScaleDowns += g.Downs
 			res.MaxReplicas[g.Name] = g.MaxSeen
-			res.FinalReplicas[g.Name] = g.Replicas
 		}
 	}
 	res.MeetsCriterion = cfg.ClosedLoop && res.LostToCapacity == 0 && res.ConfigureBurn <= 1
-	res.WallMs = float64(time.Since(start)) / float64(time.Millisecond)
 	return res, nil
 }

@@ -22,7 +22,10 @@ func quickFlashCrowdConfig() FlashCrowdConfig {
 // TestFlashCrowdClosedLoop: the drill's acceptance criterion — a 5×
 // spike costs zero sessions to capacity exhaustion and leaves the
 // configure-latency SLO unburned, with the pressure absorbed as
-// controlled rejections/degradations and autoscaler growth.
+// controlled rejections/degradations and autoscaler growth. Subtest
+// "open" is the contrast: the same spike against the paper's open-loop
+// configurator loses sessions to capacity and burns the SLO on first-use
+// downloads.
 func TestFlashCrowdClosedLoop(t *testing.T) {
 	res, err := RunFlashCrowd(quickFlashCrowdConfig())
 	if err != nil {
@@ -52,6 +55,23 @@ func TestFlashCrowdClosedLoop(t *testing.T) {
 	if want := 30 + 5 + 5; offered != want {
 		t.Errorf("offered = %d, want %d", offered, want)
 	}
+
+	t.Run("open", func(t *testing.T) {
+		cfg := quickFlashCrowdConfig()
+		cfg.ClosedLoop = false
+		cfg.Settle = 0 // no autoscaler to wait for
+		res, err := RunFlashCrowd(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Logf("open loop: lost %d to capacity, configure burn %.2f", res.LostToCapacity, res.ConfigureBurn)
+		if res.LostToCapacity == 0 {
+			t.Errorf("open loop lost no session to capacity; the spike does not overload the space (%+v)", res.Classes)
+		}
+		if res.ConfigureBurn <= 1 {
+			t.Errorf("open loop left the configure SLO unburned (%.2f); first-use downloads are not being paid", res.ConfigureBurn)
+		}
+	})
 }
 
 // TestCrowdSpaceBaselinePaysDownloads: the open-loop space leaves the

@@ -11,12 +11,12 @@ import (
 	"ubiqos/internal/metrics"
 )
 
-// IncidentDrillConfig parameterizes the chaos drill behind
-// `make bench-incident`: mixed-class audio sessions stream on the chaos
-// space, a seeded fault schedule (with paired undos, so the storm
-// clears) hits mid-stream, and the incident correlation engine is
-// watched end to end — open, mitigating, resolved — while a poller
-// measures how long detection takes from the first applied fault.
+// IncidentDrillConfig parameterizes the incident-correlation chaos
+// drill: mixed-class audio sessions stream on the chaos space, a seeded
+// fault schedule (with paired undos, so the storm clears) hits
+// mid-stream, and the incident correlation engine is watched end to end
+// — open, mitigating, resolved — while a poller measures how long
+// detection takes from the first applied fault.
 type IncidentDrillConfig struct {
 	// Scale is the emulation time scale. The default is deliberately
 	// slower than the ledger drill's: the observatory samples on a
@@ -45,7 +45,7 @@ type IncidentDrillConfig struct {
 	Supervisor core.SupervisorOptions
 }
 
-// DefaultIncidentDrillConfig is the benchincident default: two sessions
+// DefaultIncidentDrillConfig is the drill's default: two sessions
 // per class, two desktop crashes plus a link degradation and a
 // transcoder stall, every fault undone after a modeled 20s so the
 // fault-storm incident can close.
@@ -74,31 +74,28 @@ func DefaultIncidentDrillConfig() IncidentDrillConfig {
 	}
 }
 
-// IncidentDrillResult is the BENCH_incident.json payload: the incident
-// log after the storm plus the detection-latency measurement.
+// IncidentDrillResult is the incident log after the storm plus the
+// detection-latency measurement.
 type IncidentDrillResult struct {
 	// Sessions is the total session count started across classes.
-	Sessions int `json:"sessions"`
+	Sessions int
 	// FaultsInjected counts successfully applied faults (undos included).
-	FaultsInjected int `json:"faultsInjected"`
-	// Recovered / Restored mirror the supervisor's tallies.
-	Recovered int64 `json:"recovered"`
-	Restored  int64 `json:"restored"`
+	FaultsInjected int
+	// Recovered mirrors the supervisor's tally.
+	Recovered int64
 	// Opened / Resolved count incidents over the whole drill.
-	Opened   int `json:"opened"`
-	Resolved int `json:"resolved"`
+	Opened   int
+	Resolved int
 	// DetectionMs is the wall-clock latency from the first applied fault
 	// to the first incident opening. It includes the observatory's
 	// sampling cadence — the real-world floor an operator would see.
-	DetectionMs float64 `json:"detectionMs"`
-	// Showcase is the drill's acceptance artifact: a resolved incident
+	DetectionMs float64
+	// Showcase is the drill's acceptance evidence: a resolved incident
 	// with its evidence bundle, timeline, and impact accounting.
-	Showcase *incident.Incident `json:"showcase"`
+	Showcase *incident.Incident
 	// Incidents is the full incident log, newest first, evidence
 	// stripped (the showcase carries the one full bundle).
-	Incidents []incident.Incident `json:"incidents"`
-	// WallMs is the drill's total wall-clock time.
-	WallMs float64 `json:"wallMs"`
+	Incidents []incident.Incident
 }
 
 // RunIncidentDrill builds the chaos space, streams PerClass sessions per
@@ -119,7 +116,6 @@ func RunIncidentDrill(cfg IncidentDrillConfig) (*IncidentDrillResult, error) {
 	if cfg.ResolveTimeout <= 0 {
 		cfg.ResolveTimeout = 60 * time.Second
 	}
-	start := time.Now()
 	dom, err := BuildChaosSpace(cfg.Scale, distributor.Optimal)
 	if err != nil {
 		return nil, err
@@ -250,10 +246,8 @@ func RunIncidentDrill(cfg IncidentDrillConfig) (*IncidentDrillResult, error) {
 		}
 	}
 
-	stats := sup.Stats()
 	res.FaultsInjected = int(dom.Metrics.Counter(metrics.FaultsInjected).Value())
-	res.Recovered = stats.Recovered
-	res.Restored = stats.Restored
+	res.Recovered = sup.Stats().Recovered
 	for _, inc := range dom.Incidents.List() {
 		res.Opened++
 		if inc.State == incident.StateResolved {
@@ -262,15 +256,13 @@ func RunIncidentDrill(cfg IncidentDrillConfig) (*IncidentDrillResult, error) {
 		inc.Evidence = nil
 		res.Incidents = append(res.Incidents, inc)
 	}
-	res.WallMs = float64(time.Since(start)) / float64(time.Millisecond)
 	return res, nil
 }
 
 // ValidateIncidentDrill checks a drill result for the acceptance shape:
 // at least one incident opened and one resolved, the showcase citing at
 // least three distinct signal sources, a mitigating transition, a
-// resolution cause, and nonzero impact accounting. It is the CI gate
-// behind `benchincident -validate`.
+// resolution cause, and nonzero impact accounting.
 func ValidateIncidentDrill(res *IncidentDrillResult) error {
 	if res == nil {
 		return fmt.Errorf("experiments: nil incident drill result")

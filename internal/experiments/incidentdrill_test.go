@@ -6,8 +6,8 @@ import (
 	"ubiqos/internal/incident"
 )
 
-// TestRunIncidentDrillAcceptance runs the benchincident default drill
-// and checks the BENCH_incident.json acceptance shape: an incident
+// TestRunIncidentDrillAcceptance runs the default incident drill and
+// checks its acceptance shape on the fresh result: an incident
 // opens, cites at least three signal sources, passes through
 // mitigating, and resolves with nonzero impact accounting.
 func TestRunIncidentDrillAcceptance(t *testing.T) {

@@ -12,11 +12,11 @@ import (
 	"ubiqos/internal/qos"
 )
 
-// LedgerDrillConfig parameterizes the mixed-class outcome drill behind
-// `make bench-ledger`: audio sessions spread across three traffic
-// classes stream on the chaos space, one session per class completes
-// cleanly before the seeded faults hit, and the per-class scorecards
-// are read off the outcome ledger once the supervisor settles.
+// LedgerDrillConfig parameterizes the mixed-class outcome drill: audio
+// sessions spread across three traffic classes stream on the chaos
+// space, one session per class completes cleanly before the seeded
+// faults hit, and the per-class scorecards are read off the outcome
+// ledger once the supervisor settles.
 type LedgerDrillConfig struct {
 	// Scale is the emulation time scale (0.01 = 100x fast-forward).
 	Scale float64
@@ -44,8 +44,8 @@ type drillClass struct {
 	req  qos.Vector
 }
 
-// drillClasses is the fixed three-class mix; BENCH_ledger.json must
-// carry a scorecard for each.
+// drillClasses is the fixed three-class mix; the ledger drill's result
+// must carry a scorecard for each.
 func drillClasses() []drillClass {
 	return []drillClass{
 		{"voice", qos.V(qos.P(qos.DimFrameRate, qos.Range(38, 44)))},
@@ -54,7 +54,7 @@ func drillClasses() []drillClass {
 	}
 }
 
-// DefaultLedgerDrillConfig is the benchledger default: two sessions per
+// DefaultLedgerDrillConfig is the drill's default: two sessions per
 // class on the six-device chaos space, two desktop crashes plus a link
 // degradation mid-stream, one fault undone so recovery paths differ.
 func DefaultLedgerDrillConfig() LedgerDrillConfig {
@@ -69,26 +69,19 @@ func DefaultLedgerDrillConfig() LedgerDrillConfig {
 	}
 }
 
-// LedgerDrillResult is the BENCH_ledger.json payload: the drill shape
-// plus the outcome ledger's per-class scorecards.
+// LedgerDrillResult is the drill shape plus the outcome ledger's
+// per-class scorecards.
 type LedgerDrillResult struct {
 	// Classes lists the traffic classes driven (one scorecard each).
-	Classes []string `json:"classes"`
+	Classes []string
 	// Sessions is the total session count started across classes.
-	Sessions int `json:"sessions"`
+	Sessions int
 	// Stopped is how many sessions completed cleanly before the faults.
-	Stopped int `json:"stopped"`
+	Stopped int
 	// FaultsInjected counts successfully applied faults.
-	FaultsInjected int `json:"faultsInjected"`
-	// Recovered / Degraded / Lost / Restored mirror the supervisor.
-	Recovered int64 `json:"recovered"`
-	Degraded  int64 `json:"degraded"`
-	Lost      int64 `json:"lost"`
-	Restored  int64 `json:"restored"`
+	FaultsInjected int
 	// Scorecards is the per-class delivered-vs-requested accounting.
-	Scorecards []ledger.Scorecard `json:"scorecards"`
-	// WallMs is the drill's total wall-clock time.
-	WallMs float64 `json:"wallMs"`
+	Scorecards []ledger.Scorecard
 }
 
 // RunLedgerDrill builds the chaos space, streams PerClass sessions in
@@ -99,7 +92,6 @@ func RunLedgerDrill(cfg LedgerDrillConfig) (*LedgerDrillResult, error) {
 	if cfg.Scale <= 0 || cfg.PerClass <= 0 || cfg.Window <= 0 {
 		return nil, fmt.Errorf("experiments: invalid ledger drill config %+v", cfg)
 	}
-	start := time.Now()
 	dom, err := BuildChaosSpace(cfg.Scale, distributor.Optimal)
 	if err != nil {
 		return nil, err
@@ -164,20 +156,14 @@ func RunLedgerDrill(cfg LedgerDrillConfig) (*LedgerDrillResult, error) {
 		return nil, fmt.Errorf("experiments: supervisor did not settle")
 	}
 
-	stats := sup.Stats()
 	res.FaultsInjected = int(dom.Metrics.Counter(metrics.FaultsInjected).Value())
-	res.Recovered = stats.Recovered
-	res.Degraded = stats.Degraded
-	res.Lost = stats.Lost
-	res.Restored = stats.Restored
 	res.Scorecards = dom.Ledger.Scorecards(0)
-	res.WallMs = float64(time.Since(start)) / float64(time.Millisecond)
 	return res, nil
 }
 
 // ValidateLedgerDrill checks a drill result for the acceptance shape:
 // a scorecard per driven class, sane availability, and per-axis deficit
-// quantiles. It is the CI gate behind `benchledger -validate`.
+// quantiles.
 func ValidateLedgerDrill(res *LedgerDrillResult) error {
 	if res == nil {
 		return fmt.Errorf("experiments: nil ledger drill result")

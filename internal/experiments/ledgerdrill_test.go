@@ -8,8 +8,8 @@ import (
 	"ubiqos/internal/ledger"
 )
 
-// TestRunLedgerDrillAcceptance runs the benchledger default drill and
-// checks the BENCH_ledger.json acceptance shape: a scorecard for each of
+// TestRunLedgerDrillAcceptance runs the default ledger drill and checks
+// its acceptance shape on the fresh result: a scorecard for each of
 // the three traffic classes with sane ratios and non-empty per-axis
 // deficit quantiles, plus a clean completion recorded per class.
 func TestRunLedgerDrillAcceptance(t *testing.T) {

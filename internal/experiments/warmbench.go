@@ -6,7 +6,6 @@ import (
 	"math/rand"
 	"sort"
 	"strings"
-	"time"
 
 	"ubiqos/internal/device"
 	"ubiqos/internal/distributor"
@@ -36,10 +35,10 @@ const (
 
 // WarmBenchScale describes one benchmarked graph-size tier.
 type WarmBenchScale struct {
-	Name     string  `json:"name"`
-	MinNodes int     `json:"minNodes"`
-	MaxNodes int     `json:"maxNodes"`
-	Mult     float64 `json:"mult"`
+	Name     string
+	MinNodes int
+	MaxNodes int
+	Mult     float64
 }
 
 // WarmBenchConfig parameterizes RunWarmBench.
@@ -64,31 +63,25 @@ func DefaultWarmBenchConfig() WarmBenchConfig {
 
 // WarmBenchDist summarizes a per-trial sample.
 type WarmBenchDist struct {
-	P50 float64 `json:"p50"`
-	P95 float64 `json:"p95"`
-	Max float64 `json:"max"`
+	P50 float64
+	P95 float64
+	Max float64
 }
 
 // WarmBenchScaleResult aggregates the crash re-solves at one scale.
 type WarmBenchScaleResult struct {
-	Scale        WarmBenchScale `json:"scale"`
-	Trials       int            `json:"trials"`
-	Nodes        WarmBenchDist  `json:"nodes"`
-	ColdExplored WarmBenchDist  `json:"coldExplored"`
-	WarmExplored WarmBenchDist  `json:"warmExplored"`
-	ColdMicros   WarmBenchDist  `json:"coldMicros"`
-	WarmMicros   WarmBenchDist  `json:"warmMicros"`
-	Reused       WarmBenchDist  `json:"reused"`
-	// ExploredSpeedup and WallSpeedup compare p95 cold against p95 warm.
-	ExploredSpeedup float64 `json:"exploredSpeedup"`
-	WallSpeedup     float64 `json:"wallSpeedup"`
+	Scale        WarmBenchScale
+	Nodes        WarmBenchDist
+	ColdExplored WarmBenchDist
+	WarmExplored WarmBenchDist
+	Reused       WarmBenchDist
+	// ExploredSpeedup is p95 cold explored nodes over p95 warm.
+	ExploredSpeedup float64
 }
 
 // WarmBenchResult is the full bench outcome.
 type WarmBenchResult struct {
-	Seed   int64                  `json:"seed"`
-	Trials int                    `json:"trials"`
-	Scales []WarmBenchScaleResult `json:"scales"`
+	Scales []WarmBenchScaleResult
 }
 
 type warmScenario struct {
@@ -218,10 +211,10 @@ func RunWarmBench(cfg WarmBenchConfig) (*WarmBenchResult, error) {
 	if cfg.Trials <= 0 {
 		return nil, fmt.Errorf("warmbench: trials must be positive, got %d", cfg.Trials)
 	}
-	res := &WarmBenchResult{Seed: cfg.Seed, Trials: cfg.Trials}
+	res := &WarmBenchResult{}
 	for _, sc := range cfg.Scales {
 		rng := rand.New(rand.NewSource(cfg.Seed))
-		var nodes, coldExp, warmExp, coldUs, warmUs, reused []float64
+		var nodes, coldExp, warmExp, reused []float64
 		for trial := 0; trial < cfg.Trials; trial++ {
 			s, err := buildWarmScenario(rng, sc)
 			if err != nil {
@@ -244,18 +237,14 @@ func RunWarmBench(cfg WarmBenchConfig) (*WarmBenchResult, error) {
 			}
 
 			p2 := &distributor.Problem{Graph: s.g, Devices: survivors, Bandwidth: s.bandwidth, Weights: s.w, Stats: &distributor.SearchStats{}}
-			t0 := time.Now()
 			_, coldCost, err := distributor.Optimal(p2)
-			coldDur := time.Since(t0)
 			if err != nil {
 				return nil, fmt.Errorf("warmbench %s trial %d: cold re-solve: %w", sc.Name, trial, err)
 			}
 			cold := *p2.Stats
 
 			p2.Stats = &distributor.SearchStats{}
-			t0 = time.Now()
 			_, warmCost, err := distributor.OptimalWarm(p2, inc)
-			warmDur := time.Since(t0)
 			if err != nil {
 				return nil, fmt.Errorf("warmbench %s trial %d: warm re-solve: %w", sc.Name, trial, err)
 			}
@@ -267,25 +256,17 @@ func RunWarmBench(cfg WarmBenchConfig) (*WarmBenchResult, error) {
 			nodes = append(nodes, float64(len(a0)))
 			coldExp = append(coldExp, float64(cold.Explored))
 			warmExp = append(warmExp, float64(warm.Explored))
-			coldUs = append(coldUs, float64(coldDur.Microseconds()))
-			warmUs = append(warmUs, float64(warmDur.Microseconds()))
 			reused = append(reused, float64(warm.Reused))
 		}
 		sr := WarmBenchScaleResult{
 			Scale:        sc,
-			Trials:       cfg.Trials,
 			Nodes:        warmDist(nodes),
 			ColdExplored: warmDist(coldExp),
 			WarmExplored: warmDist(warmExp),
-			ColdMicros:   warmDist(coldUs),
-			WarmMicros:   warmDist(warmUs),
 			Reused:       warmDist(reused),
 		}
 		if sr.WarmExplored.P95 > 0 {
 			sr.ExploredSpeedup = sr.ColdExplored.P95 / sr.WarmExplored.P95
-		}
-		if sr.WarmMicros.P95 > 0 {
-			sr.WallSpeedup = sr.ColdMicros.P95 / sr.WarmMicros.P95
 		}
 		res.Scales = append(res.Scales, sr)
 	}

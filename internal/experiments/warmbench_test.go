@@ -34,6 +34,28 @@ func TestWarmBenchSmall(t *testing.T) {
 	}
 }
 
+// TestWarmBenchDefaultSpeedup runs the default drill (1x/10x/50x Table 1
+// sizes) and pins its verdict: at 10x and 50x the warm re-solve explores
+// at least 3x fewer nodes at p95 than the cold one. Explored counts are
+// deterministic per seed, so this does not depend on the machine.
+func TestWarmBenchDefaultSpeedup(t *testing.T) {
+	res, err := RunWarmBench(DefaultWarmBenchConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Scales) != 3 {
+		t.Fatalf("got %d scale results, want 3", len(res.Scales))
+	}
+	for _, sr := range res.Scales {
+		t.Logf("%s: cold p95 %.0f nodes, warm p95 %.0f nodes, speedup %.1fx",
+			sr.Scale.Name, sr.ColdExplored.P95, sr.WarmExplored.P95, sr.ExploredSpeedup)
+		if sr.Scale.Mult >= 10 && sr.ExploredSpeedup < 3 {
+			t.Errorf("%s: explored-node speedup %.2fx, want >= 3x (cold p95 %.0f, warm p95 %.0f)",
+				sr.Scale.Name, sr.ExploredSpeedup, sr.ColdExplored.P95, sr.WarmExplored.P95)
+		}
+	}
+}
+
 // TestWarmBenchRejectsBadConfig: zero trials is an error, not a panic.
 func TestWarmBenchRejectsBadConfig(t *testing.T) {
 	cfg := DefaultWarmBenchConfig()

@@ -209,3 +209,26 @@ func TestConcurrentRecordAndExplain(t *testing.T) {
 		t.Fatalf("session table exceeded bound: %d", len(r.Sessions()))
 	}
 }
+
+// TestDisabledExplainAllocationFree: with no explain sink attached the
+// configurator's Record and the composer's per-discovery/per-correction
+// guards allocate nothing.
+func TestDisabledExplainAllocationFree(t *testing.T) {
+	var rec *Recorder
+	var comp *Composition
+	xr := Record{Session: "s1", Action: ActionConfigure, Attempts: []Attempt{{DegradeFactor: 1}}}
+	for _, tc := range []struct {
+		name string
+		fn   func()
+	}{
+		{"nil recorder", func() { rec.Record(xr) }},
+		{"nil composition", func() {
+			comp.AddDiscovery(Discovery{Node: "player"})
+			comp.AddCorrection(Correction{Rule: "adjust"})
+		}},
+	} {
+		if allocs := testing.AllocsPerRun(1000, tc.fn); allocs != 0 {
+			t.Errorf("%s allocates %.1f objects per call, want 0", tc.name, allocs)
+		}
+	}
+}

@@ -277,3 +277,16 @@ func TestExcerptWindow(t *testing.T) {
 		t.Fatalf("max=0 = %v, want nil", got)
 	}
 }
+
+// TestNilRecorderAllocationFree: recording a finished trace on a nil
+// recorder — the daemon without a flight recorder — allocates nothing.
+func TestNilRecorderAllocationFree(t *testing.T) {
+	tr := trace.NewTracer(8).Start("configure", "s1")
+	tr.Root().Child("compose").End()
+	tr.Finish()
+	td := tr.Export()
+	var rec *Recorder
+	if allocs := testing.AllocsPerRun(1000, func() { rec.RecordTrace(td) }); allocs != 0 {
+		t.Errorf("nil RecordTrace allocates %.1f objects per call, want 0", allocs)
+	}
+}

@@ -103,3 +103,32 @@ func TestLabeledHistogramSeries(t *testing.T) {
 		t.Errorf("Series = %d", got)
 	}
 }
+
+// TestHotPathSeriesAllocationFree: resolving a labeled series per
+// operation — including the overflow series a label past the cardinality
+// cap collapses into — and marking a meter allocate nothing once the
+// series exists, so labels cost no more than the unlabeled registry.
+func TestHotPathSeriesAllocationFree(t *testing.T) {
+	r := NewRegistry()
+	ctr := r.LabeledCounter("requests", "device")
+	gauge := r.LabeledGauge("headroom", "device")
+	full := r.LabeledCounter("bombed", "device")
+	for i := 0; i <= DefaultLabelCardinality; i++ {
+		full.With(fmt.Sprintf("dev%d", i)).Inc()
+	}
+	meter := r.Meter("arrivals")
+	for _, tc := range []struct {
+		name string
+		fn   func()
+	}{
+		{"labeled counter inc", func() { ctr.With("desktop1").Inc() }},
+		{"labeled gauge set", func() { gauge.With("desktop1").Set(0.5) }},
+		{"overflow label inc", func() { full.With("one-past-the-cap").Inc() }},
+		{"meter mark", func() { meter.Mark(1) }},
+	} {
+		tc.fn() // create the series
+		if allocs := testing.AllocsPerRun(1000, tc.fn); allocs != 0 {
+			t.Errorf("%s allocates %.1f objects per call, want 0", tc.name, allocs)
+		}
+	}
+}

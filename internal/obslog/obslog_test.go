@@ -185,3 +185,27 @@ func (s *safeBuilder) String() string {
 	defer s.mu.Unlock()
 	return s.b.String()
 }
+
+// TestDisabledLoggingAllocationFree: a log call the level check guards
+// costs nothing when the logger is nil or the level is suppressed — the
+// price of leaving the call sites in the configure path.
+func TestDisabledLoggingAllocationFree(t *testing.T) {
+	var nilLogger *Logger
+	quiet := New(LevelError, NewRingSink(8)).Named("core").ForSession("s1", "cafef00dcafef00d")
+	for _, tc := range []struct {
+		name string
+		lg   *Logger
+	}{
+		{"nil logger", nilLogger},
+		{"below level", quiet},
+	} {
+		allocs := testing.AllocsPerRun(1000, func() {
+			if tc.lg.Enabled(LevelInfo) {
+				tc.lg.Info("configured", Float("cost", 0.42), Int("components", 5), Duration("took", time.Millisecond))
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("%s: guarded Info allocates %.1f objects per call, want 0", tc.name, allocs)
+		}
+	}
+}

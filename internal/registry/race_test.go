@@ -85,6 +85,7 @@ func TestLeaseRenewVsSweepRace(t *testing.T) {
 		t.Fatal(err)
 	}
 	stop := make(chan struct{})
+	var renews atomic.Int64 // completed Renew calls
 	var wg sync.WaitGroup
 	wg.Add(2)
 	go func() { // renewer keeps the lease alive
@@ -95,6 +96,11 @@ func TestLeaseRenewVsSweepRace(t *testing.T) {
 				return
 			default:
 				r.Renew("hot", ttl)
+				renews.Add(1)
+				// Yield, or this loop re-takes the registry mutex ahead
+				// of the parked sweeper until sync.Mutex's 1 ms
+				// starvation hand-off, once per sweeper step.
+				runtime.Gosched()
 			}
 		}
 	}()
@@ -102,11 +108,13 @@ func TestLeaseRenewVsSweepRace(t *testing.T) {
 		defer wg.Done()
 		for i := 0; i < 200; i++ {
 			// Total advance equals one TTL, so the instance can only
-			// expire if the renewer never runs at all. The explicit
-			// yield lets the renewer interleave even on GOMAXPROCS=1,
-			// where this non-blocking loop would otherwise run to
-			// completion in one scheduling quantum.
-			runtime.Gosched()
+			// expire if no Renew lands between the first step and the
+			// last. Waiting for a Renew to complete since the previous
+			// step is the handshake that guarantees one does, whatever
+			// the scheduler and GOMAXPROCS make of the two loops.
+			for seen := renews.Load(); renews.Load() == seen; {
+				runtime.Gosched()
+			}
 			clock.advance(ttl / 200)
 			r.Sweep()
 			if got, want := r.Get("hot") != nil, len(r.Find(specOf("player"))) > 0; got != want {

@@ -273,3 +273,17 @@ func TestRender(t *testing.T) {
 		t.Errorf("grandchild line = %q", lines[2])
 	}
 }
+
+// TestNilTracerAllocationFree: a whole span tree on a nil tracer — start,
+// child, end, finish, as the configure path runs it — allocates nothing.
+func TestNilTracerAllocationFree(t *testing.T) {
+	var tracer *Tracer
+	allocs := testing.AllocsPerRun(1000, func() {
+		tr := tracer.StartCtx(Context{TraceID: "cafef00dcafef00d"}, "configure", "s1")
+		tr.Root().Child("compose").End()
+		tr.Finish()
+	})
+	if allocs != 0 {
+		t.Errorf("nil tracer span tree allocates %.1f objects per run, want 0", allocs)
+	}
+}
