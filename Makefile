@@ -23,12 +23,13 @@ test:
 
 # race runs the race detector over the concurrent subsystems: lease
 # renew/expire, publish/subscribe fan-out, wire request handling,
-# multi-session configuration, the fault-injection/recovery path, and
+# multi-session configuration, the fault-injection/recovery path, the
+# session runtime's event loop (stopped and queried from outside it), and
 # the observability layer (tracer ring, metrics registry, structured
 # logging, flight recorder, explain recorder, capacity observatory,
 # outcome ledger).
 race:
-	$(GO) test -race ./internal/registry ./internal/eventbus ./internal/core ./internal/distributor ./internal/experiments ./internal/par ./internal/wire ./internal/faultinject ./internal/domain ./internal/trace ./internal/metrics ./internal/flight ./internal/obslog ./internal/explain ./internal/capacity ./internal/admission ./internal/autoscale ./internal/ledger ./internal/incident
+	$(GO) test -race ./internal/registry ./internal/eventbus ./internal/core ./internal/distributor ./internal/experiments ./internal/par ./internal/wire ./internal/faultinject ./internal/domain ./internal/trace ./internal/metrics ./internal/flight ./internal/obslog ./internal/explain ./internal/capacity ./internal/admission ./internal/autoscale ./internal/ledger ./internal/incident ./internal/runtime
 
 # bench-smoke builds the over-the-wire benchmark (a module of its own,
 # so `go build ./...` does not reach it), runs its tests and runs every

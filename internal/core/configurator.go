@@ -432,6 +432,18 @@ func (c *Configurator) Configure(req Request) (*ActiveSession, error) {
 	return active, err
 }
 
+// sessionLog derives the named per-session child of the configured
+// logger — or nil, deriving nothing and costing nothing, when the logger
+// would discard a record at level, the most severe one the caller or the
+// stage it hands the child to writes. Callers that build fields test the
+// result, so a discarded record's fields are never built either.
+func (c *Configurator) sessionLog(level obslog.Level, name, session, traceID string) *obslog.Logger {
+	if !c.cfg.Log.Enabled(level) {
+		return nil
+	}
+	return c.cfg.Log.Named(name).ForSession(session, traceID)
+}
+
 // admit consults the admission gate before the pipeline runs. A rejected
 // request comes back with *admission.RejectedError (carrying the
 // retry-after hint); a degraded admission comes back with optional
@@ -451,7 +463,7 @@ func (c *Configurator) admit(req Request) (Request, error) {
 		Reason:       dec.Reason,
 		RetryAfterMs: dec.RetryAfterMs,
 	}
-	log := c.cfg.Log.Named("core").ForSession(req.SessionID, "")
+	log := c.sessionLog(obslog.LevelInfo, "core", req.SessionID, "")
 	if dec.Verdict == admission.Reject {
 		// The request never reaches the pipeline's own arrival mark, so
 		// record the offered load here — the autoscaler's demand signal
@@ -468,8 +480,10 @@ func (c *Configurator) admit(req Request) (Request, error) {
 				Err:       err.Error(),
 			})
 		}
-		log.Info("admission rejected",
-			obslog.String("class", dec.Class), obslog.String("reason", dec.Reason))
+		if log != nil {
+			log.Info("admission rejected",
+				obslog.String("class", dec.Class), obslog.String("reason", dec.Reason))
+		}
 		return req, err
 	}
 	// Admit-degraded: the recovery ladder's shed rung, applied before the
@@ -494,8 +508,10 @@ func (c *Configurator) admit(req Request) (Request, error) {
 			Admission: xd,
 		})
 	}
-	log.Info("admission degraded",
-		obslog.String("class", dec.Class), obslog.String("reason", dec.Reason))
+	if log != nil {
+		log.Info("admission degraded",
+			obslog.String("class", dec.Class), obslog.String("reason", dec.Reason))
+	}
 	return req, nil
 }
 
@@ -509,8 +525,10 @@ func (c *Configurator) configure(req Request, handoff bool, action string) (*Act
 		m.Mark(1)
 	}
 	tr := c.cfg.Tracer.StartCtx(req.TraceCtx, "configure", req.SessionID, trace.Bool("handoff", handoff))
-	log := c.cfg.Log.Named("core").ForSession(req.SessionID, tr.Context().TraceID)
-	log.Info("configure started", obslog.Bool("handoff", handoff))
+	log := c.sessionLog(obslog.LevelInfo, "core", req.SessionID, tr.Context().TraceID)
+	if log != nil {
+		log.Info("configure started", obslog.Bool("handoff", handoff))
+	}
 	root := tr.Root()
 	var xr *explain.Record
 	if c.cfg.Explain != nil {
@@ -524,15 +542,20 @@ func (c *Configurator) configure(req Request, handoff bool, action string) (*Act
 	active, err := c.configureLadder(req, handoff, root, xr)
 	if err != nil {
 		root.SetErr(err)
+		if log == nil {
+			log = c.sessionLog(obslog.LevelError, "core", req.SessionID, tr.Context().TraceID)
+		}
 		log.Error("configure failed", obslog.Err(err))
 	} else {
 		root.Set(trace.Float("cost", active.Cost),
 			trace.Float("degradeFactor", active.DegradeFactor))
-		log.Info("configured",
-			obslog.Float("cost", active.Cost),
-			obslog.Float("degradeFactor", active.DegradeFactor),
-			obslog.Int("components", int64(active.Graph.NodeCount())),
-			obslog.Duration("tookMs", active.Timing.Total()))
+		if log != nil {
+			log.Info("configured",
+				obslog.Float("cost", active.Cost),
+				obslog.Float("degradeFactor", active.DegradeFactor),
+				obslog.Int("components", int64(active.Graph.NodeCount())),
+				obslog.Duration("tookMs", active.Timing.Total()))
+		}
 	}
 	tr.Finish()
 	c.cfg.Flight.RecordTrace(tr.Export())
@@ -676,7 +699,7 @@ func (c *Configurator) configureOnce(req Request, handoff bool, parent *trace.Sp
 		ClientAttrs:  clientAttrs,
 		ClientDevice: string(req.ClientDevice),
 		Span:         csp,
-		Log:          c.cfg.Log.Named("composer").ForSession(req.SessionID, parent.TraceContext().TraceID),
+		Log:          c.sessionLog(obslog.LevelWarn, "composer", req.SessionID, parent.TraceContext().TraceID),
 		Explain:      comp,
 	})
 	compTime := time.Since(t0)
@@ -726,7 +749,7 @@ func (c *Configurator) configureOnce(req Request, handoff bool, parent *trace.Sp
 		Weights:   c.cfg.Weights,
 		Span:      dsp,
 		Stats:     stats,
-		Log:       c.cfg.Log.Named("distributor").ForSession(req.SessionID, parent.TraceContext().TraceID),
+		Log:       c.sessionLog(obslog.LevelDebug, "distributor", req.SessionID, parent.TraceContext().TraceID),
 	}
 	place := c.cfg.Place
 	if req.Place != nil {
@@ -1037,7 +1060,9 @@ func (c *Configurator) Stop(sessionID string) error {
 		m.Mark(1)
 	}
 	c.cfg.Ledger.RecordStopped(sessionID)
-	c.cfg.Log.Named("core").ForSession(sessionID, active.Request.TraceCtx.TraceID).Info("session stopped")
+	if log := c.sessionLog(obslog.LevelInfo, "core", sessionID, active.Request.TraceCtx.TraceID); log != nil {
+		log.Info("session stopped")
+	}
 	return nil
 }
 

@@ -68,8 +68,9 @@ type deltas struct {
 // Sources are the evidence-assembly hooks the domain injects. Every
 // hook is optional (nil hooks are skipped); they are called only when
 // an incident opens or resolves, never on the per-observation fast
-// path. Hooks run under the engine mutex and must not call back into
-// the engine.
+// path. Hooks run with the engine mutex released, so one may read the
+// engine or even feed it another observation (the admission gate's
+// status does, through the capacity sampler).
 type Sources struct {
 	// Saturation returns the analyzer's latest report.
 	Saturation func() *capacity.Report
@@ -199,7 +200,11 @@ type rule struct {
 	above    int
 	below    int
 	open     *Incident
-	total    *metrics.Counter
+	// opening is set between the observation that fires the rule and
+	// the incident's creation, while its evidence is being gathered with
+	// the mutex released; observations in between leave the rule alone.
+	opening bool
+	total   *metrics.Counter
 }
 
 // Engine ingests Observations, runs the rules, and keeps the bounded
@@ -276,13 +281,14 @@ func New(opts Options) *Engine {
 
 // Observe ingests one observation, advancing every rule's detector and
 // any open incidents' lifecycles. When nothing transitions the path is
-// allocation-free.
+// allocation-free. A transition is decided under the mutex, its evidence
+// gathered from the hooks with the mutex released, and the result attached
+// under the mutex again.
 func (e *Engine) Observe(obs Observation) {
 	if e == nil {
 		return
 	}
 	e.mu.Lock()
-	defer e.mu.Unlock()
 
 	var d deltas
 	if e.prevSeen {
@@ -296,7 +302,18 @@ func (e *Engine) Observe(obs Observation) {
 	e.prev = obs
 	e.prevSeen = true
 
+	// firing pairs each rule that fires on this observation with its
+	// level; resolved lists the incidents this observation closes.
+	type fired struct {
+		r     *rule
+		level float64
+	}
+	var firing []fired
+	var resolved []*Incident
 	for _, r := range e.rules {
+		if r.opening {
+			continue
+		}
 		level := rawSignal(r.cfg.Name, obs, d)
 		if r.cfg.Alpha > 0 {
 			if !r.seen {
@@ -313,7 +330,8 @@ func (e *Engine) Observe(obs Observation) {
 				r.above++
 				if r.above >= r.cfg.OpenDwell {
 					r.above, r.below = 0, 0
-					e.openIncident(r, obs, d, level)
+					r.opening = true
+					firing = append(firing, fired{r, level})
 				}
 			} else {
 				r.above = 0
@@ -334,15 +352,45 @@ func (e *Engine) Observe(obs Observation) {
 			if r.below >= r.cfg.CloseDwell {
 				r.above, r.below = 0, 0
 				e.resolveIncident(r, obs, level)
+				resolved = append(resolved, inc)
 			}
 		} else {
 			r.below = 0
 		}
 	}
 
+	if len(firing) > 0 || len(resolved) > 0 {
+		e.mu.Unlock()
+		// The bundle depends on the observation alone, so the rules that
+		// fire together share one (it is write-once).
+		var evidence *Evidence
+		if len(firing) > 0 {
+			evidence = e.assemble(obs, d)
+		}
+		var cards []ledger.Scorecard
+		var sessions []flight.SessionInfo
+		if len(resolved) > 0 {
+			if e.src.Scorecards != nil {
+				cards = e.src.Scorecards()
+			}
+			if e.src.Sessions != nil {
+				sessions = e.src.Sessions()
+			}
+		}
+		e.mu.Lock()
+		for _, f := range firing {
+			f.r.opening = false
+			e.openIncident(f.r, obs, f.level, evidence)
+		}
+		for _, inc := range resolved {
+			inc.Impact = e.impact(inc, obs, cards, sessions)
+		}
+	}
+
 	if e.openCount > 0 && (d.scale > 0 || d.recovered > 0 || d.restored > 0) {
 		e.markMitigating(obs.Now, d)
 	}
+	e.mu.Unlock()
 }
 
 // counterDelta is cur−prev clamped at zero (counter resets never go
@@ -389,9 +437,9 @@ func title(cfg RuleConfig, obs Observation, level float64) string {
 	return cfg.Name
 }
 
-// openIncident fires a rule: allocate the incident, capture evidence,
-// snapshot the ledger baseline, and publish metrics.
-func (e *Engine) openIncident(r *rule, obs Observation, d deltas, level float64) {
+// openIncident fires a rule: allocate the incident with the evidence
+// gathered for it, snapshot the ledger baseline, and publish metrics.
+func (e *Engine) openIncident(r *rule, obs Observation, level float64, ev *Evidence) {
 	e.nextID++
 	sev := SevWarning
 	if level >= r.cfg.CritAt {
@@ -414,7 +462,7 @@ func (e *Engine) openIncident(r *rule, obs Observation, d deltas, level float64)
 		Time: obs.Now, State: StateOpen,
 		Note: fmt.Sprintf("%s signal %.2f held >= %.2f for %d observation(s)", r.cfg.Source, level, r.cfg.WarnAt, r.cfg.OpenDwell),
 	})
-	inc.Evidence = e.assemble(obs, d)
+	inc.Evidence = ev
 	for _, sc := range inc.Evidence.Scorecards {
 		inc.openBroken += sc.BrokenSec
 		inc.openDegraded += sc.DegradedSec
@@ -481,8 +529,9 @@ func (e *Engine) markMitigating(now time.Time, d deltas) {
 	}
 }
 
-// resolveIncident closes a rule's open incident, attributing the cause
-// and attaching impact accounting.
+// resolveIncident closes a rule's open incident and attributes the
+// cause; Observe attaches the impact accounting once it has read the
+// ledger.
 func (e *Engine) resolveIncident(r *rule, obs Observation, level float64) {
 	inc := r.open
 	r.open = nil
@@ -500,16 +549,12 @@ func (e *Engine) resolveIncident(r *rule, obs Observation, level float64) {
 		Time: obs.Now, State: StateResolved,
 		Note: fmt.Sprintf("signal %.2f held < %.2f for %d observation(s)", level, r.cfg.CloseBelow, r.cfg.CloseDwell),
 	})
-	inc.Impact = e.impact(inc, obs)
 }
 
-// impact diffs the ledger's accounting against the open-time baseline.
-func (e *Engine) impact(inc *Incident, obs Observation) *Impact {
+// impact diffs the ledger's accounting (cards, and the flight recorder's
+// sessions, as the hooks returned them) against the open-time baseline.
+func (e *Engine) impact(inc *Incident, obs Observation, cards []ledger.Scorecard, sessions []flight.SessionInfo) *Impact {
 	im := &Impact{DurationSec: obs.Now.Sub(inc.OpenedAt).Seconds()}
-	var cards []ledger.Scorecard
-	if e.src.Scorecards != nil {
-		cards = e.src.Scorecards()
-	}
 	for _, sc := range cards {
 		if im.ClassAvailability == nil {
 			im.ClassAvailability = make(map[string]float64, len(cards))
@@ -531,7 +576,7 @@ func (e *Engine) impact(inc *Incident, obs Observation) *Impact {
 		im.TotalDeficitSec += im.DeficitSec[axis]
 	}
 	if e.src.Sessions != nil {
-		for _, info := range e.src.Sessions() {
+		for _, info := range sessions {
 			if !info.Last.Before(inc.OpenedAt) {
 				im.SessionsAffected++
 			}
@@ -549,7 +594,8 @@ func clampPos(v float64) float64 {
 	return v
 }
 
-// assemble captures the evidence bundle from the injected hooks.
+// assemble captures the evidence bundle from the injected hooks; the
+// caller does not hold the mutex.
 func (e *Engine) assemble(obs Observation, d deltas) *Evidence {
 	ev := &Evidence{From: obs.Now.Add(-e.window), To: obs.Now}
 	if e.src.Saturation != nil {

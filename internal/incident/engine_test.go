@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"ubiqos/internal/admission"
 	"ubiqos/internal/capacity"
 	"ubiqos/internal/flight"
 	"ubiqos/internal/ledger"
@@ -383,5 +384,45 @@ func TestIdleObserveAllocationFree(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("idle Observe allocates %.1f objects per run, want 0", allocs)
+	}
+}
+
+// TestEvidenceHookMayObserve is the regression test for the engine
+// deadlocking on itself: the domain's admission hook reads the gate's
+// status, which samples capacity, which feeds the engine an observation.
+// The hooks therefore run with the mutex released; with it held this
+// test's Observe never returns.
+func TestEvidenceHookMayObserve(t *testing.T) {
+	var e *Engine
+	reentered := 0
+	e = New(Options{Rules: faultOnlyRules(), Sources: Sources{
+		Admission: func() *admission.Status {
+			reentered++
+			obs := obsAt(1)
+			obs.DevicesDown, obs.FaultsTotal = 1, 2
+			e.Observe(obs) // the same storm, seen again from inside the hook
+			e.List()
+			return &admission.Status{}
+		},
+	}})
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		e.Observe(obsAt(0))
+		obs := obsAt(1)
+		obs.DevicesDown, obs.FaultsTotal = 1, 2
+		e.Observe(obs) // opens fault-storm and gathers evidence
+	}()
+	select {
+	case <-done:
+	case <-time.After(5 * time.Second):
+		t.Fatal("Observe did not return: an evidence hook that observes deadlocks the engine")
+	}
+	if reentered != 1 {
+		t.Errorf("admission hook ran %d times, want once", reentered)
+	}
+	list := e.List()
+	if len(list) != 1 || list[0].Evidence == nil || list[0].Evidence.Admission == nil {
+		t.Fatalf("want one incident carrying the hook's evidence, got %+v", list)
 	}
 }

@@ -1,12 +1,13 @@
-// Package sim provides a small deterministic discrete-event simulator used
-// by the Figure 5 experiment: events are callbacks scheduled at virtual
-// times (hours) and executed in time order, with FIFO tie-breaking so runs
-// are exactly reproducible.
+// Package sim provides a small deterministic discrete-event simulator:
+// events are callbacks scheduled at virtual times (hours in the Figure 5
+// experiment, nanoseconds in a session runtime's timer queue) and executed
+// in time order, with FIFO tie-breaking so runs are exactly reproducible.
 package sim
 
 import (
 	"container/heap"
 	"fmt"
+	"math"
 )
 
 // Simulator is a single-threaded discrete-event simulator. The zero value
@@ -59,35 +60,46 @@ func (s *Simulator) After(delay float64, fn func()) error {
 	return s.Schedule(s.now+delay, fn)
 }
 
+// Next returns the time of the earliest queued event; ok is false when
+// the queue is empty.
+func (s *Simulator) Next() (at float64, ok bool) {
+	if len(s.queue) == 0 {
+		return 0, false
+	}
+	return s.queue[0].at, true
+}
+
+// Step executes the earliest queued event, advancing Now to its time, and
+// reports whether there was one.
+func (s *Simulator) Step() bool {
+	if len(s.queue) == 0 {
+		return false
+	}
+	e := heap.Pop(&s.queue).(*event)
+	s.now = e.at
+	s.events++
+	e.fn()
+	return true
+}
+
 // Run executes events in time order until the queue drains, and returns
 // the number of events processed.
 func (s *Simulator) Run() int {
-	n := 0
-	for len(s.queue) > 0 {
-		e := heap.Pop(&s.queue).(*event)
-		s.now = e.at
-		s.events++
-		n++
-		e.fn()
+	before := s.events
+	for s.Step() {
 	}
-	return n
+	return s.events - before
 }
 
 // RunUntil executes events with time ≤ deadline, leaves later events
 // queued, and advances Now to the deadline.
 func (s *Simulator) RunUntil(deadline float64) int {
-	n := 0
-	for len(s.queue) > 0 && s.queue[0].at <= deadline {
-		e := heap.Pop(&s.queue).(*event)
-		s.now = e.at
-		s.events++
-		n++
-		e.fn()
+	before := s.events
+	for at, ok := s.Next(); ok && at <= deadline; at, ok = s.Next() {
+		s.Step()
 	}
-	if s.now < deadline {
-		s.now = deadline
-	}
-	return n
+	s.now = math.Max(s.now, deadline)
+	return s.events - before
 }
 
 type event struct {

@@ -120,3 +120,30 @@ func TestPropEventsExecuteSorted(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestNextAndStep: Next peeks without running anything, Step runs exactly
+// the earliest event (callbacks may schedule more), and both report an
+// empty queue.
+func TestNextAndStep(t *testing.T) {
+	var s Simulator
+	if _, ok := s.Next(); ok || s.Step() {
+		t.Fatal("an empty simulator has no next event")
+	}
+	var got []float64
+	s.MustSchedule(5, func() { got = append(got, s.Now()) })
+	s.MustSchedule(2, func() {
+		got = append(got, s.Now())
+		s.MustSchedule(3, func() { got = append(got, s.Now()) })
+	})
+	for _, want := range []float64{2, 3, 5} {
+		if at, ok := s.Next(); !ok || at != want || s.Now() >= want {
+			t.Fatalf("Next = %g, %v with Now %g; want %g still ahead", at, ok, s.Now(), want)
+		}
+		if !s.Step() || s.Now() != want {
+			t.Fatalf("Step did not run the event at %g (Now %g)", want, s.Now())
+		}
+	}
+	if !reflect.DeepEqual(got, []float64{2, 3, 5}) || s.Pending() != 0 || s.Processed() != 3 {
+		t.Errorf("ran %v, %d pending, %d processed", got, s.Pending(), s.Processed())
+	}
+}
