@@ -27,9 +27,9 @@ test:
 # session runtime's event loop (stopped and queried from outside it), and
 # the observability layer (tracer ring, metrics registry, structured
 # logging, flight recorder, explain recorder, capacity observatory,
-# outcome ledger).
+# outcome ledger), and qosctl driving an in-process daemon.
 race:
-	$(GO) test -race ./internal/registry ./internal/eventbus ./internal/core ./internal/distributor ./internal/experiments ./internal/par ./internal/wire ./internal/faultinject ./internal/domain ./internal/trace ./internal/metrics ./internal/flight ./internal/obslog ./internal/explain ./internal/capacity ./internal/admission ./internal/autoscale ./internal/ledger ./internal/incident ./internal/runtime
+	$(GO) test -race ./cmd/qosctl ./internal/registry ./internal/eventbus ./internal/core ./internal/distributor ./internal/experiments ./internal/par ./internal/wire ./internal/faultinject ./internal/domain ./internal/trace ./internal/metrics ./internal/flight ./internal/obslog ./internal/explain ./internal/capacity ./internal/admission ./internal/autoscale ./internal/ledger ./internal/incident ./internal/runtime
 
 # bench-smoke builds the over-the-wire benchmark (a module of its own,
 # so `go build ./...` does not reach it), runs its tests and runs every

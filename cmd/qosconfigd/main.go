@@ -58,6 +58,7 @@ import (
 	"os"
 	"os/signal"
 	"sort"
+	"strings"
 	"syscall"
 
 	"ubiqos/internal/core"
@@ -169,7 +170,7 @@ func run(addr, httpAddr, space, config string, scale float64, place, chaos strin
 		}
 		defer ln.Close()
 		go http.Serve(ln, wire.NewHTTPHandler(dom))
-		log.Printf("observability on http://%s (/metrics /healthz /traces /flight /explain /ledger /scorecard /slo /timeseries /saturation /admission /incidents /debug/pprof)", ln.Addr())
+		log.Printf("observability on http://%s (%s)", ln.Addr(), strings.Join(wire.HTTPRoutes(), " "))
 	}
 
 	sig := make(chan os.Signal, 1)

@@ -95,23 +95,6 @@ func TestLoadAppJSONFile(t *testing.T) {
 	}
 }
 
-func TestVecAndAttrs(t *testing.T) {
-	if got := vec([]float64{256, 300.5}); got != "[256,300.5]" {
-		t.Errorf("vec = %q", got)
-	}
-	if got := attrs(nil); got != "-" {
-		t.Errorf("attrs(nil) = %q", got)
-	}
-	if got := attrs(map[string]string{"b": "2", "a": "1"}); got != "a=1 b=2" {
-		t.Errorf("attrs = %q", got)
-	}
-}
-
-func TestPrintSessionNil(t *testing.T) {
-	// Must not panic on a nil session.
-	printSession(nil)
-}
-
 func TestParseQoSSpecMergesUnderFlag(t *testing.T) {
 	// The spec file's qos block merges under the -qos flag (flag wins).
 	specQoS := qos.V(qos.P("framerate", qos.Range(38, 44)))

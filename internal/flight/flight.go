@@ -346,22 +346,6 @@ func (r *Recorder) Sessions() []SessionInfo {
 	return out
 }
 
-// Render formats the session's timeline as text, one entry per line,
-// oldest first. It returns "" for an unknown session.
-func (r *Recorder) Render(session string) string {
-	entries := r.Timeline(session)
-	if len(entries) == 0 {
-		return ""
-	}
-	var b strings.Builder
-	fmt.Fprintf(&b, "flight %s (%d entries)\n", session, len(entries))
-	for _, e := range entries {
-		b.WriteString(e.Format())
-		b.WriteByte('\n')
-	}
-	return b.String()
-}
-
 // Resolver maps a bus event to the sessions it concerns. Returning nil
 // skips the event. The domain installs a resolver that attributes
 // session.* events by payload and device/link events to the sessions

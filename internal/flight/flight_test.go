@@ -18,7 +18,7 @@ func TestNilRecorderIsNoOp(t *testing.T) {
 	r.RecordTrace(trace.TraceData{Session: "s"})
 	r.RecordEvent("s", eventbus.Event{Topic: eventbus.TopicDeviceLeft})
 	r.RecordFault("s", "device.crash", "pc-1", nil)
-	if r.Timeline("s") != nil || r.Sessions() != nil || r.Render("s") != "" {
+	if r.Timeline("s") != nil || r.Sessions() != nil {
 		t.Fatal("nil recorder accessors must be empty")
 	}
 	cancel, err := r.Tap(eventbus.New(), nil)
@@ -172,23 +172,16 @@ func TestRender(t *testing.T) {
 	log := obslog.New(obslog.LevelDebug, r)
 	log.ForSession("s", "abc").Warn("retry", obslog.Int("attempt", 2))
 	r.RecordFault("s", "link.degrade", "pc-1<->pc-2", nil)
-	out := r.Render("s")
-	lines := strings.Split(strings.TrimRight(out, "\n"), "\n")
-	if len(lines) != 3 {
-		t.Fatalf("render lines = %d:\n%s", len(lines), out)
+	entries := r.Timeline("s")
+	if len(entries) != 2 {
+		t.Fatalf("entries = %d, want 2", len(entries))
 	}
-	if !strings.Contains(lines[0], "flight s (2 entries)") {
-		t.Errorf("header = %q", lines[0])
+	if line := entries[0].Format(); !strings.Contains(line, "log") || !strings.Contains(line, "retry") ||
+		!strings.Contains(line, "trace=abc") || !strings.Contains(line, "attempt=2") {
+		t.Errorf("log line = %q", line)
 	}
-	if !strings.Contains(lines[1], "log") || !strings.Contains(lines[1], "retry") ||
-		!strings.Contains(lines[1], "trace=abc") || !strings.Contains(lines[1], "attempt=2") {
-		t.Errorf("log line = %q", lines[1])
-	}
-	if !strings.Contains(lines[2], "fault link.degrade") {
-		t.Errorf("fault line = %q", lines[2])
-	}
-	if r.Render("unknown") != "" {
-		t.Error("unknown session must render empty")
+	if line := entries[1].Format(); !strings.Contains(line, "fault link.degrade") {
+		t.Errorf("fault line = %q", line)
 	}
 }
 

@@ -459,15 +459,6 @@ func (l *Ledger) Sessions() []SessionReport {
 	return out
 }
 
-// Render formats one session's ledger entry as text ("" when unknown).
-func (l *Ledger) Render(sid string) string {
-	rep, ok := l.Report(sid)
-	if !ok {
-		return ""
-	}
-	return rep.Render()
-}
-
 // Render formats the report as text, one episode per line, oldest first.
 func (rep SessionReport) Render() string {
 	var b strings.Builder

@@ -6,7 +6,6 @@ package wire
 
 import (
 	"encoding/json"
-	"time"
 
 	"ubiqos/internal/admission"
 	"ubiqos/internal/autoscale"
@@ -283,14 +282,4 @@ type AdmissionInfo struct {
 	Decision *admission.Decision `json:"decision,omitempty"`
 	// Status is the gate snapshot: effective state, policies, tallies.
 	Status *admission.Status `json:"status,omitempty"`
-}
-
-func timingInfo(c, d, dl, ih time.Duration) TimingInfo {
-	toMs := func(x time.Duration) float64 { return float64(x) / float64(time.Millisecond) }
-	return TimingInfo{
-		CompositionMs:   toMs(c),
-		DistributionMs:  toMs(d),
-		DownloadingMs:   toMs(dl),
-		InitOrHandoffMs: toMs(ih),
-	}
 }

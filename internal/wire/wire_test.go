@@ -432,8 +432,8 @@ func TestUnknownOpLabelCardinality(t *testing.T) {
 	// One series per known op at most, plus the overflow bucket: far
 	// below the registry's cardinality cap.
 	series := strings.Count(snap, "wire_requests_total{")
-	if series > len(knownOps)+1 {
-		t.Errorf("wire_requests_total series = %d, want <= %d", series, len(knownOps)+1)
+	if series > len(ops)+1 {
+		t.Errorf("wire_requests_total series = %d, want <= %d", series, len(ops)+1)
 	}
 }
 
