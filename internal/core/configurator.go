@@ -621,9 +621,10 @@ func (c *Configurator) configureLadder(req Request, handoff bool, root *trace.Sp
 	}
 	finishAttempt(xr, err)
 	// Missing services cannot be fixed by lowering quality; notify the
-	// user instead of degrading.
+	// user instead of degrading. Nor can a malformed user QoS, which no
+	// rung would make valid (and an inverted range cannot be scaled).
 	var miss *composer.MissingServiceError
-	if errors.As(err, &miss) || len(c.cfg.DegradeFactors) == 0 || len(req.UserQoS) == 0 {
+	if errors.As(err, &miss) || len(c.cfg.DegradeFactors) == 0 || len(req.UserQoS) == 0 || req.UserQoS.Validate() != nil {
 		return nil, err
 	}
 	for _, f := range c.cfg.DegradeFactors {

@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 
@@ -124,6 +125,30 @@ func TestDegradationIgnoresInvalidFactors(t *testing.T) {
 	})
 	if err == nil {
 		t.Error("invalid factors must not admit the impossible request")
+	}
+}
+
+// TestDegradationSkipsInvalidUserQoS: an inverted range, which a wire
+// client can send, fails validation at full quality; the ladder runs no
+// rung (degrading it used to panic in qos.Range) and returns that error.
+func TestDegradationSkipsInvalidUserQoS(t *testing.T) {
+	f := newFixture(t)
+	f.cfg.DegradeFactors = []float64{0.5}
+	c, err := New(f.cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = c.Configure(Request{
+		SessionID:    "s",
+		App:          audioApp(),
+		UserQoS:      qos.Vector{{Name: qos.DimFrameRate, Value: qos.Value{Kind: qos.KindRange, Lo: 40, Hi: 10}}},
+		ClientDevice: "desktop1",
+	})
+	if err == nil || !strings.Contains(err.Error(), "invalid range value") {
+		t.Errorf("err = %v, want the full-quality attempt's validation error", err)
+	}
+	if c.Session("s") != nil {
+		t.Error("a session was admitted")
 	}
 }
 

@@ -1,7 +1,10 @@
 package experiments
 
 import (
+	"fmt"
 	"math"
+	"os"
+	"regexp"
 	"strings"
 	"testing"
 	"time"
@@ -48,6 +51,54 @@ func TestTable1Shape(t *testing.T) {
 	for _, want := range []string{"Algorithms", "Random", "Our Heuristic", "Optimal"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("FormatTable1 missing %q:\n%s", want, out)
+		}
+	}
+}
+
+// TestTable1DocumentsMatchHarness holds the measured Table 1 cells of
+// EXPERIMENTS.md (every row, extension rows included) and README.md (the
+// paper's three rows and first-fit) to what the harness prints at its
+// default setting, rounded as FormatTable1 rounds them.
+func TestTable1DocumentsMatchHarness(t *testing.T) {
+	cfg := DefaultTable1Config()
+	cfg.Extended = true
+	r, err := RunTable1(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	avg, opt := map[string]string{}, map[string]string{}
+	for _, row := range r.Rows {
+		avg[row.Name] = fmt.Sprintf("%.0f%%", row.AvgRatio*100)
+		opt[row.Name] = fmt.Sprintf("%.0f%%", row.OptimalPct)
+	}
+
+	doc, err := os.ReadFile("../../EXPERIMENTS.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, section, _ := strings.Cut(string(doc), "## Table 1")
+	section, _, _ = strings.Cut(section, "\n## ")
+	cells := regexp.MustCompile(`(?m)^\| ([^|]+) \| [^|]+ \| \*\*([^*]+)\*\* \| [^|]+ \| \*\*([^*]+)\*\* \|$`)
+	matches := cells.FindAllStringSubmatch(section, -1)
+	for _, m := range matches {
+		if m[2] != avg[m[1]] || m[3] != opt[m[1]] {
+			t.Errorf("EXPERIMENTS.md: %s measured %s / %s, the harness prints %s / %s", m[1], m[2], m[3], avg[m[1]], opt[m[1]])
+		}
+	}
+	if len(matches) != len(r.Rows) {
+		t.Errorf("EXPERIMENTS.md's Table 1 has %d measured rows, the harness %d", len(matches), len(r.Rows))
+	}
+
+	readme, err := os.ReadFile("../../README.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{
+		fmt.Sprintf("| %s / %s / %s (first-fit %s) |", avg["Random"], avg["Our Heuristic"], avg["Optimal"], avg["First-Fit"]),
+		fmt.Sprintf("| %s / %s / %s (first-fit %s) |", opt["Random"], opt["Our Heuristic"], opt["Optimal"], opt["First-Fit"]),
+	} {
+		if !strings.Contains(string(readme), want) {
+			t.Errorf("README.md has no Table 1 cell %q", want)
 		}
 	}
 }

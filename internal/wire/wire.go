@@ -105,14 +105,14 @@ type Request struct {
 
 // wireRequest is the struct a Request crosses the socket through. Its JSON
 // document is Request's own (the shallower App shadows the embedded one
-// under the same key), but the graph is held in its plain form: with
-// *composer.AbstractGraph in that place encoding/json walks the graph's
-// bytes four times on the way in (the line's validity check, the skip
-// that delimits the value for the graph's UnmarshalJSON, then the inner
-// Unmarshal's own validity check and decode) and re-scans MarshalJSON's
-// output on the way out. Through this struct they are validated once and
-// decoded once, and composer.FromPlain applies the checks UnmarshalJSON
-// would have.
+// under the same key), but the graph is held in its plain form, which
+// composer.FromPlain turns into a graph with every check UnmarshalJSON
+// applies. The client encodes it with encoding/json, in one scan of the
+// graph rather than a re-scan of MarshalJSON's output. The server decodes
+// it with scanRequest, one hand-written pass over the line, and hands
+// what that pass does not take (an instance, a null, an escaped string,
+// any other spelling) to encoding/json unchanged; either way a rejected
+// line is refused in encoding/json's or FromPlain's words.
 type wireRequest struct {
 	Request
 	App *composer.PlainGraph `json:"app,omitempty"`
@@ -127,12 +127,26 @@ func encodeRequest(enc *json.Encoder, req Request) error {
 	return enc.Encode(wr)
 }
 
-// decodeRequest parses one request line.
+// decodeRequest parses one request line: through scanRequest when it
+// takes the line, through encoding/json when it does not.
 func decodeRequest(line []byte) (Request, error) {
+	if wr, ok := scanRequest(line); ok {
+		return wr.request()
+	}
+	return decodeRequestJSON(line)
+}
+
+// decodeRequestJSON parses one request line with encoding/json alone.
+func decodeRequestJSON(line []byte) (Request, error) {
 	var wr wireRequest
 	if err := json.Unmarshal(line, &wr); err != nil {
 		return Request{}, err
 	}
+	return wr.request()
+}
+
+// request builds the Request the wire form describes.
+func (wr wireRequest) request() (Request, error) {
 	if wr.App != nil {
 		app, err := composer.FromPlain(*wr.App)
 		if err != nil {
