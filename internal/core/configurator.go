@@ -17,16 +17,12 @@ import (
 	"sync"
 	"time"
 
-	"ubiqos/internal/admission"
 	"ubiqos/internal/checkpoint"
 	"ubiqos/internal/composer"
 	"ubiqos/internal/device"
 	"ubiqos/internal/distributor"
 	"ubiqos/internal/explain"
-	"ubiqos/internal/flight"
 	"ubiqos/internal/graph"
-	"ubiqos/internal/ledger"
-	"ubiqos/internal/metrics"
 	"ubiqos/internal/netsim"
 	"ubiqos/internal/obslog"
 	"ubiqos/internal/profiler"
@@ -41,12 +37,31 @@ import (
 // paper's greedy heuristic.
 type PlaceFunc func(p *distributor.Problem) (distributor.Assignment, float64, error)
 
-// AdmissionGate is the saturation-aware admission decision point
-// (implemented by admission.Gate): it classifies one arriving request as
-// admit, admit-degraded, or reject from the space's current capacity
-// signals.
-type AdmissionGate interface {
-	Admit(class string) admission.Decision
+// Observer watches the configurator. The domain implements it once and
+// fans what it receives out to its metrics, ledger, provenance, flight
+// recorder and log; a nil Observer watches nothing and costs nothing.
+type Observer interface {
+	// Begin opens the in-flight taps of one action on a session: the
+	// trace the pipeline's stages write their spans into and the loggers
+	// handed to the composer and the distributor, any of them nil. rec is
+	// the provenance record the action starts — a configure, reconfigure,
+	// resume or recover, or a supervisor recovery attempt (rec.Ladder
+	// set).
+	Begin(req Request, rec explain.Record) (tr *trace.Trace, composeLog, distributeLog *obslog.Logger)
+	// Finished receives each configure, reconfigure, resume or recover
+	// exactly once, after the degradation ladder, the rollback and the
+	// state handoff are folded in: the request as submitted, the session
+	// (nil on failure), the provenance record with its attempts and trace
+	// ID, the finished trace, and the error.
+	Finished(req Request, active *ActiveSession, rec explain.Record, tr *trace.Trace, err error)
+	// Step receives a session event that is not a configuration. A stop
+	// or a suspend hands over the session's request and an empty record.
+	// A recovery-supervisor step hands over its record (rec.Ladder set) —
+	// outcome broken, healed, retry, recovered or lost — with the
+	// attempt's finished trace (nil when no attempt ran), how long the
+	// session has been broken (recovered only), and the supervisor's
+	// counters after the step.
+	Step(req Request, rec explain.Record, tr *trace.Trace, down time.Duration, stats SupervisorStats)
 }
 
 // Config wires a Configurator to the domain's infrastructure services.
@@ -87,43 +102,8 @@ type Config struct {
 	// configuration fits — the paper's "continue his or her tasks with
 	// minimum QoS degradations". Empty means no degradation is attempted.
 	DegradeFactors []float64
-	// Metrics, when set, receives operational counters and the per-tier
-	// overhead histograms.
-	Metrics *metrics.Registry
-	// Tracer, when set, records one structured trace per Configure /
-	// Reconfigure call: child spans for composition (with per-node
-	// discovery attempts and Ordered Coordination corrections),
-	// distribution (with branch-and-bound counters), admission, download,
-	// and deployment. Nil disables tracing at zero cost.
-	Tracer *trace.Tracer
-	// Log, when set, receives structured log records for every
-	// configuration attempt and outcome, stamped with the session and
-	// trace IDs. Nil disables logging at zero cost.
-	Log *obslog.Logger
-	// Flight, when set, receives the finished configure/recover trace
-	// summaries on the per-session flight timelines (log records reach it
-	// through Log's sink set instead).
-	Flight *flight.Recorder
-	// Explain, when set, receives one decision-provenance record per
-	// configure/reconfigure/recover action: discovery candidate sets, OC
-	// corrections with before/after QoS vectors, the distributor's search
-	// summary, and the winning placement. Nil disables provenance at zero
-	// cost on the pipeline's hot path.
-	Explain *explain.Recorder
-	// Ledger, when set, receives the per-session outcome accounting:
-	// admission verdicts, every successful (re)configuration with the
-	// requested QoS vector and delivered degrade factor, configure
-	// failures, and clean stops. The recovery supervisor feeds it the
-	// broken/recovered/lost edges. Nil disables outcome accounting.
-	Ledger *ledger.Ledger
-	// Admission, when set, is the saturation-aware gate consulted at the
-	// top of Configure before a new session's pipeline runs: rejected
-	// requests return *admission.RejectedError without touching the pipeline, and degraded admissions re-enter it
-	// with optional components shed and heuristic placement — the recovery
-	// ladder's shed rung applied at admission time. Reconfigure, Recover,
-	// and ResumeFrom bypass the gate: saturation throttles new arrivals,
-	// never sessions the space has already committed to.
-	Admission AdmissionGate
+	// Observer, when set, watches every action (see Observer).
+	Observer Observer
 }
 
 // Configurator is the integrated service configuration model. All methods
@@ -147,9 +127,7 @@ type Configurator struct {
 	// pending holds session IDs whose pipeline is in flight, so the ID is
 	// claimed for the whole configure without holding mu across it.
 	pending map[string]bool
-	// classSeen caps the distinct session-class labels fed into the
-	// metrics registry (beyond the cap new classes collapse into
-	// metrics.OverflowLabel).
+	// classSeen is the bounded set of session classes (see Class).
 	classSeen map[string]bool
 }
 
@@ -293,6 +271,13 @@ type ActiveSession struct {
 	demands map[[2]device.ID]float64
 }
 
+// taps are one action's in-flight observation points from Observer.Begin,
+// all nil-safe: an unobserved action carries nils through the pipeline.
+type taps struct {
+	tr                        *trace.Trace
+	composeLog, distributeLog *obslog.Logger
+}
+
 // reserve claims a session ID for an in-flight configuration, failing if
 // the ID is already active or being configured by another goroutine.
 func (c *Configurator) reserve(id string) error {
@@ -308,7 +293,6 @@ func (c *Configurator) reserve(id string) error {
 		return fmt.Errorf("core: session %q is already being configured", id)
 	}
 	c.pending[id] = true
-	c.publishPendingLocked()
 	return nil
 }
 
@@ -316,7 +300,6 @@ func (c *Configurator) reserve(id string) error {
 func (c *Configurator) unreserve(id string) {
 	c.mu.Lock()
 	delete(c.pending, id)
-	c.publishPendingLocked()
 	c.mu.Unlock()
 }
 
@@ -326,16 +309,7 @@ func (c *Configurator) commit(active *ActiveSession) {
 	c.mu.Lock()
 	delete(c.pending, active.ID)
 	c.sessions[active.ID] = active
-	c.publishPendingLocked()
 	c.mu.Unlock()
-}
-
-// publishPendingLocked mirrors the admission-queue depth into the
-// config_pending gauge. Callers hold c.mu.
-func (c *Configurator) publishPendingLocked() {
-	if c.cfg.Metrics != nil {
-		c.cfg.Metrics.Gauge(metrics.ConfigPending).Set(float64(len(c.pending)))
-	}
 }
 
 // Pending reports the number of in-flight configurations — the admission
@@ -374,39 +348,30 @@ func sessionClass(req Request) string {
 	return "default"
 }
 
-// maxClassLabels caps the distinct class labels the configurator feeds
-// into the metrics registry.
+// maxClassLabels caps the distinct session classes, so wire clients
+// cannot blow up the cardinality of the labels observers build from them.
 const maxClassLabels = 32
 
-// classLabel admits a class into the bounded label set, collapsing
-// overflow into metrics.OverflowLabel.
-func (c *Configurator) classLabel(class string) string {
+// overflowClass absorbs every class beyond the cap; it is the metrics
+// registry's overflow label.
+const overflowClass = "other"
+
+// Class returns the session class a request configures under (see
+// Request.Class), admitting it into the bounded class set: beyond
+// maxClassLabels distinct classes new ones collapse into one overflow
+// class.
+func (c *Configurator) Class(req Request) string {
+	class := sessionClass(req)
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.classSeen[class] {
 		return class
 	}
 	if len(c.classSeen) >= maxClassLabels {
-		return metrics.OverflowLabel
+		return overflowClass
 	}
 	c.classSeen[class] = true
 	return class
-}
-
-// classMeter returns the named per-class meter (nil registry yields nil;
-// callers must check).
-func (c *Configurator) classMeter(name, class string) *metrics.Meter {
-	if c.cfg.Metrics == nil {
-		return nil
-	}
-	return c.cfg.Metrics.Meter(metrics.WithLabel(name, "class", class))
-}
-
-// SetAdmission installs (or, with nil, removes) the admission gate after
-// construction. It is not synchronized against in-flight Configures —
-// call it at boot, before the configurator serves traffic.
-func (c *Configurator) SetAdmission(g AdmissionGate) {
-	c.cfg.Admission = g
 }
 
 // Configure runs the full pipeline for a new session: compose → distribute
@@ -418,208 +383,53 @@ func (c *Configurator) Configure(req Request) (*ActiveSession, error) {
 	if err := c.reserve(req.SessionID); err != nil {
 		return nil, err
 	}
-	if c.cfg.Admission != nil {
-		var rejected error
-		if req, rejected = c.admit(req); rejected != nil {
-			c.unreserve(req.SessionID)
-			return nil, rejected
-		}
+	return c.run(req, explain.ActionConfigure, false, 0)
+}
+
+// run carries one configuration action on a session ID the caller has
+// claimed: the pipeline under the QoS degradation ladder, the claim
+// released on failure, the state-transfer time folded into the session's
+// timing, then one finished record to the observer. action labels the run
+// for provenance: ActionConfigure, ActionResume, ActionRecover, or
+// ActionReconfigure.
+func (c *Configurator) run(req Request, action string, handoff bool, transfer time.Duration) (*ActiveSession, error) {
+	req.Class = c.Class(req)
+	obs := c.cfg.Observer
+	var x taps
+	var rec *explain.Record
+	if obs != nil {
+		rec = &explain.Record{Session: req.SessionID, Action: action, Handoff: handoff}
+		x.tr, x.composeLog, x.distributeLog = obs.Begin(req, *rec)
+		rec.TraceID = x.tr.Context().TraceID
 	}
-	active, err := c.configure(req, false, explain.ActionConfigure)
+	active, err := c.configureLadder(req, handoff, &x, rec)
+	root := x.tr.Root()
 	if err != nil {
 		c.unreserve(req.SessionID)
-	}
-	return active, err
-}
-
-// sessionLog derives the named per-session child of the configured
-// logger — or nil, deriving nothing and costing nothing, when the logger
-// would discard a record at level, the most severe one the caller or the
-// stage it hands the child to writes. Callers that build fields test the
-// result, so a discarded record's fields are never built either.
-func (c *Configurator) sessionLog(level obslog.Level, name, session, traceID string) *obslog.Logger {
-	if !c.cfg.Log.Enabled(level) {
-		return nil
-	}
-	return c.cfg.Log.Named(name).ForSession(session, traceID)
-}
-
-// admit consults the admission gate before the pipeline runs. A rejected
-// request comes back with *admission.RejectedError (carrying the
-// retry-after hint); a degraded admission comes back with optional
-// components shed and heuristic placement. Either way the decision lands
-// on the session's provenance timeline.
-func (c *Configurator) admit(req Request) (Request, error) {
-	dec := c.cfg.Admission.Admit(c.classLabel(sessionClass(req)))
-	c.cfg.Ledger.RecordAdmission(req.SessionID, dec.Class, string(dec.Verdict), dec.Reason)
-	if dec.Verdict == admission.Admit {
-		return req, nil
-	}
-	xd := &explain.AdmissionDecision{
-		Verdict:      string(dec.Verdict),
-		State:        dec.StateStr,
-		Escalated:    dec.Escalated,
-		SLOBurn:      dec.SLOBurn,
-		Reason:       dec.Reason,
-		RetryAfterMs: dec.RetryAfterMs,
-	}
-	log := c.sessionLog(obslog.LevelInfo, "core", req.SessionID, "")
-	if dec.Verdict == admission.Reject {
-		// The request never reaches the pipeline's own arrival mark, so
-		// record the offered load here — the autoscaler's demand signal
-		// must see rejected arrivals too.
-		if m := c.classMeter(metrics.SessionArrivals, dec.Class); m != nil {
-			m.Mark(1)
-		}
-		err := &admission.RejectedError{Decision: dec}
-		if c.cfg.Explain != nil {
-			c.cfg.Explain.Record(explain.Record{
-				Session:   req.SessionID,
-				Action:    explain.ActionAdmission,
-				Admission: xd,
-				Err:       err.Error(),
-			})
-		}
-		if log != nil {
-			log.Info("admission rejected",
-				obslog.String("class", dec.Class), obslog.String("reason", dec.Reason))
-		}
-		return req, err
-	}
-	// Admit-degraded: the recovery ladder's shed rung, applied before the
-	// pipeline instead of after a failure — optional components dropped,
-	// placement on the cheap heuristic.
-	if req.App != nil {
-		for _, n := range req.App.Nodes() {
-			if n.Optional {
-				xd.Shed = append(xd.Shed, string(n.ID))
-			}
-		}
-		sort.Strings(xd.Shed)
-		req.App = shedOptional(req.App)
-	}
-	if req.Place == nil {
-		req.Place = distributor.Heuristic
-	}
-	if c.cfg.Explain != nil {
-		c.cfg.Explain.Record(explain.Record{
-			Session:   req.SessionID,
-			Action:    explain.ActionAdmission,
-			Admission: xd,
-		})
-	}
-	if log != nil {
-		log.Info("admission degraded",
-			obslog.String("class", dec.Class), obslog.String("reason", dec.Reason))
-	}
-	return req, nil
-}
-
-// configure runs the pipeline, walking the QoS degradation ladder when
-// the full-quality configuration does not fit the current environment.
-// action labels the run for provenance: ActionConfigure, ActionResume,
-// ActionRecover, or ActionReconfigure.
-func (c *Configurator) configure(req Request, handoff bool, action string) (*ActiveSession, error) {
-	req.Class = c.classLabel(sessionClass(req))
-	if m := c.classMeter(metrics.SessionArrivals, req.Class); m != nil {
-		m.Mark(1)
-	}
-	tr := c.cfg.Tracer.StartCtx(req.TraceCtx, "configure", req.SessionID, trace.Bool("handoff", handoff))
-	log := c.sessionLog(obslog.LevelInfo, "core", req.SessionID, tr.Context().TraceID)
-	if log != nil {
-		log.Info("configure started", obslog.Bool("handoff", handoff))
-	}
-	root := tr.Root()
-	var xr *explain.Record
-	if c.cfg.Explain != nil {
-		xr = &explain.Record{
-			Session: req.SessionID,
-			TraceID: tr.Context().TraceID,
-			Action:  action,
-			Handoff: handoff,
-		}
-	}
-	active, err := c.configureLadder(req, handoff, root, xr)
-	if err != nil {
 		root.SetErr(err)
-		if log == nil {
-			log = c.sessionLog(obslog.LevelError, "core", req.SessionID, tr.Context().TraceID)
-		}
-		log.Error("configure failed", obslog.Err(err))
 	} else {
+		active.Timing.InitOrHandoff += transfer
 		root.Set(trace.Float("cost", active.Cost),
 			trace.Float("degradeFactor", active.DegradeFactor))
-		if log != nil {
-			log.Info("configured",
-				obslog.Float("cost", active.Cost),
-				obslog.Float("degradeFactor", active.DegradeFactor),
-				obslog.Int("components", int64(active.Graph.NodeCount())),
-				obslog.Duration("tookMs", active.Timing.Total()))
-		}
 	}
-	tr.Finish()
-	c.cfg.Flight.RecordTrace(tr.Export())
-	if xr != nil {
-		if err != nil {
-			xr.Err = err.Error()
-		} else {
-			xr.Cost = active.Cost
-			xr.DegradeFactor = active.DegradeFactor
-			xr.Placement = make(map[string]string, len(active.Placement))
-			for id, dev := range active.Placement {
-				xr.Placement[string(id)] = string(dev)
-			}
-		}
-		c.cfg.Explain.Record(*xr)
-	}
-	c.recordOutcome(active, req.Class, err)
-	if err != nil {
-		c.cfg.Ledger.RecordConfigureFailed(req.SessionID, req.Class, err.Error())
-	} else {
-		c.cfg.Ledger.RecordConfigured(req.SessionID, req.Class, req.UserQoS,
-			active.DegradeFactor, active.Timing.Total(), action)
+	x.tr.Finish()
+	if obs != nil {
+		obs.Finished(req, active, *rec, x.tr, err)
 	}
 	return active, err
 }
 
-// recordOutcome feeds the metrics registry after a configuration attempt.
-func (c *Configurator) recordOutcome(active *ActiveSession, class string, err error) {
-	m := c.cfg.Metrics
-	if m == nil {
-		return
-	}
-	m.Counter(metrics.ConfigsTotal).Inc()
-	if err != nil {
-		m.Counter(metrics.ConfigsFailed).Inc()
-		c.classMeter(metrics.SessionFailures, class).Mark(1)
-		return
-	}
-	if active.DegradeFactor != 1 {
-		m.Counter(metrics.ConfigsDegraded).Inc()
-	}
-	m.Counter(metrics.TranscodersInserted).Add(int64(len(active.Report.Transcoders)))
-	m.Counter(metrics.BuffersInserted).Add(int64(len(active.Report.Buffers)))
-	m.Counter(metrics.Adjustments).Add(int64(len(active.Report.Adjustments)))
-	m.Counter(metrics.DiscoveryAttempts).Add(int64(active.Report.DiscoveryAttempts))
-	m.Counter(metrics.DiscoveryFailures).Add(int64(active.Report.DiscoveryFailures))
-	m.Histogram(metrics.CompositionTime).Observe(active.Timing.Composition)
-	m.Histogram(metrics.DistributionTime).Observe(active.Timing.Distribution)
-	m.Histogram(metrics.DownloadTime).Observe(active.Timing.Downloading)
-	m.Histogram(metrics.HandoffTime).Observe(active.Timing.InitOrHandoff)
-	m.Histogram(metrics.ConfigureTime).Observe(active.Timing.Total())
-	m.Gauge(metrics.ActiveSessions).Set(float64(c.Sessions()))
-}
-
-func (c *Configurator) configureLadder(req Request, handoff bool, root *trace.Span, xr *explain.Record) (*ActiveSession, error) {
+func (c *Configurator) configureLadder(req Request, handoff bool, x *taps, rec *explain.Record) (*ActiveSession, error) {
+	root := x.tr.Root()
 	asp := root.Child("attempt", trace.Float("degradeFactor", 1))
-	active, err := c.configureOnce(req, handoff, asp, nextAttempt(xr, 1))
+	active, err := c.configureOnce(req, handoff, asp, x, nextAttempt(rec, 1))
 	asp.SetErr(err)
 	asp.End()
 	if err == nil {
 		active.DegradeFactor = 1
 		return active, nil
 	}
-	finishAttempt(xr, err)
+	finishAttempt(rec, err)
 	// Missing services cannot be fixed by lowering quality; notify the
 	// user instead of degrading. Nor can a malformed user QoS, which no
 	// rung would make valid (and an inverted range cannot be scaled).
@@ -634,14 +444,14 @@ func (c *Configurator) configureLadder(req Request, handoff bool, root *trace.Sp
 		degraded := req
 		degraded.UserQoS = degradeVector(req.UserQoS, f)
 		asp := root.Child("attempt", trace.Float("degradeFactor", f))
-		active, derr := c.configureOnce(degraded, handoff, asp, nextAttempt(xr, f))
+		active, derr := c.configureOnce(degraded, handoff, asp, x, nextAttempt(rec, f))
 		asp.SetErr(derr)
 		asp.End()
 		if derr == nil {
 			active.DegradeFactor = f
 			return active, nil
 		}
-		finishAttempt(xr, derr)
+		finishAttempt(rec, derr)
 	}
 	return nil, err
 }
@@ -681,45 +491,16 @@ func degradeVector(v qos.Vector, f float64) qos.Vector {
 	return out
 }
 
-func (c *Configurator) configureOnce(req Request, handoff bool, parent *trace.Span, att *explain.Attempt) (*ActiveSession, error) {
+// configureOnce runs the pipeline once at the request's QoS: compose →
+// distribute → reserve → download → deploy.
+func (c *Configurator) configureOnce(req Request, handoff bool, parent *trace.Span, x *taps, att *explain.Attempt) (*ActiveSession, error) {
 	// --- Tier 1: service composition. ---
-	var clientAttrs map[string]string
-	if d := c.cfg.Devices.Get(req.ClientDevice); d != nil {
-		clientAttrs = d.Attrs
-	}
 	t0 := time.Now()
-	csp := parent.Child("compose")
-	app := ResolveClientPins(req.App, req.ClientDevice)
-	var comp *explain.Composition
-	if att != nil {
-		comp = &explain.Composition{}
-	}
-	g, rep, err := c.cfg.Composer.Compose(composer.Request{
-		App:          app,
-		UserQoS:      req.UserQoS,
-		ClientAttrs:  clientAttrs,
-		ClientDevice: string(req.ClientDevice),
-		Span:         csp,
-		Log:          c.sessionLog(obslog.LevelWarn, "composer", req.SessionID, parent.TraceContext().TraceID),
-		Explain:      comp,
-	})
+	g, rep, err := c.compose(req, parent, x, att)
 	compTime := time.Since(t0)
-	if att != nil {
-		att.Discoveries = comp.Discoveries
-		att.Corrections = comp.Corrections
-	}
 	if err != nil {
-		csp.SetErr(err)
-		csp.End()
-		return nil, fmt.Errorf("core: composition: %w", err)
+		return nil, err
 	}
-	csp.Set(trace.Int("nodes", int64(g.NodeCount())),
-		trace.Int("checks", int64(rep.Checks)),
-		trace.Int("adjustments", int64(len(rep.Adjustments))),
-		trace.Int("transcoders", int64(len(rep.Transcoders))),
-		trace.Int("buffers", int64(len(rep.Buffers))))
-	csp.End()
-
 	// Online profiling refines the declared requirement vectors.
 	if c.cfg.Profiler != nil {
 		for _, n := range g.Nodes() {
@@ -735,11 +516,127 @@ func (c *Configurator) configureOnce(req Request, handoff bool, parent *trace.Sp
 	if len(up) == 0 {
 		return nil, fmt.Errorf("core: no devices available")
 	}
+	prob, assignment, cost, explored, err := c.distribute(req, g, up, parent, x, att)
+	distTime := time.Since(t1)
+	if err != nil {
+		return nil, fmt.Errorf("core: distribution: %w", err)
+	}
+
+	// --- Admission: reserve device resources and link bandwidth. ---
+	active := &ActiveSession{
+		ID:             req.SessionID,
+		Class:          req.Class,
+		Request:        req,
+		Graph:          g,
+		Cost:           cost,
+		Report:         rep,
+		ClientDevice:   req.ClientDevice,
+		SearchExplored: explored,
+		loads:          prob.DeviceLoads(assignment),
+		devIDs:         make([]device.ID, len(up)),
+		demands:        prob.LinkDemands(assignment),
+	}
+	for i, d := range up {
+		active.devIDs[i] = d.ID
+	}
+	if err := c.admit(up, active, parent); err != nil {
+		return nil, err
+	}
+	fail := func(sp *trace.Span, err error, format string) (*ActiveSession, error) {
+		c.release(active)
+		sp.SetErr(err)
+		sp.End()
+		return nil, fmt.Errorf(format, err)
+	}
+
+	// --- Dynamic downloading: components missing on their targets. ---
+	dlSp := parent.Child("download")
+	active.Placement = make(map[graph.NodeID]device.ID, g.NodeCount())
+	for id, di := range assignment {
+		active.Placement[id] = active.devIDs[di]
+	}
+	dlTime, err := c.download(g, active.Placement)
+	if err != nil {
+		return fail(dlSp, err, "%w") // download wraps its own errors
+	}
+	dlSp.Set(trace.Float("modeledSeconds", dlTime.Seconds()))
+	dlSp.End()
+
+	// --- Initialization or state handoff. ---
+	// Both a fresh initialization and a resume pay the buffering time for
+	// the first frame (at the start, or at the interruption point).
+	startPos := int64(0)
+	if st, ok := c.cfg.Checkpoints.Load(req.SessionID); ok && handoff {
+		startPos = st.Position
+	}
+	depSp := parent.Child("deploy", trace.Int("startPos", startPos))
+	sess, err := c.cfg.Engine.Deploy(g, active.Placement, startPos, req.MaxFrames)
+	if err != nil {
+		return fail(depSp, err, "core: deploy: %w")
+	}
+	if err := sess.Start(); err != nil {
+		return fail(depSp, err, "core: start: %w")
+	}
+	depSp.End()
+
+	active.Runtime = sess
+	active.Timing = Timing{
+		Composition:   compTime,
+		Distribution:  distTime,
+		Downloading:   dlTime,
+		InitOrHandoff: firstFrameBuffering(g),
+	}
+	c.commit(active)
+	return active, nil
+}
+
+// compose runs the composition tier on the request, its client pins
+// resolved, steering discovery by the portal device's attributes.
+func (c *Configurator) compose(req Request, parent *trace.Span, x *taps, att *explain.Attempt) (*graph.Graph, *composer.Report, error) {
+	var clientAttrs map[string]string
+	if d := c.cfg.Devices.Get(req.ClientDevice); d != nil {
+		clientAttrs = d.Attrs
+	}
+	csp := parent.Child("compose")
+	var comp *explain.Composition
+	if att != nil {
+		comp = &explain.Composition{}
+	}
+	g, rep, err := c.cfg.Composer.Compose(composer.Request{
+		App:          ResolveClientPins(req.App, req.ClientDevice),
+		UserQoS:      req.UserQoS,
+		ClientAttrs:  clientAttrs,
+		ClientDevice: string(req.ClientDevice),
+		Span:         csp,
+		Log:          x.composeLog,
+		Explain:      comp,
+	})
+	if att != nil {
+		att.Discoveries = comp.Discoveries
+		att.Corrections = comp.Corrections
+	}
+	if err != nil {
+		csp.SetErr(err)
+		csp.End()
+		return nil, nil, fmt.Errorf("core: composition: %w", err)
+	}
+	csp.Set(trace.Int("nodes", int64(g.NodeCount())),
+		trace.Int("checks", int64(rep.Checks)),
+		trace.Int("adjustments", int64(len(rep.Adjustments))),
+		trace.Int("transcoders", int64(len(rep.Transcoders))),
+		trace.Int("buffers", int64(len(rep.Buffers))))
+	csp.End()
+	return g, rep, nil
+}
+
+// distribute runs the distribution tier over the up devices: a plan-cache
+// hit when the request uses the default placer, else the placer. It
+// returns the problem it solved, the winning assignment and its cost, and
+// the search's explored-node count.
+func (c *Configurator) distribute(req Request, g *graph.Graph, up []*device.Device, parent *trace.Span, x *taps, att *explain.Attempt) (*distributor.Problem, distributor.Assignment, float64, int64, error) {
 	devInfos := make([]distributor.DeviceInfo, len(up))
-	devIDs := make([]device.ID, len(up))
 	for i, d := range up {
 		devInfos[i] = distributor.DeviceInfo{ID: d.ID, Avail: d.Available()}
-		devIDs[i] = d.ID
 	}
 	dsp := parent.Child("distribute", trace.Int("devices", int64(len(up))))
 	stats := &distributor.SearchStats{}
@@ -750,7 +647,7 @@ func (c *Configurator) configureOnce(req Request, handoff bool, parent *trace.Sp
 		Weights:   c.cfg.Weights,
 		Span:      dsp,
 		Stats:     stats,
-		Log:       c.sessionLog(obslog.LevelDebug, "distributor", req.SessionID, parent.TraceContext().TraceID),
+		Log:       x.distributeLog,
 	}
 	place := c.cfg.Place
 	if req.Place != nil {
@@ -758,6 +655,7 @@ func (c *Configurator) configureOnce(req Request, handoff bool, parent *trace.Sp
 	}
 	var assignment distributor.Assignment
 	var cost float64
+	var err error
 	cacheHit := false
 	if req.Place == nil && c.cfg.PlanCache != nil {
 		if a, cc, ok := c.cfg.PlanCache.Lookup(prob); ok {
@@ -771,8 +669,20 @@ func (c *Configurator) configureOnce(req Request, handoff bool, parent *trace.Sp
 			c.cfg.PlanCache.Store(prob, assignment, cost)
 		}
 	}
-	distTime := time.Since(t1)
-	c.recordSearch(dsp, stats, cost, err)
+	// A custom PlaceFunc that does not fill Stats records only the span
+	// timing.
+	if stats.Algorithm != "" {
+		dsp.Set(trace.String("algorithm", stats.Algorithm),
+			trace.Int("explored", stats.Explored),
+			trace.Int("pruned", stats.Pruned),
+			trace.Int("incumbents", stats.Incumbents))
+	}
+	if err != nil {
+		dsp.SetErr(err)
+	} else {
+		dsp.Set(trace.Float("cost", cost))
+	}
+	dsp.End()
 	if att != nil {
 		att.Search = &explain.Search{
 			Algorithm:       stats.Algorithm,
@@ -791,153 +701,46 @@ func (c *Configurator) configureOnce(req Request, handoff bool, parent *trace.Sp
 			att.Search.Cost = cost
 		}
 	}
-	if err != nil {
-		return nil, fmt.Errorf("core: distribution: %w", err)
-	}
+	return prob, assignment, cost, stats.Explored, err
+}
 
-	// --- Admission: reserve device resources and link bandwidth. ---
-	admitSp := parent.Child("admit")
-	loads := prob.DeviceLoads(assignment)
+// admit reserves the session's device loads and link bandwidth, all or
+// nothing: a refusal releases whatever was already claimed.
+func (c *Configurator) admit(up []*device.Device, active *ActiveSession, parent *trace.Span) error {
+	sp := parent.Child("admit")
+	loads, demands := active.loads, active.demands
 	admitted := make([]int, 0, len(up))
-	rollback := func() {
+	reserved := make([][2]device.ID, 0, len(demands))
+	refuse := func(err error, format string) error {
+		for _, pair := range reserved {
+			c.cfg.Links.ReleaseBandwidth(pair[0], pair[1], demands[pair])
+		}
 		for _, i := range admitted {
 			up[i].Release(loads[i])
 		}
+		sp.SetErr(err)
+		sp.End()
+		return fmt.Errorf(format, err)
 	}
 	for i, d := range up {
 		if loads[i].IsZero() {
 			continue
 		}
 		if err := d.Admit(loads[i]); err != nil {
-			rollback()
-			admitSp.SetErr(err)
-			admitSp.End()
-			return nil, fmt.Errorf("core: admission: %w", err)
+			return refuse(err, "core: admission: %w")
 		}
 		admitted = append(admitted, i)
 	}
-	demands := prob.LinkDemands(assignment)
-	reserved := make([][2]device.ID, 0, len(demands))
-	rollbackLinks := func() {
-		for _, pair := range reserved {
-			c.cfg.Links.ReleaseBandwidth(pair[0], pair[1], demands[pair])
-		}
-	}
 	for pair, mbps := range demands {
 		if err := c.cfg.Links.Reserve(pair[0], pair[1], mbps); err != nil {
-			rollbackLinks()
-			rollback()
-			admitSp.SetErr(err)
-			admitSp.End()
-			return nil, fmt.Errorf("core: bandwidth reservation: %w", err)
+			return refuse(err, "core: bandwidth reservation: %w")
 		}
 		reserved = append(reserved, pair)
 	}
-	admitSp.Set(trace.Int("devicesLoaded", int64(len(admitted))),
+	sp.Set(trace.Int("devicesLoaded", int64(len(admitted))),
 		trace.Int("linksReserved", int64(len(reserved))))
-	admitSp.End()
-
-	// --- Dynamic downloading: components missing on their targets. ---
-	dlSp := parent.Child("download")
-	placement := make(map[graph.NodeID]device.ID, g.NodeCount())
-	for id, di := range assignment {
-		placement[id] = devInfos[di].ID
-	}
-	dlTime, err := c.download(g, placement)
-	if err != nil {
-		rollbackLinks()
-		rollback()
-		dlSp.SetErr(err)
-		dlSp.End()
-		return nil, err
-	}
-	dlSp.Set(trace.Float("modeledSeconds", dlTime.Seconds()))
-	dlSp.End()
-
-	// --- Initialization or state handoff. ---
-	// Both a fresh initialization and a resume pay the buffering time for
-	// the first frame (at the start, or at the interruption point).
-	startPos := int64(0)
-	initTime := firstFrameBuffering(g)
-	if st, ok := c.cfg.Checkpoints.Load(req.SessionID); ok && handoff {
-		startPos = st.Position
-	}
-
-	depSp := parent.Child("deploy", trace.Int("startPos", startPos))
-	sess, err := c.cfg.Engine.Deploy(g, placement, startPos, req.MaxFrames)
-	if err != nil {
-		rollbackLinks()
-		rollback()
-		depSp.SetErr(err)
-		depSp.End()
-		return nil, fmt.Errorf("core: deploy: %w", err)
-	}
-	if err := sess.Start(); err != nil {
-		rollbackLinks()
-		rollback()
-		depSp.SetErr(err)
-		depSp.End()
-		return nil, fmt.Errorf("core: start: %w", err)
-	}
-	depSp.End()
-
-	active := &ActiveSession{
-		ID:             req.SessionID,
-		Class:          req.Class,
-		Request:        req,
-		Graph:          g,
-		Placement:      placement,
-		Cost:           cost,
-		Report:         rep,
-		Runtime:        sess,
-		ClientDevice:   req.ClientDevice,
-		SearchExplored: stats.Explored,
-		loads:          loads,
-		devIDs:         devIDs,
-		demands:        demands,
-		Timing: Timing{
-			Composition:   compTime,
-			Distribution:  distTime,
-			Downloading:   dlTime,
-			InitOrHandoff: initTime,
-		},
-	}
-	c.commit(active)
-	return active, nil
-}
-
-// recordSearch finishes the distribution span with the solver's search
-// statistics and feeds the branch-and-bound counters into the metrics
-// registry. A custom PlaceFunc that does not fill Stats records only the
-// span timing.
-func (c *Configurator) recordSearch(dsp *trace.Span, stats *distributor.SearchStats, cost float64, err error) {
-	if stats.Algorithm != "" {
-		dsp.Set(trace.String("algorithm", stats.Algorithm),
-			trace.Int("explored", stats.Explored),
-			trace.Int("pruned", stats.Pruned),
-			trace.Int("incumbents", stats.Incumbents))
-	}
-	if err != nil {
-		dsp.SetErr(err)
-	} else {
-		dsp.Set(trace.Float("cost", cost))
-	}
-	dsp.End()
-	m := c.cfg.Metrics
-	if m == nil {
-		return
-	}
-	switch stats.Algorithm {
-	case "optimal", "optimal-warm":
-		m.Counter(metrics.BnBExplored).Add(stats.Explored)
-		m.Counter(metrics.BnBPruned).Add(stats.Pruned)
-		m.Counter(metrics.BnBIncumbents).Add(stats.Incumbents)
-		if stats.Warm {
-			m.Counter(metrics.WarmSolves).Inc()
-		} else {
-			m.Counter(metrics.ColdSolves).Inc()
-		}
-	}
+	sp.End()
+	return nil
 }
 
 // download fetches every component missing on its target device. Devices
@@ -1042,29 +845,35 @@ func (c *Configurator) SessionIDs() []string {
 
 // Stop terminates a session and releases its resources.
 func (c *Configurator) Stop(sessionID string) error {
+	active, err := c.take(sessionID)
+	if err != nil {
+		return err
+	}
+	c.teardown(active)
+	return nil
+}
+
+// take removes an active session from the registry.
+func (c *Configurator) take(sessionID string) (*ActiveSession, error) {
 	c.mu.Lock()
 	active, ok := c.sessions[sessionID]
-	if ok {
-		delete(c.sessions, sessionID)
-	}
+	delete(c.sessions, sessionID)
 	c.mu.Unlock()
 	if !ok {
-		return fmt.Errorf("core: unknown session %q", sessionID)
+		return nil, fmt.Errorf("core: unknown session %q", sessionID)
 	}
+	return active, nil
+}
+
+// teardown stops a session taken from the registry, releases its
+// resources and checkpoint, and tells the observer it left the space.
+func (c *Configurator) teardown(active *ActiveSession) {
 	active.Runtime.Stop()
 	c.release(active)
-	c.cfg.Checkpoints.Delete(sessionID)
-	if c.cfg.Metrics != nil {
-		c.cfg.Metrics.Gauge(metrics.ActiveSessions).Set(float64(c.Sessions()))
+	c.cfg.Checkpoints.Delete(active.ID)
+	if obs := c.cfg.Observer; obs != nil {
+		obs.Step(active.Request, explain.Record{}, nil, 0, SupervisorStats{})
 	}
-	if m := c.classMeter(metrics.SessionCompletions, active.Class); m != nil {
-		m.Mark(1)
-	}
-	c.cfg.Ledger.RecordStopped(sessionID)
-	if log := c.sessionLog(obslog.LevelInfo, "core", sessionID, active.Request.TraceCtx.TraceID); log != nil {
-		log.Info("session stopped")
-	}
-	return nil
 }
 
 func (c *Configurator) release(active *ActiveSession) {
@@ -1081,37 +890,32 @@ func (c *Configurator) release(active *ActiveSession) {
 	}
 }
 
+// stateSize is the size of the session state checkpointed on a portal
+// device.
+func (c *Configurator) stateSize(portal device.ID) float64 {
+	if c.cfg.StateSizeFor != nil {
+		return c.cfg.StateSizeFor(portal)
+	}
+	return c.cfg.StateSizeMB
+}
+
 // Suspend checkpoints a session at its interruption point, tears it down,
 // releases its resources, and returns the exported state. Unlike
 // Reconfigure, nothing is re-created: the state can be carried to another
 // domain (the user moved to a new location) and resumed there with
-// ResumeFrom.
+// ResumeFrom. To this domain the session has ended as a stop does.
 func (c *Configurator) Suspend(sessionID string) (checkpoint.State, error) {
-	c.mu.Lock()
-	active, ok := c.sessions[sessionID]
-	if ok {
-		delete(c.sessions, sessionID)
-	}
-	c.mu.Unlock()
-	if !ok {
-		return checkpoint.State{}, fmt.Errorf("core: unknown session %q", sessionID)
-	}
-	stateSize := c.cfg.StateSizeMB
-	if c.cfg.StateSizeFor != nil {
-		stateSize = c.cfg.StateSizeFor(active.ClientDevice)
+	active, err := c.take(sessionID)
+	if err != nil {
+		return checkpoint.State{}, err
 	}
 	st := checkpoint.State{
 		SessionID: sessionID,
 		Position:  active.Runtime.Position(),
-		SizeMB:    stateSize,
+		SizeMB:    c.stateSize(active.ClientDevice),
 		SavedAt:   time.Now(),
 	}
-	active.Runtime.Stop()
-	c.release(active)
-	c.cfg.Checkpoints.Delete(sessionID)
-	if c.cfg.Metrics != nil {
-		c.cfg.Metrics.Gauge(metrics.ActiveSessions).Set(float64(c.Sessions()))
-	}
+	c.teardown(active)
 	return st, nil
 }
 
@@ -1127,11 +931,7 @@ func (c *Configurator) ResumeFrom(req Request, st checkpoint.State) (*ActiveSess
 		c.unreserve(req.SessionID)
 		return nil, err
 	}
-	active, err := c.configure(req, true, explain.ActionResume)
-	if err != nil {
-		c.unreserve(req.SessionID)
-	}
-	return active, err
+	return c.run(req, explain.ActionResume, true, 0)
 }
 
 // Recover (re)configures a session as part of self-healing. A session
@@ -1148,18 +948,7 @@ func (c *Configurator) Recover(req Request) (*ActiveSession, error) {
 		return nil, err
 	}
 	_, resuming := c.cfg.Checkpoints.Load(req.SessionID)
-	active, err := c.configure(req, resuming, explain.ActionRecover)
-	if err != nil {
-		c.unreserve(req.SessionID)
-	}
-	return active, err
-}
-
-// Discard drops a session's orphaned recovery state (its checkpoint) after
-// the supervisor gives up on it. Sessions still active must be stopped
-// with Stop instead.
-func (c *Configurator) Discard(sessionID string) {
-	c.cfg.Checkpoints.Delete(sessionID)
+	return c.run(req, explain.ActionRecover, resuming, 0)
 }
 
 // Reconfigure re-runs the configuration model for an existing session —
@@ -1176,7 +965,6 @@ func (c *Configurator) Reconfigure(req Request) (*ActiveSession, error) {
 	if ok {
 		delete(c.sessions, req.SessionID)
 		c.pending[req.SessionID] = true
-		c.publishPendingLocked()
 	}
 	c.mu.Unlock()
 	if !ok {
@@ -1184,21 +972,15 @@ func (c *Configurator) Reconfigure(req Request) (*ActiveSession, error) {
 	}
 
 	// Checkpoint at the interruption point, then tear down.
-	pos := old.Runtime.Position()
-	stateSize := c.cfg.StateSizeMB
-	if c.cfg.StateSizeFor != nil {
-		stateSize = c.cfg.StateSizeFor(old.ClientDevice)
-	}
 	if err := c.cfg.Checkpoints.Save(checkpoint.State{
 		SessionID: req.SessionID,
-		Position:  pos,
-		SizeMB:    stateSize,
+		Position:  old.Runtime.Position(),
+		SizeMB:    c.stateSize(old.ClientDevice),
 	}); err != nil {
 		// Restore bookkeeping: the old session keeps running.
 		c.mu.Lock()
 		delete(c.pending, req.SessionID)
 		c.sessions[req.SessionID] = old
-		c.publishPendingLocked()
 		c.mu.Unlock()
 		return nil, err
 	}
@@ -1206,25 +988,14 @@ func (c *Configurator) Reconfigure(req Request) (*ActiveSession, error) {
 	c.release(old)
 
 	// Transfer the state between the portal devices.
-	var handoffTime time.Duration
+	var transfer time.Duration
 	if old.ClientDevice != "" && req.ClientDevice != "" && old.ClientDevice != req.ClientDevice {
 		d, err := c.cfg.Checkpoints.Handoff(c.cfg.Net, req.SessionID, string(old.ClientDevice), string(req.ClientDevice))
 		if err != nil {
 			c.unreserve(req.SessionID)
 			return nil, fmt.Errorf("core: %w", err)
 		}
-		handoffTime = d
+		transfer = d
 	}
-
-	active, err := c.configure(req, true, explain.ActionReconfigure)
-	if err != nil {
-		c.unreserve(req.SessionID)
-		return nil, err
-	}
-	active.Timing.InitOrHandoff += handoffTime
-	if c.cfg.Metrics != nil {
-		c.cfg.Metrics.Counter(metrics.Handoffs).Inc()
-		c.cfg.Metrics.Histogram(metrics.HandoffTime).Observe(handoffTime)
-	}
-	return active, nil
+	return c.run(req, explain.ActionReconfigure, true, transfer)
 }

@@ -12,7 +12,6 @@ import (
 	"ubiqos/internal/device"
 	"ubiqos/internal/graph"
 	"ubiqos/internal/netsim"
-	"ubiqos/internal/obslog"
 	"ubiqos/internal/qos"
 	"ubiqos/internal/registry"
 	"ubiqos/internal/repository"
@@ -390,45 +389,5 @@ func TestFirstFrameBuffering(t *testing.T) {
 	// means up to 50ms.
 	if active.Timing.InitOrHandoff <= 0 || active.Timing.InitOrHandoff > 60*time.Millisecond {
 		t.Errorf("InitOrHandoff = %v, want ≈1/20s buffering", active.Timing.InitOrHandoff)
-	}
-}
-
-// TestDiscardedLoggingAllocatesNothing pins "disabled logging is free" at
-// the configurator's own call sites: a logger that discards everything
-// below Error must cost a configure+stop exactly what no logger costs —
-// no field slice built for a record nobody reads, no child logger derived
-// to carry it. (A logger at Warn still derives the composer's child, which
-// may warn about missing services.)
-func TestDiscardedLoggingAllocatesNothing(t *testing.T) {
-	f := newFixture(t)
-	records := 0
-	quiet := f.cfg
-	quiet.Log = obslog.New(obslog.LevelError, obslog.FuncSink(func(obslog.Record) { records++ }))
-	logged, err := New(quiet)
-	if err != nil {
-		t.Fatal(err)
-	}
-	req := Request{
-		SessionID:    "audio-1",
-		App:          audioApp(),
-		UserQoS:      qos.V(qos.P(qos.DimFrameRate, qos.Range(35, 45))),
-		ClientDevice: "desktop1",
-	}
-	cost := func(c *Configurator) float64 {
-		return testing.AllocsPerRun(200, func() {
-			if _, err := c.Configure(req); err != nil {
-				t.Fatal(err)
-			}
-			if err := c.Stop(req.SessionID); err != nil {
-				t.Fatal(err)
-			}
-		})
-	}
-	bare, withLog := cost(f.c), cost(logged)
-	if bare != withLog {
-		t.Errorf("configure+stop allocates %.0f times bare and %.0f times under a logger that discards every record", bare, withLog)
-	}
-	if records != 0 {
-		t.Errorf("%d records reached the sink of an Error-level logger on the success path", records)
 	}
 }

@@ -13,8 +13,6 @@ import (
 	"ubiqos/internal/eventbus"
 	"ubiqos/internal/explain"
 	"ubiqos/internal/graph"
-	"ubiqos/internal/metrics"
-	"ubiqos/internal/obslog"
 	"ubiqos/internal/trace"
 )
 
@@ -88,6 +86,12 @@ type SupervisorStats struct {
 	// Lost counts sessions given up on (portal gone, or MaxAttempts
 	// exhausted).
 	Lost int64
+	// Backlog is the number of sessions awaiting recovery.
+	Backlog int
+	// WarmSpeedup is the explored-node ratio of the last warm recovery
+	// that measured one: the solve that produced the incumbent over the
+	// warm re-solve (0 until then).
+	WarmSpeedup float64
 }
 
 // recoveryTask tracks one broken session through its retry schedule.
@@ -186,18 +190,13 @@ func (s *Supervisor) Stop() {
 	<-s.exited
 }
 
-// Stats returns a snapshot of the lifetime counters.
+// Stats returns a snapshot of the lifetime counters and the backlog.
 func (s *Supervisor) Stats() SupervisorStats {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.stats
-}
-
-// Backlog returns the number of sessions currently awaiting recovery.
-func (s *Supervisor) Backlog() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.tasks)
+	st := s.stats
+	st.Backlog = len(s.tasks)
+	return st
 }
 
 // AwaitIdle blocks until the supervisor has no queued events and no
@@ -301,7 +300,6 @@ func (s *Supervisor) scan(at time.Time) {
 		}
 		s.enqueue(sid, active.Request, dev, reason, at)
 	}
-	s.gauge()
 }
 
 // diagnose reports whether the session's current placement is still
@@ -333,11 +331,11 @@ func (s *Supervisor) diagnose(active *ActiveSession) (device.ID, string, bool) {
 
 func (s *Supervisor) enqueue(sid string, req Request, dev device.ID, reason string, at time.Time) {
 	s.mu.Lock()
-	defer s.mu.Unlock()
 	if t, ok := s.tasks[sid]; ok {
 		// Already being recovered; refresh the trigger but keep the
 		// attempt counter and schedule.
 		t.dev, t.reason = dev, reason
+		s.mu.Unlock()
 		return
 	}
 	// A session recovered degraded carries a shed request; recover from
@@ -367,15 +365,17 @@ func (s *Supervisor) enqueue(sid string, req Request, dev device.ID, reason stri
 		task.prevExplored = active.SearchExplored
 	}
 	s.tasks[sid] = task
-	s.c.cfg.Ledger.RecordBroken(sid, reason)
-	s.logFor(sid, req).Warn("recovery queued",
-		obslog.String("reason", reason), obslog.String("device", string(dev)))
+	s.mu.Unlock()
+	s.report(req, &explain.LadderStep{Reason: reason, Outcome: "broken", Detail: string(dev)}, "", nil, 0)
 }
 
-// logFor returns the supervisor's logger bound to a session and its
-// propagated trace ID.
-func (s *Supervisor) logFor(sid string, req Request) *obslog.Logger {
-	return s.c.cfg.Log.Named("core.supervisor").ForSession(sid, req.TraceCtx.TraceID)
+// report hands one recovery-ladder step to the configurator's observer
+// with the supervisor's counters after it.
+func (s *Supervisor) report(req Request, step *explain.LadderStep, traceID string, tr *trace.Trace, down time.Duration) {
+	if obs := s.c.cfg.Observer; obs != nil {
+		rec := explain.Record{Session: req.SessionID, TraceID: traceID, Action: explain.ActionRecoveryStep, Ladder: step}
+		obs.Step(req, rec, tr, down, s.Stats())
+	}
 }
 
 // process runs every due recovery task once.
@@ -392,7 +392,6 @@ func (s *Supervisor) process() {
 	for _, t := range due {
 		s.attempt(t)
 	}
-	s.gauge()
 }
 
 // attempt runs one recovery for the task, deciding between full-quality
@@ -404,31 +403,24 @@ func (s *Supervisor) attempt(t *recoveryTask) {
 	if active := s.c.Session(t.sessionID); active != nil {
 		if _, _, broken := s.diagnose(active); !broken {
 			s.finish(t.sessionID)
+			s.report(t.req, &explain.LadderStep{Attempt: t.attempts, Reason: t.reason, Outcome: "healed"}, "", nil, 0)
 			return
 		}
 	}
 	// A lost portal cannot be healed by re-placement: only the user can
 	// pick a new portal device.
 	if d := s.c.cfg.Devices.Get(t.req.ClientDevice); d == nil || !d.Up() {
-		s.giveUp(t, "portal device left the smart space")
+		s.giveUp(t, "portal device left the smart space", nil)
 		return
 	}
 
 	degraded := t.attempts >= s.opts.DegradeAfter || time.Since(t.firstSeen) > s.opts.Deadline
 	req := t.req
-	var shed []string
-	fallback := ""
-	warm := false
+	step := &explain.LadderStep{Attempt: t.attempts + 1, Reason: t.reason, Degraded: degraded}
 	if degraded {
 		req.Place = distributor.Heuristic
-		fallback = "heuristic"
-		for _, n := range req.App.Nodes() {
-			if n.Optional {
-				shed = append(shed, string(n.ID))
-			}
-		}
-		sort.Strings(shed)
-		req.App = shedOptional(req.App)
+		step.PlacementFallback = "heuristic"
+		req.App, step.Shed = ShedOptional(req.App)
 		t.degraded = true
 	} else if t.incumbent != nil {
 		// Full-quality rung: warm-start the exact solver from the broken
@@ -439,73 +431,51 @@ func (s *Supervisor) attempt(t *recoveryTask) {
 		req.Place = func(p *distributor.Problem) (distributor.Assignment, float64, error) {
 			return distributor.OptimalWarm(p, inc)
 		}
-		fallback = "optimal-warm"
-		warm = true
+		step.PlacementFallback = "optimal-warm"
+		step.Warm = true
 	}
 
-	log := s.logFor(t.sessionID, t.req)
-	tr := s.c.cfg.Tracer.StartCtx(t.req.TraceCtx, "recover", t.sessionID,
-		trace.Int("attempt", int64(t.attempts+1)),
-		trace.Bool("degraded", degraded),
-		trace.String("reason", t.reason))
-	s.count(func(st *SupervisorStats) { st.Attempts++ }, metrics.RecoveryAttempts)
-	log.Info("recovery attempt",
-		obslog.Int("attempt", int64(t.attempts+1)),
-		obslog.Bool("degraded", degraded),
-		obslog.String("reason", t.reason))
-	_, err := s.c.Recover(req)
+	var tr *trace.Trace
+	traceID := ""
+	if obs := s.c.cfg.Observer; obs != nil {
+		tr, _, _ = obs.Begin(t.req, explain.Record{Session: t.sessionID, Action: explain.ActionRecoveryStep, Ladder: step})
+		traceID = tr.Context().TraceID
+	}
+	s.mu.Lock()
+	s.stats.Attempts++
+	s.mu.Unlock()
+	active, err := s.c.Recover(req)
 	tr.Root().SetErr(err)
 	tr.Finish()
-	s.c.cfg.Flight.RecordTrace(tr.Export())
 
 	if err == nil {
-		s.count(func(st *SupervisorStats) { st.Recovered++ }, metrics.SessionsRecovered)
-		restored := false
+		s.mu.Lock()
+		s.stats.Recovered++
 		if degraded {
-			s.count(func(st *SupervisorStats) { st.Degraded++ }, metrics.RecoveriesDegraded)
-			s.mu.Lock()
+			s.stats.Degraded++
 			s.degraded[t.sessionID] = t.req
-			s.mu.Unlock()
 		} else {
 			// A full-quality recovery of a session previously recovered
 			// degraded is a restoration: the original request (optionals
 			// included) is running again.
-			s.mu.Lock()
-			_, restored = s.degraded[t.sessionID]
+			_, step.Restored = s.degraded[t.sessionID]
 			delete(s.degraded, t.sessionID)
-			s.mu.Unlock()
-			if restored {
-				s.count(func(st *SupervisorStats) { st.Restored++ }, metrics.SessionsRestored)
+			if step.Restored {
+				s.stats.Restored++
 			}
 		}
-		s.c.cfg.Ledger.RecordRecovered(t.sessionID, time.Since(t.firstSeen), degraded, shed, fallback)
-		var seedCost float64
-		if warm {
-			seedCost = t.incumbent.Cost
+		if step.Warm && t.prevExplored > 0 && active.SearchExplored > 0 {
+			s.stats.WarmSpeedup = float64(t.prevExplored) / float64(active.SearchExplored)
 		}
-		if m := s.c.cfg.Metrics; m != nil {
-			m.Histogram(metrics.RecoveryLatency).Observe(time.Since(t.firstSeen))
-			if warm && t.prevExplored > 0 {
-				if active := s.c.Session(t.sessionID); active != nil && active.SearchExplored > 0 {
-					m.Gauge(metrics.WarmSpeedup).Set(float64(t.prevExplored) / float64(active.SearchExplored))
-				}
-			}
+		delete(s.tasks, t.sessionID)
+		s.mu.Unlock()
+		if step.Warm {
+			step.SeedCost = t.incumbent.Cost
 		}
-		log.Info("session recovered",
-			obslog.Bool("degraded", degraded),
-			obslog.Bool("warm", warm),
-			obslog.Duration("downMs", time.Since(t.firstSeen)))
-		if restored {
-			log.Info("session restored to full QoS")
-		}
-		s.recordLadder(t.sessionID, tr.Context().TraceID, explain.LadderStep{
-			Attempt: t.attempts + 1, Reason: t.reason, Degraded: degraded,
-			Shed: shed, PlacementFallback: fallback, Outcome: "recovered",
-			Warm: warm, SeedCost: seedCost, Restored: restored,
-		})
-		s.finish(t.sessionID)
+		step.Outcome = "recovered"
+		s.report(t.req, step, traceID, tr, time.Since(t.firstSeen))
 		s.opts.Bus.Publish(eventbus.TopicSessionRecovered, t.sessionID)
-		if restored {
+		if step.Restored {
 			s.opts.Bus.Publish(eventbus.TopicSessionRestored, t.sessionID)
 		}
 		return
@@ -513,37 +483,18 @@ func (s *Supervisor) attempt(t *recoveryTask) {
 
 	t.attempts++
 	if t.attempts >= s.opts.MaxAttempts {
-		s.giveUp(t, fmt.Sprintf("no feasible placement after %d attempts: %v", t.attempts, err))
+		s.giveUp(t, fmt.Sprintf("no feasible placement after %d attempts: %v", t.attempts, err), tr)
 		return
 	}
 	backoff := s.backoff(t.attempts)
 	t.due = time.Now().Add(backoff)
-	s.count(func(st *SupervisorStats) { st.Retries++ }, metrics.RecoveryRetries)
-	log.Warn("recovery retry scheduled",
-		obslog.Int("attempt", int64(t.attempts)),
-		obslog.Duration("backoffMs", backoff),
-		obslog.Err(err))
-	s.recordLadder(t.sessionID, tr.Context().TraceID, explain.LadderStep{
-		Attempt: t.attempts, Reason: t.reason, Degraded: degraded,
-		Shed: shed, PlacementFallback: fallback, Outcome: "retry",
-		Warm:      warm,
-		BackoffMs: float64(backoff) / float64(time.Millisecond),
-		Detail:    err.Error(),
-	})
-}
-
-// recordLadder publishes one recovery-ladder decision on the session's
-// provenance timeline.
-func (s *Supervisor) recordLadder(sid, traceID string, step explain.LadderStep) {
-	if s.c.cfg.Explain == nil {
-		return
-	}
-	s.c.cfg.Explain.Record(explain.Record{
-		Session: sid,
-		TraceID: traceID,
-		Action:  explain.ActionRecoveryStep,
-		Ladder:  &step,
-	})
+	s.mu.Lock()
+	s.stats.Retries++
+	s.mu.Unlock()
+	step.Outcome = "retry"
+	step.BackoffMs = float64(backoff) / float64(time.Millisecond)
+	step.Detail = err.Error()
+	s.report(t.req, step, traceID, tr, 0)
 }
 
 // backoff returns base·2^(attempt-1) capped at MaxBackoff, plus up to 50%
@@ -564,26 +515,25 @@ func (s *Supervisor) backoff(attempt int) time.Duration {
 
 // giveUp abandons the session: whatever is left of it is stopped, its
 // checkpoint discarded, and the user notified that intervention is needed.
-func (s *Supervisor) giveUp(t *recoveryTask, reason string) {
-	// Settle the ledger before Stop: Stop's RecordStopped hook would
-	// otherwise finalize the session as completed and the lost verdict
-	// would land on an already-folded record.
-	s.c.cfg.Ledger.RecordLost(t.sessionID, reason)
+// tr is the trace of the attempt that exhausted the budget, if one ran.
+func (s *Supervisor) giveUp(t *recoveryTask, reason string, tr *trace.Trace) {
+	s.mu.Lock()
+	delete(s.tasks, t.sessionID)
+	delete(s.degraded, t.sessionID)
+	s.stats.Lost++
+	s.mu.Unlock()
+	// Report the loss before Stop reports a stop, so the session's
+	// account ends lost rather than completed.
+	s.report(t.req, &explain.LadderStep{
+		Attempt: t.attempts, Reason: t.reason, Degraded: t.degraded,
+		Outcome: "lost", Detail: reason,
+	}, t.req.TraceCtx.TraceID, tr, 0)
 	if s.c.Session(t.sessionID) != nil {
 		_ = s.c.Stop(t.sessionID)
 	} else {
-		s.c.Discard(t.sessionID)
+		// Drop the orphaned recovery state (its checkpoint).
+		s.c.cfg.Checkpoints.Delete(t.sessionID)
 	}
-	s.finish(t.sessionID)
-	s.mu.Lock()
-	delete(s.degraded, t.sessionID)
-	s.mu.Unlock()
-	s.count(func(st *SupervisorStats) { st.Lost++ }, metrics.SessionsLost)
-	s.logFor(t.sessionID, t.req).Error("session lost", obslog.String("reason", reason))
-	s.recordLadder(t.sessionID, t.req.TraceCtx.TraceID, explain.LadderStep{
-		Attempt: t.attempts, Reason: t.reason, Degraded: t.degraded,
-		Outcome: "lost", Detail: reason,
-	})
 	s.opts.Bus.Publish(eventbus.TopicUserNotification, SessionLostNotice{
 		SessionID: t.sessionID,
 		Device:    t.dev,
@@ -597,24 +547,26 @@ func (s *Supervisor) finish(sid string) {
 	s.mu.Unlock()
 }
 
-func (s *Supervisor) count(apply func(*SupervisorStats), counter string) {
-	s.mu.Lock()
-	apply(&s.stats)
-	s.mu.Unlock()
-	if m := s.c.cfg.Metrics; m != nil {
-		m.Counter(counter).Inc()
+// ShedOptional strips optional services from an abstract graph — the
+// degraded-mode trade: keep the mandatory pipeline alive rather than fail
+// to place the enhanced one. It returns the stripped graph and the sorted
+// IDs of the components it dropped.
+func ShedOptional(app *composer.AbstractGraph) (*composer.AbstractGraph, []string) {
+	if app == nil {
+		return nil, nil
 	}
-}
-
-func (s *Supervisor) gauge() {
-	if m := s.c.cfg.Metrics; m != nil {
-		m.Gauge(metrics.RecoveryBacklog).Set(float64(s.Backlog()))
+	var shed []string
+	for _, n := range app.Nodes() {
+		if n.Optional {
+			shed = append(shed, string(n.ID))
+		}
 	}
+	sort.Strings(shed)
+	return shedOptional(app), shed
 }
 
 // shedOptional strips optional services (and their edges) from an
-// abstract graph — the degraded-mode trade: keep the mandatory pipeline
-// alive rather than fail to place the enhanced one.
+// abstract graph, returning it unchanged when it has none.
 func shedOptional(app *composer.AbstractGraph) *composer.AbstractGraph {
 	if app == nil {
 		return nil

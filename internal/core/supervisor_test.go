@@ -29,7 +29,7 @@ func newSuperFixture(t *testing.T) *superFixture {
 	t.Helper()
 	f := newFixture(t)
 	met := metrics.NewRegistry()
-	f.cfg.Metrics = met
+	f.cfg.Observer = &recorder{met: met}
 	c, err := New(f.cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -362,7 +362,7 @@ func TestShedOptional(t *testing.T) {
 func TestSupervisorRestoredAfterDegradedRecovery(t *testing.T) {
 	f := newFixture(t)
 	met := metrics.NewRegistry()
-	f.cfg.Metrics = met
+	f.cfg.Observer = &recorder{met: met}
 	c, err := New(f.cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -25,7 +25,7 @@ func TestSupervisorWarmRecovery(t *testing.T) {
 	// audit the decision trail.
 	rec := explain.New(explain.Options{})
 	f.cfg.Place = distributor.Optimal
-	f.cfg.Explain = rec
+	f.cfg.Observer = &recorder{met: f.met, explain: rec}
 	c, err := New(f.cfg)
 	if err != nil {
 		t.Fatal(err)

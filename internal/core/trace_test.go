@@ -37,7 +37,7 @@ func firstNamed(td *trace.TraceData, name string) *trace.SpanData {
 // counters.
 func TestConfigureTrace(t *testing.T) {
 	f := newFixture(t)
-	f.cfg.Tracer = trace.NewTracer(8)
+	f.cfg.Observer = &recorder{tracer: trace.NewTracer(8)}
 	f.cfg.Place = distributor.Optimal
 	c, err := New(f.cfg)
 	if err != nil {
@@ -53,7 +53,7 @@ func TestConfigureTrace(t *testing.T) {
 	}
 	defer c.Stop("traced-1")
 
-	td := f.cfg.Tracer.Find("traced-1")
+	td := f.cfg.Observer.(*recorder).tracer.Find("traced-1")
 	if td == nil {
 		t.Fatal("no trace recorded for the session")
 	}
@@ -114,7 +114,7 @@ func TestConfigureTrace(t *testing.T) {
 // finished trace with the error on the root span.
 func TestConfigureTraceFailure(t *testing.T) {
 	f := newFixture(t)
-	f.cfg.Tracer = trace.NewTracer(8)
+	f.cfg.Observer = &recorder{tracer: trace.NewTracer(8)}
 	c, err := New(f.cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -126,7 +126,7 @@ func TestConfigureTraceFailure(t *testing.T) {
 	}); err == nil {
 		t.Fatal("configure on unknown portal should fail")
 	}
-	td := f.cfg.Tracer.Find("doomed-1")
+	td := f.cfg.Observer.(*recorder).tracer.Find("doomed-1")
 	if td == nil {
 		t.Fatal("failed configure must still record a trace")
 	}
@@ -135,18 +135,25 @@ func TestConfigureTraceFailure(t *testing.T) {
 	}
 }
 
-// TestConfigureUntraced: a nil tracer stays a no-op end to end.
+// TestConfigureUntraced: an observer that opens no trace stays a no-op
+// end to end.
 func TestConfigureUntraced(t *testing.T) {
 	f := newFixture(t)
-	if _, err := f.c.Configure(Request{
+	obs := &recorder{}
+	f.cfg.Observer = obs
+	c, err := New(f.cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Configure(Request{
 		SessionID:    "plain-1",
 		App:          audioApp(),
 		ClientDevice: "desktop1",
 	}); err != nil {
 		t.Fatal(err)
 	}
-	defer f.c.Stop("plain-1")
-	if f.cfg.Tracer.Len() != 0 {
-		t.Error("nil tracer must record nothing")
+	defer c.Stop("plain-1")
+	if fin := obs.lastFinished(); fin.traced || fin.err != "" {
+		t.Errorf("finished record %+v, want an untraced success", fin)
 	}
 }

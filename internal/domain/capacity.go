@@ -122,8 +122,8 @@ func (d *Domain) sampleCapacity(now time.Time) {
 		cs := capacity.ClassStatus{
 			Class:          class,
 			Active:         n,
-			ArrivalRate:    d.Metrics.Meter(metrics.WithLabel(metrics.SessionArrivals, "class", class)).EWMA(),
-			CompletionRate: d.Metrics.Meter(metrics.WithLabel(metrics.SessionCompletions, "class", class)).EWMA(),
+			ArrivalRate:    d.classMeter(metrics.SessionArrivals, class).EWMA(),
+			CompletionRate: d.classMeter(metrics.SessionCompletions, class).EWMA(),
 		}
 		d.Capacity.Record(metrics.WithLabel(metrics.SessionsByClass, "class", class), now, float64(n))
 		in.Classes = append(in.Classes, cs)
@@ -139,6 +139,7 @@ func (d *Domain) sampleCapacity(now time.Time) {
 	d.Metrics.Gauge(metrics.SpaceHeadroom).Set(rep.SpaceHeadroom)
 	d.Capacity.Record(metrics.SpaceHeadroom, now, rep.SpaceHeadroom)
 	d.Capacity.Record(metrics.SaturationState, now, float64(rep.Space))
+	d.Metrics.Gauge(metrics.ConfigPending).Set(float64(in.QueueDepth))
 	d.Capacity.Record(metrics.ConfigPending, now, float64(in.QueueDepth))
 	d.Capacity.Record(metrics.ActiveSessions, now, float64(d.Configurator.Sessions()))
 

@@ -153,6 +153,10 @@ type Domain struct {
 	tapCancel    func()
 	ledgerCancel func()
 
+	// classMeters memoizes the per-class meters (see classMeter).
+	metersMu    sync.Mutex
+	classMeters map[[2]string]*metrics.Meter
+
 	mu       sync.Mutex
 	parent   *Domain
 	children map[string]*Domain
@@ -192,6 +196,7 @@ func New(name string, opts Options) (*Domain, error) {
 		Tracer:      trace.NewTracer(traceCapacity),
 		Flight:      flight.New(flight.Options{}),
 		Explain:     explain.New(explain.Options{}),
+		classMeters: make(map[[2]string]*metrics.Meter),
 		children:    make(map[string]*Domain),
 	}
 	d.Ledger = ledger.New(ledger.Options{Metrics: d.Metrics})
@@ -236,12 +241,7 @@ func New(name string, opts Options) (*Domain, error) {
 		Place:          opts.Place,
 		PlanCache:      d.PlanCache,
 		Profiler:       d.Profiler,
-		Metrics:        d.Metrics,
-		Tracer:         d.Tracer,
-		Log:            d.Log,
-		Flight:         d.Flight,
-		Explain:        d.Explain,
-		Ledger:         d.Ledger,
+		Observer:       observer{d},
 	}
 	cfg, err := core.New(ccfg)
 	if err != nil {
@@ -259,7 +259,7 @@ func New(name string, opts Options) (*Domain, error) {
 	}
 	// The outcome ledger taps the session lifecycle topics losslessly
 	// too, so stops and losses land in the accounting even when a code
-	// path bypasses the configurator/supervisor hooks.
+	// path bypasses the domain's observer.
 	d.ledgerCancel, err = d.Ledger.Tap(d.Bus, d.resolveFlightSessions)
 	if err != nil {
 		return nil, err
@@ -725,10 +725,9 @@ func (d *Domain) configureBurn() float64 {
 }
 
 // EnableAdmissionGate builds the saturation-aware admission gate over
-// this domain's capacity signals and installs it on the configurator.
-// The gate's signals are closures over d, so nothing is evaluated until
-// the first Configure. Call before serving traffic: the configurator
-// reads the gate un-synchronized on the configure path.
+// this domain's capacity signals and puts it in front of StartApp. The
+// gate's signals are closures over d, so nothing is evaluated until the
+// first start.
 func (d *Domain) EnableAdmissionGate(policies map[string]admission.ClassPolicy, def *admission.ClassPolicy) *admission.Gate {
 	g := admission.New(admission.Options{
 		Signals: admission.Signals{
@@ -739,12 +738,11 @@ func (d *Domain) EnableAdmissionGate(policies map[string]admission.ClassPolicy, 
 		Default:  def,
 		Metrics:  d.Metrics,
 	})
-	// The sampler goroutine reads d.Admission through admissionGate, so
-	// the late-bound assignment needs the same lock.
+	// StartApp and the sampler goroutine read d.Admission through
+	// admissionGate, so the late-bound assignment needs the same lock.
 	d.repMu.Lock()
 	d.Admission = g
 	d.repMu.Unlock()
-	d.Configurator.SetAdmission(g)
 	return g
 }
 
@@ -772,8 +770,7 @@ func (d *Domain) EnableAutoscaler(opts autoscale.Options, specs ...autoscale.Gro
 		Signals: autoscale.Signals{
 			Report: func() capacity.Report { return d.SaturationReport() },
 			Arrivals: func(class string) int64 {
-				name := metrics.WithLabel(metrics.SessionArrivals, "class", class)
-				return d.Metrics.Meter(name).Total()
+				return d.classMeter(metrics.SessionArrivals, class).Total()
 			},
 		},
 		Metrics: d.Metrics,
@@ -813,8 +810,18 @@ type MissingServiceNotice struct {
 // StartApp configures and starts an application session, announcing it on
 // the event bus. When composition fails because mandatory services are
 // missing, the event service notifies the user (paper §3.2) before the
-// error is returned.
+// error is returned. With the admission gate enabled a new session passes
+// it first (see admit); Reconfigure, Recover and ResumeFrom bypass it:
+// saturation throttles new arrivals, never sessions the space has
+// already committed to.
 func (d *Domain) StartApp(req core.Request) (*core.ActiveSession, error) {
+	// An ID already in use is no arrival: Configure refuses it.
+	if g := d.admissionGate(); g != nil && req.SessionID != "" && d.Configurator.Session(req.SessionID) == nil {
+		var err error
+		if req, err = d.admit(g, req); err != nil {
+			return nil, err
+		}
+	}
 	active, err := d.Configurator.Configure(req)
 	if err != nil {
 		var miss *composer.MissingServiceError
@@ -828,6 +835,50 @@ func (d *Domain) StartApp(req core.Request) (*core.ActiveSession, error) {
 	}
 	d.Bus.Publish(eventbus.TopicSessionStarted, req.SessionID)
 	return active, nil
+}
+
+// admit consults the admission gate for a new session. A rejected request
+// comes back with *admission.RejectedError (carrying the retry-after
+// hint); a degraded admission comes back with optional components shed
+// and heuristic placement — the recovery ladder's shed rung applied at
+// admission time. Either way the decision lands on the ledger, the
+// session's provenance timeline, and the log.
+func (d *Domain) admit(g *admission.Gate, req core.Request) (core.Request, error) {
+	req.Class = d.Configurator.Class(req)
+	dec := g.Admit(req.Class)
+	d.Ledger.RecordAdmission(req.SessionID, dec.Class, string(dec.Verdict), dec.Reason)
+	if dec.Verdict == admission.Admit {
+		return req, nil
+	}
+	xd := &explain.AdmissionDecision{
+		Verdict:      string(dec.Verdict),
+		State:        dec.StateStr,
+		Escalated:    dec.Escalated,
+		SLOBurn:      dec.SLOBurn,
+		Reason:       dec.Reason,
+		RetryAfterMs: dec.RetryAfterMs,
+	}
+	xr := explain.Record{Session: req.SessionID, Action: explain.ActionAdmission, Admission: xd}
+	var err error
+	msg := "admission degraded"
+	if dec.Verdict == admission.Reject {
+		// The request never reaches the pipeline's own arrival mark, so
+		// record the offered load here — the autoscaler's demand signal
+		// must see rejected arrivals too.
+		d.classMeter(metrics.SessionArrivals, dec.Class).Mark(1)
+		err = &admission.RejectedError{Decision: dec}
+		xr.Err, msg = err.Error(), "admission rejected"
+	} else {
+		req.App, xd.Shed = core.ShedOptional(req.App)
+		if req.Place == nil {
+			req.Place = distributor.Heuristic
+		}
+	}
+	d.Explain.Record(xr)
+	if log := (observer{d}).sessionLog(obslog.LevelInfo, "core", req.SessionID, ""); log != nil {
+		log.Info(msg, obslog.String("class", dec.Class), obslog.String("reason", dec.Reason))
+	}
+	return req, err
 }
 
 // StopApp stops a session and announces it.

@@ -7,6 +7,7 @@ import (
 
 	"ubiqos/internal/core"
 	"ubiqos/internal/device"
+	"ubiqos/internal/ledger"
 	"ubiqos/internal/netsim"
 	"ubiqos/internal/qos"
 	"ubiqos/internal/resource"
@@ -42,6 +43,10 @@ func TestMigrateAcrossDomains(t *testing.T) {
 	}
 	if home.Configurator.Session("music") == nil {
 		t.Error("session not active in the target domain")
+	}
+	// To the origin the session has ended: suspended away, not running on.
+	if rep, ok := office.Ledger.Report("music"); !ok || rep.Outcome != ledger.OutcomeCompleted || rep.Ended == nil {
+		t.Errorf("origin ledger report = %+v, want a completed session", rep)
 	}
 	if active.ClientDevice != "home-desktop1" {
 		t.Errorf("portal = %s", active.ClientDevice)

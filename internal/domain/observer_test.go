@@ -1,0 +1,171 @@
+package domain
+
+import (
+	"os"
+	"os/exec"
+	"testing"
+	"time"
+
+	"ubiqos/internal/core"
+	"ubiqos/internal/device"
+	"ubiqos/internal/ledger"
+	"ubiqos/internal/metrics"
+	"ubiqos/internal/obslog"
+	"ubiqos/internal/qos"
+	"ubiqos/internal/resource"
+)
+
+// TestSwitchDeviceObservesOneConfigureSample pins the Figure 4 histograms
+// to the returned timing: a PC→PDA switch adds one sample to each, equal
+// to the session's Timing with the state transfer folded in, and the
+// ledger's configure latency is the same total.
+func TestSwitchDeviceObservesOneConfigureSample(t *testing.T) {
+	d := newSpace(t)
+	if _, err := d.StartApp(core.Request{SessionID: "a1", App: audioApp(), ClientDevice: "desktop1"}); err != nil {
+		t.Fatal(err)
+	}
+	handoff := d.Metrics.Histogram(metrics.HandoffTime)
+	configure := d.Metrics.Histogram(metrics.ConfigureTime)
+	n0, h0, c0 := handoff.Count(), handoff.Sum(), configure.Sum()
+
+	active, err := d.SwitchDevice("a1", "pda1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.StopApp("a1")
+	if active.Timing.InitOrHandoff < 100*time.Millisecond {
+		t.Fatalf("InitOrHandoff = %v, want the PC→PDA state transfer in it", active.Timing.InitOrHandoff)
+	}
+	if n := handoff.Count() - n0; n != 1 {
+		t.Errorf("%s gained %d samples, want 1", metrics.HandoffTime, n)
+	}
+	if got := handoff.Sum() - h0; got != active.Timing.InitOrHandoff {
+		t.Errorf("%s gained %v, session reports %v", metrics.HandoffTime, got, active.Timing.InitOrHandoff)
+	}
+	if got := configure.Sum() - c0; got != active.Timing.Total() {
+		t.Errorf("%s gained %v, session reports %v", metrics.ConfigureTime, got, active.Timing.Total())
+	}
+	rep, ok := d.Ledger.Report("a1")
+	if want := float64(active.Timing.Total()) / float64(time.Millisecond); !ok || rep.LastConfigureMs != want {
+		t.Errorf("ledger last configure %vms, session reports %vms", rep.LastConfigureMs, want)
+	}
+}
+
+// TestSupervisorStepsReachDomain: a recovery driven by the supervisor
+// lands on the domain's metrics, ledger, and provenance timeline.
+func TestSupervisorStepsReachDomain(t *testing.T) {
+	d := newSpace(t)
+	sup, err := core.NewSupervisor(d.Configurator, core.SupervisorOptions{Bus: d.Bus, BaseBackoff: time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sup.Stop()
+	if _, err := d.StartApp(core.Request{SessionID: "a1", App: audioApp(), ClientDevice: "pda1",
+		UserQoS: qos.V(qos.P(qos.DimFrameRate, qos.Range(30, 44)))}); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.FailDevice(d.Configurator.Session("a1").Placement["server"]); err != nil {
+		t.Fatal(err)
+	}
+	if !sup.AwaitIdle(5 * time.Second) {
+		t.Fatal("supervisor did not settle")
+	}
+	m := d.Metrics
+	if v := m.Counter(metrics.SessionsRecovered).Value(); v != 1 {
+		t.Errorf("%s = %d, want 1", metrics.SessionsRecovered, v)
+	}
+	if v := m.Counter(metrics.RecoveryAttempts).Value(); v != sup.Stats().Attempts {
+		t.Errorf("%s = %d, supervisor counted %d", metrics.RecoveryAttempts, v, sup.Stats().Attempts)
+	}
+	if n := m.Histogram(metrics.RecoveryLatency).Count(); n != 1 {
+		t.Errorf("%s samples = %d, want 1", metrics.RecoveryLatency, n)
+	}
+	if v, ok := m.Gauge(metrics.RecoveryBacklog).Value(); !ok || v != 0 {
+		t.Errorf("%s = %v (set=%v), want 0", metrics.RecoveryBacklog, v, ok)
+	}
+	if rep, ok := d.Ledger.Report("a1"); !ok || rep.Outcome != ledger.OutcomeRunning || rep.Recoveries != 1 {
+		t.Errorf("ledger report = %+v, want one recovery of a running session", rep)
+	}
+	recovered := false
+	for _, r := range d.Explain.Records("a1") {
+		recovered = recovered || (r.Ladder != nil && r.Ladder.Outcome == "recovered")
+	}
+	if !recovered {
+		t.Error("no recovered ladder step on the provenance timeline")
+	}
+	if err := d.StopApp("a1"); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestDiscardedLoggingAllocatesNothing pins "disabled logging is free"
+// where the configurator's log lines are written: a domain logger that
+// discards everything below Error must cost a configure+stop exactly what
+// no logger costs — no field slice built for a record nobody reads, no
+// child logger derived to carry it. (A logger at Warn still derives the
+// composer's child, which may warn about missing services.)
+//
+// testing.AllocsPerRun counts the allocations of every goroutine, and the
+// sessions other tests leave streaming would count against either run, so
+// the measurement runs in a fresh process of its own.
+func TestDiscardedLoggingAllocatesNothing(t *testing.T) {
+	const child = "UBIQOS_ALLOC_CHILD"
+	if os.Getenv(child) == "" {
+		cmd := exec.Command(os.Args[0], "-test.run=^TestDiscardedLoggingAllocatesNothing$", "-test.count=1")
+		cmd.Env = append(os.Environ(), child+"=1")
+		if out, err := cmd.CombinedOutput(); err != nil {
+			t.Fatalf("%v\n%s", err, out)
+		}
+		return
+	}
+	// A real-time space with one desktop: no frame is due, and no sampler
+	// pass runs, while a measured configure+stop is in flight.
+	d, err := New("quiet", Options{Scale: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	d.Capacity.Stop()
+	if _, err := d.AddDevice("desktop1", device.ClassDesktop, resource.MB(256, 100), map[string]string{"platform": "pc"}); err != nil {
+		t.Fatal(err)
+	}
+	catalog := newSpace(t)
+	catalog.Capacity.Stop()
+	for _, inst := range catalog.Registry.All() {
+		d.Registry.MustRegister(inst)
+		d.Repo.MarkInstalled("desktop1", inst.Name)
+	}
+	records := 0
+	quiet := obslog.New(obslog.LevelError, obslog.FuncSink(func(obslog.Record) { records++ }))
+	req := core.Request{
+		SessionID:    "audio-1",
+		App:          audioApp(),
+		UserQoS:      qos.V(qos.P(qos.DimFrameRate, qos.Range(35, 45))),
+		ClientDevice: "desktop1",
+	}
+	// The mean allocations of one configure+stop. The provenance and
+	// ledger rings reallocate every so many records, so two runs' means
+	// differ by a fraction of an allocation even when no record is built.
+	const runs = 400
+	cost := func(log *obslog.Logger) float64 {
+		d.Log = log
+		return float64(testing.AllocsPerRun(1, func() {
+			for i := 0; i < runs; i++ {
+				if _, err := d.Configurator.Configure(req); err != nil {
+					t.Fatal(err)
+				}
+				if err := d.Configurator.Stop(req.SessionID); err != nil {
+					t.Fatal(err)
+				}
+			}
+		})) / runs
+	}
+	cost(nil) // fills the trace and provenance rings, whose growth the first run would pay
+	bare, withLog := cost(nil), cost(quiet)
+	if withLog-bare >= 0.5 {
+		t.Errorf("configure+stop allocates %.2f times bare and %.2f times under a logger that discards every record", bare, withLog)
+	}
+	if records != 0 {
+		t.Errorf("%d records reached the sink of an Error-level logger on the success path", records)
+	}
+}

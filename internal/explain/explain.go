@@ -143,11 +143,12 @@ type LadderStep struct {
 	// degraded session back to its original request (recovered outcome
 	// only).
 	Restored bool `json:"restored,omitempty"`
-	// Outcome is "recovered", "retry", or "lost".
+	// Outcome is "recovered", "retry", or "lost" ("broken" and "healed"
+	// steps reach only the configurator's observer).
 	Outcome string `json:"outcome"`
 	// BackoffMs is the delay before the next retry (retry outcome only).
 	BackoffMs float64 `json:"backoffMs,omitempty"`
-	// Detail carries the retry error or the give-up reason.
+	// Detail carries the retry error, the give-up reason, or the device.
 	Detail string `json:"detail,omitempty"`
 }
 

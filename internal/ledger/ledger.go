@@ -20,9 +20,9 @@
 // fixed-size rings (the internal/capacity ring discipline).
 //
 // The ledger is fed two ways, and every mutation is idempotent so the
-// two feeds never double-count: direct hooks from the configurator,
-// admission gate, and recovery supervisor (the authoritative source,
-// carrying QoS vectors and shed lists the bus events lack), plus a
+// two feeds never double-count: direct hooks from the domain's admission
+// gate and configurator observer (the authoritative source, carrying QoS
+// vectors and shed lists the bus events lack), plus a
 // lossless eventbus tap (like flight's) that catches lifecycle edges —
 // session.stopped, user.notification — even for code paths that bypass
 // the hooks.
