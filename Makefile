@@ -26,8 +26,8 @@ test:
 # multi-session configuration, the fault-injection/recovery path, the
 # session runtime's event loop (stopped and queried from outside it), and
 # the observability layer (tracer ring, metrics registry, structured
-# logging, flight recorder, explain recorder, capacity observatory,
-# outcome ledger), and qosctl driving an in-process daemon.
+# logging, the session store and its flight, explain and ledger views,
+# capacity observatory), and qosctl driving an in-process daemon.
 race:
 	$(GO) test -race ./cmd/qosctl ./internal/registry ./internal/eventbus ./internal/core ./internal/distributor ./internal/experiments ./internal/par ./internal/wire ./internal/faultinject ./internal/domain ./internal/trace ./internal/metrics ./internal/flight ./internal/obslog ./internal/explain ./internal/capacity ./internal/admission ./internal/autoscale ./internal/ledger ./internal/incident ./internal/runtime
 

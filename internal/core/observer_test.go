@@ -14,6 +14,7 @@ import (
 	"ubiqos/internal/device"
 	"ubiqos/internal/eventbus"
 	"ubiqos/internal/explain"
+	"ubiqos/internal/flight"
 	"ubiqos/internal/graph"
 	"ubiqos/internal/metrics"
 	"ubiqos/internal/obslog"
@@ -24,12 +25,12 @@ import (
 // recorder is a recording Observer. It keeps a snapshot of every finished
 // record and session step it receives, taken when it receives it, and
 // opens traces on its tracer when it has one. Given a metrics registry or
-// an explain recorder it feeds the few instruments the supervisor tests
+// a session store it feeds the few instruments the supervisor tests
 // read, the way the domain's observer does.
 type recorder struct {
 	tracer  *trace.Tracer
 	met     *metrics.Registry
-	explain *explain.Recorder
+	explain *flight.Recorder
 
 	mu       sync.Mutex
 	finished []finishedRecord
@@ -77,7 +78,7 @@ func (r *recorder) Finished(req Request, active *ActiveSession, rec explain.Reco
 	r.mu.Lock()
 	r.finished = append(r.finished, f)
 	r.mu.Unlock()
-	r.explain.Record(rec)
+	r.explain.RecordExplain(rec)
 	if r.met == nil {
 		return
 	}
@@ -98,9 +99,9 @@ func (r *recorder) Step(req Request, rec explain.Record, tr *trace.Trace, down t
 	r.mu.Unlock()
 	switch s.outcome {
 	case "retry", "lost":
-		r.explain.Record(rec)
+		r.explain.RecordExplain(rec)
 	case "recovered":
-		r.explain.Record(rec)
+		r.explain.RecordExplain(rec)
 		if r.met == nil {
 			return
 		}

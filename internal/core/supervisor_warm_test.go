@@ -9,7 +9,9 @@ import (
 	"ubiqos/internal/distributor"
 	"ubiqos/internal/eventbus"
 	"ubiqos/internal/explain"
+	"ubiqos/internal/flight"
 	"ubiqos/internal/graph"
+	"ubiqos/internal/ledger"
 	"ubiqos/internal/metrics"
 )
 
@@ -23,7 +25,7 @@ func TestSupervisorWarmRecovery(t *testing.T) {
 	// The warm rung needs an exact initial solve (so the session carries a
 	// real explored-node count for the speedup gauge) and a recorder to
 	// audit the decision trail.
-	rec := explain.New(explain.Options{})
+	rec := flight.New(ledger.Options{})
 	f.cfg.Place = distributor.Optimal
 	f.cfg.Observer = &recorder{met: f.met, explain: rec}
 	c, err := New(f.cfg)
@@ -111,7 +113,7 @@ func TestSupervisorWarmRecovery(t *testing.T) {
 	if !warmSearch {
 		t.Error("no recover record with a warm search that reused placements")
 	}
-	if txt := rec.Render("a1"); !strings.Contains(txt, "warm-started from incumbent cost") {
+	if txt := rec.Explain("a1").Render(); !strings.Contains(txt, "warm-started from incumbent cost") {
 		t.Errorf("rendered explain lacks the warm-start line:\n%s", txt)
 	}
 

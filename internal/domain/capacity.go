@@ -150,7 +150,7 @@ func (d *Domain) sampleCapacity(now time.Time) {
 	// Refresh the outcome ledger's per-class gauges (session_deficit_*,
 	// class_availability_ratio) on the same cadence, so /metrics scrapes
 	// — which force a sampling pass — always see current accounting.
-	d.Ledger.PublishMetrics()
+	d.Flight.PublishMetrics()
 
 	// Feed the incident correlation engine last, with repMu released:
 	// its evidence hooks may read lastReport and the admission/autoscale

@@ -102,20 +102,17 @@ type Domain struct {
 	Profiler    *profiler.Profiler
 	Metrics     *metrics.Registry
 	Tracer      *trace.Tracer
-	// Flight is the session flight recorder: it receives session-stamped
-	// log records (as a sink of Log), finished trace summaries, the
-	// control-plane bus events (via a lossless tap installed by New), and
-	// fault-injection markers.
+	// Flight is the session store, one bounded slot per session, and its
+	// three views: the flight timeline (session-stamped log records as a
+	// sink of Log, finished trace summaries, control-plane events, and
+	// fault-injection markers), the decision provenance (one explain
+	// record per configure/reconfigure/recover action and recovery-ladder
+	// step), and the QoS outcome ledger (per-session delivered-vs-
+	// requested accounting folded into the per-class scorecards behind
+	// /ledger, /scorecard, and `qosctl report`). The observer and the
+	// request path write it on their own goroutines; only the events
+	// published off the request path arrive through a bus tap.
 	Flight *flight.Recorder
-	// Explain is the decision-provenance recorder: one record per
-	// configure/reconfigure/recover action and recovery-ladder step,
-	// cross-linked to the session's trace IDs and flight timeline.
-	Explain *explain.Recorder
-	// Ledger is the QoS outcome ledger: per-session delivered-vs-
-	// requested accounting (admission verdicts, degradation episodes,
-	// deficit integrals, recovery MTTR) aggregated into per-class
-	// scorecards behind /ledger, /scorecard, and `qosctl report`.
-	Ledger *ledger.Ledger
 	// Log is the domain's structured logger. It writes into Flight by
 	// default; the daemon attaches an os.Stderr sink (and any other) with
 	// Log.AddSink.
@@ -150,8 +147,7 @@ type Domain struct {
 	// class whose sessions all ended still gets its gauge zeroed.
 	classesSeen map[string]bool
 
-	tapCancel    func()
-	ledgerCancel func()
+	tapCancel func()
 
 	// classMeters memoizes the per-class meters (see classMeter).
 	metersMu    sync.Mutex
@@ -194,12 +190,10 @@ func New(name string, opts Options) (*Domain, error) {
 		Profiler:    profiler.MustNew(profiler.DefaultAlpha),
 		Metrics:     metrics.NewRegistry(),
 		Tracer:      trace.NewTracer(traceCapacity),
-		Flight:      flight.New(flight.Options{}),
-		Explain:     explain.New(explain.Options{}),
 		classMeters: make(map[[2]string]*metrics.Meter),
 		children:    make(map[string]*Domain),
 	}
-	d.Ledger = ledger.New(ledger.Options{Metrics: d.Metrics})
+	d.Flight = flight.New(ledger.Options{Metrics: d.Metrics})
 	d.Log = obslog.New(obslog.LevelDebug, d.Flight)
 	d.SLO = metrics.NewSLO(d.Metrics, metrics.DefaultObjectives()...)
 	d.Bus.Instrument(d.Metrics)
@@ -251,16 +245,10 @@ func New(name string, opts Options) (*Domain, error) {
 	if opts.EnableAdmission {
 		d.EnableAdmissionGate(opts.AdmissionPolicies, opts.AdmissionDefault)
 	}
-	// The flight recorder taps the control-plane topics, attributing each
-	// event to the sessions it concerns.
+	// The events published off the request path reach the session store
+	// through a bus tap, attributed to the sessions they concern; the
+	// domain records its own as it publishes them (see announce).
 	d.tapCancel, err = d.Flight.Tap(d.Bus, d.resolveFlightSessions)
-	if err != nil {
-		return nil, err
-	}
-	// The outcome ledger taps the session lifecycle topics losslessly
-	// too, so stops and losses land in the accounting even when a code
-	// path bypasses the domain's observer.
-	d.ledgerCancel, err = d.Ledger.Tap(d.Bus, d.resolveFlightSessions)
 	if err != nil {
 		return nil, err
 	}
@@ -311,6 +299,19 @@ func (d *Domain) resolveFlightSessions(ev eventbus.Event) []string {
 		}
 	}
 	return nil
+}
+
+// announce records a request-path event on the timelines of the sessions
+// it concerns and then publishes it, both on the caller's goroutine: a
+// reader that sees the call that published it return sees the event in
+// publish order. The topics in flight.TapTopics are published plainly
+// and reach the store through the tap instead.
+func (d *Domain) announce(topic eventbus.Topic, payload any) {
+	ev := eventbus.Event{Topic: topic, Payload: payload}
+	for _, session := range d.resolveFlightSessions(ev) {
+		d.Flight.RecordEvent(session, ev)
+	}
+	d.Bus.Publish(topic, payload)
 }
 
 // MustNew is New that panics on error.
@@ -433,7 +434,7 @@ func (d *Domain) AddDevice(id device.ID, class device.Class, rawCapacity resourc
 	if err := d.Devices.Add(dev); err != nil {
 		return nil, err
 	}
-	d.Bus.Publish(eventbus.TopicDeviceJoined, string(id))
+	d.announce(eventbus.TopicDeviceJoined, string(id))
 	return dev, nil
 }
 
@@ -464,7 +465,7 @@ func (d *Domain) FailDevice(id device.ID) error {
 	}
 	dev.SetUp(false)
 	d.Log.Named("domain").Warn("device left", obslog.String("device", string(id)))
-	d.Bus.Publish(eventbus.TopicDeviceLeft, string(id))
+	d.announce(eventbus.TopicDeviceLeft, string(id))
 	return nil
 }
 
@@ -479,7 +480,7 @@ func (d *Domain) RejoinDevice(id device.ID) error {
 	}
 	dev.SetUp(true)
 	d.Log.Named("domain").Info("device rejoined", obslog.String("device", string(id)))
-	d.Bus.Publish(eventbus.TopicDeviceJoined, string(id))
+	d.announce(eventbus.TopicDeviceJoined, string(id))
 	return nil
 }
 
@@ -537,7 +538,7 @@ func (d *Domain) RemoveDevice(id device.ID) ([]string, error) {
 	}
 	dev.SetUp(false)
 	d.Log.Named("domain").Warn("device removed", obslog.String("device", string(id)))
-	d.Bus.Publish(eventbus.TopicDeviceLeft, string(id))
+	d.announce(eventbus.TopicDeviceLeft, string(id))
 
 	var moved []string
 	var firstErr error
@@ -568,9 +569,10 @@ func (d *Domain) RemoveDevice(id device.ID) ([]string, error) {
 	return moved, firstErr
 }
 
-// notifyLost raises the user notification for a session that cannot be
-// kept alive automatically.
+// notifyLost closes the ledger account of a session that cannot be kept
+// alive automatically and raises the user notification.
 func (d *Domain) notifyLost(sessionID string, dev device.ID, reason string) {
+	d.Flight.RecordLost(sessionID, "session lost")
 	d.Bus.Publish(eventbus.TopicUserNotification, core.SessionLostNotice{
 		SessionID: sessionID,
 		Device:    dev,
@@ -610,7 +612,7 @@ func (d *Domain) SwitchDevice(sessionID string, to device.ID) (*core.ActiveSessi
 	}
 	req := active.Request
 	req.ClientDevice = to
-	d.Bus.Publish(eventbus.TopicDeviceSwitched, string(to))
+	d.announce(eventbus.TopicDeviceSwitched, string(to))
 	return d.Configurator.Reconfigure(req)
 }
 
@@ -692,7 +694,7 @@ func (d *Domain) Migrate(sessionID string, target *Domain, newClient device.ID, 
 	if err != nil {
 		return nil, err
 	}
-	d.Bus.Publish(eventbus.TopicUserMoved, sessionID)
+	d.announce(eventbus.TopicUserMoved, sessionID)
 
 	// The checkpoint crosses the inter-domain link (modeled at the target
 	// domain's time scale).
@@ -709,7 +711,7 @@ func (d *Domain) Migrate(sessionID string, target *Domain, newClient device.ID, 
 		return nil, fmt.Errorf("domain: migration failed and origin resume failed too: %w", err)
 	}
 	resumed.Timing.InitOrHandoff += transfer
-	target.Bus.Publish(eventbus.TopicSessionStarted, sessionID)
+	target.announce(eventbus.TopicSessionStarted, sessionID)
 	return resumed, nil
 }
 
@@ -833,7 +835,7 @@ func (d *Domain) StartApp(req core.Request) (*core.ActiveSession, error) {
 		}
 		return nil, err
 	}
-	d.Bus.Publish(eventbus.TopicSessionStarted, req.SessionID)
+	d.announce(eventbus.TopicSessionStarted, req.SessionID)
 	return active, nil
 }
 
@@ -846,7 +848,7 @@ func (d *Domain) StartApp(req core.Request) (*core.ActiveSession, error) {
 func (d *Domain) admit(g *admission.Gate, req core.Request) (core.Request, error) {
 	req.Class = d.Configurator.Class(req)
 	dec := g.Admit(req.Class)
-	d.Ledger.RecordAdmission(req.SessionID, dec.Class, string(dec.Verdict), dec.Reason)
+	d.Flight.RecordAdmission(req.SessionID, dec.Class, string(dec.Verdict), dec.Reason)
 	if dec.Verdict == admission.Admit {
 		return req, nil
 	}
@@ -874,7 +876,7 @@ func (d *Domain) admit(g *admission.Gate, req core.Request) (core.Request, error
 			req.Place = distributor.Heuristic
 		}
 	}
-	d.Explain.Record(xr)
+	d.Flight.RecordExplain(xr)
 	if log := (observer{d}).sessionLog(obslog.LevelInfo, "core", req.SessionID, ""); log != nil {
 		log.Info(msg, obslog.String("class", dec.Class), obslog.String("reason", dec.Reason))
 	}
@@ -886,7 +888,7 @@ func (d *Domain) StopApp(sessionID string) error {
 	if err := d.Configurator.Stop(sessionID); err != nil {
 		return err
 	}
-	d.Bus.Publish(eventbus.TopicSessionStopped, sessionID)
+	d.announce(eventbus.TopicSessionStopped, sessionID)
 	return nil
 }
 
@@ -901,9 +903,6 @@ func (d *Domain) Close() {
 	}
 	if d.tapCancel != nil {
 		d.tapCancel()
-	}
-	if d.ledgerCancel != nil {
-		d.ledgerCancel()
 	}
 	d.Bus.Close()
 	if d.PlanCache != nil {

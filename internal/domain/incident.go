@@ -11,7 +11,6 @@ import (
 	"ubiqos/internal/admission"
 	"ubiqos/internal/autoscale"
 	"ubiqos/internal/capacity"
-	"ubiqos/internal/flight"
 	"ubiqos/internal/incident"
 	"ubiqos/internal/ledger"
 	"ubiqos/internal/metrics"
@@ -44,11 +43,9 @@ func (d *Domain) initIncidents() {
 				metrics.SpaceHeadroom, metrics.SaturationState,
 				metrics.ConfigPending, metrics.ActiveSessions,
 			},
-			Sessions: func() []flight.SessionInfo { return d.Flight.Sessions() },
-			Excerpt: func(session string, from, to time.Time, max int) []flight.Entry {
-				return d.Flight.Excerpt(session, from, to, max)
-			},
-			Scorecards: func() []ledger.Scorecard { return d.Ledger.Scorecards(0) },
+			Sessions:   d.Flight.Sessions,
+			Excerpt:    d.Flight.Excerpt,
+			Scorecards: func() []ledger.Scorecard { return d.Flight.Scorecards(0) },
 			Admission: func() *admission.Status {
 				if g := d.admissionGate(); g != nil {
 					st := g.Status()
@@ -117,7 +114,7 @@ func (d *Domain) observeIncidents(now time.Time, rep capacity.Report, worstBurn 
 			obs.ScaleDowns += gr.Downs
 		}
 	}
-	for _, sc := range d.Ledger.Scorecards(0) {
+	for _, sc := range d.Flight.Scorecards(0) {
 		if sc.Sessions == 0 {
 			continue
 		}

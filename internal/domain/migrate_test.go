@@ -45,7 +45,7 @@ func TestMigrateAcrossDomains(t *testing.T) {
 		t.Error("session not active in the target domain")
 	}
 	// To the origin the session has ended: suspended away, not running on.
-	if rep, ok := office.Ledger.Report("music"); !ok || rep.Outcome != ledger.OutcomeCompleted || rep.Ended == nil {
+	if rep, ok := office.Flight.Report("music"); !ok || rep.Outcome != ledger.OutcomeCompleted || rep.Ended == nil {
 		t.Errorf("origin ledger report = %+v, want a completed session", rep)
 	}
 	if active.ClientDevice != "home-desktop1" {

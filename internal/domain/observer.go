@@ -103,12 +103,12 @@ func (o observer) Finished(req core.Request, active *core.ActiveSession, rec exp
 			rec.Placement[string(id)] = string(dev)
 		}
 	}
-	d.Explain.Record(rec)
+	d.Flight.RecordExplain(rec)
 	o.recordMetrics(req, active, rec, err)
 	if err != nil {
-		d.Ledger.RecordConfigureFailed(rec.Session, req.Class, err.Error())
+		d.Flight.RecordConfigureFailed(rec.Session, req.Class, err.Error())
 	} else {
-		d.Ledger.RecordConfigured(rec.Session, req.Class, req.UserQoS,
+		d.Flight.RecordConfigured(rec.Session, req.Class, req.UserQoS,
 			active.DegradeFactor, active.Timing.Total(), rec.Action)
 	}
 }
@@ -164,7 +164,7 @@ func (o observer) Step(req core.Request, rec explain.Record, tr *trace.Trace, do
 	if rec.Ladder == nil {
 		m.Gauge(metrics.ActiveSessions).Set(float64(d.Configurator.Sessions()))
 		d.classMeter(metrics.SessionCompletions, req.Class).Mark(1)
-		d.Ledger.RecordStopped(req.SessionID)
+		d.Flight.RecordStopped(req.SessionID)
 		if log := o.sessionLog(obslog.LevelInfo, "core", req.SessionID, req.TraceCtx.TraceID); log != nil {
 			log.Info("session stopped")
 		}
@@ -176,7 +176,7 @@ func (o observer) Step(req core.Request, rec explain.Record, tr *trace.Trace, do
 	step := rec.Ladder
 	switch step.Outcome {
 	case "broken":
-		d.Ledger.RecordBroken(rec.Session, step.Reason)
+		d.Flight.RecordBroken(rec.Session, step.Reason)
 		o.supervisorLog(req).Warn("recovery queued",
 			obslog.String("reason", step.Reason), obslog.String("device", step.Detail))
 	case "recovered":
@@ -187,7 +187,7 @@ func (o observer) Step(req core.Request, rec explain.Record, tr *trace.Trace, do
 		if step.Restored {
 			m.Counter(metrics.SessionsRestored).Inc()
 		}
-		d.Ledger.RecordRecovered(rec.Session, down, step.Degraded, step.Shed, step.PlacementFallback)
+		d.Flight.RecordRecovered(rec.Session, down, step.Degraded, step.Shed, step.PlacementFallback)
 		m.Histogram(metrics.RecoveryLatency).Observe(down)
 		if st.WarmSpeedup > 0 {
 			m.Gauge(metrics.WarmSpeedup).Set(st.WarmSpeedup)
@@ -200,19 +200,19 @@ func (o observer) Step(req core.Request, rec explain.Record, tr *trace.Trace, do
 		if step.Restored {
 			log.Info("session restored to full QoS")
 		}
-		d.Explain.Record(rec)
+		d.Flight.RecordExplain(rec)
 	case "retry":
 		m.Counter(metrics.RecoveryRetries).Inc()
 		o.supervisorLog(req).Warn("recovery retry scheduled",
 			obslog.Int("attempt", int64(step.Attempt)),
 			obslog.Float("backoffMs", step.BackoffMs),
 			obslog.String("error", step.Detail))
-		d.Explain.Record(rec)
+		d.Flight.RecordExplain(rec)
 	case "lost":
-		d.Ledger.RecordLost(rec.Session, step.Detail)
+		d.Flight.RecordLost(rec.Session, step.Detail)
 		m.Counter(metrics.SessionsLost).Inc()
 		o.supervisorLog(req).Error("session lost", obslog.String("reason", step.Detail))
-		d.Explain.Record(rec)
+		d.Flight.RecordExplain(rec)
 	}
 	m.Gauge(metrics.RecoveryBacklog).Set(float64(st.Backlog))
 }

@@ -6,12 +6,16 @@ import (
 	"testing"
 	"time"
 
+	"ubiqos/internal/composer"
 	"ubiqos/internal/core"
 	"ubiqos/internal/device"
+	"ubiqos/internal/explain"
+	"ubiqos/internal/flight"
 	"ubiqos/internal/ledger"
 	"ubiqos/internal/metrics"
 	"ubiqos/internal/obslog"
 	"ubiqos/internal/qos"
+	"ubiqos/internal/registry"
 	"ubiqos/internal/resource"
 )
 
@@ -45,7 +49,7 @@ func TestSwitchDeviceObservesOneConfigureSample(t *testing.T) {
 	if got := configure.Sum() - c0; got != active.Timing.Total() {
 		t.Errorf("%s gained %v, session reports %v", metrics.ConfigureTime, got, active.Timing.Total())
 	}
-	rep, ok := d.Ledger.Report("a1")
+	rep, ok := d.Flight.Report("a1")
 	if want := float64(active.Timing.Total()) / float64(time.Millisecond); !ok || rep.LastConfigureMs != want {
 		t.Errorf("ledger last configure %vms, session reports %vms", rep.LastConfigureMs, want)
 	}
@@ -83,11 +87,11 @@ func TestSupervisorStepsReachDomain(t *testing.T) {
 	if v, ok := m.Gauge(metrics.RecoveryBacklog).Value(); !ok || v != 0 {
 		t.Errorf("%s = %v (set=%v), want 0", metrics.RecoveryBacklog, v, ok)
 	}
-	if rep, ok := d.Ledger.Report("a1"); !ok || rep.Outcome != ledger.OutcomeRunning || rep.Recoveries != 1 {
+	if rep, ok := d.Flight.Report("a1"); !ok || rep.Outcome != ledger.OutcomeRunning || rep.Recoveries != 1 {
 		t.Errorf("ledger report = %+v, want one recovery of a running session", rep)
 	}
 	recovered := false
-	for _, r := range d.Explain.Records("a1") {
+	for _, r := range d.Flight.Explain("a1").Records {
 		recovered = recovered || (r.Ladder != nil && r.Ladder.Outcome == "recovered")
 	}
 	if !recovered {
@@ -167,5 +171,121 @@ func TestDiscardedLoggingAllocatesNothing(t *testing.T) {
 	}
 	if records != 0 {
 		t.Errorf("%d records reached the sink of an Error-level logger on the success path", records)
+	}
+}
+
+// lifecycle maps the timeline's lifecycle events to the ledger outcome
+// each one leaves a session in.
+var lifecycle = map[string]string{
+	"session.started":   ledger.OutcomeRunning,
+	"session.recovered": ledger.OutcomeRunning,
+	"session.restored":  ledger.OutcomeRunning,
+	"session.stopped":   ledger.OutcomeCompleted,
+	"user.notification": ledger.OutcomeLost,
+}
+
+// TestViewsAgree scripts a failed start, then a start, a device switch, a
+// crash the supervisor recovers from, and a stop, and checks that the
+// store's three views tell one story: each successful configure,
+// reconfigure and recover is one ledger configure, one provenance record
+// without an error, and one "core: configured" line on the timeline; the
+// ledger's outcome is the one the timeline's last lifecycle event leaves;
+// the failed start is failed in the ledger with one failed record.
+func TestViewsAgree(t *testing.T) {
+	d := newSpace(t)
+	sup, err := core.NewSupervisor(d.Configurator, core.SupervisorOptions{Bus: d.Bus, BaseBackoff: time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sup.Stop()
+
+	hologram := composer.NewAbstractGraph()
+	hologram.MustAddNode(&composer.AbstractNode{ID: "x", Spec: registry.Spec{Type: "hologram"}})
+	if _, err := d.StartApp(core.Request{SessionID: "h1", App: hologram, ClientDevice: "desktop1"}); err == nil {
+		t.Fatal("missing service must fail the start")
+	}
+	if _, err := d.StartApp(core.Request{SessionID: "a1", App: audioApp(), ClientDevice: "desktop1",
+		UserQoS: qos.V(qos.P(qos.DimFrameRate, qos.Range(30, 44)))}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := d.SwitchDevice("a1", "pda1"); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.FailDevice(d.Configurator.Session("a1").Placement["server"]); err != nil {
+		t.Fatal(err)
+	}
+	if !sup.AwaitIdle(5 * time.Second) {
+		t.Fatal("supervisor did not settle")
+	}
+	// The supervisor publishes session.recovered itself, so it reaches
+	// the timeline through the store's bus tap.
+	for deadline := time.Now().Add(5 * time.Second); !hasEvent(d, "a1", "session.recovered"); time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("session.recovered never reached the timeline")
+		}
+	}
+	viewsAgree(t, d, "a1", ledger.OutcomeRunning, 3)
+	if err := d.StopApp("a1"); err != nil {
+		t.Fatal(err)
+	}
+	viewsAgree(t, d, "a1", ledger.OutcomeCompleted, 3)
+
+	if rep, ok := d.Flight.Report("h1"); !ok || rep.Outcome != ledger.OutcomeFailed {
+		t.Errorf("failed start: ledger report %+v (found %v), want outcome failed", rep, ok)
+	}
+	var failed int
+	for _, r := range d.Flight.Explain("h1").Records {
+		if r.Err != "" {
+			failed++
+		}
+	}
+	if failed != 1 {
+		t.Errorf("failed start: %d failed provenance records, want 1", failed)
+	}
+}
+
+func hasEvent(d *Domain, session, topic string) bool {
+	for _, e := range d.Flight.Timeline(session) {
+		if e.Kind == flight.KindEvent && e.Message == topic {
+			return true
+		}
+	}
+	return false
+}
+
+// viewsAgree checks one session's three views against each other and
+// against the configures the script made.
+func viewsAgree(t *testing.T, d *Domain, session, outcome string, configures int64) {
+	t.Helper()
+	rep, ok := d.Flight.Report(session)
+	if !ok {
+		t.Fatalf("%s: no ledger account", session)
+	}
+	var records int64
+	for _, r := range d.Flight.Explain(session).Records {
+		switch r.Action {
+		case explain.ActionConfigure, explain.ActionReconfigure, explain.ActionRecover:
+			if r.Err == "" {
+				records++
+			}
+		}
+	}
+	var configured int64
+	last := ""
+	for _, e := range d.Flight.Timeline(session) {
+		if e.Kind == flight.KindLog && e.Message == "core: configured" {
+			configured++
+		}
+		if o, ok := lifecycle[e.Message]; ok && e.Kind == flight.KindEvent {
+			last = o
+		}
+	}
+	if rep.Configures != configures || records != configures || configured != configures {
+		t.Errorf("%s: ledger configures %d, provenance records %d, timeline configured lines %d; want %d each",
+			session, rep.Configures, records, configured, configures)
+	}
+	if rep.Outcome != outcome || last != outcome {
+		t.Errorf("%s: ledger outcome %q, last lifecycle event on the timeline leaves %q; want %q",
+			session, rep.Outcome, last, outcome)
 	}
 }

@@ -89,7 +89,7 @@ func TestDomainPlanCacheHit(t *testing.T) {
 			t.Errorf("cached plan placed %s on %s, original on %s", node, second.Placement[node], dev)
 		}
 	}
-	if txt := d.Explain.Render("a2"); !strings.Contains(txt, "served from plan cache") {
+	if txt := d.Flight.Explain("a2").Render(); !strings.Contains(txt, "served from plan cache") {
 		t.Errorf("explain for the cached session lacks the cache-hit line:\n%s", txt)
 	}
 }

@@ -157,7 +157,7 @@ func RunLedgerDrill(cfg LedgerDrillConfig) (*LedgerDrillResult, error) {
 	}
 
 	res.FaultsInjected = int(dom.Metrics.Counter(metrics.FaultsInjected).Value())
-	res.Scorecards = dom.Ledger.Scorecards(0)
+	res.Scorecards = dom.Flight.Scorecards(0)
 	return res, nil
 }
 

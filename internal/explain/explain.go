@@ -1,5 +1,4 @@
-// Package explain implements the decision-provenance recorder: a
-// per-session record of *why* each configuration decision came out the
+// Package explain defines decision provenance: the per-session record of *why* each configuration decision came out the
 // way it did. Where the trace layer shows that composition and
 // distribution happened and the flight recorder shows when, the explain
 // layer captures the alternatives each tier considered and the reasons
@@ -8,19 +7,17 @@
 // before and after it, the distributor's bound trajectory and runner-up
 // cost, and the recovery supervisor's degradation-ladder steps.
 //
-// Like the flight recorder, records live on bounded per-session rings
-// (oldest evicted first) under a bounded session table
-// (least-recently-touched session evicted first), and the whole API is
-// nil-safe: every method on a nil *Recorder or nil *Composition is a
-// no-op, so disabled provenance costs nothing on the hot path.
+// This package holds the record types, their diff, and their renderers;
+// the records themselves live in each session's slot of the session
+// store (internal/flight), which numbers them and bounds them per
+// session. A nil *Composition ignores every add, so disabled provenance
+// costs nothing on the composer's hot path.
 package explain
 
 import (
 	"fmt"
 	"sort"
 	"strings"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"ubiqos/internal/registry"
@@ -175,7 +172,7 @@ type AdmissionDecision struct {
 // configuration pipeline run (Attempts filled, Placement on success) or
 // a recovery-supervisor ladder step (Ladder filled).
 type Record struct {
-	// Seq is the recorder-wide monotonic sequence number.
+	// Seq is the store-wide monotonic sequence number.
 	Seq  uint64    `json:"seq"`
 	Time time.Time `json:"time"`
 	// Session and TraceID cross-link the record to the session's trace
@@ -303,154 +300,6 @@ type SessionInfo struct {
 	Records int       `json:"records"` // retained (post-eviction) count
 	Total   uint64    `json:"total"`   // lifetime count, including evicted
 	Last    time.Time `json:"last"`    // time of the newest record
-}
-
-// timeline is one session's bounded record ring (oldest first).
-type timeline struct {
-	records []Record
-	total   uint64
-	last    time.Time
-}
-
-// Defaults for Options fields left zero. Provenance records are larger
-// than flight entries, so the per-session ring is smaller.
-const (
-	DefaultPerSession  = 32
-	DefaultMaxSessions = 128
-)
-
-// Options bound the recorder.
-type Options struct {
-	// PerSession caps each session's retained records (default 32).
-	PerSession int
-	// MaxSessions caps the session table (default 128); the
-	// least-recently-touched session is evicted when a new one arrives.
-	MaxSessions int
-}
-
-// Recorder maintains the per-session provenance timelines. All methods
-// are safe for concurrent use; a nil *Recorder is a valid no-op.
-type Recorder struct {
-	perSession  int
-	maxSessions int
-	seq         atomic.Uint64
-
-	mu       sync.Mutex
-	sessions map[string]*timeline
-}
-
-// New returns a recorder with the given bounds.
-func New(opts Options) *Recorder {
-	if opts.PerSession <= 0 {
-		opts.PerSession = DefaultPerSession
-	}
-	if opts.MaxSessions <= 0 {
-		opts.MaxSessions = DefaultMaxSessions
-	}
-	return &Recorder{
-		perSession:  opts.PerSession,
-		maxSessions: opts.MaxSessions,
-		sessions:    make(map[string]*timeline),
-	}
-}
-
-// Record stamps and appends one record. Records without a session are
-// dropped: provenance is a per-session instrument.
-func (r *Recorder) Record(rec Record) {
-	if r == nil || rec.Session == "" {
-		return
-	}
-	rec.Seq = r.seq.Add(1)
-	if rec.Time.IsZero() {
-		rec.Time = time.Now()
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	tl := r.sessions[rec.Session]
-	if tl == nil {
-		r.evictLocked()
-		tl = &timeline{}
-		r.sessions[rec.Session] = tl
-	}
-	tl.total++
-	tl.last = rec.Time
-	tl.records = append(tl.records, rec)
-	if len(tl.records) > r.perSession {
-		tl.records = tl.records[len(tl.records)-r.perSession:]
-	}
-}
-
-// evictLocked makes room for one more session by dropping the
-// least-recently-touched timeline when the table is full.
-func (r *Recorder) evictLocked() {
-	if len(r.sessions) < r.maxSessions {
-		return
-	}
-	var victim string
-	var oldest time.Time
-	for s, tl := range r.sessions {
-		if victim == "" || tl.last.Before(oldest) {
-			victim, oldest = s, tl.last
-		}
-	}
-	delete(r.sessions, victim)
-}
-
-// Records returns the session's retained records in sequence order
-// (nil when the session is unknown or the recorder is nil).
-func (r *Recorder) Records(session string) []Record {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	tl := r.sessions[session]
-	if tl == nil {
-		return nil
-	}
-	return append([]Record(nil), tl.records...)
-}
-
-// Explain assembles the session's provenance report, computing the
-// placement diff between each pair of successive placement-carrying
-// records. It returns nil for an unknown session or a nil recorder.
-func (r *Recorder) Explain(session string) *SessionExplain {
-	records := r.Records(session)
-	if records == nil {
-		return nil
-	}
-	se := &SessionExplain{Session: session, Records: records}
-	var prev *Record
-	for i := range records {
-		if records[i].Placement == nil {
-			continue
-		}
-		if prev != nil {
-			se.Diffs = append(se.Diffs, DiffPlacements(prev, &records[i]))
-		}
-		prev = &records[i]
-	}
-	return se
-}
-
-// Sessions lists the recorded sessions, most recently touched first.
-func (r *Recorder) Sessions() []SessionInfo {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := make([]SessionInfo, 0, len(r.sessions))
-	for s, tl := range r.sessions {
-		out = append(out, SessionInfo{Session: s, Records: len(tl.records), Total: tl.total, Last: tl.last})
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if !out[i].Last.Equal(out[j].Last) {
-			return out[i].Last.After(out[j].Last)
-		}
-		return out[i].Session < out[j].Session
-	})
-	return out
 }
 
 // Render formats one session's provenance report as human-readable
@@ -632,10 +481,4 @@ func renderDiff(b *strings.Builder, d *PlacementDiff) {
 	for _, m := range d.Removed {
 		fmt.Fprintf(b, "    removed %s (was %s)\n", m.Component, m.From)
 	}
-}
-
-// Render formats the session's provenance as text (see
-// SessionExplain.Render). It returns "" for an unknown session.
-func (r *Recorder) Render(session string) string {
-	return r.Explain(session).Render()
 }

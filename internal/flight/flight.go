@@ -1,31 +1,40 @@
-// Package flight implements the session flight recorder: one bounded,
-// append-only, concurrency-safe timeline per session, fusing the four
-// observability streams the domain emits — structured log records
-// (internal/obslog), finished span summaries (internal/trace),
-// control-plane bus events (internal/eventbus), and fault-injection
-// markers (internal/faultinject) — into a single, sequence-ordered
-// record of what happened to a session across qosctl, the daemon,
-// recovery, and chaos.
+// Package flight implements the session store: one bounded slot per
+// session, under one lock, holding everything the domain records about
+// the session, with three views over it:
 //
-// Every entry is stamped with the session ID, the propagated trace ID
-// (when known), and a globally monotonic sequence number, so entries
-// from different goroutines and subsystems can be interleaved back into
-// one causal story. Timelines are bounded per session and the session
-// table itself is bounded (least-recently-touched sessions are evicted),
-// so the recorder is safe to leave on in a long-running daemon.
+//   - the flight timeline (Timeline, Excerpt, Sessions) fuses structured
+//     log records (internal/obslog), finished span summaries
+//     (internal/trace), control-plane bus events (internal/eventbus), and
+//     fault-injection markers (internal/faultinject) into one
+//     sequence-ordered story of the session;
+//   - the decision provenance (RecordExplain, Explain, ExplainSessions)
+//     keeps the internal/explain records of why each decision came out
+//     the way it did;
+//   - the QoS outcome ledger (the Record* steps, Report, LedgerSessions,
+//     Scorecards) keeps the session's internal/ledger account and folds
+//     it into per-class scorecards.
 //
-// Like the rest of the observability stack, the API is nil-safe: every
-// method on a nil *Recorder is a no-op.
+// Timeline entries and provenance records are each numbered store-wide,
+// so entries from different goroutines interleave back into one causal
+// story. Every ring is bounded per session and the session table is
+// bounded: a new session evicts, in O(1), the least recently touched
+// session with nothing left to fold into the ledger, or else the least
+// recently touched live one after the ledger folds it into its class as
+// lost. Every method on a nil *Recorder is a no-op.
 package flight
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
 	"time"
 
 	"ubiqos/internal/eventbus"
+	"ubiqos/internal/explain"
+	"ubiqos/internal/ledger"
 	"ubiqos/internal/obslog"
 	"ubiqos/internal/trace"
 )
@@ -80,59 +89,169 @@ type SessionInfo struct {
 	Last    time.Time `json:"last"`    // time of the newest entry
 }
 
-// timeline is one session's bounded entry ring (oldest first).
-type timeline struct {
-	entries []Entry
-	total   uint64
-	last    time.Time
-}
-
-// Defaults for Options fields left zero.
+// The store's bounds: one session table serves all three views, and each
+// view keeps its own per-session ring in the slot. Provenance records
+// are larger than timeline entries, so their ring is smaller; the
+// ledger caps its closed episodes itself.
 const (
-	DefaultPerSession  = 256
-	DefaultMaxSessions = 128
+	maxSessions = 128
+	maxEntries  = 256
+	maxRecords  = 32
 )
 
-// Options bound the recorder.
-type Options struct {
-	// PerSession caps each session's retained entries (default 256);
-	// older entries are evicted first.
-	PerSession int
-	// MaxSessions caps the session table (default 128); the
-	// least-recently-touched session is evicted when a new one arrives.
-	MaxSessions int
+// limits are the bounds one store runs with: the constants above, or
+// tiny ones in tests.
+type limits struct{ sessions, entries, records int }
+
+// bounded is one view's retained items in a slot, oldest first, with the
+// lifetime count and the time of the newest.
+type bounded[T any] struct {
+	items []T
+	total uint64
+	last  time.Time
 }
 
-// Recorder maintains the per-session timelines. All methods are safe for
-// concurrent use; a nil *Recorder is a valid no-op recorder.
+func (b *bounded[T]) add(v T, t time.Time, max int) {
+	b.total++
+	b.last = t
+	b.items = append(b.items, v)
+	if len(b.items) > max {
+		b.items = b.items[len(b.items)-max:]
+	}
+}
+
+// slot is one session's place in the store: its flight timeline, its
+// decision provenance, and its ledger account.
+type slot struct {
+	id         string
+	prev, next *slot  // links on the recency list holding the slot
+	touched    uint64 // store-wide stamp of the slot's latest write
+
+	entries bounded[Entry]
+	records bounded[explain.Record]
+	acct    *ledger.Account // nil until the ledger hears of the session
+}
+
+// recency is a circular list of slots through a sentinel, most recently
+// touched first. The slots are the list nodes, so moving one allocates
+// nothing.
+type recency struct{ root slot }
+
+func (l *recency) init() { l.root.prev, l.root.next = &l.root, &l.root }
+
+func (l *recency) pushFront(s *slot) {
+	s.prev, s.next = &l.root, l.root.next
+	s.next.prev, l.root.next = s, s
+}
+
+// back returns the least recently touched slot, or nil when empty.
+func (l *recency) back() *slot {
+	if l.root.prev == &l.root {
+		return nil
+	}
+	return l.root.prev
+}
+
+func (s *slot) unlink() { s.prev.next, s.next.prev = s.next, s.prev }
+
+// Recorder is the session store. All methods are safe for concurrent
+// use; a nil *Recorder is a valid no-op store.
 type Recorder struct {
-	perSession  int
-	maxSessions int
+	limits limits
 
-	// mu also orders sequence stamping with the append it belongs to: a
-	// number taken before the lock could reach its timeline after a later
-	// one.
+	// mu guards everything below, the ledger's class aggregates included.
+	// It also orders sequence stamping with the append it belongs to: a
+	// number taken before the lock could reach its ring after a later one.
 	mu       sync.Mutex
-	seq      uint64
-	sessions map[string]*timeline
+	seq      uint64 // timeline entries, store-wide
+	xseq     uint64 // provenance records, store-wide
+	clock    uint64 // slot writes, store-wide: the recency order
+	sessions map[string]*slot
+	// done holds the slots with nothing left to fold into the ledger (no
+	// account, or a finalized one) and live those with an open account,
+	// each most recently touched first. Eviction takes the back of done,
+	// and of live only when done is empty.
+	done, live recency
+	ledger     *ledger.Ledger
 }
 
-// New returns a recorder with the given bounds.
-func New(opts Options) *Recorder {
-	if opts.PerSession <= 0 {
-		opts.PerSession = DefaultPerSession
+// New returns an empty store whose ledger view is wired by opts.
+func New(opts ledger.Options) *Recorder {
+	return newRecorder(limits{maxSessions, maxEntries, maxRecords}, opts)
+}
+
+func newRecorder(lim limits, opts ledger.Options) *Recorder {
+	r := &Recorder{limits: lim, sessions: make(map[string]*slot), ledger: ledger.New(opts)}
+	r.done.init()
+	r.live.init()
+	return r
+}
+
+// slotLocked returns the session's slot, making room for a new one when
+// the table is full.
+func (r *Recorder) slotLocked(session string) *slot {
+	s := r.sessions[session]
+	if s == nil {
+		if len(r.sessions) >= r.limits.sessions {
+			r.evictLocked()
+		}
+		s = &slot{id: session}
+		r.sessions[session] = s
 	}
-	if opts.MaxSessions <= 0 {
-		opts.MaxSessions = DefaultMaxSessions
+	return s
+}
+
+// touchLocked marks a write to the slot: it moves to the front of the
+// recency list its account's state puts it on.
+func (r *Recorder) touchLocked(s *slot) {
+	r.clock++
+	s.touched = r.clock
+	if s.prev != nil {
+		s.unlink()
 	}
-	return &Recorder{
-		perSession:  opts.PerSession,
-		maxSessions: opts.MaxSessions,
-		sessions:    make(map[string]*timeline),
+	if s.acct != nil && s.acct.Live() {
+		r.live.pushFront(s)
+	} else {
+		r.done.pushFront(s)
 	}
 }
 
-// add stamps and appends the entry. Entries without a session are
+// evictLocked drops one slot: the least recently touched one with nothing
+// left to fold, or, when every slot holds a live account, the least
+// recently touched of those after the ledger folds it into its class.
+func (r *Recorder) evictLocked() {
+	victim := r.done.back()
+	if victim == nil {
+		victim = r.live.back()
+		r.ledger.Evict(victim.acct)
+	}
+	victim.unlink()
+	delete(r.sessions, victim.id)
+}
+
+// index projects every slot view accepts, most recently touched first:
+// the one session index every view's listing is drawn from.
+func index[T any](r *Recorder, view func(*slot) (T, bool)) []T {
+	if r == nil {
+		return nil
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	slots := make([]*slot, 0, len(r.sessions))
+	for _, s := range r.sessions {
+		slots = append(slots, s)
+	}
+	slices.SortFunc(slots, func(a, b *slot) int { return cmp.Compare(b.touched, a.touched) })
+	out := make([]T, 0, len(slots))
+	for _, s := range slots {
+		if v, ok := view(s); ok {
+			out = append(out, v)
+		}
+	}
+	return out
+}
+
+// add stamps and appends a timeline entry. Entries without a session are
 // dropped: the flight recorder is a per-session instrument, and
 // unattributed records are already retained by the daemon's log ring.
 func (r *Recorder) add(e Entry) {
@@ -146,34 +265,9 @@ func (r *Recorder) add(e Entry) {
 	defer r.mu.Unlock()
 	r.seq++
 	e.Seq = r.seq
-	tl := r.sessions[e.Session]
-	if tl == nil {
-		r.evictLocked()
-		tl = &timeline{}
-		r.sessions[e.Session] = tl
-	}
-	tl.total++
-	tl.last = e.Time
-	tl.entries = append(tl.entries, e)
-	if len(tl.entries) > r.perSession {
-		tl.entries = tl.entries[len(tl.entries)-r.perSession:]
-	}
-}
-
-// evictLocked makes room for one more session by dropping the
-// least-recently-touched timeline when the table is full.
-func (r *Recorder) evictLocked() {
-	if len(r.sessions) < r.maxSessions {
-		return
-	}
-	var victim string
-	var oldest time.Time
-	for s, tl := range r.sessions {
-		if victim == "" || tl.last.Before(oldest) {
-			victim, oldest = s, tl.last
-		}
-	}
-	delete(r.sessions, victim)
+	s := r.slotLocked(e.Session)
+	s.entries.add(e, e.Time, r.limits.entries)
+	r.touchLocked(s)
 }
 
 // Write implements obslog.Sink: every structured log record that carries
@@ -275,75 +369,44 @@ func (r *Recorder) RecordFault(session, kind, target string, detail map[string]a
 // Timeline returns the session's retained entries in sequence order
 // (nil when the session is unknown or the recorder is nil).
 func (r *Recorder) Timeline(session string) []Entry {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	tl := r.sessions[session]
-	if tl == nil {
-		return nil
-	}
-	return append([]Entry(nil), tl.entries...)
+	return r.Excerpt(session, time.Time{}, time.Time{}, maxEntries)
 }
 
 // Excerpt returns up to max of the session's entries whose timestamps
-// fall inside [from, to], oldest first, without copying the rest of the
-// timeline. When the window holds more than max entries the newest max
-// are kept — an evidence bundle wants the activity closest to the
-// incident. A zero from means "no lower bound" and a zero to means "no
-// upper bound". It returns nil for an unknown session, a nil recorder,
-// or a non-positive max.
+// fall inside [from, to], in sequence order, without copying the rest of
+// the timeline. When the window holds more than max entries the newest
+// max are kept — an evidence bundle wants the activity closest to the
+// incident. Entry times are not monotonic in sequence (a trace summary
+// carries its trace's start), so the whole ring is filtered. A zero from
+// means "no lower bound" and a zero to means "no upper bound". It returns
+// nil for an unknown session, a nil recorder, or a non-positive max.
 func (r *Recorder) Excerpt(session string, from, to time.Time, max int) []Entry {
 	if r == nil || max <= 0 {
 		return nil
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	tl := r.sessions[session]
-	if tl == nil {
+	s := r.sessions[session]
+	if s == nil {
 		return nil
 	}
-	// Entries are appended in time order, so scan backward from the
-	// newest: skip past the upper bound, stop at the lower bound.
-	out := make([]Entry, 0, max)
-	for i := len(tl.entries) - 1; i >= 0 && len(out) < max; i-- {
-		e := tl.entries[i]
-		if !to.IsZero() && e.Time.After(to) {
-			continue
+	entries := s.entries.items
+	var out []Entry
+	for i := len(entries) - 1; i >= 0 && len(out) < max; i-- {
+		if e := entries[i]; !e.Time.Before(from) && (to.IsZero() || !e.Time.After(to)) {
+			out = append(out, e)
 		}
-		if e.Time.Before(from) {
-			break
-		}
-		out = append(out, e)
 	}
-	if len(out) == 0 {
-		return nil
-	}
-	for i, j := 0, len(out)-1; i < j; i, j = i+1, j-1 {
-		out[i], out[j] = out[j], out[i]
-	}
+	slices.Reverse(out)
 	return out
 }
 
-// Sessions lists the recorded sessions, most recently touched first.
+// Sessions lists the sessions with timeline entries, most recently
+// touched first.
 func (r *Recorder) Sessions() []SessionInfo {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := make([]SessionInfo, 0, len(r.sessions))
-	for s, tl := range r.sessions {
-		out = append(out, SessionInfo{Session: s, Entries: len(tl.entries), Total: tl.total, Last: tl.last})
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if !out[i].Last.Equal(out[j].Last) {
-			return out[i].Last.After(out[j].Last)
-		}
-		return out[i].Session < out[j].Session
+	return index(r, func(s *slot) (SessionInfo, bool) {
+		return SessionInfo{Session: s.id, Entries: len(s.entries.items), Total: s.entries.total, Last: s.entries.last}, s.entries.total > 0
 	})
-	return out
 }
 
 // Resolver maps a bus event to the sessions it concerns. Returning nil
@@ -352,15 +415,13 @@ func (r *Recorder) Sessions() []SessionInfo {
 // placed on the affected devices.
 type Resolver func(eventbus.Event) []string
 
-// TapTopics is the control-plane topic set a Tap subscribes to.
+// TapTopics is the topic set a Tap subscribes to: the events published
+// off the request path — by the recovery supervisor and the fault
+// injector — or by more than one publisher. The domain records every
+// other event it publishes itself, on the publishing goroutine, before
+// it publishes it.
 var TapTopics = []eventbus.Topic{
-	eventbus.TopicDeviceJoined,
-	eventbus.TopicDeviceLeft,
 	eventbus.TopicResourceChanged,
-	eventbus.TopicDeviceSwitched,
-	eventbus.TopicUserMoved,
-	eventbus.TopicSessionStarted,
-	eventbus.TopicSessionStopped,
 	eventbus.TopicSessionRecovered,
 	eventbus.TopicSessionRestored,
 	eventbus.TopicUserNotification,

@@ -8,6 +8,8 @@ import (
 	"time"
 
 	"ubiqos/internal/eventbus"
+	"ubiqos/internal/explain"
+	"ubiqos/internal/ledger"
 	"ubiqos/internal/obslog"
 	"ubiqos/internal/trace"
 )
@@ -18,7 +20,8 @@ func TestNilRecorderIsNoOp(t *testing.T) {
 	r.RecordTrace(trace.TraceData{Session: "s"})
 	r.RecordEvent("s", eventbus.Event{Topic: eventbus.TopicDeviceLeft})
 	r.RecordFault("s", "device.crash", "pc-1", nil)
-	if r.Timeline("s") != nil || r.Sessions() != nil {
+	r.RecordExplain(explain.Record{Session: "s"})
+	if r.Timeline("s") != nil || r.Sessions() != nil || r.Explain("s") != nil || r.ExplainSessions() != nil {
 		t.Fatal("nil recorder accessors must be empty")
 	}
 	cancel, err := r.Tap(eventbus.New(), nil)
@@ -29,7 +32,7 @@ func TestNilRecorderIsNoOp(t *testing.T) {
 }
 
 func TestFusedStreamsSequenceOrder(t *testing.T) {
-	r := New(Options{})
+	r := New(ledger.Options{})
 
 	// Stream 1: a structured log record.
 	log := obslog.New(obslog.LevelDebug, r)
@@ -82,7 +85,7 @@ func TestFusedStreamsSequenceOrder(t *testing.T) {
 }
 
 func TestSessionlessEntriesDropped(t *testing.T) {
-	r := New(Options{})
+	r := New(ledger.Options{})
 	r.Write(obslog.Record{Msg: "no session"})
 	r.RecordTrace(trace.TraceData{Name: "anon"})
 	if got := len(r.Sessions()); got != 0 {
@@ -91,7 +94,7 @@ func TestSessionlessEntriesDropped(t *testing.T) {
 }
 
 func TestPerSessionBound(t *testing.T) {
-	r := New(Options{PerSession: 3})
+	r := newRecorder(limits{maxSessions, 3, maxRecords}, ledger.Options{})
 	for i := 0; i < 10; i++ {
 		r.RecordFault("s", "device.crash", fmt.Sprintf("d%d", i), nil)
 	}
@@ -109,11 +112,9 @@ func TestPerSessionBound(t *testing.T) {
 }
 
 func TestSessionTableEviction(t *testing.T) {
-	r := New(Options{MaxSessions: 2})
+	r := newRecorder(limits{2, maxEntries, maxRecords}, ledger.Options{})
 	r.RecordFault("a", "k", "t", nil)
-	time.Sleep(time.Millisecond)
 	r.RecordFault("b", "k", "t", nil)
-	time.Sleep(time.Millisecond)
 	r.RecordFault("c", "k", "t", nil) // evicts a (least recently touched)
 	if r.Timeline("a") != nil {
 		t.Fatal("oldest session should have been evicted")
@@ -124,11 +125,11 @@ func TestSessionTableEviction(t *testing.T) {
 }
 
 func TestTapResolvesEvents(t *testing.T) {
-	r := New(Options{})
+	r := New(ledger.Options{})
 	bus := eventbus.New()
 	defer bus.Close()
 	cancel, err := r.Tap(bus, func(ev eventbus.Event) []string {
-		if ev.Topic == eventbus.TopicDeviceLeft {
+		if ev.Topic == eventbus.TopicResourceChanged {
 			return []string{"s1", "s2"}
 		}
 		if ev.Topic == eventbus.TopicSessionRecovered {
@@ -143,7 +144,7 @@ func TestTapResolvesEvents(t *testing.T) {
 	}
 	defer cancel()
 
-	bus.Publish(eventbus.TopicDeviceLeft, "pc-1")
+	bus.Publish(eventbus.TopicResourceChanged, "pc-1")
 	bus.Publish(eventbus.TopicSessionRecovered, "s1")
 
 	deadline := time.Now().Add(2 * time.Second)
@@ -157,7 +158,7 @@ func TestTapResolvesEvents(t *testing.T) {
 	if len(s1) != 2 {
 		t.Fatalf("s1 entries = %d, want 2", len(s1))
 	}
-	if s1[0].Message != "device.left" || s1[1].Message != "session.recovered" {
+	if s1[0].Message != "resource.changed" || s1[1].Message != "session.recovered" {
 		t.Fatalf("s1 timeline = %+v", s1)
 	}
 	if got := r.Timeline("s2"); len(got) != 1 {
@@ -168,7 +169,7 @@ func TestTapResolvesEvents(t *testing.T) {
 }
 
 func TestRender(t *testing.T) {
-	r := New(Options{})
+	r := New(ledger.Options{})
 	log := obslog.New(obslog.LevelDebug, r)
 	log.ForSession("s", "abc").Warn("retry", obslog.Int("attempt", 2))
 	r.RecordFault("s", "link.degrade", "pc-1<->pc-2", nil)
@@ -186,7 +187,7 @@ func TestRender(t *testing.T) {
 }
 
 func TestConcurrentRecording(t *testing.T) {
-	r := New(Options{PerSession: 64, MaxSessions: 8})
+	r := newRecorder(limits{8, 64, maxRecords}, ledger.Options{})
 	bus := eventbus.New()
 	defer bus.Close()
 	cancel, err := r.Tap(bus, func(ev eventbus.Event) []string {
@@ -228,7 +229,7 @@ func TestConcurrentRecording(t *testing.T) {
 }
 
 func TestExcerptWindow(t *testing.T) {
-	r := New(Options{})
+	r := New(ledger.Options{})
 	base := time.Date(2026, 8, 8, 12, 0, 0, 0, time.UTC)
 	for i := 0; i < 10; i++ {
 		r.Write(obslog.Record{
@@ -271,15 +272,48 @@ func TestExcerptWindow(t *testing.T) {
 	}
 }
 
-// TestNilRecorderAllocationFree: recording a finished trace on a nil
-// recorder — the daemon without a flight recorder — allocates nothing.
+// TestNilRecorderAllocationFree: recording a finished trace or a
+// decision record on a nil store — the daemon without one — allocates
+// nothing.
 func TestNilRecorderAllocationFree(t *testing.T) {
 	tr := trace.NewTracer(8).Start("configure", "s1")
 	tr.Root().Child("compose").End()
 	tr.Finish()
 	td := tr.Export()
+	xr := explain.Record{Session: "s1", Action: explain.ActionConfigure, Attempts: []explain.Attempt{{DegradeFactor: 1}}}
 	var rec *Recorder
 	if allocs := testing.AllocsPerRun(1000, func() { rec.RecordTrace(td) }); allocs != 0 {
 		t.Errorf("nil RecordTrace allocates %.1f objects per call, want 0", allocs)
+	}
+	if allocs := testing.AllocsPerRun(1000, func() { rec.RecordExplain(xr) }); allocs != 0 {
+		t.Errorf("nil RecordExplain allocates %.1f objects per call, want 0", allocs)
+	}
+}
+
+// TestExcerptKeepsOutOfOrderEntries: a trace summary is stamped with its
+// trace's start, so it lands on the timeline after the log lines of the
+// same configure while being older than all of them. A window that starts
+// at the first log line must still hold every log line after it.
+func TestExcerptKeepsOutOfOrderEntries(t *testing.T) {
+	r := New(ledger.Options{})
+	base := time.Date(2026, 8, 8, 12, 0, 0, 0, time.UTC)
+	for i := 1; i <= 4; i++ {
+		r.Write(obslog.Record{Time: base.Add(time.Duration(i) * time.Millisecond), Msg: fmt.Sprintf("e%d", i), Session: "a1"})
+	}
+	r.RecordTrace(trace.TraceData{Session: "a1", Name: "configure", Start: base})
+	r.Write(obslog.Record{Time: base.Add(5 * time.Millisecond), Msg: "e5", Session: "a1"})
+
+	got := r.Excerpt("a1", base.Add(time.Millisecond), time.Time{}, 100)
+	var msgs []string
+	for _, e := range got {
+		msgs = append(msgs, e.Message)
+	}
+	if want := "e1 e2 e3 e4 e5"; strings.Join(msgs, " ") != want {
+		t.Fatalf("excerpt = %q, want %q", strings.Join(msgs, " "), want)
+	}
+	// The cap keeps the newest entries inside the window, by sequence.
+	got = r.Excerpt("a1", time.Time{}, base.Add(4*time.Millisecond), 2)
+	if len(got) != 2 || got[0].Message != "e4" || got[1].Message != "trace configure" {
+		t.Fatalf("capped excerpt = %+v, want e4 then the trace summary", got)
 	}
 }

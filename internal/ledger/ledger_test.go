@@ -1,4 +1,4 @@
-package ledger
+package ledger_test
 
 import (
 	"fmt"
@@ -7,7 +7,8 @@ import (
 	"testing"
 	"time"
 
-	"ubiqos/internal/eventbus"
+	"ubiqos/internal/flight"
+	"ubiqos/internal/ledger"
 	"ubiqos/internal/metrics"
 	"ubiqos/internal/qos"
 )
@@ -41,7 +42,7 @@ func askFramerate() qos.Vector {
 }
 
 func TestNilLedgerIsNoOp(t *testing.T) {
-	var l *Ledger
+	var l *flight.Recorder
 	l.RecordAdmission("s", "c", "admit", "")
 	l.RecordConfigured("s", "c", askFramerate(), 1, time.Millisecond, "configure")
 	l.RecordConfigureFailed("s", "c", "boom")
@@ -51,24 +52,19 @@ func TestNilLedgerIsNoOp(t *testing.T) {
 	l.RecordStopped("s")
 	l.PublishMetrics()
 	if got := l.Scorecards(0); got != nil {
-		t.Fatalf("nil ledger Scorecards = %v, want nil", got)
+		t.Fatalf("nil store Scorecards = %v, want nil", got)
 	}
-	if got := l.Sessions(); got != nil {
-		t.Fatalf("nil ledger Sessions = %v, want nil", got)
+	if got := l.LedgerSessions(); got != nil {
+		t.Fatalf("nil store LedgerSessions = %v, want nil", got)
 	}
 	if _, ok := l.Report("s"); ok {
-		t.Fatal("nil ledger Report reported a session")
+		t.Fatal("nil store Report reported a session")
 	}
-	cancel, err := l.Tap(nil, nil)
-	if err != nil {
-		t.Fatalf("nil ledger Tap: %v", err)
-	}
-	cancel()
 }
 
 func TestDeficitIntegralAndRestoration(t *testing.T) {
 	ck := newClock()
-	l := New(Options{Now: ck.now})
+	l := flight.New(ledger.Options{Now: ck.now})
 
 	l.RecordAdmission("s1", "voice", "admit", "")
 	// Configure lands degraded: factor 0.8 => deficit fraction 0.2.
@@ -91,7 +87,7 @@ func TestDeficitIntegralAndRestoration(t *testing.T) {
 	if rep.Restorations != 1 {
 		t.Fatalf("restorations = %d, want 1", rep.Restorations)
 	}
-	if rep.Outcome != OutcomeRunning {
+	if rep.Outcome != ledger.OutcomeRunning {
 		t.Fatalf("outcome = %q, want running", rep.Outcome)
 	}
 	if len(rep.Requested) != 1 || rep.Requested[0] != qos.DimFrameRate+"=[30,44]" {
@@ -101,7 +97,7 @@ func TestDeficitIntegralAndRestoration(t *testing.T) {
 	ck.advance(time.Second)
 	l.RecordStopped("s1")
 	rep, _ = l.Report("s1")
-	if rep.Outcome != OutcomeCompleted {
+	if rep.Outcome != ledger.OutcomeCompleted {
 		t.Fatalf("outcome = %q, want completed", rep.Outcome)
 	}
 	cards := l.Scorecards(0)
@@ -130,7 +126,7 @@ func TestDeficitIntegralAndRestoration(t *testing.T) {
 
 func TestBrokenEpisodeAndMTTR(t *testing.T) {
 	ck := newClock()
-	l := New(Options{Now: ck.now})
+	l := flight.New(ledger.Options{Now: ck.now})
 
 	l.RecordConfigured("s1", "media", askFramerate(), 1, time.Millisecond, "configure")
 	ck.advance(5 * time.Second)
@@ -169,7 +165,7 @@ func TestBrokenEpisodeAndMTTR(t *testing.T) {
 
 func TestRestorationSurvivesBreakage(t *testing.T) {
 	ck := newClock()
-	l := New(Options{Now: ck.now})
+	l := flight.New(ledger.Options{Now: ck.now})
 
 	// Degraded configure, then breakage closes the degraded episode but
 	// remembers it; a degraded recovery keeps the session degraded; the
@@ -197,7 +193,7 @@ func TestRestorationSurvivesBreakage(t *testing.T) {
 	}
 	var restoredMarkers int
 	for _, ep := range rep.Episodes {
-		if ep.Kind == EpisodeRestored {
+		if ep.Kind == ledger.EpisodeRestored {
 			restoredMarkers++
 		}
 	}
@@ -208,7 +204,7 @@ func TestRestorationSurvivesBreakage(t *testing.T) {
 
 func TestAdmissionOutcomes(t *testing.T) {
 	ck := newClock()
-	l := New(Options{Now: ck.now})
+	l := flight.New(ledger.Options{Now: ck.now})
 
 	l.RecordAdmission("ok", "voice", "admit", "")
 	l.RecordConfigured("ok", "voice", askFramerate(), 1, time.Millisecond, "configure")
@@ -220,7 +216,7 @@ func TestAdmissionOutcomes(t *testing.T) {
 		t.Fatal("rejected session occupies a table slot")
 	}
 	rep, _ := l.Report("deg")
-	if len(rep.Open) != 1 || rep.Open[0].Kind != EpisodeShed {
+	if len(rep.Open) != 1 || rep.Open[0].Kind != ledger.EpisodeShed {
 		t.Fatalf("admit-degraded open episodes = %+v, want one shed-optional", rep.Open)
 	}
 	sc := l.Scorecards(0)[0]
@@ -234,18 +230,18 @@ func TestAdmissionOutcomes(t *testing.T) {
 
 func TestConfigureFailedFinalizesOnlyFreshSessions(t *testing.T) {
 	ck := newClock()
-	l := New(Options{Now: ck.now})
+	l := flight.New(ledger.Options{Now: ck.now})
 
 	l.RecordConfigureFailed("fresh", "voice", "no fit")
 	rep, _ := l.Report("fresh")
-	if rep.Outcome != OutcomeFailed {
+	if rep.Outcome != ledger.OutcomeFailed {
 		t.Fatalf("outcome = %q, want failed", rep.Outcome)
 	}
 
 	l.RecordConfigured("run", "voice", askFramerate(), 1, time.Millisecond, "configure")
 	l.RecordConfigureFailed("run", "voice", "transient recovery failure")
 	rep, _ = l.Report("run")
-	if rep.Outcome != OutcomeRunning {
+	if rep.Outcome != ledger.OutcomeRunning {
 		t.Fatalf("outcome = %q, want running (configured sessions survive failed attempts)", rep.Outcome)
 	}
 
@@ -256,23 +252,21 @@ func TestConfigureFailedFinalizesOnlyFreshSessions(t *testing.T) {
 }
 
 // TestBoundedEpisodeHistory drives table-driven episode loads through
-// one session and checks the retained history stays within PerSession
-// while the lifetime counter keeps the true total.
+// one session and checks the retained history stays within the ledger's
+// per-session cap while the lifetime counter keeps the true total.
 func TestBoundedEpisodeHistory(t *testing.T) {
 	cases := []struct {
-		name       string
-		perSession int
-		cycles     int
+		name   string
+		cycles int
 	}{
-		{"under cap", 16, 4},
-		{"at cap", 8, 4},
-		{"over cap", 4, 50},
-		{"tiny cap", 2, 100},
+		{"under cap", 4},
+		{"at cap", ledger.MaxEpisodes},
+		{"over cap", 3 * ledger.MaxEpisodes},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			ck := newClock()
-			l := New(Options{PerSession: tc.perSession, Now: ck.now})
+			l := flight.New(ledger.Options{Now: ck.now})
 			for i := 0; i < tc.cycles; i++ {
 				l.RecordBroken("s", "crash")
 				ck.advance(time.Second)
@@ -280,8 +274,8 @@ func TestBoundedEpisodeHistory(t *testing.T) {
 				ck.advance(time.Second)
 			}
 			rep, _ := l.Report("s")
-			if len(rep.Episodes) > tc.perSession {
-				t.Fatalf("retained %d episodes, cap %d", len(rep.Episodes), tc.perSession)
+			if want := min(tc.cycles, ledger.MaxEpisodes); len(rep.Episodes) != want {
+				t.Fatalf("retained %d episodes, want %d (cap %d)", len(rep.Episodes), want, ledger.MaxEpisodes)
 			}
 			// One broken episode closes per cycle.
 			if rep.EpisodesTotal != uint64(tc.cycles) {
@@ -295,45 +289,53 @@ func TestBoundedEpisodeHistory(t *testing.T) {
 	}
 }
 
+// tableCap is the session store's session-table bound.
+const tableCap = 128
+
 func TestSessionTableEviction(t *testing.T) {
 	ck := newClock()
-	l := New(Options{MaxSessions: 4, Now: ck.now})
+	l := flight.New(ledger.Options{Now: ck.now})
 
-	for i := 0; i < 8; i++ {
+	const sessions, stopped = 2 * tableCap, 2*tableCap - 2
+	for i := 0; i < sessions; i++ {
 		sid := fmt.Sprintf("s%d", i)
 		l.RecordConfigured(sid, "voice", askFramerate(), 1, time.Millisecond, "configure")
 		ck.advance(time.Second)
-		if i < 6 {
+		if i < stopped {
 			l.RecordStopped(sid)
 		}
 	}
-	if got := len(l.Sessions()); got > 4 {
-		t.Fatalf("table holds %d sessions, cap 4", got)
+	if got := len(l.LedgerSessions()); got > tableCap {
+		t.Fatalf("table holds %d sessions, cap %d", got, tableCap)
 	}
-	// Eviction must not lose class accounting: all 8 sessions admitted,
-	// 6 completed, 2 still live.
+	// Eviction must not lose class accounting: every session admitted,
+	// the stopped ones completed, the rest still live.
 	sc := l.Scorecards(0)[0]
-	if sc.Sessions != 8 || sc.Completed != 6 || sc.Live != 2 {
-		t.Fatalf("scorecard after eviction = sessions %d completed %d live %d, want 8/6/2",
-			sc.Sessions, sc.Completed, sc.Live)
+	if sc.Sessions != sessions || sc.Completed != stopped || sc.Live != sessions-stopped {
+		t.Fatalf("scorecard after eviction = sessions %d completed %d live %d, want %d/%d/%d",
+			sc.Sessions, sc.Completed, sc.Live, sessions, stopped, sessions-stopped)
 	}
 }
 
 func TestEvictionFoldsLiveVictims(t *testing.T) {
 	ck := newClock()
-	l := New(Options{MaxSessions: 2, Now: ck.now})
+	l := flight.New(ledger.Options{Now: ck.now})
 
 	// All live: evicting must fold the victim (as lost) first.
-	for i := 0; i < 5; i++ {
+	const sessions = tableCap + 3
+	for i := 0; i < sessions; i++ {
 		l.RecordConfigured(fmt.Sprintf("s%d", i), "voice", askFramerate(), 1, time.Millisecond, "configure")
 		ck.advance(time.Second)
 	}
 	sc := l.Scorecards(0)[0]
-	if sc.Sessions != 5 {
-		t.Fatalf("sessions = %d, want 5", sc.Sessions)
+	if sc.Sessions != sessions {
+		t.Fatalf("sessions = %d, want %d", sc.Sessions, sessions)
 	}
-	if sc.Lost != 3 || sc.Live != 2 {
-		t.Fatalf("lost=%d live=%d, want 3 evicted-lost and 2 live", sc.Lost, sc.Live)
+	if sc.Lost != 3 || sc.Live != tableCap {
+		t.Fatalf("lost=%d live=%d, want 3 evicted-lost and %d live", sc.Lost, sc.Live, tableCap)
+	}
+	if rep, ok := l.Report("s0"); ok {
+		t.Fatalf("the oldest live session was kept: %+v", rep)
 	}
 }
 
@@ -342,22 +344,22 @@ func TestEvictionFoldsLiveVictims(t *testing.T) {
 func TestOutOfOrderArrival(t *testing.T) {
 	cases := []struct {
 		name string
-		run  func(l *Ledger, ck *clock)
+		run  func(l *flight.Recorder, ck *clock)
 	}{
-		{"recover before configure", func(l *Ledger, ck *clock) {
+		{"recover before configure", func(l *flight.Recorder, ck *clock) {
 			l.RecordRecovered("s", time.Second, false, nil, "")
 			l.RecordConfigured("s", "voice", askFramerate(), 1, time.Millisecond, "recover")
 		}},
-		{"broken after stop", func(l *Ledger, ck *clock) {
+		{"broken after stop", func(l *flight.Recorder, ck *clock) {
 			l.RecordConfigured("s", "voice", askFramerate(), 1, time.Millisecond, "configure")
 			l.RecordStopped("s")
 			l.RecordBroken("s", "late event")
 			l.RecordLost("s", "late loss")
 		}},
-		{"stop unknown session", func(l *Ledger, ck *clock) {
+		{"stop unknown session", func(l *flight.Recorder, ck *clock) {
 			l.RecordStopped("never-seen")
 		}},
-		{"lost before configure", func(l *Ledger, ck *clock) {
+		{"lost before configure", func(l *flight.Recorder, ck *clock) {
 			l.RecordLost("s", "immediate loss")
 			l.RecordConfigured("s", "voice", askFramerate(), 1, time.Millisecond, "configure")
 		}},
@@ -365,7 +367,7 @@ func TestOutOfOrderArrival(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			ck := newClock()
-			l := New(Options{Now: ck.now})
+			l := flight.New(ledger.Options{Now: ck.now})
 			tc.run(l, ck)
 			for _, sc := range l.Scorecards(0) {
 				if sc.BrokenSec < 0 || sc.DegradedSec < 0 || sc.TotalDeficitSec < 0 {
@@ -380,12 +382,12 @@ func TestOutOfOrderArrival(t *testing.T) {
 
 	t.Run("stop wins over late lost", func(t *testing.T) {
 		ck := newClock()
-		l := New(Options{Now: ck.now})
+		l := flight.New(ledger.Options{Now: ck.now})
 		l.RecordConfigured("s", "voice", askFramerate(), 1, time.Millisecond, "configure")
 		l.RecordStopped("s")
 		l.RecordLost("s", "late")
 		rep, _ := l.Report("s")
-		if rep.Outcome != OutcomeCompleted {
+		if rep.Outcome != ledger.OutcomeCompleted {
 			t.Fatalf("outcome = %q, want completed (first finalize wins)", rep.Outcome)
 		}
 		sc := l.Scorecards(0)[0]
@@ -397,7 +399,7 @@ func TestOutOfOrderArrival(t *testing.T) {
 
 func TestClassCardinalityCap(t *testing.T) {
 	ck := newClock()
-	l := New(Options{MaxSessions: 4096, Now: ck.now})
+	l := flight.New(ledger.Options{Now: ck.now})
 	for i := 0; i < metrics.DefaultLabelCardinality+10; i++ {
 		l.RecordConfigured(fmt.Sprintf("s%d", i), fmt.Sprintf("class%03d", i), askFramerate(), 1, time.Millisecond, "configure")
 	}
@@ -421,7 +423,7 @@ func TestClassCardinalityCap(t *testing.T) {
 
 func TestScorecardWindow(t *testing.T) {
 	ck := newClock()
-	l := New(Options{Now: ck.now})
+	l := flight.New(ledger.Options{Now: ck.now})
 
 	l.RecordConfigured("old", "voice", askFramerate(), 1, 100*time.Millisecond, "configure")
 	l.RecordStopped("old")
@@ -446,7 +448,7 @@ func TestScorecardWindow(t *testing.T) {
 func TestPublishMetrics(t *testing.T) {
 	ck := newClock()
 	reg := metrics.NewRegistry()
-	l := New(Options{Metrics: reg, Now: ck.now})
+	l := flight.New(ledger.Options{Metrics: reg, Now: ck.now})
 
 	l.RecordConfigured("s", "voice", askFramerate(), 1, time.Millisecond, "configure")
 	ck.advance(10 * time.Second)
@@ -466,25 +468,11 @@ func TestPublishMetrics(t *testing.T) {
 	}
 }
 
-// TestConcurrentEpisodeWrites mirrors flight's lossless-tap stress: many
-// goroutines hammer the hooks while a Tap drains lifecycle events, under
+// TestConcurrentEpisodeWrites: many goroutines drive the ledger steps
+// of overlapping sessions while reading reports and scorecards, under
 // -race.
 func TestConcurrentEpisodeWrites(t *testing.T) {
-	bus := eventbus.New()
-	defer bus.Close()
-	l := New(Options{MaxSessions: 32})
-	resolve := func(ev eventbus.Event) []string {
-		if sid, ok := ev.Payload.(string); ok {
-			return []string{sid}
-		}
-		return nil
-	}
-	cancel, err := l.Tap(bus, resolve)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cancel()
-
+	l := flight.New(ledger.Options{})
 	const workers = 8
 	const perWorker = 64
 	var wg sync.WaitGroup
@@ -499,9 +487,8 @@ func TestConcurrentEpisodeWrites(t *testing.T) {
 				l.RecordConfigured(sid, class, askFramerate(), 0.9, time.Millisecond, "configure")
 				l.RecordBroken(sid, "crash")
 				l.RecordRecovered(sid, time.Millisecond, i%2 == 0, []string{"opt"}, "heuristic")
-				bus.Publish(eventbus.TopicSessionRecovered, sid)
 				if i%4 == 0 {
-					bus.Publish(eventbus.TopicSessionStopped, sid)
+					l.RecordStopped(sid)
 				}
 				_ = l.Scorecards(0)
 				_, _ = l.Report(sid)
@@ -509,8 +496,6 @@ func TestConcurrentEpisodeWrites(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
-	cancel()
-	cancel() // idempotent
 
 	for _, sc := range l.Scorecards(0) {
 		if sc.BrokenSec < 0 || sc.TotalDeficitSec < 0 || sc.Availability < 0 || sc.Availability > 1 {

@@ -32,25 +32,15 @@ func (r *ring) push(s sample) {
 	r.head = (r.head + 1) % len(r.samples)
 }
 
-// all returns the samples oldest-first.
-func (r *ring) all() []sample {
-	out := make([]sample, 0, r.n)
-	for i := 0; i < r.n; i++ {
-		out = append(out, r.samples[(r.head+i)%len(r.samples)])
-	}
-	return out
-}
-
-// values returns the sample values within the trailing window (all of
-// them when window <= 0).
+// values returns the sample values oldest first, within the trailing
+// window (all of them when window <= 0).
 func (r *ring) values(now time.Time, window time.Duration) []float64 {
 	out := make([]float64, 0, r.n)
 	cutoff := now.Add(-window)
-	for _, s := range r.all() {
-		if window > 0 && s.t.Before(cutoff) {
-			continue
+	for i := 0; i < r.n; i++ {
+		if s := r.samples[(r.head+i)%len(r.samples)]; window <= 0 || !s.t.Before(cutoff) {
+			out = append(out, s.v)
 		}
-		out = append(out, s.v)
 	}
 	return out
 }
@@ -76,18 +66,16 @@ type classAgg struct {
 	degradedSec float64
 	deficitSec  map[string]float64
 
-	ringCap      int
 	configRing   *ring
 	recoveryRing *ring
 	deficitRings map[string]*ring // per-axis per-session deficit integrals
 }
 
-func newClassAgg(ringCap int) *classAgg {
+func newClassAgg() *classAgg {
 	return &classAgg{
 		deficitSec:   make(map[string]float64),
-		ringCap:      ringCap,
-		configRing:   &ring{samples: make([]sample, ringCap)},
-		recoveryRing: &ring{samples: make([]sample, ringCap)},
+		configRing:   &ring{samples: make([]sample, ringCapacity)},
+		recoveryRing: &ring{samples: make([]sample, ringCapacity)},
 		deficitRings: make(map[string]*ring),
 	}
 }
@@ -103,7 +91,7 @@ func (a *classAgg) deficitRing(axis string) *ring {
 				return r
 			}
 		}
-		r = &ring{samples: make([]sample, a.ringCap)}
+		r = &ring{samples: make([]sample, ringCapacity)}
 		a.deficitRings[axis] = r
 	}
 	return r
@@ -182,16 +170,11 @@ type Scorecard struct {
 }
 
 // Scorecards computes the per-class scorecards, merging finalized
-// aggregates with the live sessions' current contributions (open
-// episodes integrated up to now). window > 0 restricts the latency and
-// deficit quantiles to samples within the trailing window; counters and
-// ratios are lifetime. Classes sort by name.
-func (l *Ledger) Scorecards(window time.Duration) []Scorecard {
-	if l == nil {
-		return nil
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
+// aggregates with the live accounts' current contributions (their
+// reports, open episodes integrated up to now). window > 0 restricts the
+// latency and deficit quantiles to samples within the trailing window;
+// counters and ratios are lifetime. Classes sort by name.
+func (l *Ledger) Scorecards(live []*Account, window time.Duration) []Scorecard {
 	now := l.now()
 
 	type work struct {
@@ -209,48 +192,24 @@ func (l *Ledger) Scorecards(window time.Duration) []Scorecard {
 		}
 		byClass[class] = w
 	}
-	for _, s := range l.sessions {
-		if s.folded {
-			continue
-		}
+	for _, s := range live {
 		w := byClass[s.class]
 		if w == nil {
 			continue
 		}
+		rep := l.report(s, now)
 		w.live++
-		life := now.Sub(s.started).Seconds()
-		if life < 0 {
-			life = 0
-		}
-		w.agg.lifetimeSec += life
-		broken, degraded := s.brokenSec, s.degradedSec
-		if ep := s.open[EpisodeBroken]; ep != nil {
-			if d := now.Sub(ep.Start).Seconds(); d > 0 {
-				broken += d
-			}
-		}
-		if s.degOpen > 0 {
-			if d := now.Sub(s.degSince).Seconds(); d > 0 {
-				degraded += d
-			}
-		}
-		w.agg.brokenSec += broken
-		w.agg.degradedSec += degraded
+		w.agg.lifetimeSec += max(now.Sub(s.started).Seconds(), 0)
+		w.agg.brokenSec += rep.BrokenSec
+		w.agg.degradedSec += rep.DegradedSec
 		if s.recoveries > 0 {
 			w.agg.recoveredSessions++
 		}
-		if degraded > 0 || s.restorations > 0 {
+		if rep.DegradedSec > 0 || s.restorations > 0 {
 			w.agg.degradedSessions++
 		}
 		for _, axis := range s.axes {
-			d := s.deficitSec[axis]
-			for _, ep := range s.open {
-				if ep.Frac > 0 {
-					if dur := now.Sub(ep.Start).Seconds(); dur > 0 {
-						d += ep.Frac * dur
-					}
-				}
-			}
+			d := rep.DeficitSec[axis]
 			w.def[axis] += d
 			w.liveDef[axis] = append(w.liveDef[axis], d)
 		}
@@ -355,8 +314,11 @@ type SessionReport struct {
 	EpisodesTotal uint64    `json:"episodesTotal"`      // lifetime, incl. trimmed
 }
 
-// reportLocked snapshots one session, integrating open episodes to now.
-func (l *Ledger) reportLocked(s *session, now time.Time) SessionReport {
+// Report snapshots one session's account, integrating open episodes to
+// now.
+func (l *Ledger) Report(s *Account) SessionReport { return l.report(s, l.now()) }
+
+func (l *Ledger) report(s *Account, now time.Time) SessionReport {
 	rep := SessionReport{
 		Session:         s.id,
 		Class:           s.class,
@@ -413,50 +375,6 @@ func (l *Ledger) reportLocked(s *session, now time.Time) SessionReport {
 	}
 	sort.Slice(rep.Open, func(i, j int) bool { return rep.Open[i].Start.Before(rep.Open[j].Start) })
 	return rep
-}
-
-// Report returns the full ledger entry for one session.
-func (l *Ledger) Report(sid string) (SessionReport, bool) {
-	if l == nil {
-		return SessionReport{}, false
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	s := l.sessions[sid]
-	if s == nil {
-		return SessionReport{}, false
-	}
-	return l.reportLocked(s, l.now()), true
-}
-
-// Sessions lists every retained session's report, most recently touched
-// first.
-func (l *Ledger) Sessions() []SessionReport {
-	if l == nil {
-		return nil
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	now := l.now()
-	type ord struct {
-		rep   SessionReport
-		touch time.Time
-	}
-	tmp := make([]ord, 0, len(l.sessions))
-	for _, s := range l.sessions {
-		tmp = append(tmp, ord{l.reportLocked(s, now), s.lastTouch})
-	}
-	sort.Slice(tmp, func(i, j int) bool {
-		if !tmp[i].touch.Equal(tmp[j].touch) {
-			return tmp[i].touch.After(tmp[j].touch)
-		}
-		return tmp[i].rep.Session < tmp[j].rep.Session
-	})
-	out := make([]SessionReport, len(tmp))
-	for i, o := range tmp {
-		out[i] = o.rep
-	}
-	return out
 }
 
 // Render formats the report as text, one episode per line, oldest first.

@@ -414,9 +414,9 @@ func (s *Server) flightInfo(req Request) (Response, error) {
 // report, or the index of recorded sessions when no session is named.
 func (s *Server) ledgerInfo(req Request) (Response, error) {
 	if req.SessionID == "" {
-		return Response{LedgerSessions: s.dom.Ledger.Sessions()}, nil
+		return Response{LedgerSessions: s.dom.Flight.LedgerSessions()}, nil
 	}
-	rep, ok := s.dom.Ledger.Report(req.SessionID)
+	rep, ok := s.dom.Flight.Report(req.SessionID)
 	if !ok {
 		return Response{}, notFound("wire: no ledger record for session %q", req.SessionID)
 	}
@@ -460,7 +460,7 @@ func (s *Server) scorecardInfo(req Request) (Response, error) {
 	if err != nil {
 		return Response{}, err
 	}
-	cards := s.dom.Ledger.Scorecards(window)
+	cards := s.dom.Flight.Scorecards(window)
 	if req.Class != "" {
 		filtered := cards[:0]
 		for _, c := range cards {
@@ -480,9 +480,9 @@ func (s *Server) scorecardInfo(req Request) (Response, error) {
 // index of sessions with records when no session is named.
 func (s *Server) explainInfo(req Request) (Response, error) {
 	if req.SessionID == "" {
-		return Response{ExplainSessions: s.dom.Explain.Sessions()}, nil
+		return Response{ExplainSessions: s.dom.Flight.ExplainSessions()}, nil
 	}
-	se := s.dom.Explain.Explain(req.SessionID)
+	se := s.dom.Flight.Explain(req.SessionID)
 	if se == nil {
 		return Response{}, notFound("wire: no explain record for session %q", req.SessionID)
 	}
