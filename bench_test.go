@@ -223,6 +223,28 @@ func BenchmarkAbstractGraphDecode(b *testing.B) {
 	}
 }
 
+// BenchmarkAbstractGraphBuild measures building the abstract graphs of the
+// same Figure-5 size through AddNode and AddEdge — what a generator or an
+// application spec pays per graph, duplicate-edge check included.
+func BenchmarkAbstractGraphBuild(b *testing.B) {
+	rng := rand.New(rand.NewSource(5))
+	var graphs []*graph.Graph
+	for len(graphs) < 8 {
+		graphs = append(graphs, workload.MustRandomGraph(rng, workload.Fig5Params()))
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		g := graphs[i%len(graphs)]
+		ag := composer.NewAbstractGraph()
+		for _, n := range g.Nodes() {
+			ag.MustAddNode(&composer.AbstractNode{ID: n.ID, Spec: registry.Spec{Type: n.Type}})
+		}
+		for _, e := range g.Edges() {
+			ag.MustAddEdge(e.From, e.To, e.ThroughputMbps)
+		}
+	}
+}
+
 // BenchmarkCostAggregation measures the Definition-3.5 objective.
 func BenchmarkCostAggregation(b *testing.B) {
 	probs := table1Problems(b, 4)

@@ -44,15 +44,25 @@ type AbstractEdge struct {
 
 // AbstractGraph is the developer-supplied high-level application
 // description: a DAG of abstract services and their interactions.
+//
+// Nodes live by position: index resolves an ID once, and nodes and head
+// are indexed by it. Edge k, in insertion order, runs from position
+// ends[2k] to position ends[2k+1] at throughput tp[k]. Each source chains
+// its own edges, newest first (head[i], then next[k] until -1), so a
+// duplicate is found by scanning only the source's edges. Callers keep
+// these graphs resident by the thousand, so nothing else is stored.
 type AbstractGraph struct {
-	nodes map[graph.NodeID]*AbstractNode
-	order []graph.NodeID
-	edges []AbstractEdge
+	index map[graph.NodeID]int32
+	nodes []*AbstractNode
+	ends  []int32
+	tp    []float64
+	head  []int32
+	next  []int32
 }
 
 // NewAbstractGraph returns an empty abstract service graph.
 func NewAbstractGraph() *AbstractGraph {
-	return &AbstractGraph{nodes: make(map[graph.NodeID]*AbstractNode)}
+	return &AbstractGraph{index: make(map[graph.NodeID]int32)}
 }
 
 // AddNode inserts an abstract service; duplicate or empty IDs fail.
@@ -60,14 +70,15 @@ func (ag *AbstractGraph) AddNode(n *AbstractNode) error {
 	if n == nil || n.ID == "" {
 		return fmt.Errorf("composer: abstract node must have a non-empty ID")
 	}
-	if _, ok := ag.nodes[n.ID]; ok {
+	if _, ok := ag.index[n.ID]; ok {
 		return fmt.Errorf("composer: duplicate abstract node %q", n.ID)
 	}
 	if n.Spec.Type == "" {
 		return fmt.Errorf("composer: abstract node %q has no service type", n.ID)
 	}
-	ag.nodes[n.ID] = n
-	ag.order = append(ag.order, n.ID)
+	ag.index[n.ID] = int32(len(ag.nodes))
+	ag.nodes = append(ag.nodes, n)
+	ag.head = append(ag.head, -1)
 	return nil
 }
 
@@ -81,25 +92,12 @@ func (ag *AbstractGraph) MustAddNode(n *AbstractNode) {
 // AddEdge declares that service `from` feeds service `to` at the given
 // throughput.
 func (ag *AbstractGraph) AddEdge(from, to graph.NodeID, throughputMbps float64) error {
-	if err := ag.checkEdge(from, to, throughputMbps); err != nil {
-		return err
-	}
-	for _, e := range ag.edges {
-		if e.From == from && e.To == to {
-			return errDuplicateEdge(from, to)
-		}
-	}
-	ag.edges = append(ag.edges, AbstractEdge{From: from, To: to, ThroughputMbps: throughputMbps})
-	return nil
-}
-
-// checkEdge applies every AddEdge rejection that concerns the edge alone;
-// whether it duplicates an earlier edge is for the caller to decide.
-func (ag *AbstractGraph) checkEdge(from, to graph.NodeID, throughputMbps float64) error {
-	if _, ok := ag.nodes[from]; !ok {
+	fi, ok := ag.index[from]
+	if !ok {
 		return fmt.Errorf("composer: abstract edge source %q does not exist", from)
 	}
-	if _, ok := ag.nodes[to]; !ok {
+	ti, ok := ag.index[to]
+	if !ok {
 		return fmt.Errorf("composer: abstract edge target %q does not exist", to)
 	}
 	if from == to {
@@ -108,11 +106,16 @@ func (ag *AbstractGraph) checkEdge(from, to graph.NodeID, throughputMbps float64
 	if throughputMbps < 0 {
 		return fmt.Errorf("composer: negative throughput on %s->%s", from, to)
 	}
+	for k := ag.head[fi]; k >= 0; k = ag.next[k] {
+		if ag.ends[2*k+1] == ti {
+			return fmt.Errorf("composer: duplicate abstract edge %s->%s", from, to)
+		}
+	}
+	ag.ends = append(ag.ends, fi, ti)
+	ag.tp = append(ag.tp, throughputMbps)
+	ag.next = append(ag.next, ag.head[fi])
+	ag.head[fi] = int32(len(ag.tp) - 1)
 	return nil
-}
-
-func errDuplicateEdge(from, to graph.NodeID) error {
-	return fmt.Errorf("composer: duplicate abstract edge %s->%s", from, to)
 }
 
 // MustAddEdge is AddEdge that panics on error.
@@ -123,20 +126,28 @@ func (ag *AbstractGraph) MustAddEdge(from, to graph.NodeID, throughputMbps float
 }
 
 // Node returns the abstract node with the given ID, or nil.
-func (ag *AbstractGraph) Node(id graph.NodeID) *AbstractNode { return ag.nodes[id] }
+func (ag *AbstractGraph) Node(id graph.NodeID) *AbstractNode {
+	if i, ok := ag.index[id]; ok {
+		return ag.nodes[i]
+	}
+	return nil
+}
 
 // Nodes returns all abstract nodes in insertion order.
 func (ag *AbstractGraph) Nodes() []*AbstractNode {
-	out := make([]*AbstractNode, 0, len(ag.order))
-	for _, id := range ag.order {
-		out = append(out, ag.nodes[id])
-	}
-	return out
+	return append(make([]*AbstractNode, 0, len(ag.nodes)), ag.nodes...)
 }
 
 // Edges returns all abstract edges in insertion order.
 func (ag *AbstractGraph) Edges() []AbstractEdge {
-	return append([]AbstractEdge(nil), ag.edges...)
+	if len(ag.tp) == 0 {
+		return nil
+	}
+	out := make([]AbstractEdge, len(ag.tp))
+	for k, tp := range ag.tp {
+		out[k] = AbstractEdge{From: ag.nodes[ag.ends[2*k]].ID, To: ag.nodes[ag.ends[2*k+1]].ID, ThroughputMbps: tp}
+	}
+	return out
 }
 
 // NodeCount returns the number of abstract services.
@@ -148,54 +159,46 @@ func (ag *AbstractGraph) NodeCount() int { return len(ag.nodes) }
 // is not checked again.
 func (ag *AbstractGraph) Clone() *AbstractGraph {
 	c := &AbstractGraph{
-		nodes: make(map[graph.NodeID]*AbstractNode, len(ag.nodes)),
-		order: append([]graph.NodeID(nil), ag.order...),
-		edges: append([]AbstractEdge(nil), ag.edges...),
+		index: make(map[graph.NodeID]int32, len(ag.nodes)),
+		nodes: make([]*AbstractNode, len(ag.nodes)),
+		ends:  append([]int32(nil), ag.ends...),
+		tp:    append([]float64(nil), ag.tp...),
+		head:  append([]int32(nil), ag.head...),
+		next:  append([]int32(nil), ag.next...),
 	}
-	for id, n := range ag.nodes {
-		cp := *n
-		c.nodes[id] = &cp
+	for id, i := range ag.index {
+		cp := *ag.nodes[i]
+		c.index[id], c.nodes[i] = i, &cp
 	}
 	return c
 }
 
-// adjacency is the predecessor and successor lists of one abstract graph:
-// nodes are named by their position in insertion order, and each list is
-// in edge order. It is built in one pass over the edges by whoever needs
-// it (Validate, one instantiation pass of Compose) and dropped afterwards:
-// nothing is retained on the graph, which callers keep resident by the
-// thousand.
+// adjacency is the predecessor and successor lists of one abstract graph,
+// by position, each list in edge order. It is built in one pass over the
+// edges by whoever needs it (Validate, one instantiation pass of Compose)
+// and dropped afterwards: nothing is retained on the graph.
 type adjacency struct {
-	preds, succs [][]int
-	// ends[2k] and ends[2k+1] are the source and target of edge k.
-	ends []int
+	preds, succs [][]int32
 }
 
 func (ag *AbstractGraph) adjacency() adjacency {
-	n := len(ag.order)
-	index := make(map[graph.NodeID]int, n)
-	for i, id := range ag.order {
-		index[id] = i
-	}
-	// Resolve the endpoints and count the degrees first, so that every
-	// list is a window of one backing array.
-	ends := make([]int, 2*len(ag.edges))
+	n := len(ag.nodes)
+	// Count the degrees first, so that every list is a window of one
+	// backing array.
 	deg := make([]int, 2*n)
 	indeg, outdeg := deg[:n], deg[n:]
-	for k, e := range ag.edges {
-		from, to := index[e.From], index[e.To]
-		ends[2*k], ends[2*k+1] = from, to
-		outdeg[from]++
-		indeg[to]++
+	for k := 0; k < len(ag.ends); k += 2 {
+		outdeg[ag.ends[k]]++
+		indeg[ag.ends[k+1]]++
 	}
-	adj := adjacency{preds: make([][]int, n), succs: make([][]int, n), ends: ends}
-	backing := make([]int, 2*len(ag.edges))
+	adj := adjacency{preds: make([][]int32, n), succs: make([][]int32, n)}
+	backing := make([]int32, len(ag.ends))
 	for i := 0; i < n; i++ {
 		adj.preds[i], backing = backing[:0:indeg[i]], backing[indeg[i]:]
 		adj.succs[i], backing = backing[:0:outdeg[i]], backing[outdeg[i]:]
 	}
-	for k := range ag.edges {
-		from, to := ends[2*k], ends[2*k+1]
+	for k := 0; k < len(ag.ends); k += 2 {
+		from, to := ag.ends[k], ag.ends[k+1]
 		adj.succs[from] = append(adj.succs[from], to)
 		adj.preds[to] = append(adj.preds[to], from)
 	}
@@ -206,14 +209,10 @@ func (ag *AbstractGraph) adjacency() adjacency {
 // correspond to client-facing services carrying the user's QoS
 // requirements.
 func (ag *AbstractGraph) Sinks() []graph.NodeID {
-	hasOut := make(map[graph.NodeID]bool)
-	for _, e := range ag.edges {
-		hasOut[e.From] = true
-	}
 	var out []graph.NodeID
-	for _, id := range ag.order {
-		if !hasOut[id] {
-			out = append(out, id)
+	for i, h := range ag.head {
+		if h < 0 {
+			out = append(out, ag.nodes[i].ID)
 		}
 	}
 	return out
@@ -228,27 +227,23 @@ func (ag *AbstractGraph) validate(adj adjacency) error {
 		return fmt.Errorf("composer: empty abstract service graph")
 	}
 	// Kahn's algorithm for cycle detection.
-	indeg := make([]int, len(ag.order))
-	ready := make([]int, 0, len(ag.order))
+	indeg := make([]int, len(ag.nodes))
+	ready := make([]int32, 0, len(ag.nodes))
 	for i, preds := range adj.preds {
 		indeg[i] = len(preds)
 		if indeg[i] == 0 {
-			ready = append(ready, i)
+			ready = append(ready, int32(i))
 		}
 	}
-	seen := 0
-	for len(ready) > 0 {
-		i := ready[0]
-		ready = ready[1:]
-		seen++
-		for _, s := range adj.succs[i] {
+	for head := 0; head < len(ready); head++ {
+		for _, s := range adj.succs[ready[head]] {
 			indeg[s]--
 			if indeg[s] == 0 {
 				ready = append(ready, s)
 			}
 		}
 	}
-	if seen != len(ag.nodes) {
+	if len(ready) != len(ag.nodes) {
 		return fmt.Errorf("composer: abstract service graph has a cycle")
 	}
 	return nil

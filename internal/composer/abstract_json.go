@@ -20,32 +20,28 @@ type PlainGraph struct {
 }
 
 // FromPlain builds the abstract graph a decoded document describes,
-// applying every AddNode and AddEdge rejection. Edges are checked in one
-// pass, with duplicates found through a set that lives only for the call,
-// so a graph of E edges costs O(E) rather than AddEdge's O(E²). The graph
-// takes over the document's nodes and edge slice.
+// through AddNode and AddEdge, so it applies every rejection they apply
+// and finds a duplicate edge by scanning only its source's edges. The
+// graph takes over the document's nodes.
 func FromPlain(p PlainGraph) (*AbstractGraph, error) {
 	ag := &AbstractGraph{
-		nodes: make(map[graph.NodeID]*AbstractNode, len(p.Nodes)),
-		order: make([]graph.NodeID, 0, len(p.Nodes)),
+		index: make(map[graph.NodeID]int32, len(p.Nodes)),
+		nodes: make([]*AbstractNode, 0, len(p.Nodes)),
+		ends:  make([]int32, 0, 2*len(p.Edges)),
+		tp:    make([]float64, 0, len(p.Edges)),
+		head:  make([]int32, 0, len(p.Nodes)),
+		next:  make([]int32, 0, len(p.Edges)),
 	}
 	for _, n := range p.Nodes {
 		if err := ag.AddNode(n); err != nil {
 			return nil, err
 		}
 	}
-	seen := make(map[[2]graph.NodeID]struct{}, len(p.Edges))
 	for _, e := range p.Edges {
-		if err := ag.checkEdge(e.From, e.To, e.ThroughputMbps); err != nil {
+		if err := ag.AddEdge(e.From, e.To, e.ThroughputMbps); err != nil {
 			return nil, err
 		}
-		key := [2]graph.NodeID{e.From, e.To}
-		if _, dup := seen[key]; dup {
-			return nil, errDuplicateEdge(e.From, e.To)
-		}
-		seen[key] = struct{}{}
 	}
-	ag.edges = p.Edges
 	return ag, nil
 }
 

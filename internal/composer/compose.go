@@ -241,11 +241,10 @@ func qualify(prefix string, id graph.NodeID) graph.NodeID {
 // under the discover span of the node that triggered it, so the span tree
 // shows the recursion depth structurally.
 func (in *instantiation) run(ag *AbstractGraph, adj adjacency, prefix string, depth int, parent *trace.Span) (*splice, error) {
-	n := len(ag.order)
+	n := len(ag.nodes)
 	sp := &splice{adj: adj, entries: make([][]graph.NodeID, n), exits: make([][]graph.NodeID, n)}
 	own := make([]graph.NodeID, n) // own[i:i+1] is discovered node i's boundary on both sides
-	for i, id := range ag.order {
-		an := ag.nodes[id]
+	for i, an := range ag.nodes {
 		qid := qualify(prefix, an.ID)
 		spec := an.Spec
 		sink := depth == 0 && len(adj.succs[i]) == 0
@@ -338,8 +337,8 @@ func (in *instantiation) run(ag *AbstractGraph, adj adjacency, prefix string, de
 	// their boundaries as they stand; only an endpoint without one (a
 	// skipped optional service, mostly) goes looking through its
 	// neighbours.
-	for k, e := range ag.edges {
-		from, to := adj.ends[2*k], adj.ends[2*k+1]
+	for k, tp := range ag.tp {
+		from, to := ag.ends[2*k], ag.ends[2*k+1]
 		srcs, dsts := sp.exits[from], sp.entries[to]
 		if srcs == nil {
 			srcs = resolve(from, sp.exits, adj.preds, make([]bool, n))
@@ -352,7 +351,7 @@ func (in *instantiation) run(ag *AbstractGraph, adj adjacency, prefix string, de
 				if s == d {
 					continue
 				}
-				if err := in.g.AddEdge(s, d, e.ThroughputMbps); err != nil {
+				if err := in.g.AddEdge(s, d, tp); err != nil {
 					// A bypass may produce an edge that already exists;
 					// keep the first declaration.
 					continue
@@ -396,7 +395,7 @@ func (sp *splice) boundary(entry bool) []graph.NodeID {
 		if len(outward[i]) != 0 {
 			continue
 		}
-		for _, id := range resolve(i, side, inward, make([]bool, len(side))) {
+		for _, id := range resolve(int32(i), side, inward, make([]bool, len(side))) {
 			if !seen[id] {
 				seen[id] = true
 				out = append(out, id)
@@ -411,7 +410,7 @@ func (sp *splice) boundary(entry bool) []graph.NodeID {
 // boundary, and a node without one resolves to the exits of its abstract
 // predecessors (the bypass); with entries and succs it is the upstream
 // analogue.
-func resolve(i int, side [][]graph.NodeID, next [][]int, visiting []bool) []graph.NodeID {
+func resolve(i int32, side [][]graph.NodeID, next [][]int32, visiting []bool) []graph.NodeID {
 	if visiting[i] {
 		return nil
 	}

@@ -247,7 +247,7 @@ func (in *refInstantiation) resolveEntries(ag *AbstractGraph, prefix string, id 
 // preds returns the abstract predecessors of id in edge order.
 func (ag *AbstractGraph) refPreds(id graph.NodeID) []graph.NodeID {
 	var out []graph.NodeID
-	for _, e := range ag.edges {
+	for _, e := range ag.Edges() {
 		if e.To == id {
 			out = append(out, e.From)
 		}
@@ -258,7 +258,7 @@ func (ag *AbstractGraph) refPreds(id graph.NodeID) []graph.NodeID {
 // succs returns the abstract successors of id in edge order.
 func (ag *AbstractGraph) refSuccs(id graph.NodeID) []graph.NodeID {
 	var out []graph.NodeID
-	for _, e := range ag.edges {
+	for _, e := range ag.Edges() {
 		if e.From == id {
 			out = append(out, e.To)
 		}
@@ -273,12 +273,12 @@ func (ag *AbstractGraph) refValidate() error {
 	}
 	// Kahn's algorithm for cycle detection.
 	indeg := make(map[graph.NodeID]int, len(ag.nodes))
-	for _, e := range ag.edges {
+	for _, e := range ag.Edges() {
 		indeg[e.To]++
 	}
 	var ready []graph.NodeID
-	for _, id := range ag.order {
-		if indeg[id] == 0 {
+	for _, n := range ag.nodes {
+		if id := n.ID; indeg[id] == 0 {
 			ready = append(ready, id)
 		}
 	}

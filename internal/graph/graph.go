@@ -11,7 +11,9 @@ package graph
 
 import (
 	"fmt"
+	"slices"
 	"sort"
+	"sync/atomic"
 
 	"ubiqos/internal/qos"
 	"ubiqos/internal/resource"
@@ -91,21 +93,44 @@ type Edge struct {
 
 // Graph is a mutable service graph. Node and edge iteration order is the
 // insertion order, so all algorithms over a graph are deterministic.
+//
+// Nodes live by position: index resolves an ID to its position once, and
+// every per-node slice (ids, nodes, out, in) is indexed by it. An edge is
+// stored twice, as a half-edge naming the position at its other end in the
+// source's out list and the target's in list, each list in the order its
+// edges were added.
 type Graph struct {
-	nodes map[NodeID]*Node
-	order []NodeID
-	out   map[NodeID][]Edge
-	in    map[NodeID][]Edge
+	index map[NodeID]int32
+	ids   []NodeID
+	nodes []*Node
+	out   [][]halfEdge
+	in    [][]halfEdge
 	edges int
+	// topo is the result of the last sort, dropped by every structural
+	// change, so that a composed graph is sorted once however many stages
+	// validate it. Atomic because graphs are read from several goroutines.
+	topo atomic.Pointer[topoResult]
 }
+
+// halfEdge is one entry of an out or in list.
+type halfEdge struct {
+	other int32
+	tp    float64
+}
+
+// topoResult is one computed topological order, or the cycle that
+// prevents it. It is never modified once stored.
+type topoResult struct {
+	order []NodeID
+	err   error
+}
+
+// topoSorts counts the topological sorts actually computed, for tests.
+var topoSorts atomic.Int64
 
 // New returns an empty service graph.
 func New() *Graph {
-	return &Graph{
-		nodes: make(map[NodeID]*Node),
-		out:   make(map[NodeID][]Edge),
-		in:    make(map[NodeID][]Edge),
-	}
+	return &Graph{index: make(map[NodeID]int32)}
 }
 
 // AddNode inserts the node. It fails on duplicate or empty IDs.
@@ -113,11 +138,15 @@ func (g *Graph) AddNode(n *Node) error {
 	if n == nil || n.ID == "" {
 		return fmt.Errorf("graph: node must have a non-empty ID")
 	}
-	if _, ok := g.nodes[n.ID]; ok {
+	if _, ok := g.index[n.ID]; ok {
 		return fmt.Errorf("graph: duplicate node %q", n.ID)
 	}
-	g.nodes[n.ID] = n
-	g.order = append(g.order, n.ID)
+	g.index[n.ID] = int32(len(g.nodes))
+	g.ids = append(g.ids, n.ID)
+	g.nodes = append(g.nodes, n)
+	g.out = append(g.out, nil)
+	g.in = append(g.in, nil)
+	g.changed()
 	return nil
 }
 
@@ -133,10 +162,12 @@ func (g *Graph) MustAddNode(n *Node) {
 // endpoints must exist, self-loops and duplicate edges are rejected, and
 // the throughput must be nonnegative.
 func (g *Graph) AddEdge(from, to NodeID, throughputMbps float64) error {
-	if _, ok := g.nodes[from]; !ok {
+	fi, ok := g.index[from]
+	if !ok {
 		return fmt.Errorf("graph: edge source %q does not exist", from)
 	}
-	if _, ok := g.nodes[to]; !ok {
+	ti, ok := g.index[to]
+	if !ok {
 		return fmt.Errorf("graph: edge target %q does not exist", to)
 	}
 	if from == to {
@@ -145,16 +176,32 @@ func (g *Graph) AddEdge(from, to NodeID, throughputMbps float64) error {
 	if throughputMbps < 0 {
 		return fmt.Errorf("graph: negative throughput on %s->%s", from, to)
 	}
-	for _, e := range g.out[from] {
-		if e.To == to {
-			return fmt.Errorf("graph: duplicate edge %s->%s", from, to)
+	if indexOf(g.out[fi], ti) >= 0 {
+		return fmt.Errorf("graph: duplicate edge %s->%s", from, to)
+	}
+	g.out[fi] = append(g.out[fi], halfEdge{other: ti, tp: throughputMbps})
+	g.in[ti] = append(g.in[ti], halfEdge{other: fi, tp: throughputMbps})
+	g.edges++
+	g.changed()
+	return nil
+}
+
+// outIndex returns the position in list of the half-edge to other, or -1.
+func indexOf(list []halfEdge, other int32) int {
+	for k, e := range list {
+		if e.other == other {
+			return k
 		}
 	}
-	e := Edge{From: from, To: to, ThroughputMbps: throughputMbps}
-	g.out[from] = append(g.out[from], e)
-	g.in[to] = append(g.in[to], e)
-	g.edges++
-	return nil
+	return -1
+}
+
+// changed drops the stored order after a structural change; the load
+// first keeps a run of additions from writing the shared word each time.
+func (g *Graph) changed() {
+	if g.topo.Load() != nil {
+		g.topo.Store(nil)
+	}
 }
 
 // MustAddEdge is AddEdge that panics on error.
@@ -167,29 +214,21 @@ func (g *Graph) MustAddEdge(from, to NodeID, throughputMbps float64) {
 // RemoveEdge deletes the edge from→to if present and reports whether it
 // existed.
 func (g *Graph) RemoveEdge(from, to NodeID) bool {
-	removed := false
-	g.out[from] = filterEdges(g.out[from], func(e Edge) bool { return e.To != to })
-	g.in[to] = filterEdges(g.in[to], func(e Edge) bool {
-		if e.From == from {
-			removed = true
-			return false
-		}
-		return true
-	})
-	if removed {
-		g.edges--
+	fi, fok := g.index[from]
+	ti, tok := g.index[to]
+	if !fok || !tok {
+		return false
 	}
-	return removed
-}
-
-func filterEdges(es []Edge, keep func(Edge) bool) []Edge {
-	out := es[:0]
-	for _, e := range es {
-		if keep(e) {
-			out = append(out, e)
-		}
+	k := indexOf(g.out[fi], ti)
+	if k < 0 {
+		return false
 	}
-	return out
+	g.out[fi] = slices.Delete(g.out[fi], k, k+1)
+	k = indexOf(g.in[ti], fi)
+	g.in[ti] = slices.Delete(g.in[ti], k, k+1)
+	g.edges--
+	g.changed()
+	return true
 }
 
 // InsertOnEdge replaces the edge from→to with from→n→to, giving both new
@@ -197,20 +236,19 @@ func filterEdges(es []Edge, keep func(Edge) bool) []Edge {
 // It is how the composer splices transcoder and buffer components into an
 // inconsistent interaction.
 func (g *Graph) InsertOnEdge(from, to NodeID, n *Node, inMbps, outMbps float64) error {
-	var orig *Edge
-	for i := range g.out[from] {
-		if g.out[from][i].To == to {
-			orig = &g.out[from][i]
-			break
-		}
+	fi, fok := g.index[from]
+	ti, tok := g.index[to]
+	k := -1
+	if fok && tok {
+		k = indexOf(g.out[fi], ti)
 	}
-	if orig == nil {
+	if k < 0 {
 		return fmt.Errorf("graph: no edge %s->%s to insert on", from, to)
 	}
 	if err := g.AddNode(n); err != nil {
 		return err
 	}
-	tp := orig.ThroughputMbps
+	tp := g.out[fi][k].tp
 	g.RemoveEdge(from, to)
 	if inMbps < 0 {
 		inMbps = tp
@@ -225,46 +263,79 @@ func (g *Graph) InsertOnEdge(from, to NodeID, n *Node, inMbps, outMbps float64) 
 }
 
 // Node returns the node with the given ID, or nil.
-func (g *Graph) Node(id NodeID) *Node { return g.nodes[id] }
+func (g *Graph) Node(id NodeID) *Node {
+	if i, ok := g.index[id]; ok {
+		return g.nodes[i]
+	}
+	return nil
+}
 
 // Has reports whether the node exists.
-func (g *Graph) Has(id NodeID) bool { return g.nodes[id] != nil }
+func (g *Graph) Has(id NodeID) bool { return g.Node(id) != nil }
 
 // Nodes returns all nodes in insertion order.
 func (g *Graph) Nodes() []*Node {
-	out := make([]*Node, 0, len(g.order))
-	for _, id := range g.order {
-		out = append(out, g.nodes[id])
-	}
-	return out
+	return append(make([]*Node, 0, len(g.nodes)), g.nodes...)
 }
 
 // NodeIDs returns all node IDs in insertion order.
 func (g *Graph) NodeIDs() []NodeID {
-	return append([]NodeID(nil), g.order...)
+	return append([]NodeID(nil), g.ids...)
 }
 
-// Edges returns all edges, ordered by source insertion order then by
-// target insertion order within a source.
+// Edges returns all edges, ordered by source insertion order, then by
+// edge insertion order within a source.
 func (g *Graph) Edges() []Edge {
 	out := make([]Edge, 0, g.edges)
-	for _, id := range g.order {
-		out = append(out, g.out[id]...)
+	for i, list := range g.out {
+		for _, e := range list {
+			out = append(out, Edge{From: g.ids[i], To: g.ids[e.other], ThroughputMbps: e.tp})
+		}
 	}
 	return out
 }
 
 // Out returns the outgoing edges of id.
-func (g *Graph) Out(id NodeID) []Edge { return append([]Edge(nil), g.out[id]...) }
+func (g *Graph) Out(id NodeID) []Edge {
+	i, ok := g.index[id]
+	if !ok || len(g.out[i]) == 0 {
+		return nil
+	}
+	out := make([]Edge, len(g.out[i]))
+	for k, e := range g.out[i] {
+		out[k] = Edge{From: id, To: g.ids[e.other], ThroughputMbps: e.tp}
+	}
+	return out
+}
 
 // In returns the incoming edges of id.
-func (g *Graph) In(id NodeID) []Edge { return append([]Edge(nil), g.in[id]...) }
+func (g *Graph) In(id NodeID) []Edge {
+	i, ok := g.index[id]
+	if !ok || len(g.in[i]) == 0 {
+		return nil
+	}
+	in := make([]Edge, len(g.in[i]))
+	for k, e := range g.in[i] {
+		in[k] = Edge{From: g.ids[e.other], To: id, ThroughputMbps: e.tp}
+	}
+	return in
+}
 
 // OutDegree returns the number of outgoing edges of id.
-func (g *Graph) OutDegree(id NodeID) int { return len(g.out[id]) }
+func (g *Graph) OutDegree(id NodeID) int {
+	if i, ok := g.index[id]; ok {
+		return len(g.out[i])
+	}
+	return 0
+}
 
 // InDegree returns the number of incoming edges of id.
-func (g *Graph) InDegree(id NodeID) int { return len(g.in[id]) }
+func (g *Graph) InDegree(id NodeID) int {
+	if i, ok := g.index[id]; ok {
+		return len(g.in[i])
+	}
+	return 0
+}
 
 // NodeCount returns the number of nodes V.
 func (g *Graph) NodeCount() int { return len(g.nodes) }
@@ -273,24 +344,19 @@ func (g *Graph) NodeCount() int { return len(g.nodes) }
 func (g *Graph) EdgeCount() int { return g.edges }
 
 // Sources returns the nodes with no incoming edges, in insertion order.
-func (g *Graph) Sources() []NodeID {
-	var out []NodeID
-	for _, id := range g.order {
-		if len(g.in[id]) == 0 {
-			out = append(out, id)
-		}
-	}
-	return out
-}
+func (g *Graph) Sources() []NodeID { return g.without(g.in) }
 
 // Sinks returns the nodes with no outgoing edges, in insertion order. In a
 // service graph the sinks are usually the client-facing services whose QoS
 // corresponds to the user's requirements.
-func (g *Graph) Sinks() []NodeID {
+func (g *Graph) Sinks() []NodeID { return g.without(g.out) }
+
+// without returns, in insertion order, the nodes whose list is empty.
+func (g *Graph) without(lists [][]halfEdge) []NodeID {
 	var out []NodeID
-	for _, id := range g.order {
-		if len(g.out[id]) == 0 {
-			out = append(out, id)
+	for i, list := range lists {
+		if len(list) == 0 {
+			out = append(out, g.ids[i])
 		}
 	}
 	return out
@@ -300,57 +366,85 @@ func (g *Graph) Sinks() []NodeID {
 // node on a cycle. The order is deterministic: among ready nodes, insertion
 // order wins (Kahn's algorithm with a stable ready queue).
 func (g *Graph) TopoSort() ([]NodeID, error) {
-	indeg := make(map[NodeID]int, len(g.nodes))
-	for _, id := range g.order {
-		indeg[id] = len(g.in[id])
+	t := g.sorted()
+	if t.err != nil {
+		return nil, t.err
 	}
-	var ready []NodeID
-	for _, id := range g.order {
-		if indeg[id] == 0 {
-			ready = append(ready, id)
+	return append(make([]NodeID, 0, len(t.order)), t.order...), nil
+}
+
+// sorted returns the graph's topological order, computing it only if no
+// structural change has happened since it was last computed.
+func (g *Graph) sorted() *topoResult {
+	if t := g.topo.Load(); t != nil {
+		return t
+	}
+	topoSorts.Add(1)
+	n := len(g.nodes)
+	indeg := make([]int32, n)
+	// ready is the FIFO queue of positions whose predecessors have all been
+	// emitted; nothing leaves it, so it ends as the order.
+	ready := make([]int32, 0, n)
+	for i, list := range g.in {
+		if indeg[i] = int32(len(list)); indeg[i] == 0 {
+			ready = append(ready, int32(i))
 		}
 	}
-	out := make([]NodeID, 0, len(g.nodes))
-	for len(ready) > 0 {
-		id := ready[0]
-		ready = ready[1:]
-		out = append(out, id)
-		for _, e := range g.out[id] {
-			indeg[e.To]--
-			if indeg[e.To] == 0 {
-				ready = append(ready, e.To)
+	for head := 0; head < len(ready); head++ {
+		for _, e := range g.out[ready[head]] {
+			if indeg[e.other]--; indeg[e.other] == 0 {
+				ready = append(ready, e.other)
 			}
 		}
 	}
-	if len(out) != len(g.nodes) {
-		// Find one offending node for the error message.
+	t := &topoResult{}
+	if len(ready) != n {
+		// Name the nodes left on or behind a cycle.
 		var stuck []string
-		for _, id := range g.order {
-			if indeg[id] > 0 {
-				stuck = append(stuck, string(id))
+		for i, d := range indeg {
+			if d > 0 {
+				stuck = append(stuck, string(g.ids[i]))
 			}
 		}
 		sort.Strings(stuck)
-		return nil, fmt.Errorf("graph: cycle detected involving %v", stuck)
+		t.err = fmt.Errorf("graph: cycle detected involving %v", stuck)
+	} else {
+		t.order = make([]NodeID, n)
+		for k, i := range ready {
+			t.order[k] = g.ids[i]
+		}
 	}
-	return out, nil
+	g.topo.Store(t)
+	return t
 }
 
 // IsDAG reports whether the graph is acyclic.
-func (g *Graph) IsDAG() bool {
-	_, err := g.TopoSort()
-	return err == nil
-}
+func (g *Graph) IsDAG() bool { return g.sorted().err == nil }
 
-// Clone returns a deep copy of the graph; nodes are cloned.
+// Clone returns a deep copy of the graph; nodes are cloned. The copy's
+// edges are added in Edges order, and it keeps the original's sort, which
+// depends only on node order and out lists.
 func (g *Graph) Clone() *Graph {
-	c := New()
-	for _, id := range g.order {
-		c.MustAddNode(g.nodes[id].Clone())
+	n := len(g.nodes)
+	c := &Graph{
+		index: make(map[NodeID]int32, n),
+		ids:   append([]NodeID(nil), g.ids...),
+		nodes: make([]*Node, n),
+		out:   make([][]halfEdge, n),
+		in:    make([][]halfEdge, n),
+		edges: g.edges,
 	}
-	for _, e := range g.Edges() {
-		c.MustAddEdge(e.From, e.To, e.ThroughputMbps)
+	for i, id := range g.ids {
+		c.index[id] = int32(i)
+		c.nodes[i] = g.nodes[i].Clone()
+		c.out[i] = append([]halfEdge(nil), g.out[i]...)
 	}
+	for i, list := range g.out {
+		for _, e := range list {
+			c.in[e.other] = append(c.in[e.other], halfEdge{other: int32(i), tp: e.tp})
+		}
+	}
+	c.topo.Store(g.topo.Load())
 	return c
 }
 
@@ -361,11 +455,11 @@ func (g *Graph) Validate() error {
 	if len(g.nodes) == 0 {
 		return fmt.Errorf("graph: empty service graph")
 	}
-	if _, err := g.TopoSort(); err != nil {
-		return err
+	if t := g.sorted(); t.err != nil {
+		return t.err
 	}
-	for _, id := range g.order {
-		n := g.nodes[id]
+	for i, n := range g.nodes {
+		id := g.ids[i]
 		if err := n.In.Validate(); err != nil {
 			return fmt.Errorf("graph: node %q input QoS: %w", id, err)
 		}
@@ -386,8 +480,8 @@ func (g *Graph) Validate() error {
 // vectors, assuming dimension m (nodes with empty vectors count as zero).
 func (g *Graph) TotalResources(m int) resource.Vector {
 	total := resource.New(m)
-	for _, id := range g.order {
-		if r := g.nodes[id].Resources; len(r) == m {
+	for _, n := range g.nodes {
+		if r := n.Resources; len(r) == m {
 			total.AddInPlace(r)
 		}
 	}
