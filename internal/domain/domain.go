@@ -109,9 +109,9 @@ type Domain struct {
 	// record per configure/reconfigure/recover action and recovery-ladder
 	// step), and the QoS outcome ledger (per-session delivered-vs-
 	// requested accounting folded into the per-class scorecards behind
-	// /ledger, /scorecard, and `qosctl report`). The observer and the
-	// request path write it on their own goroutines; only the events
-	// published off the request path arrive through a bus tap.
+	// /ledger, /scorecard, and `qosctl report`). Every writer writes it on
+	// its own goroutine: the observer one call per report, and the bus
+	// each event as it is published.
 	Flight *flight.Recorder
 	// Log is the domain's structured logger. It writes into Flight by
 	// default; the daemon attaches an os.Stderr sink (and any other) with
@@ -146,8 +146,6 @@ type Domain struct {
 	// classesSeen remembers every class the sampler has published, so a
 	// class whose sessions all ended still gets its gauge zeroed.
 	classesSeen map[string]bool
-
-	tapCancel func()
 
 	// classMeters memoizes the per-class meters (see classMeter).
 	metersMu    sync.Mutex
@@ -245,13 +243,16 @@ func New(name string, opts Options) (*Domain, error) {
 	if opts.EnableAdmission {
 		d.EnableAdmissionGate(opts.AdmissionPolicies, opts.AdmissionDefault)
 	}
-	// The events published off the request path reach the session store
-	// through a bus tap, attributed to the sessions they concern; the
-	// domain records its own as it publishes them (see announce).
-	d.tapCancel, err = d.Flight.Tap(d.Bus, d.resolveFlightSessions)
-	if err != nil {
-		return nil, err
-	}
+	// Every published event lands on the timelines of the sessions it
+	// concerns on the publisher's goroutine, before any subscriber sees
+	// it. Resolving takes the configurator's read lock (SessionsOn); no
+	// publisher holds that lock or the store's: the domain's verbs, the
+	// supervisor and the fault injector all publish with no lock held.
+	d.Bus.SetRecorder(func(ev eventbus.Event) {
+		for _, session := range d.resolveFlightSessions(ev) {
+			d.Flight.RecordEvent(session, ev)
+		}
+	})
 	d.Capacity = capacity.New(capacity.Options{
 		Interval:     opts.SampleInterval,
 		RingCapacity: opts.RingCapacity,
@@ -299,19 +300,6 @@ func (d *Domain) resolveFlightSessions(ev eventbus.Event) []string {
 		}
 	}
 	return nil
-}
-
-// announce records a request-path event on the timelines of the sessions
-// it concerns and then publishes it, both on the caller's goroutine: a
-// reader that sees the call that published it return sees the event in
-// publish order. The topics in flight.TapTopics are published plainly
-// and reach the store through the tap instead.
-func (d *Domain) announce(topic eventbus.Topic, payload any) {
-	ev := eventbus.Event{Topic: topic, Payload: payload}
-	for _, session := range d.resolveFlightSessions(ev) {
-		d.Flight.RecordEvent(session, ev)
-	}
-	d.Bus.Publish(topic, payload)
 }
 
 // MustNew is New that panics on error.
@@ -434,7 +422,7 @@ func (d *Domain) AddDevice(id device.ID, class device.Class, rawCapacity resourc
 	if err := d.Devices.Add(dev); err != nil {
 		return nil, err
 	}
-	d.announce(eventbus.TopicDeviceJoined, string(id))
+	d.Bus.Publish(eventbus.TopicDeviceJoined, string(id))
 	return dev, nil
 }
 
@@ -465,7 +453,7 @@ func (d *Domain) FailDevice(id device.ID) error {
 	}
 	dev.SetUp(false)
 	d.Log.Named("domain").Warn("device left", obslog.String("device", string(id)))
-	d.announce(eventbus.TopicDeviceLeft, string(id))
+	d.Bus.Publish(eventbus.TopicDeviceLeft, string(id))
 	return nil
 }
 
@@ -480,7 +468,7 @@ func (d *Domain) RejoinDevice(id device.ID) error {
 	}
 	dev.SetUp(true)
 	d.Log.Named("domain").Info("device rejoined", obslog.String("device", string(id)))
-	d.announce(eventbus.TopicDeviceJoined, string(id))
+	d.Bus.Publish(eventbus.TopicDeviceJoined, string(id))
 	return nil
 }
 
@@ -538,7 +526,7 @@ func (d *Domain) RemoveDevice(id device.ID) ([]string, error) {
 	}
 	dev.SetUp(false)
 	d.Log.Named("domain").Warn("device removed", obslog.String("device", string(id)))
-	d.announce(eventbus.TopicDeviceLeft, string(id))
+	d.Bus.Publish(eventbus.TopicDeviceLeft, string(id))
 
 	var moved []string
 	var firstErr error
@@ -572,7 +560,10 @@ func (d *Domain) RemoveDevice(id device.ID) ([]string, error) {
 // notifyLost closes the ledger account of a session that cannot be kept
 // alive automatically and raises the user notification.
 func (d *Domain) notifyLost(sessionID string, dev device.ID, reason string) {
-	d.Flight.RecordLost(sessionID, "session lost")
+	// A loss no supervisor decided: the store closes the account as lost
+	// and keeps no provenance record for it.
+	d.Flight.Step(trace.TraceData{}, explain.Record{Session: sessionID,
+		Ladder: &explain.LadderStep{Outcome: "lost", Detail: "session lost"}}, 0)
 	d.Bus.Publish(eventbus.TopicUserNotification, core.SessionLostNotice{
 		SessionID: sessionID,
 		Device:    dev,
@@ -612,7 +603,7 @@ func (d *Domain) SwitchDevice(sessionID string, to device.ID) (*core.ActiveSessi
 	}
 	req := active.Request
 	req.ClientDevice = to
-	d.announce(eventbus.TopicDeviceSwitched, string(to))
+	d.Bus.Publish(eventbus.TopicDeviceSwitched, string(to))
 	return d.Configurator.Reconfigure(req)
 }
 
@@ -694,7 +685,7 @@ func (d *Domain) Migrate(sessionID string, target *Domain, newClient device.ID, 
 	if err != nil {
 		return nil, err
 	}
-	d.announce(eventbus.TopicUserMoved, sessionID)
+	d.Bus.Publish(eventbus.TopicUserMoved, sessionID)
 
 	// The checkpoint crosses the inter-domain link (modeled at the target
 	// domain's time scale).
@@ -711,7 +702,7 @@ func (d *Domain) Migrate(sessionID string, target *Domain, newClient device.ID, 
 		return nil, fmt.Errorf("domain: migration failed and origin resume failed too: %w", err)
 	}
 	resumed.Timing.InitOrHandoff += transfer
-	target.announce(eventbus.TopicSessionStarted, sessionID)
+	target.Bus.Publish(eventbus.TopicSessionStarted, sessionID)
 	return resumed, nil
 }
 
@@ -835,7 +826,7 @@ func (d *Domain) StartApp(req core.Request) (*core.ActiveSession, error) {
 		}
 		return nil, err
 	}
-	d.announce(eventbus.TopicSessionStarted, req.SessionID)
+	d.Bus.Publish(eventbus.TopicSessionStarted, req.SessionID)
 	return active, nil
 }
 
@@ -888,21 +879,18 @@ func (d *Domain) StopApp(sessionID string) error {
 	if err := d.Configurator.Stop(sessionID); err != nil {
 		return err
 	}
-	d.announce(eventbus.TopicSessionStopped, sessionID)
+	d.Bus.Publish(eventbus.TopicSessionStopped, sessionID)
 	return nil
 }
 
-// Close stops the capacity observatory and the flight recorder's bus
-// tap, detaches the plan cache, and shuts down the domain's event bus.
+// Close stops the capacity observatory, shuts down the domain's event
+// bus, and detaches the plan cache.
 func (d *Domain) Close() {
 	if d.Autoscaler != nil {
 		d.Autoscaler.Stop()
 	}
 	if d.Capacity != nil {
 		d.Capacity.Stop()
-	}
-	if d.tapCancel != nil {
-		d.tapCancel()
 	}
 	d.Bus.Close()
 	if d.PlanCache != nil {

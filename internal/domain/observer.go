@@ -77,10 +77,10 @@ func (o observer) Begin(req core.Request, rec explain.Record) (*trace.Trace, *ob
 }
 
 // Finished implements core.Observer: one configure, reconfigure, resume
-// or recover lands on the log, the flight timeline, the provenance
-// timeline, the metrics registry, and the ledger.
+// or recover lands on the log, the session store — its trace summary, its
+// provenance record and its ledger step, in one call — and the metrics
+// registry.
 func (o observer) Finished(req core.Request, active *core.ActiveSession, rec explain.Record, tr *trace.Trace, err error) {
-	d := o.d
 	if err != nil {
 		if log := o.sessionLog(obslog.LevelError, "core", rec.Session, rec.TraceID); log != nil {
 			log.Error("configure failed", obslog.Err(err))
@@ -92,7 +92,7 @@ func (o observer) Finished(req core.Request, active *core.ActiveSession, rec exp
 			obslog.Int("components", int64(active.Graph.NodeCount())),
 			obslog.Duration("tookMs", active.Timing.Total()))
 	}
-	d.Flight.RecordTrace(tr.Export())
+	var took time.Duration
 	if err != nil {
 		rec.Err = err.Error()
 	} else {
@@ -102,15 +102,10 @@ func (o observer) Finished(req core.Request, active *core.ActiveSession, rec exp
 		for id, dev := range active.Placement {
 			rec.Placement[string(id)] = string(dev)
 		}
+		took = active.Timing.Total()
 	}
-	d.Flight.RecordExplain(rec)
+	o.d.Flight.Finished(tr.Export(), rec, req.Class, req.UserQoS, took)
 	o.recordMetrics(req, active, rec, err)
-	if err != nil {
-		d.Flight.RecordConfigureFailed(rec.Session, req.Class, err.Error())
-	} else {
-		d.Flight.RecordConfigured(rec.Session, req.Class, req.UserQoS,
-			active.DegradeFactor, active.Timing.Total(), rec.Action)
-	}
 }
 
 // recordMetrics feeds the registry one finished action: the search
@@ -156,27 +151,25 @@ func (o observer) recordMetrics(req core.Request, active *core.ActiveSession, re
 	}
 }
 
-// Step implements core.Observer: a stop or suspend completes the session;
-// a supervisor step moves its account and lands on the log and, unless
-// broken or healed, on the provenance timeline.
+// Step implements core.Observer: every step lands on the session store
+// in one call (a stop or suspend completes the session; a supervisor step
+// moves its account and, unless broken or healed, lands on the provenance
+// timeline), then on the metrics registry and the log.
 func (o observer) Step(req core.Request, rec explain.Record, tr *trace.Trace, down time.Duration, st core.SupervisorStats) {
 	d, m := o.d, o.d.Metrics
+	rec.Session = req.SessionID // a stop's record is empty
+	d.Flight.Step(tr.Export(), rec, down)
 	if rec.Ladder == nil {
 		m.Gauge(metrics.ActiveSessions).Set(float64(d.Configurator.Sessions()))
 		d.classMeter(metrics.SessionCompletions, req.Class).Mark(1)
-		d.Flight.RecordStopped(req.SessionID)
 		if log := o.sessionLog(obslog.LevelInfo, "core", req.SessionID, req.TraceCtx.TraceID); log != nil {
 			log.Info("session stopped")
 		}
 		return
 	}
-	if tr != nil {
-		d.Flight.RecordTrace(tr.Export())
-	}
 	step := rec.Ladder
 	switch step.Outcome {
 	case "broken":
-		d.Flight.RecordBroken(rec.Session, step.Reason)
 		o.supervisorLog(req).Warn("recovery queued",
 			obslog.String("reason", step.Reason), obslog.String("device", step.Detail))
 	case "recovered":
@@ -187,7 +180,6 @@ func (o observer) Step(req core.Request, rec explain.Record, tr *trace.Trace, do
 		if step.Restored {
 			m.Counter(metrics.SessionsRestored).Inc()
 		}
-		d.Flight.RecordRecovered(rec.Session, down, step.Degraded, step.Shed, step.PlacementFallback)
 		m.Histogram(metrics.RecoveryLatency).Observe(down)
 		if st.WarmSpeedup > 0 {
 			m.Gauge(metrics.WarmSpeedup).Set(st.WarmSpeedup)
@@ -200,19 +192,15 @@ func (o observer) Step(req core.Request, rec explain.Record, tr *trace.Trace, do
 		if step.Restored {
 			log.Info("session restored to full QoS")
 		}
-		d.Flight.RecordExplain(rec)
 	case "retry":
 		m.Counter(metrics.RecoveryRetries).Inc()
 		o.supervisorLog(req).Warn("recovery retry scheduled",
 			obslog.Int("attempt", int64(step.Attempt)),
 			obslog.Float("backoffMs", step.BackoffMs),
 			obslog.String("error", step.Detail))
-		d.Flight.RecordExplain(rec)
 	case "lost":
-		d.Flight.RecordLost(rec.Session, step.Detail)
 		m.Counter(metrics.SessionsLost).Inc()
 		o.supervisorLog(req).Error("session lost", obslog.String("reason", step.Detail))
-		d.Flight.RecordExplain(rec)
 	}
 	m.Gauge(metrics.RecoveryBacklog).Set(float64(st.Backlog))
 }

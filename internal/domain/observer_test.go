@@ -3,6 +3,7 @@ package domain
 import (
 	"os"
 	"os/exec"
+	"runtime"
 	"testing"
 	"time"
 
@@ -174,6 +175,36 @@ func TestDiscardedLoggingAllocatesNothing(t *testing.T) {
 	}
 }
 
+// TestIdleDomainGoroutines: an idle domain runs three goroutines of its
+// own — the plan cache's subscription pump and its reader, and the
+// capacity sampler — and Close stops them all. Other tests leave
+// sessions streaming, so the count runs in a fresh process of its own.
+func TestIdleDomainGoroutines(t *testing.T) {
+	const child = "UBIQOS_GOROUTINE_CHILD"
+	if os.Getenv(child) == "" {
+		cmd := exec.Command(os.Args[0], "-test.run=^TestIdleDomainGoroutines$", "-test.count=1")
+		cmd.Env = append(os.Environ(), child+"=1")
+		if out, err := cmd.CombinedOutput(); err != nil {
+			t.Fatalf("%v\n%s", err, out)
+		}
+		return
+	}
+	base := runtime.NumGoroutine()
+	d, err := New("idle", Options{Scale: testScale})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := runtime.NumGoroutine() - base; n != 3 {
+		t.Errorf("an idle domain runs %d goroutines, want 3", n)
+	}
+	d.Close()
+	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() != base; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines outlive Close", runtime.NumGoroutine()-base)
+		}
+	}
+}
+
 // lifecycle maps the timeline's lifecycle events to the ledger outcome
 // each one leaves a session in.
 var lifecycle = map[string]string{
@@ -217,12 +248,8 @@ func TestViewsAgree(t *testing.T) {
 	if !sup.AwaitIdle(5 * time.Second) {
 		t.Fatal("supervisor did not settle")
 	}
-	// The supervisor publishes session.recovered itself, so it reaches
-	// the timeline through the store's bus tap.
-	for deadline := time.Now().Add(5 * time.Second); !hasEvent(d, "a1", "session.recovered"); time.Sleep(time.Millisecond) {
-		if time.Now().After(deadline) {
-			t.Fatal("session.recovered never reached the timeline")
-		}
+	if !hasEvent(d, "a1", "session.recovered") {
+		t.Error("session.recovered is not on the timeline when the supervisor settles")
 	}
 	viewsAgree(t, d, "a1", ledger.OutcomeRunning, 3)
 	if err := d.StopApp("a1"); err != nil {

@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"reflect"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"ubiqos/internal/metrics"
@@ -152,6 +153,8 @@ type Bus struct {
 	// log, when set via SetLogger, receives a warning whenever a lossy
 	// subscriber loses an event.
 	log *obslog.Logger
+	// record, when set via SetRecorder, is handed every published event.
+	record atomic.Pointer[func(Event)]
 }
 
 // New returns an open event bus.
@@ -180,6 +183,13 @@ func (b *Bus) SetLogger(l *obslog.Logger) {
 	b.log = l
 	b.mu.Unlock()
 }
+
+// SetRecorder attaches a function every Publish hands its event to
+// first: on the publisher's goroutine, outside the bus's lock, before any
+// subscriber sees the event. A caller that sees Publish return sees the
+// event recorded, and identical events are each recorded. Pass nil to
+// detach.
+func (b *Bus) SetRecorder(fn func(Event)) { b.record.Store(&fn) }
 
 // gauges refreshes the subscriber and queue-depth gauges; callers must
 // hold b.mu (read or write — gauge values are internally synchronized).
@@ -333,13 +343,17 @@ func (s *Subscription) pump() {
 	}
 }
 
-// Publish delivers the event to every matching subscriber without
-// blocking. Lossy subscribers that are not draining lose events (counted
-// per subscription); lossless subscribers have the event queued for their
+// Publish hands the event to the recorder (see SetRecorder), then
+// delivers it to every matching subscriber without blocking. Lossy
+// subscribers that are not draining lose events (counted per
+// subscription); lossless subscribers have the event queued for their
 // pump. It returns the number of subscribers that received (or queued)
 // the event.
 func (b *Bus) Publish(topic Topic, payload any) int {
 	ev := Event{Topic: topic, Time: time.Now(), Payload: payload}
+	if record := b.record.Load(); record != nil && *record != nil {
+		(*record)(ev)
+	}
 	b.mu.RLock()
 	defer b.mu.RUnlock()
 	if b.closed {

@@ -422,3 +422,38 @@ func TestLosslessCancelUnblocksPump(t *testing.T) {
 		}
 	}
 }
+
+// TestRecorderSeesEveryPublishFirst: the recorder is handed each event on
+// the publisher's goroutine before any subscriber can receive it, and each
+// of a run of identical events.
+func TestRecorderSeesEveryPublishFirst(t *testing.T) {
+	b := New()
+	defer b.Close()
+	sub, err := b.Subscribe(TopicResourceChanged)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var recorded []Event
+	b.SetRecorder(func(ev Event) {
+		if got := len(sub.C()); got != len(recorded) {
+			t.Errorf("recording event %d: the subscriber holds %d", len(recorded), got)
+		}
+		recorded = append(recorded, ev)
+	})
+	for i := 0; i < DefaultBuffer; i++ {
+		b.Publish(TopicResourceChanged, "pda1")
+	}
+	if len(recorded) != DefaultBuffer {
+		t.Fatalf("recorder saw %d of %d identical publishes", len(recorded), DefaultBuffer)
+	}
+	for _, ev := range recorded {
+		if ev.Topic != TopicResourceChanged || ev.Payload != "pda1" || ev.Time.IsZero() {
+			t.Fatalf("recorded event = %+v", ev)
+		}
+	}
+	b.SetRecorder(nil)
+	b.Publish(TopicResourceChanged, "pda1")
+	if len(recorded) != DefaultBuffer {
+		t.Fatal("a detached recorder still sees publishes")
+	}
+}

@@ -1,6 +1,9 @@
 // Package flight implements the session store: one bounded slot per
 // session, under one lock, holding everything the domain records about
-// the session, with three views over it:
+// the session, with three views over it. The configurator's observer
+// hands each report over whole (Finished, Step), and the store writes its
+// trace summary, provenance record and ledger step under one lock; the
+// bus hands over each event as it is published (RecordEvent).
 //
 //   - the flight timeline (Timeline, Excerpt, Sessions) fuses structured
 //     log records (internal/obslog), finished span summaries
@@ -10,9 +13,9 @@
 //   - the decision provenance (RecordExplain, Explain, ExplainSessions)
 //     keeps the internal/explain records of why each decision came out
 //     the way it did;
-//   - the QoS outcome ledger (the Record* steps, Report, LedgerSessions,
-//     Scorecards) keeps the session's internal/ledger account and folds
-//     it into per-class scorecards.
+//   - the QoS outcome ledger (Report, LedgerSessions, Scorecards) keeps
+//     the session's internal/ledger account, folded from the reports and
+//     the admission verdicts, and folds it into per-class scorecards.
 //
 // Timeline entries and provenance records are each numbered store-wide,
 // so entries from different goroutines interleave back into one causal
@@ -258,11 +261,15 @@ func (r *Recorder) add(e Entry) {
 	if r == nil || e.Session == "" {
 		return
 	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.addLocked(e)
+}
+
+func (r *Recorder) addLocked(e Entry) {
 	if e.Time.IsZero() {
 		e.Time = time.Now()
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	r.seq++
 	e.Seq = r.seq
 	s := r.slotLocked(e.Session)
@@ -297,11 +304,11 @@ func (r *Recorder) Write(rec obslog.Record) {
 	r.add(e)
 }
 
-// RecordTrace appends a finished trace's summary — root operation,
-// duration, span count, and error spans — to its session's timeline.
-func (r *Recorder) RecordTrace(td trace.TraceData) {
-	if r == nil || td.Session == "" {
-		return
+// traceEntry is the timeline entry summarizing a finished trace, and
+// whether the trace has a session to record it on.
+func traceEntry(td trace.TraceData) (Entry, bool) {
+	if td.Session == "" {
+		return Entry{}, false
 	}
 	errs := 0
 	for _, sp := range td.Spans {
@@ -319,14 +326,14 @@ func (r *Recorder) RecordTrace(td trace.TraceData) {
 	if td.ParentSpan != "" {
 		detail["parentSpan"] = td.ParentSpan
 	}
-	r.add(Entry{
+	return Entry{
 		Time:    td.Start,
 		Kind:    KindSpan,
 		Session: td.Session,
 		TraceID: td.TraceID,
 		Message: "trace " + td.Name,
 		Detail:  detail,
-	})
+	}, true
 }
 
 // RecordEvent appends a control-plane bus event to the given session's
@@ -407,55 +414,4 @@ func (r *Recorder) Sessions() []SessionInfo {
 	return index(r, func(s *slot) (SessionInfo, bool) {
 		return SessionInfo{Session: s.id, Entries: len(s.entries.items), Total: s.entries.total, Last: s.entries.last}, s.entries.total > 0
 	})
-}
-
-// Resolver maps a bus event to the sessions it concerns. Returning nil
-// skips the event. The domain installs a resolver that attributes
-// session.* events by payload and device/link events to the sessions
-// placed on the affected devices.
-type Resolver func(eventbus.Event) []string
-
-// TapTopics is the topic set a Tap subscribes to: the events published
-// off the request path — by the recovery supervisor and the fault
-// injector — or by more than one publisher. The domain records every
-// other event it publishes itself, on the publishing goroutine, before
-// it publishes it.
-var TapTopics = []eventbus.Topic{
-	eventbus.TopicResourceChanged,
-	eventbus.TopicSessionRecovered,
-	eventbus.TopicSessionRestored,
-	eventbus.TopicUserNotification,
-}
-
-// Tap subscribes the recorder to the bus's control-plane topics through
-// a lossless subscription and records each event on every session the
-// resolver attributes it to. It returns a cancel function; cancelling is
-// idempotent. A nil recorder taps nothing.
-func (r *Recorder) Tap(bus *eventbus.Bus, resolve Resolver) (func(), error) {
-	if r == nil || bus == nil {
-		return func() {}, nil
-	}
-	sub, err := bus.SubscribeLossless(TapTopics...)
-	if err != nil {
-		return nil, err
-	}
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		for ev := range sub.C() {
-			if resolve == nil {
-				continue
-			}
-			for _, session := range resolve(ev) {
-				r.RecordEvent(session, ev)
-			}
-		}
-	}()
-	var once sync.Once
-	return func() {
-		once.Do(func() {
-			sub.Cancel()
-			<-done
-		})
-	}, nil
 }

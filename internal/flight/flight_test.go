@@ -17,18 +17,14 @@ import (
 func TestNilRecorderIsNoOp(t *testing.T) {
 	var r *Recorder
 	r.Write(obslog.Record{Session: "s"})
-	r.RecordTrace(trace.TraceData{Session: "s"})
 	r.RecordEvent("s", eventbus.Event{Topic: eventbus.TopicDeviceLeft})
 	r.RecordFault("s", "device.crash", "pc-1", nil)
 	r.RecordExplain(explain.Record{Session: "s"})
+	r.Finished(trace.TraceData{Session: "s"}, explain.Record{Session: "s", Action: explain.ActionConfigure}, "c", nil, 0)
+	r.Step(trace.TraceData{}, explain.Record{Session: "s"}, 0)
 	if r.Timeline("s") != nil || r.Sessions() != nil || r.Explain("s") != nil || r.ExplainSessions() != nil {
 		t.Fatal("nil recorder accessors must be empty")
 	}
-	cancel, err := r.Tap(eventbus.New(), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cancel()
 }
 
 func TestFusedStreamsSequenceOrder(t *testing.T) {
@@ -43,7 +39,7 @@ func TestFusedStreamsSequenceOrder(t *testing.T) {
 	tr := tc.StartCtx(trace.Context{TraceID: "t1"}, "configure", "s1")
 	tr.Root().Child("compose").End()
 	tr.Finish()
-	r.RecordTrace(tr.Export())
+	r.Step(tr.Export(), explain.Record{Session: "s1"}, 0)
 
 	// Stream 3: a bus event.
 	r.RecordEvent("s1", eventbus.Event{Topic: eventbus.TopicDeviceLeft, Time: time.Now(), Payload: "pc-2"})
@@ -87,7 +83,7 @@ func TestFusedStreamsSequenceOrder(t *testing.T) {
 func TestSessionlessEntriesDropped(t *testing.T) {
 	r := New(ledger.Options{})
 	r.Write(obslog.Record{Msg: "no session"})
-	r.RecordTrace(trace.TraceData{Name: "anon"})
+	r.Step(trace.TraceData{Name: "anon"}, explain.Record{}, 0)
 	if got := len(r.Sessions()); got != 0 {
 		t.Fatalf("sessionless entries must be dropped, have %d sessions", got)
 	}
@@ -128,32 +124,24 @@ func TestTapResolvesEvents(t *testing.T) {
 	r := New(ledger.Options{})
 	bus := eventbus.New()
 	defer bus.Close()
-	cancel, err := r.Tap(bus, func(ev eventbus.Event) []string {
+	bus.SetRecorder(func(ev eventbus.Event) {
+		var sessions []string
 		if ev.Topic == eventbus.TopicResourceChanged {
-			return []string{"s1", "s2"}
+			sessions = []string{"s1", "s2"}
 		}
 		if ev.Topic == eventbus.TopicSessionRecovered {
 			if s, ok := ev.Payload.(string); ok {
-				return []string{s}
+				sessions = []string{s}
 			}
 		}
-		return nil
+		for _, s := range sessions {
+			r.RecordEvent(s, ev)
+		}
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cancel()
 
 	bus.Publish(eventbus.TopicResourceChanged, "pc-1")
 	bus.Publish(eventbus.TopicSessionRecovered, "s1")
 
-	deadline := time.Now().Add(2 * time.Second)
-	for time.Now().Before(deadline) {
-		if len(r.Timeline("s1")) == 2 && len(r.Timeline("s2")) == 1 {
-			break
-		}
-		time.Sleep(time.Millisecond)
-	}
 	s1 := r.Timeline("s1")
 	if len(s1) != 2 {
 		t.Fatalf("s1 entries = %d, want 2", len(s1))
@@ -164,8 +152,6 @@ func TestTapResolvesEvents(t *testing.T) {
 	if got := r.Timeline("s2"); len(got) != 1 {
 		t.Fatalf("s2 entries = %d, want 1", len(got))
 	}
-	cancel()
-	cancel() // idempotent
 }
 
 func TestRender(t *testing.T) {
@@ -190,16 +176,11 @@ func TestConcurrentRecording(t *testing.T) {
 	r := newRecorder(limits{8, 64, maxRecords}, ledger.Options{})
 	bus := eventbus.New()
 	defer bus.Close()
-	cancel, err := r.Tap(bus, func(ev eventbus.Event) []string {
+	bus.SetRecorder(func(ev eventbus.Event) {
 		if s, ok := ev.Payload.(string); ok {
-			return []string{s}
+			r.RecordEvent(s, ev)
 		}
-		return nil
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cancel()
 
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
@@ -282,8 +263,8 @@ func TestNilRecorderAllocationFree(t *testing.T) {
 	td := tr.Export()
 	xr := explain.Record{Session: "s1", Action: explain.ActionConfigure, Attempts: []explain.Attempt{{DegradeFactor: 1}}}
 	var rec *Recorder
-	if allocs := testing.AllocsPerRun(1000, func() { rec.RecordTrace(td) }); allocs != 0 {
-		t.Errorf("nil RecordTrace allocates %.1f objects per call, want 0", allocs)
+	if allocs := testing.AllocsPerRun(1000, func() { rec.Finished(td, xr, "c", nil, 0) }); allocs != 0 {
+		t.Errorf("nil Finished allocates %.1f objects per call, want 0", allocs)
 	}
 	if allocs := testing.AllocsPerRun(1000, func() { rec.RecordExplain(xr) }); allocs != 0 {
 		t.Errorf("nil RecordExplain allocates %.1f objects per call, want 0", allocs)
@@ -300,7 +281,7 @@ func TestExcerptKeepsOutOfOrderEntries(t *testing.T) {
 	for i := 1; i <= 4; i++ {
 		r.Write(obslog.Record{Time: base.Add(time.Duration(i) * time.Millisecond), Msg: fmt.Sprintf("e%d", i), Session: "a1"})
 	}
-	r.RecordTrace(trace.TraceData{Session: "a1", Name: "configure", Start: base})
+	r.Step(trace.TraceData{Session: "a1", Name: "configure", Start: base}, explain.Record{Session: "a1"}, 0)
 	r.Write(obslog.Record{Time: base.Add(5 * time.Millisecond), Msg: "e5", Session: "a1"})
 
 	got := r.Excerpt("a1", base.Add(time.Millisecond), time.Time{}, 100)

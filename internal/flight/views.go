@@ -6,6 +6,7 @@ import (
 	"ubiqos/internal/explain"
 	"ubiqos/internal/ledger"
 	"ubiqos/internal/qos"
+	"ubiqos/internal/trace"
 )
 
 // RecordExplain stamps and appends one decision record to its session's
@@ -20,6 +21,10 @@ func (r *Recorder) RecordExplain(rec explain.Record) {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	r.explainLocked(rec)
+}
+
+func (r *Recorder) explainLocked(rec explain.Record) {
 	r.xseq++
 	rec.Seq = r.xseq
 	s := r.slotLocked(rec.Session)
@@ -66,71 +71,82 @@ func (r *Recorder) ExplainSessions() []explain.SessionInfo {
 	})
 }
 
-// account applies one ledger step to the session's account under the
-// store's lock. With open set the account (and the slot) is made when
-// the session has none and relabeled with class when it had none;
-// without, a session the ledger never heard of gets the step with a nil
-// account.
-func (r *Recorder) account(session, class string, open bool, step func(*ledger.Account)) {
+// Finished records one finished configure, reconfigure, resume or
+// recover under one lock: its trace summary on the timeline, its
+// provenance record, and the ledger step the record folds to (see
+// ledger.Ledger.Fold). class and requested are the request's, took the
+// configure's latency.
+func (r *Recorder) Finished(td trace.TraceData, rec explain.Record, class string, requested qos.Vector, took time.Duration) {
+	r.report(td, rec, true, class, requested, took)
+}
+
+// Step records one session step that is not a configuration under one
+// lock: the trace summary of the recovery attempt, when one ran; the
+// provenance record, when the step is a supervisor's decision (recovered,
+// retry or lost); and the ledger step the record folds to. A stop, a
+// broken or healed step, and a loss no supervisor decided are not
+// decisions. down is how long a recovered session was broken.
+func (r *Recorder) Step(td trace.TraceData, rec explain.Record, down time.Duration) {
+	decision := rec.Action == explain.ActionRecoveryStep &&
+		rec.Ladder.Outcome != "broken" && rec.Ladder.Outcome != "healed"
+	r.report(td, rec, decision, "", nil, down)
+}
+
+// report writes one observer report under the store's lock.
+func (r *Recorder) report(td trace.TraceData, rec explain.Record, decision bool, class string, requested qos.Vector, took time.Duration) {
+	if r == nil || rec.Session == "" {
+		return
+	}
+	if rec.Time.IsZero() {
+		rec.Time = time.Now()
+	}
+	e, traced := traceEntry(td)
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if traced {
+		r.addLocked(e)
+	}
+	if decision {
+		r.explainLocked(rec)
+	}
+	s := r.sessions[rec.Session]
+	if a, ok := r.ledger.Fold(s.account(), rec, class, requested, took); ok {
+		r.settleLocked(s, rec.Session, a)
+	}
+}
+
+// RecordAdmission records the admission gate's decision for a session
+// (see ledger.Ledger.Admission).
+func (r *Recorder) RecordAdmission(session, class, verdict, reason string) {
 	if r == nil || session == "" {
 		return
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	s := r.sessions[session]
-	if open {
-		s = r.slotLocked(session)
-		s.acct = r.ledger.Open(s.acct, session, class)
-	}
+	r.settleLocked(s, session, r.ledger.Admission(s.account(), session, class, verdict, reason))
+}
+
+// account is the slot's ledger account, nil for no slot.
+func (s *slot) account() *ledger.Account {
 	if s == nil {
-		step(nil)
-		return
+		return nil
 	}
-	step(s.acct)
+	return s.acct
+}
+
+// settleLocked keeps the account a ledger step went to in the session's
+// slot, s (nil when the session has none): it makes the slot for an
+// account the step opened, and touches it.
+func (r *Recorder) settleLocked(s *slot, session string, a *ledger.Account) {
+	if s == nil {
+		if a == nil {
+			return
+		}
+		s = r.slotLocked(session)
+	}
+	s.acct = a
 	r.touchLocked(s)
-}
-
-// RecordAdmission records the admission gate's decision for a session
-// (see ledger.Ledger.Admission).
-func (r *Recorder) RecordAdmission(session, class, verdict, reason string) {
-	r.account(session, class, verdict != "reject", func(a *ledger.Account) {
-		r.ledger.Admission(a, class, verdict, reason)
-	})
-}
-
-// RecordConfigured records a successful (re)configuration (see
-// ledger.Ledger.Configured).
-func (r *Recorder) RecordConfigured(session, class string, requested qos.Vector, degradeFactor float64, took time.Duration, action string) {
-	r.account(session, class, true, func(a *ledger.Account) {
-		r.ledger.Configured(a, requested, degradeFactor, took, action)
-	})
-}
-
-// RecordConfigureFailed records a failed configuration attempt.
-func (r *Recorder) RecordConfigureFailed(session, class, reason string) {
-	r.account(session, class, true, func(a *ledger.Account) { r.ledger.ConfigureFailed(a, reason) })
-}
-
-// RecordBroken records that the session broke and is under recovery.
-func (r *Recorder) RecordBroken(session, reason string) {
-	r.account(session, "", true, func(a *ledger.Account) { r.ledger.Broken(a, reason) })
-}
-
-// RecordRecovered records a recovery success after mttr.
-func (r *Recorder) RecordRecovered(session string, mttr time.Duration, degraded bool, shed []string, fallback string) {
-	r.account(session, "", true, func(a *ledger.Account) {
-		r.ledger.Recovered(a, mttr, degraded, shed, fallback)
-	})
-}
-
-// RecordLost records that the session was given up.
-func (r *Recorder) RecordLost(session, reason string) {
-	r.account(session, "", true, func(a *ledger.Account) { r.ledger.Lost(a, reason) })
-}
-
-// RecordStopped records a clean session stop.
-func (r *Recorder) RecordStopped(session string) {
-	r.account(session, "", false, func(a *ledger.Account) { r.ledger.Stopped(a) })
 }
 
 // Report returns the session's ledger report.

@@ -10,6 +10,7 @@ import (
 	"ubiqos/internal/explain"
 	"ubiqos/internal/ledger"
 	"ubiqos/internal/qos"
+	"ubiqos/internal/trace"
 )
 
 // TestRecordExplainSeqOrder: records written concurrently to one session
@@ -50,11 +51,11 @@ func TestEvictionPrefersFinalizedSessions(t *testing.T) {
 	r := newRecorder(limits{4, maxEntries, maxRecords}, ledger.Options{})
 	for i := 0; i < 8; i++ {
 		sid := fmt.Sprintf("s%d", i)
-		r.RecordConfigured(sid, "voice", askFramerate(), 1, time.Millisecond, "configure")
-		r.RecordExplain(explain.Record{Session: sid, Action: explain.ActionConfigure})
+		r.Finished(trace.TraceData{}, explain.Record{Session: sid, Action: explain.ActionConfigure, DegradeFactor: 1},
+			"voice", askFramerate(), time.Millisecond)
 		r.RecordFault(sid, "k", "t", nil)
 		if i < 6 {
-			r.RecordStopped(sid)
+			r.Step(trace.TraceData{}, explain.Record{Session: sid}, 0)
 		}
 	}
 	if got := len(r.LedgerSessions()); got != 4 {

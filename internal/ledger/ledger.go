@@ -12,9 +12,10 @@
 // The ledger is a fold. Each session's Account lives in that session's
 // slot of the session store (internal/flight), beside its flight
 // timeline and decision provenance, and the store applies one step per
-// report under its one lock: the admission gate's verdict and the
-// configurator observer's configure, failure, breakage, recovery, loss
-// and stop reports, each on the goroutine that produced it. Ledger holds
+// report under its one lock, on the goroutine that produced it: the
+// admission gate's verdict (Admission), and each configurator observer
+// report, whose provenance record Fold maps to its step — configured,
+// failed, broken, recovered, lost or completed. Ledger holds
 // the per-class aggregates — the scorecards in scorecard.go — under the
 // same lock, and a session is folded into its class when it finalizes or
 // when the store evicts it, so dropping a slot never loses class-level
@@ -30,6 +31,7 @@ import (
 	"strings"
 	"time"
 
+	"ubiqos/internal/explain"
 	"ubiqos/internal/metrics"
 	"ubiqos/internal/qos"
 )
@@ -185,10 +187,10 @@ func (l *Ledger) agg(class string) *classAgg {
 	return a
 }
 
-// Open returns the session's account: a new one, counted as a start in
+// open returns the session's account: a new one, counted as a start in
 // its class, when a is nil, else a itself — relabeled when a report
 // finally names the class of an account opened without one.
-func (l *Ledger) Open(a *Account, id, class string) *Account {
+func (l *Ledger) open(a *Account, id, class string) *Account {
 	if a == nil {
 		a = &Account{
 			id:         id,
@@ -299,157 +301,146 @@ func anyDeg(s *Account) bool {
 	return s.degOpen > 0 || len(s.pending) > 0
 }
 
-// settleRestoration stamps a restoration marker when a step transitioned
-// the session from degraded to fully restored.
-func (l *Ledger) settleRestoration(s *Account, wasDegraded bool, now time.Time) {
-	if !wasDegraded || anyDeg(s) || s.open[EpisodeBroken] != nil {
-		return
+// Admission records the admission gate's decision for a session whose
+// account is a (nil when it has none) and returns the account. An admit
+// opens the account when a is nil; an admit-degraded also arms a
+// shed-optional episode that opens when the first configuration lands.
+// A reject is counted once: it finalizes a live account that never
+// configured as rejected, and is counted on the class otherwise — a
+// rejected request never runs, so it opens no account, and one that ran
+// keeps its own outcome.
+func (l *Ledger) Admission(a *Account, id, class, verdict, reason string) *Account {
+	if verdict != "reject" {
+		a = l.open(a, id, class)
+		a.admission, a.admissionReason = verdict, reason
+		return a
 	}
-	s.restorations++
-	l.agg(s.class).restorations++
-	appendClosed(s, Episode{Kind: EpisodeRestored, Start: now, End: now})
-}
-
-// Admission records the admission gate's decision for a session. A
-// reject finalizes the session's account, if it has one, with
-// OutcomeRejected, and is counted on the class either way: rejected
-// sessions never run, so the store opens no account for them. An
-// admit-degraded arms a shed-optional episode that opens when the first
-// configuration lands.
-func (l *Ledger) Admission(s *Account, class, verdict, reason string) {
-	if verdict == "reject" {
-		l.agg(l.classKey(class)).rejected++
-		if s != nil {
-			s.admission, s.admissionReason = verdict, reason
-			l.finalize(s, OutcomeRejected, l.now(), reason)
-		}
-		return
-	}
-	s.admission, s.admissionReason = verdict, reason
-}
-
-// Configured records a successful (re)configuration: the requested
-// vector (the original user ask, pre-degradation), the degrade factor
-// actually delivered, and the configure latency. action names the
-// configurator verb (configure, resume, recover, reconfigure).
-func (l *Ledger) Configured(s *Account, requested qos.Vector, degradeFactor float64, took time.Duration, action string) {
-	if s.folded {
-		return
-	}
-	now := l.now()
-	wasDeg := anyDeg(s)
-	s.configures++
-	s.lastConfigMs = float64(took) / float64(time.Millisecond)
-	a := l.agg(s.class)
-	a.configures++
-	a.configRing.push(sample{t: now, v: s.lastConfigMs})
-	if len(s.requested) == 0 && len(requested) > 0 {
-		s.requested = requested.Clone()
-		s.axes = numericAxes(s.requested)
-	}
-	if degradeFactor <= 0 || degradeFactor > 1 {
-		degradeFactor = 1
-	}
-	s.degradeFactor = degradeFactor
-	l.closeEpisode(s, EpisodeBroken, now)
-	if degradeFactor < 1 {
-		l.openEpisode(s, EpisodeDegraded, "ladder factor "+action, 1-degradeFactor, now)
+	if a != nil && !a.folded && a.configures == 0 {
+		a.admission, a.admissionReason = verdict, reason
+		l.finalize(a, OutcomeRejected, l.now(), reason)
 	} else {
-		l.closeEpisode(s, EpisodeDegraded, now)
+		l.agg(class).rejected++
 	}
-	delete(s.pending, EpisodeDegraded)
-	if s.admission == "admit-degraded" && s.configures == 1 {
-		l.openEpisode(s, EpisodeShed, "admission shed-optional", 0, now)
-	}
-	l.settleRestoration(s, wasDeg, now)
+	return a
 }
 
-// ConfigureFailed records a failed configuration attempt. A session that
-// never configured successfully finalizes as failed; a running session
-// under recovery keeps its broken episode open.
-func (l *Ledger) ConfigureFailed(s *Account, reason string) {
-	if !s.folded && s.configures == 0 {
-		l.finalize(s, OutcomeFailed, l.now(), reason)
-	}
-}
-
-// Broken records that the session broke (device loss, resource collapse)
-// and is under recovery: a broken episode opens, and any open
-// degradation episodes close but are remembered so a later full-quality
-// recovery still counts as a restoration.
-func (l *Ledger) Broken(s *Account, reason string) {
-	if s.folded || s.open[EpisodeBroken] != nil {
-		return
-	}
-	now := l.now()
-	for _, kind := range []EpisodeKind{EpisodeDegraded, EpisodeShed, EpisodeFallback} {
-		if ep := s.open[kind]; ep != nil {
-			s.pending[kind] = *ep
-			l.closeEpisode(s, kind, now)
+// Fold applies to a session's account the step one observer report maps
+// to, and reports whether it maps to one. rec is the report's provenance
+// record: a finished configure, reconfigure, resume or recover (Ladder
+// nil) configures the session, or fails it when rec.Err is set; a stop or
+// suspend (an empty record) completes it; a supervisor step (Ladder set)
+// breaks, recovers or loses it by its outcome, and its retry and healed
+// steps map to none. a is the session's account, nil when it has none:
+// every step but a stop opens one, in class, and Fold returns the account
+// the step went to. requested is the user's ask and took the configure's
+// latency, for a finished action; took is how long the session was broken,
+// for a recovered step. A step on a finalized account is a no-op.
+func (l *Ledger) Fold(a *Account, rec explain.Record, class string, requested qos.Vector, took time.Duration) (*Account, bool) {
+	step := rec.Ladder
+	if step == nil && rec.Action == "" {
+		if a != nil {
+			l.finalize(a, OutcomeCompleted, l.now(), "")
 		}
+		return a, true
 	}
-	l.openEpisode(s, EpisodeBroken, reason, 1, now)
-}
-
-// Recovered records a recovery success. mttr is the time from fault
-// detection to reconfiguration. A degraded recovery opens shed-optional
-// (with the shed component names) and heuristic-fallback episodes; a
-// full recovery closes them — and counts a restoration if the session
-// had been degraded.
-func (l *Ledger) Recovered(s *Account, mttr time.Duration, degraded bool, shed []string, fallback string) {
-	if s.folded {
-		return
+	if step != nil && step.Outcome != "broken" && step.Outcome != "recovered" && step.Outcome != "lost" {
+		return a, false
 	}
-	now := l.now()
-	wasDeg := anyDeg(s)
-	s.recoveries++
-	ms := float64(mttr) / float64(time.Millisecond)
-	s.mttrMsTotal += ms
-	a := l.agg(s.class)
-	a.recoveries++
-	a.mttrMsTotal += ms
-	a.recoveryRing.push(sample{t: now, v: ms})
-	l.closeEpisode(s, EpisodeBroken, now)
-	if degraded {
-		reason := "shed optional components"
-		if len(shed) > 0 {
-			reason = "shed " + strings.Join(shed, ",")
+	if a = l.open(a, rec.Session, class); a.folded {
+		return a, true
+	}
+	now, wasDeg := l.now(), anyDeg(a)
+	switch {
+	case step == nil && rec.Err != "":
+		// A session that never configured fails; one under recovery keeps
+		// its broken episode open.
+		if a.configures == 0 {
+			l.finalize(a, OutcomeFailed, now, rec.Err)
 		}
-		l.openEpisode(s, EpisodeShed, reason, 0, now)
-		if fallback == "" {
-			fallback = "heuristic"
+		return a, true
+	case step == nil:
+		// The requested vector is the original ask, before degradation.
+		a.configures++
+		a.lastConfigMs = float64(took) / float64(time.Millisecond)
+		agg := l.agg(a.class)
+		agg.configures++
+		agg.configRing.push(sample{t: now, v: a.lastConfigMs})
+		if len(a.requested) == 0 && len(requested) > 0 {
+			a.requested = requested.Clone()
+			a.axes = numericAxes(a.requested)
 		}
-		l.openEpisode(s, EpisodeFallback, fallback, 0, now)
-		delete(s.pending, EpisodeShed)
-		delete(s.pending, EpisodeFallback)
-	} else {
-		l.closeEpisode(s, EpisodeShed, now)
-		l.closeEpisode(s, EpisodeFallback, now)
-		clear(s.pending)
+		factor := rec.DegradeFactor
+		if factor <= 0 || factor > 1 {
+			factor = 1
+		}
+		a.degradeFactor = factor
+		l.closeEpisode(a, EpisodeBroken, now)
+		if factor < 1 {
+			l.openEpisode(a, EpisodeDegraded, "ladder factor "+rec.Action, 1-factor, now)
+		} else {
+			l.closeEpisode(a, EpisodeDegraded, now)
+		}
+		delete(a.pending, EpisodeDegraded)
+		if a.admission == "admit-degraded" && a.configures == 1 {
+			l.openEpisode(a, EpisodeShed, "admission shed-optional", 0, now)
+		}
+	case step.Outcome == "broken":
+		// Open degradation episodes close but are remembered, so a later
+		// full-quality recovery still counts as a restoration.
+		if a.open[EpisodeBroken] != nil {
+			return a, true
+		}
+		for _, kind := range []EpisodeKind{EpisodeDegraded, EpisodeShed, EpisodeFallback} {
+			if ep := a.open[kind]; ep != nil {
+				a.pending[kind] = *ep
+				l.closeEpisode(a, kind, now)
+			}
+		}
+		l.openEpisode(a, EpisodeBroken, step.Reason, 1, now)
+		return a, true
+	case step.Outcome == "recovered":
+		a.recoveries++
+		ms := float64(took) / float64(time.Millisecond)
+		a.mttrMsTotal += ms
+		agg := l.agg(a.class)
+		agg.recoveries++
+		agg.mttrMsTotal += ms
+		agg.recoveryRing.push(sample{t: now, v: ms})
+		l.closeEpisode(a, EpisodeBroken, now)
+		if step.Degraded {
+			reason := "shed optional components"
+			if len(step.Shed) > 0 {
+				reason = "shed " + strings.Join(step.Shed, ",")
+			}
+			l.openEpisode(a, EpisodeShed, reason, 0, now)
+			fallback := step.PlacementFallback
+			if fallback == "" {
+				fallback = "heuristic"
+			}
+			l.openEpisode(a, EpisodeFallback, fallback, 0, now)
+			delete(a.pending, EpisodeShed)
+			delete(a.pending, EpisodeFallback)
+		} else {
+			l.closeEpisode(a, EpisodeShed, now)
+			l.closeEpisode(a, EpisodeFallback, now)
+			clear(a.pending)
+		}
+	default:
+		// A lost session's final state is unavailability: if nothing
+		// marked it broken yet, account the loss instant itself.
+		if a.open[EpisodeBroken] == nil {
+			l.openEpisode(a, EpisodeBroken, step.Detail, 1, now)
+		}
+		l.finalize(a, OutcomeLost, now, step.Detail)
+		return a, true
 	}
-	l.settleRestoration(s, wasDeg, now)
-}
-
-// Lost records that recovery gave the session up.
-func (l *Ledger) Lost(s *Account, reason string) {
-	if s.folded {
-		return
+	if wasDeg && !anyDeg(a) && a.open[EpisodeBroken] == nil {
+		// The step brought a degraded session back to full quality.
+		a.restorations++
+		l.agg(a.class).restorations++
+		appendClosed(a, Episode{Kind: EpisodeRestored, Start: now, End: now})
 	}
-	now := l.now()
-	// A lost session's final state is unavailability: if nothing marked
-	// it broken yet, account the loss instant itself.
-	if s.open[EpisodeBroken] == nil {
-		l.openEpisode(s, EpisodeBroken, reason, 1, now)
-	}
-	l.finalize(s, OutcomeLost, now, reason)
-}
-
-// Stopped records a clean session stop; a session the ledger never heard
-// of (nil) has nothing to complete.
-func (l *Ledger) Stopped(s *Account) {
-	if s != nil {
-		l.finalize(s, OutcomeCompleted, l.now(), "")
-	}
+	return a, true
 }
 
 // finalize closes every open episode, stamps the outcome, and folds the

@@ -7,10 +7,12 @@ import (
 	"testing"
 	"time"
 
+	"ubiqos/internal/explain"
 	"ubiqos/internal/flight"
 	"ubiqos/internal/ledger"
 	"ubiqos/internal/metrics"
 	"ubiqos/internal/qos"
+	"ubiqos/internal/trace"
 )
 
 // clock is a manually advanced test clock for deterministic integrals.
@@ -41,15 +43,45 @@ func askFramerate() qos.Vector {
 	return qos.V(qos.P(qos.DimFrameRate, qos.Range(30, 44)))
 }
 
+// The observer reports each test feeds the store, one per ledger step.
+
+func configured(l *flight.Recorder, sid, class string, ask qos.Vector, factor float64, took time.Duration, action string) {
+	l.Finished(trace.TraceData{}, explain.Record{Session: sid, Action: action, DegradeFactor: factor}, class, ask, took)
+}
+
+func configureFailed(l *flight.Recorder, sid, class, reason string) {
+	l.Finished(trace.TraceData{}, explain.Record{Session: sid, Action: explain.ActionConfigure, Err: reason}, class, nil, 0)
+}
+
+func supervised(l *flight.Recorder, sid string, step explain.LadderStep, down time.Duration) {
+	l.Step(trace.TraceData{}, explain.Record{Session: sid, Action: explain.ActionRecoveryStep, Ladder: &step}, down)
+}
+
+func broken(l *flight.Recorder, sid, reason string) {
+	supervised(l, sid, explain.LadderStep{Outcome: "broken", Reason: reason}, 0)
+}
+
+func recovered(l *flight.Recorder, sid string, mttr time.Duration, degraded bool, shed []string, fallback string) {
+	supervised(l, sid, explain.LadderStep{Outcome: "recovered", Degraded: degraded, Shed: shed, PlacementFallback: fallback}, mttr)
+}
+
+func lost(l *flight.Recorder, sid, reason string) {
+	supervised(l, sid, explain.LadderStep{Outcome: "lost", Detail: reason}, 0)
+}
+
+func stop(l *flight.Recorder, sid string) {
+	l.Step(trace.TraceData{}, explain.Record{Session: sid}, 0)
+}
+
 func TestNilLedgerIsNoOp(t *testing.T) {
 	var l *flight.Recorder
 	l.RecordAdmission("s", "c", "admit", "")
-	l.RecordConfigured("s", "c", askFramerate(), 1, time.Millisecond, "configure")
-	l.RecordConfigureFailed("s", "c", "boom")
-	l.RecordBroken("s", "device lost")
-	l.RecordRecovered("s", time.Millisecond, false, nil, "")
-	l.RecordLost("s", "gone")
-	l.RecordStopped("s")
+	configured(l, "s", "c", askFramerate(), 1, time.Millisecond, "configure")
+	configureFailed(l, "s", "c", "boom")
+	broken(l, "s", "device lost")
+	recovered(l, "s", time.Millisecond, false, nil, "")
+	lost(l, "s", "gone")
+	stop(l, "s")
 	l.PublishMetrics()
 	if got := l.Scorecards(0); got != nil {
 		t.Fatalf("nil store Scorecards = %v, want nil", got)
@@ -68,11 +100,11 @@ func TestDeficitIntegralAndRestoration(t *testing.T) {
 
 	l.RecordAdmission("s1", "voice", "admit", "")
 	// Configure lands degraded: factor 0.8 => deficit fraction 0.2.
-	l.RecordConfigured("s1", "voice", askFramerate(), 0.8, 5*time.Millisecond, "configure")
+	configured(l, "s1", "voice", askFramerate(), 0.8, 5*time.Millisecond, "configure")
 	ck.advance(10 * time.Second)
 	// Reconfigured back to full quality: the degraded episode closes and
 	// a restoration is stamped.
-	l.RecordConfigured("s1", "voice", askFramerate(), 1, 5*time.Millisecond, "reconfigure")
+	configured(l, "s1", "voice", askFramerate(), 1, 5*time.Millisecond, "reconfigure")
 
 	rep, ok := l.Report("s1")
 	if !ok {
@@ -95,7 +127,7 @@ func TestDeficitIntegralAndRestoration(t *testing.T) {
 	}
 
 	ck.advance(time.Second)
-	l.RecordStopped("s1")
+	stop(l, "s1")
 	rep, _ = l.Report("s1")
 	if rep.Outcome != ledger.OutcomeCompleted {
 		t.Fatalf("outcome = %q, want completed", rep.Outcome)
@@ -128,12 +160,12 @@ func TestBrokenEpisodeAndMTTR(t *testing.T) {
 	ck := newClock()
 	l := flight.New(ledger.Options{Now: ck.now})
 
-	l.RecordConfigured("s1", "media", askFramerate(), 1, time.Millisecond, "configure")
+	configured(l, "s1", "media", askFramerate(), 1, time.Millisecond, "configure")
 	ck.advance(5 * time.Second)
-	l.RecordBroken("s1", "device lost")
-	l.RecordBroken("s1", "device lost again") // idempotent: no reopen
+	broken(l, "s1", "device lost")
+	broken(l, "s1", "device lost again") // idempotent: no reopen
 	ck.advance(2 * time.Second)
-	l.RecordRecovered("s1", 2*time.Second, false, nil, "")
+	recovered(l, "s1", 2*time.Second, false, nil, "")
 
 	rep, _ := l.Report("s1")
 	if !near(rep.BrokenSec, 2) {
@@ -152,7 +184,7 @@ func TestBrokenEpisodeAndMTTR(t *testing.T) {
 	}
 
 	ck.advance(3 * time.Second)
-	l.RecordStopped("s1")
+	stop(l, "s1")
 	sc := l.Scorecards(0)[0]
 	// 10s lifetime, 2s broken => availability 0.8.
 	if !near(sc.Availability, 0.8) {
@@ -170,15 +202,15 @@ func TestRestorationSurvivesBreakage(t *testing.T) {
 	// Degraded configure, then breakage closes the degraded episode but
 	// remembers it; a degraded recovery keeps the session degraded; the
 	// final full recovery counts exactly one restoration.
-	l.RecordConfigured("s1", "voice", askFramerate(), 0.9, time.Millisecond, "configure")
+	configured(l, "s1", "voice", askFramerate(), 0.9, time.Millisecond, "configure")
 	ck.advance(time.Second)
-	l.RecordBroken("s1", "crash")
+	broken(l, "s1", "crash")
 	ck.advance(time.Second)
-	l.RecordRecovered("s1", time.Second, true, []string{"visualizer"}, "heuristic")
+	recovered(l, "s1", time.Second, true, []string{"visualizer"}, "heuristic")
 	ck.advance(time.Second)
-	l.RecordBroken("s1", "crash again")
+	broken(l, "s1", "crash again")
 	ck.advance(time.Second)
-	l.RecordRecovered("s1", time.Second, false, nil, "")
+	recovered(l, "s1", time.Second, false, nil, "")
 
 	rep, _ := l.Report("s1")
 	if rep.Restorations != 1 {
@@ -207,10 +239,10 @@ func TestAdmissionOutcomes(t *testing.T) {
 	l := flight.New(ledger.Options{Now: ck.now})
 
 	l.RecordAdmission("ok", "voice", "admit", "")
-	l.RecordConfigured("ok", "voice", askFramerate(), 1, time.Millisecond, "configure")
+	configured(l, "ok", "voice", askFramerate(), 1, time.Millisecond, "configure")
 	l.RecordAdmission("no", "voice", "reject", "space saturated")
 	l.RecordAdmission("deg", "voice", "admit-degraded", "approaching saturation")
-	l.RecordConfigured("deg", "voice", askFramerate(), 1, time.Millisecond, "configure")
+	configured(l, "deg", "voice", askFramerate(), 1, time.Millisecond, "configure")
 
 	if _, ok := l.Report("no"); ok {
 		t.Fatal("rejected session occupies a table slot")
@@ -228,18 +260,47 @@ func TestAdmissionOutcomes(t *testing.T) {
 	}
 }
 
+// TestRejectCountsOnce: a reject that reaches the gate with the ID of a
+// session whose account is still open — one a failed recovery tore down,
+// so the configurator no longer holds it — is one rejected arrival, and
+// the session that ran keeps its start and its outcome. A live account
+// that never configured finalizes as rejected, counted once too.
+func TestRejectCountsOnce(t *testing.T) {
+	l := flight.New(ledger.Options{Now: newClock().now})
+	configured(l, "ran", "voice", askFramerate(), 1, time.Millisecond, "configure")
+	broken(l, "ran", "device lost")
+	l.RecordAdmission("ran", "voice", "reject", "space saturated")
+	if rep, _ := l.Report("ran"); rep.Outcome != ledger.OutcomeRunning || rep.Admission != "" {
+		t.Fatalf("reject rewrote the account of a session that ran: outcome %q admission %q", rep.Outcome, rep.Admission)
+	}
+	sc := l.Scorecards(0)[0]
+	if sc.Sessions != 1 || sc.Live != 1 || sc.Rejected != 1 {
+		t.Fatalf("scorecard = sessions %d live %d rejected %d, want 1/1/1", sc.Sessions, sc.Live, sc.Rejected)
+	}
+
+	l.RecordAdmission("fresh", "voice", "admit", "")
+	l.RecordAdmission("fresh", "voice", "reject", "space saturated")
+	if rep, _ := l.Report("fresh"); rep.Outcome != ledger.OutcomeRejected {
+		t.Fatalf("unconfigured account after a reject: outcome %q, want rejected", rep.Outcome)
+	}
+	sc = l.Scorecards(0)[0]
+	if sc.Sessions != 1 || sc.Rejected != 2 {
+		t.Fatalf("scorecard = sessions %d rejected %d, want 1/2", sc.Sessions, sc.Rejected)
+	}
+}
+
 func TestConfigureFailedFinalizesOnlyFreshSessions(t *testing.T) {
 	ck := newClock()
 	l := flight.New(ledger.Options{Now: ck.now})
 
-	l.RecordConfigureFailed("fresh", "voice", "no fit")
+	configureFailed(l, "fresh", "voice", "no fit")
 	rep, _ := l.Report("fresh")
 	if rep.Outcome != ledger.OutcomeFailed {
 		t.Fatalf("outcome = %q, want failed", rep.Outcome)
 	}
 
-	l.RecordConfigured("run", "voice", askFramerate(), 1, time.Millisecond, "configure")
-	l.RecordConfigureFailed("run", "voice", "transient recovery failure")
+	configured(l, "run", "voice", askFramerate(), 1, time.Millisecond, "configure")
+	configureFailed(l, "run", "voice", "transient recovery failure")
 	rep, _ = l.Report("run")
 	if rep.Outcome != ledger.OutcomeRunning {
 		t.Fatalf("outcome = %q, want running (configured sessions survive failed attempts)", rep.Outcome)
@@ -268,9 +329,9 @@ func TestBoundedEpisodeHistory(t *testing.T) {
 			ck := newClock()
 			l := flight.New(ledger.Options{Now: ck.now})
 			for i := 0; i < tc.cycles; i++ {
-				l.RecordBroken("s", "crash")
+				broken(l, "s", "crash")
 				ck.advance(time.Second)
-				l.RecordRecovered("s", time.Second, false, nil, "")
+				recovered(l, "s", time.Second, false, nil, "")
 				ck.advance(time.Second)
 			}
 			rep, _ := l.Report("s")
@@ -299,10 +360,10 @@ func TestSessionTableEviction(t *testing.T) {
 	const sessions, stopped = 2 * tableCap, 2*tableCap - 2
 	for i := 0; i < sessions; i++ {
 		sid := fmt.Sprintf("s%d", i)
-		l.RecordConfigured(sid, "voice", askFramerate(), 1, time.Millisecond, "configure")
+		configured(l, sid, "voice", askFramerate(), 1, time.Millisecond, "configure")
 		ck.advance(time.Second)
 		if i < stopped {
-			l.RecordStopped(sid)
+			stop(l, sid)
 		}
 	}
 	if got := len(l.LedgerSessions()); got > tableCap {
@@ -324,7 +385,7 @@ func TestEvictionFoldsLiveVictims(t *testing.T) {
 	// All live: evicting must fold the victim (as lost) first.
 	const sessions = tableCap + 3
 	for i := 0; i < sessions; i++ {
-		l.RecordConfigured(fmt.Sprintf("s%d", i), "voice", askFramerate(), 1, time.Millisecond, "configure")
+		configured(l, fmt.Sprintf("s%d", i), "voice", askFramerate(), 1, time.Millisecond, "configure")
 		ck.advance(time.Second)
 	}
 	sc := l.Scorecards(0)[0]
@@ -347,21 +408,21 @@ func TestOutOfOrderArrival(t *testing.T) {
 		run  func(l *flight.Recorder, ck *clock)
 	}{
 		{"recover before configure", func(l *flight.Recorder, ck *clock) {
-			l.RecordRecovered("s", time.Second, false, nil, "")
-			l.RecordConfigured("s", "voice", askFramerate(), 1, time.Millisecond, "recover")
+			recovered(l, "s", time.Second, false, nil, "")
+			configured(l, "s", "voice", askFramerate(), 1, time.Millisecond, "recover")
 		}},
 		{"broken after stop", func(l *flight.Recorder, ck *clock) {
-			l.RecordConfigured("s", "voice", askFramerate(), 1, time.Millisecond, "configure")
-			l.RecordStopped("s")
-			l.RecordBroken("s", "late event")
-			l.RecordLost("s", "late loss")
+			configured(l, "s", "voice", askFramerate(), 1, time.Millisecond, "configure")
+			stop(l, "s")
+			broken(l, "s", "late event")
+			lost(l, "s", "late loss")
 		}},
 		{"stop unknown session", func(l *flight.Recorder, ck *clock) {
-			l.RecordStopped("never-seen")
+			stop(l, "never-seen")
 		}},
 		{"lost before configure", func(l *flight.Recorder, ck *clock) {
-			l.RecordLost("s", "immediate loss")
-			l.RecordConfigured("s", "voice", askFramerate(), 1, time.Millisecond, "configure")
+			lost(l, "s", "immediate loss")
+			configured(l, "s", "voice", askFramerate(), 1, time.Millisecond, "configure")
 		}},
 	}
 	for _, tc := range cases {
@@ -383,9 +444,9 @@ func TestOutOfOrderArrival(t *testing.T) {
 	t.Run("stop wins over late lost", func(t *testing.T) {
 		ck := newClock()
 		l := flight.New(ledger.Options{Now: ck.now})
-		l.RecordConfigured("s", "voice", askFramerate(), 1, time.Millisecond, "configure")
-		l.RecordStopped("s")
-		l.RecordLost("s", "late")
+		configured(l, "s", "voice", askFramerate(), 1, time.Millisecond, "configure")
+		stop(l, "s")
+		lost(l, "s", "late")
 		rep, _ := l.Report("s")
 		if rep.Outcome != ledger.OutcomeCompleted {
 			t.Fatalf("outcome = %q, want completed (first finalize wins)", rep.Outcome)
@@ -401,7 +462,7 @@ func TestClassCardinalityCap(t *testing.T) {
 	ck := newClock()
 	l := flight.New(ledger.Options{Now: ck.now})
 	for i := 0; i < metrics.DefaultLabelCardinality+10; i++ {
-		l.RecordConfigured(fmt.Sprintf("s%d", i), fmt.Sprintf("class%03d", i), askFramerate(), 1, time.Millisecond, "configure")
+		configured(l, fmt.Sprintf("s%d", i), fmt.Sprintf("class%03d", i), askFramerate(), 1, time.Millisecond, "configure")
 	}
 	cards := l.Scorecards(0)
 	if len(cards) > metrics.DefaultLabelCardinality+1 {
@@ -425,11 +486,11 @@ func TestScorecardWindow(t *testing.T) {
 	ck := newClock()
 	l := flight.New(ledger.Options{Now: ck.now})
 
-	l.RecordConfigured("old", "voice", askFramerate(), 1, 100*time.Millisecond, "configure")
-	l.RecordStopped("old")
+	configured(l, "old", "voice", askFramerate(), 1, 100*time.Millisecond, "configure")
+	stop(l, "old")
 	ck.advance(time.Hour)
-	l.RecordConfigured("new", "voice", askFramerate(), 1, 5*time.Millisecond, "configure")
-	l.RecordStopped("new")
+	configured(l, "new", "voice", askFramerate(), 1, 5*time.Millisecond, "configure")
+	stop(l, "new")
 
 	all := l.Scorecards(0)[0]
 	if all.ConfigureMs.Count != 2 {
@@ -450,12 +511,12 @@ func TestPublishMetrics(t *testing.T) {
 	reg := metrics.NewRegistry()
 	l := flight.New(ledger.Options{Metrics: reg, Now: ck.now})
 
-	l.RecordConfigured("s", "voice", askFramerate(), 1, time.Millisecond, "configure")
+	configured(l, "s", "voice", askFramerate(), 1, time.Millisecond, "configure")
 	ck.advance(10 * time.Second)
-	l.RecordBroken("s", "crash")
+	broken(l, "s", "crash")
 	ck.advance(10 * time.Second)
-	l.RecordRecovered("s", time.Second, false, nil, "")
-	l.RecordStopped("s")
+	recovered(l, "s", time.Second, false, nil, "")
+	stop(l, "s")
 	l.PublishMetrics()
 
 	avail, ok := reg.Gauge(metrics.WithLabel(metrics.ClassAvailability, "class", "voice")).Value()
@@ -484,11 +545,11 @@ func TestConcurrentEpisodeWrites(t *testing.T) {
 				sid := fmt.Sprintf("w%d-s%d", w, i%16)
 				class := fmt.Sprintf("class%d", w%3)
 				l.RecordAdmission(sid, class, "admit", "")
-				l.RecordConfigured(sid, class, askFramerate(), 0.9, time.Millisecond, "configure")
-				l.RecordBroken(sid, "crash")
-				l.RecordRecovered(sid, time.Millisecond, i%2 == 0, []string{"opt"}, "heuristic")
+				configured(l, sid, class, askFramerate(), 0.9, time.Millisecond, "configure")
+				broken(l, sid, "crash")
+				recovered(l, sid, time.Millisecond, i%2 == 0, []string{"opt"}, "heuristic")
 				if i%4 == 0 {
-					l.RecordStopped(sid)
+					stop(l, sid)
 				}
 				_ = l.Scorecards(0)
 				_, _ = l.Report(sid)
