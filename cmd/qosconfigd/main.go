@@ -130,7 +130,7 @@ func run(addr, httpAddr, space, config string, scale float64, place, chaos strin
 	if admit {
 		// Stock policies; installed before the server listens, so no
 		// Configure can race the un-synchronized gate swap.
-		dom.EnableAdmissionGate(nil, nil)
+		dom.EnableAdmissionGate(nil)
 		log.Print("admission gate fronting the pipeline (stock per-class policies)")
 	}
 

@@ -25,7 +25,7 @@ func startDaemon(t *testing.T) string {
 		t.Fatal(err)
 	}
 	t.Cleanup(dom.Close)
-	dom.EnableAdmissionGate(nil, nil)
+	dom.EnableAdmissionGate(nil)
 	srv, err := wire.NewServer(dom)
 	if err != nil {
 		t.Fatal(err)

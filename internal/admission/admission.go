@@ -115,10 +115,9 @@ type Signals struct {
 // Options configures a Gate.
 type Options struct {
 	Signals Signals
-	// Policies overrides per-class policy (nil selects DefaultPolicies).
+	// Policies overrides per-class policy (nil selects DefaultPolicies);
+	// unlisted classes get DefaultPolicy.
 	Policies map[string]ClassPolicy
-	// Default overrides the fallback policy for unlisted classes.
-	Default *ClassPolicy
 	// Metrics, when set, receives admissions_total counters and the
 	// admission_state gauge.
 	Metrics *metrics.Registry
@@ -166,9 +165,6 @@ func New(opts Options) *Gate {
 	}
 	if g.policies == nil {
 		g.policies = DefaultPolicies()
-	}
-	if opts.Default != nil {
-		g.def = *opts.Default
 	}
 	if g.signals.SLOBurn == nil {
 		g.signals.SLOBurn = func() float64 { return 0 }

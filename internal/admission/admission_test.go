@@ -98,13 +98,11 @@ func TestGateRetryAfterDefaults(t *testing.T) {
 	}
 }
 
-// TestGateDefaultOverride: Options.Default replaces the fallback policy
-// for unlisted classes.
+// TestGateDefaultOverride: the gate's fallback policy, not the stock
+// ladder, decides for unlisted classes.
 func TestGateDefaultOverride(t *testing.T) {
-	g := New(Options{
-		Signals: fakeSignals(capacity.StateApproaching, 0.3, 0),
-		Default: &ClassPolicy{DegradeAt: Never, RejectAt: Never},
-	})
+	g := New(Options{Signals: fakeSignals(capacity.StateApproaching, 0.3, 0)})
+	g.def = ClassPolicy{DegradeAt: Never, RejectAt: Never}
 	if d := g.Admit("anything"); d.Verdict != Admit {
 		t.Fatalf("open-door default rejected/degraded: %+v", d)
 	}

@@ -18,8 +18,8 @@ import (
 // Defaults for the observatory: one sample per second, 900 samples per
 // series (15 minutes of history at the default interval).
 const (
-	DefaultInterval     = time.Second
-	DefaultRingCapacity = 900
+	DefaultInterval = time.Second
+	ringCapacity    = 900
 )
 
 // Sample is one timestamped observation.
@@ -58,9 +58,6 @@ func (r *ring) all() []Sample {
 type Options struct {
 	// Interval is the sampling period (0 selects DefaultInterval).
 	Interval time.Duration
-	// RingCapacity bounds each series' sample ring (0 selects
-	// DefaultRingCapacity).
-	RingCapacity int
 }
 
 // Observatory owns the sampled time series. A sampler callback — set by
@@ -88,12 +85,9 @@ func New(opts Options) *Observatory {
 	if opts.Interval <= 0 {
 		opts.Interval = DefaultInterval
 	}
-	if opts.RingCapacity <= 0 {
-		opts.RingCapacity = DefaultRingCapacity
-	}
 	return &Observatory{
 		interval: opts.Interval,
-		ringCap:  opts.RingCapacity,
+		ringCap:  ringCapacity,
 		series:   make(map[string]*ring),
 		now:      time.Now,
 	}

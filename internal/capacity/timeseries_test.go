@@ -6,7 +6,8 @@ import (
 )
 
 func TestRingWrapAround(t *testing.T) {
-	o := New(Options{RingCapacity: 4})
+	o := New(Options{})
+	o.ringCap = 4
 	base := time.Unix(0, 0)
 	for i := 0; i < 10; i++ {
 		o.Record("m", base.Add(time.Duration(i)*time.Second), float64(i))
@@ -83,7 +84,8 @@ func TestSampleNowRateLimited(t *testing.T) {
 }
 
 func TestStartStopTicker(t *testing.T) {
-	o := New(Options{Interval: 5 * time.Millisecond, RingCapacity: 100})
+	o := New(Options{Interval: 5 * time.Millisecond})
+	o.ringCap = 100
 	o.SetSampler(func(now time.Time) { o.Record("tick", now, 1) })
 	o.Start()
 	defer o.Stop()
@@ -126,7 +128,8 @@ func TestSeriesWindowAnchoredToClock(t *testing.T) {
 // TestRecordAllocationFree: once a series has its ring, a push — one per
 // metric per sampling pass, forever — allocates nothing.
 func TestRecordAllocationFree(t *testing.T) {
-	o := New(Options{RingCapacity: 16})
+	o := New(Options{})
+	o.ringCap = 16
 	t0 := time.Unix(1700000000, 0)
 	o.Record("m", t0, 1)
 	i := 0

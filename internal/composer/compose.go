@@ -64,9 +64,7 @@ func (e *MissingServiceError) Error() string {
 
 // Discovery is the slice of the service discovery service the composer
 // needs: resolve an abstract spec to the closest concrete instance, or nil
-// when discovery fails. *registry.Registry implements it; hierarchical
-// domains provide a federated implementation that escalates to parent
-// domains.
+// when discovery fails. *registry.Registry implements it.
 type Discovery interface {
 	Best(spec registry.Spec) *registry.Instance
 }
@@ -74,7 +72,7 @@ type Discovery interface {
 // CandidateExplainer is optionally implemented by discovery services
 // that can enumerate the full ranked candidate set behind a Best
 // decision, with per-candidate rejection reasons. *registry.Registry
-// implements it, as does the domain's federated discovery.
+// implements it.
 type CandidateExplainer interface {
 	Candidates(spec registry.Spec) []registry.Candidate
 }

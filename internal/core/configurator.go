@@ -83,12 +83,10 @@ type Config struct {
 	// a per-request Place override (e.g. the recovery ladder's warm or
 	// heuristic rungs) must neither serve nor pollute cached plans.
 	PlanCache *distributor.PlanCache
-	// StateSizeMB is the serialized session state size used for handoffs.
-	StateSizeMB float64
 	// StateSizeFor, when set, sizes the checkpoint by the portal device it
 	// is taken on (e.g. a PC's playback buffer is larger than a PDA's, so
 	// PC→PDA handoffs carry more data than PDA→PC — the asymmetry in the
-	// paper's Figure 4). It overrides StateSizeMB.
+	// paper's Figure 4). Unset, every checkpoint is 0.5 MB.
 	StateSizeFor func(from device.ID) float64
 	// Profiler, when set, supplies online-profiled resource requirement
 	// estimates that override the instances' declared vectors during
@@ -154,9 +152,6 @@ func New(cfg Config) (*Configurator, error) {
 	}
 	if cfg.Place == nil {
 		cfg.Place = distributor.Heuristic
-	}
-	if cfg.StateSizeMB <= 0 {
-		cfg.StateSizeMB = 0.5
 	}
 	return &Configurator{
 		cfg:       cfg,
@@ -890,13 +885,17 @@ func (c *Configurator) release(active *ActiveSession) {
 	}
 }
 
+// stateSizeMB is the serialized session state carried by a handoff when
+// Config.StateSizeFor is not set.
+const stateSizeMB = 0.5
+
 // stateSize is the size of the session state checkpointed on a portal
 // device.
 func (c *Configurator) stateSize(portal device.ID) float64 {
 	if c.cfg.StateSizeFor != nil {
 		return c.cfg.StateSizeFor(portal)
 	}
-	return c.cfg.StateSizeMB
+	return stateSizeMB
 }
 
 // Suspend checkpoints a session at its interruption point, tears it down,

@@ -9,45 +9,12 @@ import (
 	"ubiqos/internal/resource"
 )
 
-// Random is the random baseline of the paper's evaluation: it draws
-// uniform random assignments (pins respected) and returns the first one
-// satisfying the fit-into constraints, giving up — and reporting
-// ErrInfeasible — after tries attempts. The paper's comparison uses a
-// single attempt per request; larger values make the baseline stronger.
-func Random(p *Problem, rng *rand.Rand, tries int) (Assignment, float64, error) {
-	if err := p.Validate(); err != nil {
-		return nil, 0, err
-	}
-	if tries < 1 {
-		tries = 1
-	}
-	seed, err := p.pinnedAssignment()
-	if err != nil {
-		return nil, 0, err
-	}
-	nodes := p.Graph.Nodes()
-	for t := 0; t < tries; t++ {
-		a := seed.Clone()
-		for _, n := range nodes {
-			if _, ok := a[n.ID]; ok {
-				continue
-			}
-			a[n.ID] = rng.Intn(len(p.Devices))
-		}
-		if p.FitInto(a) == nil {
-			return a, p.CostAggregation(a), nil
-		}
-	}
-	return nil, 0, ErrInfeasible
-}
-
 // RandomAdmit is the feasibility-biased random baseline: it visits the
 // components in a random order and assigns each uniformly among the
 // devices that still have the end-system resources to hold it, then
-// verifies the full fit-into constraints (including bandwidth). Unlike
-// Random it rarely fails on resource constraints, but it ignores both the
-// cost objective and graph locality, so its cuts are large and its cost
-// aggregation high.
+// verifies the full fit-into constraints (including bandwidth). It rarely
+// fails on resource constraints, but it ignores both the cost objective
+// and graph locality, so its cuts are large and its cost aggregation high.
 func RandomAdmit(p *Problem, rng *rand.Rand) (Assignment, float64, error) {
 	if err := p.Validate(); err != nil {
 		return nil, 0, err

@@ -468,37 +468,6 @@ func TestOptimalRespectsPins(t *testing.T) {
 	}
 }
 
-func TestRandomBaseline(t *testing.T) {
-	w := defaultWeights(t)
-	rng := rand.New(rand.NewSource(11))
-	g := workload.MustRandomGraph(rng, workload.Table1Params())
-	g.Nodes()[0].Pin = "pc"
-	p := twoDeviceProblem(t, g, 1000, w)
-	a, cost, err := Random(p, rng, 100)
-	if err != nil {
-		t.Fatalf("random with 100 tries should find a feasible cut: %v", err)
-	}
-	if p.Devices[a[g.Nodes()[0].ID]].ID != "pc" {
-		t.Error("random must respect pins")
-	}
-	if err := p.FitInto(a); err != nil {
-		t.Error(err)
-	}
-	if cost <= 0 {
-		t.Errorf("cost = %g", cost)
-	}
-
-	// Impossible instance: always ErrInfeasible.
-	bad := twoDeviceProblem(t, chainGraph([]resource.Vector{resource.MB(999, 1)}, 1), 10, w)
-	if _, _, err := Random(bad, rng, 5); !errors.Is(err, ErrInfeasible) {
-		t.Errorf("err = %v", err)
-	}
-	// tries < 1 is clamped, not rejected.
-	if _, _, err := Random(bad, rng, 0); !errors.Is(err, ErrInfeasible) {
-		t.Errorf("err = %v", err)
-	}
-}
-
 func TestFirstFit(t *testing.T) {
 	w := defaultWeights(t)
 	g := chainGraph([]resource.Vector{resource.MB(10, 10), resource.MB(10, 10), resource.MB(30, 90)}, 1)

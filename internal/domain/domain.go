@@ -1,10 +1,10 @@
 // Package domain implements the Gaia-style domain server (paper §1): the
-// smart space is structured hierarchically by grouping devices into
-// domains, and each domain runs one domain server providing the key
-// infrastructure services for the entire domain space — service discovery,
-// the event service, the component repository, checkpointing, profiling,
-// and the service configuration model itself — "in the same way as today's
-// operating systems do for a single desktop."
+// smart space groups devices into domains, and each domain runs one
+// domain server providing the key infrastructure services for the entire
+// domain space — service discovery, the event service, the component
+// repository, checkpointing, profiling, and the service configuration
+// model itself — "in the same way as today's operating systems do for a
+// single desktop."
 package domain
 
 import (
@@ -48,13 +48,8 @@ type Options struct {
 	// Weights are the cost-aggregation significance weights; default: 0.3
 	// memory, 0.3 CPU, 0.4 network.
 	Weights resource.Weights
-	// RepoHost names the network endpoint serving the component
-	// repository; default "<domain>-server".
-	RepoHost string
-	// StateSizeMB sizes serialized session state for handoffs.
-	StateSizeMB float64
 	// StateSizeFor sizes the checkpoint by the portal device it is taken
-	// on; overrides StateSizeMB when set.
+	// on (default: core's fixed session state size).
 	StateSizeFor func(from device.ID) float64
 	// DegradeFactors is the QoS degradation ladder applied when a request
 	// does not fit at full quality (see core.Config.DegradeFactors).
@@ -62,30 +57,12 @@ type Options struct {
 	// Place overrides the placement algorithm (default: the paper's
 	// greedy heuristic).
 	Place core.PlaceFunc
-	// PlanCacheCapacity bounds the plan cache (0 selects the distributor
-	// default; negative disables the cache entirely).
-	PlanCacheCapacity int
 	// SampleInterval is the capacity observatory's sampling period (0
 	// selects capacity.DefaultInterval).
 	SampleInterval time.Duration
-	// RingCapacity bounds each capacity time series (0 selects
-	// capacity.DefaultRingCapacity).
-	RingCapacity int
 	// SaturationThresholds tunes the saturation analyzer (zero value
 	// selects capacity.DefaultThresholds).
 	SaturationThresholds capacity.Thresholds
-	// EnableAdmission wires the saturation-aware admission gate into the
-	// configure path: new sessions are admitted, admitted degraded, or
-	// rejected with a retry-after hint from the analyzer verdict, the SLO
-	// burn rate, and the per-class policies. Off by default — existing
-	// spaces keep the paper's admit-then-degrade-on-failure behavior
-	// unless they opt in.
-	EnableAdmission bool
-	// AdmissionPolicies overrides the gate's per-class policy table (nil
-	// selects admission.DefaultPolicies); AdmissionDefault overrides the
-	// fallback policy for unlisted classes.
-	AdmissionPolicies map[string]admission.ClassPolicy
-	AdmissionDefault  *admission.ClassPolicy
 }
 
 // Domain is one smart-space domain and its domain server.
@@ -123,14 +100,14 @@ type Domain struct {
 	Composer     *composer.Composer
 	Configurator *core.Configurator
 	// PlanCache memoizes solved placements by problem signature and
-	// invalidates them off the event bus (nil when disabled).
+	// invalidates them off the event bus.
 	PlanCache *distributor.PlanCache
 	// Capacity is the capacity observatory: on-daemon time series sampled
 	// on a ticker, feeding the /timeseries surface and the saturation
 	// analyzer behind /saturation and `qosctl top`.
 	Capacity *capacity.Observatory
-	// Admission is the saturation-aware admission gate (nil unless
-	// Options.EnableAdmission).
+	// Admission is the saturation-aware admission gate (nil until
+	// EnableAdmissionGate).
 	Admission *admission.Gate
 	// Autoscaler is the instance autoscaler control loop (nil until
 	// EnableAutoscaler).
@@ -150,10 +127,6 @@ type Domain struct {
 	// classMeters memoizes the per-class meters (see classMeter).
 	metersMu    sync.Mutex
 	classMeters map[[2]string]*metrics.Meter
-
-	mu       sync.Mutex
-	parent   *Domain
-	children map[string]*Domain
 }
 
 // New builds a domain with all infrastructure services wired together.
@@ -174,9 +147,6 @@ func New(name string, opts Options) (*Domain, error) {
 	if err := opts.Weights.Validate(); err != nil {
 		return nil, err
 	}
-	if opts.RepoHost == "" {
-		opts.RepoHost = name + "-server"
-	}
 
 	d := &Domain{
 		Name:        name,
@@ -189,7 +159,6 @@ func New(name string, opts Options) (*Domain, error) {
 		Metrics:     metrics.NewRegistry(),
 		Tracer:      trace.NewTracer(traceCapacity),
 		classMeters: make(map[[2]string]*metrics.Meter),
-		children:    make(map[string]*Domain),
 	}
 	d.Flight = flight.New(ledger.Options{Metrics: d.Metrics})
 	d.Log = obslog.New(obslog.LevelDebug, d.Flight)
@@ -201,7 +170,7 @@ func New(name string, opts Options) (*Domain, error) {
 		return nil, err
 	}
 	d.Net = net
-	repo, err := repository.New(opts.RepoHost, net)
+	repo, err := repository.New(name+"-server", net)
 	if err != nil {
 		return nil, err
 	}
@@ -210,13 +179,11 @@ func New(name string, opts Options) (*Domain, error) {
 	if err != nil {
 		return nil, err
 	}
-	d.Composer = composer.New(&federatedDiscovery{domain: d})
-	if opts.PlanCacheCapacity >= 0 {
-		d.PlanCache = distributor.NewPlanCache(opts.PlanCacheCapacity)
-		d.PlanCache.Instrument(d.Metrics)
-		if err := d.PlanCache.Subscribe(d.Bus); err != nil {
-			return nil, err
-		}
+	d.Composer = composer.New(d.Registry)
+	d.PlanCache = distributor.NewPlanCache(distributor.DefaultPlanCacheCapacity)
+	d.PlanCache.Instrument(d.Metrics)
+	if err := d.PlanCache.Subscribe(d.Bus); err != nil {
+		return nil, err
 	}
 	ccfg := core.Config{
 		Composer:       d.Composer,
@@ -227,7 +194,6 @@ func New(name string, opts Options) (*Domain, error) {
 		Checkpoints:    d.Checkpoints,
 		Engine:         engine,
 		Weights:        opts.Weights,
-		StateSizeMB:    opts.StateSizeMB,
 		StateSizeFor:   opts.StateSizeFor,
 		DegradeFactors: opts.DegradeFactors,
 		Place:          opts.Place,
@@ -240,9 +206,6 @@ func New(name string, opts Options) (*Domain, error) {
 		return nil, err
 	}
 	d.Configurator = cfg
-	if opts.EnableAdmission {
-		d.EnableAdmissionGate(opts.AdmissionPolicies, opts.AdmissionDefault)
-	}
 	// Every published event lands on the timelines of the sessions it
 	// concerns on the publisher's goroutine, before any subscriber sees
 	// it. Resolving takes the configurator's read lock (SessionsOn); no
@@ -253,10 +216,7 @@ func New(name string, opts Options) (*Domain, error) {
 			d.Flight.RecordEvent(session, ev)
 		}
 	})
-	d.Capacity = capacity.New(capacity.Options{
-		Interval:     opts.SampleInterval,
-		RingCapacity: opts.RingCapacity,
-	})
+	d.Capacity = capacity.New(capacity.Options{Interval: opts.SampleInterval})
 	d.saturation = capacity.NewAnalyzer(opts.SaturationThresholds)
 	// The incident engine must exist before the observatory starts: the
 	// sampler feeds it one Observation per pass.
@@ -309,98 +269,6 @@ func MustNew(name string, opts Options) *Domain {
 		panic(err)
 	}
 	return d
-}
-
-// federatedDiscovery resolves specs against the local registry first and
-// escalates to ancestor domains on failed discovery — the hierarchical
-// lookup of the Gaia smart-space structure.
-type federatedDiscovery struct {
-	domain *Domain
-}
-
-// Best implements composer.Discovery.
-func (f *federatedDiscovery) Best(spec registry.Spec) *registry.Instance {
-	for d := f.domain; d != nil; d = d.Parent() {
-		if inst := d.Registry.Best(spec); inst != nil {
-			return inst
-		}
-	}
-	return nil
-}
-
-// Candidates implements composer.CandidateExplainer: the candidate set
-// accumulates across the same escalation path Best walks, stopping at
-// the first domain that can satisfy the spec — exactly the instances the
-// federated Best decision was made over. Domains before the stopping one
-// had no eligible instance, so their contributions are all rejections
-// and the single Chosen candidate is the federated winner. A registry
-// lists its eligible instances first and marks the first of them Chosen,
-// so a domain satisfies the spec exactly when its list opens with one.
-func (f *federatedDiscovery) Candidates(spec registry.Spec) []registry.Candidate {
-	var out []registry.Candidate
-	for d := f.domain; d != nil; d = d.Parent() {
-		cs := d.Registry.Candidates(spec)
-		out = append(out, cs...)
-		if len(cs) > 0 && cs[0].Chosen {
-			break
-		}
-	}
-	return out
-}
-
-// Parent returns the parent domain, or nil at the root.
-func (d *Domain) Parent() *Domain {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.parent
-}
-
-// AddChild attaches a sub-domain; a domain has at most one parent.
-func (d *Domain) AddChild(child *Domain) error {
-	if child == nil {
-		return fmt.Errorf("domain: nil child")
-	}
-	if child == d {
-		return fmt.Errorf("domain: cannot parent itself")
-	}
-	child.mu.Lock()
-	if child.parent != nil {
-		child.mu.Unlock()
-		return fmt.Errorf("domain: %s already has a parent", child.Name)
-	}
-	child.parent = d
-	child.mu.Unlock()
-
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if _, ok := d.children[child.Name]; ok {
-		return fmt.Errorf("domain: duplicate child %s", child.Name)
-	}
-	d.children[child.Name] = child
-	return nil
-}
-
-// Children returns the attached sub-domains.
-func (d *Domain) Children() []*Domain {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	out := make([]*Domain, 0, len(d.children))
-	for _, c := range d.children {
-		out = append(out, c)
-	}
-	return out
-}
-
-// Root walks to the top of the hierarchy.
-func (d *Domain) Root() *Domain {
-	cur := d
-	for {
-		p := cur.Parent()
-		if p == nil {
-			return cur
-		}
-		cur = p
-	}
 }
 
 // AddDevice registers a device with raw (device-local) capacity: the
@@ -720,15 +588,14 @@ func (d *Domain) configureBurn() float64 {
 // EnableAdmissionGate builds the saturation-aware admission gate over
 // this domain's capacity signals and puts it in front of StartApp. The
 // gate's signals are closures over d, so nothing is evaluated until the
-// first start.
-func (d *Domain) EnableAdmissionGate(policies map[string]admission.ClassPolicy, def *admission.ClassPolicy) *admission.Gate {
+// first start. Nil policies select admission.DefaultPolicies.
+func (d *Domain) EnableAdmissionGate(policies map[string]admission.ClassPolicy) *admission.Gate {
 	g := admission.New(admission.Options{
 		Signals: admission.Signals{
 			Report:  func() capacity.Report { return d.SaturationReport() },
 			SLOBurn: d.configureBurn,
 		},
 		Policies: policies,
-		Default:  def,
 		Metrics:  d.Metrics,
 	})
 	// StartApp and the sampler goroutine read d.Admission through
@@ -893,7 +760,5 @@ func (d *Domain) Close() {
 		d.Capacity.Stop()
 	}
 	d.Bus.Close()
-	if d.PlanCache != nil {
-		d.PlanCache.Close()
-	}
+	d.PlanCache.Close()
 }

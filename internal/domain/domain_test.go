@@ -240,45 +240,6 @@ func TestRemoveDevicePortalLost(t *testing.T) {
 	}
 }
 
-func TestHierarchyFederatedDiscovery(t *testing.T) {
-	parent := MustNew("campus", Options{Scale: testScale})
-	t.Cleanup(parent.Close)
-	child := newSpace(t)
-	// Remove the server instance from the child; only the campus has it.
-	child.Registry.Unregister("audio-server-1")
-	parent.Registry.MustRegister(&registry.Instance{
-		Name:      "audio-server-1",
-		Type:      "audio-server",
-		Output:    qos.V(qos.P(qos.DimFormat, qos.Symbol(qos.FormatMP3)), qos.P(qos.DimFrameRate, qos.Scalar(40))),
-		Resources: resource.MB(64, 50),
-	})
-	if err := parent.AddChild(child); err != nil {
-		t.Fatal(err)
-	}
-	if child.Root() != parent || parent.Root() != parent {
-		t.Error("Root mismatch")
-	}
-	if len(parent.Children()) != 1 {
-		t.Error("Children mismatch")
-	}
-	// Discovery escalates to the parent and composition succeeds.
-	if _, err := child.StartApp(core.Request{SessionID: "a1", App: audioApp(), ClientDevice: "desktop1"}); err != nil {
-		t.Fatalf("federated composition failed: %v", err)
-	}
-	defer child.StopApp("a1")
-
-	// Hierarchy invariants.
-	if err := parent.AddChild(child); err == nil {
-		t.Error("re-parenting should fail")
-	}
-	if err := parent.AddChild(parent); err == nil {
-		t.Error("self-parenting should fail")
-	}
-	if err := parent.AddChild(nil); err == nil {
-		t.Error("nil child should fail")
-	}
-}
-
 func TestConnectValidation(t *testing.T) {
 	d := newSpace(t)
 	if err := d.Connect("a", "a", netsim.Ethernet); err == nil {

@@ -75,18 +75,19 @@ func BuildCrowdSpace(scale float64, closedLoop bool) (*domain.Domain, error) {
 		SampleInterval: 10 * time.Millisecond,
 	}
 	if closedLoop {
-		opts.EnableAdmission = true
 		opts.SaturationThresholds = crowdThresholds()
-		opts.AdmissionPolicies = map[string]admission.ClassPolicy{
-			// Voice holds full quality until the space saturates; the crowd
-			// class sheds its optional enhancer as soon as pressure shows.
-			"voice":      {DegradeAt: admission.Never, RejectAt: capacity.StateSaturated},
-			"background": {DegradeAt: capacity.StateApproaching, RejectAt: capacity.StateSaturated},
-		}
 	}
 	d, err := domain.New("crowd-space", opts)
 	if err != nil {
 		return nil, err
+	}
+	if closedLoop {
+		d.EnableAdmissionGate(map[string]admission.ClassPolicy{
+			// Voice holds full quality until the space saturates; the crowd
+			// class sheds its optional enhancer as soon as pressure shows.
+			"voice":      {DegradeAt: admission.Never, RejectAt: capacity.StateSaturated},
+			"background": {DegradeAt: capacity.StateApproaching, RejectAt: capacity.StateSaturated},
+		})
 	}
 	desktops := []device.ID{"desktop1", "desktop2", "desktop3"}
 	for _, id := range desktops {

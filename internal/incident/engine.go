@@ -124,8 +124,8 @@ type RuleConfig struct {
 	Alpha float64
 }
 
-// DefaultRules is the stock rule set: one rule per signal family.
-func DefaultRules() []RuleConfig {
+// defaultRules is the stock rule set: one rule per signal family.
+func defaultRules() []RuleConfig {
 	return []RuleConfig{
 		{
 			Name: RuleSLOBurn, Source: "slo",
@@ -160,30 +160,23 @@ func DefaultRules() []RuleConfig {
 	}
 }
 
-// Engine bounds and evidence caps.
+// Engine bounds and evidence caps: the incident log keeps maxIncidents
+// (the oldest resolved evicted first), the evidence bundle looks back
+// evidenceWindow, and caps each series excerpt at maxSeriesSamples, the
+// sampled sessions at maxSessions and each session's entries at
+// maxEntries.
 const (
-	DefaultMaxIncidents     = 64
-	DefaultEvidenceWindow   = 2 * time.Minute
-	DefaultMaxSeriesSamples = 60
-	DefaultMaxSessions      = 4
-	DefaultMaxEntries       = 16
-	maxTraceIDs             = 16
-	maxMitigators           = 8
+	maxIncidents     = 64
+	evidenceWindow   = 2 * time.Minute
+	maxSeriesSamples = 60
+	maxSessions      = 4
+	maxEntries       = 16
+	maxTraceIDs      = 16
+	maxMitigators    = 8
 )
 
 // Options configures an Engine.
 type Options struct {
-	// Rules overrides the rule set (nil selects DefaultRules).
-	Rules []RuleConfig
-	// MaxIncidents bounds the in-memory incident log (oldest evicted).
-	MaxIncidents int
-	// EvidenceWindow is the lookback the evidence bundle covers.
-	EvidenceWindow time.Duration
-	// MaxSeriesSamples / MaxSessions / MaxEntries cap each series
-	// excerpt, the sampled sessions, and each session's entries.
-	MaxSeriesSamples int
-	MaxSessions      int
-	MaxEntries       int
 	// Metrics receives incidents_open{severity} and
 	// incidents_total{rule} (nil disables publication).
 	Metrics *metrics.Registry
@@ -211,9 +204,8 @@ type rule struct {
 // incident log. All methods are safe for concurrent use and no-ops on
 // a nil receiver.
 type Engine struct {
-	window       time.Duration
+	// The bounds the engine runs with: the constants above, or a test's.
 	maxIncidents int
-	maxSamples   int
 	maxSessions  int
 	maxEntries   int
 	src          Sources
@@ -232,35 +224,20 @@ type Engine struct {
 	prevSeen  bool
 }
 
-// New builds an engine. Metric handles are resolved once here so the
-// per-observation path never touches the label-concatenation slow path.
+// New builds an engine running the stock rule set. Metric handles are
+// resolved once here so the per-observation path never touches the
+// label-concatenation slow path.
 func New(opts Options) *Engine {
-	cfgs := opts.Rules
-	if cfgs == nil {
-		cfgs = DefaultRules()
-	}
+	return newEngine(opts, defaultRules())
+}
+
+// newEngine builds an engine running the given rules.
+func newEngine(opts Options, cfgs []RuleConfig) *Engine {
 	e := &Engine{
-		window:       opts.EvidenceWindow,
-		maxIncidents: opts.MaxIncidents,
-		maxSamples:   opts.MaxSeriesSamples,
-		maxSessions:  opts.MaxSessions,
-		maxEntries:   opts.MaxEntries,
+		maxIncidents: maxIncidents,
+		maxSessions:  maxSessions,
+		maxEntries:   maxEntries,
 		src:          opts.Sources,
-	}
-	if e.window <= 0 {
-		e.window = DefaultEvidenceWindow
-	}
-	if e.maxIncidents <= 0 {
-		e.maxIncidents = DefaultMaxIncidents
-	}
-	if e.maxSamples <= 0 {
-		e.maxSamples = DefaultMaxSeriesSamples
-	}
-	if e.maxSessions <= 0 {
-		e.maxSessions = DefaultMaxSessions
-	}
-	if e.maxEntries <= 0 {
-		e.maxEntries = DefaultMaxEntries
 	}
 	for _, cfg := range cfgs {
 		r := &rule{cfg: cfg}
@@ -475,8 +452,20 @@ func (e *Engine) openIncident(r *rule, obs Observation, level float64, ev *Evide
 	}
 	r.open = inc
 	e.log = append(e.log, inc)
+	// Past the bound the oldest resolved incidents go; an open or
+	// mitigating one stays reachable (List, Get, postmortems) until it
+	// resolves.
 	if excess := len(e.log) - e.maxIncidents; excess > 0 {
-		e.log = append([]*Incident(nil), e.log[excess:]...)
+		kept := e.log[:0]
+		for _, old := range e.log {
+			if excess > 0 && old.State == StateResolved {
+				excess--
+				continue
+			}
+			kept = append(kept, old)
+		}
+		clear(e.log[len(kept):])
+		e.log = kept
 	}
 	e.openCount++
 	if r.total != nil {
@@ -597,7 +586,7 @@ func clampPos(v float64) float64 {
 // assemble captures the evidence bundle from the injected hooks; the
 // caller does not hold the mutex.
 func (e *Engine) assemble(obs Observation, d deltas) *Evidence {
-	ev := &Evidence{From: obs.Now.Add(-e.window), To: obs.Now}
+	ev := &Evidence{From: obs.Now.Add(-evidenceWindow), To: obs.Now}
 	if e.src.Saturation != nil {
 		ev.Saturation = e.src.Saturation()
 	}
@@ -606,12 +595,12 @@ func (e *Engine) assemble(obs Observation, d deltas) *Evidence {
 	}
 	if e.src.Series != nil {
 		for _, m := range e.src.SeriesNames {
-			s := e.src.Series(m, e.window)
+			s := e.src.Series(m, evidenceWindow)
 			if len(s) == 0 {
 				continue
 			}
-			if len(s) > e.maxSamples {
-				s = s[len(s)-e.maxSamples:]
+			if len(s) > maxSeriesSamples {
+				s = s[len(s)-maxSeriesSamples:]
 			}
 			ev.Series = append(ev.Series, SeriesExcerpt{Metric: m, Samples: s})
 		}

@@ -24,7 +24,7 @@ func obsAt(i int) Observation {
 }
 
 func burnOnlyRules() []RuleConfig {
-	for _, r := range DefaultRules() {
+	for _, r := range defaultRules() {
 		if r.Name == RuleSLOBurn {
 			return []RuleConfig{r}
 		}
@@ -33,7 +33,7 @@ func burnOnlyRules() []RuleConfig {
 }
 
 func faultOnlyRules() []RuleConfig {
-	for _, r := range DefaultRules() {
+	for _, r := range defaultRules() {
 		if r.Name == RuleFaultStorm {
 			return []RuleConfig{r}
 		}
@@ -45,7 +45,7 @@ func faultOnlyRules() []RuleConfig {
 // threshold: hysteresis (EWMA + dwell + lower close threshold) must
 // open at most one incident, and it must not flap closed/open.
 func TestDetectorNoFlap(t *testing.T) {
-	e := New(Options{Rules: burnOnlyRules()})
+	e := newEngine(Options{}, burnOnlyRules())
 	for i := 0; i < 40; i++ {
 		obs := obsAt(i)
 		if i%2 == 0 {
@@ -109,7 +109,7 @@ func TestLifecycleAndImpact(t *testing.T) {
 			return []flight.SessionInfo{{Session: "voice-1", Last: testBase.Add(time.Hour)}}
 		},
 	}
-	e := New(Options{Rules: faultOnlyRules(), Sources: src})
+	e := newEngine(Options{Sources: src}, faultOnlyRules())
 
 	e.Observe(obsAt(0)) // baseline for counter deltas
 
@@ -213,7 +213,8 @@ func TestEvidenceBundle(t *testing.T) {
 			return []ledger.Scorecard{{Class: "voice", Sessions: 1, Availability: 0.8}}
 		},
 	}
-	e := New(Options{Rules: faultOnlyRules(), Sources: src, MaxSessions: 2, MaxEntries: 8})
+	e := newEngine(Options{Sources: src}, faultOnlyRules())
+	e.maxSessions, e.maxEntries = 2, 8
 	e.Observe(obsAt(0))
 	obs := obsAt(1)
 	obs.DevicesDown = 1
@@ -247,8 +248,8 @@ func TestEvidenceBundle(t *testing.T) {
 		t.Fatalf("series excerpts = %d, want 2", len(ev.Series))
 	}
 	for _, s := range ev.Series {
-		if len(s.Samples) != DefaultMaxSeriesSamples {
-			t.Fatalf("series %s has %d samples, want cap %d", s.Metric, len(s.Samples), DefaultMaxSeriesSamples)
+		if len(s.Samples) != maxSeriesSamples {
+			t.Fatalf("series %s has %d samples, want cap %d", s.Metric, len(s.Samples), maxSeriesSamples)
 		}
 	}
 	if len(ev.Sessions) != 2 {
@@ -286,7 +287,7 @@ func TestEvidenceBundle(t *testing.T) {
 // track the move.
 func TestSeverityEscalationAndGauges(t *testing.T) {
 	reg := metrics.NewRegistry()
-	e := New(Options{Rules: burnOnlyRules(), Metrics: reg})
+	e := newEngine(Options{Metrics: reg}, burnOnlyRules())
 	for i := 0; i < 4; i++ {
 		obs := obsAt(i)
 		obs.WorstBurn = 1.2
@@ -320,9 +321,10 @@ func TestSeverityEscalationAndGauges(t *testing.T) {
 }
 
 // TestLogBound: the incident log drops the oldest incidents beyond
-// MaxIncidents.
+// its bound.
 func TestLogBound(t *testing.T) {
-	e := New(Options{Rules: faultOnlyRules(), MaxIncidents: 3})
+	e := newEngine(Options{}, faultOnlyRules())
+	e.maxIncidents = 3
 	e.Observe(obsAt(0))
 	step := 1
 	for ep := 0; ep < 5; ep++ {
@@ -350,6 +352,48 @@ func TestLogBound(t *testing.T) {
 	}
 	if got, ok := e.Get("INC-5"); !ok || got.ID != "INC-5" {
 		t.Fatalf("Get(INC-5) = %+v, %v", got, ok)
+	}
+}
+
+// TestLogBoundKeepsOpenIncidents: past the bound the log evicts the
+// oldest resolved incident, never an open one — a critical burn incident
+// that stays open while three fault storms come and go must stay
+// reachable by Get and List.
+func TestLogBoundKeepsOpenIncidents(t *testing.T) {
+	e := newEngine(Options{}, append(burnOnlyRules(), faultOnlyRules()...))
+	e.maxIncidents = 2
+	step := 0
+	observe := func(down int) {
+		obs := obsAt(step)
+		obs.WorstBurn, obs.DevicesDown = 3, down
+		step++
+		e.Observe(obs)
+	}
+	observe(0)
+	observe(0) // burn opens INC-1 critical (dwell 2)
+	for ep := 0; ep < 3; ep++ {
+		observe(2)
+		observe(2) // fault storm opens (dwell 1)
+		for i := 0; i < 4; i++ {
+			observe(0) // and closes (dwell 2 + EWMA decay)
+		}
+	}
+	if n, sev := e.Open(); n != 1 || sev != SevCritical {
+		t.Fatalf("Open() = %d, %v; want 1 critical", n, sev)
+	}
+	var ids []string
+	for _, inc := range e.List() {
+		ids = append(ids, inc.ID)
+	}
+	if strings.Join(ids, ",") != "INC-4,INC-1" {
+		t.Fatalf("List() = %v, want [INC-4 INC-1]", ids)
+	}
+	got, ok := e.Get("INC-1")
+	if !ok || got.Rule != RuleSLOBurn || got.State == StateResolved {
+		t.Fatalf("Get(INC-1) = %+v, %v; want the open burn incident", got, ok)
+	}
+	if got, _ := e.Get("INC-4"); got.State != StateResolved {
+		t.Fatalf("INC-4 state = %v, want resolved", got.State)
 	}
 }
 
@@ -395,7 +439,7 @@ func TestIdleObserveAllocationFree(t *testing.T) {
 func TestEvidenceHookMayObserve(t *testing.T) {
 	var e *Engine
 	reentered := 0
-	e = New(Options{Rules: faultOnlyRules(), Sources: Sources{
+	e = newEngine(Options{Sources: Sources{
 		Admission: func() *admission.Status {
 			reentered++
 			obs := obsAt(1)
@@ -404,7 +448,7 @@ func TestEvidenceHookMayObserve(t *testing.T) {
 			e.List()
 			return &admission.Status{}
 		},
-	}})
+	}}, faultOnlyRules())
 	done := make(chan struct{})
 	go func() {
 		defer close(done)

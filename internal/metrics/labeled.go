@@ -1,5 +1,4 @@
-// Labeled metric families: dimensioned counters, gauges, and histograms
-// whose series are addressed by one label value (a device ID, a link name,
+// Labeled metric families: dimensioned counters and gauges whose series are addressed by one label value (a device ID, a link name,
 // a session class). A family bounds its label cardinality — beyond the
 // bound every new value collapses into one overflow series — so a
 // misbehaving caller cannot grow the registry without limit. The hot path
@@ -22,7 +21,7 @@ const DefaultLabelCardinality = 64
 // family's cardinality bound.
 const OverflowLabel = "other"
 
-// family implements the bounded series map shared by the three labeled
+// family implements the bounded series map shared by the two labeled
 // metric kinds. newSeries both allocates the metric and registers it with
 // the owning Registry so Exposition picks it up.
 type family struct {
@@ -72,20 +71,6 @@ type LabeledCounter struct {
 	fam       family
 }
 
-// NewLabeledCounter creates a counter family with an explicit cardinality
-// bound (values ≤ 0 select DefaultLabelCardinality), registering each
-// series in r. Most callers want Registry.LabeledCounter, which memoizes
-// the family by name.
-func NewLabeledCounter(r *Registry, name, key string, limit int) *LabeledCounter {
-	if limit <= 0 {
-		limit = DefaultLabelCardinality
-	}
-	return &LabeledCounter{name: name, key: key, fam: family{
-		limit:     limit,
-		newSeries: func(labeled string) any { return r.Counter(labeled) },
-	}}
-}
-
 // With returns the counter for the label value.
 func (lc *LabeledCounter) With(value string) *Counter {
 	return lc.fam.with(lc.name, lc.key, value).(*Counter)
@@ -100,19 +85,6 @@ type LabeledGauge struct {
 	fam       family
 }
 
-// NewLabeledGauge creates a gauge family with an explicit cardinality
-// bound (values ≤ 0 select DefaultLabelCardinality), registering each
-// series in r.
-func NewLabeledGauge(r *Registry, name, key string, limit int) *LabeledGauge {
-	if limit <= 0 {
-		limit = DefaultLabelCardinality
-	}
-	return &LabeledGauge{name: name, key: key, fam: family{
-		limit:     limit,
-		newSeries: func(labeled string) any { return r.Gauge(labeled) },
-	}}
-}
-
 // With returns the gauge for the label value.
 func (lg *LabeledGauge) With(value string) *Gauge {
 	return lg.fam.with(lg.name, lg.key, value).(*Gauge)
@@ -120,33 +92,6 @@ func (lg *LabeledGauge) With(value string) *Gauge {
 
 // Series reports the number of distinct series in the family.
 func (lg *LabeledGauge) Series() int { return lg.fam.len() }
-
-// LabeledHistogram is a family of Histograms keyed by one label.
-type LabeledHistogram struct {
-	name, key string
-	fam       family
-}
-
-// NewLabeledHistogram creates a histogram family with an explicit
-// cardinality bound (values ≤ 0 select DefaultLabelCardinality),
-// registering each series in r.
-func NewLabeledHistogram(r *Registry, name, key string, limit int) *LabeledHistogram {
-	if limit <= 0 {
-		limit = DefaultLabelCardinality
-	}
-	return &LabeledHistogram{name: name, key: key, fam: family{
-		limit:     limit,
-		newSeries: func(labeled string) any { return r.Histogram(labeled) },
-	}}
-}
-
-// With returns the histogram for the label value.
-func (lh *LabeledHistogram) With(value string) *Histogram {
-	return lh.fam.with(lh.name, lh.key, value).(*Histogram)
-}
-
-// Series reports the number of distinct series in the family.
-func (lh *LabeledHistogram) Series() int { return lh.fam.len() }
 
 // LabeledCounter returns the named counter family keyed by the given
 // label, creating it with the default cardinality bound on first use. The
@@ -157,7 +102,10 @@ func (r *Registry) LabeledCounter(name, key string) *LabeledCounter {
 	defer r.mu.Unlock()
 	lc, ok := r.labeledCounters[name]
 	if !ok {
-		lc = NewLabeledCounter(r, name, key, 0)
+		lc = &LabeledCounter{name: name, key: key, fam: family{
+			limit:     DefaultLabelCardinality,
+			newSeries: func(labeled string) any { return r.Counter(labeled) },
+		}}
 		r.labeledCounters[name] = lc
 	}
 	return lc
@@ -170,21 +118,11 @@ func (r *Registry) LabeledGauge(name, key string) *LabeledGauge {
 	defer r.mu.Unlock()
 	lg, ok := r.labeledGauges[name]
 	if !ok {
-		lg = NewLabeledGauge(r, name, key, 0)
+		lg = &LabeledGauge{name: name, key: key, fam: family{
+			limit:     DefaultLabelCardinality,
+			newSeries: func(labeled string) any { return r.Gauge(labeled) },
+		}}
 		r.labeledGauges[name] = lg
 	}
 	return lg
-}
-
-// LabeledHistogram returns the named histogram family keyed by the given
-// label, creating it with the default cardinality bound on first use.
-func (r *Registry) LabeledHistogram(name, key string) *LabeledHistogram {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	lh, ok := r.labeledHistograms[name]
-	if !ok {
-		lh = NewLabeledHistogram(r, name, key, 0)
-		r.labeledHistograms[name] = lh
-	}
-	return lh
 }

@@ -5,7 +5,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 )
 
 func TestLabeledCounterBasics(t *testing.T) {
@@ -33,12 +32,10 @@ func TestLabeledSeriesRenderInExposition(t *testing.T) {
 	r := NewRegistry()
 	r.LabeledGauge("device_headroom_ratio", "device").With("pda1").Set(0.25)
 	r.LabeledCounter("sessions", "class").With("audio").Inc()
-	r.LabeledHistogram("place_latency", "class").With("audio").Observe(10 * time.Millisecond)
 	out := r.Exposition()
 	for _, want := range []string{
 		`device_headroom_ratio{device="pda1"} 0.25`,
 		`sessions{class="audio"} 1`,
-		`place_latency_count{class="audio"} 1`,
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("exposition missing %q:\n%s", want, out)
@@ -50,7 +47,8 @@ func TestLabeledSeriesRenderInExposition(t *testing.T) {
 // overflow value lands on the shared "other" series.
 func TestLabeledCardinalityCap(t *testing.T) {
 	r := NewRegistry()
-	lc := NewLabeledCounter(r, "hits", "peer", 4)
+	lc := r.LabeledCounter("hits", "peer")
+	lc.fam.limit = 4
 	for i := 0; i < 100; i++ {
 		lc.With(fmt.Sprintf("peer-%d", i)).Inc()
 	}
@@ -74,7 +72,8 @@ func TestLabeledCardinalityCap(t *testing.T) {
 
 func TestLabeledCardinalityCapConcurrent(t *testing.T) {
 	r := NewRegistry()
-	lg := NewLabeledGauge(r, "util", "device", 8)
+	lg := r.LabeledGauge("util", "device")
+	lg.fam.limit = 8
 	var wg sync.WaitGroup
 	for i := 0; i < 16; i++ {
 		wg.Add(1)
@@ -88,19 +87,6 @@ func TestLabeledCardinalityCapConcurrent(t *testing.T) {
 	wg.Wait()
 	if got := lg.Series(); got > 9 {
 		t.Fatalf("Series after concurrent overflow = %d, want ≤ 9", got)
-	}
-}
-
-func TestLabeledHistogramSeries(t *testing.T) {
-	r := NewRegistry()
-	lh := r.LabeledHistogram("op_latency", "op")
-	lh.With("place").Observe(5 * time.Millisecond)
-	lh.With("place").Observe(15 * time.Millisecond)
-	if got := lh.With("place").Count(); got != 2 {
-		t.Errorf("Count = %d", got)
-	}
-	if got := lh.Series(); got != 1 {
-		t.Errorf("Series = %d", got)
 	}
 }
 

@@ -203,26 +203,24 @@ func (g *Gauge) Value() (float64, bool) {
 // Registry is a named collection of metrics. All methods are safe for
 // concurrent use; metric instances are created on first use.
 type Registry struct {
-	mu                sync.Mutex
-	counters          map[string]*Counter
-	histograms        map[string]*Histogram
-	gauges            map[string]*Gauge
-	meters            map[string]*Meter
-	labeledCounters   map[string]*LabeledCounter
-	labeledGauges     map[string]*LabeledGauge
-	labeledHistograms map[string]*LabeledHistogram
+	mu              sync.Mutex
+	counters        map[string]*Counter
+	histograms      map[string]*Histogram
+	gauges          map[string]*Gauge
+	meters          map[string]*Meter
+	labeledCounters map[string]*LabeledCounter
+	labeledGauges   map[string]*LabeledGauge
 }
 
 // NewRegistry returns an empty registry.
 func NewRegistry() *Registry {
 	return &Registry{
-		counters:          make(map[string]*Counter),
-		histograms:        make(map[string]*Histogram),
-		gauges:            make(map[string]*Gauge),
-		meters:            make(map[string]*Meter),
-		labeledCounters:   make(map[string]*LabeledCounter),
-		labeledGauges:     make(map[string]*LabeledGauge),
-		labeledHistograms: make(map[string]*LabeledHistogram),
+		counters:        make(map[string]*Counter),
+		histograms:      make(map[string]*Histogram),
+		gauges:          make(map[string]*Gauge),
+		meters:          make(map[string]*Meter),
+		labeledCounters: make(map[string]*LabeledCounter),
+		labeledGauges:   make(map[string]*LabeledGauge),
 	}
 }
 
@@ -264,15 +262,19 @@ func (r *Registry) Gauge(name string) *Gauge {
 
 // WithLabel appends a label pair to a metric name, producing the
 // Prometheus form name{key="value"} (or name{...,key="value"} when labels
-// are already present). Label values are the protocol's operation names
-// and algorithm identifiers — a small closed set, so cardinality stays
-// bounded.
+// are already present). The value is escaped as the text exposition
+// format defines — backslash, double quote and line feed, nothing else —
+// after invalid UTF-8 is replaced with U+FFFD: some values (a session's
+// class) arrive verbatim from the wire.
 func WithLabel(name, key, value string) string {
+	pair := key + `="` + labelEscaper.Replace(strings.ToValidUTF8(value, "\uFFFD")) + `"`
 	if strings.HasSuffix(name, "}") {
-		return fmt.Sprintf(`%s,%s=%q}`, name[:len(name)-1], key, value)
+		return name[:len(name)-1] + "," + pair + "}"
 	}
-	return fmt.Sprintf(`%s{%s=%q}`, name, key, value)
+	return name + "{" + pair + "}"
 }
+
+var labelEscaper = strings.NewReplacer(`\`, `\\`, `"`, `\"`, "\n", `\n`)
 
 // splitName separates a possibly-labeled metric name into its base name
 // and the label body (without braces).

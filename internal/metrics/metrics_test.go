@@ -1,10 +1,12 @@
 package metrics
 
 import (
+	"fmt"
 	"strings"
 	"sync"
 	"testing"
 	"time"
+	"unicode/utf8"
 )
 
 func TestCounter(t *testing.T) {
@@ -141,6 +143,72 @@ func TestWithLabel(t *testing.T) {
 	if got != `x{a="1",b="2"}` {
 		t.Errorf("nested WithLabel = %q", got)
 	}
+}
+
+// TestWithLabelEscapesForExposition: a label value taken verbatim from a
+// request renders so that un-escaping it by the text format's rules (only
+// \\, \" and \n are escapes; the value is UTF-8) gives the value back,
+// with invalid UTF-8 replaced by U+FFFD.
+func TestWithLabelEscapesForExposition(t *testing.T) {
+	for _, tc := range []struct{ value, want string }{
+		{"audio", "audio"},
+		{`say "hi"`, `say "hi"`},
+		{`C:\media`, `C:\media`},
+		{"two\nlines", "two\nlines"},
+		{"a\tb", "a\tb"},
+		{"caf\xe9", "caf\uFFFD"},
+		{"x\u2028y", "x\u2028y"},
+		{"voix-\u00e9t\u00e9", "voix-\u00e9t\u00e9"},
+	} {
+		r := NewRegistry()
+		r.Counter(WithLabel("sessions", "class", tc.value)).Inc()
+		const prefix = `sessions{class="`
+		line := ""
+		for _, l := range strings.Split(r.Exposition(), "\n") {
+			if strings.HasPrefix(l, prefix) {
+				line = l
+			}
+		}
+		got, rest, err := unescapeLabel(strings.TrimPrefix(line, prefix))
+		if err != nil || rest != "} 1" {
+			t.Errorf("value %q: exposed line %q does not parse: %v (rest %q)", tc.value, line, err, rest)
+			continue
+		}
+		if got != tc.want {
+			t.Errorf("value %q: label reads back %q, want %q", tc.value, got, tc.want)
+		}
+	}
+}
+
+// unescapeLabel reads one label value up to its closing quote by the text
+// exposition format's rules and returns it with what follows the quote.
+func unescapeLabel(s string) (value, rest string, err error) {
+	if !utf8.ValidString(s) {
+		return "", "", fmt.Errorf("invalid UTF-8")
+	}
+	var b strings.Builder
+	for i := 0; i < len(s); i++ {
+		switch c := s[i]; c {
+		case '"':
+			return b.String(), s[i+1:], nil
+		case '\\':
+			if i+1 == len(s) {
+				return "", "", fmt.Errorf("dangling backslash")
+			}
+			i++
+			switch s[i] {
+			case '\\', '"':
+				b.WriteByte(s[i])
+			case 'n':
+				b.WriteByte('\n')
+			default:
+				return "", "", fmt.Errorf("undefined escape \\%c", s[i])
+			}
+		default:
+			b.WriteByte(c)
+		}
+	}
+	return "", "", fmt.Errorf("unterminated value")
 }
 
 func TestExposition(t *testing.T) {

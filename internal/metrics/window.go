@@ -23,7 +23,7 @@ const (
 // equally sized buckets; Mark adds to the current bucket, and bucket
 // rotation (driven lazily by whichever method is called next) folds each
 // completed bucket's rate into an exponentially weighted moving average.
-// The zero value is not usable; construct with NewMeter.
+// The zero value is not usable; construct with newMeter.
 type Meter struct {
 	mu        sync.Mutex
 	bucketDur time.Duration
@@ -38,10 +38,10 @@ type Meter struct {
 	now       func() time.Time
 }
 
-// NewMeter returns a meter covering the window with the given number of
+// newMeter returns a meter covering the window with the given number of
 // ring buckets (window ≤ 0 selects DefaultMeterWindow, buckets ≤ 0 the
 // default of 12).
-func NewMeter(window time.Duration, buckets int) *Meter {
+func newMeter(window time.Duration, buckets int) *Meter {
 	if window <= 0 {
 		window = DefaultMeterWindow
 	}
@@ -162,7 +162,7 @@ func (r *Registry) Meter(name string) *Meter {
 	defer r.mu.Unlock()
 	m, ok := r.meters[name]
 	if !ok {
-		m = NewMeter(0, 0)
+		m = newMeter(0, 0)
 		r.meters[name] = m
 	}
 	return m

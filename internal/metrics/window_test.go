@@ -9,7 +9,7 @@ import (
 
 // testMeter returns a meter with an injected clock the test advances.
 func testMeter(window time.Duration, buckets int) (*Meter, *time.Time) {
-	m := NewMeter(window, buckets)
+	m := newMeter(window, buckets)
 	clock := time.Unix(0, 0)
 	m.now = func() time.Time { return clock }
 	return m, &clock

@@ -301,67 +301,6 @@ func (l *Logger) log(level Level, msg string, fields []Field) {
 	}
 }
 
-// DefaultRingCapacity is the record count a RingSink retains when
-// NewRingSink is given a non-positive capacity.
-const DefaultRingCapacity = 512
-
-// RingSink retains the most recent records in a bounded ring, the
-// in-memory "recent logs" buffer behind the daemon's observability
-// surface.
-type RingSink struct {
-	mu    sync.Mutex
-	cap   int
-	ring  []Record // oldest first
-	total uint64
-}
-
-// NewRingSink returns a ring retaining up to capacity records.
-func NewRingSink(capacity int) *RingSink {
-	if capacity <= 0 {
-		capacity = DefaultRingCapacity
-	}
-	return &RingSink{cap: capacity}
-}
-
-// Write implements Sink.
-func (rs *RingSink) Write(rec Record) {
-	rs.mu.Lock()
-	defer rs.mu.Unlock()
-	rs.total++
-	rs.ring = append(rs.ring, rec)
-	if len(rs.ring) > rs.cap {
-		rs.ring = rs.ring[len(rs.ring)-rs.cap:]
-	}
-}
-
-// Len returns the number of retained records.
-func (rs *RingSink) Len() int {
-	rs.mu.Lock()
-	defer rs.mu.Unlock()
-	return len(rs.ring)
-}
-
-// Total returns the lifetime record count (including evicted ones).
-func (rs *RingSink) Total() uint64 {
-	rs.mu.Lock()
-	defer rs.mu.Unlock()
-	return rs.total
-}
-
-// Snapshot copies the retained records, oldest first. minLevel filters;
-// pass LevelDebug for everything.
-func (rs *RingSink) Snapshot(minLevel Level) []Record {
-	rs.mu.Lock()
-	defer rs.mu.Unlock()
-	out := make([]Record, 0, len(rs.ring))
-	for _, r := range rs.ring {
-		if r.Level >= minLevel {
-			out = append(out, r)
-		}
-	}
-	return out
-}
-
 // WriterSink formats each record as one text line on an io.Writer
 // (typically stderr). Writes are serialized.
 type WriterSink struct {

@@ -14,7 +14,7 @@ func TestNilLoggerIsNoOp(t *testing.T) {
 	l.Info("i", String("k", "v"))
 	l.Warn("w")
 	l.Error("e", Err(errors.New("boom")))
-	l.AddSink(NewRingSink(4))
+	l.AddSink(&recordSink{})
 	if got := l.Named("x").ForSession("s", "t").With(Int("n", 1)); got != nil {
 		t.Fatalf("children of nil logger must be nil, got %v", got)
 	}
@@ -24,13 +24,13 @@ func TestNilLoggerIsNoOp(t *testing.T) {
 }
 
 func TestLevelsAndFields(t *testing.T) {
-	ring := NewRingSink(16)
-	l := New(LevelInfo, ring)
+	sink := &recordSink{}
+	l := New(LevelInfo, sink)
 	l.Debug("dropped")
 	l.Info("kept", Int("n", 7), Bool("ok", true))
 	l.Error("bad", Err(errors.New("boom")))
 
-	recs := ring.Snapshot(LevelDebug)
+	recs := sink.records()
 	if len(recs) != 2 {
 		t.Fatalf("want 2 records (debug filtered), got %d", len(recs))
 	}
@@ -41,21 +41,18 @@ func TestLevelsAndFields(t *testing.T) {
 	if fm["n"] != int64(7) || fm["ok"] != true {
 		t.Fatalf("unexpected field map %v", fm)
 	}
-	if fm := recs[1].FieldMap(); fm["error"] != "boom" {
-		t.Fatalf("Err field not recorded: %v", fm)
-	}
-	if got := ring.Snapshot(LevelError); len(got) != 1 || got[0].Msg != "bad" {
-		t.Fatalf("level filter broken: %v", got)
+	if fm := recs[1].FieldMap(); fm["error"] != "boom" || recs[1].Level != LevelError {
+		t.Fatalf("Err field not recorded: %+v", recs[1])
 	}
 }
 
 func TestNamedForSessionWith(t *testing.T) {
-	ring := NewRingSink(8)
-	l := New(LevelDebug, ring)
+	sink := &recordSink{}
+	l := New(LevelDebug, sink)
 	child := l.Named("core").Named("supervisor").ForSession("s1", "abc123").With(String("mode", "degraded"))
 	child.Warn("retry", Int("attempt", 2))
 
-	recs := ring.Snapshot(LevelDebug)
+	recs := sink.records()
 	if len(recs) != 1 {
 		t.Fatalf("want 1 record, got %d", len(recs))
 	}
@@ -75,38 +72,20 @@ func TestNamedForSessionWith(t *testing.T) {
 	}
 }
 
-func TestRingEviction(t *testing.T) {
-	ring := NewRingSink(4)
-	l := New(LevelDebug, ring)
-	for i := 0; i < 10; i++ {
-		l.Info("m", Int("i", int64(i)))
-	}
-	if ring.Len() != 4 {
-		t.Fatalf("ring should retain 4, has %d", ring.Len())
-	}
-	if ring.Total() != 10 {
-		t.Fatalf("total should be 10, got %d", ring.Total())
-	}
-	recs := ring.Snapshot(LevelDebug)
-	if recs[0].FieldMap()["i"] != int64(6) || recs[3].FieldMap()["i"] != int64(9) {
-		t.Fatalf("eviction kept wrong records: %v %v", recs[0].Fields, recs[3].Fields)
-	}
-}
-
 func TestAddSinkSharedAcrossChildren(t *testing.T) {
 	l := New(LevelDebug)
 	child := l.Named("c")
-	ring := NewRingSink(8)
-	child.AddSink(ring) // attached via the child, visible from the parent
+	sink := &recordSink{}
+	child.AddSink(sink) // attached via the child, visible from the parent
 	l.Info("hello")
-	if ring.Len() != 1 {
-		t.Fatalf("sink attached on child must receive parent's records, got %d", ring.Len())
+	if n := len(sink.records()); n != 1 {
+		t.Fatalf("sink attached on child must receive parent's records, got %d", n)
 	}
 }
 
 func TestConcurrentLogging(t *testing.T) {
-	ring := NewRingSink(10000)
-	l := New(LevelDebug, ring)
+	sink := &recordSink{}
+	l := New(LevelDebug, sink)
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
@@ -127,7 +106,7 @@ func TestConcurrentLogging(t *testing.T) {
 		}
 	}()
 	wg.Wait()
-	if got := ring.Total(); got != 800 {
+	if got := len(sink.records()); got != 800 {
 		t.Fatalf("want 800 records, got %d", got)
 	}
 }
@@ -167,6 +146,25 @@ func TestDurationAndErrNil(t *testing.T) {
 	}
 }
 
+// recordSink keeps every record it is given.
+type recordSink struct {
+	mu   sync.Mutex
+	recs []Record
+}
+
+func (s *recordSink) Write(rec Record) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.recs = append(s.recs, rec)
+}
+
+// records copies the records written so far, oldest first.
+func (s *recordSink) records() []Record {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return append([]Record(nil), s.recs...)
+}
+
 // safeBuilder is a mutex-guarded strings.Builder (WriterSink serializes
 // writes itself, but the test also reads).
 type safeBuilder struct {
@@ -191,7 +189,7 @@ func (s *safeBuilder) String() string {
 // price of leaving the call sites in the configure path.
 func TestDisabledLoggingAllocationFree(t *testing.T) {
 	var nilLogger *Logger
-	quiet := New(LevelError, NewRingSink(8)).Named("core").ForSession("s1", "cafef00dcafef00d")
+	quiet := New(LevelError, &recordSink{}).Named("core").ForSession("s1", "cafef00dcafef00d")
 	for _, tc := range []struct {
 		name string
 		lg   *Logger

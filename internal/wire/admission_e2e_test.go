@@ -17,23 +17,22 @@ import (
 )
 
 // startAdmissionServer boots a server whose domain runs a gate that
-// rejects every class at StateOK — rejection is deterministic regardless
-// of actual load, so the wire-level contract can be asserted end to end.
+// rejects the classes these tests use at StateOK — rejection is
+// deterministic regardless of actual load, so the wire-level contract can
+// be asserted end to end.
 func startAdmissionServer(t *testing.T) (*domain.Domain, string) {
 	t.Helper()
-	dom, err := domain.New("adm-space", domain.Options{
-		Scale:           0.05,
-		EnableAdmission: true,
-		AdmissionDefault: &admission.ClassPolicy{
-			DegradeAt:  admission.Never,
-			RejectAt:   capacity.StateOK,
-			RetryAfter: 1500 * time.Millisecond,
-		},
-	})
+	dom, err := domain.New("adm-space", domain.Options{Scale: 0.05})
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(dom.Close)
+	reject := admission.ClassPolicy{
+		DegradeAt:  admission.Never,
+		RejectAt:   capacity.StateOK,
+		RetryAfter: 1500 * time.Millisecond,
+	}
+	dom.EnableAdmissionGate(map[string]admission.ClassPolicy{"video": reject, "probe": reject})
 	if _, err := dom.AddDevice("desktop1", device.ClassDesktop, resource.MB(256, 100), map[string]string{"platform": "pc"}); err != nil {
 		t.Fatal(err)
 	}

@@ -517,16 +517,14 @@ func (s *Server) timeseries(req Request) (Response, error) {
 // hit/miss ledger plus the warm/cold branch-and-bound solve split.
 func (s *Server) statsInfo(Request) (Response, error) {
 	m := s.dom.Metrics
+	st := s.dom.PlanCache.Stats()
 	info := &StatsInfo{
+		PlanCache:  &st,
 		WarmSolves: m.Counter(metrics.WarmSolves).Value(),
 		ColdSolves: m.Counter(metrics.ColdSolves).Value(),
 	}
 	if v, ok := m.Gauge(metrics.WarmSpeedup).Value(); ok {
 		info.WarmSpeedup = v
-	}
-	if s.dom.PlanCache != nil {
-		st := s.dom.PlanCache.Stats()
-		info.PlanCache = &st
 	}
 	return Response{Stats: info}, nil
 }

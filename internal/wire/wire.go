@@ -199,8 +199,8 @@ type SessionInfo struct {
 // StatsInfo is the incremental-placement health snapshot (stats op): the
 // plan cache's hit/miss ledger plus the warm/cold solve split.
 type StatsInfo struct {
-	// PlanCache is the signature-keyed plan cache's ledger; nil when the
-	// daemon runs with the cache disabled.
+	// PlanCache is the signature-keyed plan cache's ledger (nil only in a
+	// reply that does not carry one).
 	PlanCache *distributor.PlanCacheStats `json:"planCache,omitempty"`
 	// WarmSolves counts branch-and-bound solves seeded from an incumbent.
 	WarmSolves int64 `json:"warmSolves"`
