@@ -7,7 +7,6 @@ import (
 	"sync/atomic"
 	"testing"
 
-	"ubiqos/internal/device"
 	"ubiqos/internal/qos"
 )
 
@@ -43,7 +42,7 @@ func configureConcurrently(c *Configurator, reqs []Request) (sessions []*ActiveS
 // at its full capacity.
 func (f *fixture) checkBaseline(t *testing.T) {
 	t.Helper()
-	for _, d := range []*device.Device{f.dsk, f.pda} {
+	for _, d := range f.cfg.Devices.All() {
 		if got := d.Available(); !got.Equal(d.Capacity()) {
 			t.Errorf("%s not fully released: %s != %s", d.ID, got, d.Capacity())
 		}

@@ -1,10 +1,13 @@
 package core
 
 import (
+	"encoding/binary"
 	"fmt"
-	"math/rand"
+	"hash/fnv"
+	"runtime"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"ubiqos/internal/composer"
@@ -45,7 +48,8 @@ type SupervisorOptions struct {
 	// repair times instead of sub-millisecond heals.
 	InitialDelay time.Duration
 	// Seed makes the retry jitter deterministic for reproducible
-	// experiments.
+	// experiments: the jitter of one retry is a function of the seed, the
+	// session and the attempt number alone.
 	Seed int64
 }
 
@@ -132,7 +136,6 @@ type Supervisor struct {
 	sub  *eventbus.Subscription
 
 	mu    sync.Mutex
-	rng   *rand.Rand
 	tasks map[string]*recoveryTask
 	busy  bool
 	stats SupervisorStats
@@ -169,7 +172,6 @@ func NewSupervisor(c *Configurator, opts SupervisorOptions) (*Supervisor, error)
 		c:        c,
 		opts:     opts,
 		sub:      sub,
-		rng:      rand.New(rand.NewSource(opts.Seed)),
 		tasks:    make(map[string]*recoveryTask),
 		degraded: make(map[string]Request),
 		stopped:  make(chan struct{}),
@@ -181,7 +183,8 @@ func NewSupervisor(c *Configurator, opts SupervisorOptions) (*Supervisor, error)
 
 // Stop cancels the subscription and waits for the worker to exit. Pending
 // recovery tasks are abandoned (their sessions keep whatever state they
-// had). Stop is idempotent.
+// had): attempts already running finish, and no further one starts. Stop
+// is idempotent.
 func (s *Supervisor) Stop() {
 	s.stopOnce.Do(func() {
 		close(s.stopped)
@@ -378,7 +381,13 @@ func (s *Supervisor) report(req Request, step *explain.LadderStep, traceID strin
 	}
 }
 
-// process runs every due recovery task once.
+// process runs every due recovery task once and returns when all have
+// run. The tasks run in fault order — by the time their fault was seen,
+// then by session ID — on one worker per available CPU, each worker
+// taking the next task in that order; with one worker they run inline.
+// Recoveries of distinct sessions are as independent as concurrent
+// configures, so the k-th broken session of a fault need not wait for
+// the k-1 before it. A worker takes no new task once Stop is called.
 func (s *Supervisor) process() {
 	now := time.Now()
 	s.mu.Lock()
@@ -389,9 +398,41 @@ func (s *Supervisor) process() {
 		}
 	}
 	s.mu.Unlock()
-	for _, t := range due {
-		s.attempt(t)
+	sort.Slice(due, func(i, j int) bool {
+		if !due[i].firstSeen.Equal(due[j].firstSeen) {
+			return due[i].firstSeen.Before(due[j].firstSeen)
+		}
+		return due[i].sessionID < due[j].sessionID
+	})
+	var next atomic.Int64
+	work := func() {
+		for {
+			select {
+			case <-s.stopped:
+				return
+			default:
+			}
+			i := int(next.Add(1)) - 1
+			if i >= len(due) {
+				return
+			}
+			s.attempt(due[i])
+		}
 	}
+	w := min(len(due), runtime.GOMAXPROCS(0))
+	if w <= 1 {
+		work()
+		return
+	}
+	var wg sync.WaitGroup
+	wg.Add(w)
+	for range w {
+		go func() {
+			defer wg.Done()
+			work()
+		}()
+	}
+	wg.Wait()
 }
 
 // attempt runs one recovery for the task, deciding between full-quality
@@ -486,7 +527,7 @@ func (s *Supervisor) attempt(t *recoveryTask) {
 		s.giveUp(t, fmt.Sprintf("no feasible placement after %d attempts: %v", t.attempts, err), tr)
 		return
 	}
-	backoff := s.backoff(t.attempts)
+	backoff := s.backoff(t.sessionID, t.attempts)
 	t.due = time.Now().Add(backoff)
 	s.mu.Lock()
 	s.stats.Retries++
@@ -498,8 +539,11 @@ func (s *Supervisor) attempt(t *recoveryTask) {
 }
 
 // backoff returns base·2^(attempt-1) capped at MaxBackoff, plus up to 50%
-// seeded jitter so a burst of broken sessions does not retry in lockstep.
-func (s *Supervisor) backoff(attempt int) time.Duration {
+// jitter so a burst of broken sessions does not retry in lockstep. The
+// jitter is a hash of (Seed, session, attempt), not a draw from a shared
+// generator, so it does not depend on the order concurrent attempts fail
+// in.
+func (s *Supervisor) backoff(sid string, attempt int) time.Duration {
 	d := s.opts.BaseBackoff
 	for i := 1; i < attempt && d < s.opts.MaxBackoff; i++ {
 		d *= 2
@@ -507,10 +551,13 @@ func (s *Supervisor) backoff(attempt int) time.Duration {
 	if d > s.opts.MaxBackoff {
 		d = s.opts.MaxBackoff
 	}
-	s.mu.Lock()
-	jitter := time.Duration(s.rng.Int63n(int64(d)/2 + 1))
-	s.mu.Unlock()
-	return d + jitter
+	var key [16]byte
+	binary.LittleEndian.PutUint64(key[:8], uint64(s.opts.Seed))
+	binary.LittleEndian.PutUint64(key[8:], uint64(attempt))
+	h := fnv.New64a()
+	h.Write(key[:])
+	h.Write([]byte(sid))
+	return d + time.Duration(h.Sum64()%uint64(d/2+1))
 }
 
 // giveUp abandons the session: whatever is left of it is stopped, its
