@@ -33,8 +33,5 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Println("Figure 5. Success rate comparisons among the fixed, random and heuristic algorithms.")
-	fmt.Println()
 	fmt.Print(experiments.FormatFig5(r))
-	fmt.Println("\n(paper reference shape: heuristic consistently highest, random middle, fixed lowest)")
 }

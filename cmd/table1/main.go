@@ -35,12 +35,5 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Println("Table 1. Comparisons among different service distribution algorithms.")
-	fmt.Println()
-	fmt.Print(experiments.FormatTable1(r))
-	fmt.Printf("\n(%d graphs evaluated, %d drawn; paper reference: Random 25%%/0%%, Ours 91%%/60%%, Optimal 100%%/100%%)\n",
-		cfg.Graphs, r.Generated)
-	if *extended {
-		fmt.Println("(extension rows: Heu+Refine = greedy + local search; First-Fit = packing ablation)")
-	}
+	fmt.Print(experiments.FormatTable1(cfg, r))
 }

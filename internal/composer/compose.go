@@ -41,10 +41,11 @@ type Request struct {
 	// Log, when non-nil, receives structured records about the composition
 	// outcome (missing services, correction counts). Observability only.
 	Log *obslog.Logger
-	// Explain, when non-nil, collects decision provenance: the candidate
-	// set behind every discovery binding and every Ordered Coordination
-	// correction with its before/after QoS vectors. Observability only.
-	Explain *explain.Composition
+	// Explain, when non-nil, collects decision provenance into the
+	// record: the candidate set behind every discovery binding and every
+	// Ordered Coordination correction with its before/after QoS vectors.
+	// Observability only.
+	Explain *explain.Record
 }
 
 // MissingServiceError reports mandatory services the discovery service

@@ -510,7 +510,7 @@ type composeOutcome struct {
 func outcomeOf(req Request, compose func(Request) (*graph.Graph, *Report, error)) composeOutcome {
 	tc := trace.NewTracer(1)
 	tr := tc.Start("compose", "s")
-	var ex explain.Composition
+	var ex explain.Record
 	req.Span, req.Explain = tr.Root(), &ex
 	g, rep, err := compose(req)
 	tr.Finish()

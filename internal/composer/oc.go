@@ -63,7 +63,7 @@ func (c *Composer) SetCheckOrder(o CheckOrder) { c.checkOrder = o }
 // Checking in reverse topological order means the first examined nodes are
 // the sinks — the client services carrying the user's QoS requirements —
 // so their QoS is preserved while upstream components adapt.
-func (c *Composer) coordinate(g *graph.Graph, report *Report, sp *trace.Span, exp *explain.Composition) error {
+func (c *Composer) coordinate(g *graph.Graph, report *Report, sp *trace.Span, exp *explain.Record) error {
 	order, err := g.TopoSort()
 	if err != nil {
 		return err
@@ -114,7 +114,7 @@ func (c *Composer) coordinate(g *graph.Graph, report *Report, sp *trace.Span, ex
 // re-routed) direct edge after each: a splice fills in every dimension the
 // consumer requires, so residual inconsistencies migrate to the new
 // upstream edge and are handled when the spliced node is examined.
-func (c *Composer) checkEdge(g *graph.Graph, e graph.Edge, report *Report, sp *trace.Span, exp *explain.Composition) ([]graph.NodeID, error) {
+func (c *Composer) checkEdge(g *graph.Graph, e graph.Edge, report *Report, sp *trace.Span, exp *explain.Record) ([]graph.NodeID, error) {
 	cons := g.Node(e.To)
 	var inserted []graph.NodeID
 	// Each iteration resolves at least one mismatched dimension of the

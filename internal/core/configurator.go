@@ -11,7 +11,6 @@
 package core
 
 import (
-	"errors"
 	"fmt"
 	"sort"
 	"sync"
@@ -49,10 +48,10 @@ type Observer interface {
 	// set).
 	Begin(req Request, rec explain.Record) (tr *trace.Trace, composeLog, distributeLog *obslog.Logger)
 	// Finished receives each configure, reconfigure, resume or recover
-	// exactly once, after the degradation ladder, the rollback and the
-	// state handoff are folded in: the request as submitted, the session
-	// (nil on failure), the provenance record with its attempts and trace
-	// ID, the finished trace, and the error.
+	// exactly once, after the rollback and the state handoff are folded
+	// in: the request as submitted, the session (nil on failure), the
+	// provenance record with each tier's provenance, its trace ID and its
+	// error, the finished trace, and the error.
 	Finished(req Request, active *ActiveSession, rec explain.Record, tr *trace.Trace, err error)
 	// Step receives a session event that is not a configuration. A stop
 	// or a suspend hands over the session's request and an empty record.
@@ -94,12 +93,6 @@ type Config struct {
 	// monitoring services are available to automatically measure the
 	// resource requirements for all application services").
 	Profiler *profiler.Profiler
-	// DegradeFactors is the QoS degradation ladder: when configuration
-	// fails for feasibility reasons, the user's numeric QoS requirements
-	// are scaled by each factor in turn (e.g. 0.75 then 0.5) until a
-	// configuration fits — the paper's "continue his or her tasks with
-	// minimum QoS degradations". Empty means no degradation is attempted.
-	DegradeFactors []float64
 	// Observer, when set, watches every action (see Observer).
 	Observer Observer
 }
@@ -198,9 +191,10 @@ const ClientRole = "client"
 
 // SessionLostNotice is the payload of a TopicUserNotification event raised
 // when a session cannot be kept alive through a runtime change — its
-// portal device vanished, or no feasible placement remains even after the
-// degradation ladder. The user must intervene (pick a new portal, add
-// capacity, or quit).
+// portal device vanished, or the recovery supervisor gave up: no feasible
+// placement remains even with optionals shed and the heuristic as
+// fallback. The user must intervene (pick a new portal, add capacity, or
+// quit).
 type SessionLostNotice struct {
 	SessionID string
 	// Device is the device whose loss or fluctuation stranded the session
@@ -244,9 +238,6 @@ type ActiveSession struct {
 	Placement map[graph.NodeID]device.ID
 	// Cost is the cost aggregation of the chosen placement.
 	Cost float64
-	// DegradeFactor records the QoS degradation applied to admit the
-	// session (1 = full requested quality).
-	DegradeFactor float64
 	// Report is the composition report (corrections applied).
 	Report *composer.Report
 	// Timing is the configuration overhead breakdown.
@@ -382,11 +373,10 @@ func (c *Configurator) Configure(req Request) (*ActiveSession, error) {
 }
 
 // run carries one configuration action on a session ID the caller has
-// claimed: the pipeline under the QoS degradation ladder, the claim
-// released on failure, the state-transfer time folded into the session's
-// timing, then one finished record to the observer. action labels the run
-// for provenance: ActionConfigure, ActionResume, ActionRecover, or
-// ActionReconfigure.
+// claimed: the pipeline run once, the claim released on failure, the
+// state-transfer time folded into the session's timing, then one finished
+// record to the observer. action labels the run for provenance:
+// ActionConfigure, ActionResume, ActionRecover, or ActionReconfigure.
 func (c *Configurator) run(req Request, action string, handoff bool, transfer time.Duration) (*ActiveSession, error) {
 	req.Class = c.Class(req)
 	obs := c.cfg.Observer
@@ -397,15 +387,17 @@ func (c *Configurator) run(req Request, action string, handoff bool, transfer ti
 		x.tr, x.composeLog, x.distributeLog = obs.Begin(req, *rec)
 		rec.TraceID = x.tr.Context().TraceID
 	}
-	active, err := c.configureLadder(req, handoff, &x, rec)
 	root := x.tr.Root()
+	active, err := c.configureOnce(req, handoff, root, &x, rec)
 	if err != nil {
 		c.unreserve(req.SessionID)
 		root.SetErr(err)
+		if rec != nil {
+			rec.Err = err.Error()
+		}
 	} else {
 		active.Timing.InitOrHandoff += transfer
-		root.Set(trace.Float("cost", active.Cost),
-			trace.Float("degradeFactor", active.DegradeFactor))
+		root.Set(trace.Float("cost", active.Cost))
 	}
 	x.tr.Finish()
 	if obs != nil {
@@ -414,84 +406,13 @@ func (c *Configurator) run(req Request, action string, handoff bool, transfer ti
 	return active, err
 }
 
-func (c *Configurator) configureLadder(req Request, handoff bool, x *taps, rec *explain.Record) (*ActiveSession, error) {
-	root := x.tr.Root()
-	asp := root.Child("attempt", trace.Float("degradeFactor", 1))
-	active, err := c.configureOnce(req, handoff, asp, x, nextAttempt(rec, 1))
-	asp.SetErr(err)
-	asp.End()
-	if err == nil {
-		active.DegradeFactor = 1
-		return active, nil
-	}
-	finishAttempt(rec, err)
-	// Missing services cannot be fixed by lowering quality; notify the
-	// user instead of degrading. Nor can a malformed user QoS, which no
-	// rung would make valid (and an inverted range cannot be scaled).
-	var miss *composer.MissingServiceError
-	if errors.As(err, &miss) || len(c.cfg.DegradeFactors) == 0 || len(req.UserQoS) == 0 || req.UserQoS.Validate() != nil {
-		return nil, err
-	}
-	for _, f := range c.cfg.DegradeFactors {
-		if f <= 0 || f >= 1 {
-			continue
-		}
-		degraded := req
-		degraded.UserQoS = degradeVector(req.UserQoS, f)
-		asp := root.Child("attempt", trace.Float("degradeFactor", f))
-		active, derr := c.configureOnce(degraded, handoff, asp, x, nextAttempt(rec, f))
-		asp.SetErr(derr)
-		asp.End()
-		if derr == nil {
-			active.DegradeFactor = f
-			return active, nil
-		}
-		finishAttempt(rec, derr)
-	}
-	return nil, err
-}
-
-// nextAttempt appends a fresh provenance attempt to the record and
-// returns it for configureOnce to fill; a nil record yields nil.
-func nextAttempt(xr *explain.Record, degradeFactor float64) *explain.Attempt {
-	if xr == nil {
-		return nil
-	}
-	xr.Attempts = append(xr.Attempts, explain.Attempt{DegradeFactor: degradeFactor})
-	return &xr.Attempts[len(xr.Attempts)-1]
-}
-
-// finishAttempt stamps the most recent provenance attempt with the error
-// that ended it.
-func finishAttempt(xr *explain.Record, err error) {
-	if xr == nil || len(xr.Attempts) == 0 || err == nil {
-		return
-	}
-	xr.Attempts[len(xr.Attempts)-1].Err = err.Error()
-}
-
-// degradeVector scales the numeric dimensions of a QoS requirement by f,
-// leaving symbolic dimensions untouched: a range [lo,hi] becomes
-// [lo·f, hi·f], a scalar v becomes v·f.
-func degradeVector(v qos.Vector, f float64) qos.Vector {
-	out := v.Clone()
-	for i, p := range out {
-		switch p.Value.Kind {
-		case qos.KindScalar:
-			out[i].Value = qos.Scalar(p.Value.Num * f)
-		case qos.KindRange:
-			out[i].Value = qos.Range(p.Value.Lo*f, p.Value.Hi*f)
-		}
-	}
-	return out
-}
-
 // configureOnce runs the pipeline once at the request's QoS: compose →
-// distribute → reserve → download → deploy.
-func (c *Configurator) configureOnce(req Request, handoff bool, parent *trace.Span, x *taps, att *explain.Attempt) (*ActiveSession, error) {
+// distribute → reserve → download → deploy, each stage a child of parent
+// and each tier's provenance filled into rec (nil without an observer).
+func (c *Configurator) configureOnce(req Request, handoff bool, parent *trace.Span, x *taps, rec *explain.Record) (*ActiveSession, error) {
 	// --- Tier 1: service composition. ---
 	t0 := time.Now()
-	g, rep, err := c.compose(req, parent, x, att)
+	g, rep, err := c.compose(req, parent, x, rec)
 	compTime := time.Since(t0)
 	if err != nil {
 		return nil, err
@@ -511,7 +432,7 @@ func (c *Configurator) configureOnce(req Request, handoff bool, parent *trace.Sp
 	if len(up) == 0 {
 		return nil, fmt.Errorf("core: no devices available")
 	}
-	prob, assignment, cost, explored, err := c.distribute(req, g, up, parent, x, att)
+	prob, assignment, cost, explored, err := c.distribute(req, g, up, parent, x, rec)
 	distTime := time.Since(t1)
 	if err != nil {
 		return nil, fmt.Errorf("core: distribution: %w", err)
@@ -587,16 +508,12 @@ func (c *Configurator) configureOnce(req Request, handoff bool, parent *trace.Sp
 
 // compose runs the composition tier on the request, its client pins
 // resolved, steering discovery by the portal device's attributes.
-func (c *Configurator) compose(req Request, parent *trace.Span, x *taps, att *explain.Attempt) (*graph.Graph, *composer.Report, error) {
+func (c *Configurator) compose(req Request, parent *trace.Span, x *taps, rec *explain.Record) (*graph.Graph, *composer.Report, error) {
 	var clientAttrs map[string]string
 	if d := c.cfg.Devices.Get(req.ClientDevice); d != nil {
 		clientAttrs = d.Attrs
 	}
 	csp := parent.Child("compose")
-	var comp *explain.Composition
-	if att != nil {
-		comp = &explain.Composition{}
-	}
 	g, rep, err := c.cfg.Composer.Compose(composer.Request{
 		App:          ResolveClientPins(req.App, req.ClientDevice),
 		UserQoS:      req.UserQoS,
@@ -604,12 +521,8 @@ func (c *Configurator) compose(req Request, parent *trace.Span, x *taps, att *ex
 		ClientDevice: string(req.ClientDevice),
 		Span:         csp,
 		Log:          x.composeLog,
-		Explain:      comp,
+		Explain:      rec,
 	})
-	if att != nil {
-		att.Discoveries = comp.Discoveries
-		att.Corrections = comp.Corrections
-	}
 	if err != nil {
 		csp.SetErr(err)
 		csp.End()
@@ -628,7 +541,7 @@ func (c *Configurator) compose(req Request, parent *trace.Span, x *taps, att *ex
 // hit when the request uses the default placer, else the placer. It
 // returns the problem it solved, the winning assignment and its cost, and
 // the search's explored-node count.
-func (c *Configurator) distribute(req Request, g *graph.Graph, up []*device.Device, parent *trace.Span, x *taps, att *explain.Attempt) (*distributor.Problem, distributor.Assignment, float64, int64, error) {
+func (c *Configurator) distribute(req Request, g *graph.Graph, up []*device.Device, parent *trace.Span, x *taps, rec *explain.Record) (*distributor.Problem, distributor.Assignment, float64, int64, error) {
 	devInfos := make([]distributor.DeviceInfo, len(up))
 	for i, d := range up {
 		devInfos[i] = distributor.DeviceInfo{ID: d.ID, Avail: d.Available()}
@@ -678,8 +591,8 @@ func (c *Configurator) distribute(req Request, g *graph.Graph, up []*device.Devi
 		dsp.Set(trace.Float("cost", cost))
 	}
 	dsp.End()
-	if att != nil {
-		att.Search = &explain.Search{
+	if rec != nil {
+		rec.Search = &explain.Search{
 			Algorithm:       stats.Algorithm,
 			Explored:        stats.Explored,
 			Pruned:          stats.Pruned,
@@ -693,7 +606,7 @@ func (c *Configurator) distribute(req Request, g *graph.Graph, up []*device.Devi
 			Reused:          stats.Reused,
 		}
 		if err == nil {
-			att.Search.Cost = cost
+			rec.Search.Cost = cost
 		}
 	}
 	return prob, assignment, cost, stats.Explored, err

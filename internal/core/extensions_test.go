@@ -1,9 +1,7 @@
 package core
 
 import (
-	"errors"
 	"fmt"
-	"strings"
 	"sync"
 	"testing"
 
@@ -13,144 +11,6 @@ import (
 	"ubiqos/internal/registry"
 	"ubiqos/internal/resource"
 )
-
-func TestDegradeVector(t *testing.T) {
-	v := qos.V(
-		qos.P(qos.DimFrameRate, qos.Range(20, 40)),
-		qos.P(qos.DimResolution, qos.Scalar(1600)),
-		qos.P(qos.DimFormat, qos.Symbol("MPEG")),
-	)
-	d := degradeVector(v, 0.5)
-	if got, _ := d.Get(qos.DimFrameRate); !got.Equal(qos.Range(10, 20)) {
-		t.Errorf("framerate = %v", got)
-	}
-	if got, _ := d.Get(qos.DimResolution); !got.Equal(qos.Scalar(800)) {
-		t.Errorf("resolution = %v", got)
-	}
-	if got, _ := d.Get(qos.DimFormat); !got.Equal(qos.Symbol("MPEG")) {
-		t.Errorf("format must not degrade: %v", got)
-	}
-	// The input is untouched.
-	if got, _ := v.Get(qos.DimResolution); !got.Equal(qos.Scalar(1600)) {
-		t.Error("degradeVector mutated its input")
-	}
-}
-
-func TestDegradationLadderAdmitsLowerQuality(t *testing.T) {
-	// The user demands [45,50] fps but every player tops out at 44: the
-	// full-quality composition fails, and the 0.75 rung lands the request
-	// in [33.75, 37.5], which the environment can serve.
-	f := newFixture(t)
-	f.cfg.DegradeFactors = []float64{0.75, 0.5}
-	c, err := New(f.cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	active, err := c.Configure(Request{
-		SessionID:    "s",
-		App:          audioApp(),
-		UserQoS:      qos.V(qos.P(qos.DimFrameRate, qos.Range(45, 50))),
-		ClientDevice: "pda1",
-	})
-	if err != nil {
-		t.Fatalf("degradation ladder should admit the session: %v", err)
-	}
-	defer c.Stop("s")
-	if active.DegradeFactor != 0.75 {
-		t.Errorf("DegradeFactor = %g, want 0.75", active.DegradeFactor)
-	}
-	req, _ := active.Graph.Node("player").In.Get(qos.DimFrameRate)
-	if !req.Equal(qos.Range(45*0.75, 50*0.75)) {
-		t.Errorf("degraded sink requirement = %v", req)
-	}
-}
-
-func TestDegradationNotAppliedWhenFullQualityFits(t *testing.T) {
-	f := newFixture(t)
-	f.cfg.DegradeFactors = []float64{0.5}
-	c, err := New(f.cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	active, err := c.Configure(Request{
-		SessionID:    "s",
-		App:          audioApp(),
-		UserQoS:      qos.V(qos.P(qos.DimFrameRate, qos.Range(35, 44))),
-		ClientDevice: "desktop1",
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Stop("s")
-	if active.DegradeFactor != 1 {
-		t.Errorf("DegradeFactor = %g, want 1 (no degradation needed)", active.DegradeFactor)
-	}
-}
-
-func TestDegradationSkipsMissingServices(t *testing.T) {
-	// Missing mandatory services are a discovery problem, not a quality
-	// problem: the ladder must not mask the user notification.
-	f := newFixture(t)
-	f.cfg.DegradeFactors = []float64{0.5}
-	c, err := New(f.cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ag := composer.NewAbstractGraph()
-	ag.MustAddNode(&composer.AbstractNode{ID: "x", Spec: registry.Spec{Type: "hologram"}})
-	_, err = c.Configure(Request{
-		SessionID:    "s",
-		App:          ag,
-		UserQoS:      qos.V(qos.P(qos.DimFrameRate, qos.Range(10, 20))),
-		ClientDevice: "desktop1",
-	})
-	var miss *composer.MissingServiceError
-	if !errors.As(err, &miss) {
-		t.Errorf("err = %v, want MissingServiceError to surface", err)
-	}
-}
-
-func TestDegradationIgnoresInvalidFactors(t *testing.T) {
-	f := newFixture(t)
-	f.cfg.DegradeFactors = []float64{0, 1.5, -2} // all invalid: no rungs
-	c, err := New(f.cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, err = c.Configure(Request{
-		SessionID:    "s",
-		App:          audioApp(),
-		UserQoS:      qos.V(qos.P(qos.DimFrameRate, qos.Range(100, 120))),
-		ClientDevice: "desktop1",
-	})
-	if err == nil {
-		t.Error("invalid factors must not admit the impossible request")
-	}
-}
-
-// TestDegradationSkipsInvalidUserQoS: an inverted range, which a wire
-// client can send, fails validation at full quality; the ladder runs no
-// rung (degrading it used to panic in qos.Range) and returns that error.
-func TestDegradationSkipsInvalidUserQoS(t *testing.T) {
-	f := newFixture(t)
-	f.cfg.DegradeFactors = []float64{0.5}
-	c, err := New(f.cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, err = c.Configure(Request{
-		SessionID:    "s",
-		App:          audioApp(),
-		UserQoS:      qos.Vector{{Name: qos.DimFrameRate, Value: qos.Value{Kind: qos.KindRange, Lo: 40, Hi: 10}}},
-		ClientDevice: "desktop1",
-	})
-	if err == nil || !strings.Contains(err.Error(), "invalid range value") {
-		t.Errorf("err = %v, want the full-quality attempt's validation error", err)
-	}
-	if c.Session("s") != nil {
-		t.Error("a session was admitted")
-	}
-}
 
 func TestProfilerOverridesDeclaredRequirements(t *testing.T) {
 	// The server instance declares a wildly pessimistic requirement that

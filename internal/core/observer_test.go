@@ -41,9 +41,11 @@ type recorder struct {
 type finishedRecord struct {
 	session, action, err string
 	traced               bool
-	cost, degradeFactor  float64
+	cost                 float64
 	timing               Timing
 	placement            map[graph.NodeID]device.ID
+	discoveries          int
+	searched             bool
 }
 
 // stepRecord is what one Step call carried; outcome is empty for a stop
@@ -64,12 +66,10 @@ func (r *recorder) Begin(req Request, rec explain.Record) (*trace.Trace, *obslog
 }
 
 func (r *recorder) Finished(req Request, active *ActiveSession, rec explain.Record, tr *trace.Trace, err error) {
-	f := finishedRecord{session: rec.Session, action: rec.Action, traced: tr != nil}
-	if err != nil {
-		f.err = err.Error()
-		rec.Err = f.err
-	} else {
-		f.cost, f.degradeFactor, f.timing = active.Cost, active.DegradeFactor, active.Timing
+	f := finishedRecord{session: rec.Session, action: rec.Action, err: rec.Err, traced: tr != nil,
+		discoveries: len(rec.Discoveries), searched: rec.Search != nil}
+	if err == nil {
+		f.cost, f.timing = active.Cost, active.Timing
 		f.placement = make(map[graph.NodeID]device.ID, len(active.Placement))
 		for id, dev := range active.Placement {
 			f.placement[id] = dev
@@ -82,10 +82,8 @@ func (r *recorder) Finished(req Request, active *ActiveSession, rec explain.Reco
 	if r.met == nil {
 		return
 	}
-	for _, att := range rec.Attempts {
-		if att.Search != nil && att.Search.Warm {
-			r.met.Counter(metrics.WarmSolves).Inc()
-		}
+	if rec.Search != nil && rec.Search.Warm {
+		r.met.Counter(metrics.WarmSolves).Inc()
 	}
 }
 
@@ -166,9 +164,13 @@ func agrees(t *testing.T, name string, f finishedRecord, active *ActiveSession, 
 	if f.err != "" {
 		t.Fatalf("%s: record error %q on a call that succeeded", name, f.err)
 	}
-	if f.cost != active.Cost || f.degradeFactor != active.DegradeFactor || f.timing != active.Timing {
-		t.Errorf("%s: record cost %v factor %v timing %+v, call returned %v %v %+v",
-			name, f.cost, f.degradeFactor, f.timing, active.Cost, active.DegradeFactor, active.Timing)
+	if f.cost != active.Cost || f.timing != active.Timing {
+		t.Errorf("%s: record cost %v timing %+v, call returned %v %+v",
+			name, f.cost, f.timing, active.Cost, active.Timing)
+	}
+	if f.discoveries == 0 || !f.searched {
+		t.Errorf("%s: record carries %d discoveries, search %v; want both tiers' provenance",
+			name, f.discoveries, f.searched)
 	}
 	if fmt.Sprint(f.placement) != fmt.Sprint(active.Placement) {
 		t.Errorf("%s: record placement %v, call returned %v", name, f.placement, active.Placement)
@@ -178,12 +180,12 @@ func agrees(t *testing.T, name string, f finishedRecord, active *ActiveSession, 
 // TestObserverSeesEachActionOnce drives every configurator action through
 // a recording observer: each configure, reconfigure, resume or recover is
 // one finished record agreeing with what the call returned, after the
-// handoff is folded in; each stop or suspend is one step.
+// handoff is folded in, its error included; each stop or suspend is one
+// step.
 func TestObserverSeesEachActionOnce(t *testing.T) {
 	f := newFixture(t)
 	obs := &recorder{tracer: trace.NewTracer(16)}
 	f.cfg.Observer = obs
-	f.cfg.DegradeFactors = []float64{0.75, 0.5}
 	c, err := New(f.cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -214,11 +216,17 @@ func TestObserverSeesEachActionOnce(t *testing.T) {
 	if _, err := call("failed configure", func() (*ActiveSession, error) { return c.Configure(ghost) }); err == nil {
 		t.Fatal("configure on an unknown portal succeeded")
 	}
-	rung := req
-	rung.SessionID, rung.ClientDevice = "rung", "pda1"
-	rung.UserQoS = qos.V(qos.P(qos.DimFrameRate, qos.Range(45, 50)))
-	if a, err := call("degraded configure", func() (*ActiveSession, error) { return c.Configure(rung) }); err != nil || a.DegradeFactor != 0.75 {
-		t.Fatalf("degraded configure = %v, %v; want factor 0.75", a, err)
+	// Every player tops out at 44 fps: composition fails, and the record
+	// keeps the discoveries it made on the way.
+	conflict := req
+	conflict.SessionID, conflict.ClientDevice = "conflict", "pda1"
+	conflict.UserQoS = qos.V(qos.P(qos.DimFrameRate, qos.Range(45, 50)))
+	if _, err := call("qos-conflict configure", func() (*ActiveSession, error) { return c.Configure(conflict) }); err == nil {
+		t.Fatal("configure asking 45-50 fps of a 44 fps player succeeded")
+	}
+	if rec := obs.lastFinished(); rec.discoveries == 0 || rec.searched {
+		t.Errorf("qos-conflict record carries %d discoveries, search %v; want discoveries and no search",
+			rec.discoveries, rec.searched)
 	}
 
 	toPDA := req
@@ -246,14 +254,12 @@ func TestObserverSeesEachActionOnce(t *testing.T) {
 		t.Errorf("resume record action = %q", got)
 	}
 
-	for _, id := range []string{"a", "rung"} {
-		f0, s0 := obs.counts()
-		if err := c.Stop(id); err != nil {
-			t.Fatal(err)
-		}
-		if f1, s1 := obs.counts(); f1 != f0 || s1-s0 != 1 {
-			t.Fatalf("stop %s delivered %d records and %d steps, want 0 and 1", id, f1-f0, s1-s0)
-		}
+	f0, s0 := obs.counts()
+	if err := c.Stop("a"); err != nil {
+		t.Fatal(err)
+	}
+	if f1, s1 := obs.counts(); f1 != f0 || s1-s0 != 1 {
+		t.Fatalf("stop delivered %d records and %d steps, want 0 and 1", f1-f0, s1-s0)
 	}
 	// Recovering a session no longer running configures it afresh.
 	if _, err := call("recover", func() (*ActiveSession, error) { return c.Recover(req) }); err != nil {
@@ -265,8 +271,8 @@ func TestObserverSeesEachActionOnce(t *testing.T) {
 	if err := c.Stop("a"); err != nil {
 		t.Fatal(err)
 	}
-	if got := obs.outcomes(); len(got) != 1 || got[""] != 4 {
-		t.Errorf("steps = %v, want four stops and suspends", got)
+	if got := obs.outcomes(); len(got) != 1 || got[""] != 3 {
+		t.Errorf("steps = %v, want three stops and suspends", got)
 	}
 }
 

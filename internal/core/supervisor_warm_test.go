@@ -95,10 +95,8 @@ func TestSupervisorWarmRecovery(t *testing.T) {
 		if r.Action == explain.ActionRecoveryStep && r.Ladder != nil {
 			ladder = r.Ladder
 		}
-		for _, att := range r.Attempts {
-			if att.Search != nil && att.Search.Warm && att.Search.Reused > 0 {
-				warmSearch = true
-			}
+		if r.Search != nil && r.Search.Warm && r.Search.Reused > 0 {
+			warmSearch = true
 		}
 	}
 	if ladder == nil {

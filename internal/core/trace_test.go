@@ -60,15 +60,12 @@ func TestConfigureTrace(t *testing.T) {
 	if td.Name != "configure" || td.Spans[0].Attrs["handoff"] != false {
 		t.Errorf("root = %+v", td.Spans[0])
 	}
-	if td.Spans[0].Attrs["degradeFactor"] != float64(1) {
+	if cost, ok := td.Spans[0].Attrs["cost"].(float64); !ok || cost <= 0 {
 		t.Errorf("root attrs = %v", td.Spans[0].Attrs)
 	}
 
-	attempt := firstNamed(td, "attempt")
-	if attempt == nil || attempt.Parent != 0 {
-		t.Fatalf("attempt span missing:\n%s", td.Render())
-	}
-	stages := childrenOf(td, attempt.ID)
+	// The stages hang straight off the root: one run per configure.
+	stages := childrenOf(td, td.Spans[0].ID)
 	want := []string{"compose", "distribute", "admit", "download", "deploy"}
 	if len(stages) != len(want) {
 		t.Fatalf("stages = %v, want %v:\n%s", stages, want, td.Render())

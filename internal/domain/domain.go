@@ -51,9 +51,6 @@ type Options struct {
 	// StateSizeFor sizes the checkpoint by the portal device it is taken
 	// on (default: core's fixed session state size).
 	StateSizeFor func(from device.ID) float64
-	// DegradeFactors is the QoS degradation ladder applied when a request
-	// does not fit at full quality (see core.Config.DegradeFactors).
-	DegradeFactors []float64
 	// Place overrides the placement algorithm (default: the paper's
 	// greedy heuristic).
 	Place core.PlaceFunc
@@ -186,20 +183,19 @@ func New(name string, opts Options) (*Domain, error) {
 		return nil, err
 	}
 	ccfg := core.Config{
-		Composer:       d.Composer,
-		Devices:        d.Devices,
-		Links:          d.Links,
-		Net:            net,
-		Repo:           repo,
-		Checkpoints:    d.Checkpoints,
-		Engine:         engine,
-		Weights:        opts.Weights,
-		StateSizeFor:   opts.StateSizeFor,
-		DegradeFactors: opts.DegradeFactors,
-		Place:          opts.Place,
-		PlanCache:      d.PlanCache,
-		Profiler:       d.Profiler,
-		Observer:       observer{d},
+		Composer:     d.Composer,
+		Devices:      d.Devices,
+		Links:        d.Links,
+		Net:          net,
+		Repo:         repo,
+		Checkpoints:  d.Checkpoints,
+		Engine:       engine,
+		Weights:      opts.Weights,
+		StateSizeFor: opts.StateSizeFor,
+		Place:        opts.Place,
+		PlanCache:    d.PlanCache,
+		Profiler:     d.Profiler,
+		Observer:     observer{d},
 	}
 	cfg, err := core.New(ccfg)
 	if err != nil {

@@ -88,16 +88,12 @@ func (o observer) Finished(req core.Request, active *core.ActiveSession, rec exp
 	} else if log := o.sessionLog(obslog.LevelInfo, "core", rec.Session, rec.TraceID); log != nil {
 		log.Info("configured",
 			obslog.Float("cost", active.Cost),
-			obslog.Float("degradeFactor", active.DegradeFactor),
 			obslog.Int("components", int64(active.Graph.NodeCount())),
 			obslog.Duration("tookMs", active.Timing.Total()))
 	}
 	var took time.Duration
-	if err != nil {
-		rec.Err = err.Error()
-	} else {
+	if err == nil {
 		rec.Cost = active.Cost
-		rec.DegradeFactor = active.DegradeFactor
 		rec.Placement = make(map[string]string, len(active.Placement))
 		for id, dev := range active.Placement {
 			rec.Placement[string(id)] = string(dev)
@@ -109,20 +105,18 @@ func (o observer) Finished(req core.Request, active *core.ActiveSession, rec exp
 }
 
 // recordMetrics feeds the registry one finished action: the search
-// counters of every attempt that reached the distributor, then the
-// outcome counters and the Figure 4 overhead histograms.
+// counters when it reached an exact solver, then the outcome counters and
+// the Figure 4 overhead histograms.
 func (o observer) recordMetrics(req core.Request, active *core.ActiveSession, rec explain.Record, err error) {
 	m := o.d.Metrics
-	for _, att := range rec.Attempts {
-		if s := att.Search; s != nil && (s.Algorithm == "optimal" || s.Algorithm == "optimal-warm") {
-			m.Counter(metrics.BnBExplored).Add(s.Explored)
-			m.Counter(metrics.BnBPruned).Add(s.Pruned)
-			m.Counter(metrics.BnBIncumbents).Add(s.Incumbents)
-			if s.Warm {
-				m.Counter(metrics.WarmSolves).Inc()
-			} else {
-				m.Counter(metrics.ColdSolves).Inc()
-			}
+	if s := rec.Search; s != nil && (s.Algorithm == "optimal" || s.Algorithm == "optimal-warm") {
+		m.Counter(metrics.BnBExplored).Add(s.Explored)
+		m.Counter(metrics.BnBPruned).Add(s.Pruned)
+		m.Counter(metrics.BnBIncumbents).Add(s.Incumbents)
+		if s.Warm {
+			m.Counter(metrics.WarmSolves).Inc()
+		} else {
+			m.Counter(metrics.ColdSolves).Inc()
 		}
 	}
 	m.Counter(metrics.ConfigsTotal).Inc()
@@ -130,9 +124,6 @@ func (o observer) recordMetrics(req core.Request, active *core.ActiveSession, re
 		m.Counter(metrics.ConfigsFailed).Inc()
 		o.d.classMeter(metrics.SessionFailures, req.Class).Mark(1)
 		return
-	}
-	if active.DegradeFactor != 1 {
-		m.Counter(metrics.ConfigsDegraded).Inc()
 	}
 	rep := active.Report
 	m.Counter(metrics.TranscodersInserted).Add(int64(len(rep.Transcoders)))

@@ -47,7 +47,7 @@ func TestTable1Shape(t *testing.T) {
 	if ours.AvgRatio <= random.AvgRatio {
 		t.Error("heuristic must dominate random")
 	}
-	out := FormatTable1(r)
+	out := FormatTable1(cfg, r)
 	for _, want := range []string{"Algorithms", "Random", "Our Heuristic", "Optimal"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("FormatTable1 missing %q:\n%s", want, out)
@@ -270,7 +270,7 @@ func TestExperimentsDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if FormatTable1(a) != FormatTable1(b) {
+	if FormatTable1(t1, a) != FormatTable1(t1, b) {
 		t.Error("Table 1 is not deterministic for a fixed seed")
 	}
 

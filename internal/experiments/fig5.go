@@ -286,9 +286,11 @@ func runFig5Policy(cfg Fig5Config, graphs []*graph.Graph, trace []fig5Request, w
 }
 
 // FormatFig5 renders the three success-rate series as an aligned table
-// (one row per 50-hour window), matching the data behind Figure 5.
+// (one row per 50-hour window), matching the data behind Figure 5, as
+// cmd/fig5 prints it: titled, and footed with the paper's reference shape.
 func FormatFig5(r *Fig5Result) string {
-	out := fmt.Sprintf("%-10s", "time(hr)")
+	out := "Figure 5. Success rate comparisons among the fixed, random and heuristic algorithms.\n\n"
+	out += fmt.Sprintf("%-10s", "time(hr)")
 	for _, s := range r.Series {
 		out += fmt.Sprintf("  %-14s", s.Name)
 	}
@@ -304,7 +306,7 @@ func FormatFig5(r *Fig5Result) string {
 	for _, s := range r.Series {
 		out += fmt.Sprintf("  %-14.3f", s.Overall)
 	}
-	out += "\n"
+	out += "\n\n(paper reference shape: heuristic consistently highest, random middle, fixed lowest)\n"
 	return out
 }
 

@@ -38,7 +38,7 @@ func TestTable1WorkerCountInvariant(t *testing.T) {
 		if err != nil {
 			t.Fatalf("workers %d: %v", workers, err)
 		}
-		text := FormatTable1(r)
+		text := FormatTable1(cfg, r)
 		if wantText == "" {
 			wantText, wantGenerated = text, r.Generated
 			continue

@@ -250,11 +250,19 @@ func RunTable1(cfg Table1Config) (*Table1Result, error) {
 	return &Table1Result{Rows: rows, Generated: generated}, nil
 }
 
-// FormatTable1 renders the result in the paper's layout.
-func FormatTable1(r *Table1Result) string {
-	out := fmt.Sprintf("%-14s  %-8s  %-8s\n", "Algorithms", "Average", "Optimal")
+// FormatTable1 renders the result in the paper's layout, as cmd/table1
+// prints it: titled, and footed with the graph counts, the paper's
+// reference cells and, with cfg.Extended, a legend of the extension rows.
+func FormatTable1(cfg Table1Config, r *Table1Result) string {
+	out := "Table 1. Comparisons among different service distribution algorithms.\n\n"
+	out += fmt.Sprintf("%-14s  %-8s  %-8s\n", "Algorithms", "Average", "Optimal")
 	for _, row := range r.Rows {
 		out += fmt.Sprintf("%-14s  %6.0f%%   %6.0f%%\n", row.Name, row.AvgRatio*100, row.OptimalPct)
+	}
+	out += fmt.Sprintf("\n(%d graphs evaluated, %d drawn; paper reference: Random 25%%/0%%, Ours 91%%/60%%, Optimal 100%%/100%%)\n",
+		cfg.Graphs, r.Generated)
+	if cfg.Extended {
+		out += "(extension rows: Heu+Refine = greedy + local search; First-Fit = packing ablation)\n"
 	}
 	return out
 }

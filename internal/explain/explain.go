@@ -10,7 +10,7 @@
 // This package holds the record types, their diff, and their renderers;
 // the records themselves live in each session's slot of the session
 // store (internal/flight), which numbers them and bounds them per
-// session. A nil *Composition ignores every add, so disabled provenance
+// session. A nil *Record ignores every add, so disabled provenance
 // costs nothing on the composer's hot path.
 package explain
 
@@ -106,18 +106,6 @@ type Search struct {
 	Reused   int     `json:"reused,omitempty"`
 }
 
-// Attempt is one run of the compose→distribute pipeline: the
-// full-quality try, or one rung of the QoS degradation ladder.
-type Attempt struct {
-	// DegradeFactor scales the user QoS for this attempt (1 = full).
-	DegradeFactor float64      `json:"degradeFactor"`
-	Discoveries   []Discovery  `json:"discoveries,omitempty"`
-	Corrections   []Correction `json:"corrections,omitempty"`
-	Search        *Search      `json:"search,omitempty"`
-	// Err is why the attempt failed (empty on the winning attempt).
-	Err string `json:"err,omitempty"`
-}
-
 // LadderStep is one recovery-supervisor decision about a broken session.
 type LadderStep struct {
 	// Attempt is the 1-based recovery attempt number.
@@ -169,8 +157,9 @@ type AdmissionDecision struct {
 }
 
 // Record is one entry on a session's provenance timeline: a
-// configuration pipeline run (Attempts filled, Placement on success) or
-// a recovery-supervisor ladder step (Ladder filled).
+// configuration pipeline run (Discoveries, Corrections and Search filled
+// as far as it got, Placement on success) or a recovery-supervisor ladder
+// step (Ladder filled).
 type Record struct {
 	// Seq is the store-wide monotonic sequence number.
 	Seq  uint64    `json:"seq"`
@@ -182,14 +171,16 @@ type Record struct {
 	// Action is one of the Action* constants.
 	Action  string `json:"action"`
 	Handoff bool   `json:"handoff,omitempty"`
-	// Attempts are the pipeline runs, full quality first, one more per
-	// degradation rung tried.
-	Attempts []Attempt `json:"attempts,omitempty"`
-	// Placement, Cost, and DegradeFactor describe the winning
-	// configuration (set only when the action succeeded).
-	Placement     map[string]string `json:"placement,omitempty"`
-	Cost          float64           `json:"cost,omitempty"`
-	DegradeFactor float64           `json:"degradeFactor,omitempty"`
+	// Discoveries and Corrections are the composition tier's provenance;
+	// Search is the distribution tier's (nil when the run failed before
+	// placement).
+	Discoveries []Discovery  `json:"discoveries,omitempty"`
+	Corrections []Correction `json:"corrections,omitempty"`
+	Search      *Search      `json:"search,omitempty"`
+	// Placement and Cost describe the configuration (set only when the
+	// action succeeded).
+	Placement map[string]string `json:"placement,omitempty"`
+	Cost      float64           `json:"cost,omitempty"`
 	// Ladder is the recovery-supervisor step (ActionRecoveryStep only).
 	Ladder *LadderStep `json:"ladder,omitempty"`
 	// Admission is the admission-gate decision (ActionAdmission only).
@@ -198,29 +189,23 @@ type Record struct {
 	Err string `json:"err,omitempty"`
 }
 
-// Composition collects the composition tier's provenance for one
-// pipeline attempt. The composer fills it single-threadedly during
-// Compose; a nil *Composition ignores every add, so the composer's hot
-// path carries no conditionals beyond the nil receiver check.
-type Composition struct {
-	Discoveries []Discovery
-	Corrections []Correction
-}
-
-// AddDiscovery appends one discovery decision.
-func (c *Composition) AddDiscovery(d Discovery) {
-	if c == nil {
+// AddDiscovery appends one discovery decision. The composer fills a
+// record single-threadedly during Compose; a nil *Record ignores every
+// add, so the composer's hot path carries no conditionals beyond the nil
+// receiver check.
+func (rec *Record) AddDiscovery(d Discovery) {
+	if rec == nil {
 		return
 	}
-	c.Discoveries = append(c.Discoveries, d)
+	rec.Discoveries = append(rec.Discoveries, d)
 }
 
 // AddCorrection appends one Ordered Coordination correction.
-func (c *Composition) AddCorrection(x Correction) {
-	if c == nil {
+func (rec *Record) AddCorrection(x Correction) {
+	if rec == nil {
 		return
 	}
-	c.Corrections = append(c.Corrections, x)
+	rec.Corrections = append(rec.Corrections, x)
 }
 
 // Move is one component's placement change between two records.
@@ -336,7 +321,7 @@ func renderRecord(b *strings.Builder, rec *Record) {
 	if rec.Err != "" {
 		fmt.Fprintf(b, " FAILED: %s", rec.Err)
 	} else if rec.Placement != nil {
-		fmt.Fprintf(b, " cost=%.4f degradeFactor=%g", rec.Cost, rec.DegradeFactor)
+		fmt.Fprintf(b, " cost=%.4f", rec.Cost)
 	}
 	b.WriteByte('\n')
 	if rec.Ladder != nil {
@@ -345,8 +330,55 @@ func renderRecord(b *strings.Builder, rec *Record) {
 	if rec.Admission != nil {
 		renderAdmission(b, rec.Admission)
 	}
-	for i := range rec.Attempts {
-		renderAttempt(b, &rec.Attempts[i])
+	for _, d := range rec.Discoveries {
+		fmt.Fprintf(b, "    discover %s (%s): %s", d.Node, d.Type, d.Outcome)
+		if d.Chosen != "" {
+			fmt.Fprintf(b, " -> %s", d.Chosen)
+		}
+		b.WriteByte('\n')
+		for _, c := range d.Candidates {
+			mark := " "
+			if c.Chosen {
+				mark = "*"
+			}
+			fmt.Fprintf(b, "      %s %s score=%d", mark, c.Name, c.Score)
+			if c.Rejection != "" {
+				fmt.Fprintf(b, " rejected: %s", c.Rejection)
+			}
+			b.WriteByte('\n')
+		}
+	}
+	for _, c := range rec.Corrections {
+		fmt.Fprintf(b, "    correction %s on %s dim=%s", c.Rule, c.Node, c.Dim)
+		if c.Edge != "" {
+			fmt.Fprintf(b, " edge=%s", c.Edge)
+		}
+		if c.From != "" || c.To != "" {
+			fmt.Fprintf(b, " %s -> %s", c.From, c.To)
+		}
+		fmt.Fprintf(b, "\n      before %s\n      after  %s\n", c.BeforeQoS, c.AfterQoS)
+	}
+	if s := rec.Search; s != nil {
+		fmt.Fprintf(b, "    search %s: devices=%d explored=%d pruned=%d incumbents=%d cost=%.4f",
+			s.Algorithm, s.Devices, s.Explored, s.Pruned, s.Incumbents, s.Cost)
+		if s.RunnerUp > 0 {
+			fmt.Fprintf(b, " runnerUp=%.4f", s.RunnerUp)
+		}
+		if s.CacheHit {
+			b.WriteString(" (served from plan cache)")
+		}
+		b.WriteByte('\n')
+		if s.Warm {
+			fmt.Fprintf(b, "      warm-started from incumbent cost %.4f (%d placements reused)\n",
+				s.SeedCost, s.Reused)
+		}
+		if len(s.BoundTrajectory) > 0 {
+			b.WriteString("      bound trajectory:")
+			for _, c := range s.BoundTrajectory {
+				fmt.Fprintf(b, " %.4f", c)
+			}
+			b.WriteByte('\n')
+		}
 	}
 	if rec.Placement != nil {
 		comps := make([]string, 0, len(rec.Placement))
@@ -408,64 +440,6 @@ func renderAdmission(b *strings.Builder, d *AdmissionDecision) {
 		fmt.Fprintf(b, " reason=%q", d.Reason)
 	}
 	b.WriteByte('\n')
-}
-
-func renderAttempt(b *strings.Builder, a *Attempt) {
-	fmt.Fprintf(b, "  attempt (degradeFactor=%g)", a.DegradeFactor)
-	if a.Err != "" {
-		fmt.Fprintf(b, " failed: %s", a.Err)
-	}
-	b.WriteByte('\n')
-	for _, d := range a.Discoveries {
-		fmt.Fprintf(b, "    discover %s (%s): %s", d.Node, d.Type, d.Outcome)
-		if d.Chosen != "" {
-			fmt.Fprintf(b, " -> %s", d.Chosen)
-		}
-		b.WriteByte('\n')
-		for _, c := range d.Candidates {
-			mark := " "
-			if c.Chosen {
-				mark = "*"
-			}
-			fmt.Fprintf(b, "      %s %s score=%d", mark, c.Name, c.Score)
-			if c.Rejection != "" {
-				fmt.Fprintf(b, " rejected: %s", c.Rejection)
-			}
-			b.WriteByte('\n')
-		}
-	}
-	for _, c := range a.Corrections {
-		fmt.Fprintf(b, "    correction %s on %s dim=%s", c.Rule, c.Node, c.Dim)
-		if c.Edge != "" {
-			fmt.Fprintf(b, " edge=%s", c.Edge)
-		}
-		if c.From != "" || c.To != "" {
-			fmt.Fprintf(b, " %s -> %s", c.From, c.To)
-		}
-		fmt.Fprintf(b, "\n      before %s\n      after  %s\n", c.BeforeQoS, c.AfterQoS)
-	}
-	if s := a.Search; s != nil {
-		fmt.Fprintf(b, "    search %s: devices=%d explored=%d pruned=%d incumbents=%d cost=%.4f",
-			s.Algorithm, s.Devices, s.Explored, s.Pruned, s.Incumbents, s.Cost)
-		if s.RunnerUp > 0 {
-			fmt.Fprintf(b, " runnerUp=%.4f", s.RunnerUp)
-		}
-		if s.CacheHit {
-			b.WriteString(" (served from plan cache)")
-		}
-		b.WriteByte('\n')
-		if s.Warm {
-			fmt.Fprintf(b, "      warm-started from incumbent cost %.4f (%d placements reused)\n",
-				s.SeedCost, s.Reused)
-		}
-		if len(s.BoundTrajectory) > 0 {
-			b.WriteString("      bound trajectory:")
-			for _, c := range s.BoundTrajectory {
-				fmt.Fprintf(b, " %.4f", c)
-			}
-			b.WriteByte('\n')
-		}
-	}
 }
 
 func renderDiff(b *strings.Builder, d *PlacementDiff) {

@@ -27,15 +27,15 @@ func TestDiffPlacements(t *testing.T) {
 	}
 }
 
-// TestDisabledExplainAllocationFree: with no composition attached the
+// TestDisabledExplainAllocationFree: with no record attached the
 // composer's per-discovery/per-correction guards allocate nothing.
 func TestDisabledExplainAllocationFree(t *testing.T) {
-	var comp *Composition
+	var rec *Record
 	allocs := testing.AllocsPerRun(1000, func() {
-		comp.AddDiscovery(Discovery{Node: "player"})
-		comp.AddCorrection(Correction{Rule: "adjust"})
+		rec.AddDiscovery(Discovery{Node: "player"})
+		rec.AddCorrection(Correction{Rule: "adjust"})
 	})
 	if allocs != 0 {
-		t.Errorf("nil composition allocates %.1f objects per call, want 0", allocs)
+		t.Errorf("nil record allocates %.1f objects per call, want 0", allocs)
 	}
 }

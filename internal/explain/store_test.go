@@ -28,7 +28,7 @@ func TestNilRecorderIsNoOp(t *testing.T) {
 	if r.Explain("s").Render() != "" {
 		t.Fatal("nil store Render should return empty")
 	}
-	var c *explain.Composition
+	var c *explain.Record
 	c.AddDiscovery(explain.Discovery{Node: "n"})
 	c.AddCorrection(explain.Correction{Rule: "adjust"})
 }
@@ -104,29 +104,30 @@ func TestRenderContainsDecisionProvenance(t *testing.T) {
 	r := flight.New(ledger.Options{})
 	r.RecordExplain(explain.Record{
 		Session: "sess-1", TraceID: "abc123", Action: explain.ActionConfigure,
-		Cost: 1.25, DegradeFactor: 1,
+		Cost:      1.25,
 		Placement: map[string]string{"src": "server", "sink": "pda"},
-		Attempts: []explain.Attempt{{
-			DegradeFactor: 1,
-			Discoveries: []explain.Discovery{{
-				Node: "sink", Type: "audio-sink", Outcome: "found", Chosen: "pda-speaker",
-				Candidates: []registry.Candidate{
-					{Name: "pda-speaker", Score: 2, Chosen: true},
-					{Name: "hall-speaker", Score: 1, Rejection: "QoS score 1 < 2"},
-				},
-			}},
-			Corrections: []explain.Correction{{
-				Rule: "transcoder", Node: "oc-mpeg2wav", Dim: "format",
-				Edge: "src->sink", From: "mpeg", To: "wav",
-				BeforeQoS: "{format=mpeg}", AfterQoS: "{format=wav}",
-			}},
-			Search: &explain.Search{Algorithm: "optimal", Devices: 4, Explored: 42, Pruned: 7,
-				Incumbents: 2, Cost: 1.25, RunnerUp: 1.5, BoundTrajectory: []float64{1.5, 1.25}},
+		Discoveries: []explain.Discovery{{
+			Node: "sink", Type: "audio-sink", Outcome: "found", Chosen: "pda-speaker",
+			Candidates: []registry.Candidate{
+				{Name: "pda-speaker", Score: 2, Chosen: true},
+				{Name: "hall-speaker", Score: 1, Rejection: "QoS score 1 < 2"},
+			},
 		}},
+		Corrections: []explain.Correction{{
+			Rule: "transcoder", Node: "oc-mpeg2wav", Dim: "format",
+			Edge: "src->sink", From: "mpeg", To: "wav",
+			BeforeQoS: "{format=mpeg}", AfterQoS: "{format=wav}",
+		}},
+		Search: &explain.Search{Algorithm: "optimal", Devices: 4, Explored: 42, Pruned: 7,
+			Incumbents: 2, Cost: 1.25, RunnerUp: 1.5, BoundTrajectory: []float64{1.5, 1.25}},
 	})
 	r.RecordExplain(explain.Record{
-		Session: "sess-1", Action: explain.ActionRecover, Cost: 2, DegradeFactor: 0.5,
+		Session: "sess-1", Action: explain.ActionRecover, Cost: 2,
 		Placement: map[string]string{"src": "laptop", "sink": "pda"},
+	})
+	r.RecordExplain(explain.Record{
+		Session: "sess-1", Action: explain.ActionReconfigure, Err: "core: composition: no player",
+		Discoveries: []explain.Discovery{{Node: "sink", Type: "audio-sink", Outcome: "missing"}},
 	})
 	r.RecordExplain(explain.Record{
 		Session: "sess-1", Action: explain.ActionRecoveryStep,
@@ -135,7 +136,8 @@ func TestRenderContainsDecisionProvenance(t *testing.T) {
 	})
 	text := r.Explain("sess-1").Render()
 	for _, want := range []string{
-		"explain sess-1 (3 records)",
+		"explain sess-1 (4 records)",
+		"reconfigure FAILED: core: composition: no player\n    discover sink (audio-sink): missing\n",
 		"trace=abc123",
 		"rejected: QoS score 1 < 2",
 		"correction transcoder on oc-mpeg2wav dim=format edge=src->sink mpeg -> wav",
@@ -152,6 +154,9 @@ func TestRenderContainsDecisionProvenance(t *testing.T) {
 		if !strings.Contains(text, want) {
 			t.Fatalf("render missing %q in:\n%s", want, text)
 		}
+	}
+	if n := strings.Count(text, "no player"); n != 1 {
+		t.Errorf("the failure renders %d times, want once:\n%s", n, text)
 	}
 	if r.Explain("ghost").Render() != "" {
 		t.Fatal("unknown session should render empty")

@@ -261,7 +261,7 @@ func TestNilRecorderAllocationFree(t *testing.T) {
 	tr.Root().Child("compose").End()
 	tr.Finish()
 	td := tr.Export()
-	xr := explain.Record{Session: "s1", Action: explain.ActionConfigure, Attempts: []explain.Attempt{{DegradeFactor: 1}}}
+	xr := explain.Record{Session: "s1", Action: explain.ActionConfigure, Search: &explain.Search{Algorithm: "heuristic"}}
 	var rec *Recorder
 	if allocs := testing.AllocsPerRun(1000, func() { rec.Finished(td, xr, "c", nil, 0) }); allocs != 0 {
 		t.Errorf("nil Finished allocates %.1f objects per call, want 0", allocs)

@@ -51,7 +51,7 @@ func TestEvictionPrefersFinalizedSessions(t *testing.T) {
 	r := newRecorder(limits{4, maxEntries, maxRecords}, ledger.Options{})
 	for i := 0; i < 8; i++ {
 		sid := fmt.Sprintf("s%d", i)
-		r.Finished(trace.TraceData{}, explain.Record{Session: sid, Action: explain.ActionConfigure, DegradeFactor: 1},
+		r.Finished(trace.TraceData{}, explain.Record{Session: sid, Action: explain.ActionConfigure},
 			"voice", askFramerate(), time.Millisecond)
 		r.RecordFault(sid, "k", "t", nil)
 		if i < 6 {

@@ -3,8 +3,8 @@
 // flight recorder (internal/flight) answers "what happened to this
 // session", the ledger answers "what did this session actually get":
 // the requested QoS vector, the admission outcome, every degradation
-// episode (ladder-degraded quality, shed optional components, a
-// heuristic-fallback placement, outright breakage) with start/end
+// episode (shed optional components, a heuristic-fallback placement,
+// outright breakage) with start/end
 // timestamps, restorations back to full quality, recovery MTTR, and a
 // per-axis QoS-deficit integral (deficit fraction x duration, per
 // numeric dimension of the requested vector).
@@ -39,14 +39,11 @@ import (
 // EpisodeKind classifies one span of a session's delivered-QoS history.
 type EpisodeKind string
 
-// The episode kinds. Degraded/shed/fallback episodes accumulate
+// The episode kinds. Shed and fallback episodes accumulate
 // time-in-degraded; broken episodes accumulate unavailability; restored
 // is a zero-duration marker stamped when a session returns to full
 // quality after any degradation.
 const (
-	// EpisodeDegraded: the configurator's degradation ladder delivered a
-	// scaled-down QoS vector (degrade factor < 1).
-	EpisodeDegraded EpisodeKind = "qos-degraded"
 	// EpisodeShed: optional components were shed (admission degrade or
 	// the recovery ladder's shed rung).
 	EpisodeShed EpisodeKind = "shed-optional"
@@ -67,8 +64,8 @@ type Episode struct {
 	Start  time.Time   `json:"start"`
 	End    time.Time   `json:"end,omitempty"` // zero while open
 	// Frac is the per-axis deficit fraction while the episode is open
-	// (1 - degradeFactor for qos-degraded, 1 for broken, 0 for shed and
-	// fallback episodes, whose cost is structural rather than numeric).
+	// (1 for broken, 0 for shed and fallback episodes, whose cost is
+	// structural rather than numeric).
 	Frac   float64 `json:"frac,omitempty"`
 	DurSec float64 `json:"durSec"` // filled when closed
 }
@@ -113,7 +110,6 @@ type Account struct {
 	admissionReason string
 	requested       qos.Vector
 	axes            []string // numeric axes of the requested vector
-	degradeFactor   float64
 	outcome         string
 	started         time.Time
 	ended           time.Time
@@ -232,15 +228,11 @@ func numericAxes(v qos.Vector) []string {
 	return out
 }
 
-// openEpisode opens an episode of the given kind (no-op when already
-// open with the same deficit fraction; a changed fraction closes and
-// reopens so the integral stays exact).
+// openEpisode opens an episode of the given kind (no-op when one is
+// already open: each kind has one fixed deficit fraction).
 func (l *Ledger) openEpisode(s *Account, kind EpisodeKind, reason string, frac float64, now time.Time) {
-	if ep := s.open[kind]; ep != nil {
-		if ep.Frac == frac {
-			return
-		}
-		l.closeEpisode(s, kind, now)
+	if s.open[kind] != nil {
+		return
 	}
 	if kind != EpisodeBroken {
 		if s.degOpen == 0 {
@@ -359,7 +351,6 @@ func (l *Ledger) Fold(a *Account, rec explain.Record, class string, requested qo
 		}
 		return a, true
 	case step == nil:
-		// The requested vector is the original ask, before degradation.
 		a.configures++
 		a.lastConfigMs = float64(took) / float64(time.Millisecond)
 		agg := l.agg(a.class)
@@ -369,18 +360,7 @@ func (l *Ledger) Fold(a *Account, rec explain.Record, class string, requested qo
 			a.requested = requested.Clone()
 			a.axes = numericAxes(a.requested)
 		}
-		factor := rec.DegradeFactor
-		if factor <= 0 || factor > 1 {
-			factor = 1
-		}
-		a.degradeFactor = factor
 		l.closeEpisode(a, EpisodeBroken, now)
-		if factor < 1 {
-			l.openEpisode(a, EpisodeDegraded, "ladder factor "+rec.Action, 1-factor, now)
-		} else {
-			l.closeEpisode(a, EpisodeDegraded, now)
-		}
-		delete(a.pending, EpisodeDegraded)
 		if a.admission == "admit-degraded" && a.configures == 1 {
 			l.openEpisode(a, EpisodeShed, "admission shed-optional", 0, now)
 		}
@@ -390,7 +370,7 @@ func (l *Ledger) Fold(a *Account, rec explain.Record, class string, requested qo
 		if a.open[EpisodeBroken] != nil {
 			return a, true
 		}
-		for _, kind := range []EpisodeKind{EpisodeDegraded, EpisodeShed, EpisodeFallback} {
+		for _, kind := range []EpisodeKind{EpisodeShed, EpisodeFallback} {
 			if ep := a.open[kind]; ep != nil {
 				a.pending[kind] = *ep
 				l.closeEpisode(a, kind, now)
@@ -449,7 +429,7 @@ func (l *Ledger) finalize(s *Account, outcome string, now time.Time, reason stri
 	if s.folded {
 		return
 	}
-	for _, kind := range []EpisodeKind{EpisodeDegraded, EpisodeShed, EpisodeFallback, EpisodeBroken} {
+	for _, kind := range []EpisodeKind{EpisodeShed, EpisodeFallback, EpisodeBroken} {
 		l.closeEpisode(s, kind, now)
 	}
 	clear(s.pending)

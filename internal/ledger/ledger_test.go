@@ -45,8 +45,8 @@ func askFramerate() qos.Vector {
 
 // The observer reports each test feeds the store, one per ledger step.
 
-func configured(l *flight.Recorder, sid, class string, ask qos.Vector, factor float64, took time.Duration, action string) {
-	l.Finished(trace.TraceData{}, explain.Record{Session: sid, Action: action, DegradeFactor: factor}, class, ask, took)
+func configured(l *flight.Recorder, sid, class string, ask qos.Vector, took time.Duration, action string) {
+	l.Finished(trace.TraceData{}, explain.Record{Session: sid, Action: action}, class, ask, took)
 }
 
 func configureFailed(l *flight.Recorder, sid, class, reason string) {
@@ -76,7 +76,7 @@ func stop(l *flight.Recorder, sid string) {
 func TestNilLedgerIsNoOp(t *testing.T) {
 	var l *flight.Recorder
 	l.RecordAdmission("s", "c", "admit", "")
-	configured(l, "s", "c", askFramerate(), 1, time.Millisecond, "configure")
+	configured(l, "s", "c", askFramerate(), time.Millisecond, "configure")
 	configureFailed(l, "s", "c", "boom")
 	broken(l, "s", "device lost")
 	recovered(l, "s", time.Millisecond, false, nil, "")
@@ -99,25 +99,39 @@ func TestDeficitIntegralAndRestoration(t *testing.T) {
 	l := flight.New(ledger.Options{Now: ck.now})
 
 	l.RecordAdmission("s1", "voice", "admit", "")
-	// Configure lands degraded: factor 0.8 => deficit fraction 0.2.
-	configured(l, "s1", "voice", askFramerate(), 0.8, 5*time.Millisecond, "configure")
+	configured(l, "s1", "voice", askFramerate(), 5*time.Millisecond, "configure")
+	ck.advance(2 * time.Second)
+	// Broken for 2s: full deficit on every requested axis.
+	broken(l, "s1", "crash")
+	ck.advance(2 * time.Second)
+	// The recovery ladder's degraded rung sheds an optional component and
+	// falls back to the heuristic: degraded, but no numeric deficit.
+	recovered(l, "s1", 2*time.Second, true, []string{"visualizer"}, "heuristic")
 	ck.advance(10 * time.Second)
-	// Reconfigured back to full quality: the degraded episode closes and
-	// a restoration is stamped.
-	configured(l, "s1", "voice", askFramerate(), 1, 5*time.Millisecond, "reconfigure")
+	// Restored to full quality: both episodes close and a restoration is
+	// stamped.
+	recovered(l, "s1", 0, false, nil, "")
 
 	rep, ok := l.Report("s1")
 	if !ok {
 		t.Fatal("no report for s1")
 	}
 	if !near(rep.DeficitSec[qos.DimFrameRate], 2.0) {
-		t.Fatalf("deficit = %v, want 2.0 (0.2 x 10s)", rep.DeficitSec[qos.DimFrameRate])
+		t.Fatalf("deficit = %v, want 2.0 (1.0 x 2s broken)", rep.DeficitSec[qos.DimFrameRate])
 	}
-	if !near(rep.DegradedSec, 10) {
-		t.Fatalf("degradedSec = %v, want 10", rep.DegradedSec)
+	if !near(rep.DegradedSec, 10) || !near(rep.BrokenSec, 2) {
+		t.Fatalf("degradedSec = %v brokenSec = %v, want 10 and 2", rep.DegradedSec, rep.BrokenSec)
 	}
 	if rep.Restorations != 1 {
 		t.Fatalf("restorations = %d, want 1", rep.Restorations)
+	}
+	kinds := map[ledger.EpisodeKind]int{}
+	for _, ep := range rep.Episodes {
+		kinds[ep.Kind]++
+	}
+	if kinds[ledger.EpisodeBroken] != 1 || kinds[ledger.EpisodeShed] != 1 ||
+		kinds[ledger.EpisodeFallback] != 1 || kinds[ledger.EpisodeRestored] != 1 {
+		t.Fatalf("closed episodes = %v, want one broken, shed-optional, heuristic-fallback and restored", kinds)
 	}
 	if rep.Outcome != ledger.OutcomeRunning {
 		t.Fatalf("outcome = %q, want running", rep.Outcome)
@@ -143,12 +157,12 @@ func TestDeficitIntegralAndRestoration(t *testing.T) {
 	if !near(sc.TotalDeficitSec, 2.0) {
 		t.Fatalf("total deficit = %v, want 2.0", sc.TotalDeficitSec)
 	}
-	// 11s lifetime, 10s degraded.
-	if !near(sc.LifetimeSec, 11) || !near(sc.DegradedSec, 10) {
+	// 15s lifetime, 10s degraded, 2s broken.
+	if !near(sc.LifetimeSec, 15) || !near(sc.DegradedSec, 10) {
 		t.Fatalf("lifetime=%v degraded=%v", sc.LifetimeSec, sc.DegradedSec)
 	}
-	if !near(sc.Availability, 1) {
-		t.Fatalf("availability = %v, want 1 (never broken)", sc.Availability)
+	if !near(sc.Availability, 13.0/15) {
+		t.Fatalf("availability = %v, want 13/15", sc.Availability)
 	}
 	q, ok := sc.DeficitPerAxis[qos.DimFrameRate]
 	if !ok || q.Count != 1 || !near(q.Max, 2.0) {
@@ -160,7 +174,7 @@ func TestBrokenEpisodeAndMTTR(t *testing.T) {
 	ck := newClock()
 	l := flight.New(ledger.Options{Now: ck.now})
 
-	configured(l, "s1", "media", askFramerate(), 1, time.Millisecond, "configure")
+	configured(l, "s1", "media", askFramerate(), time.Millisecond, "configure")
 	ck.advance(5 * time.Second)
 	broken(l, "s1", "device lost")
 	broken(l, "s1", "device lost again") // idempotent: no reopen
@@ -199,10 +213,11 @@ func TestRestorationSurvivesBreakage(t *testing.T) {
 	ck := newClock()
 	l := flight.New(ledger.Options{Now: ck.now})
 
-	// Degraded configure, then breakage closes the degraded episode but
-	// remembers it; a degraded recovery keeps the session degraded; the
-	// final full recovery counts exactly one restoration.
-	configured(l, "s1", "voice", askFramerate(), 0.9, time.Millisecond, "configure")
+	// An admit-degraded configure sheds optionals; breakage closes the
+	// shed episode but remembers it; a degraded recovery keeps the session
+	// degraded; the final full recovery counts exactly one restoration.
+	l.RecordAdmission("s1", "voice", "admit-degraded", "approaching saturation")
+	configured(l, "s1", "voice", askFramerate(), time.Millisecond, "configure")
 	ck.advance(time.Second)
 	broken(l, "s1", "crash")
 	ck.advance(time.Second)
@@ -219,9 +234,14 @@ func TestRestorationSurvivesBreakage(t *testing.T) {
 	if !near(rep.BrokenSec, 2) {
 		t.Fatalf("brokenSec = %v, want 2", rep.BrokenSec)
 	}
-	// Degraded union: 1s ladder-degraded + 1s shed/fallback.
+	// Degraded union: 1s shed at admission + 1s of overlapping
+	// shed/fallback after the degraded recovery; broken time is not
+	// degraded time.
 	if !near(rep.DegradedSec, 2) {
 		t.Fatalf("degradedSec = %v, want 2", rep.DegradedSec)
+	}
+	if !near(rep.DeficitSec[qos.DimFrameRate], 2) {
+		t.Fatalf("deficit = %v, want 2 (1.0 x 2s broken)", rep.DeficitSec[qos.DimFrameRate])
 	}
 	var restoredMarkers int
 	for _, ep := range rep.Episodes {
@@ -239,10 +259,10 @@ func TestAdmissionOutcomes(t *testing.T) {
 	l := flight.New(ledger.Options{Now: ck.now})
 
 	l.RecordAdmission("ok", "voice", "admit", "")
-	configured(l, "ok", "voice", askFramerate(), 1, time.Millisecond, "configure")
+	configured(l, "ok", "voice", askFramerate(), time.Millisecond, "configure")
 	l.RecordAdmission("no", "voice", "reject", "space saturated")
 	l.RecordAdmission("deg", "voice", "admit-degraded", "approaching saturation")
-	configured(l, "deg", "voice", askFramerate(), 1, time.Millisecond, "configure")
+	configured(l, "deg", "voice", askFramerate(), time.Millisecond, "configure")
 
 	if _, ok := l.Report("no"); ok {
 		t.Fatal("rejected session occupies a table slot")
@@ -267,7 +287,7 @@ func TestAdmissionOutcomes(t *testing.T) {
 // that never configured finalizes as rejected, counted once too.
 func TestRejectCountsOnce(t *testing.T) {
 	l := flight.New(ledger.Options{Now: newClock().now})
-	configured(l, "ran", "voice", askFramerate(), 1, time.Millisecond, "configure")
+	configured(l, "ran", "voice", askFramerate(), time.Millisecond, "configure")
 	broken(l, "ran", "device lost")
 	l.RecordAdmission("ran", "voice", "reject", "space saturated")
 	if rep, _ := l.Report("ran"); rep.Outcome != ledger.OutcomeRunning || rep.Admission != "" {
@@ -299,7 +319,7 @@ func TestConfigureFailedFinalizesOnlyFreshSessions(t *testing.T) {
 		t.Fatalf("outcome = %q, want failed", rep.Outcome)
 	}
 
-	configured(l, "run", "voice", askFramerate(), 1, time.Millisecond, "configure")
+	configured(l, "run", "voice", askFramerate(), time.Millisecond, "configure")
 	configureFailed(l, "run", "voice", "transient recovery failure")
 	rep, _ = l.Report("run")
 	if rep.Outcome != ledger.OutcomeRunning {
@@ -360,7 +380,7 @@ func TestSessionTableEviction(t *testing.T) {
 	const sessions, stopped = 2 * tableCap, 2*tableCap - 2
 	for i := 0; i < sessions; i++ {
 		sid := fmt.Sprintf("s%d", i)
-		configured(l, sid, "voice", askFramerate(), 1, time.Millisecond, "configure")
+		configured(l, sid, "voice", askFramerate(), time.Millisecond, "configure")
 		ck.advance(time.Second)
 		if i < stopped {
 			stop(l, sid)
@@ -385,7 +405,7 @@ func TestEvictionFoldsLiveVictims(t *testing.T) {
 	// All live: evicting must fold the victim (as lost) first.
 	const sessions = tableCap + 3
 	for i := 0; i < sessions; i++ {
-		configured(l, fmt.Sprintf("s%d", i), "voice", askFramerate(), 1, time.Millisecond, "configure")
+		configured(l, fmt.Sprintf("s%d", i), "voice", askFramerate(), time.Millisecond, "configure")
 		ck.advance(time.Second)
 	}
 	sc := l.Scorecards(0)[0]
@@ -409,10 +429,10 @@ func TestOutOfOrderArrival(t *testing.T) {
 	}{
 		{"recover before configure", func(l *flight.Recorder, ck *clock) {
 			recovered(l, "s", time.Second, false, nil, "")
-			configured(l, "s", "voice", askFramerate(), 1, time.Millisecond, "recover")
+			configured(l, "s", "voice", askFramerate(), time.Millisecond, "recover")
 		}},
 		{"broken after stop", func(l *flight.Recorder, ck *clock) {
-			configured(l, "s", "voice", askFramerate(), 1, time.Millisecond, "configure")
+			configured(l, "s", "voice", askFramerate(), time.Millisecond, "configure")
 			stop(l, "s")
 			broken(l, "s", "late event")
 			lost(l, "s", "late loss")
@@ -422,7 +442,7 @@ func TestOutOfOrderArrival(t *testing.T) {
 		}},
 		{"lost before configure", func(l *flight.Recorder, ck *clock) {
 			lost(l, "s", "immediate loss")
-			configured(l, "s", "voice", askFramerate(), 1, time.Millisecond, "configure")
+			configured(l, "s", "voice", askFramerate(), time.Millisecond, "configure")
 		}},
 	}
 	for _, tc := range cases {
@@ -444,7 +464,7 @@ func TestOutOfOrderArrival(t *testing.T) {
 	t.Run("stop wins over late lost", func(t *testing.T) {
 		ck := newClock()
 		l := flight.New(ledger.Options{Now: ck.now})
-		configured(l, "s", "voice", askFramerate(), 1, time.Millisecond, "configure")
+		configured(l, "s", "voice", askFramerate(), time.Millisecond, "configure")
 		stop(l, "s")
 		lost(l, "s", "late")
 		rep, _ := l.Report("s")
@@ -462,7 +482,7 @@ func TestClassCardinalityCap(t *testing.T) {
 	ck := newClock()
 	l := flight.New(ledger.Options{Now: ck.now})
 	for i := 0; i < metrics.DefaultLabelCardinality+10; i++ {
-		configured(l, fmt.Sprintf("s%d", i), fmt.Sprintf("class%03d", i), askFramerate(), 1, time.Millisecond, "configure")
+		configured(l, fmt.Sprintf("s%d", i), fmt.Sprintf("class%03d", i), askFramerate(), time.Millisecond, "configure")
 	}
 	cards := l.Scorecards(0)
 	if len(cards) > metrics.DefaultLabelCardinality+1 {
@@ -486,10 +506,10 @@ func TestScorecardWindow(t *testing.T) {
 	ck := newClock()
 	l := flight.New(ledger.Options{Now: ck.now})
 
-	configured(l, "old", "voice", askFramerate(), 1, 100*time.Millisecond, "configure")
+	configured(l, "old", "voice", askFramerate(), 100*time.Millisecond, "configure")
 	stop(l, "old")
 	ck.advance(time.Hour)
-	configured(l, "new", "voice", askFramerate(), 1, 5*time.Millisecond, "configure")
+	configured(l, "new", "voice", askFramerate(), 5*time.Millisecond, "configure")
 	stop(l, "new")
 
 	all := l.Scorecards(0)[0]
@@ -511,7 +531,7 @@ func TestPublishMetrics(t *testing.T) {
 	reg := metrics.NewRegistry()
 	l := flight.New(ledger.Options{Metrics: reg, Now: ck.now})
 
-	configured(l, "s", "voice", askFramerate(), 1, time.Millisecond, "configure")
+	configured(l, "s", "voice", askFramerate(), time.Millisecond, "configure")
 	ck.advance(10 * time.Second)
 	broken(l, "s", "crash")
 	ck.advance(10 * time.Second)
@@ -545,7 +565,7 @@ func TestConcurrentEpisodeWrites(t *testing.T) {
 				sid := fmt.Sprintf("w%d-s%d", w, i%16)
 				class := fmt.Sprintf("class%d", w%3)
 				l.RecordAdmission(sid, class, "admit", "")
-				configured(l, sid, class, askFramerate(), 0.9, time.Millisecond, "configure")
+				configured(l, sid, class, askFramerate(), time.Millisecond, "configure")
 				broken(l, sid, "crash")
 				recovered(l, sid, time.Millisecond, i%2 == 0, []string{"opt"}, "heuristic")
 				if i%4 == 0 {

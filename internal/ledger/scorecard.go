@@ -295,7 +295,6 @@ type SessionReport struct {
 	Admission       string     `json:"admission,omitempty"`
 	AdmissionReason string     `json:"admissionReason,omitempty"`
 	Requested       []string   `json:"requested,omitempty"` // "dim=value" pairs
-	DegradeFactor   float64    `json:"degradeFactor,omitempty"`
 	Started         time.Time  `json:"started"`
 	Ended           *time.Time `json:"ended,omitempty"`
 
@@ -325,7 +324,6 @@ func (l *Ledger) report(s *Account, now time.Time) SessionReport {
 		Outcome:         s.outcome,
 		Admission:       s.admission,
 		AdmissionReason: s.admissionReason,
-		DegradeFactor:   s.degradeFactor,
 		Started:         s.started,
 		Configures:      s.configures,
 		LastConfigureMs: s.lastConfigMs,
@@ -386,7 +384,7 @@ func (rep SessionReport) Render() string {
 	}
 	b.WriteByte('\n')
 	if len(rep.Requested) > 0 {
-		fmt.Fprintf(&b, "  requested: %s (degrade factor %.2f)\n", strings.Join(rep.Requested, " "), rep.DegradeFactor)
+		fmt.Fprintf(&b, "  requested: %s\n", strings.Join(rep.Requested, " "))
 	}
 	fmt.Fprintf(&b, "  configures=%d recoveries=%d restorations=%d broken=%.3fs degraded=%.3fs\n",
 		rep.Configures, rep.Recoveries, rep.Restorations, rep.BrokenSec, rep.DegradedSec)

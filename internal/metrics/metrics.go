@@ -432,8 +432,6 @@ const (
 	ConfigsTotal = "configs_total"
 	// ConfigsFailed counts failed attempts.
 	ConfigsFailed = "configs_failed"
-	// ConfigsDegraded counts sessions admitted below full quality.
-	ConfigsDegraded = "configs_degraded"
 	// Handoffs counts re-configurations of live sessions.
 	Handoffs = "handoffs_total"
 	// TranscodersInserted and BuffersInserted count OC corrections.

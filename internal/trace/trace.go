@@ -409,9 +409,8 @@ func (tr *Trace) export() TraceData {
 // Render formats the trace as an indented text tree, one span per line:
 //
 //	configure (12.4ms) session=audio-1
-//	  attempt (12.3ms) degradeFactor=1
-//	    compose (3.1ms)
-//	      discover (0.2ms) node=player type=audio-player depth=0
+//	  compose (3.1ms)
+//	    discover (0.2ms) node=player type=audio-player depth=0
 //
 // Attributes are sorted by key for stable output.
 func (td *TraceData) Render() string {

@@ -189,22 +189,18 @@ func TestObservabilityEndToEnd(t *testing.T) {
 	if rec.TraceID != td.TraceID {
 		t.Errorf("explain traceId = %q, want the configuration trace %q", rec.TraceID, td.TraceID)
 	}
-	if len(rec.Attempts) == 0 {
-		t.Fatal("explain record has no attempts")
-	}
-	att := rec.Attempts[len(rec.Attempts)-1]
 	withCandidates := 0
-	for _, d := range att.Discoveries {
+	for _, d := range rec.Discoveries {
 		if len(d.Candidates) > 0 {
 			withCandidates++
 		}
 	}
-	if len(att.Discoveries) == 0 || withCandidates == 0 {
+	if len(rec.Discoveries) == 0 || withCandidates == 0 {
 		t.Errorf("explain discoveries = %d (%d with candidate sets), want both > 0",
-			len(att.Discoveries), withCandidates)
+			len(rec.Discoveries), withCandidates)
 	}
 	foundTranscoder := false
-	for _, c := range att.Corrections {
+	for _, c := range rec.Corrections {
 		if c.Rule == "transcoder" {
 			foundTranscoder = true
 			if c.BeforeQoS == "" || c.AfterQoS == "" {
@@ -213,14 +209,14 @@ func TestObservabilityEndToEnd(t *testing.T) {
 		}
 	}
 	if !foundTranscoder {
-		t.Errorf("explain corrections = %+v, want a transcoder rule", att.Corrections)
+		t.Errorf("explain corrections = %+v, want a transcoder rule", rec.Corrections)
 	}
-	if att.Search == nil {
-		t.Fatal("explain attempt has no search summary")
+	if rec.Search == nil {
+		t.Fatal("explain record has no search summary")
 	}
-	if att.Search.Algorithm != "optimal" || att.Search.Explored == 0 ||
-		att.Search.Cost <= 0 || len(att.Search.BoundTrajectory) == 0 {
-		t.Errorf("explain search = %+v", att.Search)
+	if rec.Search.Algorithm != "optimal" || rec.Search.Explored == 0 ||
+		rec.Search.Cost <= 0 || len(rec.Search.BoundTrajectory) == 0 {
+		t.Errorf("explain search = %+v", rec.Search)
 	}
 	xtext := httpGet(t, web.URL+"/explain/e2e-1?format=text")
 	for _, want := range []string{"explain e2e-1", "discover", "correction transcoder", "search optimal:", "placement:"} {
