@@ -21,15 +21,16 @@ build:
 test:
 	$(GO) test ./...
 
-# race runs the race detector over the concurrent subsystems: lease
-# renew/expire, publish/subscribe fan-out, wire request handling,
-# multi-session configuration, the fault-injection/recovery path, the
-# session runtime's event loop (stopped and queried from outside it), and
-# the observability layer (tracer ring, metrics registry, structured
-# logging, the session store and its flight, explain and ledger views,
-# capacity observatory), and qosctl driving an in-process daemon.
+# race runs the race detector over every package: among them the
+# concurrent subsystems — publish/subscribe fan-out, wire request
+# handling, multi-session configuration, the fault-injection/recovery
+# path, the session runtime's event loop (stopped and queried from
+# outside it), the observability layer (tracer ring, metrics registry,
+# structured logging, the session store and its flight, explain and
+# ledger views, capacity observatory), and qosctl driving an in-process
+# daemon.
 race:
-	$(GO) test -race ./cmd/qosctl ./internal/registry ./internal/eventbus ./internal/core ./internal/distributor ./internal/experiments ./internal/par ./internal/wire ./internal/faultinject ./internal/domain ./internal/trace ./internal/metrics ./internal/flight ./internal/obslog ./internal/explain ./internal/capacity ./internal/admission ./internal/autoscale ./internal/ledger ./internal/incident ./internal/runtime
+	$(GO) test -race ./...
 
 # bench-smoke builds the over-the-wire benchmark (a module of its own,
 # so `go build ./...` does not reach it), runs its tests and runs every

@@ -29,8 +29,6 @@
 //	                                                      state, SLO burn, per-class policies and decision
 //	                                                      tallies; -class previews one class's verdict
 //	                                                      without recording it)
-//	qosctl scale      [-group NAME -replicas N] [-json]  (autoscaler status; -group/-replicas pins a
-//	                                                      group's replica count, clamped to [0,max])
 //	qosctl report     [-class NAME] [-window 2m] [-json] (per-class QoS outcome scorecards: recovered/
 //	                                                      degraded/lost ratios, availability, per-axis
 //	                                                      deficit quantiles; -window restricts the
@@ -95,7 +93,7 @@ func main() {
 			"                  devices  services  register  unregister  crash  rejoin\n" +
 			"  observability:  metrics  trace  flight  slo  explain  stats  ledger\n" +
 			"                  report  incidents  postmortem  version\n" +
-			"  capacity:       top  timeseries  admit  scale\n\n" +
+			"  capacity:       top  timeseries  admit\n\n" +
 			"  common flags: -addr HOST:PORT  -timeout DUR (0 = wait forever)  -retries N\n" +
 			"  run 'go doc ubiqos/cmd/qosctl' for the full per-verb flag list")
 	}
@@ -112,7 +110,7 @@ type runArgs struct {
 	flags                                 map[string]string
 	app, userQoS, instanceFile, installed string
 	timeout, interval                     time.Duration
-	retries, replicas                     int
+	retries                               int
 	asJSON, dot, once                     bool
 }
 
@@ -139,8 +137,6 @@ func parseArgs(argv []string) runArgs {
 	fs.String("metric", "", "capacity time-series metric (timeseries; empty lists recorded series)")
 	fs.String("window", "", `trailing window for timeseries and report, e.g. "2m" (empty = unbounded)`)
 	fs.String("class", "", "session class (start); class to preview (admit) or report (report)")
-	fs.String("group", "", "autoscale group to pin (scale)")
-	fs.IntVar(&a.replicas, "replicas", -1, "replica count for -group (scale)")
 	fs.String("id", "", "incident ID, e.g. INC-3 (incidents/postmortem)")
 
 	var positional []string
@@ -207,8 +203,7 @@ func run(a runArgs) error {
 }
 
 // request builds what a verb's request carries beyond its flag values:
-// the app graph and QoS of start and check, the instance of register,
-// the replica count of scale.
+// the app graph and QoS of start and check, the instance of register.
 func request(a runArgs) (wire.Request, error) {
 	switch a.verb {
 	case "start", "check":
@@ -240,13 +235,6 @@ func request(a runArgs) (wire.Request, error) {
 			}
 		}
 		return req, nil
-	case "scale":
-		if (a.flags["group"] == "") != (a.replicas < 0) {
-			return wire.Request{}, fmt.Errorf("scale requires -group and -replicas together")
-		}
-		if a.replicas >= 0 {
-			return wire.Request{Replicas: &a.replicas}, nil
-		}
 	}
 	return wire.Request{}, nil
 }

@@ -119,7 +119,6 @@ var tour = [][]string{
 	{"timeseries", "-metric", "nope"},
 	{"admit"}, {"admit", "-json"},
 	{"admit", "-class", "voice"}, {"admit", "-class", "voice", "-json"},
-	{"scale"}, {"scale", "-json"}, {"scale", "-group", "g"},
 	{"top", "-once"}, {"top", "-once", "-json"},
 	{"incidents"}, {"incidents", "-json"},
 	{"incidents", "-id", "INC-1"}, {"postmortem", "INC-1"}, {"postmortem", "-json", "INC-1"},

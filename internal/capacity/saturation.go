@@ -4,7 +4,7 @@
 // worse state and leaving it use different thresholds — so an oscillating
 // load trace near a boundary settles into one verdict instead of flapping
 // on every sample. The analyzer only observes; the actuation (admission
-// throttling, autoscaling) belongs to a later tier that reads Report.
+// throttling) belongs to a later tier that reads Report.
 package capacity
 
 import (

@@ -4,9 +4,9 @@
 // whole into ok / approaching / saturated with hysteresis. The paper's
 // configuration model assumes the space continuously knows its own
 // resource state (§3.1 online profiling, §3.3 admission over residual
-// capacity); this package is that knowledge made queryable — the signal a
-// future admission controller or autoscaler reads, deliberately free of
-// any actuation.
+// capacity); this package is that knowledge made queryable — the signal
+// the admission gate (internal/admission) reads, deliberately free of any
+// actuation.
 package capacity
 
 import (

@@ -190,8 +190,7 @@ func (c *PlanCache) InvalidateDevice(id device.ID) int {
 }
 
 // Flush drops every entry and returns how many were held. Used for
-// mutations whose blast radius is not a single device (link changes,
-// lease expiry).
+// mutations whose blast radius is not a single device (link changes).
 func (c *PlanCache) Flush() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -217,8 +216,8 @@ func (c *PlanCache) Stats() PlanCacheStats {
 
 // Subscribe wires the cache to the domain's event bus: device joins and
 // leaves and per-device resource changes invalidate the entries that
-// involve the device; link changes and service lease expiries flush the
-// cache (their blast radius is not attributable to one device identity).
+// involve the device; link changes flush the cache (their blast radius
+// is not attributable to one device identity).
 // The subscription is lossless — a missed invalidation would only cost
 // hygiene, but control-plane consumers on this bus never drop by
 // convention. Call Close to cancel.
@@ -227,7 +226,6 @@ func (c *PlanCache) Subscribe(bus *eventbus.Bus) error {
 		eventbus.TopicDeviceLeft,
 		eventbus.TopicDeviceJoined,
 		eventbus.TopicResourceChanged,
-		eventbus.TopicServiceExpired,
 	)
 	if err != nil {
 		return err
@@ -245,10 +243,6 @@ func (c *PlanCache) Subscribe(bus *eventbus.Bus) error {
 
 // apply maps one bus event to an invalidation.
 func (c *PlanCache) apply(ev eventbus.Event) {
-	if ev.Topic == eventbus.TopicServiceExpired {
-		c.Flush()
-		return
-	}
 	if id, ok := ev.Payload.(string); ok {
 		c.InvalidateDevice(device.ID(id))
 		return

@@ -229,7 +229,6 @@ func TestPlanCacheBusInvalidation(t *testing.T) {
 	}{
 		{"device left", eventbus.TopicDeviceLeft, string(p.Devices[a["src"]].ID)},
 		{"device resized", eventbus.TopicResourceChanged, string(p.Devices[a["snk"]].ID)},
-		{"lease expired", eventbus.TopicServiceExpired, "player1"},
 		{"link changed", eventbus.TopicResourceChanged, struct{ A, B device.ID }{"pc", "pda"}},
 	}
 	for _, tc := range cases {
@@ -291,7 +290,7 @@ func TestPlanCacheConcurrency(t *testing.T) {
 		defer wg.Done()
 		for i := 0; i < 100; i++ {
 			bus.Publish(eventbus.TopicDeviceLeft, "pc")
-			bus.Publish(eventbus.TopicServiceExpired, "player1")
+			bus.Publish(eventbus.TopicResourceChanged, struct{ A, B device.ID }{"pc", "pda"})
 			c.Stats()
 		}
 	}()

@@ -119,3 +119,55 @@ func TestSolversInvariantUnderScaling(t *testing.T) {
 		t.Errorf("coverage: %d of %d cases feasible; want at least a fifth of each", feasible, n)
 	}
 }
+
+// TestOptimalInvariantUnderDevicePermutation is the second metamorphic
+// property: reordering Problem.Devices renames the partitions and changes
+// nothing the cost definition takes, so Optimal must agree on
+// feasibility, and its placement, mapped back to the original device
+// order, must cost the original optimum on the original problem. The
+// device sum runs in another order, so costs agree to 1e-12 relative,
+// not bit for bit. A failure names the seed; -scaling.seed replays it.
+func TestOptimalInvariantUnderDevicePermutation(t *testing.T) {
+	seeds := make([]int64, 500)
+	for i := range seeds {
+		seeds[i] = int64(i + 1)
+	}
+	if *scalingSeed != 0 {
+		seeds = []int64{*scalingSeed}
+	}
+	for _, seed := range seeds {
+		p := scalingCase(seed)
+		wantA, wantCost, wantErr := Optimal(p)
+		if wantErr != nil && !errors.Is(wantErr, ErrInfeasible) {
+			t.Fatalf("seed %d (replay with -scaling.seed %d): %v", seed, seed, wantErr)
+		}
+		// perm[i] is the original index of the permuted problem's device
+		// i; never the identity.
+		rng := rand.New(rand.NewSource(seed))
+		perm := rng.Perm(len(p.Devices))
+		for perm[0] == 0 && perm[1] == 1 {
+			perm = rng.Perm(len(p.Devices))
+		}
+		devs := make([]DeviceInfo, len(perm))
+		for i, orig := range perm {
+			devs[i] = p.Devices[orig]
+		}
+		q := &Problem{Graph: p.Graph, Devices: devs, Bandwidth: p.Bandwidth, Weights: p.Weights}
+		a, _, err := Optimal(q)
+		if (err == nil) != (wantErr == nil) {
+			t.Fatalf("seed %d (replay with -scaling.seed %d): devices permuted by %v: error %v, unpermuted %v",
+				seed, seed, perm, err, wantErr)
+		}
+		if err != nil {
+			continue
+		}
+		back := make(Assignment, len(a))
+		for n, i := range a {
+			back[n] = perm[i]
+		}
+		if cost := p.CostAggregation(back); math.Abs(cost-wantCost) > 1e-12*math.Abs(wantCost) {
+			t.Fatalf("seed %d (replay with -scaling.seed %d): devices permuted by %v: placement %v mapped back costs %v, optimum %v at %v",
+				seed, seed, perm, back, cost, wantCost, wantA)
+		}
+	}
+}

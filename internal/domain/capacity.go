@@ -153,8 +153,8 @@ func (d *Domain) sampleCapacity(now time.Time) {
 	d.Flight.PublishMetrics()
 
 	// Feed the incident correlation engine last, with repMu released:
-	// its evidence hooks may read lastReport and the admission/autoscale
-	// snapshots.
+	// its evidence hooks may read lastReport and the admission
+	// snapshot.
 	d.observeIncidents(now, rep, worstBurn, violations, devicesDown)
 }
 

@@ -14,7 +14,6 @@ import (
 	"time"
 
 	"ubiqos/internal/admission"
-	"ubiqos/internal/autoscale"
 	"ubiqos/internal/capacity"
 	"ubiqos/internal/checkpoint"
 	"ubiqos/internal/composer"
@@ -106,11 +105,8 @@ type Domain struct {
 	// Admission is the saturation-aware admission gate (nil until
 	// EnableAdmissionGate).
 	Admission *admission.Gate
-	// Autoscaler is the instance autoscaler control loop (nil until
-	// EnableAutoscaler).
-	Autoscaler *autoscale.Autoscaler
 	// Incidents is the incident correlation engine: it fuses SLO burn,
-	// saturation, fault, admission, autoscale, and ledger signals into
+	// saturation, fault, admission, and ledger signals into
 	// operator-grade incidents with evidence bundles and postmortems.
 	Incidents *incident.Engine
 
@@ -602,59 +598,6 @@ func (d *Domain) EnableAdmissionGate(policies map[string]admission.ClassPolicy) 
 	return g
 }
 
-// EnableAutoscaler starts an instance autoscaler over this domain's
-// registry and repository. Replicas live in a leased overlay of the
-// domain registry (expiry wired to the event bus, so a lapsed replica
-// flushes memoized placements naming it), demand is read from the
-// per-class session-arrival meters the configurator marks, and the
-// saturation analyzer's verdict gates scale direction. The returned
-// autoscaler is already started; Close stops it.
-func (d *Domain) EnableAutoscaler(opts autoscale.Options, specs ...autoscale.GroupSpec) (*autoscale.Autoscaler, error) {
-	leased := registry.NewLeasedOver(d.Registry, nil)
-	d.WireLeaseExpiry(leased)
-	a, err := autoscale.New(opts, autoscale.Deps{
-		Registry: leased,
-		Repo:     d.Repo,
-		Devices: func() []string {
-			devs := d.Devices.All()
-			ids := make([]string, len(devs))
-			for i, dev := range devs {
-				ids[i] = string(dev.ID)
-			}
-			return ids
-		},
-		Signals: autoscale.Signals{
-			Report: func() capacity.Report { return d.SaturationReport() },
-			Arrivals: func(class string) int64 {
-				return d.classMeter(metrics.SessionArrivals, class).Total()
-			},
-		},
-		Metrics: d.Metrics,
-	}, specs...)
-	if err != nil {
-		return nil, err
-	}
-	a.Start()
-	d.repMu.Lock()
-	d.Autoscaler = a
-	d.repMu.Unlock()
-	return a, nil
-}
-
-// WireLeaseExpiry connects a leased registry's expiry sweeps to the
-// domain's event bus: each instance a Sweep removes is announced as a
-// TopicServiceExpired event (payload: the instance name), which in turn
-// flushes the plan cache — an expired lease means the discovered service
-// set changed, so memoized placements may reference instances that no
-// longer exist.
-func (d *Domain) WireLeaseExpiry(l *registry.LeasedRegistry) {
-	l.SetExpiryHook(func(names []string) {
-		for _, name := range names {
-			d.Bus.Publish(eventbus.TopicServiceExpired, name)
-		}
-	})
-}
-
 // MissingServiceNotice is the payload of a TopicUserNotification event
 // raised when composition fails for missing mandatory services: the user
 // may download and install an instance, or quit the application.
@@ -719,8 +662,8 @@ func (d *Domain) admit(g *admission.Gate, req core.Request) (core.Request, error
 	msg := "admission degraded"
 	if dec.Verdict == admission.Reject {
 		// The request never reaches the pipeline's own arrival mark, so
-		// record the offered load here — the autoscaler's demand signal
-		// must see rejected arrivals too.
+		// record the offered load here — the observatory's per-class
+		// arrival rate must see rejected arrivals too.
 		d.classMeter(metrics.SessionArrivals, dec.Class).Mark(1)
 		err = &admission.RejectedError{Decision: dec}
 		xr.Err, msg = err.Error(), "admission rejected"
@@ -749,9 +692,6 @@ func (d *Domain) StopApp(sessionID string) error {
 // Close stops the capacity observatory, shuts down the domain's event
 // bus, and detaches the plan cache.
 func (d *Domain) Close() {
-	if d.Autoscaler != nil {
-		d.Autoscaler.Stop()
-	}
 	if d.Capacity != nil {
 		d.Capacity.Stop()
 	}

@@ -1,7 +1,7 @@
 // Incident correlation glue: the engine itself (internal/incident)
 // stays free of domain knowledge; this file injects the evidence hooks
 // (saturation report, SLO statuses, capacity rings, flight excerpts,
-// admission/autoscale snapshots, ledger scorecards) and assembles the
+// admission snapshots, ledger scorecards) and assembles the
 // per-pass Observation the capacity sampler feeds it.
 package domain
 
@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"ubiqos/internal/admission"
-	"ubiqos/internal/autoscale"
 	"ubiqos/internal/capacity"
 	"ubiqos/internal/incident"
 	"ubiqos/internal/ledger"
@@ -22,7 +21,7 @@ import (
 //
 // Hook safety: the hooks run while the engine holds its own mutex,
 // inside a sampling pass. Anything they call that forces another
-// sampling pass (admission/autoscale Status → SaturationReport →
+// sampling pass (admission Status → SaturationReport →
 // SampleNow) is harmless because the observatory rate-limits re-entrant
 // passes to a no-op, and none of the hooks are called with repMu held.
 func (d *Domain) initIncidents() {
@@ -53,30 +52,16 @@ func (d *Domain) initIncidents() {
 				}
 				return nil
 			},
-			Autoscale: func() *autoscale.Status {
-				if a := d.autoscaler(); a != nil {
-					st := a.Status()
-					return &st
-				}
-				return nil
-			},
 		},
 	})
 }
 
-// admissionGate / autoscaler read the late-bound subsystem pointers
-// under repMu: EnableAdmissionGate / EnableAutoscaler may run after the
-// sampler goroutine has started.
+// admissionGate reads the late-bound gate pointer under repMu:
+// EnableAdmissionGate may run after the sampler goroutine has started.
 func (d *Domain) admissionGate() *admission.Gate {
 	d.repMu.Lock()
 	defer d.repMu.Unlock()
 	return d.Admission
-}
-
-func (d *Domain) autoscaler() *autoscale.Autoscaler {
-	d.repMu.Lock()
-	defer d.repMu.Unlock()
-	return d.Autoscaler
 }
 
 // observeIncidents builds the per-pass Observation from state the
@@ -105,13 +90,6 @@ func (d *Domain) observeIncidents(now time.Time, rep capacity.Report, worstBurn 
 		for _, cc := range st.Classes {
 			obs.AdmissionRejects += cc.Rejected
 			obs.AdmissionDegrades += cc.Degraded
-		}
-	}
-	if a := d.autoscaler(); a != nil {
-		st := a.Status()
-		for _, gr := range st.Groups {
-			obs.ScaleUps += gr.Ups
-			obs.ScaleDowns += gr.Downs
 		}
 	}
 	for _, sc := range d.Flight.Scorecards(0) {

@@ -10,7 +10,6 @@ import (
 	"ubiqos/internal/distributor"
 	"ubiqos/internal/eventbus"
 	"ubiqos/internal/graph"
-	"ubiqos/internal/registry"
 	"ubiqos/internal/resource"
 )
 
@@ -30,7 +29,7 @@ func waitForCache(t *testing.T, what string, cond func() bool) {
 // drainPlanCacheEvents fences the plan cache's lossless bus pump: the
 // setup-time device.joined events from newSpace are delivered
 // asynchronously and would otherwise invalidate entries stored later.
-// The pump is FIFO, so once a sentinel service.expired flush is observed
+// The pump is FIFO, so once a sentinel link-change flush is observed
 // every earlier event has been applied.
 func drainPlanCacheEvents(t *testing.T, d *Domain) {
 	t.Helper()
@@ -51,7 +50,7 @@ func drainPlanCacheEvents(t *testing.T, d *Domain) {
 		t.Fatal(err)
 	}
 	d.PlanCache.Store(p, a, cost)
-	d.Bus.Publish(eventbus.TopicServiceExpired, "drain-sentinel")
+	d.Bus.Publish(eventbus.TopicResourceChanged, LinkChanged{A: "drain-ghost", B: "drain-ghost"})
 	waitForCache(t, "bus pump drain", func() bool {
 		return d.PlanCache.Stats().Entries == 0
 	})
@@ -116,38 +115,5 @@ func TestDomainPlanCacheInvalidatedOnFault(t *testing.T) {
 	waitForCache(t, "invalidation after device failure", func() bool {
 		st := d.PlanCache.Stats()
 		return st.Entries == 0 && st.Invalidations >= 1
-	})
-}
-
-// TestWireLeaseExpiryFlushesPlanCache: sweeping an expired service lease
-// publishes service.expired, which conservatively flushes the cache —
-// a vanished instance can invalidate any memoized composition.
-func TestWireLeaseExpiryFlushesPlanCache(t *testing.T) {
-	d := newSpace(t)
-	drainPlanCacheEvents(t, d)
-	now := time.Unix(1_000_000, 0)
-	leased := registry.NewLeased(func() time.Time { return now })
-	d.WireLeaseExpiry(leased)
-
-	if _, err := d.StartApp(core.Request{SessionID: "a1", App: audioApp(), ClientDevice: "desktop1"}); err != nil {
-		t.Fatal(err)
-	}
-	if err := d.StopApp("a1"); err != nil {
-		t.Fatal(err)
-	}
-	if st := d.PlanCache.Stats(); st.Entries != 1 {
-		t.Fatalf("stats %+v, want the plan memoized", st)
-	}
-
-	err := leased.RegisterWithTTL(&registry.Instance{Name: "ephemeral-1", Type: "audio-player"}, time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	now = now.Add(2 * time.Second)
-	if expired := leased.Sweep(); len(expired) != 1 || expired[0] != "ephemeral-1" {
-		t.Fatalf("swept %v, want the ephemeral lease", expired)
-	}
-	waitForCache(t, "flush after lease expiry", func() bool {
-		return d.PlanCache.Stats().Entries == 0
 	})
 }

@@ -43,10 +43,6 @@ const (
 	// restores a session that had previously been recovered degraded
 	// (payload: session ID).
 	TopicSessionRestored Topic = "session.restored"
-	// TopicServiceExpired fires when a service instance's discovery lease
-	// expires without renewal (payload: instance name) — consumers holding
-	// plans that involve the instance must invalidate them.
-	TopicServiceExpired Topic = "service.expired"
 	// TopicUserNotification carries messages the user must act on — e.g.
 	// a mandatory service could not be discovered and the user may
 	// "download and install an instance for the missing service into the

@@ -1,10 +1,10 @@
 // Flash-crowd drill: the closed capacity loop (admission gate +
-// instance autoscaler) against an arrival spike. The baseline run is the
-// paper's open-loop configurator — every request runs the full pipeline,
-// downloads are paid on first use, and overload surfaces as placement
-// failures. The closed-loop run puts the saturation-aware gate in front
-// of the pipeline and the autoscaler behind the registry, and the
-// acceptance criterion is that a ≥5× spike costs zero sessions to
+// pre-installed packages) against an arrival spike. The baseline run is
+// the paper's open-loop configurator — every request runs the full
+// pipeline, downloads are paid on first use, and overload surfaces as
+// placement failures. The closed-loop run puts the saturation-aware gate
+// in front of the pipeline and installs every package ahead of demand,
+// and the acceptance criterion is that a ≥5× spike costs zero sessions to
 // capacity exhaustion while the configure-latency SLO stays unburned —
 // pressure is absorbed as controlled degraded admissions and rejections
 // with retry-after hints instead of pipeline failures.
@@ -18,7 +18,6 @@ import (
 	"time"
 
 	"ubiqos/internal/admission"
-	"ubiqos/internal/autoscale"
 	"ubiqos/internal/capacity"
 	"ubiqos/internal/composer"
 	"ubiqos/internal/core"
@@ -61,14 +60,13 @@ func crowdThresholds() capacity.Thresholds {
 
 // BuildCrowdSpace constructs the flash-crowd domain: three server
 // desktops, a generously-provisioned portal the players are pinned to,
-// full Ethernet mesh. Only the player is statically registered and
-// pre-installed. With closedLoop false the server and enhancer are
-// registered statically with their packages published but NOT installed
-// — the paper's dynamic-downloading path, paid on first use per device.
-// With closedLoop true nothing else is registered: the admission gate is
-// wired in, and the caller brings the server/enhancer up through the
-// autoscaler (CrowdGroups), whose pre-provisioning installs packages
-// ahead of demand.
+// full Ethernet mesh. Both runs register the same instances: the player,
+// pre-installed everywhere, two servers and an enhancer, their packages
+// published. With closedLoop false the server and enhancer packages are
+// NOT installed — the paper's dynamic-downloading path, paid on first use
+// per device. With closedLoop true the admission gate is wired in and
+// every package is installed on every device, the portal included, since
+// placements land there too.
 func BuildCrowdSpace(scale float64, closedLoop bool) (*domain.Domain, error) {
 	opts := domain.Options{
 		Scale:          scale,
@@ -95,8 +93,8 @@ func BuildCrowdSpace(scale float64, closedLoop bool) (*domain.Domain, error) {
 			return nil, err
 		}
 	}
-	// The portal never binds the space: it only runs the lightweight
-	// players.
+	// The portal never binds the space: the players are pinned there, and
+	// servers and enhancers may land there too.
 	if _, err := d.AddDevice("portal", device.ClassDesktop, resource.MB(2048, 400), map[string]string{"platform": "pc"}); err != nil {
 		return nil, err
 	}
@@ -123,50 +121,25 @@ func BuildCrowdSpace(scale float64, closedLoop bool) (*domain.Domain, error) {
 		d.Repo.MarkInstalled(string(dev), "crowd-player")
 	}
 
-	if !closedLoop {
-		for i := 1; i <= 2; i++ {
-			name := fmt.Sprintf("crowd-server-%d", i)
-			d.Registry.MustRegister(&registry.Instance{
-				Name:      name,
-				Type:      "crowd-server",
-				Resources: crowdServerRes,
-				SizeMB:    crowdServerMB,
-			})
-			d.Repo.MustPublish(repository.Package{Name: name, SizeMB: crowdServerMB})
+	for _, in := range crowdInstances() {
+		d.Registry.MustRegister(in)
+		d.Repo.MustPublish(repository.Package{Name: in.Name, SizeMB: in.SizeMB})
+		if closedLoop {
+			for _, dev := range all {
+				d.Repo.MarkInstalled(string(dev), in.Name)
+			}
 		}
-		d.Registry.MustRegister(&registry.Instance{
-			Name:      "crowd-enhancer-1",
-			Type:      "crowd-enhancer",
-			Resources: crowdEnhancerRes,
-			SizeMB:    crowdEnhancerMB,
-		})
-		d.Repo.MustPublish(repository.Package{Name: "crowd-enhancer-1", SizeMB: crowdEnhancerMB})
 	}
 	return d, nil
 }
 
-// CrowdGroups are the closed-loop run's autoscaling groups: the server
-// scales with the crowd class's arrival rate, and the enhancer starts at
-// zero replicas (scale-to-zero — it only exists while demand justifies
-// the luxury).
-func CrowdGroups() []autoscale.GroupSpec {
-	return []autoscale.GroupSpec{
-		{
-			Name:             "crowd-server",
-			Template:         registry.Instance{Type: "crowd-server", Resources: crowdServerRes, SizeMB: crowdServerMB},
-			Class:            "background",
-			Min:              1,
-			Max:              6,
-			TargetPerReplica: 40,
-		},
-		{
-			Name:             "crowd-enhancer",
-			Template:         registry.Instance{Type: "crowd-enhancer", Resources: crowdEnhancerRes, SizeMB: crowdEnhancerMB},
-			Class:            "background",
-			Min:              0,
-			Max:              2,
-			TargetPerReplica: 120,
-		},
+// crowdInstances are the crowd space's downloadable instances: two
+// servers and the optional enhancer.
+func crowdInstances() []*registry.Instance {
+	return []*registry.Instance{
+		{Name: "crowd-server-1", Type: "crowd-server", Resources: crowdServerRes, SizeMB: crowdServerMB},
+		{Name: "crowd-server-2", Type: "crowd-server", Resources: crowdServerRes, SizeMB: crowdServerMB},
+		{Name: "crowd-enhancer-1", Type: "crowd-enhancer", Resources: crowdEnhancerRes, SizeMB: crowdEnhancerMB},
 	}
 }
 
@@ -193,19 +166,6 @@ func CrowdApp() *composer.AbstractGraph {
 	return ag
 }
 
-// DefaultAutoscaleDrillOptions is the drill's control-loop tuning: a
-// 25 ms tick so the loop can react inside a sub-second spike, with the
-// cooldown and lease TTL scaled to match.
-func DefaultAutoscaleDrillOptions() autoscale.Options {
-	return autoscale.Options{
-		Interval:       25 * time.Millisecond,
-		Cooldown:       75 * time.Millisecond,
-		MaxStep:        2,
-		ScaleDownAfter: 2,
-		TTL:            250 * time.Millisecond,
-	}
-}
-
 // FlashCrowdConfig parameterizes one drill run.
 type FlashCrowdConfig struct {
 	// Scale is the emulation time scale.
@@ -223,11 +183,9 @@ type FlashCrowdConfig struct {
 	// (wall clock) before the driver stops it.
 	VoiceHold time.Duration
 	CrowdHold time.Duration
-	// ClosedLoop turns on the admission gate and the autoscaler.
+	// ClosedLoop turns on the admission gate and pre-installs every
+	// package.
 	ClosedLoop bool
-	// Settle is how long the driver waits after the last hold drains
-	// before snapshotting — time for the autoscaler to scale back down.
-	Settle time.Duration
 }
 
 // DefaultFlashCrowdConfig is the full-size drill: 10 steady voice
@@ -243,7 +201,6 @@ func DefaultFlashCrowdConfig(closedLoop bool) FlashCrowdConfig {
 		VoiceHold:  900 * time.Millisecond,
 		CrowdHold:  400 * time.Millisecond,
 		ClosedLoop: closedLoop,
-		Settle:     400 * time.Millisecond,
 	}
 }
 
@@ -274,10 +231,6 @@ type FlashCrowdResult struct {
 	// ConfigureBurn is the configure-p95 objective's burn rate after the
 	// drill (>1 = violated).
 	ConfigureBurn float64
-	// ScaleUps / MaxReplicas summarize the autoscaler's trajectory (zero /
-	// empty in the baseline).
-	ScaleUps    int64
-	MaxReplicas map[string]int
 	// MeetsCriterion reports the closed-loop acceptance bound: no session
 	// lost to capacity and the configure SLO unburned. Always false for
 	// the baseline (the criterion does not apply to it).
@@ -295,11 +248,6 @@ func RunFlashCrowd(cfg FlashCrowdConfig) (*FlashCrowdResult, error) {
 		return nil, err
 	}
 	defer dom.Close()
-	if cfg.ClosedLoop {
-		if _, err := dom.EnableAutoscaler(DefaultAutoscaleDrillOptions(), CrowdGroups()...); err != nil {
-			return nil, err
-		}
-	}
 
 	type tally struct{ offered, admitted, rejected, lost int }
 	var (
@@ -371,9 +319,6 @@ func RunFlashCrowd(cfg FlashCrowdConfig) (*FlashCrowdResult, error) {
 		time.Sleep(cfg.CrowdGap)
 	}
 	holds.Wait()
-	if cfg.Settle > 0 {
-		time.Sleep(cfg.Settle)
-	}
 
 	res := &FlashCrowdResult{}
 	degraded := map[string]int{}
@@ -400,13 +345,6 @@ func RunFlashCrowd(cfg FlashCrowdConfig) (*FlashCrowdResult, error) {
 	for _, st := range dom.SLO.Evaluate() {
 		if st.Name == "configure-p95" {
 			res.ConfigureBurn = st.BurnRate
-		}
-	}
-	if dom.Autoscaler != nil {
-		res.MaxReplicas = map[string]int{}
-		for _, g := range dom.Autoscaler.Status().Groups {
-			res.ScaleUps += g.Ups
-			res.MaxReplicas[g.Name] = g.MaxSeen
 		}
 	}
 	res.MeetsCriterion = cfg.ClosedLoop && res.LostToCapacity == 0 && res.ConfigureBurn <= 1

@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"ubiqos/internal/admission"
-	"ubiqos/internal/autoscale"
 	"ubiqos/internal/capacity"
 	"ubiqos/internal/flight"
 	"ubiqos/internal/ledger"
@@ -36,12 +35,10 @@ type Observation struct {
 	DevicesDown   int
 
 	// Cumulative counters: injected faults, admission verdicts,
-	// autoscaler actions, recovery outcomes.
+	// recovery outcomes.
 	FaultsTotal       int64
 	AdmissionRejects  int64
 	AdmissionDegrades int64
-	ScaleUps          int64
-	ScaleDowns        int64
 	Recovered         int64
 	Restored          int64
 
@@ -60,7 +57,6 @@ type deltas struct {
 	faults    float64
 	rejects   float64
 	degrades  float64
-	scale     float64
 	recovered float64
 	restored  float64
 }
@@ -86,10 +82,8 @@ type Sources struct {
 	Excerpt  func(session string, from, to time.Time, max int) []flight.Entry
 	// Scorecards returns the ledger's per-class accounting.
 	Scorecards func() []ledger.Scorecard
-	// Admission / Autoscale snapshot the gate and the autoscaler (nil
-	// result when the subsystem is not enabled).
+	// Admission snapshots the gate (nil result when it is not enabled).
 	Admission func() *admission.Status
-	Autoscale func() *autoscale.Status
 }
 
 // Rule names of the default rule set.
@@ -272,7 +266,6 @@ func (e *Engine) Observe(obs Observation) {
 		d.faults = counterDelta(obs.FaultsTotal, e.prev.FaultsTotal)
 		d.rejects = counterDelta(obs.AdmissionRejects, e.prev.AdmissionRejects)
 		d.degrades = counterDelta(obs.AdmissionDegrades, e.prev.AdmissionDegrades)
-		d.scale = counterDelta(obs.ScaleUps, e.prev.ScaleUps) + counterDelta(obs.ScaleDowns, e.prev.ScaleDowns)
 		d.recovered = counterDelta(obs.Recovered, e.prev.Recovered)
 		d.restored = counterDelta(obs.Restored, e.prev.Restored)
 	}
@@ -364,8 +357,8 @@ func (e *Engine) Observe(obs Observation) {
 		}
 	}
 
-	if e.openCount > 0 && (d.scale > 0 || d.recovered > 0 || d.restored > 0) {
-		e.markMitigating(obs.Now, d)
+	if e.openCount > 0 && (d.recovered > 0 || d.restored > 0) {
+		e.markMitigating(obs.Now)
 	}
 	e.mu.Unlock()
 }
@@ -486,33 +479,22 @@ func (e *Engine) escalate(inc *Incident, now time.Time, level float64) {
 	})
 }
 
-// markMitigating records mitigation actors on every open incident and
-// transitions still-open ones to mitigating.
-func (e *Engine) markMitigating(now time.Time, d deltas) {
-	var actors [2]string
-	n := 0
-	if d.recovered > 0 || d.restored > 0 {
-		actors[n] = "recovery-supervisor"
-		n++
-	}
-	if d.scale > 0 {
-		actors[n] = "autoscaler"
-		n++
-	}
+// markMitigating credits the recovery supervisor on every open incident
+// and transitions still-open ones to mitigating.
+func (e *Engine) markMitigating(now time.Time) {
+	const actor = "recovery-supervisor"
 	for _, r := range e.rules {
 		inc := r.open
 		if inc == nil {
 			continue
 		}
-		for _, a := range actors[:n] {
-			addUnique(&inc.MitigatedBy, a, maxMitigators)
-		}
+		addUnique(&inc.MitigatedBy, actor, maxMitigators)
 		if inc.State == StateOpen {
 			inc.State = StateMitigating
 			inc.MitigatingAt = now
 			inc.Timeline = append(inc.Timeline, Transition{
 				Time: now, State: StateMitigating,
-				Note: "mitigation under way: " + strings.Join(actors[:n], " + "),
+				Note: "mitigation under way: " + actor,
 			})
 		}
 	}
@@ -625,9 +607,6 @@ func (e *Engine) assemble(obs Observation, d deltas) *Evidence {
 	if e.src.Admission != nil {
 		ev.Admission = e.src.Admission()
 	}
-	if e.src.Autoscale != nil {
-		ev.Autoscale = e.src.Autoscale()
-	}
 	if e.src.Scorecards != nil {
 		ev.Scorecards = e.src.Scorecards()
 	}
@@ -659,9 +638,6 @@ func citeSources(obs Observation, d deltas, ev *Evidence) []string {
 	}
 	if d.rejects > 0 || d.degrades > 0 {
 		src = append(src, "admission")
-	}
-	if d.scale > 0 {
-		src = append(src, "autoscale")
 	}
 	if obs.WorstAvailability < 1 {
 		src = append(src, "ledger")

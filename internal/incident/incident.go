@@ -3,12 +3,11 @@
 // already produces — SLO burn rates (internal/metrics), saturation
 // verdicts (internal/capacity), fault storms and device churn
 // (internal/faultinject via the counters they bump), admission
-// reject/degrade pressure (internal/admission), autoscaler actions
-// (internal/autoscale), and per-class availability from the outcome
-// ledger (internal/ledger) — and fuses them into operator-grade
-// incidents with a lifecycle (open → mitigating → resolved), a
-// correlated evidence bundle captured at onset, and ledger-based
-// impact accounting attached at resolution.
+// reject/degrade pressure (internal/admission), and per-class
+// availability from the outcome ledger (internal/ledger) — and fuses
+// them into operator-grade incidents with a lifecycle (open →
+// mitigating → resolved), a correlated evidence bundle captured at
+// onset, and ledger-based impact accounting attached at resolution.
 //
 // Detectors use hysteresis like the capacity Analyzer: a rule's signal
 // must sit at or above its open threshold for a minimum dwell before an
@@ -25,7 +24,6 @@ import (
 	"time"
 
 	"ubiqos/internal/admission"
-	"ubiqos/internal/autoscale"
 	"ubiqos/internal/capacity"
 	"ubiqos/internal/flight"
 	"ubiqos/internal/ledger"
@@ -62,8 +60,8 @@ const (
 	// StateOpen: the rule's signal crossed its open threshold and held
 	// for the dwell; evidence has been captured.
 	StateOpen State = "open"
-	// StateMitigating: a mitigation actor (recovery supervisor,
-	// autoscaler) acted while the incident was open.
+	// StateMitigating: the recovery supervisor recovered or restored a
+	// session while the incident was open.
 	StateMitigating State = "mitigating"
 	// StateResolved: the signal cleared below the close threshold for
 	// the close dwell; impact accounting is attached.
@@ -100,8 +98,8 @@ type Evidence struct {
 	From time.Time `json:"from"`
 	To   time.Time `json:"to"`
 	// Sources names the distinct signal families that were abnormal at
-	// onset: "slo", "saturation", "faults", "admission", "autoscale",
-	// "ledger", "flight".
+	// onset: "slo", "saturation", "faults", "admission", "ledger",
+	// "flight".
 	Sources []string `json:"sources"`
 	// Saturation is the analyzer's full report at onset (device table,
 	// link residuals, queue depth, space verdict).
@@ -115,10 +113,9 @@ type Evidence struct {
 	// seen in them.
 	Sessions []FlightExcerpt `json:"sessions,omitempty"`
 	TraceIDs []string        `json:"traceIds,omitempty"`
-	// Admission / Autoscale snapshot the gate and the autoscaler
-	// (per-class admit/degrade/reject counts, group replica state).
+	// Admission snapshots the gate (per-class admit/degrade/reject
+	// counts).
 	Admission *admission.Status `json:"admission,omitempty"`
-	Autoscale *autoscale.Status `json:"autoscale,omitempty"`
 	// Scorecards is the ledger's per-class accounting at onset — also
 	// the baseline the resolution-time impact diff subtracts from.
 	Scorecards []ledger.Scorecard `json:"scorecards,omitempty"`

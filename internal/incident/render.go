@@ -160,12 +160,6 @@ func Postmortem(inc Incident) string {
 					cc.Class, cc.Admitted, cc.Degraded, cc.Rejected)
 			}
 		}
-		if ev.Autoscale != nil {
-			for _, g := range ev.Autoscale.Groups {
-				fmt.Fprintf(&b, "- Autoscale group `%s`: replicas %d (desired %d), ups %d, downs %d\n",
-					g.Name, g.Replicas, g.Desired, g.Ups, g.Downs)
-			}
-		}
 		if len(ev.Sessions) > 0 {
 			fmt.Fprintf(&b, "\n### Flight-recorder excerpts\n\n")
 			for _, fx := range ev.Sessions {

@@ -468,7 +468,7 @@ const (
 
 	// PlanCacheHits/Misses count placement-cache consults by outcome;
 	// PlanCacheInvalidations counts entries dropped on domain mutations
-	// (device fail/rejoin, link change, lease expiry) and
+	// (device fail/rejoin, link change) and
 	// PlanCacheEvictions entries displaced by the LRU bound.
 	// PlanCacheEntries gauges the current cache population.
 	PlanCacheHits          = "plan_cache_hits_total"
@@ -561,9 +561,8 @@ const (
 	SaturationState = "saturation_state"
 )
 
-// Metric names recorded by the admission gate and the instance
-// autoscaler — the actuation tier that closes the loop over the capacity
-// observatory's signals.
+// Metric names recorded by the admission gate, which closes the loop
+// over the capacity observatory's signals.
 const (
 	// AdmissionsTotal counts gate decisions (labels: class, verdict ∈
 	// {admit, admit-degraded, reject}); AdmissionState gauges the
@@ -571,13 +570,6 @@ const (
 	// verdict, possibly escalated by SLO burn).
 	AdmissionsTotal = "admissions_total"
 	AdmissionState  = "admission_state"
-	// ScaleUps/ScaleDowns count autoscaler actions per instance group
-	// (label: group); AutoscaleReplicas and AutoscaleDesired gauge the
-	// actual and computed replica counts per group.
-	ScaleUps          = "autoscale_ups_total"
-	ScaleDowns        = "autoscale_downs_total"
-	AutoscaleReplicas = "autoscale_replicas"
-	AutoscaleDesired  = "autoscale_desired_replicas"
 )
 
 // Metric names published by the QoS outcome ledger (internal/ledger).

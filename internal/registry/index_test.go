@@ -6,7 +6,6 @@ import (
 	"reflect"
 	"sort"
 	"testing"
-	"time"
 
 	"ubiqos/internal/qos"
 	"ubiqos/internal/resource"
@@ -76,8 +75,8 @@ func linearCandidates(all []*Instance, spec Spec) []Candidate {
 
 // TestIndexMatchesLinearScan: after any sequence of Register (new names,
 // replacements that keep the type, replacements that change it),
-// Unregister, leased registration and lease expiry, the indexed Find, Best
-// and Candidates answer what a scan over All() answers.
+// Unregister), the indexed Find, Best and Candidates answer what a scan
+// over All() answers.
 func TestIndexMatchesLinearScan(t *testing.T) {
 	types := []string{"player", "recorder", "server", "gateway"}
 	platforms := []string{"pc", "pda", ""}
@@ -93,8 +92,7 @@ func TestIndexMatchesLinearScan(t *testing.T) {
 
 	for seed := int64(1); seed <= 20; seed++ {
 		rng := rand.New(rand.NewSource(seed))
-		clock := newFakeClock()
-		r := leased(clock)
+		r := New()
 		draw := func() *Instance {
 			in := &Instance{
 				Name:      fmt.Sprintf("i%02d", rng.Intn(16)),
@@ -111,18 +109,10 @@ func TestIndexMatchesLinearScan(t *testing.T) {
 			return in
 		}
 		for step := 0; step < 300; step++ {
-			switch op := rng.Intn(10); {
-			case op < 4:
+			if rng.Intn(10) < 6 {
 				r.MustRegister(draw())
-			case op < 6:
-				if err := r.RegisterWithTTL(draw(), time.Duration(1+rng.Intn(5))*time.Second); err != nil {
-					t.Fatal(err)
-				}
-			case op < 8:
+			} else {
 				r.Unregister(fmt.Sprintf("i%02d", rng.Intn(16)))
-			default:
-				clock.advance(time.Duration(rng.Intn(3)) * time.Second)
-				r.Sweep()
 			}
 
 			all := r.All()
@@ -138,14 +128,14 @@ func TestIndexMatchesLinearScan(t *testing.T) {
 			}
 			for _, spec := range specs {
 				want := linearFind(all, spec)
-				if got := r.Registry.Find(spec); !reflect.DeepEqual(got, want) {
+				if got := r.Find(spec); !reflect.DeepEqual(got, want) {
 					t.Fatalf("seed %d step %d: Find(%+v) = %v, linear scan %v", seed, step, spec, names(got), names(want))
 				}
 				var wantBest *Instance
 				if len(want) > 0 {
 					wantBest = want[0].Instance
 				}
-				if got := r.Registry.Best(spec); got != wantBest {
+				if got := r.Best(spec); got != wantBest {
 					t.Fatalf("seed %d step %d: Best(%+v) = %v, linear scan %v", seed, step, spec, got, wantBest)
 				}
 				if got, want := r.Candidates(spec), linearCandidates(all, spec); !reflect.DeepEqual(got, want) {

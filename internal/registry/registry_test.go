@@ -1,11 +1,22 @@
 package registry
 
 import (
+	"sort"
 	"testing"
 
 	"ubiqos/internal/qos"
 	"ubiqos/internal/resource"
 )
+
+func inst(name, typ string) *Instance { return &Instance{Name: name, Type: typ} }
+func specOf(typ string) Spec          { return Spec{Type: typ} }
+func names(ms []Match) (out []string) {
+	for _, m := range ms {
+		out = append(out, m.Instance.Name)
+	}
+	sort.Strings(out)
+	return
+}
 
 func mp3Player() *Instance {
 	return &Instance{

@@ -170,9 +170,9 @@ func TestAdmissionOpStatusAndPreview(t *testing.T) {
 }
 
 // TestAdmissionOpDisabled: a domain without a gate answers the admission
-// op with enabled=false, and scale errors cleanly without an autoscaler.
+// op with enabled=false.
 func TestAdmissionOpDisabled(t *testing.T) {
-	_, addr := startServer(t) // the stock audio space: no gate, no autoscaler
+	_, addr := startServer(t) // the stock audio space: no gate
 	c, err := Dial(addr)
 	if err != nil {
 		t.Fatal(err)
@@ -185,8 +185,5 @@ func TestAdmissionOpDisabled(t *testing.T) {
 	}
 	if resp.Admission == nil || resp.Admission.Enabled {
 		t.Fatalf("gateless domain reported admission enabled: %+v", resp.Admission)
-	}
-	if _, err := c.Call(Request{Op: OpScale}); err == nil {
-		t.Fatal("scale op without an autoscaler did not error")
 	}
 }

@@ -137,10 +137,10 @@ func (c *Client) Call(req Request) (Response, error) {
 
 // Verb runs one qosctl verb. The verb's op builds its request from flags,
 // the command line's flag values by name, on top of req, which carries
-// what flags cannot: an app graph, an instance, a replica count. Verb
-// calls the daemon and prints the reply to w: the op's JSON payload when
-// the json flag is set and the op has one, else its text view. The reply
-// is returned for the lines only the CLI prints.
+// what flags cannot: an app graph, an instance. Verb calls the daemon and
+// prints the reply to w: the op's JSON payload when the json flag is set
+// and the op has one, else its text view. The reply is returned for the
+// lines only the CLI prints.
 func (c *Client) Verb(w io.Writer, verb string, flags map[string]string, req Request) (Response, error) {
 	o := opsByVerb[verb]
 	if o == nil {

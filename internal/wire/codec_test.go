@@ -423,11 +423,9 @@ func hotStarts(rng *rand.Rand) map[string]Request {
 }
 
 // opRequests is one request per op as qosctl sends it: every arg the op
-// reads filled in, a replica count for scale, an instance for register,
-// an app for start and check, and the trace context Call originates on a
-// start.
+// reads filled in, an instance for register, an app for start and
+// check, and the trace context Call originates on a start.
 func opRequests() map[string]Request {
-	replicas := 3
 	out := make(map[string]Request, len(ops))
 	for i := range ops {
 		o := &ops[i]
@@ -452,8 +450,6 @@ func opRequests() map[string]Request {
 			}})
 			app.MustAddEdge("src", "dst", math.Nextafter(1.5, 2))
 			req.App = app
-		case OpScale:
-			req.Replicas = &replicas
 		case OpRegister:
 			req.Instance = &registry.Instance{Name: "eq-1", Type: "equalizer", Attrs: map[string]string{"platform": "pc"},
 				Input: qos.V(qos.P(qos.DimFormat, qos.Symbol("WAV"))), Resources: resource.MB(4, 2), SizeMB: 1.5}
@@ -630,7 +626,7 @@ var repeatedKeys = map[string]string{
 	"spec":      `{"op":"check","app":{"nodes":[{"id":"a","spec":{"type":"t","output":[{"name":"f","value":{"kind":1,"sym":"s"}}]},"spec":{"type":"u"}}]}}`,
 	"value":     `{"op":"start","userQoS":[{"name":"a","value":{"kind":4,"syms":["x"]},"value":{"kind":3,"lo":1,"hi":2}}]}`,
 	"op":        `{"op":"stop","sessionId":"s","op":"session"}`,
-	"replicas":  `{"op":"scale","group":"g","replicas":1,"replicas":2}`,
+	"maxFrames": `{"op":"start","maxFrames":1,"maxFrames":2}`,
 	"syms":      `{"op":"start","userQoS":[{"name":"a","value":{"kind":4,"syms":["x","y"],"syms":["z"]}}]}`,
 	"installed": `{"op":"unregister-service","name":"n","installedOn":["a","b"],"installedOn":["c"]}`,
 }

@@ -99,8 +99,6 @@ var ops = []op{
 	{name: OpAdmission, handle: (*Server).admissionInfo, verb: "admit", args: []string{"class"},
 		route: "/admission", text: admissionText,
 		json: func(_ Request, r Response) any { return r.Admission }},
-	{name: OpScale, handle: (*Server).scaleInfo, verb: "scale", args: []string{"group"}, text: scaleText,
-		json: func(_ Request, r Response) any { return r.Autoscale }},
 	{name: OpLedger, handle: (*Server).ledgerInfo, verb: "ledger", args: []string{"session"},
 		route: "/ledger", key: "session", text: ledgerText,
 		json: func(q Request, r Response) any { return pick(q.SessionID, r.LedgerSessions, r.Ledger) }},
@@ -126,7 +124,6 @@ var setArg = map[string]func(*Request, string){
 	"metric":  func(r *Request, v string) { r.Metric = v },
 	"window":  func(r *Request, v string) { r.Window = v },
 	"id":      func(r *Request, v string) { r.Incident = v },
-	"group":   func(r *Request, v string) { r.Group = v },
 }
 
 // unknownOp answers any op name outside the table. Its metrics land on
@@ -308,25 +305,6 @@ func (s *Server) admissionInfo(req Request) (Response, error) {
 		info.Status = &st
 	}
 	return Response{Admission: info}, nil
-}
-
-// scaleInfo answers the scale op: status, or a manual replica override
-// when a group and count are given.
-func (s *Server) scaleInfo(req Request) (Response, error) {
-	a := s.dom.Autoscaler
-	if a == nil {
-		return Response{}, errors.New("wire: autoscaler not enabled on this domain")
-	}
-	if req.Group != "" {
-		if req.Replicas == nil {
-			return Response{}, errors.New("wire: scale with a group requires a replica count")
-		}
-		if err := a.SetReplicas(req.Group, *req.Replicas); err != nil {
-			return Response{}, err
-		}
-	}
-	st := a.Status()
-	return Response{Autoscale: &st}, nil
 }
 
 // registerService announces a new service instance in the domain's

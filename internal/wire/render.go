@@ -202,13 +202,6 @@ func retryOrDefault(d time.Duration) string {
 	return d.String()
 }
 
-func scaleText(req Request, r Response) string {
-	if req.Group == "" {
-		return r.Autoscale.Render()
-	}
-	return fmt.Sprintf("group %s pinned to %d replica(s)\n", req.Group, *req.Replicas) + r.Autoscale.Render()
-}
-
 func ledgerText(req Request, r Response) string {
 	if req.SessionID != "" {
 		return r.Ledger.Render()

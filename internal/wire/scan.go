@@ -34,11 +34,6 @@ var (
 		{"metric", func(s *scanner, r *wireRequest) { r.Metric = s.str() }},
 		{"window", func(s *scanner, r *wireRequest) { r.Window = s.str() }},
 		{"incident", func(s *scanner, r *wireRequest) { r.Incident = s.str() }},
-		{"group", func(s *scanner, r *wireRequest) { r.Group = s.str() }},
-		{"replicas", func(s *scanner, r *wireRequest) {
-			n := int(s.int(strconv.IntSize))
-			r.Replicas = &n
-		}},
 		{"traceId", func(s *scanner, r *wireRequest) { r.TraceID = s.str() }},
 		{"spanId", func(s *scanner, r *wireRequest) { r.SpanID = s.str() }},
 	}

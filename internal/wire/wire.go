@@ -8,7 +8,6 @@ import (
 	"encoding/json"
 
 	"ubiqos/internal/admission"
-	"ubiqos/internal/autoscale"
 	"ubiqos/internal/buildinfo"
 	"ubiqos/internal/capacity"
 	"ubiqos/internal/composer"
@@ -48,7 +47,6 @@ const (
 	OpTimeseries   = "timeseries"
 	OpSaturation   = "saturation"
 	OpAdmission    = "admission"
-	OpScale        = "scale"
 	OpLedger       = "ledger"
 	OpScorecard    = "scorecard"
 	OpIncidents    = "incidents"
@@ -90,10 +88,6 @@ type Request struct {
 	// Incident addresses one incident by ID, e.g. "INC-3" (incidents /
 	// postmortem ops; empty incidents op lists all).
 	Incident string `json:"incident,omitempty"`
-	// Group addresses an autoscaling group (scale op); Replicas, when set,
-	// pins the group's replica count (nil just reads status).
-	Group    string `json:"group,omitempty"`
-	Replicas *int   `json:"replicas,omitempty"`
 	// TraceID carries the client-originated trace context so the server's
 	// spans join the caller's trace (start, the one op whose handler reads
 	// it). The client fills it in on a start when empty.
@@ -264,8 +258,6 @@ type Response struct {
 	// Admission is the gate's answer (admission op), and rides along on a
 	// rejected start so the client sees the verdict and retry-after hint.
 	Admission *AdmissionInfo `json:"admission,omitempty"`
-	// Autoscale is the autoscaler's status snapshot (scale op).
-	Autoscale *autoscale.Status `json:"autoscale,omitempty"`
 	// Ledger is one session's delivered-vs-requested outcome report
 	// (ledger op with a session named).
 	Ledger *ledger.SessionReport `json:"ledger,omitempty"`
