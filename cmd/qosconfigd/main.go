@@ -57,12 +57,10 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"sort"
 	"strings"
 	"syscall"
 
 	"ubiqos/internal/core"
-	"ubiqos/internal/device"
 	"ubiqos/internal/domain"
 	"ubiqos/internal/experiments"
 	"ubiqos/internal/faultinject"
@@ -193,29 +191,8 @@ func startChaos(dom *domain.Domain, spec string, stop <-chan struct{}) error {
 		params.Crashes, params.Degrades = 2, 1
 	}
 	// PDA-class devices are exempt from crashes and stalls: they are the
-	// portals users hold, and portal loss is unrecoverable by design (the
-	// supervisor gives up immediately rather than exercising recovery).
-	params.Protected = map[device.ID]bool{}
-	for _, d := range dom.Devices.All() {
-		params.Devices = append(params.Devices, d.ID)
-		if d.Class == device.ClassPDA {
-			params.Protected[d.ID] = true
-		}
-	}
-	for pair := range dom.Links.Snapshot() {
-		params.Links = append(params.Links, [2]device.ID{pair[0], pair[1]})
-	}
-	// Snapshot iterates a map; sort so the same seed always yields the
-	// same schedule.
-	sort.Slice(params.Links, func(i, j int) bool {
-		if params.Links[i][0] != params.Links[j][0] {
-			return params.Links[i][0] < params.Links[j][0]
-		}
-		return params.Links[i][1] < params.Links[j][1]
-	})
-	for _, inst := range dom.Registry.All() {
-		params.Services = append(params.Services, inst.Name)
-	}
+	// portals users hold (see faultinject.Params.SetTargets).
+	params.SetTargets(dom)
 	sched, err := faultinject.Generate(params)
 	if err != nil {
 		return err
@@ -226,7 +203,7 @@ func startChaos(dom *domain.Domain, spec string, stop <-chan struct{}) error {
 	}
 	log.Printf("chaos: injecting %d faults over %v (seed %d)", len(sched.Faults), params.Duration, params.Seed)
 	go func() {
-		if err := inj.Run(dom.Net.Scale(), stop); err != nil {
+		if err := inj.Run(dom.Net.Scale(), 0, stop); err != nil {
 			log.Printf("chaos: %v", err)
 		}
 	}()

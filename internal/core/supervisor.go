@@ -2,12 +2,12 @@ package core
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/fnv"
 	"runtime"
 	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"ubiqos/internal/composer"
@@ -16,8 +16,13 @@ import (
 	"ubiqos/internal/eventbus"
 	"ubiqos/internal/explain"
 	"ubiqos/internal/graph"
+	"ubiqos/internal/par"
 	"ubiqos/internal/trace"
 )
+
+// errSupervisorStopped ends a recovery pass once Stop is called: the pool
+// then starts no new task.
+var errSupervisorStopped = errors.New("core: supervisor stopped")
 
 // SupervisorOptions tunes the recovery supervisor.
 type SupervisorOptions struct {
@@ -404,35 +409,16 @@ func (s *Supervisor) process() {
 		}
 		return due[i].sessionID < due[j].sessionID
 	})
-	var next atomic.Int64
-	work := func() {
-		for {
-			select {
-			case <-s.stopped:
-				return
-			default:
-			}
-			i := int(next.Add(1)) - 1
-			if i >= len(due) {
-				return
-			}
-			s.attempt(due[i])
+	// The one error is errSupervisorStopped, and Stop needs nothing more.
+	_ = par.ForEach(len(due), runtime.GOMAXPROCS(0), func(i int) error {
+		select {
+		case <-s.stopped:
+			return errSupervisorStopped
+		default:
 		}
-	}
-	w := min(len(due), runtime.GOMAXPROCS(0))
-	if w <= 1 {
-		work()
-		return
-	}
-	var wg sync.WaitGroup
-	wg.Add(w)
-	for range w {
-		go func() {
-			defer wg.Done()
-			work()
-		}()
-	}
-	wg.Wait()
+		s.attempt(due[i])
+		return nil
+	})
 }
 
 // attempt runs one recovery for the task, deciding between full-quality

@@ -104,6 +104,35 @@ type Params struct {
 	StallFactor   float64
 }
 
+// SetTargets fills the candidate lists from a live domain: every device,
+// with the PDA-class ones protected (they are the portals users hold,
+// and portal loss is unrecoverable by design: the supervisor gives up at
+// once rather than exercising recovery), every link, and every
+// registered service instance. Each list is sorted, so the same seed
+// always yields the same schedule on the same space.
+func (p *Params) SetTargets(dom *domain.Domain) {
+	p.Devices, p.Links, p.Services = nil, nil, nil
+	p.Protected = map[device.ID]bool{}
+	for _, d := range dom.Devices.All() {
+		p.Devices = append(p.Devices, d.ID)
+		if d.Class == device.ClassPDA {
+			p.Protected[d.ID] = true
+		}
+	}
+	for pair := range dom.Links.Snapshot() {
+		p.Links = append(p.Links, pair)
+	}
+	sort.Slice(p.Links, func(i, j int) bool {
+		if p.Links[i][0] != p.Links[j][0] {
+			return p.Links[i][0] < p.Links[j][0]
+		}
+		return p.Links[i][1] < p.Links[j][1]
+	})
+	for _, inst := range dom.Registry.All() {
+		p.Services = append(p.Services, inst.Name)
+	}
+}
+
 // Generate derives a schedule from the parameters. The same parameters
 // always yield the same schedule.
 func Generate(p Params) (Schedule, error) {
@@ -186,6 +215,8 @@ type Injector struct {
 	dom   *domain.Domain
 	sched Schedule
 	next  int
+	// start is the wall-clock instant of offset zero, set by the first Run.
+	start time.Time
 
 	prevLinks map[[2]device.ID]netsim.Link
 	prevCaps  map[device.ID]resource.Vector
@@ -361,26 +392,30 @@ func (in *Injector) Step() (Fault, bool, error) {
 	return f, true, in.Apply(f)
 }
 
-// Run injects the whole schedule, sleeping the scaled-down inter-fault
-// gaps (scale is the domain's emulation time scale). A closed stop
-// channel aborts between faults. Injection errors end the run.
-func (in *Injector) Run(scale float64, stop <-chan struct{}) error {
+// Run injects the schedule's remaining faults that fall before the
+// offset until (zero: the whole schedule), each at its offset scaled by
+// scale (the domain's emulation time scale) from the first Run's start,
+// so a later Run resumes on the same clock; an overdue fault is injected
+// at once. A closed stop channel aborts between faults. Injection errors
+// end the run.
+func (in *Injector) Run(scale float64, until time.Duration, stop <-chan struct{}) error {
 	if scale <= 0 {
 		return fmt.Errorf("faultinject: non-positive scale")
 	}
-	elapsed := time.Duration(0)
+	if in.start.IsZero() {
+		in.start = time.Now()
+	}
 	for {
-		if in.next >= len(in.sched.Faults) {
+		if in.next >= len(in.sched.Faults) || (until > 0 && in.sched.Faults[in.next].At >= until) {
 			return nil
 		}
-		gap := in.sched.Faults[in.next].At - elapsed
-		if gap > 0 {
+		due := in.start.Add(time.Duration(float64(in.sched.Faults[in.next].At) * scale))
+		if wait := time.Until(due); wait > 0 {
 			select {
-			case <-time.After(time.Duration(float64(gap) * scale)):
+			case <-time.After(wait):
 			case <-stop:
 				return nil
 			}
-			elapsed += gap
 		}
 		if _, _, err := in.Step(); err != nil {
 			return err
@@ -398,8 +433,7 @@ func linkKey(a, b device.ID) [2]device.ID {
 // ParseSpec parses the -chaos flag syntax: comma-separated key=value
 // pairs, e.g. "seed=7,crashes=2,degrades=1,flaps=1,stalls=1,window=30s,
 // recover=10s". Unknown keys fail; counts and targets not present default
-// to zero/empty (the caller fills Devices/Links/Services from the live
-// domain).
+// to zero/empty (SetTargets fills them from the live domain).
 func ParseSpec(spec string) (Params, error) {
 	p := Params{Duration: 30 * time.Second, RecoverAfter: 10 * time.Second}
 	if strings.TrimSpace(spec) == "" {

@@ -2,6 +2,7 @@ package faultinject
 
 import (
 	"reflect"
+	"slices"
 	"testing"
 	"time"
 
@@ -265,7 +266,14 @@ func TestInjectorRunWalksSchedule(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := in.Run(0.01, nil); err != nil {
+	// A bounded run stops before the first fault at or past the bound.
+	if err := in.Run(0.01, 30*time.Millisecond, nil); err != nil {
+		t.Fatal(err)
+	}
+	if got := d.Metrics.Counter(metrics.FaultsInjected).Value(); got != 2 {
+		t.Errorf("injected before the bound = %d, want 2", got)
+	}
+	if err := in.Run(0.01, 0, nil); err != nil {
 		t.Fatal(err)
 	}
 	if !d.Devices.Get("d1").Up() {
@@ -291,10 +299,81 @@ func TestInjectorRunStops(t *testing.T) {
 	}
 	stop := make(chan struct{})
 	close(stop)
-	if err := in.Run(1, stop); err != nil {
+	if err := in.Run(1, 0, stop); err != nil {
 		t.Fatal(err)
 	}
 	if !d.Devices.Get("d1").Up() {
 		t.Error("fault applied despite stop")
+	}
+}
+
+// targetDomain is three desktops and a PDA, linked in map order so the
+// link table holds no order of its own, with two registered services.
+func targetDomain(t *testing.T) *domain.Domain {
+	t.Helper()
+	d := domain.MustNew("targets", domain.Options{Scale: 0.001})
+	t.Cleanup(d.Close)
+	for _, id := range []device.ID{"d1", "d2", "d3"} {
+		if _, err := d.AddDevice(id, device.ClassDesktop, resource.MB(256, 100), nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := d.AddDevice("pda1", device.ClassPDA, resource.MB(64, 100), nil); err != nil {
+		t.Fatal(err)
+	}
+	links := map[[2]device.ID]netsim.Link{
+		{"d1", "d2"}: netsim.Ethernet, {"d1", "d3"}: netsim.Ethernet, {"d2", "d3"}: netsim.Ethernet,
+		{"d1", "pda1"}: netsim.WLAN, {"d2", "pda1"}: netsim.WLAN, {"d3", "pda1"}: netsim.WLAN,
+	}
+	for pair, link := range links {
+		if err := d.Connect(pair[0], pair[1], link); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, name := range []string{"svc-b", "svc-a"} {
+		d.Registry.MustRegister(&registry.Instance{Name: name, Type: "audio-server", Resources: resource.MB(64, 50)})
+	}
+	return d
+}
+
+func TestSetTargets(t *testing.T) {
+	var first Schedule
+	// The link table iterates in map order; assemble several times so an
+	// unsorted list would show.
+	for i := 0; i < 10; i++ {
+		d := targetDomain(t)
+		p := Params{Seed: 42, Duration: 30 * time.Second, Crashes: 1, Degrades: 3, Flaps: 1, Stalls: 1, RecoverAfter: 10 * time.Second}
+		p.SetTargets(d)
+
+		if want := []device.ID{"d1", "d2", "d3", "pda1"}; !reflect.DeepEqual(p.Devices, want) {
+			t.Errorf("devices = %v, want %v", p.Devices, want)
+		}
+		if want := map[device.ID]bool{"pda1": true}; !reflect.DeepEqual(p.Protected, want) {
+			t.Errorf("protected = %v, want only the PDA", p.Protected)
+		}
+		if len(p.Links) != 6 {
+			t.Errorf("links = %v, want 6", p.Links)
+		}
+		for j := 1; j < len(p.Links); j++ {
+			a, b := p.Links[j-1], p.Links[j]
+			if a[0] > b[0] || (a[0] == b[0] && a[1] >= b[1]) {
+				t.Fatalf("links not sorted: %v", p.Links)
+			}
+		}
+		for _, inst := range d.Registry.All() {
+			if !slices.Contains(p.Services, inst.Name) {
+				t.Errorf("services = %v, missing %s", p.Services, inst.Name)
+			}
+		}
+
+		sched, err := Generate(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if i == 0 {
+			first = sched
+		} else if !reflect.DeepEqual(sched, first) {
+			t.Fatalf("assembly %d gave a different schedule:\n%+v\n%+v", i, sched, first)
+		}
 	}
 }

@@ -14,7 +14,6 @@ package obslog
 import (
 	"fmt"
 	"io"
-	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -325,14 +324,3 @@ type FuncSink func(Record)
 
 // Write implements Sink.
 func (f FuncSink) Write(rec Record) { f(rec) }
-
-// SortRecords orders records by time, breaking ties by message, for
-// deterministic test assertions over multi-goroutine logs.
-func SortRecords(recs []Record) {
-	sort.SliceStable(recs, func(i, j int) bool {
-		if !recs[i].Time.Equal(recs[j].Time) {
-			return recs[i].Time.Before(recs[j].Time)
-		}
-		return recs[i].Msg < recs[j].Msg
-	})
-}

@@ -1,6 +1,7 @@
 // Package par provides the deterministic bounded worker pool shared by
-// the parallel experiment harnesses. The contract callers rely on: fn(i) runs exactly once per index
-// for error-free runs, indices are claimed in increasing order, and the
+// the parallel experiment harnesses and the recovery supervisor. The
+// contract callers rely on: fn(i) runs exactly once per index for
+// error-free runs, indices are claimed in increasing order, and the
 // error returned is the one produced by the lowest failing index —
 // independent of the worker count — so parallel runs report the same
 // failure a serial loop would.

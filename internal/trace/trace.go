@@ -102,16 +102,6 @@ func (s *Span) Set(attrs ...Attr) {
 	s.tr.mu.Unlock()
 }
 
-// TraceContext returns the propagation context of the span's owning
-// trace (zero for a nil span), so instrumentation downstream of a span
-// can stamp records with the trace ID.
-func (s *Span) TraceContext() Context {
-	if s == nil {
-		return Context{}
-	}
-	return s.tr.Context()
-}
-
 // SetErr records err as the span's "error" attribute (no-op on nil err).
 func (s *Span) SetErr(err error) {
 	if s == nil || err == nil {
