@@ -1,10 +1,10 @@
 // Saturation analysis: classify each device and the space as a whole into
-// ok / approaching / saturated from smoothed headroom, admission-queue
-// depth, and SLO burn state. The classifier is hysteretic — entering a
-// worse state and leaving it use different thresholds — so an oscillating
-// load trace near a boundary settles into one verdict instead of flapping
-// on every sample. The analyzer only observes; the actuation (admission
-// throttling) belongs to a later tier that reads Report.
+// ok / approaching / saturated from smoothed headroom and admission-queue
+// depth. The classifier is hysteretic — entering a worse state and leaving
+// it use different thresholds — so an oscillating load trace near a
+// boundary settles into one verdict instead of flapping on every sample.
+// The analyzer only observes; the actuation (admission throttling)
+// belongs to a later tier that reads Report.
 package capacity
 
 import (
@@ -104,9 +104,10 @@ type ClassStatus struct {
 }
 
 // Input is one observation handed to the analyzer: the raw device
-// utilizations plus the queue/SLO context that can escalate the space
-// verdict. Smoothed and State fields on the devices are ignored on input;
-// the analyzer fills them in.
+// utilizations plus the queue depth that can escalate the space verdict.
+// SLOViolations is carried into the report for display only: SLO burn
+// enters admission through the gate, once. Smoothed and State fields on
+// the devices are ignored on input; the analyzer fills them in.
 type Input struct {
 	Now           time.Time
 	Devices       []DeviceStatus
@@ -238,7 +239,7 @@ func (a *Analyzer) Observe(in Input) Report {
 	sort.Slice(rep.Classes, func(i, j int) bool { return rep.Classes[i].Class < rep.Classes[j].Class })
 
 	// Space verdict: hysteresis over the worst up-device headroom, then
-	// stateless escalation from queue depth and SLO burn. Escalation is
+	// stateless escalation from queue depth. Escalation is
 	// applied after the hysteresis so a drained queue de-escalates
 	// immediately — the queue signal is already discrete.
 	if anyUp {
@@ -250,7 +251,7 @@ func (a *Analyzer) Observe(in Input) Report {
 	}
 	if in.QueueDepth >= a.th.QueueSaturate {
 		rep.Space = StateSaturated
-	} else if (in.QueueDepth >= a.th.QueueApproach || in.SLOViolations > 0) && rep.Space < StateApproaching {
+	} else if in.QueueDepth >= a.th.QueueApproach && rep.Space < StateApproaching {
 		rep.Space = StateApproaching
 	}
 	rep.SpaceStr = rep.Space.String()

@@ -5,8 +5,10 @@ import (
 	"testing"
 	"time"
 
+	"ubiqos/internal/admission"
 	"ubiqos/internal/capacity"
 	"ubiqos/internal/core"
+	"ubiqos/internal/incident"
 	"ubiqos/internal/metrics"
 )
 
@@ -91,5 +93,43 @@ func TestSaturationReportTracksSessions(t *testing.T) {
 	d.sampleCapacity(time.Now())
 	if !strings.Contains(d.Metrics.Exposition(), `sessions_by_class{class="audio-player"} 0`) {
 		t.Error("sessions_by_class gauge did not drop to 0 after stop")
+	}
+}
+
+// TestSLOBurnEscalatesAdmissionOnce: with ample headroom, no session
+// placed and the configure-p95 SLO violated, the analyzer's verdict stays
+// ok and the gate raises its state one level, not two: voice is admitted,
+// background degraded. The burn opens an slo-burn incident and no
+// saturation one.
+func TestSLOBurnEscalatesAdmissionOnce(t *testing.T) {
+	d := newSpace(t)
+	g := d.EnableAdmissionGate(nil)
+	for i := 0; i < 20; i++ {
+		d.Metrics.Histogram(metrics.ConfigureTime).Observe(2 * time.Second) // 4× the 500 ms target
+	}
+	for i := 0; i < 5; i++ {
+		d.sampleCapacity(time.Now())
+	}
+	if rep := d.SaturationReport(); rep.Space != capacity.StateOK || rep.SLOViolations == 0 {
+		t.Errorf("verdict %v with %d SLO violations at headroom %.2f, want ok with violations",
+			rep.Space, rep.SLOViolations, rep.SpaceHeadroom)
+	}
+	for class, want := range map[string]admission.Verdict{"voice": admission.Admit, "background": admission.AdmitDegraded} {
+		dec := g.Preview(class)
+		if dec.Verdict != want || !dec.Escalated || dec.State != capacity.StateApproaching {
+			t.Errorf("%s: %+v, want %s at approaching, escalated once", class, dec, want)
+		}
+	}
+	burn := false
+	for _, inc := range d.Incidents.List() {
+		switch inc.Rule {
+		case incident.RuleSaturation:
+			t.Errorf("saturation incident %s opened on SLO burn alone: %s", inc.ID, inc.Title)
+		case incident.RuleSLOBurn:
+			burn = true
+		}
+	}
+	if !burn {
+		t.Error("no slo-burn incident opened on a violated configure SLO")
 	}
 }

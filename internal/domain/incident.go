@@ -72,34 +72,16 @@ func (d *Domain) observeIncidents(now time.Time, rep capacity.Report, worstBurn 
 	if d.Incidents == nil {
 		return
 	}
-	obs := incident.Observation{
-		Now:               now,
-		WorstBurn:         worstBurn,
-		SLOViolations:     violations,
-		SpaceState:        rep.Space,
-		SpaceHeadroom:     rep.SpaceHeadroom,
-		DevicesDown:       devicesDown,
-		FaultsTotal:       d.Metrics.Counter(metrics.FaultsInjected).Value(),
-		Recovered:         d.Metrics.Counter(metrics.SessionsRecovered).Value(),
-		Restored:          d.Metrics.Counter(metrics.SessionsRestored).Value(),
-		ActiveSessions:    d.Configurator.Sessions(),
-		WorstAvailability: 1,
-	}
-	if g := d.admissionGate(); g != nil {
-		st := g.Status()
-		for _, cc := range st.Classes {
-			obs.AdmissionRejects += cc.Rejected
-			obs.AdmissionDegrades += cc.Degraded
-		}
-	}
-	for _, sc := range d.Flight.Scorecards(0) {
-		if sc.Sessions == 0 {
-			continue
-		}
-		if sc.Availability < obs.WorstAvailability {
-			obs.WorstAvailability = sc.Availability
-			obs.WorstAvailClass = sc.Class
-		}
-	}
-	d.Incidents.Observe(obs)
+	d.Incidents.Observe(incident.Observation{
+		Now:            now,
+		WorstBurn:      worstBurn,
+		SLOViolations:  violations,
+		SpaceState:     rep.Space,
+		SpaceHeadroom:  rep.SpaceHeadroom,
+		DevicesDown:    devicesDown,
+		FaultsTotal:    d.Metrics.Counter(metrics.FaultsInjected).Value(),
+		Recovered:      d.Metrics.Counter(metrics.SessionsRecovered).Value(),
+		Restored:       d.Metrics.Counter(metrics.SessionsRestored).Value(),
+		ActiveSessions: d.Configurator.Sessions(),
+	})
 }

@@ -89,7 +89,11 @@ func DefaultChaosDrillConfig() ChaosDrillConfig {
 // the undos have cleared the storm.
 type ChaosDrillResult struct {
 	// Schedule is the injected fault schedule: the run's labels.
-	Schedule faultinject.Schedule
+	// FirstFaultAt and LastUndoAt are the wall-clock instants of its
+	// first fault and last undo, the window incidents are scored against.
+	Schedule     faultinject.Schedule
+	FirstFaultAt time.Time
+	LastUndoAt   time.Time
 	// Classes lists the traffic classes driven (one scorecard each).
 	Classes []string
 	// Sessions is the total session count started across classes;
@@ -326,7 +330,7 @@ func RunChaosDrill(cfg ChaosDrillConfig) (*ChaosDrillResult, error) {
 	// wall-clock instant.
 	scale := dom.Net.Scale()
 	t0 := time.Now()
-	firstFaultAt := t0.Add(time.Duration(float64(sched.Faults[0].At) * scale))
+	res.FirstFaultAt = t0.Add(time.Duration(float64(sched.Faults[0].At) * scale))
 	detected := make(chan time.Time, 1)
 	stopPoll, pollDone := make(chan struct{}), make(chan struct{})
 	go func() {
@@ -368,10 +372,11 @@ func RunChaosDrill(cfg ChaosDrillConfig) (*ChaosDrillResult, error) {
 	if err := inj.Run(scale, 0, nil); err != nil {
 		return nil, fmt.Errorf("experiments: inject: %w", err)
 	}
+	res.LastUndoAt = time.Now()
 	if !sup.AwaitIdle(30 * time.Second) {
 		return nil, fmt.Errorf("experiments: supervisor did not settle")
 	}
-	if err := takeIncidentView(res, dom, detected, firstFaultAt, cfg); err != nil {
+	if err := takeIncidentView(res, dom, detected, cfg); err != nil {
 		return nil, err
 	}
 	return res, nil
@@ -408,10 +413,10 @@ func takeFaultView(res *ChaosDrillResult, dom *domain.Domain, sup *core.Supervis
 
 // takeIncidentView records the incident view: the detection latency,
 // one resolved showcase incident in full, and the incident log.
-func takeIncidentView(res *ChaosDrillResult, dom *domain.Domain, detected <-chan time.Time, firstFaultAt time.Time, cfg ChaosDrillConfig) error {
+func takeIncidentView(res *ChaosDrillResult, dom *domain.Domain, detected <-chan time.Time, cfg ChaosDrillConfig) error {
 	select {
 	case at := <-detected:
-		res.DetectionMs = float64(at.Sub(firstFaultAt)) / float64(time.Millisecond)
+		res.DetectionMs = float64(at.Sub(res.FirstFaultAt)) / float64(time.Millisecond)
 		if res.DetectionMs < 0 {
 			res.DetectionMs = 0
 		}
@@ -420,9 +425,9 @@ func takeIncidentView(res *ChaosDrillResult, dom *domain.Domain, detected <-chan
 	}
 
 	// The storm has cleared (every fault carries a paired undo); keep
-	// sampling until one incident resolves. Rules with cumulative
-	// signals (availability-drop) may stay open — the showcase only
-	// needs one clean resolution.
+	// sampling until one incident resolves. The log is read at that
+	// instant, so an incident that cannot clear by then shows in it as
+	// open (the score sub-test fails on one).
 	deadline := time.Now().Add(cfg.ResolveTimeout)
 	for res.Showcase == nil {
 		if time.Now().After(deadline) {

@@ -108,6 +108,30 @@ func TestRunChaosDrillAcceptance(t *testing.T) {
 			}
 		}
 	})
+
+	// Every incident is true against the labelled window [first fault,
+	// last undo]: it overlaps the window and has resolved, and
+	// fault-storm detects the window within 2 s of the first fault.
+	t.Run("score", func(t *testing.T) {
+		detected := false
+		for _, inc := range res.Incidents {
+			if inc.State != incident.StateResolved {
+				t.Errorf("%s %s is %s, want resolved (opened %s after the first fault)",
+					inc.ID, inc.Rule, inc.State, inc.OpenedAt.Sub(res.FirstFaultAt))
+				continue
+			}
+			if inc.OpenedAt.After(res.LastUndoAt) || inc.ResolvedAt.Before(res.FirstFaultAt) {
+				t.Errorf("%s %s [%s, %s] after the first fault misses the window [0, %s]", inc.ID, inc.Rule,
+					inc.OpenedAt.Sub(res.FirstFaultAt), inc.ResolvedAt.Sub(res.FirstFaultAt), res.LastUndoAt.Sub(res.FirstFaultAt))
+			}
+			if d := inc.OpenedAt.Sub(res.FirstFaultAt); inc.Rule == incident.RuleFaultStorm && d >= 0 && d <= 2*time.Second {
+				detected = true
+			}
+		}
+		if !detected {
+			t.Errorf("no fault-storm incident opened within 2 s of the first fault: %+v", res.Incidents)
+		}
+	})
 }
 
 // TestChaosScheduleDeterministic checks that the drill's schedule is pure

@@ -310,13 +310,6 @@ func FormatFig5(r *Fig5Result) string {
 	return out
 }
 
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
 // Fig5SeedSummary aggregates one policy's overall success rate across
 // several independently seeded runs.
 type Fig5SeedSummary struct {

@@ -23,6 +23,7 @@ import (
 	"ubiqos/internal/core"
 	"ubiqos/internal/device"
 	"ubiqos/internal/domain"
+	"ubiqos/internal/incident"
 	"ubiqos/internal/netsim"
 	"ubiqos/internal/registry"
 	"ubiqos/internal/repository"
@@ -235,6 +236,13 @@ type FlashCrowdResult struct {
 	// lost to capacity and the configure SLO unburned. Always false for
 	// the baseline (the criterion does not apply to it).
 	MeetsCriterion bool
+	// SpikeStart and SpikeEnd are the wall-clock instants of the first
+	// and the last crowd arrival: the labels incidents are scored
+	// against. Incidents is the incident log once the holds have
+	// drained, newest first, evidence stripped.
+	SpikeStart time.Time
+	SpikeEnd   time.Time
+	Incidents  []incident.Incident
 }
 
 // RunFlashCrowd builds the crowd space, replays the warmup + spike
@@ -308,7 +316,9 @@ func RunFlashCrowd(cfg FlashCrowdConfig) (*FlashCrowdResult, error) {
 		voiceEvery = 1
 	}
 	voiceSeq := cfg.Steady
+	res := &FlashCrowdResult{SpikeStart: time.Now()}
 	for i := 0; i < cfg.Crowd; i++ {
+		res.SpikeEnd = time.Now()
 		holds.Add(1)
 		go launch("background", i, crowdApp, cfg.CrowdHold)
 		if i%voiceEvery == voiceEvery-1 {
@@ -320,7 +330,10 @@ func RunFlashCrowd(cfg FlashCrowdConfig) (*FlashCrowdResult, error) {
 	}
 	holds.Wait()
 
-	res := &FlashCrowdResult{}
+	for _, inc := range dom.Incidents.List() {
+		inc.Evidence = nil
+		res.Incidents = append(res.Incidents, inc)
+	}
 	degraded := map[string]int{}
 	if dom.Admission != nil {
 		for _, c := range dom.Admission.Status().Classes {

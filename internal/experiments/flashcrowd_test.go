@@ -7,6 +7,7 @@ import (
 
 	"ubiqos/internal/composer"
 	"ubiqos/internal/core"
+	"ubiqos/internal/incident"
 )
 
 // quickFlashCrowdConfig shrinks the drill for the test suite: same 5×
@@ -54,6 +55,7 @@ func TestFlashCrowdClosedLoop(t *testing.T) {
 	if want := 30 + 5 + 5; offered != want {
 		t.Errorf("offered = %d, want %d", offered, want)
 	}
+	t.Run("score", func(t *testing.T) { scoreFlashCrowd(t, res, quickFlashCrowdConfig().CrowdHold) })
 
 	t.Run("open", func(t *testing.T) {
 		cfg := quickFlashCrowdConfig()
@@ -69,7 +71,42 @@ func TestFlashCrowdClosedLoop(t *testing.T) {
 		if res.ConfigureBurn <= 1 {
 			t.Errorf("open loop left the configure SLO unburned (%.2f); first-use downloads are not being paid", res.ConfigureBurn)
 		}
+		t.Run("score", func(t *testing.T) { scoreFlashCrowd(t, res, cfg.CrowdHold) })
 	})
+}
+
+// scoreFlashCrowd holds a run's incidents to its labels. The overload
+// window is [first crowd arrival, last crowd arrival + hold]: saturation
+// opens inside it, never before, and resolves. The SLO window is the
+// whole run when the configure SLO burned (the open loop) and empty
+// otherwise: slo-burn opens exactly when it burned. No other rule opens.
+func scoreFlashCrowd(t *testing.T, res *FlashCrowdResult, hold time.Duration) {
+	overloadEnd := res.SpikeEnd.Add(hold)
+	saturation, burn := 0, 0
+	for _, inc := range res.Incidents {
+		at := inc.OpenedAt.Sub(res.SpikeStart)
+		switch inc.Rule {
+		case incident.RuleSaturation:
+			saturation++
+			if inc.OpenedAt.Before(res.SpikeStart) || inc.OpenedAt.After(overloadEnd) {
+				t.Errorf("%s saturation opened %s into the spike, outside the overload window [0, %s]",
+					inc.ID, at, overloadEnd.Sub(res.SpikeStart))
+			}
+			if inc.State != incident.StateResolved {
+				t.Errorf("%s saturation opened %s into the spike is %s, want resolved", inc.ID, at, inc.State)
+			}
+		case incident.RuleSLOBurn:
+			burn++
+		default:
+			t.Errorf("%s %s opened %s into the spike; only saturation and slo-burn have a window here", inc.ID, inc.Rule, at)
+		}
+	}
+	if saturation == 0 {
+		t.Errorf("no saturation incident detected the overload: %+v", res.Incidents)
+	}
+	if burned := res.ConfigureBurn > 1; burned != (burn > 0) {
+		t.Errorf("configure burn %.2f with %d slo-burn incident(s)", res.ConfigureBurn, burn)
+	}
 }
 
 // TestCrowdSpaceBaselinePaysDownloads: the open-loop space leaves the

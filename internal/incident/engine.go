@@ -2,7 +2,6 @@ package incident
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 	"sync"
 	"time"
@@ -34,18 +33,10 @@ type Observation struct {
 	SpaceHeadroom float64
 	DevicesDown   int
 
-	// Cumulative counters: injected faults, admission verdicts,
-	// recovery outcomes.
-	FaultsTotal       int64
-	AdmissionRejects  int64
-	AdmissionDegrades int64
-	Recovered         int64
-	Restored          int64
-
-	// WorstAvailability is the lowest per-class availability on the
-	// ledger (1 when no class has sessions), WorstAvailClass its class.
-	WorstAvailability float64
-	WorstAvailClass   string
+	// Cumulative counters: injected faults and recovery outcomes.
+	FaultsTotal int64
+	Recovered   int64
+	Restored    int64
 
 	// ActiveSessions sizes the blast radius for titles.
 	ActiveSessions int
@@ -55,8 +46,6 @@ type Observation struct {
 // (zero on the first observation, which only records the baseline).
 type deltas struct {
 	faults    float64
-	rejects   float64
-	degrades  float64
 	recovered float64
 	restored  float64
 }
@@ -88,11 +77,9 @@ type Sources struct {
 
 // Rule names of the default rule set.
 const (
-	RuleSLOBurn      = "slo-burn"
-	RuleSaturation   = "saturation"
-	RuleFaultStorm   = "fault-storm"
-	RuleAdmission    = "admission-pressure"
-	RuleAvailability = "availability-drop"
+	RuleSLOBurn    = "slo-burn"
+	RuleSaturation = "saturation"
+	RuleFaultStorm = "fault-storm"
 )
 
 // RuleConfig is one detection rule: which signal it watches (fixed by
@@ -101,9 +88,8 @@ const (
 type RuleConfig struct {
 	// Name selects the signal (one of the Rule* constants) and Source
 	// names the signal family cited in evidence bundles.
-	Name        string
-	Source      string
-	Description string
+	Name   string
+	Source string
 	// WarnAt opens a warning incident, CritAt opens (or escalates to) a
 	// critical one, CloseBelow resolves it. CloseBelow < WarnAt gives
 	// the detector its hysteresis band.
@@ -118,38 +104,31 @@ type RuleConfig struct {
 	Alpha float64
 }
 
-// defaultRules is the stock rule set: one rule per signal family.
+// defaultRules is the stock rule set: one rule per signal family, each
+// the first true detection of a labelled window in the chaos or the
+// flash-crowd drill (EXPERIMENTS.md scores them).
 func defaultRules() []RuleConfig {
 	return []RuleConfig{
+		// Worst SLO burn rate, EWMA-smoothed; 1.0 spends error budget
+		// exactly as fast as allowed.
 		{
 			Name: RuleSLOBurn, Source: "slo",
-			Description: "worst SLO burn rate, EWMA-smoothed; 1.0 spends error budget exactly as fast as allowed",
-			WarnAt:      1.0, CritAt: 2.0, CloseBelow: 0.8,
+			WarnAt: 1.0, CritAt: 2.0, CloseBelow: 0.8,
 			OpenDwell: 2, CloseDwell: 2, Alpha: 0.5,
 		},
+		// The analyzer's space verdict (0 ok, 1 approaching, 2
+		// saturated), already hysteretic upstream.
 		{
 			Name: RuleSaturation, Source: "saturation",
-			Description: "saturation analyzer space verdict (0 ok, 1 approaching, 2 saturated); already hysteretic upstream",
-			WarnAt:      1.0, CritAt: 2.0, CloseBelow: 0.5,
+			WarnAt: 1.0, CritAt: 2.0, CloseBelow: 0.5,
 			OpenDwell: 2, CloseDwell: 2,
 		},
+		// Devices down plus the EWMA of the injected-fault rate; opens
+		// fast (dwell 1) so detection latency stays low.
 		{
 			Name: RuleFaultStorm, Source: "faults",
-			Description: "devices down plus EWMA of injected-fault rate; opens fast (dwell 1) so detection latency stays low",
-			WarnAt:      1.0, CritAt: 2.0, CloseBelow: 0.5,
+			WarnAt: 1.0, CritAt: 2.0, CloseBelow: 0.5,
 			OpenDwell: 1, CloseDwell: 2, Alpha: 0.5,
-		},
-		{
-			Name: RuleAdmission, Source: "admission",
-			Description: "EWMA of admission rejects (plus half-weighted degrades) per observation",
-			WarnAt:      1.0, CritAt: 4.0, CloseBelow: 0.25,
-			OpenDwell: 2, CloseDwell: 2, Alpha: 0.5,
-		},
-		{
-			Name: RuleAvailability, Source: "ledger",
-			Description: "worst per-class unavailability in percentage points, EWMA-smoothed",
-			WarnAt:      0.5, CritAt: 5.0, CloseBelow: 0.25,
-			OpenDwell: 2, CloseDwell: 2, Alpha: 0.5,
 		},
 	}
 }
@@ -264,8 +243,6 @@ func (e *Engine) Observe(obs Observation) {
 	var d deltas
 	if e.prevSeen {
 		d.faults = counterDelta(obs.FaultsTotal, e.prev.FaultsTotal)
-		d.rejects = counterDelta(obs.AdmissionRejects, e.prev.AdmissionRejects)
-		d.degrades = counterDelta(obs.AdmissionDegrades, e.prev.AdmissionDegrades)
 		d.recovered = counterDelta(obs.Recovered, e.prev.Recovered)
 		d.restored = counterDelta(obs.Restored, e.prev.Restored)
 	}
@@ -382,10 +359,6 @@ func rawSignal(name string, obs Observation, d deltas) float64 {
 		return float64(obs.SpaceState)
 	case RuleFaultStorm:
 		return float64(obs.DevicesDown) + d.faults
-	case RuleAdmission:
-		return d.rejects + 0.5*d.degrades
-	case RuleAvailability:
-		return (1 - obs.WorstAvailability) * 100
 	}
 	return 0
 }
@@ -399,10 +372,6 @@ func title(cfg RuleConfig, obs Observation, level float64) string {
 		return fmt.Sprintf("space %s (headroom %.2f, %d active sessions)", obs.SpaceState, obs.SpaceHeadroom, obs.ActiveSessions)
 	case RuleFaultStorm:
 		return fmt.Sprintf("fault storm: %d device(s) down, fault signal %.2f", obs.DevicesDown, level)
-	case RuleAdmission:
-		return fmt.Sprintf("admission pressure: smoothed reject/degrade rate %.2f per sample", level)
-	case RuleAvailability:
-		return fmt.Sprintf("availability drop: class %q at %.2f%%", obs.WorstAvailClass, obs.WorstAvailability*100)
 	}
 	return cfg.Name
 }
@@ -636,11 +605,11 @@ func citeSources(obs Observation, d deltas, ev *Evidence) []string {
 	if obs.DevicesDown > 0 || d.faults > 0 {
 		src = append(src, "faults")
 	}
-	if d.rejects > 0 || d.degrades > 0 {
-		src = append(src, "admission")
-	}
-	if obs.WorstAvailability < 1 {
-		src = append(src, "ledger")
+	for _, sc := range ev.Scorecards {
+		if sc.Sessions > 0 && sc.Availability < 1 {
+			src = append(src, "ledger")
+			break
+		}
 	}
 	if len(ev.Sessions) > 0 {
 		src = append(src, "flight")
@@ -721,22 +690,6 @@ func (e *Engine) Open() (int, Severity) {
 		worst = SevCritical
 	}
 	return e.openCount, worst
-}
-
-// Rules returns the engine's rule configurations, sorted by name (for
-// rendering and docs).
-func (e *Engine) Rules() []RuleConfig {
-	if e == nil {
-		return nil
-	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	out := make([]RuleConfig, 0, len(e.rules))
-	for _, r := range e.rules {
-		out = append(out, r.cfg)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
-	return out
 }
 
 // snapshot copies an incident's mutable slices so callers can retain

@@ -17,10 +17,7 @@ var testBase = time.Date(2026, 8, 8, 12, 0, 0, 0, time.UTC)
 
 // obsAt is a benign observation at step i (one per second).
 func obsAt(i int) Observation {
-	return Observation{
-		Now:               testBase.Add(time.Duration(i) * time.Second),
-		WorstAvailability: 1,
-	}
+	return Observation{Now: testBase.Add(time.Duration(i) * time.Second)}
 }
 
 func burnOnlyRules() []RuleConfig {
@@ -221,8 +218,6 @@ func TestEvidenceBundle(t *testing.T) {
 	obs.FaultsTotal = 3
 	obs.SLOViolations = 1
 	obs.WorstBurn = 1.2
-	obs.WorstAvailability = 0.8
-	obs.WorstAvailClass = "voice"
 	e.Observe(obs)
 
 	inc := e.List()[0]
@@ -409,9 +404,6 @@ func TestNilEngine(t *testing.T) {
 	}
 	if n, sev := e.Open(); n != 0 || sev != SevNone {
 		t.Fatal("nil Open not zero")
-	}
-	if e.Rules() != nil {
-		t.Fatal("nil Rules not nil")
 	}
 }
 

@@ -1,11 +1,9 @@
 // Package incident implements the domain's incident correlation
-// engine: a small rule set watches the health signals the daemon
-// already produces — SLO burn rates (internal/metrics), saturation
-// verdicts (internal/capacity), fault storms and device churn
-// (internal/faultinject via the counters they bump), admission
-// reject/degrade pressure (internal/admission), and per-class
-// availability from the outcome ledger (internal/ledger) — and fuses
-// them into operator-grade incidents with a lifecycle (open →
+// engine: three rules watch the health signals the daemon already
+// produces — SLO burn rates (internal/metrics), saturation verdicts
+// (internal/capacity), and fault storms and device churn
+// (internal/faultinject via the counters they bump) — and fuse them
+// into operator-grade incidents with a lifecycle (open →
 // mitigating → resolved), a correlated evidence bundle captured at
 // onset, and ledger-based impact accounting attached at resolution.
 //
@@ -98,8 +96,7 @@ type Evidence struct {
 	From time.Time `json:"from"`
 	To   time.Time `json:"to"`
 	// Sources names the distinct signal families that were abnormal at
-	// onset: "slo", "saturation", "faults", "admission", "ledger",
-	// "flight".
+	// onset: "slo", "saturation", "faults", "ledger", "flight".
 	Sources []string `json:"sources"`
 	// Saturation is the analyzer's full report at onset (device table,
 	// link residuals, queue depth, space verdict).

@@ -526,6 +526,28 @@ func TestScorecardWindow(t *testing.T) {
 	}
 }
 
+// TestQuantilesNearestRank: scorecard quantiles read the ceil(q·n)-th
+// smallest sample, as the metrics histogram and the warm bench do.
+func TestQuantilesNearestRank(t *testing.T) {
+	for _, tc := range []struct {
+		n             int
+		p50, p90, p99 float64
+	}{
+		{5, 3, 5, 5},
+		{10, 5, 9, 10},
+	} {
+		l := flight.New(ledger.Options{Now: newClock().now})
+		for i := 1; i <= tc.n; i++ {
+			configured(l, fmt.Sprintf("s%d", i), "voice", askFramerate(), time.Duration(i)*time.Millisecond, "configure")
+		}
+		q := l.Scorecards(0)[0].ConfigureMs
+		if q.Count != tc.n || !near(q.P50, tc.p50) || !near(q.P90, tc.p90) || !near(q.P99, tc.p99) || !near(q.Max, float64(tc.n)) {
+			t.Errorf("quantiles over 1..%d ms = %+v, want p50 %g p90 %g p99 %g max %d",
+				tc.n, q, tc.p50, tc.p90, tc.p99, tc.n)
+		}
+	}
+}
+
 func TestPublishMetrics(t *testing.T) {
 	ck := newClock()
 	reg := metrics.NewRegistry()

@@ -2,6 +2,7 @@ package ledger
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"strings"
 	"time"
@@ -106,14 +107,15 @@ type Quantiles struct {
 	Count int     `json:"count"`
 }
 
+// quantiles sorts vals and reads each quantile by nearest rank: the
+// ceil(q·n)-th smallest value.
 func quantiles(vals []float64) Quantiles {
 	if len(vals) == 0 {
 		return Quantiles{}
 	}
 	sort.Float64s(vals)
 	at := func(q float64) float64 {
-		i := int(q * float64(len(vals)-1))
-		return vals[i]
+		return vals[int(math.Ceil(q*float64(len(vals))))-1]
 	}
 	return Quantiles{
 		P50:   at(0.50),
