@@ -199,7 +199,7 @@ func TestComposeInsertsTranscoderForPDA(t *testing.T) {
 		t.Fatalf("transcoder node = %+v", tc)
 	}
 	// server -> tc -> player.
-	if g.OutDegree("server") != 1 || g.Out("server")[0].To != tc.ID {
+	if len(g.Out("server")) != 1 || g.Out("server")[0].To != tc.ID {
 		t.Error("server must feed the transcoder")
 	}
 	if g.Out(tc.ID)[0].To != "player" {
@@ -430,7 +430,7 @@ func TestComposeRecursiveDecomposition(t *testing.T) {
 	if g.Node("avp/decoder").Pin != "client-pc" {
 		t.Error("pin must propagate to decomposition boundary")
 	}
-	if g.OutDegree("server") != 1 || g.Out("server")[0].To != "avp/decoder" {
+	if len(g.Out("server")) != 1 || g.Out("server")[0].To != "avp/decoder" {
 		t.Error("edge must splice into decomposition entry")
 	}
 	assertConsistent(t, g)

@@ -95,15 +95,21 @@ func (c *Composer) coordinate(g *graph.Graph, report *Report, sp *trace.Span, ex
 			}
 		}
 	}
-	// Safety net: verify the whole graph is now QoS-consistent.
-	for _, e := range g.Edges() {
-		report.Checks++
-		p, n := g.Node(e.From), g.Node(e.To)
-		if err := qos.Check(string(p.ID), string(n.ID), p.Out, n.In); err != nil {
-			return fmt.Errorf("composer: ordered coordination left an inconsistency: %w", err)
+	// Safety net: verify the whole graph is now QoS-consistent, stopping
+	// at the first inconsistent edge.
+	nodes := g.Nodes()
+	var inconsistent error
+	g.EachEdge(func(from, to int, _ float64) {
+		if inconsistent != nil {
+			return
 		}
-	}
-	return nil
+		report.Checks++
+		p, n := nodes[from], nodes[to]
+		if err := qos.Check(string(p.ID), string(n.ID), p.Out, n.In); err != nil {
+			inconsistent = fmt.Errorf("composer: ordered coordination left an inconsistency: %w", err)
+		}
+	})
+	return inconsistent
 }
 
 // checkEdge checks one producer→consumer edge and applies automatic

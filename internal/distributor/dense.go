@@ -19,7 +19,8 @@ type denseEdge struct {
 type dense struct {
 	// nodes fixes the order every other per-node slice is indexed by.
 	nodes []*graph.Node
-	index map[graph.NodeID]int32
+	// rank[pos] is the index in nodes of the graph's node at position pos.
+	rank []int32
 	// Node i's incident edges (both directions, in graph edge order) are
 	// adj[adjOff[i]:adjOff[i+1]].
 	adjOff []int32
@@ -42,41 +43,38 @@ func newDense(p *Problem, order []*graph.Node) *dense {
 	n, k := len(order), len(p.Devices)
 	d := &dense{
 		nodes:  order,
-		index:  make(map[graph.NodeID]int32, n),
+		rank:   make([]int32, n),
 		adjOff: make([]int32, n+1),
+		adj:    make([]denseEdge, 2*p.Graph.EdgeCount()),
 		pin:    make([]int, n),
 		k:      k,
 		bw:     make([]float64, k*k),
 	}
 	for i, node := range order {
-		d.index[node.ID] = int32(i)
+		pos, _ := p.Graph.Position(node.ID)
+		d.rank[pos] = int32(i)
 		d.pin[i] = -1
 		if node.Pin != "" {
 			d.pin[i] = p.deviceIndex(device.ID(node.Pin))
 		}
 	}
-	// Two passes over the edges, one NodeID lookup per endpoint: count each
-	// node's degree, prefix-sum the offsets, then fill in edge order.
-	edges := p.Graph.Edges()
-	ends := make([]int32, 0, 2*len(edges))
-	for _, e := range edges {
-		fi, ti := d.index[e.From], d.index[e.To]
-		ends = append(ends, fi, ti)
-		d.adjOff[fi+1]++
-		d.adjOff[ti+1]++
-	}
+	// Two walks over the edges by position: count each node's degree,
+	// prefix-sum the offsets, then fill in edge order.
+	p.Graph.EachEdge(func(from, to int, _ float64) {
+		d.adjOff[d.rank[from]+1]++
+		d.adjOff[d.rank[to]+1]++
+	})
 	for i := 0; i < n; i++ {
 		d.adjOff[i+1] += d.adjOff[i]
 	}
-	d.adj = make([]denseEdge, len(ends))
 	fill := append([]int32(nil), d.adjOff[:n]...)
-	for ei, e := range edges {
-		fi, ti := ends[2*ei], ends[2*ei+1]
-		d.adj[fill[fi]] = denseEdge{other: ti, tp: e.ThroughputMbps}
-		d.adj[fill[ti]] = denseEdge{other: fi, tp: e.ThroughputMbps}
+	p.Graph.EachEdge(func(from, to int, tp float64) {
+		fi, ti := d.rank[from], d.rank[to]
+		d.adj[fill[fi]] = denseEdge{other: ti, tp: tp}
+		d.adj[fill[ti]] = denseEdge{other: fi, tp: tp}
 		fill[fi]++
 		fill[ti]++
-	}
+	})
 	for i := 0; i < k; i++ {
 		for j := 0; j < k; j++ {
 			if i != j {

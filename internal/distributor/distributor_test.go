@@ -207,7 +207,7 @@ func TestCutEdgesAndPartitions(t *testing.T) {
 	g.MustAddEdge("c", "d", 4)
 	p := twoDeviceProblem(t, g, 100, w)
 	a := Assignment{"a": 0, "b": 0, "c": 1, "d": 1}
-	cut := p.CutEdges(a)
+	cut := p.cutEdgesByID(a)
 	if len(cut) != 2 {
 		t.Fatalf("cut = %v", cut)
 	}
@@ -215,7 +215,8 @@ func TestCutEdgesAndPartitions(t *testing.T) {
 	if len(parts) != 2 || len(parts[0]) != 2 || parts[0][0] != "a" || parts[1][1] != "d" {
 		t.Errorf("Partitions = %v", parts)
 	}
-	tp := p.pairThroughput(a)
+	_, at := p.placed(a)
+	tp := p.pairThroughput(at)
 	if tp[0*2+1] != 2+3 || tp[1*2+0] != 0 { // a->c (2) and b->d (3), upper triangle only
 		t.Errorf("pair throughput = %v", tp)
 	}

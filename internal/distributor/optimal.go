@@ -166,11 +166,11 @@ func newOBBState(p *Problem, order []*graph.Node) *obbState {
 	}
 	wNet := p.Weights.Network()
 	netFloor := make([]float64, len(s.nodes))
-	for _, e := range p.Graph.Edges() {
-		if e.ThroughputMbps <= 0 {
-			continue
+	p.Graph.EachEdge(func(fpos, tpos int, tp float64) {
+		if tp <= 0 {
+			return
 		}
-		fi, ti := s.index[e.From], s.index[e.To]
+		fi, ti := s.rank[fpos], s.rank[tpos]
 		from, to := s.nodes[fi], s.nodes[ti]
 		colocatable := false
 		for d := range p.Devices {
@@ -194,7 +194,7 @@ func newOBBState(p *Problem, order []*graph.Node) *obbState {
 			}
 		}
 		if colocatable {
-			continue
+			return
 		}
 		// The edge must cross: find the best bandwidth any compatible
 		// device pair offers.
@@ -226,9 +226,9 @@ func newOBBState(p *Problem, order []*graph.Node) *obbState {
 			if ti > fi {
 				late = ti
 			}
-			netFloor[late] += wNet * e.ThroughputMbps / maxBW
+			netFloor[late] += wNet * tp / maxBW
 		}
-	}
+	})
 
 	// Suffix lower bound: for each node, the cheapest end-system cost any
 	// device it could ever land on (statically fitting an empty device,

@@ -138,38 +138,60 @@ func (a Assignment) Clone() Assignment {
 	return out
 }
 
-// CutEdges returns the edges whose endpoints lie in different partitions
-// (the edges that "belong to the k-cut", Definition 3.3).
-func (p *Problem) CutEdges(a Assignment) []graph.Edge {
-	var out []graph.Edge
-	for _, e := range p.Graph.Edges() {
-		if a[e.From] != a[e.To] {
-			out = append(out, e)
+// unassigned marks, in a resolved assignment, a node the assignment does
+// not name; it is out of every device range.
+const unassigned = math.MinInt
+
+// placed is the positional view of an assignment: nodes[i] is the graph's
+// node at position i and at[i] the device index a gives it, unchecked, or
+// unassigned. The map is read once per node; every walk over the edges
+// then reads at by the positions graph.EachEdge reports, in graph edge
+// order.
+func (p *Problem) placed(a Assignment) (nodes []*graph.Node, at []int) {
+	nodes = p.Graph.Nodes()
+	at = make([]int, len(nodes))
+	for i, n := range nodes {
+		di, ok := a[n.ID]
+		if !ok {
+			di = unassigned
 		}
+		at[i] = di
 	}
-	return out
+	return nodes, at
+}
+
+// zeroLoads returns one zero requirement vector per device, cut from one
+// backing array.
+func (p *Problem) zeroLoads() []resource.Vector {
+	m, k := p.Weights.Dims(), len(p.Devices)
+	flat := make([]float64, k*m)
+	loads := make([]resource.Vector, k)
+	for i := range loads {
+		loads[i] = flat[i*m : (i+1)*m : (i+1)*m]
+	}
+	return loads
 }
 
 // pairThroughput sums the throughput of all cut edges between each
 // unordered device pair (both directions, since the bandwidth b(i,j) is a
 // shared symmetric capacity) into a k×k row-major matrix: the total for
-// devices i < j is at [i*k+j], every other cell stays zero. Each cell is
-// summed in edge order, so the same assignment always yields the same
-// bits. Edges with an unassigned or out-of-range endpoint are skipped.
-func (p *Problem) pairThroughput(a Assignment) []float64 {
+// devices i < j is at [i*k+j], every other cell stays zero. at is a
+// placement by graph position (see placed). Each cell is summed in edge
+// order, so the same assignment always yields the same bits. Edges with
+// an unassigned or out-of-range endpoint are skipped.
+func (p *Problem) pairThroughput(at []int) []float64 {
 	k := len(p.Devices)
 	out := make([]float64, k*k)
-	for _, e := range p.Graph.Edges() {
-		di, ok := a[e.From]
-		dj, ok2 := a[e.To]
-		if !ok || !ok2 || di == dj || di < 0 || dj < 0 || di >= k || dj >= k {
-			continue
+	p.Graph.EachEdge(func(from, to int, tp float64) {
+		di, dj := at[from], at[to]
+		if di == dj || di < 0 || dj < 0 || di >= k || dj >= k {
+			return
 		}
 		if di > dj {
 			di, dj = dj, di
 		}
-		out[di*k+dj] += e.ThroughputMbps
-	}
+		out[di*k+dj] += tp
+	})
 	return out
 }
 
@@ -179,14 +201,11 @@ func (p *Problem) pairThroughput(a Assignment) []float64 {
 // bandwidth between the two devices. It returns nil when the graph fits,
 // or an error (wrapping ErrInfeasible) naming the violated constraint.
 func (p *Problem) FitInto(a Assignment) error {
-	m := p.Weights.Dims()
-	loads := make([]resource.Vector, len(p.Devices))
-	for i := range loads {
-		loads[i] = resource.New(m)
-	}
-	for _, n := range p.Graph.Nodes() {
-		di, ok := a[n.ID]
-		if !ok {
+	nodes, at := p.placed(a)
+	loads := p.zeroLoads()
+	for i, n := range nodes {
+		di := at[i]
+		if di == unassigned {
 			return fmt.Errorf("%w: node %s unassigned", ErrInfeasible, n.ID)
 		}
 		if di < 0 || di >= len(p.Devices) {
@@ -204,7 +223,7 @@ func (p *Problem) FitInto(a Assignment) error {
 		}
 	}
 	k := len(p.Devices)
-	for c, tp := range p.pairThroughput(a) {
+	for c, tp := range p.pairThroughput(at) {
 		if tp == 0 {
 			continue
 		}
@@ -225,14 +244,11 @@ func (p *Problem) FitInto(a Assignment) error {
 // cut throughput between devices i and j. Infeasible terms (zero
 // availability with nonzero demand) yield +Inf.
 func (p *Problem) CostAggregation(a Assignment) float64 {
-	m := p.Weights.Dims()
-	loads := make([]resource.Vector, len(p.Devices))
-	for i := range loads {
-		loads[i] = resource.New(m)
-	}
-	for _, n := range p.Graph.Nodes() {
-		di, ok := a[n.ID]
-		if !ok || di < 0 || di >= len(p.Devices) {
+	nodes, at := p.placed(a)
+	loads := p.zeroLoads()
+	for i, n := range nodes {
+		di := at[i]
+		if di < 0 || di >= len(p.Devices) {
 			return math.Inf(1)
 		}
 		loads[di].AddInPlace(n.Resources)
@@ -242,7 +258,7 @@ func (p *Problem) CostAggregation(a Assignment) float64 {
 		cost += load.RelativeLoad(p.Devices[i].Avail, p.Weights.EndSystem())
 	}
 	wNet, k := p.Weights.Network(), len(p.Devices)
-	for c, tp := range p.pairThroughput(a) {
+	for c, tp := range p.pairThroughput(at) {
 		if tp == 0 {
 			continue
 		}
@@ -259,13 +275,10 @@ func (p *Problem) CostAggregation(a Assignment) float64 {
 // complete assignment — what an admission controller must subtract from
 // each device's availability when the application is deployed.
 func (p *Problem) DeviceLoads(a Assignment) []resource.Vector {
-	m := p.Weights.Dims()
-	loads := make([]resource.Vector, len(p.Devices))
-	for i := range loads {
-		loads[i] = resource.New(m)
-	}
-	for _, n := range p.Graph.Nodes() {
-		if di, ok := a[n.ID]; ok && di >= 0 && di < len(loads) {
+	nodes, at := p.placed(a)
+	loads := p.zeroLoads()
+	for i, n := range nodes {
+		if di := at[i]; di >= 0 && di < len(loads) {
 			loads[di].AddInPlace(n.Resources)
 		}
 	}
@@ -277,8 +290,9 @@ func (p *Problem) DeviceLoads(a Assignment) []resource.Vector {
 // application is deployed. Pairs that exchange no traffic are omitted.
 func (p *Problem) LinkDemands(a Assignment) map[[2]device.ID]float64 {
 	out := make(map[[2]device.ID]float64)
+	_, at := p.placed(a)
 	k := len(p.Devices)
-	for c, tp := range p.pairThroughput(a) {
+	for c, tp := range p.pairThroughput(at) {
 		if tp == 0 {
 			continue
 		}

@@ -102,7 +102,7 @@ func TestPropLinkDemandsMatchCutThroughput(t *testing.T) {
 			return true
 		}
 		var cutTotal float64
-		for _, e := range g.P.CutEdges(a) {
+		for _, e := range g.P.cutEdgesByID(a) {
 			cutTotal += e.ThroughputMbps
 		}
 		var demandTotal float64

@@ -10,7 +10,6 @@ import (
 	"strings"
 	"sync"
 
-	"ubiqos/internal/graph"
 	"ubiqos/internal/qos"
 )
 
@@ -26,39 +25,64 @@ import (
 //
 // The canonical byte string is laid out in one pooled buffer and hashed
 // in a single write; on graphs of a few hundred nodes and edges that, not
-// SHA-256, is where the time goes.
+// SHA-256, is where the time goes. The graph is read by position: nodes
+// are sorted as positions, and the edges are bucketed by their source's
+// rank in two positional walks, so no edge end resolves a NodeID.
 func Signature(p *Problem) (string, error) {
 	if err := p.Validate(); err != nil {
 		return "", err
 	}
-	bp := sigBuffers.Get().(*[]byte)
-	b := sigBuffer((*bp)[:0])
+	sc := sigScratches.Get().(*sigScratch)
+	b := sc.buf[:0]
 
+	// byID lists the positions in ID order; rank inverts it.
 	nodes := p.Graph.Nodes()
-	slices.SortFunc(nodes, func(x, y *graph.Node) int { return strings.Compare(string(x.ID), string(y.ID)) })
+	n := len(nodes)
+	byID, rank := sc.byID[:0], slices.Grow(sc.rank[:0], n)[:n]
+	for i := range nodes {
+		byID = append(byID, int32(i))
+	}
+	slices.SortFunc(byID, func(x, y int32) int { return strings.Compare(string(nodes[x].ID), string(nodes[y].ID)) })
 	b.str("nodes")
-	b.word(uint64(len(nodes)))
-	for _, n := range nodes {
-		b.str(string(n.ID))
-		b.str(n.Type)
-		b.str(n.Instance)
-		b.str(n.Pin)
-		b.vector(n.In)
-		b.vector(n.Out)
-		b.floats(n.Resources)
+	b.word(uint64(n))
+	for r, pos := range byID {
+		rank[pos] = int32(r)
+		node := nodes[pos]
+		b.str(string(node.ID))
+		b.str(node.Type)
+		b.str(node.Instance)
+		b.str(node.Pin)
+		b.vector(node.In)
+		b.vector(node.Out)
+		b.floats(node.Resources)
 	}
 
-	// Edges in (source, target) order: the sorted nodes give the source
-	// order, so only each node's few outgoing edges are left to sort.
+	// Edges in (source, target) order: bucket them by source rank, so only
+	// each node's few outgoing edges are left to sort by target rank.
+	// ends[r] counts, then starts, then ends bucket r.
+	ends := slices.Grow(sc.ends[:0], n+1)[:n+1]
+	clear(ends)
+	p.Graph.EachEdge(func(from, _ int, _ float64) { ends[rank[from]+1]++ })
+	for r := 0; r < n; r++ {
+		ends[r+1] += ends[r]
+	}
+	edges := slices.Grow(sc.edges[:0], p.Graph.EdgeCount())[:p.Graph.EdgeCount()]
+	p.Graph.EachEdge(func(from, to int, tp float64) {
+		r := rank[from]
+		edges[ends[r]] = sigEdge{to: rank[to], tp: tp}
+		ends[r]++
+	})
 	b.str("edges")
-	b.word(uint64(p.Graph.EdgeCount()))
-	for _, n := range nodes {
-		out := p.Graph.Out(n.ID)
-		slices.SortFunc(out, func(x, y graph.Edge) int { return strings.Compare(string(x.To), string(y.To)) })
+	b.word(uint64(len(edges)))
+	start := int32(0)
+	for r, pos := range byID {
+		out := edges[start:ends[r]]
+		start = ends[r]
+		slices.SortFunc(out, func(x, y sigEdge) int { return int(x.to - y.to) })
 		for _, e := range out {
-			b.str(string(e.From))
-			b.str(string(e.To))
-			b.float(e.ThroughputMbps)
+			b.str(string(nodes[pos].ID))
+			b.str(string(nodes[byID[e.to]].ID))
+			b.float(e.tp)
 		}
 	}
 
@@ -82,13 +106,28 @@ func Signature(p *Problem) (string, error) {
 	b.floats(p.Weights)
 
 	sum := sha256.Sum256(b)
-	*bp = b
-	sigBuffers.Put(bp)
+	sc.buf, sc.byID, sc.rank, sc.ends, sc.edges = b, byID, rank, ends, edges
+	sigScratches.Put(sc)
 	return hex.EncodeToString(sum[:]), nil
 }
 
-// sigBuffers recycles the canonical byte strings between Signature calls.
-var sigBuffers = sync.Pool{New: func() any { return new([]byte) }}
+// sigScratch is what one Signature call lays out, recycled between calls:
+// the canonical byte string and the positional sort of the graph.
+type sigScratch struct {
+	buf        sigBuffer
+	byID, rank []int32
+	ends       []int32
+	edges      []sigEdge
+}
+
+// sigEdge is one outgoing edge in a source's bucket: the target's rank in
+// ID order and the throughput.
+type sigEdge struct {
+	to int32
+	tp float64
+}
+
+var sigScratches = sync.Pool{New: func() any { return new(sigScratch) }}
 
 // sigBuffer accumulates a problem's canonical byte string: 8-byte
 // big-endian words, and strings and float lists prefixed by their length.

@@ -19,11 +19,14 @@ import (
 // before the capacity observatory starts: the sampler feeds the engine
 // one Observation per pass.
 //
-// Hook safety: the hooks run while the engine holds its own mutex,
-// inside a sampling pass. Anything they call that forces another
-// sampling pass (admission Status → SaturationReport →
-// SampleNow) is harmless because the observatory rate-limits re-entrant
-// passes to a no-op, and none of the hooks are called with repMu held.
+// Hook safety: the hooks run inside a sampling pass, but with the
+// engine's mutex released: Observe drops it while it gathers evidence
+// and impact, so a hook may call back into the engine (a rule that is
+// mid-open sits out the re-entrant observation and opens once; see
+// incident.TestEvidenceHookMayObserve). Anything a hook calls that forces
+// another sampling pass (admission Status → SaturationReport →
+// SampleNow) is a no-op, because the observatory rate-limits re-entrant
+// passes, and none of the hooks are called with repMu held.
 func (d *Domain) initIncidents() {
 	d.Incidents = incident.New(incident.Options{
 		Metrics: d.Metrics,

@@ -270,6 +270,13 @@ func (g *Graph) Node(id NodeID) *Node {
 	return nil
 }
 
+// Position returns the position of the node in insertion order: the index
+// of its entry in Nodes and NodeIDs, and what EachEdge reports for it.
+func (g *Graph) Position(id NodeID) (int, bool) {
+	i, ok := g.index[id]
+	return int(i), ok
+}
+
 // Has reports whether the node exists.
 func (g *Graph) Has(id NodeID) bool { return g.Node(id) != nil }
 
@@ -293,6 +300,18 @@ func (g *Graph) Edges() []Edge {
 		}
 	}
 	return out
+}
+
+// EachEdge calls f for every edge, in Edges order, with the positions of
+// its endpoints and its throughput. Unlike Edges it allocates nothing and
+// resolves no NodeID, for the walks that index per-node slices by
+// position.
+func (g *Graph) EachEdge(f func(from, to int, tp float64)) {
+	for i, list := range g.out {
+		for _, e := range list {
+			f(i, int(e.other), e.tp)
+		}
+	}
 }
 
 // Out returns the outgoing edges of id.
@@ -319,22 +338,6 @@ func (g *Graph) In(id NodeID) []Edge {
 		in[k] = Edge{From: g.ids[e.other], To: id, ThroughputMbps: e.tp}
 	}
 	return in
-}
-
-// OutDegree returns the number of outgoing edges of id.
-func (g *Graph) OutDegree(id NodeID) int {
-	if i, ok := g.index[id]; ok {
-		return len(g.out[i])
-	}
-	return 0
-}
-
-// InDegree returns the number of incoming edges of id.
-func (g *Graph) InDegree(id NodeID) int {
-	if i, ok := g.index[id]; ok {
-		return len(g.in[i])
-	}
-	return 0
 }
 
 // NodeCount returns the number of nodes V.

@@ -71,11 +71,11 @@ func TestAddEdgeErrors(t *testing.T) {
 
 func TestDegrees(t *testing.T) {
 	g := diamond(t)
-	if g.OutDegree("a") != 2 || g.InDegree("a") != 0 {
-		t.Errorf("a degrees: out=%d in=%d", g.OutDegree("a"), g.InDegree("a"))
+	if len(g.Out("a")) != 2 || len(g.In("a")) != 0 {
+		t.Errorf("a degrees: out=%d in=%d", len(g.Out("a")), len(g.In("a")))
 	}
-	if g.OutDegree("d") != 0 || g.InDegree("d") != 2 {
-		t.Errorf("d degrees: out=%d in=%d", g.OutDegree("d"), g.InDegree("d"))
+	if len(g.Out("d")) != 0 || len(g.In("d")) != 2 {
+		t.Errorf("d degrees: out=%d in=%d", len(g.Out("d")), len(g.In("d")))
 	}
 }
 
@@ -130,7 +130,7 @@ func TestRemoveEdge(t *testing.T) {
 	if g.EdgeCount() != 3 {
 		t.Errorf("EdgeCount = %d, want 3", g.EdgeCount())
 	}
-	if g.OutDegree("a") != 1 || g.InDegree("b") != 0 {
+	if len(g.Out("a")) != 1 || len(g.In("b")) != 0 {
 		t.Error("adjacency not updated")
 	}
 }

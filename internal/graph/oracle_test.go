@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 
@@ -39,6 +40,7 @@ func graphDiff(g *Graph, r *refGraph) string {
 		{"Nodes", g.Nodes(), r.Nodes()},
 		{"NodeIDs", g.NodeIDs(), r.NodeIDs()},
 		{"Edges", g.Edges(), r.Edges()},
+		{"EachEdge", walkedEdges(g), r.Edges()},
 		{"NodeCount", g.NodeCount(), r.NodeCount()},
 		{"EdgeCount", g.EdgeCount(), r.EdgeCount()},
 		{"Sources", g.Sources(), r.Sources()},
@@ -52,8 +54,9 @@ func graphDiff(g *Graph, r *refGraph) string {
 		views = append(views,
 			view{fmt.Sprintf("Out(%q)", id), g.Out(id), r.Out(id)},
 			view{fmt.Sprintf("In(%q)", id), g.In(id), r.In(id)},
-			view{fmt.Sprintf("OutDegree(%q)", id), g.OutDegree(id), r.OutDegree(id)},
-			view{fmt.Sprintf("InDegree(%q)", id), g.InDegree(id), r.InDegree(id)},
+			view{fmt.Sprintf("OutDegree(%q)", id), len(g.Out(id)), r.OutDegree(id)},
+			view{fmt.Sprintf("InDegree(%q)", id), len(g.In(id)), r.InDegree(id)},
+			view{fmt.Sprintf("Position(%q)", id), position(g, id), slices.Index(r.NodeIDs(), id)},
 			view{fmt.Sprintf("Node(%q)", id), g.Node(id), r.Node(id)},
 			view{fmt.Sprintf("Has(%q)", id), g.Has(id), r.Has(id)})
 	}
@@ -63,6 +66,23 @@ func graphDiff(g *Graph, r *refGraph) string {
 		}
 	}
 	return ""
+}
+
+// position is Position as an index into NodeIDs, -1 when id is absent.
+func position(g *Graph, id NodeID) int {
+	if i, ok := g.Position(id); ok {
+		return i
+	}
+	return -1
+}
+
+// walkedEdges rebuilds Edges from what EachEdge reports by position.
+func walkedEdges(g *Graph) []Edge {
+	ids, out := g.NodeIDs(), []Edge{}
+	g.EachEdge(func(from, to int, tp float64) {
+		out = append(out, Edge{From: ids[from], To: ids[to], ThroughputMbps: tp})
+	})
+	return out
 }
 
 // runGraphSequence applies one generated operation sequence to both graphs

@@ -144,8 +144,8 @@ func (e *Engine) Deploy(g *graph.Graph, placement map[graph.NodeID]device.ID, st
 		comps:     make([]component, len(nodes)),
 		edges:     make([]edge, 0, g.EdgeCount()),
 	}
-	// Components and devices become small integers, so no event hashes a name.
-	index := make(map[graph.NodeID]int32, len(nodes))
+	// Components and devices become small integers, so no event hashes a
+	// name: component i is the graph's node at position i.
 	devOf := make([]int, len(nodes))
 	var devs []device.ID
 	for i, n := range nodes {
@@ -153,7 +153,6 @@ func (e *Engine) Deploy(g *graph.Graph, placement map[graph.NodeID]device.ID, st
 		if !ok {
 			return nil, fmt.Errorf("runtime: node %s has no placement", n.ID)
 		}
-		index[n.ID] = int32(i)
 		if devOf[i] = slices.Index(devs, dev); devOf[i] < 0 {
 			devOf[i], devs = len(devs), append(devs, dev)
 		}
@@ -163,34 +162,39 @@ func (e *Engine) Deploy(g *graph.Graph, placement map[graph.NodeID]device.ID, st
 	for i := range latency {
 		latency[i] = -1
 	}
-	// g.Edges() groups the edges by source in node order, so a component's
-	// outgoing edges are one run of the edge table.
-	all := g.Edges()
+	// EachEdge groups the edges by source in node order, so a component's
+	// outgoing edges are one run of the edge table; each edge moves its
+	// source's run end past it.
+	indeg := make([]int32, len(nodes))
+	g.EachEdge(func(from, to int, _ float64) {
+		lat := &latency[devOf[from]*len(devs)+devOf[to]]
+		if *lat < 0 {
+			*lat = 0
+			if link, ok := e.net.LinkBetween(string(devs[devOf[from]]), string(devs[devOf[to]])); ok && devOf[from] != devOf[to] {
+				*lat = float64(time.Duration(link.LatencyMs * float64(time.Millisecond) * e.scale))
+			}
+		}
+		s.edges = append(s.edges, edge{from: int32(from), to: int32(to), latency: *lat})
+		s.comps[from].outEnd = int32(len(s.edges))
+		indeg[to]++
+	})
+	var runEnd int32 // where the previous component's run ended
 	for i, n := range nodes {
 		c := &s.comps[i]
-		c.id, c.format, c.outFirst = n.ID, outFormat(n), int32(len(s.edges))
-		for _, ge := range all[len(s.edges) : len(s.edges)+g.OutDegree(n.ID)] {
-			to := index[ge.To]
-			lat := &latency[devOf[i]*len(devs)+devOf[to]]
-			if *lat < 0 {
-				*lat = 0
-				if link, ok := e.net.LinkBetween(string(devs[devOf[i]]), string(devs[devOf[to]])); ok && devOf[i] != devOf[to] {
-					*lat = float64(time.Duration(link.LatencyMs * float64(time.Millisecond) * e.scale))
-				}
-			}
-			s.edges = append(s.edges, edge{from: int32(i), to: to, latency: *lat})
-		}
-		c.outEnd = int32(len(s.edges))
+		// A component without outgoing edges has the empty run there.
+		c.outFirst, c.outEnd = runEnd, max(c.outEnd, runEnd)
+		runEnd = c.outEnd
+		c.id, c.format = n.ID, outFormat(n)
 		rate, declared := outRate(n)
-		switch indeg := g.InDegree(n.ID); {
-		case indeg == 0:
+		switch {
+		case indeg[i] == 0:
 			if !declared {
 				rate = DefaultFrameRate
 			}
 			c.role, c.seq, c.interval = roleSource, startPosition, period(rate, e.scale)
 		case c.outFirst == c.outEnd:
 			c.role = roleSink
-		case n.Type == TypeBuffer && declared && indeg == 1:
+		case n.Type == TypeBuffer && declared && indeg[i] == 1:
 			c.role, c.interval = roleBuffer, period(rate, e.scale)
 		case n.Type == TypeBuffer && declared:
 			c.role, c.interval, c.lastEmit = rolePacer, pacingSlack*period(rate, e.scale), math.Inf(-1)

@@ -66,7 +66,7 @@ func TestRandomGraphDegreeDistribution(t *testing.T) {
 		g := MustRandomGraph(rng, p)
 		ids := g.NodeIDs()
 		for i, id := range ids {
-			deg := g.OutDegree(id)
+			deg := len(g.Out(id))
 			remaining := len(ids) - 1 - i
 			maxDeg := p.MaxOutDegree
 			if remaining < maxDeg {
