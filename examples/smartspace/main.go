@@ -117,7 +117,7 @@ func run() error {
 	}
 
 	// Watch the event service.
-	sub, err := dom.Bus.Subscribe(
+	sub, err := dom.Bus.SubscribeLossless(
 		eventbus.TopicSessionStarted, eventbus.TopicSessionStopped,
 		eventbus.TopicDeviceLeft, eventbus.TopicDeviceSwitched,
 	)

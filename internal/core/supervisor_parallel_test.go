@@ -77,7 +77,7 @@ func newFaultSpace(t *testing.T, n int, desktop2 resource.Vector, obs func(*reco
 	f.c = c
 	s.bus = eventbus.New()
 	t.Cleanup(s.bus.Close)
-	if s.ends, err = s.bus.Subscribe(eventbus.TopicSessionRecovered, eventbus.TopicUserNotification); err != nil {
+	if s.ends, err = s.bus.SubscribeLossless(eventbus.TopicSessionRecovered, eventbus.TopicUserNotification); err != nil {
 		t.Fatal(err)
 	}
 

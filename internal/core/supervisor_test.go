@@ -121,7 +121,7 @@ func TestSupervisorRecoversAfterDeviceCrash(t *testing.T) {
 
 func TestSupervisorRecoveredEventFires(t *testing.T) {
 	f := newSuperFixture(t)
-	sub, err := f.bus.Subscribe(eventbus.TopicSessionRecovered)
+	sub, err := f.bus.SubscribeLossless(eventbus.TopicSessionRecovered)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,7 +150,7 @@ func TestSupervisorRecoveredEventFires(t *testing.T) {
 
 func TestSupervisorGivesUpWhenNoPlacementExists(t *testing.T) {
 	f := newSuperFixture(t)
-	notices, err := f.bus.Subscribe(eventbus.TopicUserNotification)
+	notices, err := f.bus.SubscribeLossless(eventbus.TopicUserNotification)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,7 +206,7 @@ func TestSupervisorGivesUpWhenNoPlacementExists(t *testing.T) {
 
 func TestSupervisorPortalLossGivesUpImmediately(t *testing.T) {
 	f := newSuperFixture(t)
-	notices, err := f.bus.Subscribe(eventbus.TopicUserNotification)
+	notices, err := f.bus.SubscribeLossless(eventbus.TopicUserNotification)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -430,7 +430,7 @@ func TestSupervisorRestoredAfterDegradedRecovery(t *testing.T) {
 		t.Fatal("degraded recovery kept the optional visualizer")
 	}
 
-	restored, err := bus.Subscribe(eventbus.TopicSessionRestored)
+	restored, err := bus.SubscribeLossless(eventbus.TopicSessionRestored)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -67,16 +67,6 @@ func (c *lruCache[V]) delete(key string) bool {
 	return true
 }
 
-// each visits every entry in most-recently-used order; returning false
-// stops the walk. The callback must not mutate the cache.
-func (c *lruCache[V]) each(fn func(key string, val V) bool) {
-	for n := c.head; n != nil; n = n.next {
-		if !fn(n.key, n.val) {
-			return
-		}
-	}
-}
-
 // clear drops every entry and returns how many were held.
 func (c *lruCache[V]) clear() int {
 	n := len(c.items)

@@ -45,28 +45,24 @@ func TestLRUBasics(t *testing.T) {
 	}
 }
 
-func TestLRUEachWalksMRUFirst(t *testing.T) {
+// TestLRURecencyOrder: a get makes its entry the most recently used, so
+// evictions take the others in least-recently-used order.
+func TestLRURecencyOrder(t *testing.T) {
 	c := newLRU[int](3)
 	c.put("a", 1)
 	c.put("b", 2)
 	c.put("c", 3)
-	c.get("a") // a becomes MRU
-	var order []string
-	c.each(func(key string, _ int) bool {
-		order = append(order, key)
-		return true
-	})
-	want := []string{"a", "c", "b"}
-	for i := range want {
-		if order[i] != want[i] {
-			t.Fatalf("walk order %v, want %v", order, want)
+	c.get("a") // a becomes MRU: b, then c, are the eviction order
+	for _, step := range []struct{ put, evicted string }{{"d", "b"}, {"e", "c"}} {
+		if !c.put(step.put, 0) {
+			t.Fatalf("put %s evicted nothing", step.put)
+		}
+		if _, ok := c.get(step.evicted); ok {
+			t.Fatalf("put %s kept %s, want it evicted", step.put, step.evicted)
 		}
 	}
-	// Early termination.
-	n := 0
-	c.each(func(string, int) bool { n++; return false })
-	if n != 1 {
-		t.Fatalf("walk visited %d entries after stop, want 1", n)
+	if _, ok := c.get("a"); !ok {
+		t.Fatal("the most recently used entry was evicted")
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"sync"
 
 	"ubiqos/internal/device"
-	"ubiqos/internal/eventbus"
 	"ubiqos/internal/graph"
 	"ubiqos/internal/metrics"
 )
@@ -36,11 +35,13 @@ type PlanCacheStats struct {
 
 // PlanCache memoizes solved placements keyed by the canonical problem
 // signature, so re-configuring an unchanged environment costs a hash
-// instead of a branch-and-bound search. Correctness rests on the
-// signature covering everything the solution depends on (graph, device
-// availabilities, link bandwidths, weights); event-driven invalidation is
-// hygiene that keeps entries for mutated environments from lingering
-// until the LRU ages them out. All methods are safe for concurrent use.
+// instead of a branch-and-bound search. Nothing invalidates an entry when
+// the environment changes: the signature covers everything the solution
+// depends on (graph, device availabilities, link bandwidths, weights), so
+// a mutated environment looks up a different key, and the FitInto
+// re-check on every hit backs that up. The LRU bound ages out the entries
+// of environments that do not come back. All methods are safe for
+// concurrent use.
 type PlanCache struct {
 	mu            sync.Mutex
 	lru           *lruCache[planEntry]
@@ -49,9 +50,6 @@ type PlanCache struct {
 	invalidations int64
 	evictions     int64
 	reg           *metrics.Registry
-
-	sub  *eventbus.Subscription
-	done chan struct{}
 }
 
 // NewPlanCache returns a cache bounded to capacity entries
@@ -165,32 +163,8 @@ func (c *PlanCache) Store(p *Problem, a Assignment, cost float64) {
 	c.mu.Unlock()
 }
 
-// InvalidateDevice drops every entry whose plan involves the device and
-// returns how many were removed. Called on device fail/rejoin and device
-// resource-resize events.
-func (c *PlanCache) InvalidateDevice(id device.ID) int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	var doomed []string
-	c.lru.each(func(key string, e planEntry) bool {
-		for _, dev := range e.placement {
-			if dev == id {
-				doomed = append(doomed, key)
-				break
-			}
-		}
-		return true
-	})
-	for _, key := range doomed {
-		c.lru.delete(key)
-	}
-	c.invalidations += int64(len(doomed))
-	c.count(metrics.PlanCacheInvalidations, int64(len(doomed)))
-	return len(doomed)
-}
-
-// Flush drops every entry and returns how many were held. Used for
-// mutations whose blast radius is not a single device (link changes).
+// Flush drops every entry and returns how many were held, counting them
+// as invalidations; the next configure of every problem solves cold.
 func (c *PlanCache) Flush() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -212,52 +186,4 @@ func (c *PlanCache) Stats() PlanCacheStats {
 		Entries:       c.lru.len(),
 		Capacity:      c.lru.cap(),
 	}
-}
-
-// Subscribe wires the cache to the domain's event bus: device joins and
-// leaves and per-device resource changes invalidate the entries that
-// involve the device; link changes flush the cache (their blast radius
-// is not attributable to one device identity).
-// The subscription is lossless — a missed invalidation would only cost
-// hygiene, but control-plane consumers on this bus never drop by
-// convention. Call Close to cancel.
-func (c *PlanCache) Subscribe(bus *eventbus.Bus) error {
-	sub, err := bus.SubscribeLossless(
-		eventbus.TopicDeviceLeft,
-		eventbus.TopicDeviceJoined,
-		eventbus.TopicResourceChanged,
-	)
-	if err != nil {
-		return err
-	}
-	c.sub = sub
-	c.done = make(chan struct{})
-	go func() {
-		defer close(c.done)
-		for ev := range sub.C() {
-			c.apply(ev)
-		}
-	}()
-	return nil
-}
-
-// apply maps one bus event to an invalidation.
-func (c *PlanCache) apply(ev eventbus.Event) {
-	if id, ok := ev.Payload.(string); ok {
-		c.InvalidateDevice(device.ID(id))
-		return
-	}
-	// Non-string payloads (e.g. the domain's LinkChanged) name a link, not
-	// a device; flush conservatively.
-	c.Flush()
-}
-
-// Close cancels the bus subscription, waiting for the pump to drain.
-// Safe to call without a prior Subscribe, and idempotent.
-func (c *PlanCache) Close() {
-	if c.sub == nil {
-		return
-	}
-	c.sub.Cancel()
-	<-c.done
 }

@@ -1,13 +1,10 @@
 package distributor
 
 import (
-	"fmt"
 	"sync"
 	"testing"
-	"time"
 
 	"ubiqos/internal/device"
-	"ubiqos/internal/eventbus"
 	"ubiqos/internal/graph"
 	"ubiqos/internal/metrics"
 	"ubiqos/internal/resource"
@@ -146,36 +143,20 @@ func TestPlanCacheLRUEviction(t *testing.T) {
 	}
 }
 
-func TestPlanCacheInvalidateDeviceAndFlush(t *testing.T) {
+// TestPlanCacheFlush: Flush empties the cache, counting each entry as an
+// invalidation, and the next lookup misses.
+func TestPlanCacheFlush(t *testing.T) {
 	c := NewPlanCache(8)
 	p := cacheProblem(t, 0)
-	a, cost, err := Optimal(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c.Store(p, a, cost)
-	// An entry whose plan does not involve the device survives targeted
-	// invalidation.
-	onPC := p.Devices[a["src"]].ID
-	var other device.ID = "pda"
-	if onPC == "pda" {
-		other = "pc"
-	}
-	if n := c.InvalidateDevice(other); n != 0 && a["src"] == a["snk"] {
-		t.Fatalf("invalidated %d entries for an uninvolved device", n)
-	}
-	if n := c.InvalidateDevice(onPC); n != 1 {
-		t.Fatalf("invalidated %d entries, want 1", n)
-	}
-	if _, _, ok := c.Lookup(p); ok {
-		t.Fatal("entry survived device invalidation")
-	}
-	c.Store(p, a, cost)
+	solveAndStore(t, c, p)
 	if n := c.Flush(); n != 1 {
 		t.Fatalf("flushed %d entries, want 1", n)
 	}
-	if c.Stats().Entries != 0 {
-		t.Fatal("entries remain after flush")
+	if st := c.Stats(); st.Entries != 0 || st.Invalidations != 1 {
+		t.Fatalf("stats %+v after flush, want no entries and 1 invalidation", st)
+	}
+	if _, _, ok := c.Lookup(p); ok {
+		t.Fatal("entry survived the flush")
 	}
 }
 
@@ -196,64 +177,11 @@ func TestPlanCacheRejectsUnfitEntry(t *testing.T) {
 	}
 }
 
-// waitFor polls until the condition holds or the deadline passes.
-func waitFor(t *testing.T, what string, cond func() bool) {
-	t.Helper()
-	deadline := time.Now().Add(5 * time.Second)
-	for !cond() {
-		if time.Now().After(deadline) {
-			t.Fatalf("timed out waiting for %s", what)
-		}
-		time.Sleep(time.Millisecond)
-	}
-}
-
-func TestPlanCacheBusInvalidation(t *testing.T) {
-	bus := eventbus.New()
-	defer bus.Close()
-	c := NewPlanCache(8)
-	if err := c.Subscribe(bus); err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-
-	p := cacheProblem(t, 0)
-	a, cost, err := Optimal(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cases := []struct {
-		name    string
-		topic   eventbus.Topic
-		payload any
-	}{
-		{"device left", eventbus.TopicDeviceLeft, string(p.Devices[a["src"]].ID)},
-		{"device resized", eventbus.TopicResourceChanged, string(p.Devices[a["snk"]].ID)},
-		{"link changed", eventbus.TopicResourceChanged, struct{ A, B device.ID }{"pc", "pda"}},
-	}
-	for _, tc := range cases {
-		c.Store(p, a, cost)
-		if _, _, ok := c.Lookup(p); !ok {
-			t.Fatalf("%s: entry not cached before the event", tc.name)
-		}
-		bus.Publish(tc.topic, tc.payload)
-		waitFor(t, fmt.Sprintf("invalidation on %s", tc.name), func() bool {
-			_, _, ok := c.Lookup(p)
-			return !ok
-		})
-	}
-}
-
 // TestPlanCacheConcurrency hammers the cache from lookup/store goroutines
-// while bus events invalidate concurrently; run under -race this is the
-// data-race proof for the subscription pump.
+// while another flushes it; run it under -race.
 func TestPlanCacheConcurrency(t *testing.T) {
-	bus := eventbus.New()
 	c := NewPlanCache(4)
 	c.Instrument(metrics.NewRegistry())
-	if err := c.Subscribe(bus); err != nil {
-		t.Fatal(err)
-	}
 
 	problems := make([]*Problem, 6)
 	assigns := make([]Assignment, 6)
@@ -289,15 +217,11 @@ func TestPlanCacheConcurrency(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for i := 0; i < 100; i++ {
-			bus.Publish(eventbus.TopicDeviceLeft, "pc")
-			bus.Publish(eventbus.TopicResourceChanged, struct{ A, B device.ID }{"pc", "pda"})
+			c.Flush()
 			c.Stats()
 		}
 	}()
 	wg.Wait()
-	bus.Close()
-	c.Close()
-	c.Close() // idempotent
 }
 
 func TestPlanCacheMetricsWiring(t *testing.T) {

@@ -103,12 +103,19 @@ func TestRefineRejectsInfeasibleInput(t *testing.T) {
 
 func TestHeuristicRefined(t *testing.T) {
 	w := defaultWeights(t)
-	rng := rand.New(rand.NewSource(33))
-	g := workload.MustRandomGraph(rng, workload.Table1Params())
-	p := twoDeviceProblem(t, g, 100, w)
-	_, heuCost, err := Heuristic(p)
-	if err != nil {
-		t.Skip("instance infeasible for the heuristic")
+	// Most Table 1 graphs do not fit the two-device fixture: take the
+	// first of a fixed run of seeds whose graph the heuristic places.
+	var p *Problem
+	var heuCost float64
+	for seed := int64(33); seed < 33+64 && p == nil; seed++ {
+		g := workload.MustRandomGraph(rand.New(rand.NewSource(seed)), workload.Table1Params())
+		cand := twoDeviceProblem(t, g, 100, w)
+		if _, c, err := Heuristic(cand); err == nil {
+			p, heuCost = cand, c
+		}
+	}
+	if p == nil {
+		t.Fatal("the heuristic placed none of the seeds' graphs on the fixture")
 	}
 	a, cost, err := HeuristicRefined(p)
 	if err != nil {

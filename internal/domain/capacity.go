@@ -155,7 +155,7 @@ func (d *Domain) sampleCapacity(now time.Time) {
 	// Feed the incident correlation engine last, with repMu released:
 	// its evidence hooks may read lastReport and the admission
 	// snapshot.
-	d.observeIncidents(now, rep, worstBurn, violations, devicesDown)
+	d.observeIncidents(rep, worstBurn, violations, devicesDown)
 }
 
 // SampleCapacityNow forces a sampling pass (rate-limited by the

@@ -133,3 +133,27 @@ func TestSLOBurnEscalatesAdmissionOnce(t *testing.T) {
 		t.Error("no slo-burn incident opened on a violated configure SLO")
 	}
 }
+
+// TestIncidentNotBeforeItsFault: a fault counted by a sampling pass that
+// began before it opens its incident after it. The pass here starts (its
+// tick instant) before the fault counter moves and reads the counter
+// after, as a ticker pass does when a fault lands in between.
+func TestIncidentNotBeforeItsFault(t *testing.T) {
+	d := newSpace(t)
+	d.Capacity.Stop() // only this test's passes
+	d.sampleCapacity(time.Now())
+	tick := time.Now()
+	time.Sleep(time.Millisecond)
+	faultAt := time.Now()
+	d.Metrics.Counter(metrics.FaultsInjected).Add(2)
+	d.sampleCapacity(tick)
+	incs := d.Incidents.List()
+	if len(incs) == 0 {
+		t.Fatal("two faults in one pass opened no incident")
+	}
+	for _, inc := range incs {
+		if inc.OpenedAt.Before(faultAt) {
+			t.Errorf("%s %s opened %v before the fault it reports", inc.ID, inc.Rule, faultAt.Sub(inc.OpenedAt))
+		}
+	}
+}

@@ -95,8 +95,7 @@ type Domain struct {
 	SLO          *metrics.SLO
 	Composer     *composer.Composer
 	Configurator *core.Configurator
-	// PlanCache memoizes solved placements by problem signature and
-	// invalidates them off the event bus.
+	// PlanCache memoizes solved placements by problem signature.
 	PlanCache *distributor.PlanCache
 	// Capacity is the capacity observatory: on-daemon time series sampled
 	// on a ticker, feeding the /timeseries surface and the saturation
@@ -157,7 +156,6 @@ func New(name string, opts Options) (*Domain, error) {
 	d.Log = obslog.New(obslog.LevelDebug, d.Flight)
 	d.SLO = metrics.NewSLO(d.Metrics, metrics.DefaultObjectives()...)
 	d.Bus.Instrument(d.Metrics)
-	d.Bus.SetLogger(d.Log.Named("eventbus"))
 	net, err := netsim.New(opts.Scale)
 	if err != nil {
 		return nil, err
@@ -175,9 +173,6 @@ func New(name string, opts Options) (*Domain, error) {
 	d.Composer = composer.New(d.Registry)
 	d.PlanCache = distributor.NewPlanCache(distributor.DefaultPlanCacheCapacity)
 	d.PlanCache.Instrument(d.Metrics)
-	if err := d.PlanCache.Subscribe(d.Bus); err != nil {
-		return nil, err
-	}
 	ccfg := core.Config{
 		Composer:     d.Composer,
 		Devices:      d.Devices,
@@ -689,12 +684,11 @@ func (d *Domain) StopApp(sessionID string) error {
 	return nil
 }
 
-// Close stops the capacity observatory, shuts down the domain's event
-// bus, and detaches the plan cache.
+// Close stops the capacity observatory and shuts down the domain's event
+// bus.
 func (d *Domain) Close() {
 	if d.Capacity != nil {
 		d.Capacity.Stop()
 	}
 	d.Bus.Close()
-	d.PlanCache.Close()
 }

@@ -135,7 +135,7 @@ func TestAddDeviceNormalizes(t *testing.T) {
 
 func TestStartStopAppAndEvents(t *testing.T) {
 	d := newSpace(t)
-	sub, err := d.Bus.Subscribe(eventbus.TopicSessionStarted, eventbus.TopicSessionStopped)
+	sub, err := d.Bus.SubscribeLossless(eventbus.TopicSessionStarted, eventbus.TopicSessionStopped)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -334,7 +334,7 @@ func TestResizeDeviceNoActionWhenStillFits(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer d.StopApp("a1")
-	sub, err := d.Bus.Subscribe(eventbus.TopicResourceChanged)
+	sub, err := d.Bus.SubscribeLossless(eventbus.TopicResourceChanged)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -351,7 +351,7 @@ func TestResizeDeviceNoActionWhenStillFits(t *testing.T) {
 		if ev.Topic != eventbus.TopicResourceChanged {
 			t.Errorf("event = %v", ev.Topic)
 		}
-	default:
+	case <-time.After(2 * time.Second):
 		t.Error("resource-changed event not published")
 	}
 	if _, err := d.ResizeDevice("ghost", resource.MB(1, 1)); err == nil {
@@ -364,7 +364,7 @@ func TestResizeDeviceNoActionWhenStillFits(t *testing.T) {
 
 func TestMissingServiceNotifiesUser(t *testing.T) {
 	d := newSpace(t)
-	sub, err := d.Bus.Subscribe(eventbus.TopicUserNotification)
+	sub, err := d.Bus.SubscribeLossless(eventbus.TopicUserNotification)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -382,7 +382,7 @@ func TestMissingServiceNotifiesUser(t *testing.T) {
 		if notice.SessionID != "h1" || len(notice.Types) != 1 || notice.Types[0] != "hologram" {
 			t.Errorf("notice = %+v", notice)
 		}
-	default:
+	case <-time.After(2 * time.Second):
 		t.Error("no user notification published")
 	}
 }

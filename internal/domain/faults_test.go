@@ -20,7 +20,7 @@ func TestFailAndRejoinDevicePublishOnly(t *testing.T) {
 	defer d.StopApp("a1")
 	serverDev := d.Configurator.Session("a1").Placement["server"]
 
-	sub, err := d.Bus.Subscribe(eventbus.TopicDeviceLeft, eventbus.TopicDeviceJoined)
+	sub, err := d.Bus.SubscribeLossless(eventbus.TopicDeviceLeft, eventbus.TopicDeviceJoined)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +80,7 @@ func TestDegradeAndRestoreLink(t *testing.T) {
 		t.Fatal("no reserved link into the portal device")
 	}
 
-	sub, err := d.Bus.Subscribe(eventbus.TopicResourceChanged)
+	sub, err := d.Bus.SubscribeLossless(eventbus.TopicResourceChanged)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +129,7 @@ func TestDegradeAndRestoreLink(t *testing.T) {
 
 func TestRemoveDeviceNotifiesOnPortalLost(t *testing.T) {
 	d := newSpace(t)
-	sub, err := d.Bus.Subscribe(eventbus.TopicUserNotification)
+	sub, err := d.Bus.SubscribeLossless(eventbus.TopicUserNotification)
 	if err != nil {
 		t.Fatal(err)
 	}

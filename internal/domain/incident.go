@@ -70,13 +70,14 @@ func (d *Domain) admissionGate() *admission.Gate {
 // observeIncidents builds the per-pass Observation from state the
 // sampler already computed plus the cumulative counters, and feeds the
 // engine. Called at the end of every sampling pass, after repMu is
-// released.
-func (d *Domain) observeIncidents(now time.Time, rep capacity.Report, worstBurn float64, violations, devicesDown int) {
+// released. The Observation is stamped after every read it carries, not
+// with the pass's tick: a fault that lands between the tick and the reads
+// is counted here, and the incident it opens must not predate it.
+func (d *Domain) observeIncidents(rep capacity.Report, worstBurn float64, violations, devicesDown int) {
 	if d.Incidents == nil {
 		return
 	}
-	d.Incidents.Observe(incident.Observation{
-		Now:            now,
+	obs := incident.Observation{
 		WorstBurn:      worstBurn,
 		SLOViolations:  violations,
 		SpaceState:     rep.Space,
@@ -86,5 +87,7 @@ func (d *Domain) observeIncidents(now time.Time, rep capacity.Report, worstBurn 
 		Recovered:      d.Metrics.Counter(metrics.SessionsRecovered).Value(),
 		Restored:       d.Metrics.Counter(metrics.SessionsRestored).Value(),
 		ActiveSessions: d.Configurator.Sessions(),
-	})
+	}
+	obs.Now = time.Now()
+	d.Incidents.Observe(obs)
 }

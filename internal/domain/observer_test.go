@@ -175,9 +175,9 @@ func TestDiscardedLoggingAllocatesNothing(t *testing.T) {
 	}
 }
 
-// TestIdleDomainGoroutines: an idle domain runs three goroutines of its
-// own — the plan cache's subscription pump and its reader, and the
-// capacity sampler — and Close stops them all. Other tests leave
+// TestIdleDomainGoroutines: an idle domain runs one goroutine of its own,
+// the capacity sampler, and Close stops it. Nothing in a bare domain
+// subscribes to its bus, so no subscription pump runs. Other tests leave
 // sessions streaming, so the count runs in a fresh process of its own.
 func TestIdleDomainGoroutines(t *testing.T) {
 	const child = "UBIQOS_GOROUTINE_CHILD"
@@ -194,8 +194,8 @@ func TestIdleDomainGoroutines(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n := runtime.NumGoroutine() - base; n != 3 {
-		t.Errorf("an idle domain runs %d goroutines, want 3", n)
+	if n := runtime.NumGoroutine() - base; n != 1 {
+		t.Errorf("an idle domain runs %d goroutines, want 1", n)
 	}
 	d.Close()
 	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() != base; time.Sleep(time.Millisecond) {

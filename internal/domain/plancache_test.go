@@ -1,60 +1,18 @@
 package domain
 
 import (
+	"fmt"
+	"reflect"
 	"strings"
 	"testing"
-	"time"
 
 	"ubiqos/internal/core"
 	"ubiqos/internal/device"
 	"ubiqos/internal/distributor"
-	"ubiqos/internal/eventbus"
 	"ubiqos/internal/graph"
+	"ubiqos/internal/netsim"
 	"ubiqos/internal/resource"
 )
-
-// waitForCache polls the plan cache until the condition holds; bus
-// delivery to the cache subscription is asynchronous.
-func waitForCache(t *testing.T, what string, cond func() bool) {
-	t.Helper()
-	deadline := time.Now().Add(5 * time.Second)
-	for !cond() {
-		if time.Now().After(deadline) {
-			t.Fatalf("timed out waiting for %s", what)
-		}
-		time.Sleep(time.Millisecond)
-	}
-}
-
-// drainPlanCacheEvents fences the plan cache's lossless bus pump: the
-// setup-time device.joined events from newSpace are delivered
-// asynchronously and would otherwise invalidate entries stored later.
-// The pump is FIFO, so once a sentinel link-change flush is observed
-// every earlier event has been applied.
-func drainPlanCacheEvents(t *testing.T, d *Domain) {
-	t.Helper()
-	g := graph.New()
-	g.MustAddNode(&graph.Node{ID: "drain", Type: "component", Resources: resource.MB(1, 1)})
-	w, err := resource.NewWeights(0.3, 0.3, 0.4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p := &distributor.Problem{
-		Graph:     g,
-		Devices:   []distributor.DeviceInfo{{ID: "drain-ghost", Avail: resource.MB(8, 8)}},
-		Bandwidth: func(a, b device.ID) float64 { return 1 },
-		Weights:   w,
-	}
-	a, cost, err := distributor.Optimal(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	d.PlanCache.Store(p, a, cost)
-	d.Bus.Publish(eventbus.TopicResourceChanged, LinkChanged{A: "drain-ghost", B: "drain-ghost"})
-	waitForCache(t, "bus pump drain", func() bool {
-		return d.PlanCache.Stats().Entries == 0
-	})
-}
 
 // TestDomainPlanCacheHit: starting, stopping, and re-starting the same
 // application restores the exact pre-session resource state, so the
@@ -64,7 +22,6 @@ func TestDomainPlanCacheHit(t *testing.T) {
 	if d.PlanCache == nil {
 		t.Fatal("domain built without a plan cache")
 	}
-	drainPlanCacheEvents(t, d)
 	first, err := d.StartApp(core.Request{SessionID: "a1", App: audioApp(), ClientDevice: "desktop1"})
 	if err != nil {
 		t.Fatal(err)
@@ -93,27 +50,78 @@ func TestDomainPlanCacheHit(t *testing.T) {
 	}
 }
 
-// TestDomainPlanCacheInvalidatedOnFault: a device failure announced on
-// the bus purges every memoized plan that involved the device.
-func TestDomainPlanCacheInvalidatedOnFault(t *testing.T) {
+// TestDomainPlanCacheMatchesUncached: nothing invalidates the plan cache
+// when the space changes, and nothing needs to. Across a run of device
+// failures, rejoins, link degradations and restores and device resizes,
+// every configure — served from the cache or solved — places and costs
+// exactly what the same request does in the same state with the cache
+// bypassed (a per-request placer skips it). The undo steps bring earlier
+// states back, so configures there hit plans stored before the fault.
+func TestDomainPlanCacheMatchesUncached(t *testing.T) {
 	d := newSpace(t)
-	drainPlanCacheEvents(t, d)
-	s, err := d.StartApp(core.Request{SessionID: "a1", App: audioApp(), ClientDevice: "desktop1"})
-	if err != nil {
-		t.Fatal(err)
+	var link netsim.Link
+	steps := []struct {
+		name string
+		do   func() error
+	}{
+		{"initial", func() error { return nil }},
+		{"fail desktop2", func() error { return d.FailDevice("desktop2") }},
+		{"rejoin desktop2", func() error { return d.RejoinDevice("desktop2") }},
+		{"degrade desktop1-pda1", func() (err error) {
+			link, err = d.DegradeLink("desktop1", "pda1", 0.5)
+			return err
+		}},
+		{"restore desktop1-pda1", func() error { return d.RestoreLink("desktop1", "pda1", link) }},
+		{"shrink desktop1", func() error {
+			_, err := d.ResizeDevice("desktop1", resource.MB(200, 90))
+			return err
+		}},
+		{"fail desktop1", func() error { return d.FailDevice("desktop1") }},
+		{"rejoin desktop1", func() error { return d.RejoinDevice("desktop1") }},
+		{"regrow desktop1", func() error {
+			_, err := d.ResizeDevice("desktop1", resource.MB(256, 100))
+			return err
+		}},
+		{"fail pda1", func() error { return d.FailDevice("pda1") }},
+		{"rejoin pda1", func() error { return d.RejoinDevice("pda1") }},
 	}
-	host := s.Placement["server"]
-	if err := d.StopApp("a1"); err != nil {
-		t.Fatal(err)
+	configure := func(req core.Request) (map[graph.NodeID]device.ID, float64, error) {
+		s, err := d.StartApp(req)
+		if err != nil {
+			return nil, 0, err
+		}
+		if err := d.StopApp(req.SessionID); err != nil {
+			t.Fatal(err)
+		}
+		return s.Placement, s.Cost, nil
 	}
-	if st := d.PlanCache.Stats(); st.Entries != 1 {
-		t.Fatalf("stats %+v, want the plan memoized", st)
+	n := 0
+	for _, step := range steps {
+		if err := step.do(); err != nil {
+			t.Fatalf("%s: %v", step.name, err)
+		}
+		hitsBefore := d.PlanCache.Stats().Hits
+		for _, client := range []device.ID{"desktop1", "desktop2", "pda1"} {
+			for round := 0; round < 2; round++ {
+				n++
+				req := core.Request{SessionID: fmt.Sprintf("c%d", n), App: audioApp(), ClientDevice: client}
+				placement, cost, err := configure(req)
+				req.SessionID, req.Place = fmt.Sprintf("u%d", n), distributor.Heuristic
+				wantPlacement, wantCost, wantErr := configure(req)
+				if (err != nil) != (wantErr != nil) {
+					t.Fatalf("%s, client %s: with the cache err %v, without %v", step.name, client, err, wantErr)
+				}
+				if !reflect.DeepEqual(placement, wantPlacement) || cost != wantCost {
+					t.Fatalf("%s, client %s, round %d: with the cache %v at cost %v, without %v at cost %v",
+						step.name, client, round, placement, cost, wantPlacement, wantCost)
+				}
+			}
+		}
+		if d.PlanCache.Stats().Hits == hitsBefore {
+			t.Errorf("%s: no configure was served from the cache", step.name)
+		}
 	}
-	if err := d.FailDevice(host); err != nil {
-		t.Fatal(err)
+	if st := d.PlanCache.Stats(); st.Invalidations != 0 {
+		t.Errorf("stats %+v: a plan failed its re-check", st)
 	}
-	waitForCache(t, "invalidation after device failure", func() bool {
-		st := d.PlanCache.Stats()
-		return st.Entries == 0 && st.Invalidations >= 1
-	})
 }

@@ -10,6 +10,7 @@ import (
 	"ubiqos/internal/eventbus"
 	"ubiqos/internal/faultinject"
 	"ubiqos/internal/flight"
+	"ubiqos/internal/metrics"
 )
 
 // events counts the session's timeline entries for one bus topic.
@@ -89,37 +90,52 @@ func TestOffPathEventsOnTimeline(t *testing.T) {
 	t.Run("identical", func(t *testing.T) {
 		d := domain.NewSpace(t)
 		startOn(t, d, "pda1", "a1")
+		// The space has no other resource.changed subscriber, so the bus's
+		// coalesced counter is this round's subscriber's.
+		coalescedTotal := d.Metrics.Counter(metrics.EventsCoalesced)
 		// Rounds of five identical publishes, each watched by a subscriber
-		// that reads the timeline the instant an event reaches it: the
-		// event must already be there.
+		// that reads the timeline the instant an event reaches it: every
+		// publish it has seen, as a delivered event or merged into one,
+		// must already be there.
 		const rounds, publishes = 30, 5
 		for round := 0; round < rounds; round++ {
 			before := events(d, "a1", eventbus.TopicResourceChanged)
-			sub, err := d.Bus.Subscribe(eventbus.TopicResourceChanged)
+			coalescedBefore := coalescedTotal.Value()
+			sub, err := d.Bus.SubscribeLossless(eventbus.TopicResourceChanged)
 			if err != nil {
 				t.Fatal(err)
 			}
-			running, done := make(chan struct{}), make(chan struct{})
+			delivered := make(chan int)
 			go func() {
-				defer close(done)
-				close(running)
-				for seen := 0; seen < publishes; {
-					n := len(sub.C())
-					if n == seen {
-						continue
+				defer close(delivered)
+				n := 0
+				for range sub.C() {
+					n++
+					coalesced := int(coalescedTotal.Value() - coalescedBefore)
+					if got := events(d, "a1", eventbus.TopicResourceChanged) - before; got < n+coalesced {
+						t.Errorf("round %d: the subscriber has seen %d events and %d merged publishes, the timeline %d",
+							round, n, coalesced, got)
 					}
-					if got := events(d, "a1", eventbus.TopicResourceChanged) - before; got < n {
-						t.Errorf("round %d: the subscriber holds %d events, the timeline %d", round, n, got)
-					}
-					seen = n
+					delivered <- n
 				}
 			}()
-			<-running
 			for i := 0; i < publishes; i++ {
 				d.Bus.Publish(eventbus.TopicResourceChanged, "pda1")
 			}
-			<-done
+			// Publish counts a merge before it returns, so the deliveries
+			// still due are known now.
+			want := publishes - int(coalescedTotal.Value()-coalescedBefore)
+			deadline := time.After(5 * time.Second)
+			for n := 0; n < want; {
+				select {
+				case n = <-delivered:
+				case <-deadline:
+					t.Fatalf("round %d: %d of %d events delivered", round, n, want)
+				}
+			}
 			sub.Cancel()
+			for range delivered {
+			}
 			if n := events(d, "a1", eventbus.TopicResourceChanged) - before; n != publishes {
 				t.Fatalf("round %d: %d identical publishes left %d entries", round, publishes, n)
 			}

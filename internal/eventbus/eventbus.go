@@ -3,6 +3,14 @@
 // over which the smart space signals the runtime changes — user mobility,
 // device switches, device joins/leaves, resource fluctuations — that
 // trigger dynamic re-configuration.
+//
+// There is one delivery mode, and it never drops an event: every
+// consumer of the domain's bus must see every change it subscribed to.
+// Publish queues the event for each matching subscription and returns; a
+// pump goroutine per subscription moves the queue onto the receive
+// channel, so delivery is always asynchronous and a slow consumer delays
+// its own events instead of losing them. A publish identical (topic and
+// payload) to an event still queued for a subscriber is merged into it.
 package eventbus
 
 import (
@@ -13,7 +21,6 @@ import (
 	"time"
 
 	"ubiqos/internal/metrics"
-	"ubiqos/internal/obslog"
 )
 
 // Topic classifies an event.
@@ -59,70 +66,40 @@ type Event struct {
 	Payload any
 }
 
-// Subscription receives events for the topics it was subscribed to.
-//
-// Two delivery modes exist. The default (Subscribe) is lossy: a full
-// channel drops the event, which suits data-plane signals that are
-// re-published on further changes. Lossless subscriptions
-// (SubscribeLossless) are for control-plane consumers — e.g. the recovery
-// supervisor must never miss a device.left — and buffer overflow into an
-// unbounded coalescing queue drained by a pump goroutine instead of
-// dropping.
+// Subscription receives events for the topics it was subscribed to, in
+// publish order among distinct events.
 type Subscription struct {
-	bus      *Bus
-	id       int
-	topics   map[Topic]bool
-	ch       chan Event
-	lossless bool
-	// wake nudges the pump goroutine (lossless mode only); done is closed
-	// on cancel so a pump blocked on a slow receiver can exit.
+	bus    *Bus
+	id     int
+	topics map[Topic]bool
+	ch     chan Event
+	// wake nudges the pump goroutine; done is closed on cancel so a pump
+	// blocked on a slow receiver can exit.
 	wake chan struct{}
 	done chan struct{}
 
-	mu        sync.Mutex
-	dropped   int
-	coalesced int
-	closed    bool
-	// overflow holds events queued past the channel capacity (lossless
-	// mode); keys indexes pending events by (topic, payload) so a
-	// re-published identical event refreshes its pending slot instead of
-	// growing the queue without bound.
-	overflow []Event
-	keys     map[any]int
+	mu     sync.Mutex
+	closed bool
+	// queue holds the events the pump has not yet handed to the channel;
+	// keys indexes them by (topic, payload) so a re-published identical
+	// event refreshes its queued slot instead of growing the queue
+	// without bound.
+	queue []Event
+	keys  map[any]int
 }
 
 // C returns the receive channel. The channel is closed when the
 // subscription is cancelled or the bus is closed.
 func (s *Subscription) C() <-chan Event { return s.ch }
 
-// Dropped reports how many events were discarded because the subscriber
-// was not draining its channel. Lossless subscriptions always report 0.
-func (s *Subscription) Dropped() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.dropped
-}
-
-// Coalesced reports how many pending duplicate events were merged into an
-// earlier queued copy (lossless mode).
-func (s *Subscription) Coalesced() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.coalesced
-}
-
 // Pending reports how many delivered-but-unconsumed events the
-// subscription holds (channel backlog plus, for lossless subscriptions,
-// the overflow queue). A zero return is momentary, not a fence: an event
-// may be mid-handoff inside the pump.
+// subscription holds (channel backlog plus the pump's queue). A zero
+// return is momentary, not a fence: an event may be mid-handoff inside
+// the pump.
 func (s *Subscription) Pending() int {
-	n := len(s.ch)
-	if s.lossless {
-		s.mu.Lock()
-		n += len(s.overflow)
-		s.mu.Unlock()
-	}
-	return n
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return len(s.ch) + len(s.queue)
 }
 
 // Cancel removes the subscription from the bus and closes the channel.
@@ -133,11 +110,9 @@ func (s *Subscription) Cancel() {
 
 // Bus is the event service. All methods are safe for concurrent use.
 //
-// Publishing is the hot path: concurrent publishers (and Subscribers
-// probes) share a read lock over the subscription table, so fan-outs do
-// not serialize against each other. Subscribe, Cancel, and Close take
-// the write lock; channels are only ever closed under it, which is what
-// makes sending under the read lock safe.
+// Publishing is the hot path: concurrent publishers share a read lock
+// over the subscription table, so fan-outs do not serialize against each
+// other. SubscribeLossless, Cancel, and Close take the write lock.
 type Bus struct {
 	mu     sync.RWMutex
 	nextID int
@@ -146,9 +121,6 @@ type Bus struct {
 	// reg, when set via Instrument, receives publish fan-out counters and
 	// subscriber/queue-depth gauges.
 	reg *metrics.Registry
-	// log, when set via SetLogger, receives a warning whenever a lossy
-	// subscriber loses an event.
-	log *obslog.Logger
 	// record, when set via SetRecorder, is handed every published event.
 	record atomic.Pointer[func(Event)]
 }
@@ -159,24 +131,15 @@ func New() *Bus {
 }
 
 // Instrument attaches a metrics registry: every Publish updates the
-// eventbus_published/delivered/dropped counters and the subscriber and
-// queue-depth gauges; Subscribe/Cancel/Close keep the subscriber gauge
-// current. Pass nil to detach.
+// eventbus_published/delivered/coalesced counters and the subscriber and
+// queue-depth gauges; SubscribeLossless/Cancel/Close keep the subscriber
+// gauge current. Pass nil to detach.
 func (b *Bus) Instrument(r *metrics.Registry) {
 	b.mu.Lock()
 	b.reg = r
 	if r != nil {
 		r.Gauge(metrics.BusSubscribers).Set(float64(len(b.subs)))
 	}
-	b.mu.Unlock()
-}
-
-// SetLogger attaches a structured logger: every Publish that drops
-// events on a full lossy subscriber logs one warning naming the topic.
-// Pass nil to detach.
-func (b *Bus) SetLogger(l *obslog.Logger) {
-	b.mu.Lock()
-	b.log = l
 	b.mu.Unlock()
 }
 
@@ -195,41 +158,23 @@ func (b *Bus) gauges() {
 	}
 	depth := 0
 	for _, sub := range b.subs {
-		depth += len(sub.ch)
-		if sub.lossless {
-			sub.mu.Lock()
-			depth += len(sub.overflow)
-			sub.mu.Unlock()
-		}
+		depth += sub.Pending()
 	}
 	b.reg.Gauge(metrics.BusSubscribers).Set(float64(len(b.subs)))
 	b.reg.Gauge(metrics.BusQueueDepth).Set(float64(depth))
 }
 
-// DefaultBuffer is the per-subscription channel capacity used by
-// Subscribe. Publishing to a full subscriber drops the event rather than
-// blocking the publisher (the event service favors liveness; reconfig
-// triggers are level-style and re-published on further changes).
-const DefaultBuffer = 16
+// chanBuffer is the capacity of a subscription's receive channel; events
+// past it wait in the pump's queue.
+const chanBuffer = 16
 
-// Subscribe registers interest in the given topics (at least one) and
-// returns a lossy subscription: publishing to its full channel drops the
-// event.
-func (b *Bus) Subscribe(topics ...Topic) (*Subscription, error) {
-	return b.subscribe(false, topics)
-}
-
-// SubscribeLossless registers a control-plane subscription that never
-// drops events: publishes past the channel capacity queue into an
+// SubscribeLossless registers interest in the given topics (at least
+// one). The subscription never drops an event: publishes queue into an
 // unbounded coalescing buffer (identical pending topic+payload pairs are
 // merged) drained by a background pump, so a slow consumer delays
 // delivery instead of losing it. FIFO order is preserved among distinct
 // events.
 func (b *Bus) SubscribeLossless(topics ...Topic) (*Subscription, error) {
-	return b.subscribe(true, topics)
-}
-
-func (b *Bus) subscribe(lossless bool, topics []Topic) (*Subscription, error) {
 	if len(topics) == 0 {
 		return nil, fmt.Errorf("eventbus: subscribe with no topics")
 	}
@@ -243,18 +188,15 @@ func (b *Bus) subscribe(lossless bool, topics []Topic) (*Subscription, error) {
 		ts[t] = true
 	}
 	sub := &Subscription{
-		bus:      b,
-		id:       b.nextID,
-		topics:   ts,
-		ch:       make(chan Event, DefaultBuffer),
-		lossless: lossless,
+		bus:    b,
+		id:     b.nextID,
+		topics: ts,
+		ch:     make(chan Event, chanBuffer),
+		wake:   make(chan struct{}, 1),
+		done:   make(chan struct{}),
+		keys:   make(map[any]int),
 	}
-	if lossless {
-		sub.wake = make(chan struct{}, 1)
-		sub.done = make(chan struct{})
-		sub.keys = make(map[any]int)
-		go sub.pump()
-	}
+	go sub.pump()
 	b.subs[b.nextID] = sub
 	b.nextID++
 	b.gauges()
@@ -273,10 +215,10 @@ func coalesceKey(ev Event) (any, bool) {
 	return [2]any{ev.Topic, ev.Payload}, true
 }
 
-// enqueue appends an event to a lossless subscription's overflow queue,
-// merging it into an identical pending event when possible, and nudges
-// the pump. It reports whether the event was newly queued (false =
-// coalesced into an existing slot).
+// enqueue appends an event to the subscription's queue, merging it into
+// an identical pending event when possible, and nudges the pump. It
+// reports whether the event was newly queued (false = coalesced into an
+// existing slot, or the subscription is closed).
 func (s *Subscription) enqueue(ev Event) bool {
 	s.mu.Lock()
 	if s.closed {
@@ -286,15 +228,14 @@ func (s *Subscription) enqueue(ev Event) bool {
 	fresh := true
 	if k, ok := coalesceKey(ev); ok {
 		if i, dup := s.keys[k]; dup {
-			s.overflow[i].Time = ev.Time
-			s.coalesced++
+			s.queue[i].Time = ev.Time
 			fresh = false
 		} else {
-			s.keys[k] = len(s.overflow)
-			s.overflow = append(s.overflow, ev)
+			s.keys[k] = len(s.queue)
+			s.queue = append(s.queue, ev)
 		}
 	} else {
-		s.overflow = append(s.overflow, ev)
+		s.queue = append(s.queue, ev)
 	}
 	s.mu.Unlock()
 	select {
@@ -304,16 +245,16 @@ func (s *Subscription) enqueue(ev Event) bool {
 	return fresh
 }
 
-// pump is the delivery goroutine of a lossless subscription: it moves
-// queued events onto the receive channel in order, blocking on a slow
-// receiver rather than dropping, and closes the channel once the
-// subscription is cancelled. The pump is the channel's only sender, which
-// is what makes closing it here safe.
+// pump is the delivery goroutine of a subscription: it moves queued
+// events onto the receive channel in order, blocking on a slow receiver
+// rather than dropping, and closes the channel once the subscription is
+// cancelled. The pump is the channel's only sender, which is what makes
+// closing it here safe.
 func (s *Subscription) pump() {
 	defer close(s.ch)
 	for {
 		s.mu.Lock()
-		for len(s.overflow) == 0 && !s.closed {
+		for len(s.queue) == 0 && !s.closed {
 			s.mu.Unlock()
 			select {
 			case <-s.wake:
@@ -321,12 +262,12 @@ func (s *Subscription) pump() {
 			}
 			s.mu.Lock()
 		}
-		if len(s.overflow) == 0 {
+		if len(s.queue) == 0 {
 			s.mu.Unlock()
 			return
 		}
-		batch := s.overflow
-		s.overflow = nil
+		batch := s.queue
+		s.queue = nil
 		s.keys = make(map[any]int)
 		s.mu.Unlock()
 		for _, ev := range batch {
@@ -339,12 +280,10 @@ func (s *Subscription) pump() {
 	}
 }
 
-// Publish hands the event to the recorder (see SetRecorder), then
-// delivers it to every matching subscriber without blocking. Lossy
-// subscribers that are not draining lose events (counted per
-// subscription); lossless subscribers have the event queued for their
-// pump. It returns the number of subscribers that received (or queued)
-// the event.
+// Publish hands the event to the recorder (see SetRecorder), then queues
+// it for every matching subscriber's pump without blocking. It returns
+// the number of subscribers that will see the event: those it was newly
+// queued for plus those whose identical pending event it merged into.
 func (b *Bus) Publish(topic Topic, payload any) int {
 	ev := Event{Topic: topic, Time: time.Now(), Payload: payload}
 	if record := b.record.Load(); record != nil && *record != nil {
@@ -355,39 +294,22 @@ func (b *Bus) Publish(topic Topic, payload any) int {
 	if b.closed {
 		return 0
 	}
-	delivered, dropped, coalesced := 0, 0, 0
+	delivered, coalesced := 0, 0
 	for _, sub := range b.subs {
 		if !sub.topics[topic] {
 			continue
 		}
-		if sub.lossless {
-			if sub.enqueue(ev) {
-				delivered++
-			} else {
-				coalesced++
-			}
-			continue
-		}
-		select {
-		case sub.ch <- ev:
+		if sub.enqueue(ev) {
 			delivered++
-		default:
-			dropped++
-			sub.mu.Lock()
-			sub.dropped++
-			sub.mu.Unlock()
+		} else {
+			coalesced++
 		}
 	}
 	if b.reg != nil {
 		b.reg.Counter(metrics.EventsPublished).Inc()
 		b.reg.Counter(metrics.EventsDelivered).Add(int64(delivered))
-		b.reg.Counter(metrics.EventsDropped).Add(int64(dropped))
 		b.reg.Counter(metrics.EventsCoalesced).Add(int64(coalesced))
 		b.gauges()
-	}
-	if dropped > 0 {
-		b.log.Warn("events dropped on full lossy subscriber",
-			obslog.String("topic", string(topic)), obslog.Int("dropped", int64(dropped)))
 	}
 	return delivered + coalesced
 }
@@ -402,11 +324,10 @@ func (b *Bus) Close() {
 	}
 	b.closed = true
 	for id, sub := range b.subs {
-		if !sub.markClosed() {
-			continue
+		if sub.markClosed() {
+			close(sub.done)
+			delete(b.subs, id)
 		}
-		sub.finish()
-		delete(b.subs, id)
 	}
 	b.gauges()
 }
@@ -423,34 +344,15 @@ func (s *Subscription) markClosed() bool {
 	return true
 }
 
-// finish tears down the delivery side after markClosed: a lossy channel
-// is closed directly (publishers only send under the bus write-lock
-// exclusion); a lossless pump is told to exit and closes the channel
-// itself, since it may be mid-send.
-func (s *Subscription) finish() {
-	if s.lossless {
-		close(s.done)
-		return
-	}
-	close(s.ch)
-}
-
+// cancel tells the subscription's pump to exit; the pump closes the
+// channel itself, since it may be mid-send.
 func (b *Bus) cancel(s *Subscription) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	if !s.markClosed() {
-		return
+		return // cancelled before, or closed with the bus
 	}
-	if _, ok := b.subs[s.id]; ok {
-		delete(b.subs, s.id)
-		s.finish()
-	}
+	delete(b.subs, s.id)
+	close(s.done)
 	b.gauges()
-}
-
-// Subscribers returns the number of active subscriptions.
-func (b *Bus) Subscribers() int {
-	b.mu.RLock()
-	defer b.mu.RUnlock()
-	return len(b.subs)
 }

@@ -2,6 +2,7 @@ package eventbus
 
 import (
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -22,10 +23,26 @@ func recv(t *testing.T, sub *Subscription) Event {
 	}
 }
 
+// subscribers reads the bus's subscriber gauge.
+func subscribers(r *metrics.Registry) float64 {
+	v, _ := r.Gauge(metrics.BusSubscribers).Value()
+	return v
+}
+
+// waitFor polls until the condition holds or the deadline passes.
+func waitFor(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	for deadline := time.Now().Add(5 * time.Second); !cond(); time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s", what)
+		}
+	}
+}
+
 func TestPublishSubscribe(t *testing.T) {
 	b := New()
 	defer b.Close()
-	sub, err := b.Subscribe(TopicDeviceJoined, TopicDeviceLeft)
+	sub, err := b.SubscribeLossless(TopicDeviceJoined, TopicDeviceLeft)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,7 +62,7 @@ func TestPublishSubscribe(t *testing.T) {
 func TestSubscribeValidation(t *testing.T) {
 	b := New()
 	defer b.Close()
-	if _, err := b.Subscribe(); err == nil {
+	if _, err := b.SubscribeLossless(); err == nil {
 		t.Error("no topics should fail")
 	}
 }
@@ -53,45 +70,31 @@ func TestSubscribeValidation(t *testing.T) {
 func TestMultipleSubscribers(t *testing.T) {
 	b := New()
 	defer b.Close()
-	s1, _ := b.Subscribe(TopicSessionStarted)
-	s2, _ := b.Subscribe(TopicSessionStarted)
+	r := metrics.NewRegistry()
+	b.Instrument(r)
+	s1, _ := b.SubscribeLossless(TopicSessionStarted)
+	s2, _ := b.SubscribeLossless(TopicSessionStarted)
 	if n := b.Publish(TopicSessionStarted, 7); n != 2 {
 		t.Errorf("delivered = %d", n)
 	}
 	if recv(t, s1).Payload.(int) != 7 || recv(t, s2).Payload.(int) != 7 {
 		t.Error("payload mismatch")
 	}
-	if b.Subscribers() != 2 {
-		t.Errorf("Subscribers = %d", b.Subscribers())
-	}
-}
-
-func TestSlowSubscriberDrops(t *testing.T) {
-	b := New()
-	defer b.Close()
-	sub, _ := b.Subscribe(TopicResourceChanged)
-	for i := 0; i < DefaultBuffer+5; i++ {
-		b.Publish(TopicResourceChanged, i)
-	}
-	if got := sub.Dropped(); got != 5 {
-		t.Errorf("Dropped = %d, want 5", got)
-	}
-	// The buffered events are still readable in order.
-	for i := 0; i < DefaultBuffer; i++ {
-		if ev := recv(t, sub); ev.Payload.(int) != i {
-			t.Fatalf("event %d payload = %v", i, ev.Payload)
-		}
+	if n := subscribers(r); n != 2 {
+		t.Errorf("subscribers gauge = %v", n)
 	}
 }
 
 func TestCancel(t *testing.T) {
 	b := New()
 	defer b.Close()
-	sub, _ := b.Subscribe(TopicUserMoved)
+	r := metrics.NewRegistry()
+	b.Instrument(r)
+	sub, _ := b.SubscribeLossless(TopicUserMoved)
 	sub.Cancel()
 	sub.Cancel() // idempotent
-	if b.Subscribers() != 0 {
-		t.Errorf("Subscribers = %d after cancel", b.Subscribers())
+	if n := subscribers(r); n != 0 {
+		t.Errorf("subscribers gauge = %v after cancel", n)
 	}
 	if _, ok := <-sub.C(); ok {
 		t.Error("channel should be closed after cancel")
@@ -103,13 +106,13 @@ func TestCancel(t *testing.T) {
 
 func TestClose(t *testing.T) {
 	b := New()
-	sub, _ := b.Subscribe(TopicUserMoved)
+	sub, _ := b.SubscribeLossless(TopicUserMoved)
 	b.Close()
 	b.Close() // idempotent
 	if _, ok := <-sub.C(); ok {
 		t.Error("channel should be closed after bus close")
 	}
-	if _, err := b.Subscribe(TopicUserMoved); err == nil {
+	if _, err := b.SubscribeLossless(TopicUserMoved); err == nil {
 		t.Error("subscribe after close should fail")
 	}
 	if n := b.Publish(TopicUserMoved, nil); n != 0 {
@@ -126,7 +129,7 @@ func TestConcurrentPublishSubscribe(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			sub, err := b.Subscribe(TopicSessionStarted)
+			sub, err := b.SubscribeLossless(TopicSessionStarted)
 			if err != nil {
 				t.Error(err)
 				return
@@ -149,31 +152,32 @@ func TestConcurrentPublishSubscribe(t *testing.T) {
 }
 
 // TestPublishFanOutAccounting checks the fan-out invariant under
-// concurrent publishers sharing the bus read lock: for every subscriber,
-// events received plus events dropped equals the total published.
+// concurrent publishers sharing the bus read lock: across subscribers,
+// events received plus publishes coalesced into a pending duplicate equals
+// every subscriber times the total published.
 func TestPublishFanOutAccounting(t *testing.T) {
 	b := New()
+	r := metrics.NewRegistry()
+	b.Instrument(r)
 	const (
 		subscribers = 6
 		publishers  = 4
 		perPub      = 200
 	)
-	subs := make([]*Subscription, subscribers)
-	received := make([]int, subscribers)
+	var received atomic.Int64
 	var drainers sync.WaitGroup
-	for i := range subs {
-		sub, err := b.Subscribe(TopicResourceChanged)
+	for i := 0; i < subscribers; i++ {
+		sub, err := b.SubscribeLossless(TopicResourceChanged)
 		if err != nil {
 			t.Fatal(err)
 		}
-		subs[i] = sub
 		drainers.Add(1)
-		go func(i int) {
+		go func() {
 			defer drainers.Done()
-			for range subs[i].C() {
-				received[i]++
+			for range sub.C() {
+				received.Add(1)
 			}
-		}(i)
+		}()
 	}
 
 	var pubs sync.WaitGroup
@@ -187,14 +191,18 @@ func TestPublishFanOutAccounting(t *testing.T) {
 		}()
 	}
 	pubs.Wait()
+	// Close discards what the pumps still hold, so wait for the drainers
+	// to have everything first.
+	const want = subscribers * publishers * perPub
+	coalesced := r.Counter(metrics.EventsCoalesced).Value()
+	waitFor(t, "every event delivered", func() bool { return received.Load()+coalesced == want })
 	b.Close()
 	drainers.Wait()
-
-	for i, sub := range subs {
-		if got := received[i] + sub.Dropped(); got != publishers*perPub {
-			t.Errorf("subscriber %d: received %d + dropped %d = %d, want %d",
-				i, received[i], sub.Dropped(), got, publishers*perPub)
-		}
+	if got := received.Load() + coalesced; got != want {
+		t.Errorf("received %d + coalesced %d = %d, want %d", received.Load(), coalesced, got, want)
+	}
+	if got := r.Counter(metrics.EventsDelivered).Value(); got != received.Load() {
+		t.Errorf("eventbus_delivered_total = %d, received %d", got, received.Load())
 	}
 }
 
@@ -203,6 +211,8 @@ func TestPublishFanOutAccounting(t *testing.T) {
 func TestSubscribersConcurrentWithPublish(t *testing.T) {
 	b := New()
 	defer b.Close()
+	r := metrics.NewRegistry()
+	b.Instrument(r)
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
 	wg.Add(1)
@@ -214,12 +224,12 @@ func TestSubscribersConcurrentWithPublish(t *testing.T) {
 				return
 			default:
 				b.Publish(TopicDeviceJoined, nil)
-				b.Subscribers()
+				subscribers(r)
 			}
 		}
 	}()
 	for i := 0; i < 40; i++ {
-		sub, err := b.Subscribe(TopicDeviceJoined)
+		sub, err := b.SubscribeLossless(TopicDeviceJoined)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -233,40 +243,45 @@ func TestInstrument(t *testing.T) {
 	b := New()
 	r := metrics.NewRegistry()
 	b.Instrument(r)
-	if v, _ := r.Gauge(metrics.BusSubscribers).Value(); v != 0 {
+	if v := subscribers(r); v != 0 {
 		t.Errorf("initial subscribers gauge = %v", v)
 	}
-	sub, err := b.Subscribe(TopicDeviceJoined)
+	sub, err := b.SubscribeLossless(TopicDeviceJoined)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v, _ := r.Gauge(metrics.BusSubscribers).Value(); v != 1 {
+	if v := subscribers(r); v != 1 {
 		t.Errorf("subscribers gauge = %v, want 1", v)
 	}
-	// Fill the subscriber's buffer without draining: DefaultBuffer events
-	// deliver, the rest drop.
-	for i := 0; i < DefaultBuffer+3; i++ {
+	// Publish past the channel capacity without draining: every distinct
+	// event is queued.
+	const n = chanBuffer + 3
+	for i := 0; i < n; i++ {
 		b.Publish(TopicDeviceJoined, i)
 	}
 	b.Publish(TopicDeviceLeft, nil) // no subscriber: published, zero fan-out
-	if got := r.Counter(metrics.EventsPublished).Value(); got != int64(DefaultBuffer+4) {
+	if got := r.Counter(metrics.EventsPublished).Value(); got != n+1 {
 		t.Errorf("published = %d", got)
 	}
-	if got := r.Counter(metrics.EventsDelivered).Value(); got != int64(DefaultBuffer) {
+	if got := r.Counter(metrics.EventsDelivered).Value(); got != n {
 		t.Errorf("delivered = %d", got)
 	}
-	if got := r.Counter(metrics.EventsDropped).Value(); got != 3 {
-		t.Errorf("dropped = %d", got)
+	if got := r.Counter(metrics.EventsCoalesced).Value(); got != 0 {
+		t.Errorf("coalesced = %d", got)
 	}
-	if v, _ := r.Gauge(metrics.BusQueueDepth).Value(); v != float64(DefaultBuffer) {
-		t.Errorf("queue depth gauge = %v, want %d", v, DefaultBuffer)
+	if v, _ := r.Gauge(metrics.BusQueueDepth).Value(); v > n {
+		t.Errorf("queue depth gauge = %v, more than the %d published", v, n)
+	}
+	for i := 0; i < n; i++ {
+		recv(t, sub)
+	}
+	b.Publish(TopicDeviceLeft, nil)
+	if v, _ := r.Gauge(metrics.BusQueueDepth).Value(); v != 0 {
+		t.Errorf("queue depth gauge = %v with every event received", v)
 	}
 	sub.Cancel()
-	if v, _ := r.Gauge(metrics.BusSubscribers).Value(); v != 0 {
+	if v := subscribers(r); v != 0 {
 		t.Errorf("subscribers gauge after cancel = %v", v)
-	}
-	if v, _ := r.Gauge(metrics.BusQueueDepth).Value(); v != 0 {
-		t.Errorf("queue depth after cancel = %v", v)
 	}
 	// Uninstrumented publishing still works.
 	b.Instrument(nil)
@@ -281,14 +296,10 @@ func TestLosslessNoDropsUnderStorm(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Publish far past the channel capacity before draining anything: a
-	// lossy subscription would drop most of these.
-	const storm = 50 * DefaultBuffer
+	// Publish far past the channel capacity before draining anything.
+	const storm = 50 * chanBuffer
 	for i := 0; i < storm; i++ {
 		b.Publish(TopicDeviceLeft, i) // distinct payloads: nothing coalesces
-	}
-	if d := sub.Dropped(); d != 0 {
-		t.Fatalf("lossless subscription dropped %d events", d)
 	}
 	for i := 0; i < storm; i++ {
 		ev := recv(t, sub)
@@ -302,14 +313,14 @@ func TestLosslessNoDropsUnderStorm(t *testing.T) {
 func TestLosslessCoalescesDuplicates(t *testing.T) {
 	b := New()
 	defer b.Close()
+	r := metrics.NewRegistry()
+	b.Instrument(r)
 	sub, err := b.SubscribeLossless(TopicDeviceLeft, TopicResourceChanged)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Fill the channel so subsequent publishes stay pending in the
-	// overflow queue, where duplicates coalesce.
-	block, _ := b.SubscribeLossless(TopicDeviceLeft) // unused drain
-	defer block.Cancel()
+	// Nothing drains while publishing, so duplicates meet their pending
+	// copy in the pump's queue and coalesce.
 	const dups = 200
 	for i := 0; i < dups; i++ {
 		b.Publish(TopicDeviceLeft, "pda1")
@@ -328,11 +339,8 @@ func TestLosslessCoalescesDuplicates(t *testing.T) {
 	if seen == 0 {
 		t.Fatal("coalescing lost the event entirely")
 	}
-	if sub.Dropped() != 0 {
-		t.Fatalf("dropped = %d", sub.Dropped())
-	}
-	if seen+sub.Coalesced() != dups {
-		t.Fatalf("delivered %d + coalesced %d != published %d", seen, sub.Coalesced(), dups)
+	if coalesced := r.Counter(metrics.EventsCoalesced).Value(); int64(seen)+coalesced != dups {
+		t.Fatalf("delivered %d + coalesced %d != published %d", seen, coalesced, dups)
 	}
 	sub.Cancel()
 }
@@ -379,15 +387,12 @@ func TestLosslessConcurrentStorm(t *testing.T) {
 	}
 	sub.Cancel()
 	<-done
-	if d := sub.Dropped(); d != 0 {
-		t.Fatalf("dropped %d events under concurrent storm", d)
-	}
-	// Every publish was either delivered or merged into a still-pending
-	// duplicate; with distinct payloads and an active drainer, deliveries
-	// dominate. The invariant is no loss: delivered + coalesced + the few
-	// still in flight at Cancel account for all publishes.
-	if v := r.Counter(metrics.EventsDropped).Value(); v != 0 {
-		t.Fatalf("eventbus_dropped_total = %d", v)
+	// Every publish was either queued or merged into a still-pending
+	// duplicate: nothing is refused.
+	delivered := r.Counter(metrics.EventsDelivered).Value()
+	coalesced := r.Counter(metrics.EventsCoalesced).Value()
+	if delivered+coalesced != publishers*per {
+		t.Fatalf("delivered %d + coalesced %d != published %d", delivered, coalesced, publishers*per)
 	}
 }
 
@@ -395,7 +400,7 @@ func TestLosslessCancelUnblocksPump(t *testing.T) {
 	b := New()
 	defer b.Close()
 	sub, _ := b.SubscribeLossless(TopicDeviceLeft)
-	for i := 0; i < 10*DefaultBuffer; i++ {
+	for i := 0; i < 10*chanBuffer; i++ {
 		b.Publish(TopicDeviceLeft, i)
 	}
 	// Nobody drains; Cancel must still return promptly and close the
@@ -429,22 +434,22 @@ func TestLosslessCancelUnblocksPump(t *testing.T) {
 func TestRecorderSeesEveryPublishFirst(t *testing.T) {
 	b := New()
 	defer b.Close()
-	sub, err := b.Subscribe(TopicResourceChanged)
+	sub, err := b.SubscribeLossless(TopicResourceChanged)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var recorded []Event
 	b.SetRecorder(func(ev Event) {
-		if got := len(sub.C()); got != len(recorded) {
+		if got := sub.Pending(); got > len(recorded) {
 			t.Errorf("recording event %d: the subscriber holds %d", len(recorded), got)
 		}
 		recorded = append(recorded, ev)
 	})
-	for i := 0; i < DefaultBuffer; i++ {
+	for i := 0; i < chanBuffer; i++ {
 		b.Publish(TopicResourceChanged, "pda1")
 	}
-	if len(recorded) != DefaultBuffer {
-		t.Fatalf("recorder saw %d of %d identical publishes", len(recorded), DefaultBuffer)
+	if len(recorded) != chanBuffer {
+		t.Fatalf("recorder saw %d of %d identical publishes", len(recorded), chanBuffer)
 	}
 	for _, ev := range recorded {
 		if ev.Topic != TopicResourceChanged || ev.Payload != "pda1" || ev.Time.IsZero() {
@@ -453,7 +458,7 @@ func TestRecorderSeesEveryPublishFirst(t *testing.T) {
 	}
 	b.SetRecorder(nil)
 	b.Publish(TopicResourceChanged, "pda1")
-	if len(recorded) != DefaultBuffer {
+	if len(recorded) != chanBuffer {
 		t.Fatal("a detached recorder still sees publishes")
 	}
 }

@@ -160,9 +160,11 @@ func drillClasses() []drillClass {
 // It registers the audio-on-demand services with everything
 // pre-installed, so recovery never waits on downloads. Unlike the Figure
 // 3/4 space, nothing pins the audio server to a named desktop — a
-// crashed host must be replaceable.
+// crashed host must be replaceable. The capacity sampler runs every
+// 100 ms: the drill waits for an incident to resolve, which takes two
+// passes below its threshold.
 func BuildChaosSpace(scale float64, place core.PlaceFunc) (*domain.Domain, error) {
-	d, err := domain.New("chaos-space", domain.Options{Scale: scale, Place: place})
+	d, err := domain.New("chaos-space", domain.Options{Scale: scale, Place: place, SampleInterval: 100 * time.Millisecond})
 	if err != nil {
 		return nil, err
 	}

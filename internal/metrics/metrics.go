@@ -467,8 +467,8 @@ const (
 	BnBIncumbents = "bnb_incumbent_updates_total"
 
 	// PlanCacheHits/Misses count placement-cache consults by outcome;
-	// PlanCacheInvalidations counts entries dropped on domain mutations
-	// (device fail/rejoin, link change) and
+	// PlanCacheInvalidations counts entries dropped by a hit that failed
+	// its FitInto re-check or by a Flush, and
 	// PlanCacheEvictions entries displaced by the LRU bound.
 	// PlanCacheEntries gauges the current cache population.
 	PlanCacheHits          = "plan_cache_hits_total"
@@ -487,16 +487,16 @@ const (
 
 // Metric names recorded by the event service.
 const (
-	// EventsPublished counts Publish calls; EventsDelivered and
-	// EventsDropped count the per-subscriber fan-out outcomes.
+	// EventsPublished counts Publish calls; EventsDelivered counts the
+	// per-subscriber events newly queued, and EventsCoalesced the
+	// publishes merged into an identical event still pending in a
+	// subscription's queue.
 	EventsPublished = "eventbus_published_total"
 	EventsDelivered = "eventbus_delivered_total"
-	EventsDropped   = "eventbus_dropped_total"
-	// EventsCoalesced counts publishes merged into an identical event still
-	// pending in a lossless subscription's queue.
 	EventsCoalesced = "eventbus_coalesced_total"
 	// BusSubscribers gauges active subscriptions; BusQueueDepth gauges the
-	// total backlog across subscriber channels at the last publish.
+	// total backlog across subscriptions (channels and pump queues) at the
+	// last publish.
 	BusSubscribers = "eventbus_subscribers"
 	BusQueueDepth  = "eventbus_queue_depth"
 )

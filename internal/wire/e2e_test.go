@@ -125,7 +125,7 @@ func TestCrashDeviceReplacesSessionOverWire(t *testing.T) {
 // specifies for unrecoverable churn.
 func TestCrashCascadeFiresUserNotification(t *testing.T) {
 	dom, addr := startChaosServer(t)
-	notices, err := dom.Bus.Subscribe(eventbus.TopicUserNotification)
+	notices, err := dom.Bus.SubscribeLossless(eventbus.TopicUserNotification)
 	if err != nil {
 		t.Fatal(err)
 	}
