@@ -41,12 +41,13 @@ bench-smoke:
 	cd benchmark && $(GO) test ./... && $(GO) run . -smoke
 
 # bench-go runs the Go micro-benchmarks of the request path once each —
-# request decode and start reply (wire), abstract-graph decode and build,
+# request encode and decode, start reply and its decode (wire),
+# abstract-graph decode and build,
 # cost aggregation, fit-into and the heuristic on Fig. 5-size graphs
 # (root package), problem signature (distributor) — so that they keep
 # building and running; one iteration measures nothing.
 bench-go:
-	$(GO) test . ./internal/wire ./internal/composer ./internal/registry ./internal/distributor -run '^$$' -bench 'RequestDecode|StartReply|AbstractGraphDecode|AbstractGraphBuild|Signature|CostAggregation|FitInto|HeuristicLarge' -benchtime 1x
+	$(GO) test . ./internal/wire ./internal/composer ./internal/registry ./internal/distributor -run '^$$' -bench 'RequestEncode|RequestDecode|StartReply|AbstractGraphDecode|AbstractGraphBuild|Signature|CostAggregation|FitInto|HeuristicLarge' -benchtime 1x
 
 # bench runs the repository's one benchmark (BENCHMARK.json, benchmark/):
 # all four over-the-wire workloads with every end-to-end and per-layer

@@ -11,6 +11,7 @@ package composer
 
 import (
 	"fmt"
+	"strings"
 
 	"ubiqos/internal/graph"
 	"ubiqos/internal/registry"
@@ -90,25 +91,26 @@ func (ag *AbstractGraph) MustAddNode(n *AbstractNode) {
 }
 
 // AddEdge declares that service `from` feeds service `to` at the given
-// throughput.
+// throughput. It keeps neither ID (the graph holds positions), so a caller
+// may pass IDs converted from bytes it reuses.
 func (ag *AbstractGraph) AddEdge(from, to graph.NodeID, throughputMbps float64) error {
 	fi, ok := ag.index[from]
 	if !ok {
-		return fmt.Errorf("composer: abstract edge source %q does not exist", from)
+		return fmt.Errorf("composer: abstract edge source %q does not exist", strings.Clone(string(from)))
 	}
 	ti, ok := ag.index[to]
 	if !ok {
-		return fmt.Errorf("composer: abstract edge target %q does not exist", to)
+		return fmt.Errorf("composer: abstract edge target %q does not exist", strings.Clone(string(to)))
 	}
-	if from == to {
-		return fmt.Errorf("composer: self-loop on %q", from)
+	if fi == ti {
+		return fmt.Errorf("composer: self-loop on %q", ag.nodes[fi].ID)
 	}
 	if throughputMbps < 0 {
-		return fmt.Errorf("composer: negative throughput on %s->%s", from, to)
+		return fmt.Errorf("composer: negative throughput on %s->%s", ag.nodes[fi].ID, ag.nodes[ti].ID)
 	}
 	for k := ag.head[fi]; k >= 0; k = ag.next[k] {
 		if ag.ends[2*k+1] == ti {
-			return fmt.Errorf("composer: duplicate abstract edge %s->%s", from, to)
+			return fmt.Errorf("composer: duplicate abstract edge %s->%s", ag.nodes[fi].ID, ag.nodes[ti].ID)
 		}
 	}
 	ag.ends = append(ag.ends, fi, ti)
@@ -153,24 +155,15 @@ func (ag *AbstractGraph) Edges() []AbstractEdge {
 // NodeCount returns the number of abstract services.
 func (ag *AbstractGraph) NodeCount() int { return len(ag.nodes) }
 
-// Clone returns a copy of the graph with the same node and edge order.
-// The nodes are copied, so the clone's pins can be rewritten without
-// touching the original; what AddNode and AddEdge validated on the way in
-// is not checked again.
-func (ag *AbstractGraph) Clone() *AbstractGraph {
-	c := &AbstractGraph{
-		index: make(map[graph.NodeID]int32, len(ag.nodes)),
-		nodes: make([]*AbstractNode, len(ag.nodes)),
-		ends:  append([]int32(nil), ag.ends...),
-		tp:    append([]float64(nil), ag.tp...),
-		head:  append([]int32(nil), ag.head...),
-		next:  append([]int32(nil), ag.next...),
+// NodeAt returns the abstract node at position i in insertion order.
+func (ag *AbstractGraph) NodeAt(i int) *AbstractNode { return ag.nodes[i] }
+
+// EachEdge calls f for every edge, in Edges order, with the positions of
+// its endpoints and its throughput: Edges without the copy.
+func (ag *AbstractGraph) EachEdge(f func(from, to int, tp float64)) {
+	for k, tp := range ag.tp {
+		f(int(ag.ends[2*k]), int(ag.ends[2*k+1]), tp)
 	}
-	for id, i := range ag.index {
-		cp := *ag.nodes[i]
-		c.index[id], c.nodes[i] = i, &cp
-	}
-	return c
 }
 
 // adjacency is the predecessor and successor lists of one abstract graph,

@@ -7,7 +7,6 @@ import (
 	"reflect"
 	"testing"
 
-	"ubiqos/internal/graph"
 	"ubiqos/internal/registry"
 	"ubiqos/internal/workload"
 )
@@ -87,29 +86,5 @@ func TestAbstractGraphJSONStableOnFig5(t *testing.T) {
 	e := back.Edges()[0]
 	if err := back.AddEdge(e.From, e.To, 1); err == nil {
 		t.Error("AddEdge on a decoded graph accepted a duplicate")
-	}
-}
-
-func TestAbstractGraphClone(t *testing.T) {
-	ag := fig5App(6)
-	before, _ := json.Marshal(ag)
-	c := ag.Clone()
-	for _, n := range c.Nodes() {
-		n.Pin = "elsewhere"
-	}
-	c.MustAddNode(&AbstractNode{ID: "extra", Spec: registry.Spec{Type: "svc"}})
-	c.MustAddEdge(c.Nodes()[0].ID, "extra", 1)
-	after, _ := json.Marshal(ag)
-	if !bytes.Equal(before, after) {
-		t.Error("mutating the clone changed the original")
-	}
-	ids := func(g *AbstractGraph) (out []graph.NodeID) {
-		for _, n := range g.Nodes() {
-			out = append(out, n.ID)
-		}
-		return out
-	}
-	if !reflect.DeepEqual(ids(c)[:ag.NodeCount()], ids(ag)) || !reflect.DeepEqual(c.Edges()[:len(ag.Edges())], ag.Edges()) {
-		t.Error("clone does not preserve node and edge order")
 	}
 }

@@ -48,6 +48,8 @@ func abstractDiff(ag *AbstractGraph, r *refAbstractGraph) string {
 	views := []view{
 		{"Nodes", ag.Nodes(), r.Nodes()},
 		{"Edges", ag.Edges(), r.Edges()},
+		{"NodeAt", nodesAt(ag), r.Nodes()},
+		{"EachEdge", walkedEdges(ag), r.Edges()},
 		{"NodeCount", ag.NodeCount(), r.NodeCount()},
 		{"Sinks", ag.Sinks(), r.Sinks()},
 		{"Validate", errText(ag.Validate()), errText(r.Validate())},
@@ -63,6 +65,24 @@ func abstractDiff(ag *AbstractGraph, r *refAbstractGraph) string {
 		}
 	}
 	return ""
+}
+
+// nodesAt lists the nodes through NodeAt.
+func nodesAt(ag *AbstractGraph) []*AbstractNode {
+	out := []*AbstractNode{}
+	for i := 0; i < ag.NodeCount(); i++ {
+		out = append(out, ag.NodeAt(i))
+	}
+	return out
+}
+
+// walkedEdges rebuilds Edges from what EachEdge reports by position.
+func walkedEdges(ag *AbstractGraph) []AbstractEdge {
+	var out []AbstractEdge
+	ag.EachEdge(func(from, to int, tp float64) {
+		out = append(out, AbstractEdge{From: ag.NodeAt(from).ID, To: ag.NodeAt(to).ID, ThroughputMbps: tp})
+	})
+	return out
 }
 
 // runAbstractSequence applies one generated operation sequence to both
@@ -90,8 +110,16 @@ func runAbstractSequence(seed int64) string {
 			op = fmt.Sprintf("AddEdge(%q, %q, %v)", from, to, tp)
 			gotErr, refErr = errText(ag.AddEdge(from, to, tp)), errText(r.AddEdge(from, to, tp))
 		case k < 18:
-			op = "Clone"
-			ag, r = ag.Clone(), r.Clone()
+			// IDs converted from a buffer that is then overwritten: the
+			// graph must keep neither.
+			from, to := pick(), pick()
+			op = fmt.Sprintf("AddEdge(%q, %q, 2) from bytes", from, to)
+			buf := []byte(string(from) + string(to))
+			gotErr = errText(ag.AddEdge(graph.NodeID(buf[:len(from)]), graph.NodeID(buf[len(from):]), 2))
+			refErr = errText(r.AddEdge(from, to, 2))
+			for i := range buf {
+				buf[i] = '#'
+			}
 		default:
 			op = "JSON round trip"
 			gb, gerr := json.Marshal(ag)
@@ -115,8 +143,9 @@ func runAbstractSequence(seed int64) string {
 // TestAbstractGraphMatchesReference holds the position-based abstract
 // graph to the one it replaced on generated operation sequences: node
 // additions with duplicate, empty, untyped and nil nodes; edge additions
-// with duplicates, self-loops, unknown endpoints and negative throughputs;
-// clones and JSON round trips (FromPlain). After every step each returns
+// with duplicates, self-loops, unknown endpoints and negative throughputs,
+// some with IDs converted from bytes overwritten afterwards; and JSON round
+// trips (FromPlain). After every step each returns
 // the same error and the same view through every read method and the
 // adjacency lists Compose walks. A failure names the seed; -oracle.seed
 // replays it alone.

@@ -114,23 +114,6 @@ func (ag *refAbstractGraph) Edges() []AbstractEdge {
 // NodeCount returns the number of abstract services.
 func (ag *refAbstractGraph) NodeCount() int { return len(ag.nodes) }
 
-// Clone returns a copy of the graph with the same node and edge order.
-// The nodes are copied, so the clone's pins can be rewritten without
-// touching the original; what AddNode and AddEdge validated on the way in
-// is not checked again.
-func (ag *refAbstractGraph) Clone() *refAbstractGraph {
-	c := &refAbstractGraph{
-		nodes: make(map[graph.NodeID]*AbstractNode, len(ag.nodes)),
-		order: append([]graph.NodeID(nil), ag.order...),
-		edges: append([]AbstractEdge(nil), ag.edges...),
-	}
-	for id, n := range ag.nodes {
-		cp := *n
-		c.nodes[id] = &cp
-	}
-	return c
-}
-
 // refAdjacency is the predecessor and successor lists of one abstract graph:
 // nodes are named by their position in insertion order, and each list is
 // in edge order. It is built in one pass over the edges by whoever needs

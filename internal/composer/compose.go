@@ -18,6 +18,11 @@ import (
 // the practical implementation" (paper §3.2, footnote 1).
 const MaxRecursionDepth = 2
 
+// ClientRole is the pin that names whichever device the user's client is:
+// a service of the application's own graph pinned to it is pinned to
+// Request.ClientDevice.
+const ClientRole = "client"
+
 // Request is one composition request handed to the service composer.
 type Request struct {
 	// App is the abstract service graph describing the application.
@@ -32,7 +37,9 @@ type Request struct {
 	// of services pinned to ClientDevice.
 	ClientAttrs map[string]string
 	// ClientDevice names the device whose pinned services receive
-	// ClientAttrs (matched against AbstractNode.Pin).
+	// ClientAttrs (matched against AbstractNode.Pin). The application's
+	// services pinned to ClientRole are pinned to it, when it is set; a
+	// decomposition's pins are taken as written.
 	ClientDevice string
 	// Span, when non-nil, receives child spans for every discovery attempt
 	// (with recursion depth) and every Ordered Coordination correction.
@@ -217,17 +224,20 @@ type instantiation struct {
 	g       *graph.Graph
 	report  *Report
 	missing map[string]bool
+	// nodes holds g's nodes by position: the pass adds every one of them.
+	nodes []*graph.Node
 }
 
 // splice is what one instantiated abstract graph leaves behind for wiring
-// edges: for each abstract node, by position, the concrete nodes at its
-// upstream (entries) and downstream (exits) boundary. A discovered node is
-// its own boundary and a recomposed one has its decomposition's; a nil
-// boundary (skipped optional, missing, or a decomposition that came out
-// empty) resolves through the node's abstract neighbours, the bypass.
+// edges: for each abstract node, by position, the positions in the
+// concrete graph of the nodes at its upstream (entries) and downstream
+// (exits) boundary. A discovered node is its own boundary and a recomposed
+// one has its decomposition's; a nil boundary (skipped optional, missing,
+// or a decomposition that came out empty) resolves through the node's
+// abstract neighbours, the bypass.
 type splice struct {
 	adj            adjacency
-	entries, exits [][]graph.NodeID
+	entries, exits [][]int32
 }
 
 func qualify(prefix string, id graph.NodeID) graph.NodeID {
@@ -241,8 +251,8 @@ func qualify(prefix string, id graph.NodeID) graph.NodeID {
 // shows the recursion depth structurally.
 func (in *instantiation) run(ag *AbstractGraph, adj adjacency, prefix string, depth int, parent *trace.Span) (*splice, error) {
 	n := len(ag.nodes)
-	sp := &splice{adj: adj, entries: make([][]graph.NodeID, n), exits: make([][]graph.NodeID, n)}
-	own := make([]graph.NodeID, n) // own[i:i+1] is discovered node i's boundary on both sides
+	sp := &splice{adj: adj, entries: make([][]int32, n), exits: make([][]int32, n)}
+	own := make([]int32, n) // own[i:i+1] is discovered node i's boundary on both sides
 	for i, an := range ag.nodes {
 		qid := qualify(prefix, an.ID)
 		spec := an.Spec
@@ -250,7 +260,11 @@ func (in *instantiation) run(ag *AbstractGraph, adj adjacency, prefix string, de
 		if sink && len(in.req.UserQoS) > 0 {
 			spec.Output = spec.Output.Merge(in.req.UserQoS)
 		}
-		if an.Pin != "" && an.Pin == in.req.ClientDevice && len(in.req.ClientAttrs) > 0 {
+		pin := an.Pin
+		if depth == 0 && pin == ClientRole && in.req.ClientDevice != "" {
+			pin = in.req.ClientDevice
+		}
+		if pin != "" && pin == in.req.ClientDevice && len(in.req.ClientAttrs) > 0 {
 			merged := make(map[string]string, len(spec.Attrs)+len(in.req.ClientAttrs))
 			for k, v := range in.req.ClientAttrs {
 				merged[k] = v
@@ -269,13 +283,15 @@ func (in *instantiation) run(ag *AbstractGraph, adj adjacency, prefix string, de
 		best := in.c.reg.Best(spec)
 		switch {
 		case best != nil:
-			node := nodeFromInstance(qid, an, best)
+			node := nodeFromInstance(qid, pin, best)
 			if err := in.g.AddNode(node); err != nil {
 				dsp.SetErr(err)
 				dsp.End()
 				return nil, err
 			}
-			own[i] = qid
+			own[i] = int32(len(in.nodes))
+			in.nodes = append(in.nodes, node)
+			in.g.Grow(int(own[i]), len(adj.succs[i]), len(adj.preds[i]))
 			sp.entries[i] = own[i : i+1 : i+1]
 			sp.exits[i] = sp.entries[i]
 			in.report.Discovered[qid] = best.Name
@@ -315,10 +331,10 @@ func (in *instantiation) run(ag *AbstractGraph, adj adjacency, prefix string, de
 			in.report.Expanded[qid] = an.Spec.Type
 			// Propagate the pin to boundary nodes so e.g. a decomposed
 			// player still lands on the client device.
-			if an.Pin != "" {
-				for _, id := range sp.exits[i] {
-					if n := in.g.Node(id); n != nil && n.Pin == "" {
-						n.Pin = an.Pin
+			if pin != "" {
+				for _, at := range sp.exits[i] {
+					if n := in.nodes[at]; n.Pin == "" {
+						n.Pin = pin
 					}
 				}
 			}
@@ -347,13 +363,10 @@ func (in *instantiation) run(ag *AbstractGraph, adj adjacency, prefix string, de
 		}
 		for _, s := range srcs {
 			for _, d := range dsts {
-				if s == d {
-					continue
-				}
-				if err := in.g.AddEdge(s, d, tp); err != nil {
+				if s != d {
 					// A bypass may produce an edge that already exists;
-					// keep the first declaration.
-					continue
+					// the first declaration stays.
+					_ = in.g.AddEdgeAt(int(s), int(d), tp)
 				}
 			}
 		}
@@ -383,21 +396,21 @@ func (in *instantiation) explainDiscovery(qid graph.NodeID, spec registry.Spec, 
 // instantiated decomposition: the boundaries of its abstract nodes that
 // have no predecessor (entry) or no successor. Skipped optional nodes
 // inside the decomposition resolve through to their neighbours.
-func (sp *splice) boundary(entry bool) []graph.NodeID {
+func (sp *splice) boundary(entry bool) []int32 {
 	side, outward, inward := sp.exits, sp.adj.succs, sp.adj.preds
 	if entry {
 		side, outward, inward = sp.entries, sp.adj.preds, sp.adj.succs
 	}
-	var out []graph.NodeID
-	seen := make(map[graph.NodeID]bool)
+	var out []int32
+	seen := make(map[int32]bool)
 	for i := range side {
 		if len(outward[i]) != 0 {
 			continue
 		}
-		for _, id := range resolve(int32(i), side, inward, make([]bool, len(side))) {
-			if !seen[id] {
-				seen[id] = true
-				out = append(out, id)
+		for _, at := range resolve(int32(i), side, inward, make([]bool, len(side))) {
+			if !seen[at] {
+				seen[at] = true
+				out = append(out, at)
 			}
 		}
 	}
@@ -409,7 +422,7 @@ func (sp *splice) boundary(entry bool) []graph.NodeID {
 // boundary, and a node without one resolves to the exits of its abstract
 // predecessors (the bypass); with entries and succs it is the upstream
 // analogue.
-func resolve(i int32, side [][]graph.NodeID, next [][]int32, visiting []bool) []graph.NodeID {
+func resolve(i int32, side [][]int32, next [][]int32, visiting []bool) []int32 {
 	if visiting[i] {
 		return nil
 	}
@@ -417,27 +430,27 @@ func resolve(i int32, side [][]graph.NodeID, next [][]int32, visiting []bool) []
 	if b := side[i]; b != nil {
 		return b
 	}
-	var out []graph.NodeID
+	var out []int32
 	for _, j := range next[i] {
 		out = append(out, resolve(j, side, next, visiting)...)
 	}
 	return dedupe(out)
 }
 
-func dedupe(ids []graph.NodeID) []graph.NodeID {
-	seen := make(map[graph.NodeID]bool, len(ids))
-	out := ids[:0]
-	for _, id := range ids {
-		if !seen[id] {
-			seen[id] = true
-			out = append(out, id)
+func dedupe(at []int32) []int32 {
+	seen := make(map[int32]bool, len(at))
+	out := at[:0]
+	for _, a := range at {
+		if !seen[a] {
+			seen[a] = true
+			out = append(out, a)
 		}
 	}
 	return out
 }
 
 // nodeFromInstance builds a concrete graph node from a discovered instance.
-func nodeFromInstance(id graph.NodeID, an *AbstractNode, inst *registry.Instance) *graph.Node {
+func nodeFromInstance(id graph.NodeID, pin string, inst *registry.Instance) *graph.Node {
 	return &graph.Node{
 		ID:            id,
 		Type:          inst.Type,
@@ -448,7 +461,7 @@ func nodeFromInstance(id graph.NodeID, an *AbstractNode, inst *registry.Instance
 		Adjustable:    cloneBools(inst.Adjustable),
 		PassThrough:   cloneBools(inst.PassThrough),
 		Resources:     inst.Resources.Clone(),
-		Pin:           an.Pin,
+		Pin:           pin,
 		SizeMB:        inst.SizeMB,
 	}
 }

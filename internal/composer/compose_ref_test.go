@@ -22,7 +22,10 @@ import (
 // splice maps keyed by qualified node ID, a visiting map per resolved edge
 // endpoint, and preds/succs that scan every edge per call (with the
 // Validate that made O(V·E)). It is kept verbatim, renamed only, as the
-// oracle TestComposeMatchesReference compares the rewrite against.
+// oracle TestComposeMatchesReference compares the rewrite against. Its
+// requests arrive with their ClientRole pins resolved by
+// refResolveClientPins, as the configurator's requests once did; its
+// dedupe is refDedupe.
 
 // instantiation carries the state of one discovery/instantiation pass,
 // including the splice maps for skipped optional services and recursively
@@ -77,7 +80,7 @@ func (in *refInstantiation) run(ag *AbstractGraph, prefix string, depth int, par
 		best := in.c.reg.Best(spec)
 		switch {
 		case best != nil:
-			node := nodeFromInstance(qid, an, best)
+			node := nodeFromInstance(qid, an.Pin, best)
 			if err := in.g.AddNode(node); err != nil {
 				dsp.SetErr(err)
 				dsp.End()
@@ -223,7 +226,7 @@ func (in *refInstantiation) resolveExits(ag *AbstractGraph, prefix string, id gr
 	for _, p := range ag.refPreds(id) {
 		out = append(out, in.resolveExits(ag, prefix, p, visiting)...)
 	}
-	return dedupe(out)
+	return refDedupe(out)
 }
 
 // resolveEntries is the upstream analogue of resolveExits: a skipped node
@@ -241,7 +244,51 @@ func (in *refInstantiation) resolveEntries(ag *AbstractGraph, prefix string, id 
 	for _, s := range ag.refSuccs(id) {
 		out = append(out, in.resolveEntries(ag, prefix, s, visiting)...)
 	}
-	return dedupe(out)
+	return refDedupe(out)
+}
+
+func refDedupe(ids []graph.NodeID) []graph.NodeID {
+	seen := make(map[graph.NodeID]bool, len(ids))
+	out := ids[:0]
+	for _, id := range ids {
+		if !seen[id] {
+			seen[id] = true
+			out = append(out, id)
+		}
+	}
+	return out
+}
+
+// refResolveClientPins rewrites the ClientRole pin to the concrete client
+// device, returning a copy when rewriting is needed: what the configurator
+// did to every request's graph before the composer resolved the pin
+// itself, and so the reference's half of that resolution.
+func refResolveClientPins(app *AbstractGraph, client string) *AbstractGraph {
+	if app == nil || client == "" {
+		return app
+	}
+	needs := false
+	for _, n := range app.Nodes() {
+		if n.Pin == ClientRole {
+			needs = true
+			break
+		}
+	}
+	if !needs {
+		return app
+	}
+	out := NewAbstractGraph()
+	for _, n := range app.Nodes() {
+		cp := *n
+		if cp.Pin == ClientRole {
+			cp.Pin = client
+		}
+		out.MustAddNode(&cp)
+	}
+	for _, e := range app.Edges() {
+		out.MustAddEdge(e.From, e.To, e.ThroughputMbps)
+	}
+	return out
 }
 
 // preds returns the abstract predecessors of id in edge order.
@@ -486,6 +533,12 @@ func randomComposeCase(rng *rand.Rand) composeCase {
 	if rng.Intn(3) == 0 {
 		req.ClientAttrs = map[string]string{"platform": []string{"pc", "pda"}[rng.Intn(2)]}
 	}
+	switch rng.Intn(3) {
+	case 0:
+		req.ClientDevice = "dev1" // a device pinned by name too
+	case 1:
+		req.ClientDevice = "" // no client: the ClientRole pin stays
+	}
 	switch rng.Intn(8) {
 	case 0:
 		req.UserQoS = qos.V(qos.P(qos.DimFrameRate, qos.Range(20, 30)))
@@ -534,7 +587,9 @@ func outcomeOf(req Request, compose func(Request) (*graph.Graph, *Report, error)
 // TestComposeMatchesReference holds Compose to the reference on generated
 // requests — optional services of unregistered types in chains, registered
 // decompositions at depth 1 and 2 (one hollow, one nested too deep), client
-// pins and attributes, user QoS, a share of cyclic graphs: the identical
+// pins and attributes (the ClientRole pin resolved to a client device
+// named "client", to one other services name, or to none), user QoS, a
+// share of cyclic graphs: the identical
 // concrete graph in node and edge order, the identical report, error,
 // explain records and span tree.
 func TestComposeMatchesReference(t *testing.T) {
@@ -543,7 +598,10 @@ func TestComposeMatchesReference(t *testing.T) {
 	for i := 0; i < 600; i++ {
 		tc := randomComposeCase(rng)
 		got := outcomeOf(tc.req, tc.c.Compose)
-		want := outcomeOf(tc.req, tc.c.refCompose)
+		want := outcomeOf(tc.req, func(req Request) (*graph.Graph, *Report, error) {
+			req.App = refResolveClientPins(req.App, req.ClientDevice)
+			return tc.c.refCompose(req)
+		})
 		if !reflect.DeepEqual(got, want) {
 			app, _ := tc.req.App.MarshalJSON()
 			t.Fatalf("case %d: Compose and the reference disagree\napp: %s\n got: %+v\nwant: %+v", i, app, got, want)
@@ -580,8 +638,9 @@ func TestComposeMatchesReference(t *testing.T) {
 }
 
 // TestComposeAllocationCeiling: composing a Fig. 5-size graph (62 nodes,
-// 452 edges) took 1 625 allocations with the reference's per-edge maps and
-// takes 1 181 with adjacency lists; the ceiling leaves a tenth of slack.
+// 452 edges) took 1 625 allocations with the reference's per-edge maps,
+// 1 095 with adjacency lists and takes 701 wired by position; the ceiling
+// leaves a tenth of slack.
 func TestComposeAllocationCeiling(t *testing.T) {
 	r := registry.New()
 	r.MustRegister(&registry.Instance{Name: "svc-1", Type: "svc", Resources: resource.MB(1, 1)})
@@ -596,7 +655,7 @@ func TestComposeAllocationCeiling(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	const ceiling = 1300
+	const ceiling = 771
 	if allocs > ceiling || allocs > reference {
 		t.Errorf("%.0f allocations a compose, ceiling %d, reference %.0f", allocs, ceiling, reference)
 	}

@@ -1,8 +1,10 @@
 package composer
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -424,7 +426,7 @@ func TestComposeRecursiveDecomposition(t *testing.T) {
 	if rep.Expanded["avp"] != "av-player" {
 		t.Errorf("Expanded = %v", rep.Expanded)
 	}
-	if !g.Has("avp/decoder") {
+	if g.Node("avp/decoder") == nil {
 		t.Fatalf("decomposed node missing; nodes = %v", g.NodeIDs())
 	}
 	if g.Node("avp/decoder").Pin != "client-pc" {
@@ -509,6 +511,49 @@ func TestComposeClientAttrsSteerDiscovery(t *testing.T) {
 	}
 	if g.Node("player").Instance != "wav-player-1" {
 		t.Errorf("player instance = %s, want wav-player-1", g.Node("player").Instance)
+	}
+}
+
+// TestComposeResolvesClientRole: the application's ClientRole pins land on
+// the client device, whose attributes steer their discovery, while the
+// request's own graph — which a client may start again from another
+// device — is left as it was; with no client device the pin stays.
+func TestComposeResolvesClientRole(t *testing.T) {
+	r := newTestRegistry()
+	r.MustRegister(&registry.Instance{Name: "mixer-1", Type: "mixer", Resources: resource.MB(1, 1)})
+	app := NewAbstractGraph()
+	app.MustAddNode(&AbstractNode{ID: "server", Spec: registry.Spec{Type: "audio-server"}})
+	app.MustAddNode(&AbstractNode{ID: "mix", Spec: registry.Spec{Type: "mixer"}, Pin: "desktop"})
+	app.MustAddNode(&AbstractNode{ID: "player", Spec: registry.Spec{Type: "audio-player"}, Pin: ClientRole})
+	app.MustAddEdge("server", "player", 1.5)
+	app.MustAddEdge("server", "mix", 0.5)
+	before, err := json.Marshal(app)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := New(r)
+	for _, tc := range []struct{ client, player, instance string }{
+		{"pda", "pda", "wav-player-1"},
+		{"", ClientRole, ""},
+	} {
+		g, _, err := c.Compose(Request{App: app, ClientDevice: tc.client, ClientAttrs: map[string]string{"platform": "pda"}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		pins := map[graph.NodeID]string{}
+		for _, id := range []graph.NodeID{"server", "mix", "player"} {
+			pins[id] = g.Node(id).Pin
+		}
+		want := map[graph.NodeID]string{"server": "", "mix": "desktop", "player": tc.player}
+		if !reflect.DeepEqual(pins, want) {
+			t.Errorf("client %q: pins %v, want %v", tc.client, pins, want)
+		}
+		if got := g.Node("player").Instance; tc.instance != "" && got != tc.instance {
+			t.Errorf("client %q: player instance %s, want %s", tc.client, got, tc.instance)
+		}
+	}
+	if after, _ := json.Marshal(app); !bytes.Equal(before, after) {
+		t.Errorf("request graph changed:\n before %s\n after  %s", before, after)
 	}
 }
 

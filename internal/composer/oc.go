@@ -81,10 +81,13 @@ func (c *Composer) coordinate(g *graph.Graph, report *Report, sp *trace.Span, ex
 			work[len(order)-1-i] = id
 		}
 	}
+	// in holds the current node's incoming edges, one buffer for the walk.
+	var in []graph.Edge
 	for i := 0; i < len(work); i++ {
-		cur := work[i]
+		cur, _ := g.Position(work[i])
 		// Snapshot the incoming edges: corrections splice nodes onto them.
-		for _, e := range g.In(cur) {
+		in = g.AppendIn(in[:0], cur)
+		for _, e := range in {
 			inserted, err := c.checkEdge(g, e, report, sp, exp)
 			if err != nil {
 				return err

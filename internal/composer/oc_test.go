@@ -200,6 +200,33 @@ func TestOCTranscoderRateCascade(t *testing.T) {
 	assertConsistent(t, g)
 }
 
+// TestOCTranscodesEveryInEdge: two MP3 servers feed one WAV player, so
+// each of the player's in-edges needs its own transcoder. The splice on
+// the first edge changes the player's in-list while it is being walked;
+// the walk reads the list it started with and corrects the second edge
+// too.
+func TestOCTranscodesEveryInEdge(t *testing.T) {
+	ag := NewAbstractGraph()
+	ag.MustAddNode(&AbstractNode{ID: "music", Spec: registry.Spec{Type: "audio-server"}})
+	ag.MustAddNode(&AbstractNode{ID: "voice", Spec: registry.Spec{Type: "audio-server"}})
+	ag.MustAddNode(&AbstractNode{ID: "player", Spec: registry.Spec{Type: "audio-player", Attrs: map[string]string{"platform": "pda"}}})
+	ag.MustAddEdge("music", "player", 1.5)
+	ag.MustAddEdge("voice", "player", 0.5)
+	g, rep, err := New(newTestRegistry()).Compose(Request{App: ag})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rep.Transcoders) != 2 {
+		t.Fatalf("transcoders = %v, want one on each in-edge", rep.Transcoders)
+	}
+	for _, e := range g.In("player") {
+		if g.Node(e.From).Type != TypeTranscoder {
+			t.Errorf("%s feeds the player directly", e.From)
+		}
+	}
+	assertConsistent(t, g)
+}
+
 func TestOCPreservesSinkQoS(t *testing.T) {
 	// The reverse-topological order means the sink's (user's) QoS is
 	// preserved: with user demand [25,28], the server is adjusted into the

@@ -186,8 +186,8 @@ type Request struct {
 }
 
 // ClientRole is the pin role in abstract graphs that Request.ClientDevice
-// resolves.
-const ClientRole = "client"
+// resolves; the composer resolves it.
+const ClientRole = composer.ClientRole
 
 // SessionLostNotice is the payload of a TopicUserNotification event raised
 // when a session cannot be kept alive through a runtime change — its
@@ -506,8 +506,8 @@ func (c *Configurator) configureOnce(req Request, handoff bool, parent *trace.Sp
 	return active, nil
 }
 
-// compose runs the composition tier on the request, its client pins
-// resolved, steering discovery by the portal device's attributes.
+// compose runs the composition tier on the request, steering discovery by
+// the portal device's attributes.
 func (c *Configurator) compose(req Request, parent *trace.Span, x *taps, rec *explain.Record) (*graph.Graph, *composer.Report, error) {
 	var clientAttrs map[string]string
 	if d := c.cfg.Devices.Get(req.ClientDevice); d != nil {
@@ -515,7 +515,7 @@ func (c *Configurator) compose(req Request, parent *trace.Span, x *taps, rec *ex
 	}
 	csp := parent.Child("compose")
 	g, rep, err := c.cfg.Composer.Compose(composer.Request{
-		App:          ResolveClientPins(req.App, req.ClientDevice),
+		App:          req.App,
 		UserQoS:      req.UserQoS,
 		ClientAttrs:  clientAttrs,
 		ClientDevice: string(req.ClientDevice),
@@ -696,33 +696,6 @@ func firstFrameBuffering(g *graph.Graph) time.Duration {
 		}
 	}
 	return time.Duration(float64(time.Second) / rate)
-}
-
-// ResolveClientPins rewrites the ClientRole pin to the concrete client
-// device, returning a copy when rewriting is needed. Configure applies it
-// to every request; a dry run of the composition tier alone (the wire
-// check op) calls it to compose the graph Configure would.
-func ResolveClientPins(app *composer.AbstractGraph, client device.ID) *composer.AbstractGraph {
-	if app == nil || client == "" {
-		return app
-	}
-	needs := false
-	for _, n := range app.Nodes() {
-		if n.Pin == ClientRole {
-			needs = true
-			break
-		}
-	}
-	if !needs {
-		return app
-	}
-	out := app.Clone()
-	for _, n := range out.Nodes() {
-		if n.Pin == ClientRole {
-			n.Pin = string(client)
-		}
-	}
-	return out
 }
 
 // Session returns the active session with the given ID, or nil.

@@ -1,8 +1,6 @@
 package core
 
 import (
-	"bytes"
-	"encoding/json"
 	"strings"
 	"testing"
 	"time"
@@ -10,7 +8,6 @@ import (
 	"ubiqos/internal/checkpoint"
 	"ubiqos/internal/composer"
 	"ubiqos/internal/device"
-	"ubiqos/internal/graph"
 	"ubiqos/internal/netsim"
 	"ubiqos/internal/qos"
 	"ubiqos/internal/registry"
@@ -135,41 +132,6 @@ func audioApp() *composer.AbstractGraph {
 	ag.MustAddNode(&composer.AbstractNode{ID: "player", Spec: registry.Spec{Type: "audio-player"}, Pin: ClientRole})
 	ag.MustAddEdge("server", "player", 1.5)
 	return ag
-}
-
-// TestResolveClientPins: the ClientRole pin is rewritten on a copy that
-// keeps the request's node and edge order; the request's own graph — which
-// a client may start again from another device — is left as it was.
-func TestResolveClientPins(t *testing.T) {
-	app := composer.NewAbstractGraph()
-	for _, id := range []graph.NodeID{"src", "mix", "screen", "speaker"} {
-		app.MustAddNode(&composer.AbstractNode{ID: id, Spec: registry.Spec{Type: "t"}})
-	}
-	app.Node("mix").Pin = "desktop"
-	app.Node("screen").Pin = ClientRole
-	app.Node("speaker").Pin = ClientRole
-	app.MustAddEdge("mix", "speaker", 1)
-	app.MustAddEdge("src", "mix", 3)
-	app.MustAddEdge("mix", "screen", 2)
-	before, err := json.Marshal(app)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	got := ResolveClientPins(app, "pda")
-	after, _ := json.Marshal(app)
-	if !bytes.Equal(before, after) {
-		t.Errorf("request graph changed:\n before %s\n after  %s", before, after)
-	}
-	want := strings.ReplaceAll(string(before), `"pin":"`+ClientRole+`"`, `"pin":"pda"`)
-	if resolved, _ := json.Marshal(got); string(resolved) != want {
-		t.Errorf("resolved graph:\n got  %s\n want %s", resolved, want)
-	}
-
-	// Nothing to rewrite: no copy.
-	if ResolveClientPins(got, "pda") != got || ResolveClientPins(app, "") != app {
-		t.Error("a graph without a ClientRole pin, or no client, should pass through")
-	}
 }
 
 func TestNewValidation(t *testing.T) {

@@ -186,7 +186,7 @@ func (p *Problem) sortedNodesByRequirementReference() []*graph.Node {
 func referenceProblem(rng *rand.Rand, params workload.GraphParams, headroom float64) *Problem {
 	g := workload.MustRandomGraph(rng, params)
 	k := 2 + rng.Intn(5)
-	total := g.TotalResources(resource.Dims)
+	total := totalResources(g)
 	shares, sum := make([]float64, k), 0.0
 	for i := range shares {
 		shares[i] = 0.2 + rng.Float64()

@@ -269,7 +269,7 @@ func positionalCase(seed int64) (*Problem, []Assignment) {
 	}
 	g := workload.MustRandomGraph(rng, params)
 	k := 2 + int(seed%3)
-	total := g.TotalResources(resource.Dims)
+	total := totalResources(g)
 	devices := make([]DeviceInfo, k)
 	bw := map[[2]device.ID]float64{}
 	for i := range devices {

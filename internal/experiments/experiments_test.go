@@ -103,6 +103,49 @@ func TestTable1DocumentsMatchHarness(t *testing.T) {
 	}
 }
 
+// TestFig5DocumentsMatchHarness: EXPERIMENTS.md's bold Fig. 5 overall
+// rates are the overall line of testdata/fig5.golden, which
+// TestFigureGoldens holds to what the harness prints.
+func TestFig5DocumentsMatchHarness(t *testing.T) {
+	golden, err := os.ReadFile("testdata/fig5.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var policies, overall []string
+	for _, line := range strings.Split(string(golden), "\n") {
+		switch {
+		case strings.HasPrefix(line, "time(hr)"):
+			policies = regexp.MustCompile(`\s{2,}`).Split(strings.TrimSpace(line), -1)[1:]
+		case strings.HasPrefix(line, "overall"):
+			overall = strings.Fields(line)[1:]
+		}
+	}
+	if len(policies) == 0 || len(policies) != len(overall) {
+		t.Fatalf("fig5.golden: policies %q, overall rates %q", policies, overall)
+	}
+	rate := map[string]string{}
+	for i, p := range policies {
+		rate[p] = overall[i]
+	}
+
+	doc, err := os.ReadFile("../../EXPERIMENTS.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, section, _ := strings.Cut(string(doc), "## Figure 5")
+	section, _, _ = strings.Cut(section, "\n## ")
+	cells := regexp.MustCompile(`(?m)^\| ([^|]+) \| [^|]+ \| \*\*([^*]+)\*\* \|$`)
+	matches := cells.FindAllStringSubmatch(section, -1)
+	for _, m := range matches {
+		if m[2] != rate[m[1]] {
+			t.Errorf("EXPERIMENTS.md: %s measured %s overall, fig5.golden says %s", m[1], m[2], rate[m[1]])
+		}
+	}
+	if len(matches) != len(policies) {
+		t.Errorf("EXPERIMENTS.md's Fig. 5 table has %d measured rows, fig5.golden %d policies", len(matches), len(policies))
+	}
+}
+
 func TestTable1ConfigValidation(t *testing.T) {
 	cfg := DefaultTable1Config()
 	cfg.Graphs = 0

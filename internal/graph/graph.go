@@ -170,23 +170,48 @@ func (g *Graph) AddEdge(from, to NodeID, throughputMbps float64) error {
 	if !ok {
 		return fmt.Errorf("graph: edge target %q does not exist", to)
 	}
+	return g.AddEdgeAt(int(fi), int(ti), throughputMbps)
+}
+
+// AddEdgeAt is AddEdge between the nodes at positions from and to, which
+// must exist: it applies AddEdge's other checks, in its words, and looks
+// no ID up.
+func (g *Graph) AddEdgeAt(from, to int, throughputMbps float64) error {
 	if from == to {
-		return fmt.Errorf("graph: self-loop on %q", from)
+		return fmt.Errorf("graph: self-loop on %q", g.ids[from])
 	}
 	if throughputMbps < 0 {
-		return fmt.Errorf("graph: negative throughput on %s->%s", from, to)
+		return fmt.Errorf("graph: negative throughput on %s->%s", g.ids[from], g.ids[to])
 	}
-	if indexOf(g.out[fi], ti) >= 0 {
-		return fmt.Errorf("graph: duplicate edge %s->%s", from, to)
+	if indexOf(g.out[from], int32(to)) >= 0 {
+		return fmt.Errorf("graph: duplicate edge %s->%s", g.ids[from], g.ids[to])
 	}
-	g.out[fi] = append(g.out[fi], halfEdge{other: ti, tp: throughputMbps})
-	g.in[ti] = append(g.in[ti], halfEdge{other: fi, tp: throughputMbps})
+	g.out[from] = append(g.out[from], halfEdge{other: int32(to), tp: throughputMbps})
+	g.in[to] = append(g.in[to], halfEdge{other: int32(from), tp: throughputMbps})
 	g.edges++
 	g.changed()
 	return nil
 }
 
-// outIndex returns the position in list of the half-edge to other, or -1.
+// Grow makes room in the lists of the node at position i for out more
+// outgoing and in more incoming edges, so that a caller that knows a
+// node's degrees adds its edges without growing a list again.
+func (g *Graph) Grow(i, out, in int) {
+	g.out[i] = grow(g.out[i], out)
+	g.in[i] = grow(g.in[i], in)
+}
+
+// grow returns list with room for n more half-edges, in one allocation:
+// slices.Grow appends a make, which the race detector's build allocates
+// twice, once for the make and once for the append.
+func grow(list []halfEdge, n int) []halfEdge {
+	if cap(list)-len(list) >= n {
+		return list
+	}
+	return append(make([]halfEdge, 0, len(list)+n), list...)
+}
+
+// indexOf returns the position in list of the half-edge to other, or -1.
 func indexOf(list []halfEdge, other int32) int {
 	for k, e := range list {
 		if e.other == other {
@@ -211,9 +236,9 @@ func (g *Graph) MustAddEdge(from, to NodeID, throughputMbps float64) {
 	}
 }
 
-// RemoveEdge deletes the edge from→to if present and reports whether it
+// removeEdge deletes the edge from→to if present and reports whether it
 // existed.
-func (g *Graph) RemoveEdge(from, to NodeID) bool {
+func (g *Graph) removeEdge(from, to NodeID) bool {
 	fi, fok := g.index[from]
 	ti, tok := g.index[to]
 	if !fok || !tok {
@@ -249,7 +274,7 @@ func (g *Graph) InsertOnEdge(from, to NodeID, n *Node, inMbps, outMbps float64) 
 		return err
 	}
 	tp := g.out[fi][k].tp
-	g.RemoveEdge(from, to)
+	g.removeEdge(from, to)
 	if inMbps < 0 {
 		inMbps = tp
 	}
@@ -276,9 +301,6 @@ func (g *Graph) Position(id NodeID) (int, bool) {
 	i, ok := g.index[id]
 	return int(i), ok
 }
-
-// Has reports whether the node exists.
-func (g *Graph) Has(id NodeID) bool { return g.Node(id) != nil }
 
 // Nodes returns all nodes in insertion order.
 func (g *Graph) Nodes() []*Node {
@@ -333,11 +355,17 @@ func (g *Graph) In(id NodeID) []Edge {
 	if !ok || len(g.in[i]) == 0 {
 		return nil
 	}
-	in := make([]Edge, len(g.in[i]))
-	for k, e := range g.in[i] {
-		in[k] = Edge{From: g.ids[e.other], To: id, ThroughputMbps: e.tp}
+	return g.AppendIn(make([]Edge, 0, len(g.in[i])), int(i))
+}
+
+// AppendIn appends the incoming edges of the node at position i to dst, in
+// In's order, and returns the extended slice: a snapshot of the list that
+// a caller changing the graph can walk from one reused buffer.
+func (g *Graph) AppendIn(dst []Edge, i int) []Edge {
+	for _, e := range g.in[i] {
+		dst = append(dst, Edge{From: g.ids[e.other], To: g.ids[i], ThroughputMbps: e.tp})
 	}
-	return in
+	return dst
 }
 
 // NodeCount returns the number of nodes V.
@@ -421,9 +449,6 @@ func (g *Graph) sorted() *topoResult {
 	return t
 }
 
-// IsDAG reports whether the graph is acyclic.
-func (g *Graph) IsDAG() bool { return g.sorted().err == nil }
-
 // Clone returns a deep copy of the graph; nodes are cloned. The copy's
 // edges are added in Edges order, and it keeps the original's sort, which
 // depends only on node order and out lists.
@@ -477,16 +502,4 @@ func (g *Graph) Validate() error {
 		}
 	}
 	return nil
-}
-
-// TotalResources returns the component-wise sum of all node requirement
-// vectors, assuming dimension m (nodes with empty vectors count as zero).
-func (g *Graph) TotalResources(m int) resource.Vector {
-	total := resource.New(m)
-	for _, n := range g.nodes {
-		if r := n.Resources; len(r) == m {
-			total.AddInPlace(r)
-		}
-	}
-	return total
 }

@@ -149,9 +149,6 @@ func (g *refGraph) InsertOnEdge(from, to NodeID, n *Node, inMbps, outMbps float6
 // Node returns the node with the given ID, or nil.
 func (g *refGraph) Node(id NodeID) *Node { return g.nodes[id] }
 
-// Has reports whether the node exists.
-func (g *refGraph) Has(id NodeID) bool { return g.nodes[id] != nil }
-
 // Nodes returns all nodes in insertion order.
 func (g *refGraph) Nodes() []*Node {
 	out := make([]*Node, 0, len(g.order))
@@ -256,12 +253,6 @@ func (g *refGraph) TopoSort() ([]NodeID, error) {
 		return nil, fmt.Errorf("graph: cycle detected involving %v", stuck)
 	}
 	return out, nil
-}
-
-// IsDAG reports whether the graph is acyclic.
-func (g *refGraph) IsDAG() bool {
-	_, err := g.TopoSort()
-	return err == nil
 }
 
 // Clone returns a deep copy of the graph; nodes are cloned.

@@ -45,9 +45,9 @@ type Client struct {
 
 	mu     sync.Mutex
 	conn   net.Conn
-	enc    *json.Encoder
 	sc     *bufio.Scanner
-	broken bool // the connection saw a transport error; re-dial before reuse
+	line   []byte // the request being sent, its buffer reused by every call
+	broken bool   // the connection saw a transport error; re-dial before reuse
 }
 
 // dialTimeout bounds connecting to the server.
@@ -82,7 +82,7 @@ func (c *Client) redial() error {
 	}
 	sc := bufio.NewScanner(conn)
 	sc.Buffer(make([]byte, 64<<10), maxLineBytes)
-	c.conn, c.enc, c.sc, c.broken = conn, json.NewEncoder(conn), sc, false
+	c.conn, c.sc, c.broken = conn, sc, false
 	return nil
 }
 
@@ -175,7 +175,12 @@ func (c *Client) callOnce(req Request) (resp Response, err error, transport bool
 		c.conn.SetDeadline(time.Now().Add(c.opts.Timeout))
 		defer c.conn.SetDeadline(time.Time{})
 	}
-	if err := encodeRequest(c.enc, req); err != nil {
+	line, err := appendRequest(c.line[:0], req)
+	c.line = line
+	if err == nil {
+		_, err = c.conn.Write(line)
+	}
+	if err != nil {
 		return Response{}, fmt.Errorf("wire: send: %w", err), true
 	}
 	if !c.sc.Scan() {
@@ -184,7 +189,7 @@ func (c *Client) callOnce(req Request) (resp Response, err error, transport bool
 		}
 		return Response{}, fmt.Errorf("wire: connection closed by server"), true
 	}
-	if err := json.Unmarshal(c.sc.Bytes(), &resp); err != nil {
+	if resp, err = decodeResponse(c.sc.Bytes()); err != nil {
 		return Response{}, fmt.Errorf("wire: decode response: %w", err), false
 	}
 	if !resp.OK {

@@ -349,7 +349,7 @@ func (s *Server) check(req Request) (Response, error) {
 		attrs = d.Attrs
 	}
 	_, rep, err := s.dom.Composer.Compose(composer.Request{
-		App:          core.ResolveClientPins(req.App, client),
+		App:          req.App,
 		UserQoS:      req.UserQoS,
 		ClientAttrs:  attrs,
 		ClientDevice: req.ClientDevice,

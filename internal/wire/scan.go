@@ -20,28 +20,27 @@ type field[T any] struct {
 // The fields of each object in a request document. A key outside its
 // object's list, whatever its case, is not the scanner's to decode.
 var (
-	requestFields = []field[wireRequest]{
-		{"op", func(s *scanner, r *wireRequest) { r.Op = s.str() }},
-		{"sessionId", func(s *scanner, r *wireRequest) { r.SessionID = s.str() }},
-		{"app", func(s *scanner, r *wireRequest) { r.App = s.graph() }},
-		{"userQoS", func(s *scanner, r *wireRequest) { r.UserQoS = s.vector() }},
-		{"clientDevice", func(s *scanner, r *wireRequest) { r.ClientDevice = s.str() }},
-		{"toDevice", func(s *scanner, r *wireRequest) { r.ToDevice = s.str() }},
-		{"maxFrames", func(s *scanner, r *wireRequest) { r.MaxFrames = s.int(64) }},
-		{"name", func(s *scanner, r *wireRequest) { r.Name = s.str() }},
-		{"installedOn", func(s *scanner, r *wireRequest) { r.InstalledOn = s.strings() }},
-		{"class", func(s *scanner, r *wireRequest) { r.Class = s.str() }},
-		{"metric", func(s *scanner, r *wireRequest) { r.Metric = s.str() }},
-		{"window", func(s *scanner, r *wireRequest) { r.Window = s.str() }},
-		{"incident", func(s *scanner, r *wireRequest) { r.Incident = s.str() }},
-		{"traceId", func(s *scanner, r *wireRequest) { r.TraceID = s.str() }},
-		{"spanId", func(s *scanner, r *wireRequest) { r.SpanID = s.str() }},
+	requestFields = []field[Request]{
+		{"op", func(s *scanner, r *Request) { r.Op = s.str() }},
+		{"sessionId", func(s *scanner, r *Request) { r.SessionID = s.str() }},
+		{"app", func(s *scanner, r *Request) { r.App = s.graph() }},
+		{"userQoS", func(s *scanner, r *Request) { r.UserQoS = s.vector() }},
+		{"clientDevice", func(s *scanner, r *Request) { r.ClientDevice = s.str() }},
+		{"toDevice", func(s *scanner, r *Request) { r.ToDevice = s.str() }},
+		{"maxFrames", func(s *scanner, r *Request) { r.MaxFrames = s.int(64) }},
+		{"name", func(s *scanner, r *Request) { r.Name = s.str() }},
+		{"installedOn", func(s *scanner, r *Request) { r.InstalledOn = s.strings() }},
+		{"class", func(s *scanner, r *Request) { r.Class = s.str() }},
+		{"metric", func(s *scanner, r *Request) { r.Metric = s.str() }},
+		{"window", func(s *scanner, r *Request) { r.Window = s.str() }},
+		{"incident", func(s *scanner, r *Request) { r.Incident = s.str() }},
+		{"traceId", func(s *scanner, r *Request) { r.TraceID = s.str() }},
+		{"spanId", func(s *scanner, r *Request) { r.SpanID = s.str() }},
 	}
-	graphFields = []field[composer.PlainGraph]{
-		{"nodes", func(s *scanner, p *composer.PlainGraph) { p.Nodes = s.nodes() }},
-		{"edges", func(s *scanner, p *composer.PlainGraph) { p.Edges = s.edges() }},
-	}
-	nodeFields = []field[composer.AbstractNode]{
+	// graphFields are the abstract graph's keys, which graph takes only in
+	// this order.
+	graphFields = []string{"nodes", "edges"}
+	nodeFields  = []field[composer.AbstractNode]{
 		{"id", func(s *scanner, n *composer.AbstractNode) { n.ID = graph.NodeID(s.str()) }},
 		{"spec", func(s *scanner, n *composer.AbstractNode) { object(s, specFields, &n.Spec) }},
 		{"optional", func(s *scanner, n *composer.AbstractNode) { n.Optional = s.bool() }},
@@ -49,14 +48,9 @@ var (
 	}
 	specFields = []field[registry.Spec]{
 		{"type", func(s *scanner, sp *registry.Spec) { sp.Type = s.str() }},
-		{"attrs", func(s *scanner, sp *registry.Spec) { sp.Attrs = s.attrs() }},
+		{"attrs", func(s *scanner, sp *registry.Spec) { sp.Attrs = mapOf(s, (*scanner).str) }},
 		{"input", func(s *scanner, sp *registry.Spec) { sp.Input = s.vector() }},
 		{"output", func(s *scanner, sp *registry.Spec) { sp.Output = s.vector() }},
-	}
-	edgeFields = []field[composer.AbstractEdge]{
-		{"from", func(s *scanner, e *composer.AbstractEdge) { e.From = s.nodeID() }},
-		{"to", func(s *scanner, e *composer.AbstractEdge) { e.To = s.nodeID() }},
-		{"throughputMbps", func(s *scanner, e *composer.AbstractEdge) { e.ThroughputMbps = s.float() }},
 	}
 	paramFields = []field[qos.Param]{
 		{"name", func(s *scanner, p *qos.Param) { p.Name = s.str() }},
@@ -70,42 +64,87 @@ var (
 		{"hi", func(s *scanner, v *qos.Value) { v.Hi = s.float() }},
 		{"syms", func(s *scanner, v *qos.Value) { v.Syms = s.strings() }},
 	}
+
+	// The fields of the replies the server writes by hand (appendResponse).
+	responseFields = []field[Response]{
+		{"ok", func(s *scanner, r *Response) { r.OK = s.bool() }},
+		{"error", func(s *scanner, r *Response) { r.Error = s.str() }},
+		{"session", func(s *scanner, r *Response) {
+			r.Session = new(SessionInfo)
+			object(s, sessionFields, r.Session)
+		}},
+	}
+	sessionFields = []field[SessionInfo]{
+		{"id", func(s *scanner, si *SessionInfo) { si.ID = s.str() }},
+		{"clientDevice", func(s *scanner, si *SessionInfo) { si.ClientDevice = s.str() }},
+		{"placement", func(s *scanner, si *SessionInfo) { si.Placement = mapOf(s, (*scanner).str) }},
+		{"cost", func(s *scanner, si *SessionInfo) { si.Cost = s.float() }},
+		{"timing", func(s *scanner, si *SessionInfo) { object(s, timingFields, &si.Timing) }},
+		{"rates", func(s *scanner, si *SessionInfo) { si.Rates = mapOf(s, (*scanner).float) }},
+		{"summary", func(s *scanner, si *SessionInfo) { si.Summary = s.str() }},
+		{"dot", func(s *scanner, si *SessionInfo) { si.DOT = s.str() }},
+	}
+	timingFields = []field[TimingInfo]{
+		{"compositionMs", func(s *scanner, t *TimingInfo) { t.CompositionMs = s.float() }},
+		{"distributionMs", func(s *scanner, t *TimingInfo) { t.DistributionMs = s.float() }},
+		{"downloadingMs", func(s *scanner, t *TimingInfo) { t.DownloadingMs = s.float() }},
+		{"initOrHandoffMs", func(s *scanner, t *TimingInfo) { t.InitOrHandoffMs = s.float() }},
+	}
 )
 
-// scanRequest decodes one request line in a single left-to-right pass,
-// straight into the wire form, or reports false. It takes the documents
-// the client writes: the keys above (every Request key but "instance"),
-// each present at most once in its object; strings of ASCII with no
+// scanRequest decodes one request line in a single left-to-right pass, or
+// reports false. It takes the documents the client writes: the keys above
+// (every Request key but "instance"), each present at most once in its
+// object, a graph's nodes before its edges; strings of ASCII with no
 // escape and no control byte; numbers in JSON's grammar that strconv
-// parses; no null; nothing but whitespace after the object. On anything
-// else it reports false, and the caller hands the line to encoding/json,
-// which accepts it or refuses it in its own words. Where it accepts, the
-// result is the one encoding/json would give: numbers go through the same
-// strconv calls, and an empty array or object decodes to an empty, not a
-// nil, slice or map. Strings are copied out of the line, which the caller
-// may reuse.
-func scanRequest(line []byte) (wireRequest, bool) {
+// parses; no null but a graph's "edges"; nothing but whitespace after the
+// object. On anything else it reports false, and the caller hands the line
+// to encoding/json, which accepts it or refuses it in its own words. Where
+// it accepts, the result is the one encoding/json would give: numbers go
+// through the same strconv calls, and an empty array or object decodes to
+// an empty, not a nil, slice or map. The graph is built as it is scanned,
+// through AddNode and AddEdge, so a graph the line describes but they
+// refuse is refused in their words: the first refusal is held until the
+// line has scanned clean, and then returned as the line's error. Strings
+// are copied out of the line, which the caller may reuse.
+func scanRequest(line []byte) (req Request, took bool, err error) {
 	s := scanner{buf: line}
-	var wr wireRequest
-	object(&s, requestFields, &wr)
+	object(&s, requestFields, &req)
 	s.peek()
 	if s.bad || s.pos != len(s.buf) {
-		return wireRequest{}, false
+		return Request{}, false, nil
 	}
-	return wr, true
+	if s.err != nil {
+		return Request{}, true, s.err
+	}
+	return req, true, nil
 }
 
-// scanner is the read position in one request line. Its first failure
-// sticks: it moves the position to the end of the line, where every later
-// read fails too, so each loop ends at its next separator and the caller
-// checks bad once.
+// scanResponse decodes the reply the server writes by hand, ok, error and
+// session, as scanRequest decodes a request, or reports false for the
+// caller to hand the line to encoding/json.
+func scanResponse(line []byte) (Response, bool) {
+	s := scanner{buf: line}
+	var resp Response
+	object(&s, responseFields, &resp)
+	s.peek()
+	if s.bad || s.pos != len(s.buf) {
+		return Response{}, false
+	}
+	return resp, true
+}
+
+// scanner is the read position in one line. Its first failure sticks: it
+// moves the position to the end of the line, where every later read fails
+// too, so each loop ends at its next separator and the caller checks bad
+// once.
 type scanner struct {
 	buf []byte
 	pos int
 	bad bool
-	// ids maps each node ID of the graph's node list to the string decoded
-	// for it, so that edge endpoints share that string.
-	ids map[string]graph.NodeID
+	// err is the first refusal of the graph being built; once it is set
+	// the rest of the graph is scanned but no longer built.
+	err error
 }
 
 func (s *scanner) fail() {
@@ -214,16 +253,6 @@ func (s *scanner) raw() []byte {
 // str returns a copy of the next string.
 func (s *scanner) str() string { return string(s.raw()) }
 
-// nodeID returns the next string as a node ID, sharing the string of the
-// node list's ID when it names one.
-func (s *scanner) nodeID() graph.NodeID {
-	raw := s.raw()
-	if id, ok := s.ids[string(raw)]; ok {
-		return id
-	}
-	return graph.NodeID(raw)
-}
-
 // strings scans an array of strings.
 func (s *scanner) strings() []string {
 	out := []string{}
@@ -305,6 +334,13 @@ func (s *scanner) bool() bool {
 	return false
 }
 
+// expect consumes lit as the next token, or fails.
+func (s *scanner) expect(lit string) {
+	if !s.literal(lit) {
+		s.fail()
+	}
+}
+
 // literal consumes lit if it is the next token.
 func (s *scanner) literal(lit string) bool {
 	if s.peek() != lit[0] || !bytes.HasPrefix(s.buf[s.pos:], []byte(lit)) {
@@ -314,35 +350,70 @@ func (s *scanner) literal(lit string) bool {
 	return true
 }
 
-// graph scans an abstract graph's plain document.
-func (s *scanner) graph() *composer.PlainGraph {
-	p := new(composer.PlainGraph)
-	object(s, graphFields, p)
-	return p
+// graph scans an abstract graph's document into the graph it describes:
+// its nodes, then (if present) its edges.
+func (s *scanner) graph() *composer.AbstractGraph {
+	s.eat('{')
+	if s.peek() == '}' {
+		s.pos++
+		return composer.NewAbstractGraph()
+	}
+	var ag *composer.AbstractGraph
+	for k := 0; k < len(graphFields) && !s.bad; k++ {
+		if string(s.raw()) != graphFields[k] {
+			s.fail()
+			break
+		}
+		s.eat(':')
+		if k == 0 {
+			ag = s.nodes()
+		} else {
+			s.edges(ag)
+		}
+		if !s.more('}') {
+			return ag
+		}
+	}
+	s.fail()
+	return nil
 }
 
-// nodes scans the node list and records each ID for the edges to share.
-func (s *scanner) nodes() []*composer.AbstractNode {
-	out := []*composer.AbstractNode{}
+// nodes scans the node list into a new graph, through AddNode.
+func (s *scanner) nodes() *composer.AbstractGraph {
+	p := composer.PlainGraph{Nodes: []*composer.AbstractNode{}}
 	s.array(func() {
 		n := new(composer.AbstractNode)
-		out = append(out, n)
+		p.Nodes = append(p.Nodes, n)
 		object(s, nodeFields, n)
 	})
-	s.ids = make(map[string]graph.NodeID, len(out))
-	for _, n := range out {
-		s.ids[string(n.ID)] = n.ID
+	if s.bad {
+		return nil
 	}
-	return out
+	ag, err := composer.FromPlain(p)
+	s.err = err
+	return ag
 }
 
-func (s *scanner) edges() []composer.AbstractEdge {
-	out := []composer.AbstractEdge{}
+// edges scans the edge list into ag, through AddEdge; null is no edges.
+// It takes an edge only as the client writes it, its three keys in order
+// with no space before a key; any other spelling of an edge is not the
+// scanner's to decode.
+func (s *scanner) edges(ag *composer.AbstractGraph) {
+	if s.literal("null") {
+		return
+	}
 	s.array(func() {
-		out = append(out, composer.AbstractEdge{})
-		object(s, edgeFields, &out[len(out)-1])
+		s.expect(`{"from":`)
+		from := s.raw()
+		s.expect(`,"to":`)
+		to := s.raw()
+		s.expect(`,"throughputMbps":`)
+		tp := s.float()
+		s.expect("}")
+		if !s.bad && s.err == nil {
+			s.err = ag.AddEdge(graph.NodeID(from), graph.NodeID(to), tp)
+		}
 	})
-	return out
 }
 
 // vector scans a QoS vector.
@@ -355,10 +426,10 @@ func (s *scanner) vector() qos.Vector {
 	return out
 }
 
-// attrs scans a string-to-string object; a repeated key is not the
-// scanner's to decode either.
-func (s *scanner) attrs() map[string]string {
-	m := map[string]string{}
+// mapOf scans an object of values that value scans; a repeated key is not
+// the scanner's to decode either.
+func mapOf[V any](s *scanner, value func(*scanner) V) map[string]V {
+	m := map[string]V{}
 	s.eat('{')
 	if s.peek() == '}' {
 		s.pos++
@@ -371,7 +442,7 @@ func (s *scanner) attrs() map[string]string {
 			return nil
 		}
 		s.eat(':')
-		m[string(k)] = s.str()
+		m[string(k)] = value(s)
 		if !s.more('}') {
 			break
 		}

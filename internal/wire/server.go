@@ -105,6 +105,7 @@ func (s *Server) serve(conn net.Conn) {
 	scanner := bufio.NewScanner(conn)
 	scanner.Buffer(make([]byte, 64<<10), maxLineBytes)
 	enc := json.NewEncoder(conn)
+	var out []byte // a plain reply's line, its buffer reused
 	for scanner.Scan() {
 		line := scanner.Bytes()
 		if len(line) == 0 {
@@ -117,7 +118,15 @@ func (s *Server) serve(conn net.Conn) {
 		} else {
 			resp = s.Handle(req)
 		}
-		if err := enc.Encode(resp); err != nil {
+		var err error
+		if resp.plain() {
+			if out, err = appendResponse(out[:0], &resp); err == nil {
+				_, err = conn.Write(out)
+			}
+		} else {
+			err = enc.Encode(resp)
+		}
+		if err != nil {
 			return
 		}
 	}

@@ -97,35 +97,23 @@ type Request struct {
 	SpanID string `json:"spanId,omitempty"`
 }
 
-// wireRequest is the struct a Request crosses the socket through. Its JSON
-// document is Request's own (the shallower App shadows the embedded one
-// under the same key), but the graph is held in its plain form, which
-// composer.FromPlain turns into a graph with every check UnmarshalJSON
-// applies. The client encodes it with encoding/json, in one scan of the
-// graph rather than a re-scan of MarshalJSON's output. The server decodes
-// it with scanRequest, one hand-written pass over the line, and hands
-// what that pass does not take (an instance, a null, an escaped string,
-// any other spelling) to encoding/json unchanged; either way a rejected
-// line is refused in encoding/json's or FromPlain's words.
+// wireRequest is the struct encoding/json decodes a request line into when
+// scanRequest does not take it. Its JSON document is Request's own (the
+// shallower App shadows the embedded one under the same key), but the
+// graph is held in its plain form, which composer.FromPlain turns into a
+// graph with every check UnmarshalJSON applies, in one scan of the line
+// rather than a re-scan of the graph's bytes. Either way a rejected line
+// is refused in encoding/json's or the graph's words.
 type wireRequest struct {
 	Request
 	App *composer.PlainGraph `json:"app,omitempty"`
 }
 
-// encodeRequest writes the request's JSON document and a newline to enc.
-func encodeRequest(enc *json.Encoder, req Request) error {
-	wr := wireRequest{Request: req}
-	if req.App != nil {
-		wr.App = &composer.PlainGraph{Nodes: req.App.Nodes(), Edges: req.App.Edges()}
-	}
-	return enc.Encode(wr)
-}
-
 // decodeRequest parses one request line: through scanRequest when it
 // takes the line, through encoding/json when it does not.
 func decodeRequest(line []byte) (Request, error) {
-	if wr, ok := scanRequest(line); ok {
-		return wr.request()
+	if req, took, err := scanRequest(line); took {
+		return req, err
 	}
 	return decodeRequestJSON(line)
 }

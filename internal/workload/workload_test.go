@@ -39,8 +39,8 @@ func TestRandomGraphRespectsBounds(t *testing.T) {
 		if n < p.MinNodes || n > p.MaxNodes {
 			t.Fatalf("node count %d outside [%d,%d]", n, p.MinNodes, p.MaxNodes)
 		}
-		if !g.IsDAG() {
-			t.Fatal("generated graph must be a DAG")
+		if _, err := g.TopoSort(); err != nil {
+			t.Fatalf("generated graph must be a DAG: %v", err)
 		}
 		for _, node := range g.Nodes() {
 			if node.Resources[0] <= 0 || node.Resources[0] > p.MemMB {
