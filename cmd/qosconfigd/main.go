@@ -7,15 +7,15 @@
 // Usage:
 //
 //	qosconfigd [-addr 127.0.0.1:7420] [-http 127.0.0.1:7421] [-space audio|conf]
-//	           [-config FILE.space] [-scale 0.1] [-place heuristic|optimal]
+//	           [-config FILE.json] [-scale 0.1] [-place heuristic|optimal]
 //	           [-chaos "seed=7,crashes=2,window=30s,recover=10s"] [-admission]
 //
 // The daemon boots one of the paper's two testbed smart spaces — "audio"
 // (three desktops + a Jornada PDA with the mobile audio-on-demand
 // components) or "conf" (three workstations with the video-conferencing
 // components, downloaded on demand) — or, with -config, an arbitrary
-// smart space described in the space configuration language (see
-// internal/spec and testdata/lab.space).
+// smart space described in a JSON space document (see internal/spec and
+// testdata/lab.json).
 //
 // The -http listener serves the observability surface: /metrics
 // (Prometheus text, including labeled per-device/per-link/per-class
@@ -75,7 +75,7 @@ func main() {
 	addr := flag.String("addr", "127.0.0.1:7420", "listen address")
 	httpAddr := flag.String("http", "127.0.0.1:7421", `observability HTTP address ("" disables)`)
 	space := flag.String("space", "audio", `built-in smart space to boot: "audio" or "conf"`)
-	config := flag.String("config", "", "space configuration file (overrides -space)")
+	config := flag.String("config", "", "JSON space document (overrides -space)")
 	scale := flag.Float64("scale", 0.1, "emulation time scale (1 = real time)")
 	place := flag.String("place", "heuristic", "placement algorithm: heuristic or optimal")
 	chaos := flag.String("chaos", "", `fault-injection spec, e.g. "seed=7,crashes=2,window=30s" ("" disables)`)
@@ -102,7 +102,7 @@ func run(addr, httpAddr, space, config string, scale float64, place, chaos strin
 		if err != nil {
 			return err
 		}
-		dom, err = spec.LoadSpace(string(data), domain.Options{Scale: scale, Place: placeFn})
+		dom, err = spec.LoadSpace(data, domain.Options{Scale: scale, Place: placeFn})
 	case space == "audio":
 		dom, err = experiments.BuildAudioSpaceWith(scale, placeFn)
 	case space == "conf":

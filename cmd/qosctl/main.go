@@ -11,7 +11,7 @@
 //	                                                      placement diffs; no -session lists sessions)
 //	qosctl stats   [-json]                               (plan-cache hit/miss ledger and warm/cold solve split)
 //	qosctl version [-json]                               (client and daemon build identity)
-//	qosctl start   -session ID [-app audio|conf|FILE.json|FILE.spec] [-client DEV] [-qos "framerate=38-44"]
+//	qosctl start   -session ID [-app audio|conf|FILE.json] [-client DEV] [-qos "framerate=38-44"]
 //	qosctl check   [-app ...] [-client DEV] [-qos ...]   (dry-run composition)
 //	qosctl session -session ID
 //	qosctl switch  -session ID -to DEV
@@ -38,9 +38,8 @@
 //	                                                      admission verdict, degradation episodes,
 //	                                                      deficit integrals, MTTR; no -session lists
 //	                                                      recorded sessions)
-//	qosctl incidents  [-id INC-N] [-json]                (correlated incident log: SLO burn, saturation,
-//	                                                      fault storms, admission pressure, availability
-//	                                                      drops; -id shows one incident's timeline,
+//	qosctl incidents  [-id INC-N] [-json]                (correlated incident log: slo-burn, saturation,
+//	                                                      fault-storm; -id shows one incident's timeline,
 //	                                                      evidence bundle and impact accounting)
 //	qosctl postmortem INC-N [-json]                      (shareable markdown postmortem for one incident)
 //
@@ -51,12 +50,11 @@
 // its HTTP route serves.
 //
 // The -app flag accepts the two built-in application graphs ("audio" for
-// mobile audio-on-demand, "conf" for video conferencing), a path to a
-// JSON abstract service graph (*.json), or a path to an application
-// specification in the spec language (any other extension; see
-// internal/spec). A spec file's qos block is merged under any -qos flag.
-// The -qos flag accepts comma-separated name=value requirements where
-// value is a number, a lo-hi range, or a symbol.
+// mobile audio-on-demand, "conf" for video conferencing) or a path to an
+// abstract service graph in the JSON the wire carries
+// (testdata/mobile-audio.json). The user's QoS requirement is not part of
+// the graph: the -qos flag gives it, as comma-separated name=value
+// requirements where value is a number, a lo-hi range, or a symbol.
 //
 // The -timeout flag bounds each request round-trip (0 = wait forever);
 // -retries re-sends a timed-out or transport-failed request on a fresh
@@ -80,7 +78,6 @@ import (
 	"ubiqos/internal/incident"
 	"ubiqos/internal/qos"
 	"ubiqos/internal/registry"
-	"ubiqos/internal/spec"
 	"ubiqos/internal/wire"
 )
 
@@ -207,7 +204,7 @@ func run(a runArgs) error {
 func request(a runArgs) (wire.Request, error) {
 	switch a.verb {
 	case "start", "check":
-		ag, specQoS, err := loadApp(a.app)
+		ag, err := loadApp(a.app)
 		if err != nil {
 			return wire.Request{}, err
 		}
@@ -215,7 +212,7 @@ func request(a runArgs) (wire.Request, error) {
 		if err != nil {
 			return wire.Request{}, err
 		}
-		return wire.Request{App: ag, UserQoS: specQoS.Merge(uq)}, nil
+		return wire.Request{App: ag, UserQoS: uq}, nil
 	case "register":
 		if a.instanceFile == "" {
 			return wire.Request{}, fmt.Errorf("register requires -instance FILE.json")
@@ -322,31 +319,23 @@ func printVersion(a runArgs, c *wire.Client, err error) error {
 	return nil
 }
 
-// loadApp resolves the -app flag to an abstract service graph plus any
-// user QoS declared inside a spec file.
-func loadApp(name string) (*composer.AbstractGraph, qos.Vector, error) {
+// loadApp resolves the -app flag to an abstract service graph.
+func loadApp(name string) (*composer.AbstractGraph, error) {
 	switch name {
 	case "audio":
-		return experiments.AudioOnDemandApp(), nil, nil
+		return experiments.AudioOnDemandApp(), nil
 	case "conf":
-		return experiments.VideoConferencingApp(), nil, nil
+		return experiments.VideoConferencingApp(), nil
 	}
 	data, err := os.ReadFile(name)
 	if err != nil {
-		return nil, nil, fmt.Errorf("read app graph: %w", err)
+		return nil, fmt.Errorf("read app graph: %w", err)
 	}
-	if strings.HasSuffix(name, ".json") {
-		var ag composer.AbstractGraph
-		if err := json.Unmarshal(data, &ag); err != nil {
-			return nil, nil, fmt.Errorf("parse app graph: %w", err)
-		}
-		return &ag, nil, nil
+	var ag composer.AbstractGraph
+	if err := json.Unmarshal(data, &ag); err != nil {
+		return nil, fmt.Errorf("parse app graph: %w", err)
 	}
-	ag, userQoS, _, err := spec.Load(string(data))
-	if err != nil {
-		return nil, nil, err
-	}
-	return ag, userQoS, nil
+	return &ag, nil
 }
 
 // parseQoS parses "name=value,..." where value is a number, lo-hi range,

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"ubiqos/internal/composer"
 	"ubiqos/internal/qos"
 )
 
@@ -43,35 +44,29 @@ func TestParseQoS(t *testing.T) {
 }
 
 func TestLoadAppBuiltins(t *testing.T) {
-	ag, userQoS, err := loadApp("audio")
-	if err != nil || ag == nil || ag.NodeCount() != 2 || userQoS != nil {
-		t.Errorf("audio = %v nodes, qos %v, err %v", ag.NodeCount(), userQoS, err)
+	ag, err := loadApp("audio")
+	if err != nil || ag == nil || ag.NodeCount() != 2 {
+		t.Errorf("audio = %v nodes, err %v", ag.NodeCount(), err)
 	}
-	ag, _, err = loadApp("conf")
+	ag, err = loadApp("conf")
 	if err != nil || ag.NodeCount() != 6 {
 		t.Errorf("conf = %v nodes, err %v", ag.NodeCount(), err)
 	}
-	if _, _, err := loadApp("/does/not/exist.json"); err == nil {
+	if _, err := loadApp("/does/not/exist.json"); err == nil {
 		t.Error("missing file should fail")
 	}
 }
 
-func TestLoadAppSpecFile(t *testing.T) {
-	// The repository ships a spec file; resolve it relative to this test.
-	path := filepath.Join("..", "..", "testdata", "mobile-audio.spec")
-	ag, userQoS, err := loadApp(path)
+func TestLoadAppJSONFile(t *testing.T) {
+	// The repository ships the mobile audio graph; resolve it relative to
+	// this test.
+	ag, err := loadApp(filepath.Join("..", "..", "testdata", "mobile-audio.json"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ag.NodeCount() != 2 {
-		t.Errorf("nodes = %d", ag.NodeCount())
+	if ag.NodeCount() != 2 || ag.Node("player").Pin != composer.ClientRole || ag.Node("server").Pin != "desktop1" {
+		t.Errorf("mobile-audio.json = %d nodes, player pin %q", ag.NodeCount(), ag.Node("player").Pin)
 	}
-	if v, ok := userQoS.Get("framerate"); !ok || !v.Equal(qos.Range(38, 44)) {
-		t.Errorf("spec qos = %v", userQoS)
-	}
-}
-
-func TestLoadAppJSONFile(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "app.json")
 	data := `{"nodes":[{"id":"a","spec":{"type":"t"}},{"id":"b","spec":{"type":"t"}}],
@@ -79,32 +74,19 @@ func TestLoadAppJSONFile(t *testing.T) {
 	if err := os.WriteFile(path, []byte(data), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	ag, userQoS, err := loadApp(path)
+	ag, err = loadApp(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ag.NodeCount() != 2 || len(ag.Edges()) != 1 || userQoS != nil {
+	if ag.NodeCount() != 2 || len(ag.Edges()) != 1 {
 		t.Errorf("json app = %d nodes, %d edges", ag.NodeCount(), len(ag.Edges()))
 	}
 	bad := filepath.Join(dir, "bad.json")
 	if err := os.WriteFile(bad, []byte("{"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := loadApp(bad); err == nil {
+	if _, err := loadApp(bad); err == nil {
 		t.Error("malformed JSON should fail")
-	}
-}
-
-func TestParseQoSSpecMergesUnderFlag(t *testing.T) {
-	// The spec file's qos block merges under the -qos flag (flag wins).
-	specQoS := qos.V(qos.P("framerate", qos.Range(38, 44)))
-	flagQoS, err := parseQoS("framerate=20-30")
-	if err != nil {
-		t.Fatal(err)
-	}
-	merged := specQoS.Merge(flagQoS)
-	if v, _ := merged.Get("framerate"); !v.Equal(qos.Range(20, 30)) {
-		t.Errorf("merged = %v, want the explicit flag to win", v)
 	}
 }
 

@@ -1,6 +1,6 @@
 // Roaming: the user carries a session between two smart spaces — the
-// paper's "user moves to a new location" case. Both spaces are described
-// in the space configuration language; the session is suspended in the
+// paper's "user moves to a new location" case. Both spaces are JSON space
+// documents (office.json, home.json); the session is suspended in the
 // office, its checkpoint crosses a WAN link, and the home domain composes
 // a fresh service graph from its own (different!) service catalog,
 // resuming playback from the interruption point.
@@ -11,72 +11,31 @@
 package main
 
 import (
+	_ "embed"
 	"fmt"
 	"log"
 	"time"
 
+	"ubiqos/internal/composer"
 	"ubiqos/internal/core"
 	"ubiqos/internal/domain"
 	"ubiqos/internal/netsim"
+	"ubiqos/internal/qos"
+	"ubiqos/internal/registry"
 	"ubiqos/internal/spec"
 )
 
 const scale = 0.05 // 20x fast-forward
 
-const officeSpace = `
-space "office" {
-    device work-desktop { class = "desktop" memory = 256 cpu = 100 attrs { platform = "pc" } }
-    device work-pda     { class = "pda"     memory = 32  cpu = 100 attrs { platform = "pda" } }
-    link work-desktop work-pda = "wlan"
-    uplink work-desktop = "ethernet"
-    uplink work-pda = "wlan"
-
-    instance "office-media-server" {
-        type = "audio-server"
-        output { format = "MPEG" framerate = 40 }
-        capability { framerate = 5..60 }
-        adjustable = ["framerate"]
-        resources { memory = 64 cpu = 50 }
-        installed = ["*"]
-    }
-    instance "office-player" {
-        type = "audio-player"
-        attrs { platform = "pc" }
-        input { format = "MPEG" framerate = 10..50 }
-        resources { memory = 16 cpu = 30 }
-        installed = ["*"]
-    }
-}
-`
-
-const homeSpace = `
-space "home" {
-    device living-room-pc { class = "desktop" memory = 128 cpu = 100 attrs { platform = "pc" } }
-    device kitchen-tablet { class = "laptop"  memory = 64  cpu = 100 attrs { platform = "pc" } }
-    link living-room-pc kitchen-tablet = "wlan"
-    uplink living-room-pc = "ethernet"
-    uplink kitchen-tablet = "wlan"
-
-    // The home catalog differs from the office's: a different server
-    // implementation and player — the configuration model re-composes
-    // from whatever the new environment offers.
-    instance "home-jukebox" {
-        type = "audio-server"
-        output { format = "MPEG" framerate = 40 }
-        capability { framerate = 5..60 }
-        adjustable = ["framerate"]
-        resources { memory = 48 cpu = 40 }
-        installed = ["*"]
-    }
-    instance "home-player" {
-        type = "audio-player"
-        attrs { platform = "pc" }
-        input { format = "MPEG" framerate = 10..50 }
-        resources { memory = 12 cpu = 20 }
-        installed = ["*"]
-    }
-}
-`
+// The home catalog differs from the office's: a different server
+// implementation and player — the configuration model re-composes from
+// whatever the new environment offers.
+var (
+	//go:embed office.json
+	officeSpace []byte
+	//go:embed home.json
+	homeSpace []byte
+)
 
 func main() {
 	if err := run(); err != nil {
@@ -96,16 +55,12 @@ func run() error {
 	}
 	defer home.Close()
 
-	app, userQoS, name, err := spec.Load(`
-app "commute-music" {
-    qos { framerate = 30..44 }
-    service src  { type = "audio-server" }
-    service play { type = "audio-player" pin = client }
-    flow src -> play @ 1.5
-}`)
-	if err != nil {
-		return err
-	}
+	const name = "commute-music"
+	app := composer.NewAbstractGraph()
+	app.MustAddNode(&composer.AbstractNode{ID: "src", Spec: registry.Spec{Type: "audio-server"}})
+	app.MustAddNode(&composer.AbstractNode{ID: "play", Spec: registry.Spec{Type: "audio-player"}, Pin: composer.ClientRole})
+	app.MustAddEdge("src", "play", 1.5)
+	userQoS := qos.V(qos.P(qos.DimFrameRate, qos.Range(30, 44)))
 
 	// Morning: music starts at the office.
 	active, err := office.StartApp(core.Request{

@@ -1,6 +1,7 @@
 package domain
 
 import (
+	"fmt"
 	"math"
 	"os"
 	"os/exec"
@@ -213,6 +214,56 @@ func TestIdleDomainGoroutines(t *testing.T) {
 	}
 }
 
+// TestLiveSessionsReconcilePastTheTableBound: 200 audio sessions playing
+// at once, more than the session store's table bound of 128, are 200 live
+// and none lost in the scorecards, as many as the configurator holds; once
+// they all stop, the store keeps at most its bound.
+func TestLiveSessionsReconcilePastTheTableBound(t *testing.T) {
+	const sessions, tableBound = 200, 128
+	d, err := New("hold", Options{Scale: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	d.Capacity.Stop()
+	if _, err := d.AddDevice("desktop1", device.ClassDesktop, resource.MB(1<<15, 4000), map[string]string{"platform": "pc"}); err != nil {
+		t.Fatal(err)
+	}
+	catalog := newSpace(t)
+	catalog.Capacity.Stop()
+	for _, inst := range catalog.Registry.All() {
+		d.Registry.MustRegister(inst)
+		d.Repo.MarkInstalled("desktop1", inst.Name)
+	}
+	id := func(i int) string { return fmt.Sprintf("audio-%03d", i) }
+	for i := 0; i < sessions; i++ {
+		if _, err := d.Configurator.Configure(core.Request{SessionID: id(i), App: audioApp(), ClientDevice: "desktop1",
+			UserQoS: qos.V(qos.P(qos.DimFrameRate, qos.Range(35, 45))), MaxFrames: 1}); err != nil {
+			t.Fatalf("session %d: %v", i, err)
+		}
+	}
+	var live, lost int64
+	for _, sc := range d.Flight.Scorecards(0) {
+		live, lost = live+sc.Live, lost+sc.Lost
+	}
+	if n := d.Configurator.Sessions(); live != sessions || lost != 0 || n != sessions {
+		t.Fatalf("scorecards live=%d lost=%d, configurator %d sessions; want %d/0/%d", live, lost, n, sessions, sessions)
+	}
+	for i := 0; i < sessions; i++ {
+		if d.Flight.Explain(id(i)) == nil || !hasLog(d, id(i), "core: configured") {
+			t.Fatalf("live session %s lost its provenance or timeline", id(i))
+		}
+	}
+	for i := 0; i < sessions; i++ {
+		if err := d.Configurator.Stop(id(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n, m := len(d.Flight.LedgerSessions()), len(d.Flight.Sessions()); n > tableBound || m > tableBound {
+		t.Fatalf("after every stop the store holds %d accounts and %d timelines, bound %d", n, m, tableBound)
+	}
+}
+
 // lifecycle maps the timeline's lifecycle events to the ledger outcome
 // each one leaves a session in.
 var lifecycle = map[string]string{
@@ -277,6 +328,15 @@ func TestViewsAgree(t *testing.T) {
 	if failed != 1 {
 		t.Errorf("failed start: %d failed provenance records, want 1", failed)
 	}
+}
+
+func hasLog(d *Domain, session, msg string) bool {
+	for _, e := range d.Flight.Timeline(session) {
+		if e.Kind == flight.KindLog && e.Message == msg {
+			return true
+		}
+	}
+	return false
 }
 
 func hasEvent(d *Domain, session, topic string) bool {

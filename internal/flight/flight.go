@@ -19,11 +19,12 @@
 //
 // Timeline entries and provenance records are each numbered store-wide,
 // so entries from different goroutines interleave back into one causal
-// story. Every ring is bounded per session and the session table is
-// bounded: a new session evicts, in O(1), the least recently touched
-// session with nothing left to fold into the ledger, or else the least
-// recently touched live one after the ledger folds it into its class as
-// lost. Every method on a nil *Recorder is a no-op.
+// story. Every ring is bounded per session, and so is the table's share
+// of finished sessions: past the bound, a write evicts, in O(1) each, the
+// least recently touched sessions with nothing left to fold into the
+// ledger. A live session stays until it stops or is lost, so the store
+// never reports a playing session as lost. Every method on a nil
+// *Recorder is a no-op.
 package flight
 
 import (
@@ -172,8 +173,8 @@ type Recorder struct {
 	sessions map[string]*slot
 	// done holds the slots with nothing left to fold into the ledger (no
 	// account, or a finalized one) and live those with an open account,
-	// each most recently touched first. Eviction takes the back of done,
-	// and of live only when done is empty.
+	// each most recently touched first. Eviction takes the back of done
+	// only: a live slot leaves the store at its session's stop or loss.
 	done, live recency
 	ledger     *ledger.Ledger
 }
@@ -190,14 +191,10 @@ func newRecorder(lim limits, opts ledger.Options) *Recorder {
 	return r
 }
 
-// slotLocked returns the session's slot, making room for a new one when
-// the table is full.
+// slotLocked returns the session's slot, making one for a new session.
 func (r *Recorder) slotLocked(session string) *slot {
 	s := r.sessions[session]
 	if s == nil {
-		if len(r.sessions) >= r.limits.sessions {
-			r.evictLocked()
-		}
 		s = &slot{id: session}
 		r.sessions[session] = s
 	}
@@ -205,7 +202,8 @@ func (r *Recorder) slotLocked(session string) *slot {
 }
 
 // touchLocked marks a write to the slot: it moves to the front of the
-// recency list its account's state puts it on.
+// recency list its account's state puts it on, and the table sheds what
+// it holds beyond its bound.
 func (r *Recorder) touchLocked(s *slot) {
 	r.clock++
 	s.touched = r.clock
@@ -217,19 +215,23 @@ func (r *Recorder) touchLocked(s *slot) {
 	} else {
 		r.done.pushFront(s)
 	}
+	r.evictLocked(s)
 }
 
-// evictLocked drops one slot: the least recently touched one with nothing
-// left to fold, or, when every slot holds a live account, the least
-// recently touched of those after the ledger folds it into its class.
-func (r *Recorder) evictLocked() {
-	victim := r.done.back()
-	if victim == nil {
-		victim = r.live.back()
-		r.ledger.Evict(victim.acct)
+// evictLocked drops the least recently touched slots with nothing left to
+// fold, other than keep, the slot just written, while the table holds
+// more than its bound. The bound applies to finished slots only: a live
+// one stays until its session stops or is lost, and capacity already
+// bounds how many sessions are live.
+func (r *Recorder) evictLocked(keep *slot) {
+	for len(r.sessions) > r.limits.sessions {
+		victim := r.done.back()
+		if victim == nil || victim == keep {
+			return
+		}
+		victim.unlink()
+		delete(r.sessions, victim.id)
 	}
-	victim.unlink()
-	delete(r.sessions, victim.id)
 }
 
 // index projects every slot view accepts, most recently touched first:

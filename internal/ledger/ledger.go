@@ -17,9 +17,9 @@
 // report, whose provenance record Fold maps to its step — configured,
 // failed, broken, recovered, lost or completed. Ledger holds
 // the per-class aggregates — the scorecards in scorecard.go — under the
-// same lock, and a session is folded into its class when it finalizes or
-// when the store evicts it, so dropping a slot never loses class-level
-// accounting. Bounds follow the repo's observability discipline: the
+// same lock, and a session is folded into its class when it finalizes;
+// the store drops only finalized slots, so dropping one never loses
+// class-level accounting. Bounds follow the repo's observability discipline: the
 // per-session episode history is capped, class cardinality is capped at
 // the labeled-metrics limit (metrics.DefaultLabelCardinality, overflow
 // folding into metrics.OverflowLabel), and latency/deficit distributions
@@ -138,7 +138,7 @@ type Account struct {
 }
 
 // Live reports whether the account is still open: not yet finalized and
-// folded into its class. The store evicts finalized sessions first.
+// folded into its class. The store never evicts a live account.
 func (a *Account) Live() bool { return !a.folded }
 
 // Ledger holds the per-class aggregates and applies each step to a
@@ -204,12 +204,6 @@ func (l *Ledger) open(a *Account, id, class string) *Account {
 		a.class = l.classKey(class)
 	}
 	return a
-}
-
-// Evict folds a live account into its class as lost before the store
-// drops its slot, so scorecards never lose a session.
-func (l *Ledger) Evict(a *Account) {
-	l.finalize(a, OutcomeLost, l.now(), "evicted while live")
 }
 
 // numericAxes extracts the scalar/range dimension names of a requested

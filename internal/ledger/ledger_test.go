@@ -398,25 +398,33 @@ func TestSessionTableEviction(t *testing.T) {
 	}
 }
 
-func TestEvictionFoldsLiveVictims(t *testing.T) {
+// TestLiveSessionsOutlastTheTableBound: the table bound applies to
+// finished sessions only, so a live session past it is kept, not folded
+// as lost; once they all stop, the table sheds down to its bound.
+func TestLiveSessionsOutlastTheTableBound(t *testing.T) {
 	ck := newClock()
 	l := flight.New(ledger.Options{Now: ck.now})
 
-	// All live: evicting must fold the victim (as lost) first.
 	const sessions = tableCap + 3
 	for i := 0; i < sessions; i++ {
 		configured(l, fmt.Sprintf("s%d", i), "voice", askFramerate(), time.Millisecond, "configure")
 		ck.advance(time.Second)
 	}
 	sc := l.Scorecards(0)[0]
-	if sc.Sessions != sessions {
-		t.Fatalf("sessions = %d, want %d", sc.Sessions, sessions)
+	if sc.Sessions != sessions || sc.Lost != 0 || sc.Live != sessions {
+		t.Fatalf("sessions=%d lost=%d live=%d, want %d/0/%d", sc.Sessions, sc.Lost, sc.Live, sessions, sessions)
 	}
-	if sc.Lost != 3 || sc.Live != tableCap {
-		t.Fatalf("lost=%d live=%d, want 3 evicted-lost and %d live", sc.Lost, sc.Live, tableCap)
+	if rep, ok := l.Report("s0"); !ok || rep.Outcome != ledger.OutcomeRunning {
+		t.Fatalf("the oldest live session: %+v (found %v), want running", rep, ok)
 	}
-	if rep, ok := l.Report("s0"); ok {
-		t.Fatalf("the oldest live session was kept: %+v", rep)
+	for i := 0; i < sessions; i++ {
+		stop(l, fmt.Sprintf("s%d", i))
+	}
+	if got := len(l.LedgerSessions()); got > tableCap {
+		t.Fatalf("table holds %d sessions after every stop, cap %d", got, tableCap)
+	}
+	if sc := l.Scorecards(0)[0]; sc.Completed != sessions || sc.Live != 0 || sc.Lost != 0 {
+		t.Fatalf("completed=%d live=%d lost=%d, want %d/0/0", sc.Completed, sc.Live, sc.Lost, sessions)
 	}
 }
 

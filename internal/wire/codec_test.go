@@ -16,6 +16,7 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+	"time"
 
 	"ubiqos/internal/composer"
 	"ubiqos/internal/core"
@@ -28,7 +29,6 @@ import (
 	"ubiqos/internal/qos"
 	"ubiqos/internal/registry"
 	"ubiqos/internal/resource"
-	"ubiqos/internal/spec"
 	"ubiqos/internal/workload"
 )
 
@@ -148,17 +148,17 @@ type codecCase struct {
 	req  Request
 }
 
-// codecCases are the requests TestRequestCodecInterop sends both ways: a
-// parsed spec, the prototype's two applications, every node field, the
-// empty graph, no graph, and 50 Fig. 5-size graphs.
+// codecCases are the requests TestRequestCodecInterop sends both ways: the
+// shipped mobile-audio.json, the prototype's two applications, every node
+// field, the empty graph, no graph, and 50 Fig. 5-size graphs.
 func codecCases(t testing.TB) []codecCase {
 	t.Helper()
-	src, err := os.ReadFile("../../testdata/mobile-audio.spec")
+	src, err := os.ReadFile("../../testdata/mobile-audio.json")
 	if err != nil {
 		t.Fatal(err)
 	}
-	specApp, specQoS, _, err := spec.Load(string(src))
-	if err != nil {
+	var mobileAudio composer.AbstractGraph
+	if err := json.Unmarshal(src, &mobileAudio); err != nil {
 		t.Fatal(err)
 	}
 	rich := composer.NewAbstractGraph()
@@ -174,7 +174,8 @@ func codecCases(t testing.TB) []codecCase {
 	rich.MustAddEdge("src", "dst", math.Nextafter(1.5, 2))
 
 	cases := []codecCase{
-		{"mobile-audio.spec", Request{Op: OpStart, SessionID: "s", App: specApp, UserQoS: specQoS, ClientDevice: "desktop2"}},
+		{"mobile-audio.json", Request{Op: OpStart, SessionID: "s", App: &mobileAudio,
+			UserQoS: qos.V(qos.P(qos.DimFrameRate, qos.Range(38, 44))), ClientDevice: "desktop2"}},
 		{"audio-on-demand", Request{Op: OpStart, SessionID: "a", App: experiments.AudioOnDemandApp(), ClientDevice: "jornada", TraceID: "cafe", SpanID: "client-start"}},
 		{"conferencing", Request{Op: OpCheck, App: experiments.VideoConferencingApp(), ClientDevice: "desktop1", MaxFrames: 7}},
 		{"every node field", Request{Op: OpStart, App: rich, Class: "video"}},
@@ -438,18 +439,51 @@ func BenchmarkRequestEncode(b *testing.B) {
 }
 
 // startReply is the reply to a Fig. 5-size start and the session it
-// describes.
-func startReply(b *testing.B) (*core.ActiveSession, []byte) {
-	srv := fig5Server(b)
+// describes. The reply carries a rate for each sink the session has heard
+// from, so it is captured once every sink has reported one and the
+// session's runtime has stopped: the same fields on every run, however
+// fast the stream got going, and the same bytes on every iteration of a
+// run.
+func startReply(t testing.TB) (*core.ActiveSession, []byte) {
+	t.Helper()
+	srv := fig5Server(t)
 	resp := srv.Handle(Request{Op: OpStart, SessionID: "s", App: fig5App(rand.New(rand.NewSource(5))), ClientDevice: "d0", MaxFrames: 1})
 	if !resp.OK {
-		b.Fatalf("start: %s", resp.Error)
+		t.Fatalf("start: %s", resp.Error)
 	}
+	active := srv.dom.Configurator.Session("s")
+	sinks := 0
+	for _, id := range active.Graph.Sinks() {
+		sinks += len(active.Graph.In(id))
+	}
+	for deadline := time.Now().Add(10 * time.Second); len(active.Runtime.SinkRates()) < sinks; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d of %d sink rates after 10 s", len(active.Runtime.SinkRates()), sinks)
+		}
+	}
+	active.Runtime.Stop()
+	resp.Session = sessionInfoOf(active)
 	line, err := appendResponse(nil, &resp)
 	if err != nil {
-		b.Fatal(err)
+		t.Fatal(err)
 	}
-	return srv.dom.Configurator.Session("s"), line
+	return active, line
+}
+
+// TestStartReplySettles: two captures of the start reply carry the same
+// fields, so the two benchmarks that time it time one reply. The
+// configure's timings and the sink rates are wall-clock measurements, so
+// their digits may differ; every other byte may not.
+func TestStartReplySettles(t *testing.T) {
+	measured := regexp.MustCompile(`:-?[0-9][0-9.e+-]*`)
+	_, a := startReply(t)
+	_, b := startReply(t)
+	if ma, mb := measured.ReplaceAll(a, []byte(":#")), measured.ReplaceAll(b, []byte(":#")); !bytes.Equal(ma, mb) {
+		t.Fatalf("two captures of the start reply differ beyond their measured numbers:\n%s\n%s", a, b)
+	}
+	if !bytes.Contains(a, []byte(`"rates":{`)) {
+		t.Fatalf("the start reply carries no sink rate: %s", a)
+	}
 }
 
 // BenchmarkStartReply measures building and encoding the reply to a
