@@ -297,16 +297,18 @@ func TestComposeBufferCannotCreateFrames(t *testing.T) {
 	// Producer slower than the consumer's minimum: uncorrectable.
 	r := registry.New()
 	r.MustRegister(&registry.Instance{
-		Name:   "slow-cam",
-		Type:   "camera",
-		Output: qos.V(qos.P(qos.DimFrameRate, qos.Scalar(2))),
+		Name:      "slow-cam",
+		Type:      "camera",
+		Output:    qos.V(qos.P(qos.DimFrameRate, qos.Scalar(2))),
+		Resources: resource.MB(1, 1),
 	})
 	r.MustRegister(&registry.Instance{
-		Name:  "viewer-1",
-		Type:  "viewer",
-		Input: qos.V(qos.P(qos.DimFrameRate, qos.Range(5, 25))),
+		Name:      "viewer-1",
+		Type:      "viewer",
+		Input:     qos.V(qos.P(qos.DimFrameRate, qos.Range(5, 25))),
+		Resources: resource.MB(1, 1),
 	})
-	r.MustRegister(&registry.Instance{Name: "buffer-1", Type: TypeBuffer})
+	r.MustRegister(&registry.Instance{Name: "buffer-1", Type: TypeBuffer, Resources: resource.MB(1, 1)})
 	ag := NewAbstractGraph()
 	ag.MustAddNode(&AbstractNode{ID: "cam", Spec: registry.Spec{Type: "camera"}})
 	ag.MustAddNode(&AbstractNode{ID: "view", Spec: registry.Spec{Type: "viewer"}})

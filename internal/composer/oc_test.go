@@ -23,6 +23,7 @@ func TestOCCascadingAdjustmentThroughFilter(t *testing.T) {
 		Output:        qos.V(qos.P(qos.DimFormat, qos.Symbol("X")), qos.P(qos.DimFrameRate, qos.Scalar(50))),
 		OutCapability: qos.V(qos.P(qos.DimFrameRate, qos.Range(5, 60))),
 		Adjustable:    map[string]bool{qos.DimFrameRate: true},
+		Resources:     resource.MB(1, 1),
 	})
 	r.MustRegister(&registry.Instance{
 		Name:          "filter",
@@ -32,11 +33,13 @@ func TestOCCascadingAdjustmentThroughFilter(t *testing.T) {
 		OutCapability: qos.V(qos.P(qos.DimFrameRate, qos.Range(5, 60))),
 		Adjustable:    map[string]bool{qos.DimFrameRate: true},
 		PassThrough:   map[string]bool{qos.DimFrameRate: true},
+		Resources:     resource.MB(1, 1),
 	})
 	r.MustRegister(&registry.Instance{
-		Name:  "player",
-		Type:  "player",
-		Input: qos.V(qos.P(qos.DimFormat, qos.Symbol("X")), qos.P(qos.DimFrameRate, qos.Range(10, 30))),
+		Name:      "player",
+		Type:      "player",
+		Input:     qos.V(qos.P(qos.DimFormat, qos.Symbol("X")), qos.P(qos.DimFrameRate, qos.Range(10, 30))),
+		Resources: resource.MB(1, 1),
 	})
 	ag := NewAbstractGraph()
 	ag.MustAddNode(&AbstractNode{ID: "s", Spec: registry.Spec{Type: "server"}})
@@ -74,16 +77,19 @@ func TestOCAdjustmentRespectsAllSuccessors(t *testing.T) {
 		Output:        qos.V(qos.P(qos.DimFrameRate, qos.Scalar(60))),
 		OutCapability: qos.V(qos.P(qos.DimFrameRate, qos.Range(1, 100))),
 		Adjustable:    map[string]bool{qos.DimFrameRate: true},
+		Resources:     resource.MB(1, 1),
 	})
 	r.MustRegister(&registry.Instance{
-		Name:  "p1",
-		Type:  "p1",
-		Input: qos.V(qos.P(qos.DimFrameRate, qos.Range(10, 30))),
+		Name:      "p1",
+		Type:      "p1",
+		Input:     qos.V(qos.P(qos.DimFrameRate, qos.Range(10, 30))),
+		Resources: resource.MB(1, 1),
 	})
 	r.MustRegister(&registry.Instance{
-		Name:  "p2",
-		Type:  "p2",
-		Input: qos.V(qos.P(qos.DimFrameRate, qos.Range(20, 50))),
+		Name:      "p2",
+		Type:      "p2",
+		Input:     qos.V(qos.P(qos.DimFrameRate, qos.Range(20, 50))),
+		Resources: resource.MB(1, 1),
 	})
 	ag := NewAbstractGraph()
 	ag.MustAddNode(&AbstractNode{ID: "s", Spec: registry.Spec{Type: "server"}})
@@ -113,16 +119,19 @@ func TestOCDisjointSuccessorsUncorrectable(t *testing.T) {
 		Output:        qos.V(qos.P(qos.DimFrameRate, qos.Scalar(60))),
 		OutCapability: qos.V(qos.P(qos.DimFrameRate, qos.Range(1, 100))),
 		Adjustable:    map[string]bool{qos.DimFrameRate: true},
+		Resources:     resource.MB(1, 1),
 	})
 	r.MustRegister(&registry.Instance{
-		Name:  "p1",
-		Type:  "p1",
-		Input: qos.V(qos.P(qos.DimFrameRate, qos.Range(10, 20))),
+		Name:      "p1",
+		Type:      "p1",
+		Input:     qos.V(qos.P(qos.DimFrameRate, qos.Range(10, 20))),
+		Resources: resource.MB(1, 1),
 	})
 	r.MustRegister(&registry.Instance{
-		Name:  "p2",
-		Type:  "p2",
-		Input: qos.V(qos.P(qos.DimFrameRate, qos.Range(40, 50))),
+		Name:      "p2",
+		Type:      "p2",
+		Input:     qos.V(qos.P(qos.DimFrameRate, qos.Range(40, 50))),
+		Resources: resource.MB(1, 1),
 	})
 	ag := NewAbstractGraph()
 	ag.MustAddNode(&AbstractNode{ID: "s", Spec: registry.Spec{Type: "server"}})
@@ -147,18 +156,21 @@ func TestOCDisjointSuccessorsSolvedByBuffer(t *testing.T) {
 		Output:        qos.V(qos.P(qos.DimFrameRate, qos.Scalar(60))),
 		OutCapability: qos.V(qos.P(qos.DimFrameRate, qos.Range(1, 100))),
 		Adjustable:    map[string]bool{qos.DimFrameRate: true},
+		Resources:     resource.MB(1, 1),
 	})
 	r.MustRegister(&registry.Instance{
-		Name:  "p1",
-		Type:  "p1",
-		Input: qos.V(qos.P(qos.DimFrameRate, qos.Range(10, 20))),
+		Name:      "p1",
+		Type:      "p1",
+		Input:     qos.V(qos.P(qos.DimFrameRate, qos.Range(10, 20))),
+		Resources: resource.MB(1, 1),
 	})
 	r.MustRegister(&registry.Instance{
-		Name:  "p2",
-		Type:  "p2",
-		Input: qos.V(qos.P(qos.DimFrameRate, qos.Range(40, 50))),
+		Name:      "p2",
+		Type:      "p2",
+		Input:     qos.V(qos.P(qos.DimFrameRate, qos.Range(40, 50))),
+		Resources: resource.MB(1, 1),
 	})
-	r.MustRegister(&registry.Instance{Name: "buffer-1", Type: TypeBuffer})
+	r.MustRegister(&registry.Instance{Name: "buffer-1", Type: TypeBuffer, Resources: resource.MB(1, 1)})
 	ag := NewAbstractGraph()
 	ag.MustAddNode(&AbstractNode{ID: "s", Spec: registry.Spec{Type: "server"}})
 	ag.MustAddNode(&AbstractNode{ID: "a", Spec: registry.Spec{Type: "p1"}})
@@ -258,8 +270,9 @@ func TestOCComplexityLinearChecks(t *testing.T) {
 	// verification pass.
 	r := registry.New()
 	r.MustRegister(&registry.Instance{Name: "stage", Type: "stage",
-		Input:  qos.V(qos.P(qos.DimFormat, qos.Symbol("X"))),
-		Output: qos.V(qos.P(qos.DimFormat, qos.Symbol("X"))),
+		Input:     qos.V(qos.P(qos.DimFormat, qos.Symbol("X"))),
+		Output:    qos.V(qos.P(qos.DimFormat, qos.Symbol("X"))),
+		Resources: resource.MB(1, 1),
 	})
 	const n = 20
 	ag := NewAbstractGraph()
@@ -292,15 +305,16 @@ func TestOCPropertyRandomChainsConsistent(t *testing.T) {
 				continue
 			}
 			r.MustRegister(&registry.Instance{
-				Name:   "tc-" + from + to,
-				Type:   TypeTranscoder,
-				Attrs:  map[string]string{"from": from, "to": to},
-				Input:  qos.V(qos.P(qos.DimFormat, qos.Symbol(from))),
-				Output: qos.V(qos.P(qos.DimFormat, qos.Symbol(to))),
+				Name:      "tc-" + from + to,
+				Type:      TypeTranscoder,
+				Attrs:     map[string]string{"from": from, "to": to},
+				Input:     qos.V(qos.P(qos.DimFormat, qos.Symbol(from))),
+				Output:    qos.V(qos.P(qos.DimFormat, qos.Symbol(to))),
+				Resources: resource.MB(1, 1),
 			})
 		}
 	}
-	r.MustRegister(&registry.Instance{Name: "buffer-1", Type: TypeBuffer})
+	r.MustRegister(&registry.Instance{Name: "buffer-1", Type: TypeBuffer, Resources: resource.MB(1, 1)})
 
 	rng := rand.New(rand.NewSource(42))
 	for trial := 0; trial < 200; trial++ {
@@ -314,9 +328,10 @@ func TestOCPropertyRandomChainsConsistent(t *testing.T) {
 			// emits a fixed rate, so buffers may be needed but never an
 			// uncorrectable too-slow producer: window floors are 1.
 			inst := &registry.Instance{
-				Name:   fmt.Sprintf("inst%d-%d", trial, i),
-				Type:   typ,
-				Output: qos.V(qos.P(qos.DimFormat, qos.Symbol(outFmt)), qos.P(qos.DimFrameRate, qos.Scalar(float64(1+rng.Intn(60))))),
+				Name:      fmt.Sprintf("inst%d-%d", trial, i),
+				Type:      typ,
+				Output:    qos.V(qos.P(qos.DimFormat, qos.Symbol(outFmt)), qos.P(qos.DimFrameRate, qos.Scalar(float64(1+rng.Intn(60))))),
+				Resources: resource.MB(1, 1),
 			}
 			if i > 0 {
 				inFmt := formats[rng.Intn(len(formats))]
@@ -372,11 +387,13 @@ func TestOCFormatNegotiationViaAdjustment(t *testing.T) {
 		Output:        qos.V(qos.P(qos.DimFormat, qos.Symbol("MP3"))),
 		OutCapability: qos.V(qos.P(qos.DimFormat, qos.Set("MP3", "WAV"))),
 		Adjustable:    map[string]bool{qos.DimFormat: true},
+		Resources:     resource.MB(1, 1),
 	})
 	r.MustRegister(&registry.Instance{
-		Name:  "wav-only",
-		Type:  "player",
-		Input: qos.V(qos.P(qos.DimFormat, qos.Symbol("WAV"))),
+		Name:      "wav-only",
+		Type:      "player",
+		Input:     qos.V(qos.P(qos.DimFormat, qos.Symbol("WAV"))),
+		Resources: resource.MB(1, 1),
 	})
 	ag := NewAbstractGraph()
 	ag.MustAddNode(&AbstractNode{ID: "s", Spec: registry.Spec{Type: "server"}})
@@ -436,6 +453,7 @@ func TestForwardOrderAblationFailsCascade(t *testing.T) {
 			Output:        qos.V(qos.P(qos.DimFormat, qos.Symbol("X")), qos.P(qos.DimFrameRate, qos.Scalar(50))),
 			OutCapability: qos.V(qos.P(qos.DimFrameRate, qos.Range(5, 60))),
 			Adjustable:    map[string]bool{qos.DimFrameRate: true},
+			Resources:     resource.MB(1, 1),
 		})
 		r.MustRegister(&registry.Instance{
 			Name:          "filter",
@@ -445,11 +463,13 @@ func TestForwardOrderAblationFailsCascade(t *testing.T) {
 			OutCapability: qos.V(qos.P(qos.DimFrameRate, qos.Range(5, 60))),
 			Adjustable:    map[string]bool{qos.DimFrameRate: true},
 			PassThrough:   map[string]bool{qos.DimFrameRate: true},
+			Resources:     resource.MB(1, 1),
 		})
 		r.MustRegister(&registry.Instance{
-			Name:  "player",
-			Type:  "player",
-			Input: qos.V(qos.P(qos.DimFormat, qos.Symbol("X")), qos.P(qos.DimFrameRate, qos.Range(10, 30))),
+			Name:      "player",
+			Type:      "player",
+			Input:     qos.V(qos.P(qos.DimFormat, qos.Symbol("X")), qos.P(qos.DimFrameRate, qos.Range(10, 30))),
+			Resources: resource.MB(1, 1),
 		})
 		ag := NewAbstractGraph()
 		ag.MustAddNode(&AbstractNode{ID: "s", Spec: registry.Spec{Type: "server"}})

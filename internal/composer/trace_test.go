@@ -5,6 +5,7 @@ import (
 
 	"ubiqos/internal/qos"
 	"ubiqos/internal/registry"
+	"ubiqos/internal/resource"
 	"ubiqos/internal/trace"
 )
 
@@ -71,20 +72,23 @@ func TestComposeTraceSpans(t *testing.T) {
 func TestComposeTraceRecursionDepth(t *testing.T) {
 	r := registry.New()
 	r.MustRegister(&registry.Instance{
-		Name:   "cam-1",
-		Type:   "camera",
-		Output: qos.V(qos.P(qos.DimFormat, qos.Symbol("RAW"))),
+		Name:      "cam-1",
+		Type:      "camera",
+		Output:    qos.V(qos.P(qos.DimFormat, qos.Symbol("RAW"))),
+		Resources: resource.MB(1, 1),
 	})
 	r.MustRegister(&registry.Instance{
-		Name:   "encoder-1",
-		Type:   "encoder",
-		Input:  qos.V(qos.P(qos.DimFormat, qos.Symbol("RAW"))),
-		Output: qos.V(qos.P(qos.DimFormat, qos.Symbol(qos.FormatMP3))),
+		Name:      "encoder-1",
+		Type:      "encoder",
+		Input:     qos.V(qos.P(qos.DimFormat, qos.Symbol("RAW"))),
+		Output:    qos.V(qos.P(qos.DimFormat, qos.Symbol(qos.FormatMP3))),
+		Resources: resource.MB(1, 1),
 	})
 	r.MustRegister(&registry.Instance{
-		Name:  "player-1",
-		Type:  "audio-player",
-		Input: qos.V(qos.P(qos.DimFormat, qos.Symbol(qos.FormatMP3))),
+		Name:      "player-1",
+		Type:      "audio-player",
+		Input:     qos.V(qos.P(qos.DimFormat, qos.Symbol(qos.FormatMP3))),
+		Resources: resource.MB(1, 1),
 	})
 	c := New(r)
 	// "capture-encode" has no instance; it decomposes into camera -> encoder.

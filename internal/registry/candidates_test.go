@@ -39,7 +39,7 @@ func TestCandidatesRanksAndExplains(t *testing.T) {
 		Resources: resource.MB(8, 10),
 	})
 	// Different type: never considered.
-	r.MustRegister(&Instance{Name: "server", Type: "audio-server"})
+	r.MustRegister(&Instance{Name: "server", Type: "audio-server", Resources: resource.MB(1, 1)})
 
 	spec := Spec{
 		Type:   "audio-player",

@@ -79,6 +79,11 @@ func (in *Instance) Validate() error {
 			return fmt.Errorf("registry: instance %q: %w", in.Name, err)
 		}
 	}
+	// Devices have [memory, cpu] capacity: an instance without both
+	// dimensions would register but fail every distribution that places it.
+	if len(in.Resources) != resource.Dims {
+		return fmt.Errorf("registry: instance %q needs resources [memory, cpu]", in.Name)
+	}
 	if err := in.Resources.Validate(); err != nil {
 		return fmt.Errorf("registry: instance %q: %w", in.Name, err)
 	}

@@ -8,8 +8,10 @@ import (
 	"ubiqos/internal/resource"
 )
 
-func inst(name, typ string) *Instance { return &Instance{Name: name, Type: typ} }
-func specOf(typ string) Spec          { return Spec{Type: typ} }
+func inst(name, typ string) *Instance {
+	return &Instance{Name: name, Type: typ, Resources: resource.MB(1, 1)}
+}
+func specOf(typ string) Spec { return Spec{Type: typ} }
 func names(ms []Match) (out []string) {
 	for _, m := range ms {
 		out = append(out, m.Instance.Name)
@@ -62,7 +64,9 @@ func TestInstanceValidate(t *testing.T) {
 		{"empty name", func(i *Instance) { i.Name = "" }},
 		{"empty type", func(i *Instance) { i.Type = "" }},
 		{"bad qos", func(i *Instance) { i.Input = qos.Vector{qos.P("", qos.Scalar(1))} }},
-		{"bad resources", func(i *Instance) { i.Resources = resource.Vector{-1} }},
+		{"bad resources", func(i *Instance) { i.Resources = resource.Vector{-1, 1} }},
+		{"no resources", func(i *Instance) { i.Resources = nil }},
+		{"one resource dimension", func(i *Instance) { i.Resources = resource.Vector{1} }},
 		{"negative size", func(i *Instance) { i.SizeMB = -1 }},
 	}
 	for _, c := range cases {
@@ -223,7 +227,7 @@ func TestBest(t *testing.T) {
 
 func TestFindUnconstrainedInputDimensionCounts(t *testing.T) {
 	r := New()
-	anyIn := &Instance{Name: "sink", Type: "sink"}
+	anyIn := &Instance{Name: "sink", Type: "sink", Resources: resource.MB(1, 1)}
 	r.MustRegister(anyIn)
 	ms := r.Find(Spec{Type: "sink", Input: qos.V(qos.P("x", qos.Scalar(1)))})
 	if len(ms) != 1 || ms[0].Score != 1 {

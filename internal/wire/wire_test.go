@@ -14,6 +14,7 @@ import (
 	"ubiqos/internal/experiments"
 	"ubiqos/internal/qos"
 	"ubiqos/internal/registry"
+	"ubiqos/internal/resource"
 )
 
 // startServer boots a server over the paper's audio smart space on a
@@ -307,11 +308,12 @@ func TestSessionDOT(t *testing.T) {
 func TestRegisterUnregisterServiceOps(t *testing.T) {
 	srv, _ := startServer(t)
 	inst := &registry.Instance{
-		Name:   "late-equalizer",
-		Type:   "equalizer",
-		Input:  qos.V(qos.P(qos.DimFormat, qos.Symbol("MPEG"))),
-		Output: qos.V(qos.P(qos.DimFormat, qos.Symbol("MPEG"))),
-		SizeMB: 2,
+		Name:      "late-equalizer",
+		Type:      "equalizer",
+		Input:     qos.V(qos.P(qos.DimFormat, qos.Symbol("MPEG"))),
+		Output:    qos.V(qos.P(qos.DimFormat, qos.Symbol("MPEG"))),
+		SizeMB:    2,
+		Resources: resource.MB(1, 1),
 	}
 	resp := srv.Handle(Request{Op: OpRegister, Instance: inst, InstalledOn: []string{"*"}})
 	if !resp.OK {
