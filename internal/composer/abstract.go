@@ -120,6 +120,23 @@ func (ag *AbstractGraph) AddEdge(from, to graph.NodeID, throughputMbps float64) 
 	return nil
 }
 
+// GrowEdges makes room for n more edges, so that a caller that knows how
+// many it adds grows no edge array while adding them.
+func (ag *AbstractGraph) GrowEdges(n int) {
+	ag.ends = grow(ag.ends, 2*n)
+	ag.tp = grow(ag.tp, n)
+	ag.next = grow(ag.next, n)
+}
+
+// grow returns s with room for n more elements, in one allocation (see
+// graph.Graph.Grow on slices.Grow under the race detector).
+func grow[T any](s []T, n int) []T {
+	if cap(s)-len(s) >= n {
+		return s
+	}
+	return append(make([]T, 0, len(s)+n), s...)
+}
+
 // MustAddEdge is AddEdge that panics on error.
 func (ag *AbstractGraph) MustAddEdge(from, to graph.NodeID, throughputMbps float64) {
 	if err := ag.AddEdge(from, to, throughputMbps); err != nil {

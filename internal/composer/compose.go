@@ -2,6 +2,7 @@ package composer
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -77,12 +78,12 @@ type Discovery interface {
 	Best(spec registry.Spec) *registry.Instance
 }
 
-// CandidateExplainer is optionally implemented by discovery services
+// candidateExplainer is optionally implemented by discovery services
 // that can enumerate the full ranked candidate set behind a Best
-// decision, with per-candidate rejection reasons. *registry.Registry
-// implements it.
-type CandidateExplainer interface {
-	Candidates(spec registry.Spec) []registry.Candidate
+// decision, with per-candidate rejection reasons, along with Best's
+// answer. *registry.Registry implements it.
+type candidateExplainer interface {
+	Candidates(spec registry.Spec) (*registry.Instance, []registry.Candidate)
 }
 
 // Composer is the service composition tier. It is configured with the
@@ -132,14 +133,21 @@ func (c *Composer) Compose(req Request) (*graph.Graph, *Report, error) {
 		return nil, nil, fmt.Errorf("composer: user QoS: %w", err)
 	}
 
-	report := newReport()
-	g := graph.New()
+	// Size what the pass fills for the application's own nodes and edges;
+	// only a recomposition or an OC splice adds more.
+	n := req.App.NodeCount()
+	report := newReport(n)
+	g := graph.NewSized(n, len(req.App.tp))
 	inst := &instantiation{
-		c:       c,
-		req:     req,
-		g:       g,
-		report:  report,
-		missing: make(map[string]bool),
+		c:      c,
+		req:    req,
+		g:      g,
+		report: report,
+		nodes:  make([]*graph.Node, 0, n),
+	}
+	if req.Explain != nil {
+		req.Explain.Discoveries = slices.Grow(req.Explain.Discoveries, n)
+		inst.explainer, _ = c.reg.(candidateExplainer)
 	}
 	if _, err := inst.run(req.App, adj, "", 0, req.Span); err != nil {
 		return nil, nil, err
@@ -226,6 +234,17 @@ type instantiation struct {
 	missing map[string]bool
 	// nodes holds g's nodes by position: the pass adds every one of them.
 	nodes []*graph.Node
+	// explainer is the discovery service's candidate listing when the
+	// request collects provenance and the service can list, else nil.
+	explainer candidateExplainer
+}
+
+// miss records a mandatory service type that could not be instantiated.
+func (in *instantiation) miss(serviceType string) {
+	if in.missing == nil {
+		in.missing = make(map[string]bool)
+	}
+	in.missing[serviceType] = true
 }
 
 // splice is what one instantiated abstract graph leaves behind for wiring
@@ -251,7 +270,8 @@ func qualify(prefix string, id graph.NodeID) graph.NodeID {
 // shows the recursion depth structurally.
 func (in *instantiation) run(ag *AbstractGraph, adj adjacency, prefix string, depth int, parent *trace.Span) (*splice, error) {
 	n := len(ag.nodes)
-	sp := &splice{adj: adj, entries: make([][]int32, n), exits: make([][]int32, n)}
+	sides := make([][]int32, 2*n)
+	sp := &splice{adj: adj, entries: sides[:n:n], exits: sides[n:]}
 	own := make([]int32, n) // own[i:i+1] is discovered node i's boundary on both sides
 	for i, an := range ag.nodes {
 		qid := qualify(prefix, an.ID)
@@ -275,17 +295,25 @@ func (in *instantiation) run(ag *AbstractGraph, adj adjacency, prefix string, de
 			spec.Attrs = merged
 		}
 
-		dsp := parent.Child("discover",
-			trace.String("node", string(qid)),
-			trace.String("type", spec.Type),
-			trace.Int("depth", int64(depth)))
+		// The discover span gets its attributes once the outcome is known
+		// (decide), in one Set.
+		dsp := parent.Child("discover")
 		in.report.DiscoveryAttempts++
-		best := in.c.reg.Best(spec)
+		// With provenance on, the winner and its candidate set come out of
+		// one ranked pass.
+		var best *registry.Instance
+		var cands []registry.Candidate
+		if in.explainer != nil {
+			best, cands = in.explainer.Candidates(spec)
+		} else {
+			best = in.c.reg.Best(spec)
+		}
 		switch {
 		case best != nil:
 			node := nodeFromInstance(qid, pin, best)
 			if err := in.g.AddNode(node); err != nil {
-				dsp.SetErr(err)
+				dsp.Set(trace.String("node", string(qid)), trace.String("type", spec.Type),
+					trace.Int("depth", int64(depth)), trace.String("error", err.Error()))
 				dsp.End()
 				return nil, err
 			}
@@ -295,32 +323,28 @@ func (in *instantiation) run(ag *AbstractGraph, adj adjacency, prefix string, de
 			sp.entries[i] = own[i : i+1 : i+1]
 			sp.exits[i] = sp.entries[i]
 			in.report.Discovered[qid] = best.Name
-			dsp.Set(trace.String("outcome", "found"), trace.String("instance", best.Name))
-			in.explainDiscovery(qid, spec, depth, "found", best.Name)
+			in.decide(dsp, qid, spec, depth, "found", best.Name, cands)
 
 		case an.Optional:
 			// "If the service that cannot be discovered is optional, then
 			// the service composer may simply neglect it."
 			in.report.Skipped = append(in.report.Skipped, qid)
 			in.report.DiscoveryFailures++
-			dsp.Set(trace.String("outcome", "skipped-optional"))
-			in.explainDiscovery(qid, spec, depth, "skipped-optional", "")
+			in.decide(dsp, qid, spec, depth, "skipped-optional", "", cands)
 
 		case depth < MaxRecursionDepth:
 			in.report.DiscoveryFailures++
 			sub, ok := in.c.decompositions[an.Spec.Type]
 			if !ok {
-				in.missing[an.Spec.Type] = true
-				dsp.Set(trace.String("outcome", "missing"))
-				in.explainDiscovery(qid, spec, depth, "missing", "")
+				in.miss(an.Spec.Type)
+				in.decide(dsp, qid, spec, depth, "missing", "", cands)
 				dsp.End()
 				continue
 			}
 			// Recursively apply the composition algorithm to find a
 			// service graph that performs the same task as the missing
 			// service.
-			dsp.Set(trace.String("outcome", "recompose"))
-			in.explainDiscovery(qid, spec, depth, "recompose", "")
+			in.decide(dsp, qid, spec, depth, "recompose", "", cands)
 			inner, err := in.run(sub, sub.adjacency(), string(qid)+"/", depth+1, dsp)
 			if err != nil {
 				dsp.End()
@@ -341,9 +365,8 @@ func (in *instantiation) run(ag *AbstractGraph, adj adjacency, prefix string, de
 
 		default:
 			in.report.DiscoveryFailures++
-			in.missing[an.Spec.Type] = true
-			dsp.Set(trace.String("outcome", "missing"))
-			in.explainDiscovery(qid, spec, depth, "missing", "")
+			in.miss(an.Spec.Type)
+			in.decide(dsp, qid, spec, depth, "missing", "", cands)
 		}
 		dsp.End()
 	}
@@ -374,22 +397,27 @@ func (in *instantiation) run(ag *AbstractGraph, adj adjacency, prefix string, de
 	return sp, nil
 }
 
-// explainDiscovery records one discovery decision — with the full
-// ranked candidate set, when the discovery service can enumerate it —
-// into the request's provenance sink. The spec passed in is the final
+// decide records one discovery decision: on the discover span, the node,
+// its type and depth, the outcome and the instance chosen, if any, in one
+// Set, so that the span allocates its list once; and, when the request
+// collects provenance, in the record, with the ranked candidate set when
+// the discovery service lists one. The spec passed in is the final
 // (sink-output- and client-attr-merged) spec the binding was made over.
-func (in *instantiation) explainDiscovery(qid graph.NodeID, spec registry.Spec, depth int, outcome, chosen string) {
+func (in *instantiation) decide(dsp *trace.Span, qid graph.NodeID, spec registry.Spec, depth int, outcome, chosen string, cands []registry.Candidate) {
+	node, typ, dep, out := trace.String("node", string(qid)), trace.String("type", spec.Type),
+		trace.Int("depth", int64(depth)), trace.String("outcome", outcome)
+	if chosen != "" {
+		dsp.Set(node, typ, dep, out, trace.String("instance", chosen))
+	} else {
+		dsp.Set(node, typ, dep, out)
+	}
 	if in.req.Explain == nil {
 		return
 	}
-	d := explain.Discovery{
+	in.req.Explain.AddDiscovery(explain.Discovery{
 		Node: string(qid), Type: spec.Type, Depth: depth,
-		Outcome: outcome, Chosen: chosen,
-	}
-	if ce, ok := in.c.reg.(CandidateExplainer); ok {
-		d.Candidates = ce.Candidates(spec)
-	}
-	in.req.Explain.AddDiscovery(d)
+		Outcome: outcome, Chosen: chosen, Candidates: cands,
+	})
 }
 
 // boundary returns the concrete sources (entry) or sinks of an
@@ -450,29 +478,21 @@ func dedupe(at []int32) []int32 {
 }
 
 // nodeFromInstance builds a concrete graph node from a discovered instance.
+// The node shares the instance's vectors and maps: the registry never
+// changes an instance, and a node's are only ever replaced (qos.Vector.With),
+// never written through.
 func nodeFromInstance(id graph.NodeID, pin string, inst *registry.Instance) *graph.Node {
 	return &graph.Node{
 		ID:            id,
 		Type:          inst.Type,
 		Instance:      inst.Name,
-		In:            inst.Input.Clone(),
-		Out:           inst.Output.Clone(),
-		OutCapability: inst.OutCapability.Clone(),
-		Adjustable:    cloneBools(inst.Adjustable),
-		PassThrough:   cloneBools(inst.PassThrough),
-		Resources:     inst.Resources.Clone(),
+		In:            inst.Input,
+		Out:           inst.Output,
+		OutCapability: inst.OutCapability,
+		Adjustable:    inst.Adjustable,
+		PassThrough:   inst.PassThrough,
+		Resources:     inst.Resources,
 		Pin:           pin,
 		SizeMB:        inst.SizeMB,
 	}
-}
-
-func cloneBools(m map[string]bool) map[string]bool {
-	if m == nil {
-		return nil
-	}
-	out := make(map[string]bool, len(m))
-	for k, v := range m {
-		out[k] = v
-	}
-	return out
 }

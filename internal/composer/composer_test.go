@@ -573,7 +573,7 @@ func TestComposeUserQoSConflictFails(t *testing.T) {
 }
 
 func TestReportSummary(t *testing.T) {
-	rep := newReport()
+	rep := newReport(0)
 	rep.Discovered["a"] = "x"
 	rep.Skipped = append(rep.Skipped, "b")
 	rep.Expanded["c"] = "t"
@@ -586,5 +586,46 @@ func TestReportSummary(t *testing.T) {
 		if !strings.Contains(s, want) {
 			t.Errorf("Summary %q missing %q", s, want)
 		}
+	}
+}
+
+// TestCallerMutationDoesNotReachComposedNode: a composed node shares its
+// vectors and maps with the registry's copy of the instance, never with
+// the caller's: what the caller does to the instance it registered, after
+// Register, does not show in the node.
+func TestCallerMutationDoesNotReachComposedNode(t *testing.T) {
+	mk := func() *registry.Instance {
+		return &registry.Instance{
+			Name: "filter-1", Type: "filter",
+			Input:         qos.V(qos.P(qos.DimFrameRate, qos.Range(10, 60))),
+			Output:        qos.V(qos.P(qos.DimFormat, qos.Symbol(qos.FormatMP3)), qos.P(qos.DimFrameRate, qos.Scalar(40))),
+			OutCapability: qos.V(qos.P(qos.DimFrameRate, qos.Range(5, 60))),
+			Adjustable:    map[string]bool{qos.DimFrameRate: true},
+			PassThrough:   map[string]bool{qos.DimFrameRate: true},
+			Resources:     resource.MB(8, 10),
+			SizeMB:        1,
+		}
+	}
+	r := registry.New()
+	in, want := mk(), mk()
+	r.MustRegister(in)
+	in.Input[0].Value = qos.Scalar(1)
+	in.Output[1].Value = qos.Scalar(1)
+	in.OutCapability[0].Value = qos.Scalar(1)
+	in.Adjustable[qos.DimFrameRate] = false
+	in.PassThrough[qos.DimFormat] = true
+	in.Resources[0] = 999
+
+	ag := NewAbstractGraph()
+	ag.MustAddNode(&AbstractNode{ID: "f", Spec: registry.Spec{Type: "filter"}})
+	g, _, err := New(r).Compose(Request{App: ag})
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := g.Node("f")
+	got := []any{n.In, n.Out, n.OutCapability, n.Adjustable, n.PassThrough, n.Resources}
+	exp := []any{want.Input, want.Output, want.OutCapability, want.Adjustable, want.PassThrough, want.Resources}
+	if !reflect.DeepEqual(got, exp) {
+		t.Errorf("composed node carries %v, registered %v", got, exp)
 	}
 }

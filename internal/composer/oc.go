@@ -2,6 +2,7 @@ package composer
 
 import (
 	"fmt"
+	"maps"
 	"math"
 
 	"ubiqos/internal/explain"
@@ -340,15 +341,17 @@ func (c *Composer) spliceNode(g *graph.Graph, id graph.NodeID, from, to graph.No
 		ID:          id,
 		Type:        inst.Type,
 		Instance:    inst.Name,
-		In:          inst.Input.Clone(),
-		Out:         inst.Output.Clone(),
-		Resources:   inst.Resources.Clone(),
+		In:          inst.Input.With(fixDim, inVal),
+		Out:         inst.Output.With(fixDim, outVal),
+		Resources:   inst.Resources,
 		SizeMB:      inst.SizeMB,
-		Adjustable:  cloneBools(inst.Adjustable),
-		PassThrough: cloneBools(inst.PassThrough),
+		Adjustable:  inst.Adjustable,
+		PassThrough: inst.PassThrough,
 	}
-	node.In = node.In.With(fixDim, inVal)
-	node.Out = node.Out.With(fixDim, outVal)
+	// ownPass tells whether node.PassThrough is a clone of the instance's
+	// map yet: the first pass-through dimension makes one, since the
+	// instance's is the registry's.
+	ownPass := false
 	for _, req := range cons.In {
 		if req.Name == fixDim {
 			continue
@@ -367,8 +370,12 @@ func (c *Composer) spliceNode(g *graph.Graph, id graph.NodeID, from, to graph.No
 			out = req.Value.Pick()
 		}
 		node.Out = node.Out.With(req.Name, out)
-		if node.PassThrough == nil {
-			node.PassThrough = make(map[string]bool)
+		if !ownPass {
+			node.PassThrough = maps.Clone(node.PassThrough)
+			if node.PassThrough == nil {
+				node.PassThrough = make(map[string]bool)
+			}
+			ownPass = true
 		}
 		node.PassThrough[req.Name] = true
 		node.In = node.In.With(req.Name, out)

@@ -48,9 +48,10 @@ type Report struct {
 	DiscoveryFailures int
 }
 
-func newReport() *Report {
+// newReport returns an empty report with room for n discovered nodes.
+func newReport(n int) *Report {
 	return &Report{
-		Discovered: make(map[graph.NodeID]string),
+		Discovered: make(map[graph.NodeID]string, n),
 		Expanded:   make(map[graph.NodeID]string),
 	}
 }

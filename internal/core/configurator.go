@@ -546,7 +546,7 @@ func (c *Configurator) distribute(req Request, g *graph.Graph, up []*device.Devi
 	for i, d := range up {
 		devInfos[i] = distributor.DeviceInfo{ID: d.ID, Avail: d.Available()}
 	}
-	dsp := parent.Child("distribute", trace.Int("devices", int64(len(up))))
+	dsp := parent.Child("distribute")
 	stats := &distributor.SearchStats{}
 	prob := &distributor.Problem{
 		Graph:     g,
@@ -577,18 +577,20 @@ func (c *Configurator) distribute(req Request, g *graph.Graph, up []*device.Devi
 			c.cfg.PlanCache.Store(prob, assignment, cost)
 		}
 	}
-	// A custom PlaceFunc that does not fill Stats records only the span
-	// timing.
+	// The span's attributes go in one Set: the device count, the search
+	// stats (a custom PlaceFunc that does not fill Stats records none) and
+	// the cost or the error.
+	devices, outcome := trace.Int("devices", int64(len(up))), trace.Float("cost", cost)
+	if err != nil {
+		outcome = trace.String("error", err.Error())
+	}
 	if stats.Algorithm != "" {
-		dsp.Set(trace.String("algorithm", stats.Algorithm),
+		dsp.Set(devices, trace.String("algorithm", stats.Algorithm),
 			trace.Int("explored", stats.Explored),
 			trace.Int("pruned", stats.Pruned),
-			trace.Int("incumbents", stats.Incumbents))
-	}
-	if err != nil {
-		dsp.SetErr(err)
+			trace.Int("incumbents", stats.Incumbents), outcome)
 	} else {
-		dsp.Set(trace.Float("cost", cost))
+		dsp.Set(devices, outcome)
 	}
 	dsp.End()
 	if rec != nil {

@@ -417,7 +417,7 @@ func (d *Domain) RemoveDevice(id device.ID) ([]string, error) {
 func (d *Domain) notifyLost(sessionID string, dev device.ID, reason string) {
 	// A loss no supervisor decided: the store closes the account as lost
 	// and keeps no provenance record for it.
-	d.Flight.Step(trace.TraceData{}, explain.Record{Session: sessionID,
+	d.Flight.Step(trace.Summary{}, explain.Record{Session: sessionID,
 		Ladder: &explain.LadderStep{Outcome: "lost", Detail: "session lost"}}, 0)
 	d.Bus.Publish(eventbus.TopicUserNotification, core.SessionLostNotice{
 		SessionID: sessionID,

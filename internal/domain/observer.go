@@ -100,7 +100,7 @@ func (o observer) Finished(req core.Request, active *core.ActiveSession, rec exp
 		}
 		took = active.Timing.Total()
 	}
-	o.d.Flight.Finished(tr.Export(), rec, req.Class, req.UserQoS, took)
+	o.d.Flight.Finished(tr.Summary(), rec, req.Class, req.UserQoS, took)
 	o.recordMetrics(req, active, rec, err)
 }
 
@@ -149,7 +149,7 @@ func (o observer) recordMetrics(req core.Request, active *core.ActiveSession, re
 func (o observer) Step(req core.Request, rec explain.Record, tr *trace.Trace, down time.Duration, st core.SupervisorStats) {
 	d, m := o.d, o.d.Metrics
 	rec.Session = req.SessionID // a stop's record is empty
-	d.Flight.Step(tr.Export(), rec, down)
+	d.Flight.Step(tr.Summary(), rec, down)
 	if rec.Ladder == nil {
 		m.Gauge(metrics.ActiveSessions).Set(float64(d.Configurator.Sessions()))
 		d.classMeter(metrics.SessionCompletions, req.Class).Mark(1)

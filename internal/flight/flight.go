@@ -308,32 +308,26 @@ func (r *Recorder) Write(rec obslog.Record) {
 
 // traceEntry is the timeline entry summarizing a finished trace, and
 // whether the trace has a session to record it on.
-func traceEntry(td trace.TraceData) (Entry, bool) {
-	if td.Session == "" {
+func traceEntry(ts trace.Summary) (Entry, bool) {
+	if ts.Session == "" {
 		return Entry{}, false
 	}
-	errs := 0
-	for _, sp := range td.Spans {
-		if sp.Attrs["error"] != nil {
-			errs++
-		}
-	}
 	detail := map[string]any{
-		"durMs": td.DurMs,
-		"spans": len(td.Spans),
+		"durMs": ts.DurMs,
+		"spans": ts.Spans,
 	}
-	if errs > 0 {
-		detail["errSpans"] = errs
+	if ts.ErrSpans > 0 {
+		detail["errSpans"] = ts.ErrSpans
 	}
-	if td.ParentSpan != "" {
-		detail["parentSpan"] = td.ParentSpan
+	if ts.ParentSpan != "" {
+		detail["parentSpan"] = ts.ParentSpan
 	}
 	return Entry{
-		Time:    td.Start,
+		Time:    ts.Start,
 		Kind:    KindSpan,
-		Session: td.Session,
-		TraceID: td.TraceID,
-		Message: "trace " + td.Name,
+		Session: ts.Session,
+		TraceID: ts.TraceID,
+		Message: "trace " + ts.Name,
 		Detail:  detail,
 	}, true
 }

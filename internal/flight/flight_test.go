@@ -20,8 +20,8 @@ func TestNilRecorderIsNoOp(t *testing.T) {
 	r.RecordEvent("s", eventbus.Event{Topic: eventbus.TopicDeviceLeft})
 	r.RecordFault("s", "device.crash", "pc-1", nil)
 	r.RecordExplain(explain.Record{Session: "s"})
-	r.Finished(trace.TraceData{Session: "s"}, explain.Record{Session: "s", Action: explain.ActionConfigure}, "c", nil, 0)
-	r.Step(trace.TraceData{}, explain.Record{Session: "s"}, 0)
+	r.Finished(trace.Summary{Session: "s"}, explain.Record{Session: "s", Action: explain.ActionConfigure}, "c", nil, 0)
+	r.Step(trace.Summary{}, explain.Record{Session: "s"}, 0)
 	if r.Timeline("s") != nil || r.Sessions() != nil || r.Explain("s") != nil || r.ExplainSessions() != nil {
 		t.Fatal("nil recorder accessors must be empty")
 	}
@@ -39,7 +39,7 @@ func TestFusedStreamsSequenceOrder(t *testing.T) {
 	tr := tc.StartCtx(trace.Context{TraceID: "t1"}, "configure", "s1")
 	tr.Root().Child("compose").End()
 	tr.Finish()
-	r.Step(tr.Export(), explain.Record{Session: "s1"}, 0)
+	r.Step(tr.Summary(), explain.Record{Session: "s1"}, 0)
 
 	// Stream 3: a bus event.
 	r.RecordEvent("s1", eventbus.Event{Topic: eventbus.TopicDeviceLeft, Time: time.Now(), Payload: "pc-2"})
@@ -83,7 +83,7 @@ func TestFusedStreamsSequenceOrder(t *testing.T) {
 func TestSessionlessEntriesDropped(t *testing.T) {
 	r := New(ledger.Options{})
 	r.Write(obslog.Record{Msg: "no session"})
-	r.Step(trace.TraceData{Name: "anon"}, explain.Record{}, 0)
+	r.Step(trace.Summary{Name: "anon"}, explain.Record{}, 0)
 	if got := len(r.Sessions()); got != 0 {
 		t.Fatalf("sessionless entries must be dropped, have %d sessions", got)
 	}
@@ -260,10 +260,10 @@ func TestNilRecorderAllocationFree(t *testing.T) {
 	tr := trace.NewTracer(8).Start("configure", "s1")
 	tr.Root().Child("compose").End()
 	tr.Finish()
-	td := tr.Export()
+	ts := tr.Summary()
 	xr := explain.Record{Session: "s1", Action: explain.ActionConfigure, Search: &explain.Search{Algorithm: "heuristic"}}
 	var rec *Recorder
-	if allocs := testing.AllocsPerRun(1000, func() { rec.Finished(td, xr, "c", nil, 0) }); allocs != 0 {
+	if allocs := testing.AllocsPerRun(1000, func() { rec.Finished(ts, xr, "c", nil, 0) }); allocs != 0 {
 		t.Errorf("nil Finished allocates %.1f objects per call, want 0", allocs)
 	}
 	if allocs := testing.AllocsPerRun(1000, func() { rec.RecordExplain(xr) }); allocs != 0 {
@@ -281,7 +281,7 @@ func TestExcerptKeepsOutOfOrderEntries(t *testing.T) {
 	for i := 1; i <= 4; i++ {
 		r.Write(obslog.Record{Time: base.Add(time.Duration(i) * time.Millisecond), Msg: fmt.Sprintf("e%d", i), Session: "a1"})
 	}
-	r.Step(trace.TraceData{Session: "a1", Name: "configure", Start: base}, explain.Record{Session: "a1"}, 0)
+	r.Step(trace.Summary{Session: "a1", Name: "configure", Start: base}, explain.Record{Session: "a1"}, 0)
 	r.Write(obslog.Record{Time: base.Add(5 * time.Millisecond), Msg: "e5", Session: "a1"})
 
 	got := r.Excerpt("a1", base.Add(time.Millisecond), time.Time{}, 100)

@@ -76,8 +76,8 @@ func (r *Recorder) ExplainSessions() []explain.SessionInfo {
 // provenance record, and the ledger step the record folds to (see
 // ledger.Ledger.Fold). class and requested are the request's, took the
 // configure's latency.
-func (r *Recorder) Finished(td trace.TraceData, rec explain.Record, class string, requested qos.Vector, took time.Duration) {
-	r.report(td, rec, true, class, requested, took)
+func (r *Recorder) Finished(ts trace.Summary, rec explain.Record, class string, requested qos.Vector, took time.Duration) {
+	r.report(ts, rec, true, class, requested, took)
 }
 
 // Step records one session step that is not a configuration under one
@@ -86,21 +86,21 @@ func (r *Recorder) Finished(td trace.TraceData, rec explain.Record, class string
 // retry or lost); and the ledger step the record folds to. A stop, a
 // broken or healed step, and a loss no supervisor decided are not
 // decisions. down is how long a recovered session was broken.
-func (r *Recorder) Step(td trace.TraceData, rec explain.Record, down time.Duration) {
+func (r *Recorder) Step(ts trace.Summary, rec explain.Record, down time.Duration) {
 	decision := rec.Action == explain.ActionRecoveryStep &&
 		rec.Ladder.Outcome != "broken" && rec.Ladder.Outcome != "healed"
-	r.report(td, rec, decision, "", nil, down)
+	r.report(ts, rec, decision, "", nil, down)
 }
 
 // report writes one observer report under the store's lock.
-func (r *Recorder) report(td trace.TraceData, rec explain.Record, decision bool, class string, requested qos.Vector, took time.Duration) {
+func (r *Recorder) report(ts trace.Summary, rec explain.Record, decision bool, class string, requested qos.Vector, took time.Duration) {
 	if r == nil || rec.Session == "" {
 		return
 	}
 	if rec.Time.IsZero() {
 		rec.Time = time.Now()
 	}
-	e, traced := traceEntry(td)
+	e, traced := traceEntry(ts)
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if traced {

@@ -51,11 +51,11 @@ func TestEvictionPrefersFinalizedSessions(t *testing.T) {
 	r := newRecorder(limits{4, maxEntries, maxRecords}, ledger.Options{})
 	for i := 0; i < 8; i++ {
 		sid := fmt.Sprintf("s%d", i)
-		r.Finished(trace.TraceData{}, explain.Record{Session: sid, Action: explain.ActionConfigure},
+		r.Finished(trace.Summary{}, explain.Record{Session: sid, Action: explain.ActionConfigure},
 			"voice", askFramerate(), time.Millisecond)
 		r.RecordFault(sid, "k", "t", nil)
 		if i < 6 {
-			r.Step(trace.TraceData{}, explain.Record{Session: sid}, 0)
+			r.Step(trace.Summary{}, explain.Record{Session: sid}, 0)
 		}
 	}
 	if got := len(r.LedgerSessions()); got != 4 {

@@ -106,6 +106,9 @@ type Graph struct {
 	out   [][]halfEdge
 	in    [][]halfEdge
 	edges int
+	// spare is room for half-edges that NewSized made and Grow has not yet
+	// cut into lists.
+	spare []halfEdge
 	// topo is the result of the last sort, dropped by every structural
 	// change, so that a composed graph is sorted once however many stages
 	// validate it. Atomic because graphs are read from several goroutines.
@@ -131,6 +134,21 @@ var topoSorts atomic.Int64
 // New returns an empty service graph.
 func New() *Graph {
 	return &Graph{index: make(map[NodeID]int32)}
+}
+
+// NewSized returns an empty service graph with room for nodes nodes and
+// edges edges, so that a caller that knows how many it adds grows no
+// per-node structure, and Grow cuts the edge lists out of one array.
+func NewSized(nodes, edges int) *Graph {
+	lists := make([][]halfEdge, 0, 2*nodes)
+	return &Graph{
+		index: make(map[NodeID]int32, nodes),
+		ids:   make([]NodeID, 0, nodes),
+		nodes: make([]*Node, 0, nodes),
+		out:   lists[:0:nodes],
+		in:    lists[nodes:nodes],
+		spare: make([]halfEdge, 0, 2*edges),
+	}
 }
 
 // AddNode inserts the node. It fails on duplicate or empty IDs.
@@ -197,16 +215,22 @@ func (g *Graph) AddEdgeAt(from, to int, throughputMbps float64) error {
 // outgoing and in more incoming edges, so that a caller that knows a
 // node's degrees adds its edges without growing a list again.
 func (g *Graph) Grow(i, out, in int) {
-	g.out[i] = grow(g.out[i], out)
-	g.in[i] = grow(g.in[i], in)
+	g.out[i] = g.grow(g.out[i], out)
+	g.in[i] = g.grow(g.in[i], in)
 }
 
-// grow returns list with room for n more half-edges, in one allocation:
-// slices.Grow appends a make, which the race detector's build allocates
-// twice, once for the make and once for the append.
-func grow(list []halfEdge, n int) []halfEdge {
+// grow returns list with room for n more half-edges: an empty list is cut
+// from the room NewSized made while it lasts, its capacity capped so that
+// an append past it moves the list out rather than into the next one;
+// otherwise it takes one allocation (slices.Grow appends a make, which the
+// race detector's build allocates twice).
+func (g *Graph) grow(list []halfEdge, n int) []halfEdge {
 	if cap(list)-len(list) >= n {
 		return list
+	}
+	if at := len(g.spare); len(list) == 0 && cap(g.spare)-at >= n {
+		g.spare = g.spare[:at+n]
+		return g.spare[at : at : at+n]
 	}
 	return append(make([]halfEdge, 0, len(list)+n), list...)
 }

@@ -363,3 +363,36 @@ func TestDOT(t *testing.T) {
 		t.Error("DOT output is not deterministic")
 	}
 }
+
+// TestNewSizedListsStayApart: lists Grow cuts from NewSized's room are
+// capped, so a node that adds more edges than it reserved moves its list
+// out instead of writing into the next node's: a graph built with room,
+// every node reserving one edge each way and then taking up to four, reads
+// the same as one built without.
+func TestNewSizedListsStayApart(t *testing.T) {
+	ids := []NodeID{"a", "b", "c", "d", "e"}
+	sized, plain := NewSized(len(ids), 8), New()
+	for i, id := range ids {
+		for _, g := range []*Graph{sized, plain} {
+			g.MustAddNode(&Node{ID: id, Type: "svc"})
+		}
+		sized.Grow(i, 1, 1)
+	}
+	tp := 1.0
+	for i, from := range ids {
+		for _, to := range ids[i+1:] {
+			for _, g := range []*Graph{sized, plain} {
+				g.MustAddEdge(from, to, tp)
+			}
+			tp++
+		}
+	}
+	for _, id := range ids {
+		if got, want := sized.Out(id), plain.Out(id); !reflect.DeepEqual(got, want) {
+			t.Errorf("out edges of %s = %v, want %v", id, got, want)
+		}
+		if got, want := sized.In(id), plain.In(id); !reflect.DeepEqual(got, want) {
+			t.Errorf("in edges of %s = %v, want %v", id, got, want)
+		}
+	}
+}

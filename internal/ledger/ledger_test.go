@@ -46,15 +46,15 @@ func askFramerate() qos.Vector {
 // The observer reports each test feeds the store, one per ledger step.
 
 func configured(l *flight.Recorder, sid, class string, ask qos.Vector, took time.Duration, action string) {
-	l.Finished(trace.TraceData{}, explain.Record{Session: sid, Action: action}, class, ask, took)
+	l.Finished(trace.Summary{}, explain.Record{Session: sid, Action: action}, class, ask, took)
 }
 
 func configureFailed(l *flight.Recorder, sid, class, reason string) {
-	l.Finished(trace.TraceData{}, explain.Record{Session: sid, Action: explain.ActionConfigure, Err: reason}, class, nil, 0)
+	l.Finished(trace.Summary{}, explain.Record{Session: sid, Action: explain.ActionConfigure, Err: reason}, class, nil, 0)
 }
 
 func supervised(l *flight.Recorder, sid string, step explain.LadderStep, down time.Duration) {
-	l.Step(trace.TraceData{}, explain.Record{Session: sid, Action: explain.ActionRecoveryStep, Ladder: &step}, down)
+	l.Step(trace.Summary{}, explain.Record{Session: sid, Action: explain.ActionRecoveryStep, Ladder: &step}, down)
 }
 
 func broken(l *flight.Recorder, sid, reason string) {
@@ -70,7 +70,7 @@ func lost(l *flight.Recorder, sid, reason string) {
 }
 
 func stop(l *flight.Recorder, sid string) {
-	l.Step(trace.TraceData{}, explain.Record{Session: sid}, 0)
+	l.Step(trace.Summary{}, explain.Record{Session: sid}, 0)
 }
 
 func TestNilLedgerIsNoOp(t *testing.T) {

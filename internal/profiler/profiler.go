@@ -118,10 +118,12 @@ func (p *Profiler) Samples(key string) int {
 
 // EstimateOr returns the smoothed estimate when the key has been profiled,
 // falling back to the supplied declared requirement otherwise — how the
-// distributor consumes profiles.
+// distributor consumes profiles. The fallback is declared itself, not a
+// copy: a composed node's declared vector is its registry instance's,
+// which no one writes.
 func (p *Profiler) EstimateOr(key string, declared resource.Vector) resource.Vector {
 	if est, ok := p.Estimate(key); ok && len(est) == len(declared) {
 		return est
 	}
-	return declared.Clone()
+	return declared
 }

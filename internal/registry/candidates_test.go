@@ -46,15 +46,15 @@ func TestCandidatesRanksAndExplains(t *testing.T) {
 		Attrs:  map[string]string{"platform": "pda"},
 		Output: qos.V(qos.P(qos.DimFormat, qos.Symbol(qos.FormatPCM))),
 	}
-	cs := r.Candidates(spec)
+	best, cs := r.Candidates(spec)
 	if len(cs) != 4 {
 		t.Fatalf("want 4 candidates, got %d: %+v", len(cs), cs)
 	}
 	if !cs[0].Chosen || cs[0].Name != "pcm-out" || cs[0].Rejection != "" {
 		t.Fatalf("winner wrong: %+v", cs[0])
 	}
-	if cs[0].Name != r.Best(spec).Name {
-		t.Fatalf("Candidates winner %q disagrees with Best %q", cs[0].Name, r.Best(spec).Name)
+	if best != r.Best(spec) || cs[0].Name != best.Name {
+		t.Fatalf("Candidates winner %v (%q) disagrees with Best %v", best, cs[0].Name, r.Best(spec))
 	}
 	if cs[1].Name != "pcm-heavy" || !strings.Contains(cs[1].Rejection, "larger resource footprint") {
 		t.Fatalf("footprint loser wrong: %+v", cs[1])
@@ -77,7 +77,7 @@ func TestCandidatesNameTieBreak(t *testing.T) {
 	for _, n := range []string{"twin-b", "twin-a"} {
 		r.MustRegister(&Instance{Name: n, Type: "mixer", Resources: resource.MB(4, 4)})
 	}
-	cs := r.Candidates(Spec{Type: "mixer"})
+	_, cs := r.Candidates(Spec{Type: "mixer"})
 	if len(cs) != 2 || cs[0].Name != "twin-a" || !cs[0].Chosen {
 		t.Fatalf("tie-break winner wrong: %+v", cs)
 	}
@@ -88,7 +88,7 @@ func TestCandidatesNameTieBreak(t *testing.T) {
 
 func TestCandidatesEmptyForUnknownType(t *testing.T) {
 	r := New()
-	if cs := r.Candidates(Spec{Type: "ghost"}); len(cs) != 0 {
+	if best, cs := r.Candidates(Spec{Type: "ghost"}); best != nil || len(cs) != 0 {
 		t.Fatalf("unknown type should yield no candidates: %+v", cs)
 	}
 }

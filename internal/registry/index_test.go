@@ -11,7 +11,7 @@ import (
 	"ubiqos/internal/resource"
 )
 
-// linearFind is Find as it was before the by-type index: one pass over
+// linearFind is refFind as it was before the by-type index: one pass over
 // every registered instance, here taken from All(). Kept, with
 // linearCandidates, as the oracle TestIndexMatchesLinearScan compares the
 // indexed lookups against.
@@ -75,7 +75,7 @@ func linearCandidates(all []*Instance, spec Spec) []Candidate {
 
 // TestIndexMatchesLinearScan: after any sequence of Register (new names,
 // replacements that keep the type, replacements that change it),
-// Unregister), the indexed Find, Best and Candidates answer what a scan
+// Unregister), the indexed refFind, Best and Candidates answer what a scan
 // over All() answers.
 func TestIndexMatchesLinearScan(t *testing.T) {
 	types := []string{"player", "recorder", "server", "gateway"}
@@ -128,7 +128,7 @@ func TestIndexMatchesLinearScan(t *testing.T) {
 			}
 			for _, spec := range specs {
 				want := linearFind(all, spec)
-				if got := r.Find(spec); !reflect.DeepEqual(got, want) {
+				if got := r.refFind(spec); !reflect.DeepEqual(got, want) {
 					t.Fatalf("seed %d step %d: Find(%+v) = %v, linear scan %v", seed, step, spec, names(got), names(want))
 				}
 				var wantBest *Instance
@@ -138,8 +138,8 @@ func TestIndexMatchesLinearScan(t *testing.T) {
 				if got := r.Best(spec); got != wantBest {
 					t.Fatalf("seed %d step %d: Best(%+v) = %v, linear scan %v", seed, step, spec, got, wantBest)
 				}
-				if got, want := r.Candidates(spec), linearCandidates(all, spec); !reflect.DeepEqual(got, want) {
-					t.Fatalf("seed %d step %d: Candidates(%+v) = %+v, linear scan %+v", seed, step, spec, got, want)
+				if _, got := r.Candidates(spec); !reflect.DeepEqual(got, linearCandidates(all, spec)) {
+					t.Fatalf("seed %d step %d: Candidates(%+v) = %+v, linear scan %+v", seed, step, spec, got, linearCandidates(all, spec))
 				}
 			}
 		}

@@ -31,7 +31,7 @@ func TestFindVsReplaceByNameRace(t *testing.T) {
 				for _, typ := range []string{"player", "recorder"} {
 					var movers int
 					var still bool
-					for _, m := range r.Find(specOf(typ)) {
+					for _, m := range r.refFind(specOf(typ)) {
 						if m.Instance.Type != typ {
 							t.Errorf("Find(%s) returned %s of type %s", typ, m.Instance.Name, m.Instance.Type)
 						}
@@ -58,10 +58,10 @@ func TestFindVsReplaceByNameRace(t *testing.T) {
 	}
 	close(stop)
 	wg.Wait()
-	if got := names(r.Find(specOf("player"))); len(got) != 2 {
+	if got := names(r.refFind(specOf("player"))); len(got) != 2 {
 		t.Errorf("players at the end = %v, want mover and still", got)
 	}
-	if got := r.Find(specOf("recorder")); len(got) != 0 {
+	if got := r.refFind(specOf("recorder")); len(got) != 0 {
 		t.Errorf("recorders at the end = %v, want none", names(got))
 	}
 }

@@ -8,6 +8,7 @@ package registry
 import (
 	"cmp"
 	"fmt"
+	"maps"
 	"slices"
 	"sort"
 	"strings"
@@ -99,16 +100,33 @@ func (in *Instance) Capability() qos.Vector {
 	return in.Output.Merge(in.OutCapability)
 }
 
-// Match is one ranked discovery result.
-type Match struct {
-	Instance *Instance
-	// Score counts the satisfied desired QoS dimensions; higher is closer
-	// to the abstract description.
-	Score int
+// clone returns a deep copy of the instance: nothing it shares with the
+// original can be written through either.
+func (in *Instance) clone() *Instance {
+	c := *in
+	c.Attrs = maps.Clone(in.Attrs)
+	c.Input = in.Input.Clone()
+	c.Output = in.Output.Clone()
+	c.OutCapability = in.OutCapability.Clone()
+	c.Adjustable = maps.Clone(in.Adjustable)
+	c.PassThrough = maps.Clone(in.PassThrough)
+	c.Resources = in.Resources.Clone()
+	return &c
+}
+
+// ranked is one eligible instance with its QoS score.
+type ranked struct {
+	in    *Instance
+	score int
 }
 
 // Registry is the service discovery service. All methods are safe for
 // concurrent use.
+//
+// The registry owns the instances it holds: Register stores a deep copy,
+// and neither the registry nor anyone it hands an instance to (Get, All,
+// Best, Candidates) may modify it, so a composed graph's nodes share its
+// vectors and maps instead of copying them.
 type Registry struct {
 	mu        sync.RWMutex
 	instances map[string]*Instance
@@ -127,11 +145,13 @@ func New() *Registry {
 	}
 }
 
-// Register adds or replaces an instance after validation.
+// Register adds or replaces an instance after validation. The registry
+// keeps a copy: later changes to in do not reach it.
 func (r *Registry) Register(in *Instance) error {
 	if err := in.Validate(); err != nil {
 		return err
 	}
+	in = in.clone()
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.dropFromType(r.instances[in.Name])
@@ -205,45 +225,37 @@ func (r *Registry) All() []*Instance {
 	return out
 }
 
-// Find returns the instances matching the abstract spec, ranked best-first:
-// exact type match and attribute superset are mandatory; the rank counts
-// how many desired input/output QoS dimensions the instance can satisfy
-// (ties broken by smaller resource footprint, then name). An empty result
-// models the paper's "failed discovery of a service instance".
-func (r *Registry) Find(spec Spec) []Match {
+// rank orders eligible instances best-first: higher QoS score, then
+// smaller resource footprint, then name. Names are unique, so the order is
+// total.
+func rank(a, b ranked) int {
+	if a.score != b.score {
+		return cmp.Compare(b.score, a.score)
+	}
+	if c := cmp.Compare(footprint(a.in.Resources), footprint(b.in.Resources)); c != 0 {
+		return c
+	}
+	return strings.Compare(a.in.Name, b.in.Name)
+}
+
+// Best returns the closest instance for the abstract spec, or nil when
+// discovery fails — the paper's "failed discovery of a service instance".
+// Exact type match and attribute superset are mandatory; among the
+// instances that pass, the closest satisfies the most desired input/output
+// QoS dimensions, ties broken by smaller resource footprint, then name.
+func (r *Registry) Best(spec Spec) *Instance {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	var out []Match
+	var best ranked
 	for _, in := range r.byType[spec.Type] {
 		if !attrsSubset(spec.Attrs, in.Attrs) {
 			continue
 		}
-		out = append(out, Match{Instance: in, Score: scoreQoS(spec, in)})
+		if m := (ranked{in, scoreQoS(spec, in)}); best.in == nil || rank(m, best) < 0 {
+			best = m
+		}
 	}
-	slices.SortFunc(out, rank)
-	return out
-}
-
-// rank orders matches best-first: higher QoS score, then smaller resource
-// footprint, then name. Names are unique, so the order is total.
-func rank(a, b Match) int {
-	if a.Score != b.Score {
-		return cmp.Compare(b.Score, a.Score)
-	}
-	if c := cmp.Compare(footprint(a.Instance.Resources), footprint(b.Instance.Resources)); c != 0 {
-		return c
-	}
-	return strings.Compare(a.Instance.Name, b.Instance.Name)
-}
-
-// Best returns the single closest instance for the spec, or nil when
-// discovery fails.
-func (r *Registry) Best(spec Spec) *Instance {
-	ms := r.Find(spec)
-	if len(ms) == 0 {
-		return nil
-	}
-	return ms[0].Instance
+	return best.in
 }
 
 // Candidate is one same-type instance considered for an abstract spec,
@@ -260,43 +272,47 @@ type Candidate struct {
 	Rejection string `json:"rejection,omitempty"`
 }
 
-// Candidates returns every same-type instance the discovery ranking
-// considered for the spec, winners first: eligible instances in Find
-// order (the first marked Chosen, the rest annotated with why the
+// Candidates returns Best's answer together with every same-type instance
+// the ranking considered for the spec, winners first: eligible instances
+// in rank order (the first marked Chosen, the rest annotated with why the
 // winner beat them), then attribute-rejected instances sorted by name.
-func (r *Registry) Candidates(spec Spec) []Candidate {
+// Both come out of one pass over the candidates.
+func (r *Registry) Candidates(spec Spec) (*Instance, []Candidate) {
 	r.mu.RLock()
-	var eligible []Match
+	eligible := make([]ranked, 0, 4) // on the stack while a type has few instances
 	var rejected []Candidate
 	for _, in := range r.byType[spec.Type] {
 		if reason, ok := attrMismatch(spec.Attrs, in.Attrs); !ok {
 			rejected = append(rejected, Candidate{Name: in.Name, Rejection: reason})
 			continue
 		}
-		eligible = append(eligible, Match{Instance: in, Score: scoreQoS(spec, in)})
+		eligible = append(eligible, ranked{in, scoreQoS(spec, in)})
 	}
 	r.mu.RUnlock()
 	slices.SortFunc(eligible, rank)
 	sort.Slice(rejected, func(i, j int) bool { return rejected[i].Name < rejected[j].Name })
 
 	out := make([]Candidate, 0, len(eligible)+len(rejected))
+	var best *Instance
 	for i, m := range eligible {
-		c := Candidate{Name: m.Instance.Name, Score: m.Score, Chosen: i == 0}
-		if i > 0 {
+		c := Candidate{Name: m.in.Name, Score: m.score, Chosen: i == 0}
+		if i == 0 {
+			best = m.in
+		} else {
 			winner := eligible[0]
 			switch {
-			case m.Score < winner.Score:
-				c.Rejection = fmt.Sprintf("QoS score %d < %d (%s)", m.Score, winner.Score, winner.Instance.Name)
-			case footprint(m.Instance.Resources) > footprint(winner.Instance.Resources):
+			case m.score < winner.score:
+				c.Rejection = fmt.Sprintf("QoS score %d < %d (%s)", m.score, winner.score, winner.in.Name)
+			case footprint(m.in.Resources) > footprint(winner.in.Resources):
 				c.Rejection = fmt.Sprintf("larger resource footprint than %s (%.2f > %.2f)",
-					winner.Instance.Name, footprint(m.Instance.Resources), footprint(winner.Instance.Resources))
+					winner.in.Name, footprint(m.in.Resources), footprint(winner.in.Resources))
 			default:
-				c.Rejection = fmt.Sprintf("name tie-break behind %s", winner.Instance.Name)
+				c.Rejection = fmt.Sprintf("name tie-break behind %s", winner.in.Name)
 			}
 		}
 		out = append(out, c)
 	}
-	return append(out, rejected...)
+	return best, append(out, rejected...)
 }
 
 // attrMismatch reports whether have satisfies every required attribute;

@@ -1,6 +1,7 @@
 package registry
 
 import (
+	"reflect"
 	"sort"
 	"testing"
 
@@ -134,14 +135,14 @@ func TestFindTypeAndAttrs(t *testing.T) {
 	r.MustRegister(wavPlayer())
 	r.MustRegister(audioServer())
 
-	if ms := r.Find(Spec{Type: "video-player"}); len(ms) != 0 {
+	if ms := r.refFind(Spec{Type: "video-player"}); len(ms) != 0 {
 		t.Errorf("unknown type should fail discovery, got %v", ms)
 	}
-	ms := r.Find(Spec{Type: "audio-player"})
+	ms := r.refFind(Spec{Type: "audio-player"})
 	if len(ms) != 2 {
 		t.Fatalf("Find(audio-player) = %d results", len(ms))
 	}
-	ms = r.Find(Spec{Type: "audio-player", Attrs: map[string]string{"platform": "pda"}})
+	ms = r.refFind(Spec{Type: "audio-player", Attrs: map[string]string{"platform": "pda"}})
 	if len(ms) != 1 || ms[0].Instance.Name != "wav-player-1" {
 		t.Errorf("attr filter failed: %v", ms)
 	}
@@ -156,7 +157,7 @@ func TestFindRanksByQoSCloseness(t *testing.T) {
 		Type:  "audio-player",
 		Input: qos.V(qos.P(qos.DimFormat, qos.Symbol(qos.FormatMP3)), qos.P(qos.DimFrameRate, qos.Scalar(40))),
 	}
-	ms := r.Find(spec)
+	ms := r.refFind(spec)
 	if len(ms) != 2 {
 		t.Fatalf("got %d matches", len(ms))
 	}
@@ -182,7 +183,7 @@ func TestFindRanksByOutputCapability(t *testing.T) {
 		Type:   "audio-server",
 		Output: qos.V(qos.P(qos.DimFrameRate, qos.Range(35, 45))),
 	}
-	ms := r.Find(spec)
+	ms := r.refFind(spec)
 	if len(ms) != 2 || ms[0].Instance.Name != "audio-server-1" {
 		t.Fatalf("capability ranking failed: %+v", ms)
 	}
@@ -199,7 +200,7 @@ func TestFindTieBreaksBySmallerFootprintThenName(t *testing.T) {
 	small.Attrs = nil
 	r.MustRegister(big)
 	r.MustRegister(small)
-	ms := r.Find(Spec{Type: "audio-player"})
+	ms := r.refFind(Spec{Type: "audio-player"})
 	if len(ms) != 2 || ms[0].Instance.Name != "small-player" {
 		t.Errorf("footprint tie-break failed: %v", ms[0].Instance.Name)
 	}
@@ -208,7 +209,7 @@ func TestFindTieBreaksBySmallerFootprintThenName(t *testing.T) {
 	twin.Name = "a-player"
 	twin.Attrs = nil
 	r.MustRegister(twin)
-	ms = r.Find(Spec{Type: "audio-player"})
+	ms = r.refFind(Spec{Type: "audio-player"})
 	if ms[0].Instance.Name != "a-player" {
 		t.Errorf("name tie-break failed: %v", ms[0].Instance.Name)
 	}
@@ -229,8 +230,35 @@ func TestFindUnconstrainedInputDimensionCounts(t *testing.T) {
 	r := New()
 	anyIn := &Instance{Name: "sink", Type: "sink", Resources: resource.MB(1, 1)}
 	r.MustRegister(anyIn)
-	ms := r.Find(Spec{Type: "sink", Input: qos.V(qos.P("x", qos.Scalar(1)))})
+	ms := r.refFind(Spec{Type: "sink", Input: qos.V(qos.P("x", qos.Scalar(1)))})
 	if len(ms) != 1 || ms[0].Score != 1 {
 		t.Errorf("unconstrained input should score: %+v", ms)
+	}
+}
+
+// TestRegisterKeepsItsOwnCopy: what a caller does to its instance after
+// Register, through any field, does not reach the registered one.
+func TestRegisterKeepsItsOwnCopy(t *testing.T) {
+	r := New()
+	full := func() *Instance {
+		in := audioServer()
+		in.Attrs = map[string]string{"platform": "pc"}
+		in.Input = qos.V(qos.P(qos.DimFrameRate, qos.Range(10, 60)))
+		in.PassThrough = map[string]bool{qos.DimFrameRate: true}
+		return in
+	}
+	in, want := full(), full()
+	r.MustRegister(in)
+
+	in.Attrs["platform"] = "pda"
+	in.Input[0].Value = qos.Scalar(1)
+	in.Output[0].Value = qos.Scalar(1)
+	in.OutCapability[0].Value = qos.Scalar(1)
+	in.Adjustable[qos.DimFrameRate] = false
+	in.PassThrough[qos.DimFormat] = true
+	in.Resources[0] = 999
+	in.SizeMB = 99
+	if got := r.Get(want.Name); got == in || !reflect.DeepEqual(got, want) {
+		t.Errorf("registered instance = %+v, want %+v", got, want)
 	}
 }

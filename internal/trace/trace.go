@@ -53,14 +53,17 @@ func NewID() string {
 	return hex.EncodeToString(b[:])
 }
 
-// Attr is one typed span attribute.
+// Attr is one typed span attribute. A string attribute holds its value
+// in Str, unboxed, and has a nil Value; every other kind holds its value
+// in Value.
 type Attr struct {
 	Key   string
+	Str   string
 	Value any
 }
 
 // String builds a string attribute.
-func String(key, value string) Attr { return Attr{Key: key, Value: value} }
+func String(key, value string) Attr { return Attr{Key: key, Str: value} }
 
 // Int builds an integer attribute.
 func Int(key string, value int64) Attr { return Attr{Key: key, Value: value} }
@@ -71,6 +74,14 @@ func Float(key string, value float64) Attr { return Attr{Key: key, Value: value}
 // Bool builds a boolean attribute.
 func Bool(key string, value bool) Attr { return Attr{Key: key, Value: value} }
 
+// value is the attribute's value as the export carries it.
+func (a Attr) value() any {
+	if a.Value == nil {
+		return a.Str
+	}
+	return a.Value
+}
+
 // Span is one timed stage of a trace. Spans form a tree through parent
 // links; the root span covers the whole traced operation.
 type Span struct {
@@ -79,8 +90,19 @@ type Span struct {
 	parent int // -1 for the root
 	name   string
 	start  time.Time
-	end    time.Time
-	attrs  []Attr
+	// dur is how long the span ran, from start (monotonic), or -1 while it
+	// is open: a duration keeps a retained span 16 bytes under an end time.
+	dur   time.Duration
+	attrs []Attr
+}
+
+// durMs is the span's duration in milliseconds, an open span's up to now.
+// The caller holds the trace's lock.
+func (s *Span) durMs() float64 {
+	if s.dur < 0 {
+		return toMs(time.Since(s.start))
+	}
+	return toMs(s.dur)
 }
 
 // Child starts a sub-span under s. It returns nil when s is nil.
@@ -117,8 +139,8 @@ func (s *Span) End() {
 		return
 	}
 	s.tr.mu.Lock()
-	if s.end.IsZero() {
-		s.end = time.Now()
+	if s.dur < 0 {
+		s.dur = time.Since(s.start)
 	}
 	s.tr.mu.Unlock()
 }
@@ -156,7 +178,10 @@ func (tr *Trace) Root() *Span {
 	return tr.spans[0]
 }
 
+// newSpan starts a span under parent with its own copy of attrs, so that
+// a caller's variadic list need not live on the heap.
 func (tr *Trace) newSpan(parent int, name string, attrs []Attr) *Span {
+	own := append([]Attr(nil), attrs...)
 	tr.mu.Lock()
 	defer tr.mu.Unlock()
 	sp := &Span{
@@ -165,7 +190,8 @@ func (tr *Trace) newSpan(parent int, name string, attrs []Attr) *Span {
 		parent: parent,
 		name:   name,
 		start:  time.Now(),
-		attrs:  attrs,
+		dur:    -1,
+		attrs:  own,
 	}
 	tr.spans = append(tr.spans, sp)
 	return sp
@@ -185,8 +211,8 @@ func (tr *Trace) Finish() {
 	tr.done = true
 	now := time.Now()
 	for _, sp := range tr.spans {
-		if sp.end.IsZero() {
-			sp.end = now
+		if sp.dur < 0 {
+			sp.dur = now.Sub(sp.start)
 		}
 	}
 	tr.mu.Unlock()
@@ -238,7 +264,18 @@ func (t *Tracer) StartCtx(ctx Context, name, session string, attrs ...Attr) *Tra
 	id := t.nextID
 	t.mu.Unlock()
 	tr := &Trace{t: t, id: id, ctx: ctx, name: name, session: session, start: time.Now()}
-	root := &Span{tr: tr, id: 0, parent: -1, name: name, start: tr.start, attrs: attrs}
+	// The root's list has room for the session, the parent span and the
+	// one attribute the traced operation's outcome sets (its cost or
+	// error).
+	room := len(attrs) + 1
+	if session != "" {
+		room++
+	}
+	if ctx.ParentSpan != "" {
+		room++
+	}
+	root := &Span{tr: tr, id: 0, parent: -1, name: name, start: tr.start, dur: -1,
+		attrs: append(make([]Attr, 0, room), attrs...)}
 	if session != "" {
 		root.attrs = append(root.attrs, String("session", session))
 	}
@@ -346,18 +383,55 @@ type TraceData struct {
 
 func toMs(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
 
-// Export snapshots the trace into its serializable form; in-flight spans
-// are exported with their current state. It returns the zero TraceData
-// for a nil trace.
-func (tr *Trace) Export() TraceData {
-	if tr == nil {
-		return TraceData{}
-	}
-	return tr.export()
+// Summary is what a session store keeps of a finished trace: its
+// identity, its extent and how many of its spans there are and carry an
+// error, without the spans.
+type Summary struct {
+	TraceID    string
+	ParentSpan string
+	Name       string
+	Session    string
+	Start      time.Time
+	// DurMs is the root span's duration, as TraceData.DurMs.
+	DurMs float64
+	// Spans counts the trace's spans and ErrSpans those with an "error"
+	// attribute.
+	Spans, ErrSpans int
 }
 
-// export snapshots the trace. The caller must ensure the trace is finished
-// (or accept in-flight spans with their current state).
+// Summary summarizes the trace as Recent, Find and Latest would export it,
+// building none of the export's maps; in-flight spans count with their current state. It
+// returns the zero Summary for a nil trace.
+func (tr *Trace) Summary() Summary {
+	if tr == nil {
+		return Summary{}
+	}
+	tr.mu.Lock()
+	defer tr.mu.Unlock()
+	sum := Summary{
+		TraceID:    tr.ctx.TraceID,
+		ParentSpan: tr.ctx.ParentSpan,
+		Name:       tr.name,
+		Session:    tr.session,
+		Start:      tr.start,
+		Spans:      len(tr.spans),
+	}
+	for i, sp := range tr.spans {
+		if i == 0 {
+			sum.DurMs = sp.durMs()
+		}
+		for _, a := range sp.attrs {
+			if a.Key == "error" {
+				sum.ErrSpans++
+				break
+			}
+		}
+	}
+	return sum
+}
+
+// export snapshots the trace into its serializable form; in-flight spans
+// are exported with their current state.
 func (tr *Trace) export() TraceData {
 	tr.mu.Lock()
 	defer tr.mu.Unlock()
@@ -371,21 +445,17 @@ func (tr *Trace) export() TraceData {
 		Spans:      make([]SpanData, len(tr.spans)),
 	}
 	for i, sp := range tr.spans {
-		end := sp.end
-		if end.IsZero() {
-			end = time.Now()
-		}
 		sd := SpanData{
 			ID:       sp.id,
 			Parent:   sp.parent,
 			Name:     sp.name,
 			OffsetMs: toMs(sp.start.Sub(tr.start)),
-			DurMs:    toMs(end.Sub(sp.start)),
+			DurMs:    sp.durMs(),
 		}
 		if len(sp.attrs) > 0 {
 			sd.Attrs = make(map[string]any, len(sp.attrs))
 			for _, a := range sp.attrs {
-				sd.Attrs[a.Key] = a.Value
+				sd.Attrs[a.Key] = a.value()
 			}
 		}
 		td.Spans[i] = sd

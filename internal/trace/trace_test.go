@@ -182,13 +182,13 @@ func TestContextPropagation(t *testing.T) {
 		t.Fatalf("root span missing remote parent: %v", td.Spans[0].Attrs)
 	}
 
-	// Nil safety: context of a nil trace is zero; Export is empty.
+	// Nil safety: context and summary of a nil trace are zero.
 	var nilTr *Trace
 	if nilTr.Context() != (Context{}) {
 		t.Error("nil trace context must be zero")
 	}
-	if got := nilTr.Export(); len(got.Spans) != 0 {
-		t.Error("nil trace export must be empty")
+	if got := nilTr.Summary(); got != (Summary{}) {
+		t.Errorf("nil trace summary = %+v, want zero", got)
 	}
 }
 
@@ -208,8 +208,9 @@ func TestNewIDUnique(t *testing.T) {
 
 // TestConcurrentStartExportEviction exercises the tracer's ring under
 // simultaneous Start/Finish (which evict), Recent/Find/Latest (which
-// export), and live-trace Export calls — the paths the flight recorder
-// and /slo read while the configurator is writing. Run with -race.
+// export), and live-trace export and Summary calls — the paths the flight
+// recorder and /slo read while the configurator is writing. Run with
+// -race.
 func TestConcurrentStartExportEviction(t *testing.T) {
 	tc := NewTracer(4) // tiny ring so eviction happens constantly
 	var wg sync.WaitGroup
@@ -222,7 +223,8 @@ func TestConcurrentStartExportEviction(t *testing.T) {
 			for i := 0; i < iters; i++ {
 				tr := tc.Start("op", fmt.Sprintf("w%d-%d", w, i))
 				sp := tr.Root().Child("step", Int("i", int64(i)))
-				_ = tr.Export() // export while in flight
+				_ = tr.export() // export and summarize while in flight
+				_ = tr.Summary()
 				sp.End()
 				tr.Finish()
 			}

@@ -402,6 +402,12 @@ func (s *scanner) edges(ag *composer.AbstractGraph) {
 	if s.literal("null") {
 		return
 	}
+	// Size the edge arrays once: every edge the scanner takes opens with
+	// this key, which no string it takes can hold. A graph refused at its
+	// nodes is nil.
+	if s.err == nil && ag != nil {
+		ag.GrowEdges(bytes.Count(s.buf[s.pos:], []byte(`{"from":`)))
+	}
 	s.array(func() {
 		s.expect(`{"from":`)
 		from := s.raw()
