@@ -185,10 +185,7 @@ func run(a runArgs) error {
 	case "stop":
 		fmt.Println("stopped", a.flags["session"])
 	case "crash":
-		fmt.Printf("device %s down; %d session(s) migrated: %v\n", a.flags["to"], len(resp.Moved), resp.Moved)
-		if resp.Error != "" {
-			fmt.Println("partial recovery:", resp.Error)
-		}
+		fmt.Printf("device %s down; %d session(s) handed to the recovery supervisor: %v\n", a.flags["to"], len(resp.Stranded), resp.Stranded)
 	case "rejoin":
 		fmt.Printf("device %s rejoined the smart space\n", a.flags["to"])
 	case "register":

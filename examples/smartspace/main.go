@@ -1,7 +1,7 @@
 // Smart space under churn: many applications arriving and departing while
 // devices crash and recover, with the event service reporting every
-// runtime change and the domain reconfiguring affected sessions on the
-// fly. Demonstrates the full dynamic behaviour of the configuration
+// runtime change and the recovery supervisor re-placing the sessions a
+// crash strands. Demonstrates the full dynamic behaviour of the configuration
 // model beyond the paper's scripted scenario.
 //
 // Run with:
@@ -116,6 +116,14 @@ func run() error {
 		}
 	}
 
+	// Self-healing, as qosconfigd runs it: the supervisor re-places the
+	// sessions a runtime change breaks.
+	sup, err := core.NewSupervisor(dom.Configurator, core.SupervisorOptions{Bus: dom.Bus})
+	if err != nil {
+		return err
+	}
+	defer sup.Stop()
+
 	// Watch the event service.
 	sub, err := dom.Bus.SubscribeLossless(
 		eventbus.TopicSessionStarted, eventbus.TopicSessionStopped,
@@ -170,12 +178,17 @@ func run() error {
 	}
 	pause(2)
 
-	// A desktop crashes: the domain reconfigures the sessions it hosted.
-	moved, err := dom.RemoveDevice("desk-b")
-	if err != nil {
-		fmt.Printf("after desk-b crash (partial recovery): %v\n", err)
+	// A desktop crashes: the supervisor re-places the sessions it hosted.
+	stranded := dom.SessionsOn("desk-b")
+	if err := dom.FailDevice("desk-b"); err != nil {
+		return err
 	}
-	fmt.Printf("desk-b crashed; %d session(s) migrated: %v\n", len(moved), moved)
+	if !sup.AwaitIdle(10 * time.Second) {
+		return fmt.Errorf("recovery supervisor still busy after the desk-b crash")
+	}
+	st := sup.Stats()
+	fmt.Printf("desk-b crashed; %d session(s) stranded: %v; recovered %d, lost %d\n",
+		len(stranded), stranded, st.Recovered, st.Lost)
 	pause(2)
 
 	// Report the survivors and their measured rates.
@@ -189,6 +202,7 @@ func run() error {
 			return err
 		}
 	}
+	sup.Stop()
 	dom.Close()
 	<-done
 	return nil

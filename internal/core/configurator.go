@@ -839,11 +839,13 @@ func (c *Configurator) Recover(req Request) (*ActiveSession, error) {
 }
 
 // Reconfigure re-runs the configuration model for an existing session —
-// invoked "whenever some significant changes are detected during runtime",
-// e.g. the user switches devices or a device crashes. The old service
-// graph is checkpointed at its interruption point, torn down, and a new
-// graph composed, distributed, and resumed from the saved position; the
-// returned session's Timing includes the state-handoff cost.
+// invoked "whenever some significant changes are detected during runtime":
+// by the domain when the user switches devices, and through Recover by
+// the recovery supervisor when a crash or fluctuation breaks the session.
+// The old service graph is checkpointed at its interruption point, torn
+// down, and a new graph composed, distributed, and resumed from the saved
+// position; the returned session's Timing includes the state-handoff
+// cost.
 func (c *Configurator) Reconfigure(req Request) (*ActiveSession, error) {
 	// Move the session from active to pending so a concurrent Configure of
 	// the same ID cannot claim it mid-reconfiguration.

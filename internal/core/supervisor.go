@@ -425,8 +425,9 @@ func (s *Supervisor) process() {
 // and degraded re-placement, and either finishes the task or re-queues it
 // with backoff.
 func (s *Supervisor) attempt(t *recoveryTask) {
-	// Re-check health: an inline recovery (e.g. the domain's synchronous
-	// crash handling) may have fixed the session while the task waited.
+	// Re-check health: the fault may have cleared while the task waited
+	// (the device rejoined, the link was restored, or a device switch
+	// re-placed the session).
 	if active := s.c.Session(t.sessionID); active != nil {
 		if _, _, broken := s.diagnose(active); !broken {
 			s.finish(t.sessionID)

@@ -87,7 +87,10 @@ type Device struct {
 	mu       sync.Mutex
 	capacity resource.Vector // normalized total capacity
 	avail    resource.Vector // normalized remaining availability
-	up       bool
+	// over is what the commitments exceed the capacity by after a Resize
+	// shrank it below them, per dimension; nil while they fit.
+	over resource.Vector
+	up   bool
 }
 
 // New creates a device with the given normalized capacity, fully available
@@ -172,19 +175,29 @@ func (d *Device) Admit(r resource.Vector) error {
 }
 
 // Committed returns the resources currently admitted (capacity −
-// available).
+// available, plus any overcommit a shrinking Resize left). It exceeds
+// Capacity while the device is overcommitted.
 func (d *Device) Committed() resource.Vector {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	return d.capacity.Sub(d.avail)
+	return d.committed()
+}
+
+func (d *Device) committed() resource.Vector {
+	c := d.capacity.Sub(d.avail)
+	if d.over != nil {
+		c.AddInPlace(d.over)
+	}
+	return c
 }
 
 // Resize models a resource fluctuation: the device's capacity changes
 // (e.g. external load appears or clears) while existing commitments stay
 // admitted. The new availability is the new capacity minus the current
-// commitments, clamped at zero; Resize reports whether the commitments
-// still fit the new capacity — when they do not, the caller (the domain)
-// must re-distribute sessions away.
+// commitments, clamped at zero; what the commitments exceed the new
+// capacity by stays counted in Committed until releases pay it off.
+// Resize reports whether the commitments still fit the new capacity —
+// when they do not, the recovery supervisor re-places sessions away.
 func (d *Device) Resize(newCapacity resource.Vector) (fits bool, err error) {
 	if err := newCapacity.Validate(); err != nil {
 		return false, fmt.Errorf("device %s: %w", d.ID, err)
@@ -194,19 +207,36 @@ func (d *Device) Resize(newCapacity resource.Vector) (fits bool, err error) {
 	if len(newCapacity) != len(d.capacity) {
 		return false, fmt.Errorf("device %s: capacity dimension %d, device has %d", d.ID, len(newCapacity), len(d.capacity))
 	}
-	committed := d.capacity.Sub(d.avail)
+	committed := d.committed()
 	d.capacity = newCapacity.Clone()
 	d.avail = newCapacity.Sub(committed)
-	return committed.LessEq(d.capacity), nil
+	fits = committed.LessEq(d.capacity)
+	d.over = nil
+	if !fits {
+		d.over = committed.Sub(newCapacity)
+	}
+	return fits, nil
 }
 
-// Release returns a previously admitted requirement vector, clamped at
+// Release returns a previously admitted requirement vector: it first pays
+// off any overcommit, and the rest returns to availability, clamped at
 // capacity.
 func (d *Device) Release(r resource.Vector) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if len(r) != len(d.avail) {
 		return
+	}
+	if d.over != nil {
+		r = r.Clone()
+		for i := range r {
+			paid := min(r[i], d.over[i])
+			d.over[i] -= paid
+			r[i] -= paid
+		}
+		if d.over.IsZero() {
+			d.over = nil
+		}
 	}
 	d.avail = d.avail.Add(r)
 	for i := range d.avail {
@@ -257,18 +287,6 @@ func (t *Table) Add(d *Device) error {
 	}
 	t.devices[d.ID] = d
 	return nil
-}
-
-// Remove deletes a device (e.g. when it leaves the smart space) and reports
-// whether it was present.
-func (t *Table) Remove(id ID) bool {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if _, ok := t.devices[id]; !ok {
-		return false
-	}
-	delete(t.devices, id)
-	return true
 }
 
 // Get returns the device with the given ID, or nil.

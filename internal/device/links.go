@@ -111,14 +111,6 @@ func (l *Links) ReleaseBandwidth(a, b ID, mbps float64) {
 	}
 }
 
-// AvailFunc returns a snapshot function suitable for the distributor: it
-// reports the currently available bandwidth between two devices. The
-// returned function reads live state; capture a frozen copy with Snapshot
-// if a consistent view is needed.
-func (l *Links) AvailFunc() func(a, b ID) float64 {
-	return l.Available
-}
-
 // LinkEntry is one declared pair's frozen bandwidth accounting.
 type LinkEntry struct {
 	A, B ID

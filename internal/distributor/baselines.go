@@ -2,10 +2,8 @@ package distributor
 
 import (
 	"math/rand"
-	"sort"
 	"sync"
 
-	"ubiqos/internal/graph"
 	"ubiqos/internal/resource"
 )
 
@@ -162,19 +160,4 @@ func (f *Fixed) Place(key string, p *Problem) (Assignment, float64, error) {
 		return nil, 0, err
 	}
 	return a.Clone(), p.CostAggregation(a), nil
-}
-
-// Partitions renders the assignment as the node sets V1..Vk in device
-// order, each sorted by node ID — the k-cut of Definition 3.3.
-func Partitions(p *Problem, a Assignment) [][]graph.NodeID {
-	out := make([][]graph.NodeID, len(p.Devices))
-	for id, di := range a {
-		if di >= 0 && di < len(out) {
-			out[di] = append(out[di], id)
-		}
-	}
-	for i := range out {
-		sort.Slice(out[i], func(x, y int) bool { return out[i][x] < out[i][y] })
-	}
-	return out
 }

@@ -6,6 +6,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 
@@ -167,7 +168,7 @@ func neighborsReference(g *graph.Graph, id graph.NodeID) []graph.NodeID {
 // the reference heuristic ordered its components with.
 func (p *Problem) sortedNodesByRequirementReference() []*graph.Node {
 	req := func(n *graph.Node) float64 { return n.Resources.WeightedSum(p.Weights.EndSystem()) }
-	nodes := p.Graph.Nodes()
+	nodes := slices.Clone(p.Graph.Nodes())
 	sort.SliceStable(nodes, func(i, j int) bool {
 		ri, rj := req(nodes[i]), req(nodes[j])
 		if ri != rj {

@@ -198,7 +198,7 @@ func signatureByID(p *Problem) (string, error) {
 	bp := sigBuffersByID.Get().(*[]byte)
 	b := sigBuffer((*bp)[:0])
 
-	nodes := p.Graph.Nodes()
+	nodes := slices.Clone(p.Graph.Nodes())
 	slices.SortFunc(nodes, func(x, y *graph.Node) int { return strings.Compare(string(x.ID), string(y.ID)) })
 	b.str("nodes")
 	b.word(uint64(len(nodes)))

@@ -327,7 +327,7 @@ func (p *Problem) pinnedAssignment() (Assignment, error) {
 // decreasing weighted sum of their resource requirements (paper §3.3,
 // footnote 3), ties broken by ID for determinism.
 func (p *Problem) sortedNodesByRequirement() []*graph.Node {
-	nodes, w := p.Graph.Nodes(), p.Weights.EndSystem()
+	nodes, w := slices.Clone(p.Graph.Nodes()), p.Weights.EndSystem()
 	slices.SortFunc(nodes, func(x, y *graph.Node) int {
 		if c := cmp.Compare(y.Resources.WeightedSum(w), x.Resources.WeightedSum(w)); c != 0 {
 			return c

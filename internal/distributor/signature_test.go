@@ -6,6 +6,7 @@ import (
 	"encoding/hex"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 
@@ -161,7 +162,7 @@ func signatureReference(p *Problem) (string, error) {
 	wf := func(f float64) { wu(math.Float64bits(f)) }
 	ws := func(s string) { wu(uint64(len(s))); h.Write([]byte(s)) }
 
-	nodes := p.Graph.Nodes()
+	nodes := slices.Clone(p.Graph.Nodes())
 	sort.Slice(nodes, func(i, j int) bool { return nodes[i].ID < nodes[j].ID })
 	ws("nodes")
 	wu(uint64(len(nodes)))

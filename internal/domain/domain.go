@@ -297,10 +297,10 @@ func (d *Domain) ConnectServer(a device.ID, link netsim.Link) error {
 }
 
 // FailDevice marks a device as crashed and announces the departure on the
-// event bus without attempting any inline recovery — re-placement is the
-// recovery supervisor's job. This is the entry point the fault injector
-// uses; RemoveDevice remains the synchronous crash-and-recover operation
-// behind the wire protocol's crash-device op.
+// event bus. It re-places nothing: the recovery supervisor, subscribed to
+// the departure, re-places or gives up on every session the crash broke.
+// The fault injector and the wire protocol's crash-device op both crash a
+// device through here.
 func (d *Domain) FailDevice(id device.ID) error {
 	dev := d.Devices.Get(id)
 	if dev == nil {
@@ -365,67 +365,6 @@ func (d *Domain) RestoreLink(a, b device.ID, link netsim.Link) error {
 	return nil
 }
 
-// RemoveDevice marks a device as gone, publishes the leave event, and
-// reconfigures every session that had components on it (the paper: "if
-// one of old devices crashes, the service distributor needs to calculate
-// new service distributions ... so the user can continue his or her tasks
-// with minimum QoS degradations"). It returns the IDs of sessions that
-// were successfully reconfigured and an error naming any that could not
-// be; stranded sessions additionally raise a TopicUserNotification event
-// carrying a core.SessionLostNotice, since the user is the only recovery
-// path left.
-func (d *Domain) RemoveDevice(id device.ID) ([]string, error) {
-	dev := d.Devices.Get(id)
-	if dev == nil {
-		return nil, fmt.Errorf("domain: unknown device %s", id)
-	}
-	dev.SetUp(false)
-	d.Log.Named("domain").Warn("device removed", obslog.String("device", string(id)))
-	d.Bus.Publish(eventbus.TopicDeviceLeft, string(id))
-
-	var moved []string
-	var firstErr error
-	for _, sid := range d.SessionsOn(id) {
-		active := d.Configurator.Session(sid)
-		if active == nil {
-			continue
-		}
-		req := active.Request
-		if req.ClientDevice == id {
-			// The portal device itself is gone; the session cannot
-			// continue until the user picks a new portal.
-			d.notifyLost(sid, id, "portal device left the smart space")
-			if firstErr == nil {
-				firstErr = fmt.Errorf("domain: session %s lost its portal device %s", sid, id)
-			}
-			continue
-		}
-		if _, err := d.Configurator.Reconfigure(req); err != nil {
-			d.notifyLost(sid, id, err.Error())
-			if firstErr == nil {
-				firstErr = fmt.Errorf("domain: reconfigure %s: %w", sid, err)
-			}
-			continue
-		}
-		moved = append(moved, sid)
-	}
-	return moved, firstErr
-}
-
-// notifyLost closes the ledger account of a session that cannot be kept
-// alive automatically and raises the user notification.
-func (d *Domain) notifyLost(sessionID string, dev device.ID, reason string) {
-	// A loss no supervisor decided: the store closes the account as lost
-	// and keeps no provenance record for it.
-	d.Flight.Step(trace.Summary{}, explain.Record{Session: sessionID,
-		Ladder: &explain.LadderStep{Outcome: "lost", Detail: "session lost"}}, 0)
-	d.Bus.Publish(eventbus.TopicUserNotification, core.SessionLostNotice{
-		SessionID: sessionID,
-		Device:    dev,
-		Reason:    reason,
-	})
-}
-
 // SessionsOn returns the session IDs with at least one component placed on
 // the device.
 func (d *Domain) SessionsOn(id device.ID) []string {
@@ -460,58 +399,6 @@ func (d *Domain) SwitchDevice(sessionID string, to device.ID) (*core.ActiveSessi
 	req.ClientDevice = to
 	d.Bus.Publish(eventbus.TopicDeviceSwitched, string(to))
 	return d.Configurator.Reconfigure(req)
-}
-
-// ResizeDevice models a significant resource fluctuation on a device (raw
-// capacity, normalized by the device's class as in AddDevice): the event
-// service announces the change, and when the device's existing
-// commitments no longer fit, the domain re-distributes its sessions one
-// at a time — in ID order — until the remaining commitments fit, so "the
-// user can continue his or her tasks with minimum QoS degradations". It
-// returns the IDs of reconfigured sessions.
-func (d *Domain) ResizeDevice(id device.ID, rawCapacity resource.Vector) ([]string, error) {
-	dev := d.Devices.Get(id)
-	if dev == nil {
-		return nil, fmt.Errorf("domain: unknown device %s", id)
-	}
-	norm, err := resource.SpeedNormalizer(dev.Class.DefaultSpeedRatio())
-	if err != nil {
-		return nil, err
-	}
-	if len(rawCapacity) != resource.Dims {
-		return nil, fmt.Errorf("domain: capacity must have %d dimensions", resource.Dims)
-	}
-	fits, err := dev.Resize(norm.Availability(rawCapacity))
-	if err != nil {
-		return nil, err
-	}
-	d.Bus.Publish(eventbus.TopicResourceChanged, string(id))
-	if fits {
-		return nil, nil
-	}
-
-	var moved []string
-	var firstErr error
-	for _, sid := range d.SessionsOn(id) {
-		active := d.Configurator.Session(sid)
-		if active == nil {
-			continue
-		}
-		if _, err := d.Configurator.Reconfigure(active.Request); err != nil {
-			if firstErr == nil {
-				firstErr = fmt.Errorf("domain: reconfigure %s after fluctuation: %w", sid, err)
-			}
-			continue
-		}
-		moved = append(moved, sid)
-		if dev.Committed().LessEq(dev.Capacity()) {
-			break
-		}
-	}
-	if !dev.Committed().LessEq(dev.Capacity()) && firstErr == nil {
-		firstErr = fmt.Errorf("domain: device %s still overcommitted after redistribution", id)
-	}
-	return moved, firstErr
 }
 
 // Migrate moves a running session to another domain — the paper's "when

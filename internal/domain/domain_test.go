@@ -200,46 +200,6 @@ func TestSwitchDeviceInsertsTranscoder(t *testing.T) {
 	}
 }
 
-func TestRemoveDeviceReconfiguresSessions(t *testing.T) {
-	d := newSpace(t)
-	if _, err := d.StartApp(core.Request{SessionID: "a1", App: audioApp(), ClientDevice: "pda1",
-		UserQoS: qos.V(qos.P(qos.DimFrameRate, qos.Range(30, 44)))}); err != nil {
-		t.Fatal(err)
-	}
-	defer d.StopApp("a1")
-	before := d.Configurator.Session("a1")
-	serverDev := before.Placement["server"]
-	if serverDev == "pda1" {
-		t.Fatal("server unexpectedly on the PDA")
-	}
-	moved, err := d.RemoveDevice(serverDev)
-	if err != nil {
-		t.Fatalf("RemoveDevice: %v", err)
-	}
-	if len(moved) != 1 || moved[0] != "a1" {
-		t.Errorf("moved = %v", moved)
-	}
-	after := d.Configurator.Session("a1")
-	if after.Placement["server"] == serverDev {
-		t.Error("server still on the crashed device")
-	}
-	if _, err := d.RemoveDevice("ghost"); err == nil {
-		t.Error("unknown device should fail")
-	}
-}
-
-func TestRemoveDevicePortalLost(t *testing.T) {
-	d := newSpace(t)
-	if _, err := d.StartApp(core.Request{SessionID: "a1", App: audioApp(), ClientDevice: "desktop1"}); err != nil {
-		t.Fatal(err)
-	}
-	defer d.StopApp("a1")
-	_, err := d.RemoveDevice("desktop1")
-	if err == nil || !strings.Contains(err.Error(), "portal") {
-		t.Errorf("err = %v, want portal-lost", err)
-	}
-}
-
 func TestConnectValidation(t *testing.T) {
 	d := newSpace(t)
 	if err := d.Connect("a", "a", netsim.Ethernet); err == nil {
@@ -292,11 +252,16 @@ func TestDomainRecordsMetrics(t *testing.T) {
 	}
 }
 
+// TestResizeDeviceTriggersRedistribution: a device that shrinks below its
+// commitments overcommits, and the recovery supervisor re-places the
+// session it hosted until the device fits again.
 func TestResizeDeviceTriggersRedistribution(t *testing.T) {
 	d := newSpace(t)
-	// Force the server onto desktop2 (client pins the player to desktop1)
-	// by exhausting desktop2's rival: actually just start normally and
-	// find where the server landed.
+	sup, err := core.NewSupervisor(d.Configurator, core.SupervisorOptions{Bus: d.Bus, BaseBackoff: time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(sup.Stop)
 	if _, err := d.StartApp(core.Request{SessionID: "a1", App: audioApp(), ClientDevice: "pda1",
 		UserQoS: qos.V(qos.P(qos.DimFrameRate, qos.Range(30, 44)))}); err != nil {
 		t.Fatal(err)
@@ -307,58 +272,31 @@ func TestResizeDeviceTriggersRedistribution(t *testing.T) {
 		t.Fatal("server unexpectedly on the PDA")
 	}
 
-	// The hosting desktop suddenly loses almost all its capacity (raw
-	// 8MB / 2% -> normalized [8MB, 10%]): the 64MB server no longer fits
-	// and must be redistributed.
-	moved, err := d.ResizeDevice(serverDev, resource.MB(8, 2))
-	if err != nil {
-		t.Fatalf("ResizeDevice: %v", err)
+	// The hosting desktop suddenly loses almost all its capacity
+	// (normalized [8MB, 10%]): the 64MB server no longer fits and must be
+	// redistributed.
+	dev := d.Devices.Get(serverDev)
+	fits, err := dev.Resize(resource.MB(8, 10))
+	if err != nil || fits {
+		t.Fatalf("Resize: fits %v, err %v; want an overcommit", fits, err)
 	}
-	if len(moved) != 1 || moved[0] != "a1" {
-		t.Errorf("moved = %v", moved)
+	d.Bus.Publish(eventbus.TopicResourceChanged, string(serverDev))
+	if !sup.AwaitIdle(5 * time.Second) {
+		t.Fatal("supervisor did not settle")
 	}
-	after := d.Configurator.Session("a1").Placement["server"]
-	if after == serverDev {
+	if st := sup.Stats(); st.Recovered != 1 || st.Lost != 0 {
+		t.Errorf("stats = %+v, want one recovery", st)
+	}
+	after := d.Configurator.Session("a1")
+	if after == nil {
+		t.Fatal("session lost; want it re-placed")
+	}
+	if after.Placement["server"] == serverDev {
 		t.Error("server still on the shrunken device")
 	}
 	// The shrunken device is no longer overcommitted.
-	dev := d.Devices.Get(serverDev)
 	if !dev.Committed().LessEq(dev.Capacity()) {
 		t.Errorf("still overcommitted: %v > %v", dev.Committed(), dev.Capacity())
-	}
-}
-
-func TestResizeDeviceNoActionWhenStillFits(t *testing.T) {
-	d := newSpace(t)
-	if _, err := d.StartApp(core.Request{SessionID: "a1", App: audioApp(), ClientDevice: "desktop1"}); err != nil {
-		t.Fatal(err)
-	}
-	defer d.StopApp("a1")
-	sub, err := d.Bus.SubscribeLossless(eventbus.TopicResourceChanged)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// A mild shrink that still holds everything: no redistribution.
-	moved, err := d.ResizeDevice("desktop1", resource.MB(200, 90))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(moved) != 0 {
-		t.Errorf("moved = %v, want none", moved)
-	}
-	select {
-	case ev := <-sub.C():
-		if ev.Topic != eventbus.TopicResourceChanged {
-			t.Errorf("event = %v", ev.Topic)
-		}
-	case <-time.After(2 * time.Second):
-		t.Error("resource-changed event not published")
-	}
-	if _, err := d.ResizeDevice("ghost", resource.MB(1, 1)); err == nil {
-		t.Error("unknown device should fail")
-	}
-	if _, err := d.ResizeDevice("desktop1", resource.Vector{1}); err == nil {
-		t.Error("bad dimensions should fail")
 	}
 }
 

@@ -2,7 +2,6 @@ package domain
 
 import (
 	"testing"
-	"time"
 
 	"ubiqos/internal/core"
 	"ubiqos/internal/device"
@@ -34,8 +33,8 @@ func TestFailAndRejoinDevicePublishOnly(t *testing.T) {
 	if ev.Topic != eventbus.TopicDeviceLeft || ev.Payload.(string) != string(serverDev) {
 		t.Errorf("event = %+v", ev)
 	}
-	// Unlike RemoveDevice, FailDevice must NOT reconfigure inline — that is
-	// the supervisor's job.
+	// FailDevice must NOT reconfigure inline — that is the supervisor's
+	// job.
 	if got := d.Configurator.Session("a1").Placement["server"]; got != serverDev {
 		t.Errorf("FailDevice moved the server to %s", got)
 	}
@@ -124,32 +123,5 @@ func TestDegradeAndRestoreLink(t *testing.T) {
 	}
 	if _, err := d.DegradeLink(serverDev, "pda1", 0); err == nil {
 		t.Error("factor 0 should fail")
-	}
-}
-
-func TestRemoveDeviceNotifiesOnPortalLost(t *testing.T) {
-	d := newSpace(t)
-	sub, err := d.Bus.SubscribeLossless(eventbus.TopicUserNotification)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := d.StartApp(core.Request{SessionID: "a1", App: audioApp(), ClientDevice: "desktop1"}); err != nil {
-		t.Fatal(err)
-	}
-	defer d.StopApp("a1")
-	if _, err := d.RemoveDevice("desktop1"); err == nil {
-		t.Fatal("portal loss should report an error")
-	}
-	select {
-	case ev := <-sub.C():
-		notice, ok := ev.Payload.(core.SessionLostNotice)
-		if !ok {
-			t.Fatalf("payload = %T", ev.Payload)
-		}
-		if notice.SessionID != "a1" || notice.Device != "desktop1" {
-			t.Errorf("notice = %+v", notice)
-		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("no user notification for the stranded session")
 	}
 }

@@ -73,13 +73,13 @@ func TestDomainPlanCacheMatchesUncached(t *testing.T) {
 		}},
 		{"restore desktop1-pda1", func() error { return d.RestoreLink("desktop1", "pda1", link) }},
 		{"shrink desktop1", func() error {
-			_, err := d.ResizeDevice("desktop1", resource.MB(200, 90))
+			_, err := d.Devices.Get("desktop1").Resize(resource.MB(200, 450))
 			return err
 		}},
 		{"fail desktop1", func() error { return d.FailDevice("desktop1") }},
 		{"rejoin desktop1", func() error { return d.RejoinDevice("desktop1") }},
 		{"regrow desktop1", func() error {
-			_, err := d.ResizeDevice("desktop1", resource.MB(256, 100))
+			_, err := d.Devices.Get("desktop1").Resize(resource.MB(256, 500))
 			return err
 		}},
 		{"fail pda1", func() error { return d.FailDevice("pda1") }},

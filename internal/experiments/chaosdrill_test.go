@@ -49,6 +49,25 @@ func TestRunChaosDrillAcceptance(t *testing.T) {
 		}
 	})
 
+	// Once the drill settles, the ledger's counts reconcile with the
+	// configurator and the supervisor: every session the configurator
+	// holds (res.Remaining, read from it at the same quiescent point) is
+	// live on a scorecard, and every loss on a scorecard is one the
+	// supervisor decided.
+	t.Run("reconcile", func(t *testing.T) {
+		var live, lost int64
+		for _, sc := range res.Scorecards {
+			live += sc.Live
+			lost += sc.Lost
+		}
+		if live != int64(len(res.Remaining)) {
+			t.Errorf("scorecards hold %d live sessions, the configurator %d (%v)", live, len(res.Remaining), res.Remaining)
+		}
+		if lost != res.Lost {
+			t.Errorf("scorecards count %d lost sessions, the supervisor gave up on %d", lost, res.Lost)
+		}
+	})
+
 	// A scorecard for each of the three traffic classes with sane ratios
 	// and non-empty per-axis deficit quantiles, plus a clean completion
 	// recorded per class.

@@ -32,7 +32,7 @@ type Kind string
 
 // The fault kinds.
 const (
-	// DeviceCrash marks a device down (publish-only; no inline recovery).
+	// DeviceCrash marks a device down (publish-only: the supervisor recovers).
 	DeviceCrash Kind = "device-crash"
 	// DeviceRejoin brings a crashed device back.
 	DeviceRejoin Kind = "device-rejoin"
@@ -345,8 +345,8 @@ func (f Fault) target() string {
 }
 
 // stall shrinks the device's capacity to Factor× and announces the
-// fluctuation without inline redistribution — the supervisor notices any
-// resulting overcommit.
+// fluctuation; the supervisor re-places the sessions of a device the
+// shrink overcommits.
 func (in *Injector) stall(f Fault) error {
 	dev := in.dom.Devices.Get(f.Device)
 	if dev == nil {

@@ -83,9 +83,9 @@ func (r *Recorder) Finished(ts trace.Summary, rec explain.Record, class string, 
 // Step records one session step that is not a configuration under one
 // lock: the trace summary of the recovery attempt, when one ran; the
 // provenance record, when the step is a supervisor's decision (recovered,
-// retry or lost); and the ledger step the record folds to. A stop, a
-// broken or healed step, and a loss no supervisor decided are not
-// decisions. down is how long a recovered session was broken.
+// retry or lost); and the ledger step the record folds to. A stop and a
+// broken or healed step are not decisions. down is how long a recovered
+// session was broken.
 func (r *Recorder) Step(ts trace.Summary, rec explain.Record, down time.Duration) {
 	decision := rec.Action == explain.ActionRecoveryStep &&
 		rec.Ladder.Outcome != "broken" && rec.Ladder.Outcome != "healed"

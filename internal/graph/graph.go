@@ -326,9 +326,16 @@ func (g *Graph) Position(id NodeID) (int, bool) {
 	return int(i), ok
 }
 
-// Nodes returns all nodes in insertion order.
+// Nodes returns all nodes in insertion order. The slice is the graph's
+// own: read it, but do not reorder or write it (clone it first). Its
+// capacity is cut to its length, so an append copies instead of writing
+// into the room NewSized keeps for later nodes.
 func (g *Graph) Nodes() []*Node {
-	return append(make([]*Node, 0, len(g.nodes)), g.nodes...)
+	n := len(g.nodes)
+	if n == 0 {
+		return []*Node{} // empty, not nil: it encodes as []
+	}
+	return g.nodes[:n:n]
 }
 
 // NodeIDs returns all node IDs in insertion order.

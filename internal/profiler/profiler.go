@@ -29,7 +29,6 @@ type Profiler struct {
 type profile struct {
 	estimate resource.Vector
 	samples  int
-	peak     resource.Vector
 }
 
 // New returns a profiler with the given smoothing factor in (0, 1].
@@ -65,7 +64,6 @@ func (p *Profiler) Observe(key string, usage resource.Vector) error {
 	if !ok {
 		p.profiles[key] = &profile{
 			estimate: usage.Clone(),
-			peak:     usage.Clone(),
 			samples:  1,
 		}
 		return nil
@@ -75,9 +73,6 @@ func (p *Profiler) Observe(key string, usage resource.Vector) error {
 	}
 	for i := range pr.estimate {
 		pr.estimate[i] = p.alpha*usage[i] + (1-p.alpha)*pr.estimate[i]
-		if usage[i] > pr.peak[i] {
-			pr.peak[i] = usage[i]
-		}
 	}
 	pr.samples++
 	return nil
@@ -92,18 +87,6 @@ func (p *Profiler) Estimate(key string) (resource.Vector, bool) {
 		return nil, false
 	}
 	return pr.estimate.Clone(), true
-}
-
-// Peak returns the per-dimension maximum observed usage for the key —
-// a conservative requirement estimate for soft-guarantee admission.
-func (p *Profiler) Peak(key string) (resource.Vector, bool) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	pr, ok := p.profiles[key]
-	if !ok {
-		return nil, false
-	}
-	return pr.peak.Clone(), true
 }
 
 // Samples returns how many observations the key has accumulated.

@@ -69,22 +69,6 @@ func TestEWMAConverges(t *testing.T) {
 	}
 }
 
-func TestPeakTracksMaximum(t *testing.T) {
-	p := MustNew(DefaultAlpha)
-	for _, s := range []resource.Vector{resource.MB(5, 50), resource.MB(20, 10), resource.MB(10, 30)} {
-		if err := p.Observe("c", s); err != nil {
-			t.Fatal(err)
-		}
-	}
-	peak, ok := p.Peak("c")
-	if !ok || !peak.Equal(resource.MB(20, 50)) {
-		t.Errorf("Peak = %v, want per-dimension max [20, 50]", peak)
-	}
-	if _, ok := p.Peak("ghost"); ok {
-		t.Error("unknown key should have no peak")
-	}
-}
-
 func TestEstimateIsolation(t *testing.T) {
 	p := MustNew(DefaultAlpha)
 	if err := p.Observe("c", resource.MB(10, 10)); err != nil {

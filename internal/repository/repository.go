@@ -101,18 +101,6 @@ func (r *Repository) Installed(device, name string) bool {
 	return r.installed[device][name]
 }
 
-// Uninstall removes a package from a device (e.g. when evicted) and
-// reports whether it was installed.
-func (r *Repository) Uninstall(device, name string) bool {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if !r.installed[device][name] {
-		return false
-	}
-	delete(r.installed[device], name)
-	return true
-}
-
 // Ensure makes the named package available on the device, downloading it
 // from the repository host when missing. It returns the modeled download
 // duration (zero when already installed) — the "dynamic downloading"

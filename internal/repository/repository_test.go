@@ -101,7 +101,7 @@ func TestEnsureErrors(t *testing.T) {
 	}
 }
 
-func TestMarkInstalledAndUninstall(t *testing.T) {
+func TestMarkInstalled(t *testing.T) {
 	r, err := New("server", testNet(t))
 	if err != nil {
 		t.Fatal(err)
@@ -112,11 +112,8 @@ func TestMarkInstalledAndUninstall(t *testing.T) {
 	if err != nil || d != 0 {
 		t.Errorf("pre-installed package should not download: %v, %v", d, err)
 	}
-	if !r.Uninstall("pda", "player") || r.Uninstall("pda", "player") {
-		t.Error("Uninstall semantics wrong")
-	}
-	if r.Installed("pda", "player") {
-		t.Error("still installed after uninstall")
+	if !r.Installed("pda", "player") || r.Installed("laptop", "player") {
+		t.Error("Installed must report exactly the marked device")
 	}
 }
 

@@ -44,20 +44,3 @@ func (n *Normalizer) Availability(ra Vector) Vector {
 	}
 	return out
 }
-
-// Requirement converts a requirement vector measured on this device into
-// benchmark units: a workload consuming 50% of a half-speed CPU consumes
-// 25% of the benchmark CPU, so N(R)_i = factor_i · R_i as well. Profiling
-// measured on the benchmark machine itself uses the identity normalizer.
-func (n *Normalizer) Requirement(r Vector) Vector {
-	return n.Availability(r)
-}
-
-// Identity returns the identity normalizer of dimension m.
-func Identity(m int) *Normalizer {
-	f := make(Vector, m)
-	for i := range f {
-		f[i] = 1
-	}
-	return &Normalizer{Factors: f}
-}

@@ -205,9 +205,6 @@ func TestNormalizerPaperExample(t *testing.T) {
 	if got := pc.Availability(MB(256, 100)); !got.Equal(MB(256, 500)) {
 		t.Errorf("N(RA_PC) = %v, want [256MB, 500%%]", got)
 	}
-	if got := pc.Requirement(MB(10, 20)); !got.Equal(MB(10, 100)) {
-		t.Errorf("N(R) = %v, want [10MB, 100%%]", got)
-	}
 }
 
 func TestNormalizerValidation(t *testing.T) {
@@ -216,14 +213,6 @@ func TestNormalizerValidation(t *testing.T) {
 	}
 	if _, err := NewNormalizer(1, -2); err == nil {
 		t.Error("negative factor should fail")
-	}
-}
-
-func TestIdentityNormalizer(t *testing.T) {
-	id := Identity(2)
-	v := MB(12, 34)
-	if got := id.Availability(v); !got.Equal(v) {
-		t.Errorf("identity normalization changed %v to %v", v, got)
 	}
 }
 

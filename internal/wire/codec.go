@@ -151,7 +151,7 @@ func appendVector(dst []byte, v qos.Vector) ([]byte, error) {
 // shape of the start, stop and switch replies, which appendResponse writes.
 func (r *Response) plain() bool {
 	return r.Devices == nil && r.Services == nil && r.Sessions == nil && r.Metrics == "" &&
-		r.Trace == nil && r.Moved == nil && r.CheckSummary == "" && r.Flight == nil &&
+		r.Trace == nil && r.Stranded == nil && r.CheckSummary == "" && r.Flight == nil &&
 		r.FlightSessions == nil && r.SLO == nil && r.Explain == nil && r.ExplainSessions == nil &&
 		r.Version == nil && r.Stats == nil && r.Timeseries == nil && r.TimeseriesMetrics == nil &&
 		r.Saturation == nil && r.Admission == nil && r.Ledger == nil && r.LedgerSessions == nil &&

@@ -1,10 +1,14 @@
 package wire
 
 import (
+	"os"
+	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 	"time"
 
+	"ubiqos/internal/composer"
 	"ubiqos/internal/core"
 	"ubiqos/internal/device"
 	"ubiqos/internal/domain"
@@ -13,6 +17,9 @@ import (
 	"ubiqos/internal/faultinject"
 	"ubiqos/internal/flight"
 	"ubiqos/internal/qos"
+	"ubiqos/internal/registry"
+	"ubiqos/internal/resource"
+	"ubiqos/internal/spec"
 )
 
 // startChaosServer boots a server over the six-device chaos space so
@@ -36,13 +43,35 @@ func startChaosServer(t *testing.T) (*domain.Domain, string) {
 	return dom, addr
 }
 
+// startSupervisor runs a recovery supervisor beside the server, as
+// qosconfigd does: a crash-device op only marks the device down, and the
+// supervisor re-places what the crash broke.
+func startSupervisor(t *testing.T, dom *domain.Domain) *core.Supervisor {
+	t.Helper()
+	sup, err := core.NewSupervisor(dom.Configurator, core.SupervisorOptions{Bus: dom.Bus})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(sup.Stop)
+	return sup
+}
+
+// awaitIdle waits for the supervisor to settle what a crash broke.
+func awaitIdle(t *testing.T, sup *core.Supervisor) {
+	t.Helper()
+	if !sup.AwaitIdle(10 * time.Second) {
+		t.Fatalf("supervisor never went idle; stats = %+v", sup.Stats())
+	}
+}
+
 // TestCrashDeviceReplacesSessionOverWire walks the full protocol path of
 // a device crash: start a session over TCP, crash the desktop hosting
-// its server component, and verify the reconfigured placement avoids the
-// dead device. Then rejoin the device and confirm it is schedulable
-// again.
+// its server component, and verify that the reply names the session
+// stranded and that the supervisor's re-placement avoids the dead device.
+// Then rejoin the device and confirm it is schedulable again.
 func TestCrashDeviceReplacesSessionOverWire(t *testing.T) {
-	_, addr := startChaosServer(t)
+	dom, addr := startChaosServer(t)
+	sup := startSupervisor(t, dom)
 	c, err := DialWith(addr, Options{Timeout: 10 * time.Second})
 	if err != nil {
 		t.Fatal(err)
@@ -68,14 +97,12 @@ func TestCrashDeviceReplacesSessionOverWire(t *testing.T) {
 	if err != nil {
 		t.Fatalf("crash: %v", err)
 	}
-	moved := false
-	for _, sid := range resp.Moved {
-		if sid == "e1" {
-			moved = true
-		}
+	if !slices.Equal(resp.Stranded, []string{"e1"}) {
+		t.Errorf("stranded = %v, want [e1]", resp.Stranded)
 	}
-	if !moved {
-		t.Errorf("moved = %v, want e1", resp.Moved)
+	awaitIdle(t, sup)
+	if st := sup.Stats(); st.Recovered != 1 || st.Lost != 0 {
+		t.Errorf("supervisor stats = %+v, want one recovery", st)
 	}
 
 	resp, err = c.Call(Request{Op: OpSession, SessionID: "e1"})
@@ -120,11 +147,12 @@ func TestCrashDeviceReplacesSessionOverWire(t *testing.T) {
 }
 
 // TestCrashCascadeFiresUserNotification crashes every desktop until no
-// feasible placement remains: the session must be torn down and the user
-// notified through the event service, exactly as DESIGN.md's fault model
-// specifies for unrecoverable churn.
+// feasible placement remains: the supervisor must give the session up,
+// tear it down and notify the user through the event service, exactly as
+// DESIGN.md's fault model specifies for unrecoverable churn.
 func TestCrashCascadeFiresUserNotification(t *testing.T) {
 	dom, addr := startChaosServer(t)
+	sup := startSupervisor(t, dom)
 	notices, err := dom.Bus.SubscribeLossless(eventbus.TopicUserNotification)
 	if err != nil {
 		t.Fatal(err)
@@ -146,20 +174,20 @@ func TestCrashCascadeFiresUserNotification(t *testing.T) {
 	}
 
 	// The PDA cannot host the audio server, so once the last desktop goes
-	// the session has nowhere left to run. The final crash reports that
-	// casualty as a server error (nothing could be moved), which the
-	// client surfaces without retrying.
-	var lastErr error
+	// the session has nowhere left to run. Each crash succeeds; the
+	// supervisor moves the session on until no desktop is left, then
+	// gives it up.
 	for _, victim := range []string{"desktop1", "desktop2", "desktop3", "desktop4", "desktop5"} {
 		if _, err := c.Call(Request{Op: OpCrashDevice, ToDevice: victim}); err != nil {
-			lastErr = err
+			t.Fatalf("crash %s: %v", victim, err)
 		}
+		awaitIdle(t, sup)
 	}
-	if lastErr == nil {
-		t.Error("losing the last feasible host should surface a reconfigure error")
+	if st := sup.Stats(); st.Lost != 1 {
+		t.Errorf("supervisor stats = %+v, want the session lost", st)
 	}
 
-	// Every desktop is down regardless of how its crash was reported.
+	// Every desktop is down.
 	resp, err := c.Call(Request{Op: OpListDevices})
 	if err != nil {
 		t.Fatal(err)
@@ -185,6 +213,116 @@ func TestCrashCascadeFiresUserNotification(t *testing.T) {
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("no user notification for the unplaceable session")
+	}
+}
+
+// TestCrashShedsOptionalOverWire: a crash over the wire goes through the
+// supervisor's ladder like any other. The lab space's session, portal on
+// desktop1, streams through an optional 200 MB equalizer; crashing the
+// equalizer's host leaves only desktop1, where the full graph does not
+// fit. The supervisor's full-quality attempts fail, its degraded rung
+// sheds the equalizer, and the session stays live: nothing is lost and
+// no user is told to intervene.
+func TestCrashShedsOptionalOverWire(t *testing.T) {
+	data, err := os.ReadFile(filepath.Join("..", "..", "testdata", "lab.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dom, err := spec.LoadSpace(data, domain.Options{Scale: 0.05})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(dom.Close)
+	srv, err := NewServer(dom)
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr, err := srv.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(srv.Close)
+	sup := startSupervisor(t, dom)
+	notices, err := dom.Bus.SubscribeLossless(eventbus.TopicUserNotification)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := DialWith(addr, Options{Timeout: 10 * time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+
+	mpeg := qos.V(qos.P(qos.DimFormat, qos.Symbol("MPEG")))
+	rates := qos.V(qos.P(qos.DimFrameRate, qos.Range(5, 60)))
+	if _, err := c.Call(Request{Op: OpRegister, InstalledOn: []string{"*"}, Instance: &registry.Instance{
+		Name: "equalizer-1", Type: "equalizer", Input: mpeg, Output: mpeg, OutCapability: rates,
+		Adjustable:  map[string]bool{qos.DimFrameRate: true},
+		PassThrough: map[string]bool{qos.DimFrameRate: true},
+		Resources:   resource.MB(200, 20), SizeMB: 2,
+	}}); err != nil {
+		t.Fatalf("register: %v", err)
+	}
+	app := composer.NewAbstractGraph()
+	app.MustAddNode(&composer.AbstractNode{ID: "server", Spec: registry.Spec{Type: "audio-server"}})
+	app.MustAddNode(&composer.AbstractNode{ID: "eq", Spec: registry.Spec{Type: "equalizer"}, Optional: true})
+	app.MustAddNode(&composer.AbstractNode{ID: "player", Spec: registry.Spec{Type: "audio-player"}, Pin: core.ClientRole})
+	app.MustAddEdge("server", "eq", 1.5)
+	app.MustAddEdge("eq", "player", 1.5)
+	resp, err := c.Call(Request{
+		Op:           OpStart,
+		SessionID:    "eq-1",
+		App:          app,
+		UserQoS:      qos.V(qos.P(qos.DimFrameRate, qos.Range(30, 44))),
+		ClientDevice: "desktop1",
+	})
+	if err != nil {
+		t.Fatalf("start: %v", err)
+	}
+	victim := resp.Session.Placement["eq"]
+	if victim == "" || victim == "desktop1" {
+		t.Fatalf("equalizer placed on %q, want a device other than the portal", victim)
+	}
+
+	resp, err = c.Call(Request{Op: OpCrashDevice, ToDevice: victim})
+	if err != nil {
+		t.Fatalf("crash: %v", err)
+	}
+	if !slices.Equal(resp.Stranded, []string{"eq-1"}) {
+		t.Errorf("stranded = %v, want [eq-1]", resp.Stranded)
+	}
+	awaitIdle(t, sup)
+	if st := sup.Stats(); st.Recovered != 1 || st.Degraded != 1 || st.Lost != 0 {
+		t.Errorf("supervisor stats = %+v, want one degraded recovery", st)
+	}
+
+	resp, err = c.Call(Request{Op: OpSession, SessionID: "eq-1"})
+	if err != nil {
+		t.Fatalf("session after the crash: %v", err)
+	}
+	if _, ok := resp.Session.Placement["eq"]; ok {
+		t.Errorf("placement %v keeps the optional equalizer", resp.Session.Placement)
+	}
+	for node, dev := range resp.Session.Placement {
+		if dev == victim {
+			t.Errorf("component %s still on crashed device %s", node, victim)
+		}
+	}
+	resp, err = c.Call(Request{Op: OpScorecard})
+	if err != nil {
+		t.Fatalf("scorecard: %v", err)
+	}
+	for _, card := range resp.Scorecards {
+		if card.Lost != 0 {
+			t.Errorf("scorecard %s: lost = %d, want 0", card.Class, card.Lost)
+		}
+	}
+	select {
+	case ev := <-notices.C():
+		if notice, ok := ev.Payload.(core.SessionLostNotice); ok {
+			t.Errorf("session lost notice raised: %+v", notice)
+		}
+	case <-time.After(100 * time.Millisecond):
 	}
 }
 

@@ -259,6 +259,7 @@ func TestExplainPlacementDiffAfterCrash(t *testing.T) {
 	}
 	web := httptest.NewServer(NewHTTPHandler(dom))
 	t.Cleanup(web.Close)
+	sup := startSupervisor(t, dom)
 
 	resp := srv.Handle(Request{
 		Op:           OpStart,
@@ -277,6 +278,7 @@ func TestExplainPlacementDiffAfterCrash(t *testing.T) {
 	if resp = srv.Handle(Request{Op: OpCrashDevice, ToDevice: victim}); !resp.OK {
 		t.Fatalf("crash: %s", resp.Error)
 	}
+	awaitIdle(t, sup)
 
 	var se explain.SessionExplain
 	if err := json.Unmarshal([]byte(httpGet(t, web.URL+"/explain/diff-1")), &se); err != nil {
@@ -288,6 +290,9 @@ func TestExplainPlacementDiffAfterCrash(t *testing.T) {
 	last := se.Records[len(se.Records)-1]
 	if last.Action == explain.ActionConfigure {
 		t.Errorf("last record action = %q, want a recovery/reconfigure action", last.Action)
+	}
+	if last.Ladder == nil || last.Ladder.Outcome != "recovered" {
+		t.Errorf("last record ladder = %+v, want the supervisor's recovered outcome", last.Ladder)
 	}
 	for comp, dev := range last.Placement {
 		if dev == victim {

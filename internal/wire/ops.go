@@ -258,16 +258,16 @@ func (s *Server) switchDevice(req Request) (Response, error) {
 	return Response{Session: sessionInfoOf(active)}, nil
 }
 
+// crashDevice crashes a device the way the fault injector does and names
+// the sessions the crash stranded; re-placing them is the recovery
+// supervisor's job.
 func (s *Server) crashDevice(req Request) (Response, error) {
-	moved, err := s.dom.RemoveDevice(device.ID(req.ToDevice))
-	if err != nil && len(moved) == 0 {
+	id := device.ID(req.ToDevice)
+	stranded := s.dom.SessionsOn(id)
+	if err := s.dom.FailDevice(id); err != nil {
 		return Response{}, err
 	}
-	resp := Response{Moved: moved}
-	if err != nil {
-		resp.Error = err.Error() // partial recovery: report but succeed
-	}
-	return resp, nil
+	return Response{Stranded: stranded}, nil
 }
 
 func (s *Server) unregister(req Request) (Response, error) {

@@ -214,9 +214,10 @@ type Response struct {
 	// Trace is one finished configuration trace (trace op): the span tree
 	// of a Configure call, newest first when no session is named.
 	Trace *trace.TraceData `json:"trace,omitempty"`
-	// Moved lists sessions reconfigured off a crashed device (crash-device
-	// op).
-	Moved []string `json:"moved,omitempty"`
+	// Stranded lists the sessions that had a component on a crashed device
+	// when it went down (crash-device op); the recovery supervisor re-places
+	// or gives up on each of them.
+	Stranded []string `json:"stranded,omitempty"`
 	// CheckSummary reports what composing the app would do (check op).
 	CheckSummary string `json:"checkSummary,omitempty"`
 	// Flight is one session's fused observability timeline (flight op).

@@ -261,13 +261,22 @@ func TestCrashDeviceOp(t *testing.T) {
 		t.Fatalf("start: %s", resp.Error)
 	}
 	// The server component is pinned to desktop1; crashing desktop3 (which
-	// hosts nothing) succeeds trivially.
+	// hosts nothing) strands nothing.
 	resp = srv.Handle(Request{Op: OpCrashDevice, ToDevice: "desktop3"})
 	if !resp.OK {
 		t.Fatalf("crash: %s", resp.Error)
 	}
-	if len(resp.Moved) != 0 {
-		t.Errorf("moved = %v, want none (desktop3 hosted nothing)", resp.Moved)
+	if len(resp.Stranded) != 0 {
+		t.Errorf("stranded = %v, want none (desktop3 hosted nothing)", resp.Stranded)
+	}
+	// Crashing desktop1 strands the session and leaves it in place: with
+	// no supervisor running, nothing re-places it.
+	resp = srv.Handle(Request{Op: OpCrashDevice, ToDevice: "desktop1"})
+	if !resp.OK || len(resp.Stranded) != 1 || resp.Stranded[0] != "m" {
+		t.Fatalf("crash desktop1: ok %v, error %q, stranded %v; want m stranded", resp.OK, resp.Error, resp.Stranded)
+	}
+	if resp := srv.Handle(Request{Op: OpSession, SessionID: "m"}); !resp.OK || resp.Session.Placement["server"] != "desktop1" {
+		t.Errorf("session after the crash: %+v, want it untouched on desktop1", resp)
 	}
 	if resp := srv.Handle(Request{Op: OpCrashDevice, ToDevice: "ghost"}); resp.OK {
 		t.Error("crashing an unknown device should fail")
