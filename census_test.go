@@ -17,7 +17,7 @@ import (
 // when a change removes some; a change that must raise one says why in its
 // description.
 const (
-	censusMaxExported     = 879
+	censusMaxExported     = 876
 	censusMaxOptionFields = 58
 )
 

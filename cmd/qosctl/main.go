@@ -47,7 +47,8 @@
 // postmortem take as their one positional argument. Each verb is a row of
 // internal/wire's op table, which builds its request from the flags and
 // renders the reply: -json prints the op's JSON payload, the same bytes
-// its HTTP route serves.
+// its HTTP route serves, or for an op with no route the reply document
+// the wire carries, and nothing else.
 //
 // The -app flag accepts the two built-in application graphs ("audio" for
 // mobile audio-on-demand, "conf" for video conferencing) or a path to an
@@ -170,12 +171,12 @@ func run(a runArgs) error {
 		return err
 	}
 	var out io.Writer = os.Stdout
-	if a.verb == "session" && a.dot {
+	if a.verb == "session" && a.dot && !a.asJSON {
 		out = io.Discard // the Graphviz rendering replaces the text view
 	}
 	resp, err := c.Verb(out, a.verb, a.flags, req)
-	if err != nil {
-		return err
+	if err != nil || a.asJSON {
+		return err // the JSON document is all -json prints
 	}
 	switch a.verb {
 	case "session":

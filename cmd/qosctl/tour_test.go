@@ -72,6 +72,7 @@ var masks = []struct {
 	with string
 }{
 	{regexp.MustCompile(`(?m)^  rate .* fps\n`), ""},
+	{regexp.MustCompile(`(?m)^ *"rates": \{[^}]*\},\n`), ""},
 	{regexp.MustCompile(`(startPos"?[=:] ?)\d+`), "${1}<n>"},
 	{regexp.MustCompile(`\d{4}-\d\d-\d\dT\d\d:\d\d:\d\d(\.\d+)?(Z|[+-]\d\d:\d\d)`), "<time>"},
 	{regexp.MustCompile(`\d\d:\d\d:\d\d\.\d{3}`), "<clock>"},

@@ -12,6 +12,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -47,9 +48,9 @@ type Observer interface {
 	// resume or recover, or a supervisor recovery attempt (rec.Ladder
 	// set).
 	Begin(req Request, rec explain.Record) (tr *trace.Trace, composeLog, distributeLog *obslog.Logger)
-	// Finished receives each configure, reconfigure, resume or recover
-	// exactly once, after the rollback and the state handoff are folded
-	// in: the request as submitted, the session (nil on failure), the
+	// Finished receives each configure, reconfigure or resume exactly
+	// once, after the rollback and the state handoff are folded in: the
+	// request as submitted, the session (nil on failure), the
 	// provenance record with each tier's provenance, its trace ID and its
 	// error, the finished trace, and the error.
 	Finished(req Request, active *ActiveSession, rec explain.Record, tr *trace.Trace, err error)
@@ -107,16 +108,16 @@ type Config struct {
 // infrastructure services themselves (admission there is atomic per
 // device/link, with rollback on partial failure). The Configurator's own
 // RWMutex covers only the session registry: a short critical section that
-// reserves the session ID before the pipeline starts — making a duplicate
-// concurrent Configure of the same ID fail fast instead of racing — and
-// commits the finished session after it.
+// claims the session ID before the pipeline starts — so any other
+// transition of the same ID fails fast instead of racing — and commits
+// the finished session after it.
 type Configurator struct {
 	cfg Config
 
 	mu       sync.RWMutex
 	sessions map[string]*ActiveSession
-	// pending holds session IDs whose pipeline is in flight, so the ID is
-	// claimed for the whole configure without holding mu across it.
+	// pending holds the session IDs with a transition in flight, so the ID
+	// is claimed for the whole pipeline without holding mu across it.
 	pending map[string]bool
 	// classSeen is the bounded set of session classes (see Class).
 	classSeen map[string]bool
@@ -135,8 +136,6 @@ func New(cfg Config) (*Configurator, error) {
 		return nil, fmt.Errorf("core: nil network")
 	case cfg.Repo == nil:
 		return nil, fmt.Errorf("core: nil repository")
-	case cfg.Checkpoints == nil:
-		return nil, fmt.Errorf("core: nil checkpoint store")
 	case cfg.Engine == nil:
 		return nil, fmt.Errorf("core: nil runtime engine")
 	}
@@ -156,8 +155,8 @@ func New(cfg Config) (*Configurator, error) {
 
 // Request describes one application configuration request.
 type Request struct {
-	// SessionID names the application session; re-configuring an existing
-	// ID performs a state handoff.
+	// SessionID names the application session; re-configuring a live ID
+	// performs a state handoff.
 	SessionID string
 	// Class buckets the session for per-class observability (arrival/
 	// completion rates, active counts). Empty derives the class from the
@@ -264,33 +263,31 @@ type taps struct {
 	composeLog, distributeLog *obslog.Logger
 }
 
-// reserve claims a session ID for an in-flight configuration, failing if
-// the ID is already active or being configured by another goroutine.
-func (c *Configurator) reserve(id string) error {
+// claim claims a session ID for one transition: for a new session when
+// live is false (the ID must be free), for the live session it returns
+// when live is true. It fails fast while another transition holds the ID.
+func (c *Configurator) claim(id string, live bool) (*ActiveSession, error) {
 	if id == "" {
-		return fmt.Errorf("core: empty session ID")
+		return nil, fmt.Errorf("core: empty session ID")
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if _, ok := c.sessions[id]; ok {
-		return fmt.Errorf("core: session %q already active (use Reconfigure)", id)
-	}
 	if c.pending[id] {
-		return fmt.Errorf("core: session %q is already being configured", id)
+		return nil, fmt.Errorf("core: session %q is already in a transition", id)
+	}
+	active, ok := c.sessions[id]
+	switch {
+	case live && !ok:
+		return nil, fmt.Errorf("core: unknown session %q", id)
+	case !live && ok:
+		return nil, fmt.Errorf("core: session %q already active (use Reconfigure)", id)
 	}
 	c.pending[id] = true
-	return nil
-}
-
-// unreserve releases a claimed session ID after a failed configuration.
-func (c *Configurator) unreserve(id string) {
-	c.mu.Lock()
-	delete(c.pending, id)
-	c.mu.Unlock()
+	return active, nil
 }
 
 // commit publishes a successfully configured session, releasing its
-// reservation.
+// claim.
 func (c *Configurator) commit(active *ActiveSession) {
 	c.mu.Lock()
 	delete(c.pending, active.ID)
@@ -361,42 +358,42 @@ func (c *Configurator) Class(req Request) string {
 }
 
 // Configure runs the full pipeline for a new session: compose → distribute
-// → admit → download → deploy. If the session ID already has a saved
-// checkpoint (from a prior Reconfigure), playback resumes from the
-// interruption point. Independent sessions may Configure concurrently; a
-// concurrent Configure of the same ID fails fast.
+// → admit → download → deploy. Independent sessions may Configure
+// concurrently; a concurrent Configure of the same ID fails fast.
 func (c *Configurator) Configure(req Request) (*ActiveSession, error) {
-	if err := c.reserve(req.SessionID); err != nil {
+	if _, err := c.claim(req.SessionID, false); err != nil {
 		return nil, err
 	}
-	return c.run(req, explain.ActionConfigure, false, 0)
+	return c.run(req, explain.ActionConfigure, nil, 0)
 }
 
 // run carries one configuration action on a session ID the caller has
-// claimed: the pipeline run once, the claim released on failure, the
-// state-transfer time folded into the session's timing, then one finished
-// record to the observer. action labels the run for provenance:
-// ActionConfigure, ActionResume, ActionRecover, or ActionReconfigure.
-func (c *Configurator) run(req Request, action string, handoff bool, transfer time.Duration) (*ActiveSession, error) {
+// claimed: the pipeline run once, the claim released on failure, then one
+// finished record to the observer. old is the live session the action
+// replaces (nil for a new one) and start the stream position a new one
+// plays from. action labels the run for provenance: ActionConfigure,
+// ActionResume or ActionReconfigure.
+func (c *Configurator) run(req Request, action string, old *ActiveSession, start int64) (*ActiveSession, error) {
 	req.Class = c.Class(req)
 	obs := c.cfg.Observer
 	var x taps
 	var rec *explain.Record
 	if obs != nil {
-		rec = &explain.Record{Session: req.SessionID, Action: action, Handoff: handoff}
+		rec = &explain.Record{Session: req.SessionID, Action: action, Handoff: action != explain.ActionConfigure}
 		x.tr, x.composeLog, x.distributeLog = obs.Begin(req, *rec)
 		rec.TraceID = x.tr.Context().TraceID
 	}
 	root := x.tr.Root()
-	active, err := c.configureOnce(req, handoff, root, &x, rec)
+	active, err := c.configureOnce(req, old, start, root, &x, rec)
 	if err != nil {
-		c.unreserve(req.SessionID)
+		c.mu.Lock()
+		delete(c.pending, req.SessionID) // release the claim
+		c.mu.Unlock()
 		root.SetErr(err)
 		if rec != nil {
 			rec.Err = err.Error()
 		}
 	} else {
-		active.Timing.InitOrHandoff += transfer
 		root.Set(trace.Float("cost", active.Cost))
 	}
 	x.tr.Finish()
@@ -409,7 +406,8 @@ func (c *Configurator) run(req Request, action string, handoff bool, transfer ti
 // configureOnce runs the pipeline once at the request's QoS: compose →
 // distribute → reserve → download → deploy, each stage a child of parent
 // and each tier's provenance filled into rec (nil without an observer).
-func (c *Configurator) configureOnce(req Request, handoff bool, parent *trace.Span, x *taps, rec *explain.Record) (*ActiveSession, error) {
+// A set old is replaced make-before-break (see Reconfigure).
+func (c *Configurator) configureOnce(req Request, old *ActiveSession, start int64, parent *trace.Span, x *taps, rec *explain.Record) (*ActiveSession, error) {
 	// --- Tier 1: service composition. ---
 	t0 := time.Now()
 	g, rep, err := c.compose(req, parent, x, rec)
@@ -432,7 +430,7 @@ func (c *Configurator) configureOnce(req Request, handoff bool, parent *trace.Sp
 	if len(up) == 0 {
 		return nil, fmt.Errorf("core: no devices available")
 	}
-	prob, assignment, cost, explored, err := c.distribute(req, g, up, parent, x, rec)
+	prob, assignment, cost, explored, err := c.distribute(req, g, up, old, parent, x, rec)
 	distTime := time.Since(t1)
 	if err != nil {
 		return nil, fmt.Errorf("core: distribution: %w", err)
@@ -455,11 +453,11 @@ func (c *Configurator) configureOnce(req Request, handoff bool, parent *trace.Sp
 	for i, d := range up {
 		active.devIDs[i] = d.ID
 	}
-	if err := c.admit(up, active, parent); err != nil {
+	if err := c.admit(up, active, old, parent); err != nil {
 		return nil, err
 	}
 	fail := func(sp *trace.Span, err error, format string) (*ActiveSession, error) {
-		c.release(active)
+		c.release(active, old)
 		sp.SetErr(err)
 		sp.End()
 		return nil, fmt.Errorf(format, err)
@@ -481,26 +479,41 @@ func (c *Configurator) configureOnce(req Request, handoff bool, parent *trace.Sp
 	// --- Initialization or state handoff. ---
 	// Both a fresh initialization and a resume pay the buffering time for
 	// the first frame (at the start, or at the interruption point).
-	startPos := int64(0)
-	if st, ok := c.cfg.Checkpoints.Load(req.SessionID); ok && handoff {
-		startPos = st.Position
+	depSp := parent.Child("deploy")
+	initTime := firstFrameBuffering(g)
+	if old != nil {
+		if from, to := old.ClientDevice, req.ClientDevice; from != "" && to != "" && from != to {
+			d, err := c.cfg.Net.Transfer(string(from), string(to), c.stateSize(from))
+			if err != nil {
+				return fail(depSp, err, "core: state handoff: %w")
+			}
+			initTime += d
+		}
+		start = old.Runtime.Position() // old plays until the swap
 	}
-	depSp := parent.Child("deploy", trace.Int("startPos", startPos))
-	sess, err := c.cfg.Engine.Deploy(g, active.Placement, startPos, req.MaxFrames)
+	depSp.Set(trace.Int("startPos", start))
+	sess, err := c.cfg.Engine.Deploy(g, active.Placement, start, req.MaxFrames)
 	if err != nil {
 		return fail(depSp, err, "core: deploy: %w")
+	}
+	// --- Swap: old stops, the new graph starts, and old releases what the
+	// new graph does not hold. Start fails only on a started session. ---
+	if old != nil {
+		old.Runtime.Stop()
 	}
 	if err := sess.Start(); err != nil {
 		return fail(depSp, err, "core: start: %w")
 	}
 	depSp.End()
-
 	active.Runtime = sess
 	active.Timing = Timing{
 		Composition:   compTime,
 		Distribution:  distTime,
 		Downloading:   dlTime,
-		InitOrHandoff: firstFrameBuffering(g),
+		InitOrHandoff: initTime,
+	}
+	if old != nil {
+		c.release(old, active)
 	}
 	c.commit(active)
 	return active, nil
@@ -538,20 +551,37 @@ func (c *Configurator) compose(req Request, parent *trace.Span, x *taps, rec *ex
 }
 
 // distribute runs the distribution tier over the up devices: a plan-cache
-// hit when the request uses the default placer, else the placer. It
-// returns the problem it solved, the winning assignment and its cost, and
-// the search's explored-node count.
-func (c *Configurator) distribute(req Request, g *graph.Graph, up []*device.Device, parent *trace.Span, x *taps, rec *explain.Record) (*distributor.Problem, distributor.Assignment, float64, int64, error) {
+// hit when the request uses the default placer, else the placer. Devices
+// and links offer what they would have once old (nil for none) released
+// its reservations. It returns the problem it solved, the winning
+// assignment and its cost, and the search's explored-node count.
+func (c *Configurator) distribute(req Request, g *graph.Graph, up []*device.Device, old *ActiveSession, parent *trace.Span, x *taps, rec *explain.Record) (*distributor.Problem, distributor.Assignment, float64, int64, error) {
 	devInfos := make([]distributor.DeviceInfo, len(up))
 	for i, d := range up {
-		devInfos[i] = distributor.DeviceInfo{ID: d.ID, Avail: d.Available()}
+		avail := d.Available()
+		if own := old.loadOn(d.ID); own != nil {
+			// A release first pays off what a shrinking Resize left
+			// overcommitted, and never lifts availability past capacity.
+			capacity, committed := d.Capacity(), d.Committed()
+			for k := range avail {
+				avail[k] = min(max(capacity[k]-committed[k]+own[k], 0), capacity[k])
+			}
+		}
+		devInfos[i] = distributor.DeviceInfo{ID: d.ID, Avail: avail}
+	}
+	bandwidth := c.cfg.Links.Available
+	if old != nil {
+		bandwidth = func(a, b device.ID) float64 {
+			own := old.demands[[2]device.ID{a, b}] + old.demands[[2]device.ID{b, a}]
+			return max(c.cfg.Links.Capacity(a, b)-max(c.cfg.Links.Reserved(a, b)-own, 0), 0)
+		}
 	}
 	dsp := parent.Child("distribute")
 	stats := &distributor.SearchStats{}
 	prob := &distributor.Problem{
 		Graph:     g,
 		Devices:   devInfos,
-		Bandwidth: c.cfg.Links.Available,
+		Bandwidth: bandwidth,
 		Weights:   c.cfg.Weights,
 		Span:      dsp,
 		Stats:     stats,
@@ -614,34 +644,68 @@ func (c *Configurator) distribute(req Request, g *graph.Graph, up []*device.Devi
 	return prob, assignment, cost, stats.Explored, err
 }
 
-// admit reserves the session's device loads and link bandwidth, all or
-// nothing: a refusal releases whatever was already claimed.
-func (c *Configurator) admit(up []*device.Device, active *ActiveSession, parent *trace.Span) error {
+// loadOn is what s reserves on device id: nothing when s is nil.
+func (s *ActiveSession) loadOn(id device.ID) resource.Vector {
+	if s != nil {
+		if i, ok := slices.BinarySearch(s.devIDs, id); ok { // devIDs is sorted
+			return s.loads[i]
+		}
+	}
+	return nil
+}
+
+// demandOn is what s reserves on a link: nothing when s is nil.
+func (s *ActiveSession) demandOn(pair [2]device.ID) float64 {
+	if s == nil {
+		return 0
+	}
+	return s.demands[pair]
+}
+
+// beyond is what a exceeds b by in each dimension: all of a when b is nil.
+func beyond(a, b resource.Vector) resource.Vector {
+	if b == nil {
+		return a
+	}
+	out := make(resource.Vector, len(a))
+	for k := range out {
+		out[k] = max(a[k]-b[k], 0)
+	}
+	return out
+}
+
+// admit reserves what the session's device loads and link bandwidth need
+// beyond what old (nil for a new session) already holds, all or nothing:
+// a refusal releases whatever was already claimed.
+func (c *Configurator) admit(up []*device.Device, active, old *ActiveSession, parent *trace.Span) error {
 	sp := parent.Child("admit")
-	loads, demands := active.loads, active.demands
 	admitted := make([]int, 0, len(up))
-	reserved := make([][2]device.ID, 0, len(demands))
+	reserved := make([][2]device.ID, 0, len(active.demands))
 	refuse := func(err error, format string) error {
 		for _, pair := range reserved {
-			c.cfg.Links.ReleaseBandwidth(pair[0], pair[1], demands[pair])
+			c.cfg.Links.ReleaseBandwidth(pair[0], pair[1], active.demands[pair]-old.demandOn(pair))
 		}
 		for _, i := range admitted {
-			up[i].Release(loads[i])
+			up[i].Release(beyond(active.loads[i], old.loadOn(up[i].ID)))
 		}
 		sp.SetErr(err)
 		sp.End()
 		return fmt.Errorf(format, err)
 	}
 	for i, d := range up {
-		if loads[i].IsZero() {
+		need := beyond(active.loads[i], old.loadOn(d.ID))
+		if need.IsZero() {
 			continue
 		}
-		if err := d.Admit(loads[i]); err != nil {
+		if err := d.Admit(need); err != nil {
 			return refuse(err, "core: admission: %w")
 		}
 		admitted = append(admitted, i)
 	}
-	for pair, mbps := range demands {
+	for pair, mbps := range active.demands {
+		if mbps -= old.demandOn(pair); mbps <= 0 {
+			continue
+		}
 		if err := c.cfg.Links.Reserve(pair[0], pair[1], mbps); err != nil {
 			return refuse(err, "core: bandwidth reservation: %w")
 		}
@@ -726,7 +790,8 @@ func (c *Configurator) SessionIDs() []string {
 	return out
 }
 
-// Stop terminates a session and releases its resources.
+// Stop terminates a session and releases its resources. It fails fast on
+// a session in the middle of a transition.
 func (c *Configurator) Stop(sessionID string) error {
 	active, err := c.take(sessionID)
 	if err != nil {
@@ -736,61 +801,60 @@ func (c *Configurator) Stop(sessionID string) error {
 	return nil
 }
 
-// take removes an active session from the registry.
+// take claims a live session and removes it from the registry.
 func (c *Configurator) take(sessionID string) (*ActiveSession, error) {
-	c.mu.Lock()
-	active, ok := c.sessions[sessionID]
-	delete(c.sessions, sessionID)
-	c.mu.Unlock()
-	if !ok {
-		return nil, fmt.Errorf("core: unknown session %q", sessionID)
+	active, err := c.claim(sessionID, true)
+	if err == nil {
+		c.mu.Lock()
+		delete(c.sessions, sessionID)
+		delete(c.pending, sessionID)
+		c.mu.Unlock()
 	}
-	return active, nil
+	return active, err
 }
 
 // teardown stops a session taken from the registry, releases its
-// resources and checkpoint, and tells the observer it left the space.
+// resources, and tells the observer it left the space.
 func (c *Configurator) teardown(active *ActiveSession) {
 	active.Runtime.Stop()
-	c.release(active)
-	c.cfg.Checkpoints.Delete(active.ID)
+	c.release(active, nil)
 	if obs := c.cfg.Observer; obs != nil {
 		obs.Step(active.Request, explain.Record{}, nil, 0, SupervisorStats{})
 	}
 }
 
-func (c *Configurator) release(active *ActiveSession) {
-	for i, id := range active.devIDs {
-		if active.loads[i].IsZero() {
-			continue
-		}
-		if d := c.cfg.Devices.Get(id); d != nil {
-			d.Release(active.loads[i])
+// release returns what s reserves beyond what keep (nil for nothing)
+// reserves on the same devices and links.
+func (c *Configurator) release(s, keep *ActiveSession) {
+	for i, id := range s.devIDs {
+		if r := beyond(s.loads[i], keep.loadOn(id)); !r.IsZero() {
+			if d := c.cfg.Devices.Get(id); d != nil {
+				d.Release(r)
+			}
 		}
 	}
-	for pair, mbps := range active.demands {
-		c.cfg.Links.ReleaseBandwidth(pair[0], pair[1], mbps)
+	for pair, mbps := range s.demands {
+		if mbps -= keep.demandOn(pair); mbps > 0 {
+			c.cfg.Links.ReleaseBandwidth(pair[0], pair[1], mbps)
+		}
 	}
 }
 
-// stateSizeMB is the serialized session state carried by a handoff when
-// Config.StateSizeFor is not set.
-const stateSizeMB = 0.5
-
 // stateSize is the size of the session state checkpointed on a portal
-// device.
+// device: 0.5 MB unless Config.StateSizeFor says otherwise.
 func (c *Configurator) stateSize(portal device.ID) float64 {
 	if c.cfg.StateSizeFor != nil {
 		return c.cfg.StateSizeFor(portal)
 	}
-	return stateSizeMB
+	return 0.5
 }
 
 // Suspend checkpoints a session at its interruption point, tears it down,
 // releases its resources, and returns the exported state. Unlike
 // Reconfigure, nothing is re-created: the state can be carried to another
 // domain (the user moved to a new location) and resumed there with
-// ResumeFrom. To this domain the session has ended as a stop does.
+// ResumeFrom. To this domain the session has ended as a stop does. Like
+// Stop, it fails fast on a session in the middle of a transition.
 func (c *Configurator) Suspend(sessionID string) (checkpoint.State, error) {
 	active, err := c.take(sessionID)
 	if err != nil {
@@ -807,84 +871,30 @@ func (c *Configurator) Suspend(sessionID string) (checkpoint.State, error) {
 }
 
 // ResumeFrom configures a session that continues from imported state —
-// the receiving side of a cross-domain migration. The request's session ID
-// takes precedence over the state's.
+// the receiving side of a cross-domain migration — playing from the
+// state's position. The request's session ID names the session.
 func (c *Configurator) ResumeFrom(req Request, st checkpoint.State) (*ActiveSession, error) {
-	if err := c.reserve(req.SessionID); err != nil {
+	if _, err := c.claim(req.SessionID, false); err != nil {
 		return nil, err
 	}
-	st.SessionID = req.SessionID
-	if err := c.cfg.Checkpoints.Save(st); err != nil {
-		c.unreserve(req.SessionID)
-		return nil, err
-	}
-	return c.run(req, explain.ActionResume, true, 0)
+	return c.run(req, explain.ActionResume, nil, st.Position)
 }
 
-// Recover (re)configures a session as part of self-healing. A session
-// still active is reconfigured in place (checkpoint → tear down → fresh
-// compose/distribute → resume). If an earlier recovery attempt already
-// tore the session down and then failed to re-place it, the saved
-// checkpoint is resumed so a later retry still continues playback from
-// the interruption point instead of starting over.
-func (c *Configurator) Recover(req Request) (*ActiveSession, error) {
-	if c.Session(req.SessionID) != nil {
-		return c.Reconfigure(req)
-	}
-	if err := c.reserve(req.SessionID); err != nil {
-		return nil, err
-	}
-	_, resuming := c.cfg.Checkpoints.Load(req.SessionID)
-	return c.run(req, explain.ActionRecover, resuming, 0)
-}
-
-// Reconfigure re-runs the configuration model for an existing session —
+// Reconfigure re-runs the configuration model for a live session —
 // invoked "whenever some significant changes are detected during runtime":
-// by the domain when the user switches devices, and through Recover by
-// the recovery supervisor when a crash or fluctuation breaks the session.
-// The old service graph is checkpointed at its interruption point, torn
-// down, and a new graph composed, distributed, and resumed from the saved
-// position; the returned session's Timing includes the state-handoff
-// cost.
+// by the domain when the user switches devices, and by the recovery
+// supervisor when a crash or fluctuation breaks the session. It is
+// make-before-break: the new graph is composed, placed with the session's
+// own reservations counted as free, admitted for what it needs beyond
+// them, downloaded and deployed at the old graph's interruption point
+// while the old graph plays; only then does the old graph stop and the
+// new one start. The returned session's Timing includes the
+// state-handoff cost. On failure the session, its runtime and its
+// reservations are as they were.
 func (c *Configurator) Reconfigure(req Request) (*ActiveSession, error) {
-	// Move the session from active to pending so a concurrent Configure of
-	// the same ID cannot claim it mid-reconfiguration.
-	c.mu.Lock()
-	old, ok := c.sessions[req.SessionID]
-	if ok {
-		delete(c.sessions, req.SessionID)
-		c.pending[req.SessionID] = true
-	}
-	c.mu.Unlock()
-	if !ok {
-		return nil, fmt.Errorf("core: unknown session %q", req.SessionID)
-	}
-
-	// Checkpoint at the interruption point, then tear down.
-	if err := c.cfg.Checkpoints.Save(checkpoint.State{
-		SessionID: req.SessionID,
-		Position:  old.Runtime.Position(),
-		SizeMB:    c.stateSize(old.ClientDevice),
-	}); err != nil {
-		// Restore bookkeeping: the old session keeps running.
-		c.mu.Lock()
-		delete(c.pending, req.SessionID)
-		c.sessions[req.SessionID] = old
-		c.mu.Unlock()
+	old, err := c.claim(req.SessionID, true)
+	if err != nil {
 		return nil, err
 	}
-	old.Runtime.Stop()
-	c.release(old)
-
-	// Transfer the state between the portal devices.
-	var transfer time.Duration
-	if old.ClientDevice != "" && req.ClientDevice != "" && old.ClientDevice != req.ClientDevice {
-		d, err := c.cfg.Checkpoints.Handoff(c.cfg.Net, req.SessionID, string(old.ClientDevice), string(req.ClientDevice))
-		if err != nil {
-			c.unreserve(req.SessionID)
-			return nil, fmt.Errorf("core: %w", err)
-		}
-		transfer = d
-	}
-	return c.run(req, explain.ActionReconfigure, true, transfer)
+	return c.run(req, explain.ActionReconfigure, old, 0)
 }

@@ -178,7 +178,7 @@ func agrees(t *testing.T, name string, f finishedRecord, active *ActiveSession, 
 }
 
 // TestObserverSeesEachActionOnce drives every configurator action through
-// a recording observer: each configure, reconfigure, resume or recover is
+// a recording observer: each configure, reconfigure or resume is
 // one finished record agreeing with what the call returned, after the
 // handoff is folded in, its error included; each stop or suspend is one
 // step.
@@ -254,6 +254,21 @@ func TestObserverSeesEachActionOnce(t *testing.T) {
 		t.Errorf("resume record action = %q", got)
 	}
 
+	// A reconfigure that cannot be placed is one failed record, and the
+	// session plays on as it was.
+	playing := c.Session("a")
+	ghostPortal := req
+	ghostPortal.ClientDevice = "ghost"
+	if _, err := call("failed reconfigure", func() (*ActiveSession, error) { return c.Reconfigure(ghostPortal) }); err == nil {
+		t.Fatal("reconfigure onto an unknown portal succeeded")
+	}
+	if got := obs.lastFinished().action; got != explain.ActionReconfigure {
+		t.Errorf("failed reconfigure record action = %q", got)
+	}
+	if c.Session("a") != playing {
+		t.Error("a failed reconfigure replaced the session")
+	}
+
 	f0, s0 := obs.counts()
 	if err := c.Stop("a"); err != nil {
 		t.Fatal(err)
@@ -261,24 +276,15 @@ func TestObserverSeesEachActionOnce(t *testing.T) {
 	if f1, s1 := obs.counts(); f1 != f0 || s1-s0 != 1 {
 		t.Fatalf("stop delivered %d records and %d steps, want 0 and 1", f1-f0, s1-s0)
 	}
-	// Recovering a session no longer running configures it afresh.
-	if _, err := call("recover", func() (*ActiveSession, error) { return c.Recover(req) }); err != nil {
-		t.Fatal(err)
-	}
-	if got := obs.lastFinished().action; got != explain.ActionRecover {
-		t.Errorf("recover record action = %q", got)
-	}
-	if err := c.Stop("a"); err != nil {
-		t.Fatal(err)
-	}
-	if got := obs.outcomes(); len(got) != 1 || got[""] != 3 {
-		t.Errorf("steps = %v, want three stops and suspends", got)
+	if got := obs.outcomes(); len(got) != 1 || got[""] != 2 {
+		t.Errorf("steps = %v, want a suspend and a stop", got)
 	}
 }
 
 // TestObserverSeesSupervisorSteps: a recovery that succeeds is one broken
 // and one recovered step, with the recovery's configure as one finished
-// record per attempt; one that gives up ends in exactly one lost step.
+// record per attempt; one that gives up ends in one lost step and then
+// the stop of the session it gave up on.
 func TestObserverSeesSupervisorSteps(t *testing.T) {
 	f := newSuperFixture(t)
 	obs := &recorder{}
@@ -335,10 +341,14 @@ func TestObserverSeesSupervisorSteps(t *testing.T) {
 	if got["lost"] != 2 || got["recovered"] != 2 || got["retry"] == 0 {
 		t.Errorf("steps after the second crash = %v, want retries then two lost", got)
 	}
+	// Each give-up stops the session it gave up on: the lost step is
+	// followed by the stop's.
 	obs.mu.Lock()
 	defer obs.mu.Unlock()
-	if last := obs.steps[len(obs.steps)-1]; last.outcome != "lost" || !strings.Contains(last.detail, "no feasible placement") || last.stats.Backlog != 0 {
-		t.Errorf("last step = %+v, want a lost step with an empty backlog", last)
+	n := len(obs.steps)
+	if lost, stop := obs.steps[n-2], obs.steps[n-1]; lost.outcome != "lost" || !strings.Contains(lost.detail, "no feasible placement") ||
+		lost.stats.Backlog != 0 || stop.outcome != "" || stop.session != lost.session {
+		t.Errorf("last steps = %+v, %+v; want a lost step with an empty backlog, then its session's stop", lost, stop)
 	}
 }
 

@@ -44,8 +44,8 @@ type SupervisorOptions struct {
 	// failing stops burning retries on it even before the deadline.
 	DegradeAfter int
 	// MaxAttempts is the per-session give-up threshold (default 6). A
-	// session still unplaceable after MaxAttempts is stopped, its
-	// checkpoint discarded, and the user notified.
+	// session still unplaceable after MaxAttempts is stopped and the user
+	// notified.
 	MaxAttempts int
 	// InitialDelay postpones a newly queued task's first recovery
 	// attempt (default 0 = attempt immediately). It damps recovery on
@@ -106,9 +106,9 @@ type SupervisorStats struct {
 // recoveryTask tracks one broken session through its retry schedule.
 type recoveryTask struct {
 	sessionID string
-	// req is the session's configuration request, captured when the fault
-	// was detected: a failed recovery attempt tears the session down, so
-	// later retries cannot re-read it from the configurator.
+	// req is the request recovery re-issues, captured when the fault was
+	// detected: the session's own, or for a session recovered degraded
+	// before, its original full-quality request.
 	req Request
 	// dev is the device whose fault stranded the session (for notices).
 	dev       device.ID
@@ -425,15 +425,20 @@ func (s *Supervisor) process() {
 // and degraded re-placement, and either finishes the task or re-queues it
 // with backoff.
 func (s *Supervisor) attempt(t *recoveryTask) {
+	// A session the user stopped while its task waited has nothing left
+	// to recover.
+	active := s.c.Session(t.sessionID)
+	if active == nil {
+		s.finish(t.sessionID)
+		return
+	}
 	// Re-check health: the fault may have cleared while the task waited
 	// (the device rejoined, the link was restored, or a device switch
 	// re-placed the session).
-	if active := s.c.Session(t.sessionID); active != nil {
-		if _, _, broken := s.diagnose(active); !broken {
-			s.finish(t.sessionID)
-			s.report(t.req, &explain.LadderStep{Attempt: t.attempts, Reason: t.reason, Outcome: "healed"}, "", nil, 0)
-			return
-		}
+	if _, _, broken := s.diagnose(active); !broken {
+		s.finish(t.sessionID)
+		s.report(t.req, &explain.LadderStep{Attempt: t.attempts, Reason: t.reason, Outcome: "healed"}, "", nil, 0)
+		return
 	}
 	// A lost portal cannot be healed by re-placement: only the user can
 	// pick a new portal device.
@@ -472,7 +477,7 @@ func (s *Supervisor) attempt(t *recoveryTask) {
 	s.mu.Lock()
 	s.stats.Attempts++
 	s.mu.Unlock()
-	active, err := s.c.Recover(req)
+	active, err := s.c.Reconfigure(req)
 	tr.Root().SetErr(err)
 	tr.Finish()
 
@@ -547,27 +552,28 @@ func (s *Supervisor) backoff(sid string, attempt int) time.Duration {
 	return d + time.Duration(h.Sum64()%uint64(d/2+1))
 }
 
-// giveUp abandons the session: whatever is left of it is stopped, its
-// checkpoint discarded, and the user notified that intervention is needed.
-// tr is the trace of the attempt that exhausted the budget, if one ran.
+// giveUp abandons the session: it is stopped and the user notified that
+// intervention is needed. tr is the trace of the attempt that exhausted
+// the budget, if one ran. A session stopped meanwhile or in the middle of
+// another transition (a switch) is looked at again after a backoff.
 func (s *Supervisor) giveUp(t *recoveryTask, reason string, tr *trace.Trace) {
+	active, err := s.c.take(t.sessionID)
+	if err != nil {
+		t.due = time.Now().Add(s.backoff(t.sessionID, t.attempts))
+		return
+	}
 	s.mu.Lock()
 	delete(s.tasks, t.sessionID)
 	delete(s.degraded, t.sessionID)
 	s.stats.Lost++
 	s.mu.Unlock()
-	// Report the loss before Stop reports a stop, so the session's
+	// Report the loss before the teardown reports a stop, so the session's
 	// account ends lost rather than completed.
 	s.report(t.req, &explain.LadderStep{
 		Attempt: t.attempts, Reason: t.reason, Degraded: t.degraded,
 		Outcome: "lost", Detail: reason,
 	}, t.req.TraceCtx.TraceID, tr, 0)
-	if s.c.Session(t.sessionID) != nil {
-		_ = s.c.Stop(t.sessionID)
-	} else {
-		// Drop the orphaned recovery state (its checkpoint).
-		s.c.cfg.Checkpoints.Delete(t.sessionID)
-	}
+	s.c.teardown(active)
 	s.opts.Bus.Publish(eventbus.TopicUserNotification, SessionLostNotice{
 		SessionID: t.sessionID,
 		Device:    t.dev,
@@ -581,52 +587,33 @@ func (s *Supervisor) finish(sid string) {
 	s.mu.Unlock()
 }
 
-// ShedOptional strips optional services from an abstract graph — the
-// degraded-mode trade: keep the mandatory pipeline alive rather than fail
-// to place the enhanced one. It returns the stripped graph and the sorted
-// IDs of the components it dropped.
+// ShedOptional strips optional services (and their edges) from an
+// abstract graph — the degraded-mode trade: keep the mandatory pipeline
+// alive rather than fail to place the enhanced one. It returns the
+// stripped copy, or the graph itself when it has no optional service, and
+// the sorted IDs of the components it dropped.
 func ShedOptional(app *composer.AbstractGraph) (*composer.AbstractGraph, []string) {
 	if app == nil {
 		return nil, nil
 	}
 	var shed []string
-	for _, n := range app.Nodes() {
-		if n.Optional {
-			shed = append(shed, string(n.ID))
-		}
-	}
-	sort.Strings(shed)
-	return shedOptional(app), shed
-}
-
-// shedOptional strips optional services (and their edges) from an
-// abstract graph, returning it unchanged when it has none.
-func shedOptional(app *composer.AbstractGraph) *composer.AbstractGraph {
-	if app == nil {
-		return nil
-	}
-	drop := make(map[graph.NodeID]bool)
-	for _, n := range app.Nodes() {
-		if n.Optional {
-			drop[n.ID] = true
-		}
-	}
-	if len(drop) == 0 {
-		return app
-	}
 	out := composer.NewAbstractGraph()
 	for _, n := range app.Nodes() {
 		if n.Optional {
+			shed = append(shed, string(n.ID))
 			continue
 		}
 		cp := *n
 		out.MustAddNode(&cp)
 	}
-	for _, e := range app.Edges() {
-		if drop[e.From] || drop[e.To] {
-			continue
-		}
-		out.MustAddEdge(e.From, e.To, e.ThroughputMbps)
+	if shed == nil {
+		return app, nil
 	}
-	return out
+	for _, e := range app.Edges() {
+		if out.Node(e.From) != nil && out.Node(e.To) != nil {
+			out.MustAddEdge(e.From, e.To, e.ThroughputMbps)
+		}
+	}
+	sort.Strings(shed)
+	return out, shed
 }

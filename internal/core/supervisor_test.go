@@ -197,10 +197,10 @@ func TestSupervisorGivesUpWhenNoPlacementExists(t *testing.T) {
 	case <-time.After(time.Second):
 		t.Fatal("no user notification for the lost session")
 	}
-	// The checkpoint was discarded with the session: a later Configure of
-	// the same ID starts fresh instead of resuming.
-	if _, ok := f.cfg.Checkpoints.Load("a1"); ok {
-		t.Error("orphaned checkpoint survived give-up")
+	// No recovery left state behind: a later Configure of the same ID
+	// starts fresh.
+	if n := f.cfg.Checkpoints.Len(); n != 0 {
+		t.Errorf("%d checkpoints survived give-up", n)
 	}
 }
 
@@ -325,19 +325,22 @@ func TestSupervisorIgnoresHealthySessions(t *testing.T) {
 }
 
 func TestShedOptional(t *testing.T) {
-	if shedOptional(nil) != nil {
+	if g, ids := ShedOptional(nil); g != nil || ids != nil {
 		t.Error("nil graph should pass through")
 	}
 	plain := audioApp()
-	if shedOptional(plain) != plain {
+	if g, ids := ShedOptional(plain); g != plain || ids != nil {
 		t.Error("graph without optional nodes should be returned unchanged")
 	}
 	app := audioApp()
 	app.MustAddNode(&composer.AbstractNode{ID: "viz", Spec: registry.Spec{Type: "audio-visualizer"}, Optional: true})
 	app.MustAddEdge("server", "viz", 0.5)
-	shed := shedOptional(app)
+	shed, ids := ShedOptional(app)
 	if shed == app {
 		t.Fatal("expected a copy")
+	}
+	if len(ids) != 1 || ids[0] != "viz" {
+		t.Errorf("shed IDs = %v, want [viz]", ids)
 	}
 	if len(shed.Nodes()) != 2 {
 		t.Errorf("nodes = %d, want 2", len(shed.Nodes()))
@@ -349,7 +352,7 @@ func TestShedOptional(t *testing.T) {
 	}
 	// The original is untouched.
 	if len(app.Nodes()) != 3 {
-		t.Error("shedOptional mutated its input")
+		t.Error("ShedOptional mutated its input")
 	}
 }
 

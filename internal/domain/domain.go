@@ -79,7 +79,7 @@ type Domain struct {
 	// three views: the flight timeline (session-stamped log records as a
 	// sink of Log, finished trace summaries, control-plane events, and
 	// fault-injection markers), the decision provenance (one explain
-	// record per configure/reconfigure/recover action and recovery-ladder
+	// record per configure/reconfigure/resume action and recovery-ladder
 	// step), and the QoS outcome ledger (per-session delivered-vs-
 	// requested accounting folded into the per-class scorecards behind
 	// /ledger, /scorecard, and `qosctl report`). Every writer writes it on
@@ -386,7 +386,9 @@ func (d *Domain) SessionsOn(id device.ID) []string {
 
 // SwitchDevice moves a session's portal to a new device — the paper's
 // PC→PDA handoff — by re-running the configuration model with the new
-// client binding. The event service announces the switch.
+// client binding. The event service announces the switch once the new
+// graph plays; a switch that fails leaves the session playing where it
+// was.
 func (d *Domain) SwitchDevice(sessionID string, to device.ID) (*core.ActiveSession, error) {
 	active := d.Configurator.Session(sessionID)
 	if active == nil {
@@ -397,8 +399,12 @@ func (d *Domain) SwitchDevice(sessionID string, to device.ID) (*core.ActiveSessi
 	}
 	req := active.Request
 	req.ClientDevice = to
+	moved, err := d.Configurator.Reconfigure(req)
+	if err != nil {
+		return nil, err
+	}
 	d.Bus.Publish(eventbus.TopicDeviceSwitched, string(to))
-	return d.Configurator.Reconfigure(req)
+	return moved, nil
 }
 
 // Migrate moves a running session to another domain — the paper's "when
@@ -492,7 +498,7 @@ type MissingServiceNotice struct {
 // the event bus. When composition fails because mandatory services are
 // missing, the event service notifies the user (paper §3.2) before the
 // error is returned. With the admission gate enabled a new session passes
-// it first (see admit); Reconfigure, Recover and ResumeFrom bypass it:
+// it first (see admit); Reconfigure and ResumeFrom bypass it:
 // saturation throttles new arrivals, never sessions the space has
 // already committed to.
 func (d *Domain) StartApp(req core.Request) (*core.ActiveSession, error) {

@@ -21,7 +21,13 @@ const testScale = 0.01
 // PDA, an audio server, players, and a transcoder.
 func newSpace(t *testing.T) *Domain {
 	t.Helper()
-	d, err := New("lab", Options{Scale: testScale})
+	return newSpaceWith(t, Options{Scale: testScale})
+}
+
+// newSpaceWith builds the lab space with the given options.
+func newSpaceWith(t *testing.T, opts Options) *Domain {
+	t.Helper()
+	d, err := New("lab", opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -236,7 +242,7 @@ func TestDomainRecordsMetrics(t *testing.T) {
 		t.Fatal("start on unknown portal should fail discovery or distribution")
 	}
 
-	snap := d.Metrics.Snapshot()
+	snap := d.Metrics.Exposition()
 	for _, want := range []string{
 		"configs_total 3", // start + handoff + failed start
 		"configs_failed 1",

@@ -76,8 +76,8 @@ func (o observer) Begin(req core.Request, rec explain.Record) (*trace.Trace, *ob
 		o.sessionLog(obslog.LevelDebug, "distributor", rec.Session, traceID)
 }
 
-// Finished implements core.Observer: one configure, reconfigure, resume
-// or recover lands on the log, the session store — its trace summary, its
+// Finished implements core.Observer: one configure, reconfigure or
+// resume lands on the log, the session store — its trace summary, its
 // provenance record and its ledger step, in one call — and the metrics
 // registry.
 func (o observer) Finished(req core.Request, active *core.ActiveSession, rec explain.Record, tr *trace.Trace, err error) {

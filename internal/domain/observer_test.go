@@ -359,7 +359,7 @@ func viewsAgree(t *testing.T, d *Domain, session, outcome string, configures int
 	var records int64
 	for _, r := range d.Flight.Explain(session).Records {
 		switch r.Action {
-		case explain.ActionConfigure, explain.ActionReconfigure, explain.ActionRecover:
+		case explain.ActionConfigure, explain.ActionReconfigure:
 			if r.Err == "" {
 				records++
 			}

@@ -24,6 +24,8 @@ import (
 	"ubiqos/internal/device"
 	"ubiqos/internal/domain"
 	"ubiqos/internal/incident"
+	"ubiqos/internal/ledger"
+	"ubiqos/internal/metrics"
 	"ubiqos/internal/netsim"
 	"ubiqos/internal/registry"
 	"ubiqos/internal/repository"
@@ -243,6 +245,13 @@ type FlashCrowdResult struct {
 	SpikeStart time.Time
 	SpikeEnd   time.Time
 	Incidents  []incident.Incident
+	// Scorecards, Sessions and Lost are read at the settled point, once the
+	// holds have drained: the per-class scorecards, the configurator's
+	// session count, and the sessions the recovery supervisor gave up on
+	// (its lost steps, as the domain's metrics count them).
+	Scorecards []ledger.Scorecard
+	Sessions   int
+	Lost       int64
 }
 
 // RunFlashCrowd builds the crowd space, replays the warmup + spike
@@ -329,6 +338,9 @@ func RunFlashCrowd(cfg FlashCrowdConfig) (*FlashCrowdResult, error) {
 		time.Sleep(cfg.CrowdGap)
 	}
 	holds.Wait()
+	res.Scorecards = dom.Flight.Scorecards(0)
+	res.Sessions = dom.Configurator.Sessions()
+	res.Lost = dom.Metrics.Counter(metrics.SessionsLost).Value()
 
 	for _, inc := range dom.Incidents.List() {
 		inc.Evidence = nil

@@ -56,6 +56,19 @@ func TestFlashCrowdClosedLoop(t *testing.T) {
 		t.Errorf("offered = %d, want %d", offered, want)
 	}
 	t.Run("score", func(t *testing.T) { scoreFlashCrowd(t, res, quickFlashCrowdConfig().CrowdHold) })
+	// At the settled point the scorecards reconcile as the chaos drill's
+	// do: Σ Live is the configurator's session count, and Σ Lost the
+	// sessions the supervisor gave up on.
+	t.Run("reconcile", func(t *testing.T) {
+		var live, lost int64
+		for _, sc := range res.Scorecards {
+			live, lost = live+sc.Live, lost+sc.Lost
+		}
+		if live != int64(res.Sessions) || lost != res.Lost {
+			t.Errorf("scorecards hold %d live and %d lost sessions; the configurator %d, the supervisor gave up on %d",
+				live, lost, res.Sessions, res.Lost)
+		}
+	})
 
 	t.Run("open", func(t *testing.T) {
 		cfg := quickFlashCrowdConfig()

@@ -23,14 +23,13 @@ import (
 	"ubiqos/internal/registry"
 )
 
-// Actions a Record can describe. The first four are configuration
+// Actions a Record can describe. The first three are configuration
 // pipeline runs; the ladder actions are recovery-supervisor steps, and
 // ActionAdmission marks an admission-gate decision that changed a
 // request's fate (degraded or rejected it) before the pipeline ran.
 const (
 	ActionConfigure    = "configure"
 	ActionReconfigure  = "reconfigure"
-	ActionRecover      = "recover"
 	ActionResume       = "resume"
 	ActionRecoveryStep = "recovery-step"
 	ActionAdmission    = "admission"
@@ -221,7 +220,7 @@ type Move struct {
 // records — e.g. pre- vs. post-crash.
 type PlacementDiff struct {
 	// FromSeq/ToSeq identify the compared records; FromAction/ToAction
-	// are their actions (configure, reconfigure, recover, resume).
+	// are their actions (configure, reconfigure, resume).
 	FromSeq    uint64 `json:"fromSeq"`
 	ToSeq      uint64 `json:"toSeq"`
 	FromAction string `json:"fromAction"`

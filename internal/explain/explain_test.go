@@ -6,11 +6,11 @@ func TestDiffPlacements(t *testing.T) {
 	from := &Record{Seq: 1, Action: ActionConfigure, Placement: map[string]string{
 		"src": "server", "mix": "server", "sink": "pda", "fx": "laptop",
 	}}
-	to := &Record{Seq: 4, Action: ActionRecover, Placement: map[string]string{
+	to := &Record{Seq: 4, Action: ActionReconfigure, Placement: map[string]string{
 		"src": "server", "mix": "laptop", "sink": "pda", "extra": "server",
 	}}
 	d := DiffPlacements(from, to)
-	if d.FromSeq != 1 || d.ToSeq != 4 || d.FromAction != ActionConfigure || d.ToAction != ActionRecover {
+	if d.FromSeq != 1 || d.ToSeq != 4 || d.FromAction != ActionConfigure || d.ToAction != ActionReconfigure {
 		t.Fatalf("diff header wrong: %+v", d)
 	}
 	if d.Unchanged != 2 {

@@ -79,7 +79,7 @@ func TestExplainComputesSuccessiveDiffs(t *testing.T) {
 		Placement: map[string]string{"a": "d1", "b": "d1"}})
 	// A failed action in between carries no placement and is skipped.
 	r.RecordExplain(explain.Record{Session: "s", Action: explain.ActionReconfigure, Err: "boom"})
-	r.RecordExplain(explain.Record{Session: "s", Action: explain.ActionRecover,
+	r.RecordExplain(explain.Record{Session: "s", Action: explain.ActionReconfigure,
 		Placement: map[string]string{"a": "d2", "b": "d1"}})
 	se := r.Explain("s")
 	if se == nil || len(se.Records) != 3 {
@@ -89,7 +89,7 @@ func TestExplainComputesSuccessiveDiffs(t *testing.T) {
 		t.Fatalf("want 1 diff, got %d", len(se.Diffs))
 	}
 	d := se.Diffs[0]
-	if d.FromAction != explain.ActionConfigure || d.ToAction != explain.ActionRecover {
+	if d.FromAction != explain.ActionConfigure || d.ToAction != explain.ActionReconfigure {
 		t.Fatalf("diff should skip the placement-less record: %+v", d)
 	}
 	if len(d.Moved) != 1 || d.Moved[0].Component != "a" {
@@ -122,7 +122,7 @@ func TestRenderContainsDecisionProvenance(t *testing.T) {
 			Incumbents: 2, Cost: 1.25, RunnerUp: 1.5, BoundTrajectory: []float64{1.5, 1.25}},
 	})
 	r.RecordExplain(explain.Record{
-		Session: "sess-1", Action: explain.ActionRecover, Cost: 2,
+		Session: "sess-1", Action: explain.ActionReconfigure, Cost: 2,
 		Placement: map[string]string{"src": "laptop", "sink": "pda"},
 	})
 	r.RecordExplain(explain.Record{

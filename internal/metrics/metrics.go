@@ -415,10 +415,6 @@ func (r *Registry) Exposition() string {
 	return b.String()
 }
 
-// Snapshot is the exposition text; retained as the historical name used by
-// the wire protocol's metrics op.
-func (r *Registry) Snapshot() string { return r.Exposition() }
-
 func formatFloat(f float64) string {
 	if f == math.Trunc(f) && math.Abs(f) < 1e15 {
 		return strconv.FormatInt(int64(f), 10)

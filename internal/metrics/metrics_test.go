@@ -263,10 +263,6 @@ func TestExposition(t *testing.T) {
 			t.Errorf("families not sorted: %q after %q", bases[i], bases[i-1])
 		}
 	}
-	// Snapshot stays as an alias for the exposition text.
-	if r.Snapshot() != text {
-		t.Error("Snapshot must alias Exposition")
-	}
 }
 
 func TestExpositionHistogramMinMax(t *testing.T) {

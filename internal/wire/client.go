@@ -157,10 +157,14 @@ func (c *Client) Verb(w io.Writer, verb string, flags map[string]string, req Req
 		return resp, err
 	}
 	switch {
-	case flags["json"] == "true" && o.json != nil:
+	case flags["json"] == "true":
+		var doc any = resp // an op with no JSON view prints the reply itself
+		if o.json != nil {
+			doc = o.json(req, resp)
+		}
 		enc := json.NewEncoder(w)
 		enc.SetIndent("", "  ")
-		return resp, enc.Encode(o.json(req, resp))
+		return resp, enc.Encode(doc)
 	case o.text != nil:
 		_, err = io.WriteString(w, o.text(req, resp))
 	}

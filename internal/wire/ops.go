@@ -36,8 +36,8 @@ type op struct {
 	// serves the op with it empty.
 	route, key string
 	// json picks the reply's payload for HTTP and `qosctl -json` (nil: the
-	// op has no JSON view and qosctl prints its text); text renders the
-	// reply for ?format=text and qosctl's default output.
+	// op has no JSON view and qosctl -json prints the whole reply); text
+	// renders the reply for ?format=text and qosctl's default output.
 	json func(Request, Response) any
 	text func(Request, Response) string
 	// Per-op metric names, labeled once rather than on every request.
@@ -62,8 +62,10 @@ var ops = []op{
 	{name: OpSwitch, handle: (*Server).switchDevice, verb: "switch", need: []string{"session", "to"},
 		args: []string{"session", "to"}, text: sessionText},
 	{name: OpMetrics, verb: "metrics",
-		handle: func(s *Server, _ Request) (Response, error) { return Response{Metrics: s.dom.Metrics.Snapshot()}, nil },
-		text:   func(_ Request, r Response) string { return r.Metrics }},
+		handle: func(s *Server, _ Request) (Response, error) {
+			return Response{Metrics: s.dom.Metrics.Exposition()}, nil
+		},
+		text: func(_ Request, r Response) string { return r.Metrics }},
 	{name: OpTrace, handle: (*Server).traceInfo, verb: "trace", args: []string{"session"},
 		json: func(_ Request, r Response) any { return r.Trace }, text: traceText},
 	{name: OpCrashDevice, handle: (*Server).crashDevice, verb: "crash", need: []string{"to"}, args: []string{"to"}},

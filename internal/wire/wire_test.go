@@ -408,7 +408,7 @@ func TestPerOpMetrics(t *testing.T) {
 	if got := m.Histogram(metrics.WithLabel(metrics.WireLatency, "op", "ping")).Count(); got != 2 {
 		t.Errorf("ping latency observations = %d, want 2", got)
 	}
-	snap := m.Snapshot()
+	snap := m.Exposition()
 	for _, want := range []string{
 		`wire_requests_total{op="ping"} 2`,
 		`wire_request_errors_total{op="` + metrics.OverflowLabel + `"} 1`,
@@ -436,7 +436,7 @@ func TestUnknownOpLabelCardinality(t *testing.T) {
 	if got := m.Counter(metrics.WithLabel(metrics.WireRequests, "op", metrics.OverflowLabel)).Value(); got != int64(n) {
 		t.Errorf("overflow requests = %d, want %d", got, n)
 	}
-	snap := m.Snapshot()
+	snap := m.Exposition()
 	if strings.Contains(snap, `op="bogus-`) {
 		t.Error("exposition leaked a per-bogus-op series")
 	}
